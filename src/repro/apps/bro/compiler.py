@@ -403,9 +403,7 @@ class ScriptCompiler:
         self.function_names = {f.name for f in script.functions}
         self.record_types: Dict[str, RecordType] = {}
         for decl in script.types:
-            record_type = RecordType(decl.name, decl.fields)
-            self.record_types[decl.name] = record_type
-            self.glue.register_record_type(record_type)
+            self.record_types[decl.name] = RecordType(decl.name, decl.fields)
         # `when` statements hoist their condition/body into hidden
         # functions; collect them up front so calls resolve at link time.
         self._when_statements: List[WhenStmt] = []
@@ -436,10 +434,11 @@ class ScriptCompiler:
         return self._when_ids[id(statement)]
 
     def struct_type(self, name: str) -> ht.StructT:
-        struct_type = self.glue.struct_type(name)
-        if struct_type is None:
-            raise BroRuntimeError(f"unknown record type {name!r}")
-        return struct_type
+        """The struct layout of a declared record type (they are one)."""
+        try:
+            return self.record_types[name]
+        except KeyError:
+            raise BroRuntimeError(f"unknown record type {name!r}") from None
 
     # -- compilation ------------------------------------------------------------
 
@@ -512,9 +511,7 @@ class ScriptCompiler:
             impl = val_builtins[name]
 
             def call(ctx, *args):
-                vals = [glue.from_hilti(a) for a in args]
-                result = impl(*vals)
-                return glue.to_hilti(result)
+                return glue.to_hilti(impl(*glue.args_from_hilti(args)))
 
             return call
 
@@ -578,12 +575,11 @@ class ScriptCompiler:
             return out
 
         def native_print(ctx, args):
-            vals = [glue.from_hilti(a) for a in args]
+            vals = glue.args_from_hilti(args)
             core.print_line(", ".join(render(v) for v in vals))
 
         def native_queue_event(ctx, name, args):
-            vals = [glue.from_hilti(a) for a in args]
-            core.queue_event(name, vals)
+            core.queue_event(name, glue.args_from_hilti(args))
 
         natives.update({
             "Bro::size": native_size,
@@ -609,8 +605,10 @@ class CompiledScripts:
         self.glue = compiler.glue
         self.program = program
         self.ctx = program.make_context()
+        # Per-event dispatch plan: the hook each handled event runs.
         self.handlers = {
-            decl.name for decl in compiler.script.events
+            decl.name: f"event::{decl.name}"
+            for decl in compiler.script.events
         }
         program.call(self.ctx, "Scripts::__init_globals")
 
@@ -618,19 +616,20 @@ class CompiledScripts:
         return event_name in self.handlers
 
     def dispatch(self, event_name: str, args: List) -> int:
-        if event_name not in self.handlers:
+        hook = self.handlers.get(event_name)
+        if hook is None:
             return 0
-        hilti_args = [self.glue.to_hilti(a) for a in args]
-        self.program.run_hook(self.ctx, f"event::{event_name}", hilti_args)
+        self.program.run_hook(self.ctx, hook, self.glue.args_to_hilti(args))
         return 1
 
     def call_function(self, name: str, args: List):
-        hilti_args = [self.glue.to_hilti(a) for a in args]
         result = self.program.call(
-            self.ctx, f"Scripts::{name}", hilti_args
+            self.ctx, f"Scripts::{name}", self.glue.args_to_hilti(args)
         )
         return self.glue.from_hilti(result)
 
     def check_watchpoints(self) -> int:
         """Evaluate pending `when` triggers (HILTI watchpoints)."""
+        if not self.ctx.watchpoints:
+            return 0
         return self.program.check_watchpoints(self.ctx)

@@ -100,6 +100,18 @@ class BroCore:
         self._scheduled = []
         self._schedule_seq = itertools.count()
 
+    # -- the script engine ----------------------------------------------------
+
+    @property
+    def script_engine(self):
+        return self._script_engine
+
+    @script_engine.setter
+    def script_engine(self, engine) -> None:
+        # The `when` hook is resolved here, once, not per event.
+        self._script_engine = engine
+        self._check_watchpoints = getattr(engine, "check_watchpoints", None)
+
     # -- time ------------------------------------------------------------------
 
     def advance_time(self, when: Time) -> None:
@@ -145,6 +157,8 @@ class BroCore:
         the run — later events still dispatch.
         """
         dispatched = 0
+        engine = self._script_engine
+        check = self._check_watchpoints
         while self._event_queue:
             name, args = self._event_queue.popleft()
             if self.count_events:
@@ -152,10 +166,8 @@ class BroCore:
             begin = _time.perf_counter_ns()
             try:
                 self.faults.check(SITE_SCRIPT_CALL)
-                if self.script_engine is not None:
-                    self.script_engine.dispatch(name, args)
-                    check = getattr(self.script_engine,
-                                    "check_watchpoints", None)
+                if engine is not None:
+                    engine.dispatch(name, args)
                     if check is not None:
                         check()
             except HiltiError as error:

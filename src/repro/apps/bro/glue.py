@@ -11,131 +11,140 @@ benchmarks can report the glue share of total cycles.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Tuple
+from operator import is_
+from time import perf_counter_ns
+from typing import Dict, List, Sequence
 
 from ...core import types as ht
 from ...runtime.bytes_buffer import Bytes
 from ...runtime.containers import HiltiList, HiltiMap, HiltiSet, HiltiVector
 from ...runtime.structs import StructInstance
-from .val import RecordType, RecordVal, SetVal, TableVal, VectorVal
+from .val import RecordVal, SetVal, TableVal, VectorVal
 
 __all__ = ["Glue"]
 
+# The Val-side types that are not their own HILTI value, and back.
+# Anything else (scalars incl. Addr/Port/Time/Interval/bytes/str)
+# crosses the boundary untouched.
+_BRO_BOXED = frozenset((RecordVal, TableVal, SetVal, VectorVal, tuple))
+_HILTI_BOXED = frozenset((StructInstance, RecordVal, HiltiMap, HiltiSet,
+                          HiltiVector, HiltiList, Bytes, tuple))
+
 
 class Glue:
-    """A conversion context with struct-type caching and accounting."""
+    """A conversion context with accounting.
+
+    ``to_hilti_calls``/``from_hilti_calls`` count values crossing the
+    boundary; ``ns_spent`` brackets each argument list once, not each
+    value.
+    """
 
     def __init__(self):
-        self._struct_types: Dict[str, ht.StructT] = {}
-        self._record_types: Dict[str, RecordType] = {}
         self.to_hilti_calls = 0
         self.from_hilti_calls = 0
         self.ns_spent = 0
 
-    # -- struct type management ------------------------------------------------
-
-    def register_record_type(self, record_type: RecordType) -> ht.StructT:
-        struct_type = self._struct_types.get(record_type.name)
-        if struct_type is None:
-            struct_type = ht.StructT(
-                record_type.name,
-                [ht.StructField(name, ht.ANY)
-                 for name, __ in record_type.fields],
-            )
-            self._struct_types[record_type.name] = struct_type
-            self._record_types[record_type.name] = record_type
-        return struct_type
-
-    def struct_type(self, name: str) -> Optional[ht.StructT]:
-        return self._struct_types.get(name)
-
-    def _anonymous_struct(self, record: RecordVal) -> ht.StructT:
-        names = tuple(sorted(record.fields().keys()))
-        key = "anon<" + ",".join(names) + ">"
-        struct_type = self._struct_types.get(key)
-        if struct_type is None:
-            struct_type = ht.StructT(
-                key, [ht.StructField(n, ht.ANY) for n in names]
-            )
-            self._struct_types[key] = struct_type
-        return struct_type
-
     # -- conversions ------------------------------------------------------------
 
     def to_hilti(self, value):
-        """Val -> HILTI value (timed)."""
-        begin = time.perf_counter_ns()
-        try:
-            return self._to_hilti(value)
-        finally:
-            self.ns_spent += time.perf_counter_ns() - begin
-            self.to_hilti_calls += 1
+        """Val -> HILTI value."""
+        return self.args_to_hilti((value,))[0]
+
+    def args_to_hilti(self, args: Sequence) -> List:
+        """One event's or call's arguments, Val -> HILTI; timed once."""
+        begin = perf_counter_ns()
+        out = [self._to_hilti(a) if type(a) in _BRO_BOXED else a
+               for a in args]
+        self.to_hilti_calls += len(out)
+        self.ns_spent += perf_counter_ns() - begin
+        return out
 
     def _to_hilti(self, value):
-        if isinstance(value, RecordVal):
-            if value.record_type is not None:
-                struct_type = self.register_record_type(value.record_type)
-            else:
-                struct_type = self._anonymous_struct(value)
-            instance = StructInstance(struct_type)
-            for name, field_value in value.fields().items():
-                if any(f.name == name for f in struct_type.fields):
-                    instance.set(name, self._to_hilti(field_value))
-            return instance
-        if isinstance(value, TableVal):
+        kind = type(value)
+        if kind is RecordVal:
+            return self._record_to_hilti(value)
+        convert = self._to_hilti
+        if kind is TableVal:
             out = HiltiMap()
             for key in value:
-                out.insert(self._to_hilti(key),
-                           self._to_hilti(value.get(key)))
+                out.insert(convert(key), convert(value.get(key)))
             return out
-        if isinstance(value, SetVal):
+        if kind is SetVal:
             out = HiltiSet()
             for member in value:
-                out.insert(self._to_hilti(member))
+                out.insert(convert(member))
             return out
-        if isinstance(value, VectorVal):
+        if kind is VectorVal:
             out = HiltiVector()
             for item in value:
-                out.push_back(self._to_hilti(item))
+                out.push_back(convert(item))
             return out
-        if isinstance(value, tuple):
-            return tuple(self._to_hilti(v) for v in value)
-        return value  # scalars (incl. Addr/Port/Time/Interval/bytes/str)
+        if kind is tuple:
+            return tuple(convert(v) for v in value)
+        return value
+
+    def _record_to_hilti(self, record: RecordVal):
+        """A typed record *is* a struct: hand it over as is.
+
+        One pass over the slots finds fields that are not their own
+        HILTI value (Bro containers, records holding them); only then is
+        the record copied, slot for slot, into a struct of the same
+        type.  An untyped record has no layout and always copies.
+        """
+        if record._extra is not None:
+            fields = record._extra
+            out = StructInstance(ht.StructT(
+                "anon<" + ",".join(fields) + ">",
+                [ht.StructField(name, ht.ANY) for name in fields],
+            ))
+            out._slots = [self._to_hilti(v) for v in fields.values()]
+            return out
+        out = None
+        for index, value in enumerate(record._slots):
+            if type(value) in _BRO_BOXED:
+                converted = self._to_hilti(value)
+                if converted is not value:
+                    if out is None:
+                        out = StructInstance(record.struct_type)
+                        out._slots = record._slots[:]
+                    out._slots[index] = converted
+        return record if out is None else out
 
     def from_hilti(self, value):
-        """HILTI value -> Val (timed)."""
-        begin = time.perf_counter_ns()
-        try:
-            return self._from_hilti(value)
-        finally:
-            self.ns_spent += time.perf_counter_ns() - begin
-            self.from_hilti_calls += 1
+        """HILTI value -> Val."""
+        return self.args_from_hilti((value,))[0]
+
+    def args_from_hilti(self, args: Sequence) -> List:
+        """One native call's arguments, HILTI -> Val; timed once."""
+        begin = perf_counter_ns()
+        out = [self._from_hilti(a) if type(a) in _HILTI_BOXED else a
+               for a in args]
+        self.from_hilti_calls += len(out)
+        self.ns_spent += perf_counter_ns() - begin
+        return out
 
     def _from_hilti(self, value):
-        if isinstance(value, StructInstance):
-            record_type = self._record_types.get(
-                value.struct_type.type_name
-            )
-            record = RecordVal(record_type)
-            for field in value.struct_type.fields:
-                if value.is_set(field.name):
-                    record.set(field.name,
-                               self._from_hilti(value.get(field.name)))
-            return record
-        if isinstance(value, HiltiMap):
+        kind = type(value)
+        convert = self._from_hilti
+        if kind is StructInstance or kind is RecordVal:
+            slots = [convert(v) if type(v) in _HILTI_BOXED else v
+                     for v in value._slots]
+            if kind is RecordVal and all(map(is_, slots, value._slots)):
+                return value  # handed over as is, comes back as is
+            return RecordVal.from_struct(value.struct_type, slots)
+        if kind is HiltiMap:
             out = TableVal()
             for key, item in value.items():
-                out.set(self._from_hilti(key), self._from_hilti(item))
+                out.set(convert(key), convert(item))
             return out
-        if isinstance(value, HiltiSet):
-            return SetVal(self._from_hilti(m) for m in value)
-        if isinstance(value, (HiltiVector, HiltiList)):
-            return VectorVal(self._from_hilti(i) for i in value)
-        if isinstance(value, Bytes):
+        if kind is HiltiSet:
+            return SetVal(convert(m) for m in value)
+        if kind is HiltiVector or kind is HiltiList:
+            return VectorVal(convert(i) for i in value)
+        if kind is Bytes:
             return value.to_bytes()
-        if isinstance(value, tuple):
-            return tuple(self._from_hilti(v) for v in value)
+        if kind is tuple:
+            return tuple(convert(v) for v in value)
         return value
 
     def stats(self) -> Dict:

@@ -139,6 +139,8 @@ class ScriptInterp:
 
     def check_watchpoints(self) -> int:
         """Evaluate pending `when` conditions; fire due bodies once."""
+        if not self.watchpoints:
+            return 0
         fired = 0
         for entry in self.watchpoints:
             if entry[2]:

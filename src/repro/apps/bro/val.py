@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from ...core import types as ht
+from ...runtime.structs import UNSET, StructInstance
+
 __all__ = ["RecordType", "RecordVal", "TableVal", "SetVal", "VectorVal",
            "BroRuntimeError"]
 
@@ -25,64 +28,128 @@ class BroRuntimeError(Exception):
     """A script-level runtime error."""
 
 
-class RecordType:
-    """A named record type with an ordered field list."""
+def _no_such_field(record_type, field: str) -> BroRuntimeError:
+    return BroRuntimeError(
+        f"record {record_type.type_name} has no field {field!r}"
+    )
 
-    __slots__ = ("name", "fields")
+
+class RecordType(ht.StructT):
+    """A named record type: the slot layout both sides of the
+    Bro/HILTI boundary share (every field is ``any`` to HILTI)."""
 
     def __init__(self, name: str, fields: List):
-        self.name = name
         # fields: list of (field_name, type_expr or None)
-        self.fields = list(fields)
+        super().__init__(
+            name, [ht.StructField(field, ht.ANY) for field, __ in fields]
+        )
 
-    def field_names(self) -> List[str]:
-        return [name for name, __ in self.fields]
+    @property
+    def name(self) -> str:
+        return self.type_name
 
-    def __repr__(self) -> str:
-        return f"<record type {self.name}>"
+    def field_index(self, name: str) -> int:
+        try:
+            return self.slot_index[name]
+        except KeyError:
+            raise _no_such_field(self, name) from None
 
 
-class RecordVal:
-    """A record instance; unset fields read as errors (like Bro)."""
+_UNTYPED = RecordType("?", [])
 
-    __slots__ = ("record_type", "_values")
+
+class RecordVal(StructInstance):
+    """A record instance; unset fields read as errors (like Bro).
+
+    A typed record *is* a HILTI struct of its ``RecordType`` — same slot
+    list, so the glue hands it to compiled code as is.  An untyped
+    record (``RecordVal(None, ...)``) has no layout: its fields live in
+    ``_extra`` and it crosses the boundary by copy.
+    """
+
+    __slots__ = ("_extra",)
 
     def __init__(self, record_type: Optional[RecordType] = None,
                  values: Optional[Dict[str, object]] = None):
-        self.record_type = record_type
-        self._values: Dict[str, object] = dict(values or {})
+        untyped = record_type is None
+        super().__init__(_UNTYPED if untyped else record_type)
+        self._extra = {} if untyped else None
+        for field, value in (values or {}).items():
+            self.set(field, value)
+
+    @classmethod
+    def from_struct(cls, struct_type: ht.StructT, slots: List) -> "RecordVal":
+        """The record over a struct's slot list (adopted, not copied);
+        untyped, from the set fields, when the struct's type is not a
+        ``RecordType`` (an untyped record's stand-in, a foreign struct)."""
+        if not isinstance(struct_type, RecordType):
+            return cls(None, {
+                field.name: value
+                for field, value in zip(struct_type.fields, slots)
+                if value is not UNSET
+            })
+        record = cls.__new__(cls)
+        record._refcount = 1
+        record.struct_type = struct_type
+        record._slots = slots
+        record._extra = None
+        return record
+
+    @property
+    def record_type(self) -> Optional[RecordType]:
+        return None if self._extra is not None else self.struct_type
 
     def get(self, field: str):
         try:
-            return self._values[field]
+            value = self._slots[self.struct_type.slot_index[field]]
         except KeyError:
-            type_name = self.record_type.name if self.record_type else "?"
+            value = (self._extra or {}).get(field, UNSET)
+        if value is UNSET:
             raise BroRuntimeError(
-                f"field {field!r} of record {type_name} is not set"
-            ) from None
+                f"field {field!r} of record {self.struct_type.type_name} "
+                "is not set"
+            )
+        return value
 
     def get_or(self, field: str, default=None):
-        return self._values.get(field, default)
+        try:
+            value = self._slots[self.struct_type.slot_index[field]]
+        except KeyError:
+            value = (self._extra or {}).get(field, UNSET)
+        return default if value is UNSET else value
 
     def has(self, field: str) -> bool:
-        return field in self._values
+        return self.get_or(field, UNSET) is not UNSET
 
     def set(self, field: str, value) -> None:
-        self._values[field] = value
+        try:
+            self._slots[self.struct_type.slot_index[field]] = value
+        except KeyError:
+            if self._extra is None:
+                raise _no_such_field(self.struct_type, field) from None
+            self._extra[field] = value
 
     def fields(self) -> Dict[str, object]:
-        return dict(self._values)
+        """The set fields, by name."""
+        out = {
+            field.name: value
+            for field, value in zip(self.struct_type.fields, self._slots)
+            if value is not UNSET
+        }
+        out.update(self._extra or {})
+        return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RecordVal) and self._values == other._values
+        return isinstance(other, RecordVal) and \
+            self.fields() == other.fields()
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(
-            (k, str(v)) for k, v in self._values.items()
+            (k, str(v)) for k, v in self.fields().items()
         )))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"${k}={v!r}" for k, v in self._values.items())
+        inner = ", ".join(f"${k}={v!r}" for k, v in self.fields().items())
         return f"[{inner}]"
 
 

@@ -275,6 +275,11 @@ _SEGMENT_BREAKERS = {
 }
 
 
+# Struct ops that compile to direct slot access (_struct_site).
+_STRUCT_SLOT_OPS = {"struct.get", "struct.set", "struct.is_set",
+                    "struct.get_default", "struct.unset"}
+
+
 class _FunctionLowering:
     def __init__(self, program: CompiledProgram, module: Module,
                  function: Function, opt_level: int = 0,
@@ -540,6 +545,66 @@ class _FunctionLowering:
         env[fn_name] = unpack_at
         return f"{fn_name}(ctx, {args[0]}, {args[1]})"
 
+    def _struct_site(self, instruction: Instruction, position: int,
+                     env: Dict, args: List[str]) -> Optional[str]:
+        """-O1: a constant-field struct op as direct slot access.
+
+        Returns the batch *line*, or None for the generic path.  The
+        site keeps a monomorphic inline cache in the batch globals:
+        ``k<n>`` = (struct type last seen, the field's slot in it), one
+        tuple so that a hit reads a consistent pair even while another
+        thread re-points it.  A hit touches ``_slots`` only; a null
+        operand, another type, or an unset field on a read goes to
+        ``m<n>``, which runs the generic REGISTRY function (every error
+        is the oracle's own) and re-points the cache.  A declared struct
+        type resolves the slot here, at compile time; the guard stays
+        because typecheck does not prove which struct an ``any``
+        assigned into it held.
+        """
+        operands = instruction.operands
+        if len(operands) < 2 or not isinstance(operands[1], FieldRef):
+            return None
+        mnemonic = instruction.mnemonic
+        field = operands[1].name
+        generic = REGISTRY[mnemonic].fn
+        k, m = f"k{position}", f"m{position}"
+        env[k] = (None, 0)  # every struct has a type: a miss
+        declared = self.function.variable_type(operands[0].name) \
+            if isinstance(operands[0], Var) else None
+        if isinstance(declared, ht.RefT):
+            declared = declared.target
+        if isinstance(declared, ht.StructT) and \
+                field in declared.slot_index:
+            env[k] = (declared, declared.slot_index[field])
+
+        def miss(ctx, struct, *rest):
+            result = generic(ctx, struct, field, *rest)
+            struct_type = struct.struct_type
+            env[k] = (struct_type, struct_type.slot_index[field])
+            return result
+
+        env[m] = miss
+        env["UNSET"] = ht.UNSET
+        hit = (f"(_s := {args[0]}) is not None "
+               f"and _s.struct_type is (_k := {k})[0]")
+        slot = "_s._slots[_k[1]]"
+        if mnemonic == "struct.get":
+            value = (f"_v if {hit} and (_v := {slot}) is not UNSET "
+                     f"else {m}(ctx, _s)")
+        elif mnemonic == "struct.is_set":
+            value = f"({slot} is not UNSET) if {hit} else {m}(ctx, _s)"
+        elif mnemonic == "struct.get_default":
+            value = (f"({args[2]} if (_v := {slot}) is UNSET else _v) "
+                     f"if {hit} else {m}(ctx, _s, {args[2]})")
+        elif mnemonic == "struct.set":
+            # A miss performs the (generic) set itself and returns None.
+            return (f"    if {hit} or {m}(ctx, _s, {args[2]}): "
+                    f"{slot} = {args[2]}")
+        else:  # struct.unset: back to the type's template value
+            return (f"    if {hit} or {m}(ctx, _s): "
+                    f"{slot} = _k[0].template[_k[1]]")
+        return f"    {self._target_source(instruction.target)} = {value}"
+
     def _call_inlinable(self, instruction: Instruction) -> bool:
         """Whether a ``call`` can compile into the enclosing batch."""
         if self.opt_level < 1 or self.ir_suspends is None:
@@ -613,6 +678,11 @@ class _FunctionLowering:
                     lines.append(f"    {expression}")
                 continue
             args = [self._expr_source(op, env) for op in instruction.operands]
+            if self.opt_level >= 1 and mnemonic in _STRUCT_SLOT_OPS:
+                line = self._struct_site(instruction, position, env, args)
+                if line is not None:
+                    lines.append(line)
+                    continue
             expression = None
             if mnemonic == "assign":
                 expression = args[0]

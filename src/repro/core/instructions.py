@@ -662,16 +662,23 @@ _register("set.on_expire", None, ("ref", "val"), fn=_container_on_expire,
 # Structs
 # --------------------------------------------------------------------------
 
+# The struct semantics are StructInstance's own, called unbound: a host
+# value that *is* a struct (Bro's RecordVal) may layer a by-name API of
+# its own on top without changing what the instructions do.
 _register("struct.get", "req", ("ref", "field"),
-          fn=lambda ctx, s, f: _require(s, "struct").get(f))
+          fn=lambda ctx, s, f: StructInstance.get(_require(s, "struct"), f))
 _register("struct.get_default", "req", ("ref", "field", "val"),
-          fn=lambda ctx, s, f, d: _require(s, "struct").get_default(f, d))
+          fn=lambda ctx, s, f, d: StructInstance.get_default(
+              _require(s, "struct"), f, d))
 _register("struct.set", None, ("ref", "field", "val"),
-          fn=lambda ctx, s, f, v: _require(s, "struct").set(f, v))
+          fn=lambda ctx, s, f, v: StructInstance.set(
+              _require(s, "struct"), f, v))
 _register("struct.is_set", "req", ("ref", "field"),
-          fn=lambda ctx, s, f: _require(s, "struct").is_set(f))
+          fn=lambda ctx, s, f: StructInstance.is_set(
+              _require(s, "struct"), f))
 _register("struct.unset", None, ("ref", "field"),
-          fn=lambda ctx, s, f: _require(s, "struct").unset(f))
+          fn=lambda ctx, s, f: StructInstance.unset(
+              _require(s, "struct"), f))
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,7 @@ __all__ = [
     "IteratorT",
     "StructField",
     "StructT",
+    "UNSET",
     "OverlayField",
     "OverlayT",
     "ExceptionT",
@@ -335,6 +336,21 @@ class IteratorT(Type):
         return f"iterator<{self.container}>"
 
 
+class _Unset:
+    """The value an unset struct slot holds (a singleton)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<unset>"
+
+    def __reduce__(self):
+        return "UNSET"  # pickle/copy hand back the singleton
+
+
+UNSET = _Unset()
+
+
 class StructField:
     __slots__ = ("name", "type", "default")
 
@@ -358,10 +374,21 @@ class StructField:
 
 
 class StructT(Type):
+    """A struct type owns its slot layout.
+
+    ``slot_index`` maps a field name to its slot; ``template`` is the
+    slot list of a fresh instance (the field default, or ``UNSET``).
+    Instances copy the template and address slots directly, and so does
+    compiled code (``codegen._struct_site``).
+    """
+
     def __init__(self, type_name: str, fields: Sequence[StructField]):
         self.type_name = type_name
         self.fields = tuple(fields)
-        self._index = {f.name: i for i, f in enumerate(self.fields)}
+        self.slot_index = {f.name: i for i, f in enumerate(self.fields)}
+        self.template = [
+            UNSET if f.default is None else f.default for f in self.fields
+        ]
 
     def _key(self):
         return (self.type_name, self.fields)
@@ -375,7 +402,7 @@ class StructT(Type):
 
     def field_index(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self.slot_index[name]
         except KeyError:
             raise ValueError(
                 f"struct {self.type_name} has no field {name!r}"

@@ -11,50 +11,50 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..core import types as ht
+from ..core.types import UNSET
 from .exceptions import HiltiError, UNDEFINED_VALUE
 from .memory import Managed
 
-__all__ = ["StructInstance", "Callable"]
+__all__ = ["StructInstance", "Callable", "UNSET"]
 
 
 class StructInstance(Managed):
-    """A heap-allocated struct value."""
+    """A heap-allocated struct value: one slot per field of its type.
 
-    __slots__ = ("struct_type", "_values", "_set")
+    ``_slots`` starts as a copy of the type's template; a slot holding
+    ``UNSET`` is an unset field without a default.  Compiled code reads
+    and writes ``_slots`` directly (``codegen._struct_site``).
+    """
+
+    __slots__ = ("struct_type", "_slots")
 
     def __init__(self, struct_type: ht.StructT):
         super().__init__()
         self.struct_type = struct_type
-        self._values = [f.default for f in struct_type.fields]
-        self._set = [f.default is not None for f in struct_type.fields]
+        self._slots = struct_type.template[:]
 
     def get(self, name: str):
-        index = self.struct_type.field_index(name)
-        if not self._set[index]:
+        value = self._slots[self.struct_type.field_index(name)]
+        if value is UNSET:
             raise HiltiError(
                 UNDEFINED_VALUE,
                 f"field {name!r} of struct {self.struct_type.type_name} is unset",
             )
-        return self._values[index]
+        return value
 
     def get_default(self, name: str, default):
-        index = self.struct_type.field_index(name)
-        if not self._set[index]:
-            return default
-        return self._values[index]
+        value = self._slots[self.struct_type.field_index(name)]
+        return default if value is UNSET else value
 
     def set(self, name: str, value) -> None:
-        index = self.struct_type.field_index(name)
-        self._values[index] = value
-        self._set[index] = True
+        self._slots[self.struct_type.field_index(name)] = value
 
     def is_set(self, name: str) -> bool:
-        return self._set[self.struct_type.field_index(name)]
+        return self._slots[self.struct_type.field_index(name)] is not UNSET
 
     def unset(self, name: str) -> None:
         index = self.struct_type.field_index(name)
-        self._values[index] = self.struct_type.fields[index].default
-        self._set[index] = self.struct_type.fields[index].default is not None
+        self._slots[index] = self.struct_type.template[index]
 
     def field_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self.struct_type.fields)
@@ -63,20 +63,18 @@ class StructInstance(Managed):
         return (
             isinstance(other, StructInstance)
             and self.struct_type == other.struct_type
-            and self._values == other._values
-            and self._set == other._set
+            and self._slots == other._slots
         )
 
     def __hash__(self) -> int:
-        return hash((self.struct_type.type_name, tuple(map(str, self._values))))
+        return hash((self.struct_type.type_name, tuple(map(str, self._slots))))
 
     def __repr__(self) -> str:
-        parts = []
-        for field, value, is_set in zip(
-            self.struct_type.fields, self._values, self._set
-        ):
-            parts.append(f"{field.name}={value!r}" if is_set else f"{field.name}=<unset>")
-        return f"<{self.struct_type.type_name} {' '.join(parts)}>"
+        parts = " ".join(
+            f"{field.name}={value!r}"
+            for field, value in zip(self.struct_type.fields, self._slots)
+        )
+        return f"<{self.struct_type.type_name} {parts}>"
 
 
 class Callable(Managed):

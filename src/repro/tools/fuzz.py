@@ -16,8 +16,10 @@ Four lanes, each a different program source:
 
 * ``module`` — random HILTI modules built through ``core.builder``:
   integer dataflow, branches, bounded loops, switches, lexical
-  fallthrough blocks, div/mod traps, and calls into small helper
-  functions shaped to tickle the inliner and specializer.  Oracle:
+  fallthrough blocks, div/mod traps, calls into small helper
+  functions shaped to tickle the inliner and specializer, and struct
+  ops on typed, ``any`` and null operands (the codegen's slot inline
+  cache).  Oracle:
   interpreter vs compiled ``-O0``/``-O1``/``-O2`` outcome (value or
   exception type), plus the ``ctx.instr_count`` parity invariant
   between the interpreter and ``-O0``.
@@ -99,6 +101,14 @@ _DIV_OPS = ["int.div", "int.mod"]
 #   ["fallthrough", stmts]                  stmts, then a lexical
 #                                           fallthrough into a fresh block
 #   ["call", helper_name, [operand...], target]
+#   ["struct", op, which, field, target, operand]
+#       op: get / set / is_set / unset / get_default on struct variable
+#       `which` (sa: ref<A>, sb: ref<B>, so: any, sn: a null ref<A>);
+#       "pick" points `so` at sa or sb; "via" digests all three fields
+#       through the helper Main::sx(any), whose sites then see both
+#       struct types (inline-cache misses and hits) — f ends by adding
+#       sx(sa), sx(sb), sx(so), sx(sa) to its result.  A and B order
+#       x, y, z differently, so a stale slot index reads the wrong field.
 #
 # Helpers are int<64> -> int<64> functions in one of four shapes:
 # "leaf" (single pure block — an inline candidate), "init" (leaf plus
@@ -151,9 +161,18 @@ def _gen_helper(rng: random.Random, index: int) -> Dict:
     return helper
 
 
+_STRUCT_OPS = ["get", "set", "set", "is_set", "unset", "get_default",
+               "pick", "via"]
+_STRUCT_VARS = ["sa", "sb", "so", "sn"]
+
+
 def _gen_stmt(rng: random.Random, helpers: Sequence[Dict],
               depth: int) -> List:
     roll = rng.random()
+    if 0.37 <= roll < 0.45:
+        return ["struct", rng.choice(_STRUCT_OPS),
+                rng.choice([0, 1, 2, 2, 2, 3]), rng.choice("xyz"),
+                rng.randrange(_N_VARS), _gen_operand(rng, _N_VARS)]
     if depth >= 2 or roll < 0.45:
         return ["op", rng.choice(_BINOPS), rng.randrange(_N_VARS),
                 _gen_operand(rng, _N_VARS), _gen_operand(rng, _N_VARS)]
@@ -306,6 +325,25 @@ def _emit_stmts(fb: FunctionBuilder, stmts: Sequence, names: List[str],
             # next block — the shape merge_blocks' off-the-end repair
             # must keep honest in value-returning functions.
             fb.block(fb.fresh_label("ft"))
+        elif tag == "struct":
+            __, op, which, field, target, operand = stmt
+            ref = fb.var(_STRUCT_VARS[which % 4])
+            dest = fb.var(names[target % len(names)])
+            value = _operand(fb, operand, names)
+            if op == "pick":
+                fb.emit("assign", fb.var(_STRUCT_VARS[which % 2]),
+                        target=fb.var("so"))
+            elif op == "via":
+                fb.call("Main::sx", [ref], target=dest)
+            elif op == "is_set":
+                flag = fb.temp(ht.BOOL, "s")
+                fb.emit("struct.is_set", ref, fb.field(field), target=flag)
+                fb.emit("select", flag, fb.const(ht.INT64, 1),
+                        fb.const(ht.INT64, 0), target=dest)
+            else:  # get / get_default / set / unset
+                extra = [value] if op in ("set", "get_default") else []
+                fb.emit(f"struct.{op}", ref, fb.field(field), *extra,
+                        target=dest if op.startswith("get") else None)
         elif tag == "call":
             __, name, arguments, target = stmt
             helper = helpers.get(name)
@@ -328,12 +366,41 @@ def build_module(spec: Dict):
     for helper in spec["helpers"]:
         _build_helper(mb, helper)
     names = [f"v{i}" for i in range(_N_VARS)]
+    uses_structs = any(
+        stmt[0] == "struct" for stmt in _walk_stmts(spec["body"]))
+    if uses_structs:
+        fields = {"x": ht.StructField("x", ht.INT64),
+                  "y": ht.StructField("y", ht.INT64, 7),
+                  "z": ht.StructField("z", ht.INT64)}
+        type_a = mb.type("A", ht.StructT("Main::A", fields.values()))
+        type_b = mb.type("B", ht.StructT(
+            "Main::B", [fields["z"], fields["y"], fields["x"]]))
+        sx = mb.function("sx", [("s", ht.ANY)], ht.INT64)
+        digest, part = sx.local("r", ht.INT64, 0), sx.local("t", ht.INT64)
+        for weight, field in enumerate("xyz", 2):
+            sx.emit("struct.get_default", sx.var("s"), sx.field(field),
+                    sx.const(ht.INT64, -weight), target=part)
+            sx.emit("int.mul", digest, sx.const(ht.INT64, weight),
+                    target=digest)
+            sx.emit("int.add", digest, part, target=digest)
+        sx.ret(digest)
     fb = mb.function("f", [(name, ht.INT64) for name in names], ht.INT64)
+    if uses_structs:
+        fb.emit("new", fb.type_ref(type_a),
+                target=fb.local("sa", ht.RefT(type_a)))
+        fb.emit("new", fb.type_ref(type_b),
+                target=fb.local("sb", ht.RefT(type_b)))
+        fb.local("sn", ht.RefT(type_a))
+        fb.emit("assign", fb.var("sa"), target=fb.local("so", ht.ANY))
     _emit_stmts(fb, spec["body"], names, helpers)
     total = fb.temp(ht.INT64, "total")
     fb.emit("assign", fb.const(ht.INT64, 0), target=total)
     for name in names:
         fb.emit("int.add", total, fb.var(name), target=total)
+    if uses_structs:
+        for ref in ("sa", "sb", "so", "sa"):
+            fb.call("Main::sx", [fb.var(ref)], target=fb.var(names[0]))
+            fb.emit("int.add", total, fb.var(names[0]), target=total)
     fb.ret(total)
     return mb.finish()
 
@@ -377,7 +444,8 @@ def _outcome(call):
         return ("raise", error.except_type.type_name)
 
 
-_STMT_TAGS = ("op", "div", "if", "loop", "switch", "fallthrough", "call")
+_STMT_TAGS = ("op", "div", "if", "loop", "switch", "fallthrough", "call",
+              "struct")
 
 
 def _walk_stmts(node):
@@ -391,7 +459,8 @@ def _walk_stmts(node):
 
 
 def _spec_features(spec: Dict) -> List[str]:
-    tags = {stmt[0] for stmt in _walk_stmts(spec["body"])}
+    tags = {stmt[0] if stmt[0] != "struct" else f"struct.{stmt[1]}"
+            for stmt in _walk_stmts(spec["body"])}
     tags.update(helper["kind"] for helper in spec["helpers"])
     return sorted(tags)
 

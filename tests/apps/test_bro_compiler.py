@@ -9,6 +9,7 @@ from repro.apps.bro.compiler import ScriptCompiler
 from repro.apps.bro.core import BroCore
 from repro.apps.bro.interp import ScriptInterp
 from repro.apps.bro.lang import parse_script
+from repro.apps.bro.val import RecordType
 from repro.core.values import Addr
 
 
@@ -178,6 +179,99 @@ function value(k: string): count {
                 compiled.call_function("value", [key])
 
 
+class TestRecordBoundary:
+    """Typed records cross the Bro/HILTI boundary by reference."""
+
+    @staticmethod
+    def _conn(core):
+        return core.make_connection_val(
+            "C1", Addr("10.0.0.1"), 1, Addr("10.0.0.2"), 2,
+            core.network_time(), "tcp",
+        )
+
+    def test_handler_writes_alias_like_the_interpreter(self):
+        src = """
+event mark(c: connection) {
+    c$state = "seen";
+    c$id$resp_p = 8080;
+}
+
+event mark(c: connection) {
+    print c$state, c$id$resp_p;
+}
+
+event report(c: connection) {
+    print c?$duration, c$state, c$id$resp_p;
+}
+"""
+        (interp, core_i, out_i), (compiled, core_h, out_h) = _engines(src)
+        for engine, core in ((interp, core_i), (compiled, core_h)):
+            conn = self._conn(core)
+            engine.dispatch("mark", [conn])
+            engine.dispatch("report", [conn])
+            # The host sees the script's writes, on both engines.
+            assert conn.get("state") == "seen"
+            assert conn.get("id").get("resp_p") == 8080
+        assert out_i.getvalue() == out_h.getvalue() == \
+            "seen, 8080\nF, seen, 8080\n"
+
+    def test_scalar_only_record_is_not_copied(self):
+        from repro.apps.bro.glue import Glue
+        from repro.apps.bro.val import VectorVal
+
+        glue, core = Glue(), BroCore()
+        conn = self._conn(core)
+        assert glue.to_hilti(conn) is conn
+        assert glue.from_hilti(conn) is conn
+        # A Bro container inside forces the one slot-walk copy, and the
+        # copy is a struct of the same type with the container lowered.
+        conn.set("state", VectorVal([1, 2]))
+        lowered = glue.to_hilti(conn)
+        assert lowered is not conn
+        assert lowered.struct_type is conn.struct_type
+        assert lowered.get("id") is conn.get("id")
+        assert list(glue.from_hilti(lowered).get("state")) == [1, 2]
+
+    def test_undeclared_field_is_an_error_on_both_engines(self):
+        from repro.apps.bro.val import BroRuntimeError
+
+        src = """
+type Row: record {
+    a: count;
+};
+
+event poke(c: connection) {
+    c$bogus = 1;
+}
+
+event fresh() {
+    local r: Row;
+    r$bogus = 1;
+}
+"""
+        (interp, core_i, __), (compiled, core_h, ___) = _engines(src)
+        for engine, core in ((interp, core_i), (compiled, core_h)):
+            with pytest.raises(BroRuntimeError, match="no field 'bogus'"):
+                engine.dispatch("poke", [self._conn(core)])
+            with pytest.raises(BroRuntimeError, match="no field 'bogus'"):
+                engine.dispatch("fresh", [])
+        with pytest.raises(BroRuntimeError, match="no field 'bogus'"):
+            self._conn(core_i).set("bogus", 1)
+
+    def test_no_pending_when_means_no_watchpoint_pass(self):
+        src = """
+event noop() {
+}
+"""
+        for engine, core, __ in _engines(src):
+            if hasattr(engine, "program"):
+                # Idle: the HILTI watchpoint pass must not be reached.
+                engine.program.check_watchpoints = None
+            core.queue_event("noop", [])
+            assert core.drain_events() == 1
+            assert engine.check_watchpoints() == 0
+
+
 class TestGlueAccounting:
     def test_glue_counts_conversions(self):
         src = """
@@ -217,6 +311,9 @@ _scalar_vals = st.one_of(
 )
 
 
+_ABC_TYPE = RecordType("Abc", [("a", None), ("b", None), ("c", None)])
+
+
 @st.composite
 def _vals(draw, depth=0):
     from repro.apps.bro.val import RecordVal, SetVal, TableVal, VectorVal
@@ -243,7 +340,9 @@ def _vals(draw, depth=0):
     fields = draw(st.dictionaries(
         st.sampled_from(["a", "b", "c"]), _vals(depth + 1), max_size=3,
     ))
-    return RecordVal(None, fields)
+    # Untyped (dict-backed, crosses by copy) or typed (slot-backed;
+    # crosses as is unless a field, at any depth, is a Bro container).
+    return RecordVal(draw(st.sampled_from([None, _ABC_TYPE])), fields)
 
 
 class TestGlueRoundtripProperty:
@@ -281,5 +380,45 @@ class TestGlueRoundtripProperty:
         from repro.apps.bro.glue import Glue
 
         glue = Glue()
-        back = glue.from_hilti(glue.to_hilti(value))
+        lowered = glue.to_hilti(value)
+        back = glue.from_hilti(lowered)
         assert self._canonical(back) == self._canonical(value)
+        assert self._record_types(back) == self._record_types(value)
+        assert not self._bro_containers(lowered)
+
+    @staticmethod
+    def _record_types(value):
+        """Record-type names in traversal order (typedness survives)."""
+        from repro.apps.bro.val import RecordVal, TableVal
+
+        walk = TestGlueRoundtripProperty._record_types
+        if isinstance(value, RecordVal):
+            name = value.record_type.name if value.record_type else None
+            return [name] + [
+                t for __, v in sorted(value.fields().items())
+                for t in walk(v)]
+        if isinstance(value, TableVal):
+            return [t for k in value for t in walk(value.get(k))]
+        if isinstance(value, (list, tuple)) or hasattr(value, "__iter__") \
+                and not isinstance(value, (str, bytes)):
+            return [t for v in value for t in walk(v)]
+        return []
+
+    @staticmethod
+    def _bro_containers(value):
+        """Bro containers still reachable from a lowered HILTI value."""
+        from repro.apps.bro.val import SetVal, TableVal, VectorVal
+        from repro.runtime.containers import HiltiMap
+        from repro.runtime.structs import UNSET, StructInstance
+
+        walk = TestGlueRoundtripProperty._bro_containers
+        if isinstance(value, (SetVal, TableVal, VectorVal)):
+            return [value]
+        if isinstance(value, StructInstance):
+            return [c for v in value._slots if v is not UNSET
+                    for c in walk(v)]
+        if isinstance(value, HiltiMap):
+            return [c for k, v in value.items() for c in walk(k) + walk(v)]
+        if hasattr(value, "__iter__") and not isinstance(value, (str, bytes)):
+            return [c for v in value for c in walk(v)]
+        return []
