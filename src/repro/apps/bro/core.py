@@ -100,18 +100,6 @@ class BroCore:
         self._scheduled = []
         self._schedule_seq = itertools.count()
 
-    # -- the script engine ----------------------------------------------------
-
-    @property
-    def script_engine(self):
-        return self._script_engine
-
-    @script_engine.setter
-    def script_engine(self, engine) -> None:
-        # The `when` hook is resolved here, once, not per event.
-        self._script_engine = engine
-        self._check_watchpoints = getattr(engine, "check_watchpoints", None)
-
     # -- time ------------------------------------------------------------------
 
     def advance_time(self, when: Time) -> None:
@@ -157,8 +145,7 @@ class BroCore:
         the run — later events still dispatch.
         """
         dispatched = 0
-        engine = self._script_engine
-        check = self._check_watchpoints
+        engine = self.script_engine
         while self._event_queue:
             name, args = self._event_queue.popleft()
             if self.count_events:
@@ -168,8 +155,7 @@ class BroCore:
                 self.faults.check(SITE_SCRIPT_CALL)
                 if engine is not None:
                     engine.dispatch(name, args)
-                    if check is not None:
-                        check()
+                    engine.check_watchpoints()
             except HiltiError as error:
                 self.health.record_error(SITE_SCRIPT_CALL)
                 self.weird(classify(error), info=f"{name}: {error}")

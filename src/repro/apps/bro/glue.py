@@ -7,10 +7,18 @@ which comes with a corresponding performance penalty" (paper, section 5).
 This module is that glue: bidirectional conversion between the Val
 wrappers and HILTI runtime objects, instrumented so the Figure 9/10
 benchmarks can report the glue share of total cycles.
+
+The boundary rule: a typed record is shared, not converted.  Once it has
+crossed into compiled code its container and bytes fields are HILTI
+values — Bro containers the host put there are lowered in place, those
+scripts write stay as written — and Val consumers (natives, the log
+framework, host Python) read it through ``from_hilti``, which returns a
+Val-only snapshot, or the record itself when it holds none.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import is_
 from time import perf_counter_ns
 from typing import Dict, List, Sequence
@@ -29,6 +37,13 @@ __all__ = ["Glue"]
 _BRO_BOXED = frozenset((RecordVal, TableVal, SetVal, VectorVal, tuple))
 _HILTI_BOXED = frozenset((StructInstance, RecordVal, HiltiMap, HiltiSet,
                           HiltiVector, HiltiList, Bytes, tuple))
+
+
+@lru_cache(maxsize=256)
+def _anon_struct(names: tuple) -> ht.StructT:
+    """The stand-in layout of an untyped record with these fields."""
+    return ht.StructT("anon<" + ",".join(names) + ">",
+                      [ht.StructField(name, ht.ANY) for name in names])
 
 
 class Glue:
@@ -61,9 +76,22 @@ class Glue:
 
     def _to_hilti(self, value):
         kind = type(value)
-        if kind is RecordVal:
-            return self._record_to_hilti(value)
         convert = self._to_hilti
+        if kind is RecordVal:
+            if value._extra is not None:
+                # Untyped: no layout to share; copy into a stand-in.
+                fields = value._extra
+                return StructInstance(_anon_struct(tuple(fields)),
+                                      [convert(v) for v in fields.values()])
+            # A typed record *is* a struct: handed over as is.  Bro
+            # containers in its slots are lowered in place, once — from
+            # here on the record lives in the shared representation and
+            # script writes to it alias, whatever it holds.
+            slots = value._slots
+            for index, item in enumerate(slots):
+                if type(item) in _BRO_BOXED:
+                    slots[index] = convert(item)
+            return value
         if kind is TableVal:
             out = HiltiMap()
             for key in value:
@@ -82,33 +110,6 @@ class Glue:
         if kind is tuple:
             return tuple(convert(v) for v in value)
         return value
-
-    def _record_to_hilti(self, record: RecordVal):
-        """A typed record *is* a struct: hand it over as is.
-
-        One pass over the slots finds fields that are not their own
-        HILTI value (Bro containers, records holding them); only then is
-        the record copied, slot for slot, into a struct of the same
-        type.  An untyped record has no layout and always copies.
-        """
-        if record._extra is not None:
-            fields = record._extra
-            out = StructInstance(ht.StructT(
-                "anon<" + ",".join(fields) + ">",
-                [ht.StructField(name, ht.ANY) for name in fields],
-            ))
-            out._slots = [self._to_hilti(v) for v in fields.values()]
-            return out
-        out = None
-        for index, value in enumerate(record._slots):
-            if type(value) in _BRO_BOXED:
-                converted = self._to_hilti(value)
-                if converted is not value:
-                    if out is None:
-                        out = StructInstance(record.struct_type)
-                        out._slots = record._slots[:]
-                    out._slots[index] = converted
-        return record if out is None else out
 
     def from_hilti(self, value):
         """HILTI value -> Val."""

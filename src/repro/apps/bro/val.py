@@ -62,7 +62,8 @@ class RecordVal(StructInstance):
     """A record instance; unset fields read as errors (like Bro).
 
     A typed record *is* a HILTI struct of its ``RecordType`` — same slot
-    list, so the glue hands it to compiled code as is.  An untyped
+    list, same equality and hash — so the glue hands it to compiled code
+    as is, and ``new`` of a ``RecordType`` builds one.  An untyped
     record (``RecordVal(None, ...)``) has no layout: its fields live in
     ``_extra`` and it crosses the boundary by copy.
     """
@@ -70,9 +71,10 @@ class RecordVal(StructInstance):
     __slots__ = ("_extra",)
 
     def __init__(self, record_type: Optional[RecordType] = None,
-                 values: Optional[Dict[str, object]] = None):
+                 values: Optional[Dict[str, object]] = None,
+                 slots: Optional[List] = None):
         untyped = record_type is None
-        super().__init__(_UNTYPED if untyped else record_type)
+        super().__init__(_UNTYPED if untyped else record_type, slots)
         self._extra = {} if untyped else None
         for field, value in (values or {}).items():
             self.set(field, value)
@@ -82,18 +84,13 @@ class RecordVal(StructInstance):
         """The record over a struct's slot list (adopted, not copied);
         untyped, from the set fields, when the struct's type is not a
         ``RecordType`` (an untyped record's stand-in, a foreign struct)."""
-        if not isinstance(struct_type, RecordType):
-            return cls(None, {
-                field.name: value
-                for field, value in zip(struct_type.fields, slots)
-                if value is not UNSET
-            })
-        record = cls.__new__(cls)
-        record._refcount = 1
-        record.struct_type = struct_type
-        record._slots = slots
-        record._extra = None
-        return record
+        if isinstance(struct_type, RecordType):
+            return cls(struct_type, slots=slots)
+        return cls(None, {
+            field.name: value
+            for field, value in zip(struct_type.fields, slots)
+            if value is not UNSET
+        })
 
     @property
     def record_type(self) -> Optional[RecordType]:
@@ -131,26 +128,36 @@ class RecordVal(StructInstance):
 
     def fields(self) -> Dict[str, object]:
         """The set fields, by name."""
-        out = {
+        if self._extra is not None:
+            return dict(self._extra)
+        return {
             field.name: value
             for field, value in zip(self.struct_type.fields, self._slots)
             if value is not UNSET
         }
-        out.update(self._extra or {})
-        return out
+
+    # Typed records compare and hash as the structs they are (type and
+    # slots), whichever side of the boundary built them; untyped ones by
+    # their field dict.
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RecordVal) and \
-            self.fields() == other.fields()
+        if self._extra is None:
+            return StructInstance.__eq__(self, other)
+        return isinstance(other, RecordVal) and self._extra == other._extra
 
     def __hash__(self) -> int:
+        if self._extra is None:
+            return StructInstance.__hash__(self)
         return hash(tuple(sorted(
-            (k, str(v)) for k, v in self.fields().items()
+            (k, str(v)) for k, v in self._extra.items()
         )))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"${k}={v!r}" for k, v in self.fields().items())
         return f"[{inner}]"
+
+
+RecordType.instance_class = RecordVal
 
 
 class TableVal:

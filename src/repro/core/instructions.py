@@ -154,7 +154,7 @@ def instantiate(ctx, value_type: ht.Type, *args):
     if isinstance(value_type, ht.BytesT):
         return Bytes(args[0] if args else b"")
     if isinstance(value_type, ht.StructT):
-        return StructInstance(value_type)
+        return (value_type.instance_class or StructInstance)(value_type)
     if isinstance(value_type, ht.OverlayT):
         return rt_overlay.OverlayInstance(value_type)
     if isinstance(value_type, ht.RegExpT):

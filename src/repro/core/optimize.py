@@ -115,6 +115,10 @@ _PURE_MAY_RAISE = {"int.div", "int.mod", "double.div", "tuple.index"}
 # instruction intervenes; never removable as dead stores (they may raise
 # on truncated input, which BPF semantics observe).
 _PURE_MEMREAD = {"overlay.get", "unpack", "bytes.begin", "bytes.length"}
+# Available expressions a heap mutation kills: the memory reads, and the
+# generic comparisons, which look *through* references (two structs are
+# equal field by field) — pure on values, heap-dependent on refs.
+_HEAP_DEPENDENT = _PURE_MEMREAD | {"equal", "unequal"}
 
 # Instructions guaranteed not to mutate heap state (so memory-read facts
 # survive them).  Everything else that is not pure kills those facts —
@@ -573,7 +577,7 @@ def _cse_scan(function: Function, block, available: Dict[Tuple, str],
         mnemonic = instruction.mnemonic
         target = instruction.target
         if _invalidates_memory(mnemonic):
-            for key in [k for k in available if k[0] in _PURE_MEMREAD]:
+            for key in [k for k in available if k[0] in _HEAP_DEPENDENT]:
                 del available[key]
         # Invalidate expressions that depend on a reassigned variable.
         if target is not None:

@@ -379,8 +379,12 @@ class StructT(Type):
     ``slot_index`` maps a field name to its slot; ``template`` is the
     slot list of a fresh instance (the field default, or ``UNSET``).
     Instances copy the template and address slots directly, and so does
-    compiled code (``codegen._struct_site``).
+    compiled code (``codegen._struct_site``).  ``new`` builds a
+    ``StructInstance``, or the subclass of it a host's struct types name
+    in ``instance_class`` (Bro's ``RecordType`` names ``RecordVal``).
     """
+
+    instance_class = None
 
     def __init__(self, type_name: str, fields: Sequence[StructField]):
         self.type_name = type_name

@@ -21,17 +21,18 @@ __all__ = ["StructInstance", "Callable", "UNSET"]
 class StructInstance(Managed):
     """A heap-allocated struct value: one slot per field of its type.
 
-    ``_slots`` starts as a copy of the type's template; a slot holding
-    ``UNSET`` is an unset field without a default.  Compiled code reads
-    and writes ``_slots`` directly (``codegen._struct_site``).
+    ``_slots`` starts as a copy of the type's template (or adopts the
+    *slots* list given); a slot holding ``UNSET`` is an unset field
+    without a default.  Compiled code reads and writes ``_slots``
+    directly (``codegen._struct_site``).
     """
 
     __slots__ = ("struct_type", "_slots")
 
-    def __init__(self, struct_type: ht.StructT):
+    def __init__(self, struct_type: ht.StructT, slots: Optional[list] = None):
         super().__init__()
         self.struct_type = struct_type
-        self._slots = struct_type.template[:]
+        self._slots = struct_type.template[:] if slots is None else slots
 
     def get(self, name: str):
         value = self._slots[self.struct_type.field_index(name)]

@@ -9,7 +9,7 @@ from repro.apps.bro.compiler import ScriptCompiler
 from repro.apps.bro.core import BroCore
 from repro.apps.bro.interp import ScriptInterp
 from repro.apps.bro.lang import parse_script
-from repro.apps.bro.val import RecordType
+from repro.apps.bro.val import RecordType, RecordVal
 from repro.core.values import Addr
 
 
@@ -215,22 +215,130 @@ event report(c: connection) {
         assert out_i.getvalue() == out_h.getvalue() == \
             "seen, 8080\nF, seen, 8080\n"
 
-    def test_scalar_only_record_is_not_copied(self):
+    def test_typed_record_is_not_copied(self):
         from repro.apps.bro.glue import Glue
         from repro.apps.bro.val import VectorVal
+        from repro.runtime.containers import HiltiVector
 
         glue, core = Glue(), BroCore()
         conn = self._conn(core)
         assert glue.to_hilti(conn) is conn
         assert glue.from_hilti(conn) is conn
-        # A Bro container inside forces the one slot-walk copy, and the
-        # copy is a struct of the same type with the container lowered.
+        # A Bro container inside is lowered in place, once; the record
+        # still crosses as is, and Val consumers get a Val snapshot.
         conn.set("state", VectorVal([1, 2]))
-        lowered = glue.to_hilti(conn)
-        assert lowered is not conn
-        assert lowered.struct_type is conn.struct_type
-        assert lowered.get("id") is conn.get("id")
-        assert list(glue.from_hilti(lowered).get("state")) == [1, 2]
+        assert glue.to_hilti(conn) is conn
+        lowered = conn.get("state")
+        assert isinstance(lowered, HiltiVector)
+        assert glue.to_hilti(conn) is conn and conn.get("state") is lowered
+        snapshot = glue.from_hilti(conn)
+        assert snapshot is not conn and snapshot.get("id") is conn.get("id")
+        assert list(snapshot.get("state")) == [1, 2]
+
+    def test_records_compare_and_key_alike_whoever_built_them(self):
+        # One equality and hash per record type: a host-built record
+        # (handed over as is) and a script-built one (`local q: Row`,
+        # i.e. HILTI `new`) find each other in tables and under `==`.
+        src = """
+type Row: record {
+    a: count;
+    b: string;
+};
+
+global seen: table[Row] of count;
+global stash: Row;
+
+event put(r: Row) {
+    seen[r] = 1;
+    stash = r;
+}
+
+event probe() {
+    local q: Row;
+    q$a = 1;
+    q$b = "x";
+    print q in seen, q == stash;
+    q$b = "y";
+    print q in seen, q == stash;
+}
+"""
+        (interp, __, out_i), (compiled, ___, out_h) = _engines(src)
+        for engine, types in ((interp, interp.record_types),
+                              (compiled, compiled.compiler.record_types)):
+            engine.dispatch("put", [RecordVal(types["Row"],
+                                              {"a": 1, "b": "x"})])
+            engine.dispatch("probe", [])
+        assert out_i.getvalue() == out_h.getvalue() == "T, T\nF, F\n"
+
+    def test_script_built_record_is_a_record_val(self):
+        from repro.runtime.structs import StructInstance
+
+        row = RecordType("Row", [("a", None)])
+        built = RecordVal(row, {"a": 1})
+        assert built == StructInstance(row, [1]) == built
+        assert hash(built) == hash(StructInstance(row, [1]))
+        assert built != RecordVal(None, {"a": 1}) != built
+        assert RecordVal(None, {"a": 1}) == RecordVal(None, {"a": 1})
+        src = """
+type Row: record {
+    a: count;
+};
+
+function make(): Row {
+    local r: Row;
+    r$a = 1;
+    return r;
+}
+"""
+        (interp, *__), (compiled, *___) = _engines(src)
+        for engine in (interp, compiled):
+            made = engine.call_function("make", [])
+            assert type(made) is RecordVal and made.fields() == {"a": 1}
+
+    def test_container_fields_alias_like_the_interpreter(self):
+        # The boundary rule for containers: a record that crossed into
+        # compiled code lives in the shared representation.  A Bro
+        # container the host put in it is lowered in place, once, so
+        # script writes through `c$...` persist from event to event on
+        # both engines; a container a script wrote stays a HILTI value,
+        # and host code reads either through `glue.from_hilti`.
+        from repro.apps.bro.val import SetVal
+        from repro.runtime.containers import HiltiSet
+
+        src = """
+global tags: set[string];
+
+event tag(c: connection) {
+    add c$state["a"];
+    add tags["t"];
+    c$proto = tags;
+}
+
+event tag(c: connection) {
+    add c$state["b"];
+    add tags["u"];
+}
+
+event report(c: connection) {
+    print |c$state|, "a" in c$state, "b" in c$state, "u" in c$proto;
+}
+"""
+        (interp, core_i, out_i), (compiled, core_h, out_h) = _engines(src)
+        for engine, core in ((interp, core_i), (compiled, core_h)):
+            conn = self._conn(core)
+            conn.set("state", SetVal(["seed"]))
+            engine.dispatch("tag", [conn])
+            engine.dispatch("report", [conn])
+        assert out_i.getvalue() == out_h.getvalue() == "3, T, T, T\n"
+        # Host side, hilti engine: HILTI values in the shared record, a
+        # Val-only snapshot through the glue.
+        assert isinstance(conn.get("state"), HiltiSet)
+        assert isinstance(conn.get("proto"), HiltiSet)
+        snapshot = compiled.glue.from_hilti(conn)
+        assert snapshot is not conn
+        assert sorted(snapshot.get("state")) == ["a", "b", "seed"]
+        assert sorted(snapshot.get("proto")) == ["t", "u"]
+        assert isinstance(snapshot.get("state"), SetVal)
 
     def test_undeclared_field_is_an_error_on_both_engines(self):
         from repro.apps.bro.val import BroRuntimeError
@@ -341,7 +449,7 @@ def _vals(draw, depth=0):
         st.sampled_from(["a", "b", "c"]), _vals(depth + 1), max_size=3,
     ))
     # Untyped (dict-backed, crosses by copy) or typed (slot-backed;
-    # crosses as is unless a field, at any depth, is a Bro container).
+    # crosses as is, Bro containers in it lowered in place).
     return RecordVal(draw(st.sampled_from([None, _ABC_TYPE])), fields)
 
 
@@ -380,10 +488,13 @@ class TestGlueRoundtripProperty:
         from repro.apps.bro.glue import Glue
 
         glue = Glue()
+        # Fingerprints first: a typed record is lowered in place.
+        expected = self._canonical(value), self._record_types(value)
         lowered = glue.to_hilti(value)
+        if isinstance(value, RecordVal) and value.record_type is not None:
+            assert lowered is value
         back = glue.from_hilti(lowered)
-        assert self._canonical(back) == self._canonical(value)
-        assert self._record_types(back) == self._record_types(value)
+        assert (self._canonical(back), self._record_types(back)) == expected
         assert not self._bro_containers(lowered)
 
     @staticmethod

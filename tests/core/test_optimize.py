@@ -160,6 +160,28 @@ int<64> f(int<64> a, int<64> b) {
 """)])
         assert program.call(program.make_context(), "Main::f", [3, 4]) == 14
 
+    def test_heap_mutation_invalidates_reference_equality(self):
+        # `equal` looks through references: a struct.set between two
+        # identical comparisons changes the answer.
+        _behavior("""module Main
+type P = struct { int<64> x }
+bool f(int<64> v) {
+    local ref<P> a
+    local ref<P> b
+    local bool first
+    local bool second
+    a = new P
+    b = new P
+    struct.set a x 1
+    struct.set b x 1
+    first = equal a b
+    struct.set b x v
+    second = equal a b
+    second = bool.and first second
+    return second
+}
+""", "Main::f", [((1,), True), ((2,), False)])
+
     def test_reassignment_invalidates(self):
         src = """module Main
 int<64> f(int<64> a) {
