@@ -21,10 +21,31 @@ UNSET = "-"
 EMPTY = "(empty)"
 
 
+def _render_seconds(value) -> str:
+    return f"{value.seconds:.6f}"
+
+
+# What a log cell almost always is, by exact class: one dict probe in
+# place of the isinstance chain below (which a str walked most of and an
+# int all of).  Subclasses and containers take the chain.
+_RENDER_EXACT = {
+    type(None): lambda value: UNSET,
+    bool: lambda value: "T" if value else "F",
+    int: str,
+    float: lambda value: f"{value:.6f}",
+    str: lambda value: value or EMPTY,
+    Time: _render_seconds,
+    Interval: _render_seconds,
+    Addr: str,
+    Port: str,
+}
+
+
 def render_value(value) -> str:
     """Render one field the way Bro's ASCII writer does (approximately)."""
-    if value is None:
-        return UNSET
+    render = _RENDER_EXACT.get(value.__class__)
+    if render is not None:
+        return render(value)
     if isinstance(value, bool):
         return "T" if value else "F"
     if isinstance(value, float):

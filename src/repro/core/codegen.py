@@ -1,30 +1,64 @@
-"""Code generation: HILTI IR to specialized closures ("native" tier).
+"""Code generation: one Python function per HILTI function ("native" tier).
 
-This is the reproduction's stand-in for the paper's LLVM backend.  Each
-function lowers once into *segments* of pre-specialized step closures: all
-operand addressing (frame slot indices, thread-local global slots,
-constants) and instruction dispatch is resolved at compile time, so
-executing a step is a direct closure call — no per-step IR walking, no
-dict lookups.  Control transfers (branches, calls, yields, hook and timer
-dispatch, exception scopes) compile into small control tuples executed by
-the engine loop.
+This is the reproduction's stand-in for the paper's LLVM backend (§5):
+branches, calls and fiber switches are the host machine's own control
+flow, not something an engine loop interprets.  Every HILTI function (and
+hook body) is emitted once as Python *source*, compiled with
+``compile()`` and bound in one per-program namespace:
 
-The engine runs compiled functions as Python generators so that any point
-of the HILTI call stack can *suspend*: ``yield`` instructions pop out to
-the host through ``repro.runtime.fibers.Fiber``, which is how incremental
-protocol parsers freeze and resume (paper, sections 3.2 and 5).
+* params and locals are Python locals (``v0, v1, ...``; locals arrive
+  initialised as keyword defaults), thread-locals are ``ctx.globals[i]``,
+  constants are literals or names in the namespace;
+* ``if.else``/``switch``/``jump`` are inline ``if``/``elif``/``else``: a
+  block with a single predecessor nests in place under the branch that
+  reaches it, so the hot path through a parser field is straight-line
+  code with its retry arm under the ``else``.  Only join points, loop
+  headers and exception handlers become *rungs* of a ``pc`` ladder
+  (``while True: if pc == 0: ... if pc == 1: ...``); a forward transfer
+  sets ``pc`` and falls down the ladder, a backward one ``continue``\\s;
+* a function the IR-level analysis (:func:`_ir_can_suspend`) says can
+  reach a suspension point is a generator function — ``yield`` is a
+  Python ``yield``, calling it is ``yield from callee(ctx, ...)`` — and
+  a plain ``def`` called as ``callee(ctx, ...)`` otherwise.  Callees and
+  hook bodies are names in the namespace, bound at link time; hook
+  dispatch is the body list unrolled under one ``_HookStop`` handler;
+* ``try.begin``/``try.end`` push and pop a per-invocation handler stack;
+  one ``try/except`` around the ladder dispatches to the innermost
+  matching handler's rung;
+* value instructions become one line each: the registry's ``inline``
+  template, a compile-time specialisation (:data:`_SITES`: struct slots,
+  constant-layout reads, constant-type ``new``), or a call of the
+  registry function.
+
+**Accounting.**  ``ctx.instr_count`` is charged once per straight-line
+*region* — the instructions between two points where control can leave
+the function's straight line (a transfer to a rung, a return, a yield, a
+suspending call) — after they ran, together with one
+``ctx.segments_dispatched`` tick and the one-shot watchdog check.  Every
+emitted line records how many instructions of its region have started
+but are not charged yet; when an exception surfaces in a function, its
+traceback line indexes that table (:func:`_trap`) and exactly the
+instructions up to and including the trapping one are charged — the
+interpreter's count-then-execute totals, on every path.
+
+Each function's source stays on ``CompiledFunction.source`` and in
+``linecache`` under ``<hilti:Module::fn>``, every line ending in the
+HILTI instruction it came from, so a Python traceback through compiled
+code reads as a HILTI one.  The engine that is left is the host-facing
+glue: ``CompiledProgram`` drains generators, ``Fiber`` resumes them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import linecache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import overlay as rt_overlay
 from ..runtime.bytes_buffer import Bytes
 from ..runtime.context import ExecutionContext
 from ..runtime.exceptions import (
     HiltiError,
-    INDEX_ERROR as _INDEX_ERROR,
+    INDEX_ERROR,
     INTERNAL_ERROR,
     PROCESSING_TIMEOUT,
     VALUE_ERROR,
@@ -32,7 +66,7 @@ from ..runtime.exceptions import (
 from ..runtime.fibers import Fiber, FiberStats
 from ..runtime.structs import Callable as HiltiCallable
 from . import types as ht
-from .instructions import REGISTRY, default_value, instantiate
+from .instructions import REGISTRY, constructor, default_value, instantiate
 from .ir import (
     Const,
     FieldRef,
@@ -59,60 +93,55 @@ class _HookStop(Exception):
 
 
 class CompiledFunction:
-    """One lowered function: frame layout plus executable segments."""
+    """One HILTI function as the Python function it compiled to."""
 
-    __slots__ = (
-        "name",
-        "result_type",
-        "param_count",
-        "n_slots",
-        "segments",
-        "local_inits",
-        "can_suspend",
-        "hook_group",
-        "_frame_template",
-    )
+    __slots__ = ("name", "result_type", "param_count", "can_suspend",
+                 "hook_group", "entry", "filename", "_lines")
 
-    def __init__(self, name: str, result_type: ht.Type, param_count: int,
-                 n_slots: int):
-        self.name = name
-        self.result_type = result_type
-        self.param_count = param_count
-        self.n_slots = n_slots
-        # segments: list of (steps tuple, control tuple)
-        self.segments: List[Tuple[Tuple, Tuple]] = []
-        # (slot, thunk) pairs evaluated at frame creation.
-        self.local_inits: List[Tuple[int, Callable]] = []
-        # Whether execution can reach a suspension point (yield, timers,
-        # callables, or a call chain containing one).  Computed by the
-        # whole-program pass in compile_program; conservative default.
-        self.can_suspend = True
+    def __init__(self, function: Function, can_suspend: bool):
+        self.name = function.name
+        self.result_type = function.result
+        self.param_count = len(function.params)
+        # Whether ``entry`` is a generator function: execution can reach
+        # a suspension point (yield, timers, callables, or a call chain
+        # containing one).
+        self.can_suspend = can_suspend
         # For hook bodies: the group this body belongs to (bodies of a
         # disabled group are skipped at dispatch).
-        self.hook_group = None
-        self._frame_template = None
+        self.hook_group = function.hook_group
+        self.entry = None  # entry(ctx, *args)
+        self.filename = f"<hilti:{function.name}>"
+        self._lines: List[str] = []
 
-    def make_frame(self, args: Sequence) -> list:
+    @property
+    def source(self) -> str:
+        """The generated Python source (also in ``linecache``)."""
+        return "".join(self._lines)
+
+    def enter(self, ctx, args: Sequence):
+        """Call with host-supplied *args*: the result, or — for a
+        suspending function — the generator that produces it."""
         if len(args) != self.param_count:
-            raise HiltiError(
-                VALUE_ERROR,
-                f"{self.name} expects {self.param_count} arguments, got "
-                f"{len(args)}",
-            )
-        template = self._frame_template
-        if template is None:
-            # Built once: init values are immutable (ints, strings,
-            # domain values) so sharing them across frames is safe.
-            template = [None] * self.n_slots
-            for slot, thunk in self.local_inits:
-                template[slot] = thunk()
-            self._frame_template = template
-        frame = template[:]
-        frame[: self.param_count] = args
-        return frame
+            _arity(self.name, self.param_count, len(args))
+        return self.entry(ctx, *args)
 
     def __repr__(self) -> str:
-        return f"<compiled {self.name} segments={len(self.segments)}>"
+        kind = "generator" if self.can_suspend else "function"
+        return f"<compiled {self.name} {kind}>"
+
+
+def _arity(name: str, expected: int, got: int):
+    raise HiltiError(
+        VALUE_ERROR, f"{name} expects {expected} arguments, got {got}")
+
+
+def _drain(generator):
+    """Run a compiled generator to completion, ignoring suspensions."""
+    try:
+        while True:
+            next(generator)
+    except StopIteration as stop:
+        return stop.value
 
 
 class CompiledProgram:
@@ -131,7 +160,7 @@ class CompiledProgram:
         # Optimization level the program was lowered at (one of
         # optimize.OPT_LEVELS; -O2 differs from -O1 only in the IR the
         # toolchain hands this lowering — the codegen specializations
-        # below apply identically at every level >= 1).
+        # apply identically at every level >= 1).
         self.opt_level = 1
         # IR-level optimization statistics, attached by the toolchain.
         self.opt_stats = None
@@ -166,48 +195,35 @@ class CompiledProgram:
     def call(self, ctx: ExecutionContext, name: str, args: Sequence = ()):
         """Run a function to completion (ignoring suspension points)."""
         cf = self.function(name)
-        if not cf.can_suspend:
-            return _run_simple(self, ctx, cf, list(args))
-        gen = _execute(self, ctx, cf, list(args))
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+        result = cf.enter(ctx, args)
+        return _drain(result) if cf.can_suspend else result
 
     def call_fiber(self, ctx: ExecutionContext, name: str,
                    args: Sequence = ()) -> Fiber:
         """Start a function inside a fiber; resume() drives it."""
         cf = self.function(name)
-        if not cf.can_suspend:
-            # Non-suspending functions still get a fiber interface.
-            def _wrap():
-                return _run_simple(self, ctx, cf, list(args))
-                yield  # pragma: no cover - makes this a generator
+        if cf.can_suspend:
+            return Fiber(cf.enter(ctx, args), stats=self.fiber_stats)
 
-            return Fiber(_wrap(), stats=self.fiber_stats)
-        gen = _execute(self, ctx, cf, list(args))
-        return Fiber(gen, stats=self.fiber_stats)
+        # Non-suspending functions still get a fiber interface.
+        def _wrap():
+            return cf.enter(ctx, args)
+            yield  # pragma: no cover - makes this a generator
+
+        return Fiber(_wrap(), stats=self.fiber_stats)
 
     def run_hook(self, ctx: ExecutionContext, hook_name: str,
                  args: Sequence = ()):
         """Run all bodies of a hook to completion (host-driven events)."""
-        bodies = self.hooks.get(hook_name, ())
         result = None
-        for body in bodies:
+        for body in self.hooks.get(hook_name, ()):
             if body.hook_group is not None and \
                     body.hook_group in ctx.hook_groups_disabled:
                 continue
             try:
-                if not body.can_suspend:
-                    _run_simple(self, ctx, body, list(args))
-                    continue
-                gen = _execute(self, ctx, body, list(args))
-                while True:
-                    try:
-                        next(gen)
-                    except StopIteration:
-                        break
+                started = body.enter(ctx, args)
+                if body.can_suspend:
+                    _drain(started)
             except _HookStop as stop:
                 result = stop.value
                 break
@@ -223,933 +239,285 @@ class CompiledProgram:
 
     def run_callable(self, ctx: ExecutionContext, bound):
         """Invoke a HILTI callable value to completion (host side)."""
-        gen = _run_callable(self, ctx, bound)
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+        return _drain(_run_callable(self, ctx, bound))
 
     def check_watchpoints(self, ctx: ExecutionContext) -> int:
         """Evaluate pending watchpoints; returns how many fired."""
-        fired = 0
-        for entry in ctx.watchpoints:
-            if entry[2]:
-                continue
-            if self.run_callable(ctx, entry[0]):
-                entry[2] = True
-                fired += 1
-                self.run_callable(ctx, entry[1])
-        ctx.watchpoints[:] = [e for e in ctx.watchpoints if not e[2]]
-        return fired
+        return _drain(_check_watchpoints(self, ctx))
 
     def __repr__(self) -> str:
         return f"<CompiledProgram {len(self.functions)} functions>"
 
 
 # --------------------------------------------------------------------------
-# Lowering
+# Runtime support the generated functions call by name
 # --------------------------------------------------------------------------
 
-_TERMINATORS = {"jump", "if.else", "switch", "return.void", "return.result"}
 
-# Engine instructions that end a segment (beyond the block terminators).
-# thread.schedule, callable.bind, and exception.throw stay plain steps
-# (compile_special_step), but they route through this set so the lowering
-# looks at them before the batch compiler does.
-_SEGMENT_BREAKERS = {
-    "call",
-    "yield",
-    "try.begin",
-    "try.end",
-    "hook.run",
-    "hook.stop",
-    "callable.call",
-    "callable.bind",
-    "thread.schedule",
-    "timer_mgr.advance",
-    "timer_mgr.advance_global",
-    "timer_mgr.expire_all",
-    "watchpoint.check",
-    "exception.throw",
+def _watchdog(ctx) -> None:
+    """The budget check behind every region charge (armed contexts)."""
+    if ctx.instr_count > ctx.instr_budget:
+        # One-shot: disarm so catch handlers can run.
+        ctx.instr_budget = None
+        raise HiltiError(PROCESSING_TIMEOUT, "instruction budget exhausted")
+
+
+def _charge_pending(ctx, exc, table):
+    """Charge the started-but-uncharged part of the trapping region;
+    returns the error to propagate.
+
+    The head of ``exc.__traceback__`` is the entry of the frame that is
+    handling it — the generated function — and *table* maps its line to
+    the instructions of the current region up to and including the one
+    on that line (0 once the region is charged).  A stray IndexError
+    (constant tuple indexing compiles to a plain subscript) becomes
+    Hilti::IndexError here, in the function that trapped.
+    """
+    pending = table[exc.__traceback__.tb_lineno]
+    if pending:
+        ctx.instr_count += pending
+        ctx.segments_dispatched += 1
+    if exc.__class__ is IndexError:
+        return HiltiError(INDEX_ERROR, f"index out of range: {exc}")
+    return exc
+
+
+def _trap(ctx, exc, table) -> None:
+    """Exception leaving a function without handlers; caller re-raises."""
+    error = _charge_pending(ctx, exc, table)
+    if error is not exc:
+        raise error from exc
+
+
+def _unwind(ctx, exc, table, handlers):
+    """Exception in a function with try scopes: ``(rung, error)`` of the
+    innermost matching handler, or ``(-1, None)`` to re-raise."""
+    error = _charge_pending(ctx, exc, table)
+    if isinstance(error, HiltiError):
+        while handlers:
+            rung, catch_type = handlers.pop()
+            if catch_type is None or error.matches(catch_type):
+                return rung, error
+    if error is not exc:
+        raise error from exc
+    return -1, None
+
+
+def _throwable(error) -> HiltiError:
+    if not isinstance(error, HiltiError):
+        error = HiltiError(VALUE_ERROR, str(error))
+    return error
+
+
+def _schedule(ctx, vthread_id, function: str, args) -> None:
+    if ctx.scheduler is None:
+        raise HiltiError(INTERNAL_ERROR, "thread.schedule without a scheduler")
+    ctx.scheduler.schedule(vthread_id, function, args)
+
+
+def _run_callable(program: CompiledProgram, ctx, bound):
+    """Execute a HILTI callable (timers, scheduled jobs); a generator."""
+    if isinstance(bound, HiltiCallable):
+        function = bound.function
+        cf = program.functions.get(function) \
+            if isinstance(function, str) else function
+        if cf is None:
+            native = program.natives.get(function)
+            if native is None:
+                raise HiltiError(
+                    INTERNAL_ERROR, f"unresolved callable {function!r}"
+                )
+            return native(ctx, *bound.args)
+        result = cf.enter(ctx, bound.args)
+        if cf.can_suspend:
+            result = yield from result
+        return result
+    if callable(bound):
+        return bound()
+    raise HiltiError(INTERNAL_ERROR, f"cannot invoke {bound!r}")
+
+
+def _fire(program: CompiledProgram, ctx, actions):
+    """Run expired timers' actions, then the evictions they queued."""
+    for action in actions:
+        yield from _run_callable(program, ctx, action)
+    while ctx.pending_expirations:
+        yield from _run_callable(
+            program, ctx, ctx.pending_expirations.pop(0))
+
+
+def _check_watchpoints(program: CompiledProgram, ctx):
+    fired = 0
+    for entry in ctx.watchpoints:
+        if entry[2]:
+            continue
+        if (yield from _run_callable(program, ctx, entry[0])):
+            entry[2] = True
+            fired += 1
+            yield from _run_callable(program, ctx, entry[1])
+    ctx.watchpoints[:] = [e for e in ctx.watchpoints if not e[2]]
+    return fired
+
+
+_SUPPORT = {
+    "UNSET": ht.UNSET, "_Callable": HiltiCallable, "_HookStop": _HookStop,
+    "_watchdog": _watchdog, "_trap": _trap, "_unwind": _unwind,
+    "_throwable": _throwable, "_schedule": _schedule, "_arity": _arity,
+    "_run_callable": _run_callable, "_fire": _fire,
+    "_check_watchpoints": _check_watchpoints,
 }
 
 
-# Struct ops that compile to direct slot access (_struct_site).
-_STRUCT_SLOT_OPS = {"struct.get", "struct.set", "struct.is_set",
-                    "struct.get_default", "struct.unset"}
-
-
-class _FunctionLowering:
-    def __init__(self, program: CompiledProgram, module: Module,
-                 function: Function, opt_level: int = 0,
-                 ir_suspends: Optional[Dict[str, bool]] = None):
-        self.program = program
-        self.module = module
-        self.function = function
-        # At -O1, calls to provably non-suspending callees compile into
-        # the straight-line batches instead of splitting the segment.
-        self.opt_level = opt_level
-        self.ir_suspends = ir_suspends
-        self.slots: Dict[str, int] = {}
-        for param in function.params:
-            self.slots[param.name] = len(self.slots)
-        for local in function.locals:
-            self.slots[local.name] = len(self.slots)
-        self.cf = CompiledFunction(
-            function.name,
-            function.result,
-            len(function.params),
-            len(self.slots),
-        )
-        self.cf.hook_group = getattr(function, "hook_group", None)
-        for local in function.locals:
-            slot = self.slots[local.name]
-            if local.init is not None:
-                value = local.init.value if isinstance(local.init, Const) \
-                    else local.init
-                self.cf.local_inits.append((slot, (lambda v=value: v)))
-            else:
-                default = default_value(local.type)
-                if default is not None:
-                    self.cf.local_inits.append(
-                        (slot, (lambda v=default: v))
-                    )
-        # label -> segment index of the block's first segment.
-        self.block_entry: Dict[str, int] = {}
-        # Deferred patches: (segment list index, tuple position, label).
-        self._label_patches: List[Tuple[int, int, str]] = []
-        self._pending: List[List] = []  # mutable control tuples pre-patch
-
-    # -- operand compilation ------------------------------------------------
-
-    def compile_read(self, operand: Operand) -> Callable:
-        """Accessor closure (ctx, frame) -> value."""
-        if isinstance(operand, Const):
-            value = operand.value
-            if isinstance(operand.type, ht.BytesT) and isinstance(value, bytes):
-                shared = Bytes(value)
-                shared.freeze()
-                return lambda ctx, frame, v=shared: v
-            return lambda ctx, frame, v=value: v
-        if isinstance(operand, Var):
-            name = operand.name
-            if name in self.slots:
-                slot = self.slots[name]
-                return lambda ctx, frame, s=slot: frame[s]
-            slot = self.program.linked.global_slot(name, self.module)
-            return lambda ctx, frame, s=slot: ctx.globals[s]
-        if isinstance(operand, TupleOp):
-            accessors = tuple(self.compile_read(e) for e in operand.elements)
-            return lambda ctx, frame, accs=accessors: tuple(
-                a(ctx, frame) for a in accs
-            )
-        if isinstance(operand, FieldRef):
-            name = operand.name
-            return lambda ctx, frame, v=name: v
-        if isinstance(operand, TypeRef):
-            ref_type = operand.type
-            return lambda ctx, frame, v=ref_type: v
-        if isinstance(operand, FuncRef):
-            name = operand.name
-            return lambda ctx, frame, v=name: v
-        raise LinkError(f"cannot compile operand {operand!r}")
-
-    def compile_write(self, target: Var) -> Callable:
-        """Store closure (ctx, frame, value)."""
-        name = target.name
-        if name in self.slots:
-            slot = self.slots[name]
-
-            def store_local(ctx, frame, value, s=slot):
-                frame[s] = value
-
-            return store_local
-        slot = self.program.linked.global_slot(name, self.module)
-
-        def store_global(ctx, frame, value, s=slot):
-            ctx.globals[s] = value
-
-        return store_global
-
-    # -- step compilation -------------------------------------------------------
-    #
-    # Plain (non-engine) instructions compile to *Python source*: each
-    # segment's straight-line run becomes one generated function that
-    # CPython compiles to bytecode.  This is the reproduction's equivalent
-    # of emitting LLVM IR — operand addressing is inlined (frame slots,
-    # thread-local indices, constants) and common pure operators lower to
-    # native Python operators instead of calls.
-
-    _INLINE_BINOPS = {
-        "int.add": "+", "int.sub": "-", "int.mul": "*",
-        "int.eq": "==", "int.lt": "<", "int.le": "<=",
-        "int.gt": ">", "int.ge": ">=",
-        "int.and": "&", "int.or": "|", "int.xor": "^",
-        "int.shl": "<<", "int.shr": ">>",
-        "double.add": "+", "double.sub": "-", "double.mul": "*",
-        "double.eq": "==", "double.lt": "<", "double.gt": ">",
-        "string.concat": "+", "string.eq": "==", "string.lt": "<",
-        "bool.xor": "!=",
-    }
-
-    def _expr_source(self, operand: Operand, env: Dict) -> str:
-        """A Python expression for reading *operand*."""
-        if isinstance(operand, Const):
-            value = operand.value
-            if isinstance(operand.type, ht.BytesT) and isinstance(value, bytes):
-                shared = Bytes(value)
-                shared.freeze()
-                value = shared
-            if value is None or isinstance(value, (bool, int)):
-                return repr(value)
-            if isinstance(value, (str, float, bytes)):
-                return repr(value)
-            name = f"c{len(env)}"
-            env[name] = value
-            return name
-        if isinstance(operand, Var):
-            var_name = operand.name
-            if var_name in self.slots:
-                return f"frame[{self.slots[var_name]}]"
-            slot = self.program.linked.global_slot(var_name, self.module)
-            return f"ctx.globals[{slot}]"
-        if isinstance(operand, TupleOp):
-            inner = ", ".join(
-                self._expr_source(e, env) for e in operand.elements
-            )
-            if len(operand.elements) == 1:
-                inner += ","
-            return f"({inner})"
-        if isinstance(operand, FieldRef):
-            return repr(operand.name)
-        if isinstance(operand, (TypeRef, FuncRef)):
-            value = operand.type if isinstance(operand, TypeRef) \
-                else operand.name
-            name = f"c{len(env)}"
-            env[name] = value
-            return name
-        raise LinkError(f"cannot compile operand {operand!r}")
-
-    def _target_source(self, target: Var) -> str:
-        name = target.name
-        if name in self.slots:
-            return f"frame[{self.slots[name]}]"
-        slot = self.program.linked.global_slot(name, self.module)
-        return f"ctx.globals[{slot}]"
-
-    def _make_call_thunk(self, callee_name: str) -> Callable:
-        """A per-call-site inline cache for a batched HILTI-to-HILTI call.
-
-        The compiled callee is looked up in ``program.functions`` once, on
-        the first execution of this site, then reused — no per-call dict
-        lookup, no control-tuple dispatch.  The cache also revalidates the
-        inlining decision: the IR-level suspension analysis proved the
-        callee non-suspending, and if the segment-level fixpoint ever
-        disagreed we fail loudly instead of silently dropping a yield.
-        """
-        program = self.program
-        cache: List[CompiledFunction] = []
-
-        def call_site(ctx, *args, _program=program, _name=callee_name,
-                      _cache=cache, _run=_run_simple):
-            if not _cache:
-                cf = _program.functions[_name]
-                if cf.can_suspend:
-                    raise HiltiError(
-                        INTERNAL_ERROR,
-                        f"batched call to suspending function {_name}",
-                    )
-                _cache.append(cf)
-            return _run(_program, ctx, _cache[0], list(args))
-
-        return call_site
-
-    def _make_hook_thunk(self, hook_name: str) -> Callable:
-        """Per-call-site inline cache for batched hook dispatch."""
-        program = self.program
-        cache: List[Tuple[CompiledFunction, ...]] = []
-
-        def hook_site(ctx, *args, _program=program, _name=hook_name,
-                      _cache=cache, _run=_run_simple):
-            if not _cache:
-                bodies = tuple(_program.hooks.get(_name, ()))
-                for body in bodies:
-                    if body.can_suspend:
-                        raise HiltiError(
-                            INTERNAL_ERROR,
-                            f"batched dispatch to suspending hook body "
-                            f"{body.name}",
-                        )
-                _cache.append(bodies)
-            result = None
-            for body in _cache[0]:
-                if body.hook_group is not None and \
-                        body.hook_group in ctx.hook_groups_disabled:
-                    continue
-                try:
-                    _run(_program, ctx, body, list(args))
-                except _HookStop as stop:
-                    result = stop.value
-                    break
-            return result
-
-        return hook_site
-
-    def _specialized_memread(self, instruction: Instruction, position: int,
-                             env: Dict, args: List[str]) -> Optional[str]:
-        """-O1: resolve a constant-layout memory read at compile time.
-
-        ``overlay.get`` with a constant overlay type and field, and
-        ``unpack`` with a constant format, spend most of their time
-        re-resolving the field spec (offset, format alias, struct code,
-        bit range) on every execution; here that resolution happens once
-        and the site compiles to a precompiled extraction closure.
-        Returns the batch expression, or None to use the generic path.
-        """
-        operands = instruction.operands
-        if instruction.mnemonic == "overlay.get":
-            if len(operands) != 3 or not isinstance(operands[0], TypeRef) \
-                    or not isinstance(operands[1], FieldRef):
-                return None
-            overlay_type = operands[0].type
-            if isinstance(overlay_type, ht.RefT):
-                overlay_type = overlay_type.target
-            try:
-                fld = overlay_type.field(operands[1].name)
-                unpacker = rt_overlay.make_unpacker(fld.fmt)
-            except Exception:
-                return None  # let the generic path report it at runtime
-            offset = fld.offset
-
-            def get_field(ctx, data, _u=unpacker, _off=offset):
-                return _u(data, data.begin_offset + _off)
-
-            fn_name = f"f{position}"
-            env[fn_name] = get_field
-            return f"{fn_name}(ctx, {args[2]})"
-        # unpack <bytes> <offset> <Format> (no bit-range operand)
-        if len(operands) != 3 or not isinstance(operands[2], FieldRef):
-            return None
-        try:
-            unpacker = rt_overlay.make_unpacker(
-                ht.UnpackFormat(operands[2].name, None)
-            )
-        except Exception:
-            return None
-
-        def unpack_at(ctx, data, offset, _u=unpacker):
-            return _u(data, data.begin_offset + offset)
-
-        fn_name = f"f{position}"
-        env[fn_name] = unpack_at
-        return f"{fn_name}(ctx, {args[0]}, {args[1]})"
-
-    def _struct_site(self, instruction: Instruction, position: int,
-                     env: Dict, args: List[str]) -> Optional[str]:
-        """-O1: a constant-field struct op as direct slot access.
-
-        Returns the batch *line*, or None for the generic path.  The
-        site keeps a monomorphic inline cache in the batch globals:
-        ``k<n>`` = (struct type last seen, the field's slot in it), one
-        tuple so that a hit reads a consistent pair even while another
-        thread re-points it.  A hit touches ``_slots`` only; a null
-        operand, another type, or an unset field on a read goes to
-        ``m<n>``, which runs the generic REGISTRY function (every error
-        is the oracle's own) and re-points the cache.  A declared struct
-        type resolves the slot here, at compile time; the guard stays
-        because typecheck does not prove which struct an ``any``
-        assigned into it held.
-        """
-        operands = instruction.operands
-        if len(operands) < 2 or not isinstance(operands[1], FieldRef):
-            return None
-        mnemonic = instruction.mnemonic
-        field = operands[1].name
-        generic = REGISTRY[mnemonic].fn
-        k, m = f"k{position}", f"m{position}"
-        env[k] = (None, 0)  # every struct has a type: a miss
-        declared = self.function.variable_type(operands[0].name) \
-            if isinstance(operands[0], Var) else None
-        if isinstance(declared, ht.RefT):
-            declared = declared.target
-        if isinstance(declared, ht.StructT) and \
-                field in declared.slot_index:
-            env[k] = (declared, declared.slot_index[field])
-
-        def miss(ctx, struct, *rest):
-            result = generic(ctx, struct, field, *rest)
-            struct_type = struct.struct_type
-            env[k] = (struct_type, struct_type.slot_index[field])
-            return result
-
-        env[m] = miss
-        env["UNSET"] = ht.UNSET
-        hit = (f"(_s := {args[0]}) is not None "
-               f"and _s.struct_type is (_k := {k})[0]")
-        slot = "_s._slots[_k[1]]"
-        if mnemonic == "struct.get":
-            value = (f"_v if {hit} and (_v := {slot}) is not UNSET "
-                     f"else {m}(ctx, _s)")
-        elif mnemonic == "struct.is_set":
-            value = f"({slot} is not UNSET) if {hit} else {m}(ctx, _s)"
-        elif mnemonic == "struct.get_default":
-            value = (f"({args[2]} if (_v := {slot}) is UNSET else _v) "
-                     f"if {hit} else {m}(ctx, _s, {args[2]})")
-        elif mnemonic == "struct.set":
-            # A miss performs the (generic) set itself and returns None.
-            return (f"    if {hit} or {m}(ctx, _s, {args[2]}): "
-                    f"{slot} = {args[2]}")
-        else:  # struct.unset: back to the type's template value
-            return (f"    if {hit} or {m}(ctx, _s): "
-                    f"{slot} = _k[0].template[_k[1]]")
-        return f"    {self._target_source(instruction.target)} = {value}"
-
-    def _call_inlinable(self, instruction: Instruction) -> bool:
-        """Whether a ``call`` can compile into the enclosing batch."""
-        if self.opt_level < 1 or self.ir_suspends is None:
-            return False
-        if len(instruction.operands) > 1 and \
-                not isinstance(instruction.operands[1], TupleOp):
-            return False
-        try:
-            kind, target = self.program.linked.resolve_function(
-                instruction.operands[0].name, self.module
-            )
-        except (LinkError, KeyError):
-            return False
-        if kind == "native":
-            return True  # natives are synchronous by construction
-        return not self.ir_suspends.get(target.name, True)
-
-    def _hook_inlinable(self, instruction: Instruction) -> bool:
-        """Whether a ``hook.run`` can compile into the enclosing batch."""
-        if self.opt_level < 1 or self.ir_suspends is None:
-            return False
-        if len(instruction.operands) > 1 and \
-                not isinstance(instruction.operands[1], TupleOp):
-            return False
-        operand = instruction.operands[0]
-        name = operand.name if isinstance(operand, (FieldRef, FuncRef)) \
-            else str(operand)
-        bodies = self.program.linked.hooks.get(name, ())
-        return all(
-            not self.ir_suspends.get(body.name, True) for body in bodies
-        )
-
-    def _compile_batch(self, batch: List[Instruction]) -> Callable:
-        """Compile a straight-line instruction run into one function."""
-        env: Dict = {}
-        lines: List[str] = []
-        for position, instruction in enumerate(batch):
-            mnemonic = instruction.mnemonic
-            if mnemonic in ("call", "hook.run"):
-                fn_name = f"f{position}"
-                if mnemonic == "call":
-                    kind, target = self.program.linked.resolve_function(
-                        instruction.operands[0].name, self.module
-                    )
-                    env[fn_name] = target if kind == "native" \
-                        else self._make_call_thunk(target.name)
-                else:
-                    operand = instruction.operands[0]
-                    hook_name = operand.name \
-                        if isinstance(operand, (FieldRef, FuncRef)) \
-                        else str(operand)
-                    env[fn_name] = self._make_hook_thunk(hook_name)
-                arg_ops = (
-                    instruction.operands[1].elements
-                    if len(instruction.operands) > 1
-                    else ()
-                )
-                joined = ", ".join(
-                    self._expr_source(e, env) for e in arg_ops
-                )
-                expression = (
-                    f"{fn_name}(ctx, {joined})" if joined
-                    else f"{fn_name}(ctx)"
-                )
-                if instruction.target is not None:
-                    lines.append(
-                        f"    {self._target_source(instruction.target)} = "
-                        f"{expression}"
-                    )
-                else:
-                    lines.append(f"    {expression}")
-                continue
-            args = [self._expr_source(op, env) for op in instruction.operands]
-            if self.opt_level >= 1 and mnemonic in _STRUCT_SLOT_OPS:
-                line = self._struct_site(instruction, position, env, args)
-                if line is not None:
-                    lines.append(line)
-                    continue
-            expression = None
-            if mnemonic == "assign":
-                expression = args[0]
-            elif (
-                mnemonic == "tuple.index"
-                and len(instruction.operands) == 2
-                and isinstance(instruction.operands[1], Const)
-            ):
-                # Constant tuple indexing compiles to a plain subscript;
-                # the engine converts a stray IndexError into
-                # Hilti::IndexError, preserving the contained semantics.
-                expression = f"{args[0]}[{instruction.operands[1].value}]"
-            elif mnemonic in self._INLINE_BINOPS and len(args) == 2:
-                expression = f"({args[0]} {self._INLINE_BINOPS[mnemonic]} {args[1]})"
-            elif mnemonic == "int.incr":
-                expression = f"({args[0]} + 1)"
-            elif mnemonic == "int.decr":
-                expression = f"({args[0]} - 1)"
-            elif mnemonic in ("not", "bool.not"):
-                expression = f"(not {args[0]})"
-            elif mnemonic == "bool.and":
-                expression = f"({args[0]} and {args[1]})"
-            elif mnemonic == "bool.or":
-                expression = f"({args[0]} or {args[1]})"
-            elif self.opt_level >= 1 and \
-                    mnemonic in ("overlay.get", "unpack"):
-                expression = self._specialized_memread(
-                    instruction, position, env, args
-                )
-            if expression is None:
-                definition = REGISTRY[mnemonic]
-                if definition.fn is None:
-                    raise LinkError(
-                        f"engine instruction {mnemonic} in step position"
-                    )
-                fn_name = f"f{position}"
-                env[fn_name] = definition.fn
-                joined = ", ".join(args)
-                expression = (
-                    f"{fn_name}(ctx, {joined})" if joined
-                    else f"{fn_name}(ctx)"
-                )
-            if instruction.target is not None:
-                lines.append(
-                    f"    {self._target_source(instruction.target)} = "
-                    f"{expression}"
-                )
-            else:
-                lines.append(f"    {expression}")
-        source = "def _batch(ctx, frame):\n" + "\n".join(lines) + "\n"
-        code = compile(source, f"<hilti:{self.function.name}>", "exec")
-        exec(code, env)
-        fn = env["_batch"]
-        fn.hilti_instructions = len(batch)
-        return fn
-
-    def compile_step(self, instruction: Instruction) -> Callable:
-        definition = REGISTRY[instruction.mnemonic]
-        fn = definition.fn
-        if fn is None:
-            raise LinkError(
-                f"engine instruction {instruction.mnemonic} in step position"
-            )
-        accessors = [self.compile_read(op) for op in instruction.operands]
-        store = (
-            self.compile_write(instruction.target)
-            if instruction.target is not None
-            else None
-        )
-        count = len(accessors)
-        if store is None:
-            if count == 0:
-                return lambda ctx, frame: fn(ctx)
-            if count == 1:
-                a0 = accessors[0]
-                return lambda ctx, frame: fn(ctx, a0(ctx, frame))
-            if count == 2:
-                a0, a1 = accessors
-                return lambda ctx, frame: fn(
-                    ctx, a0(ctx, frame), a1(ctx, frame)
-                )
-            if count == 3:
-                a0, a1, a2 = accessors
-                return lambda ctx, frame: fn(
-                    ctx, a0(ctx, frame), a1(ctx, frame), a2(ctx, frame)
-                )
-            accs = tuple(accessors)
-            return lambda ctx, frame: fn(
-                ctx, *[a(ctx, frame) for a in accs]
-            )
-        if count == 0:
-            return lambda ctx, frame: store(ctx, frame, fn(ctx))
-        if count == 1:
-            a0 = accessors[0]
-            return lambda ctx, frame: store(ctx, frame, fn(ctx, a0(ctx, frame)))
-        if count == 2:
-            a0, a1 = accessors
-            return lambda ctx, frame: store(
-                ctx, frame, fn(ctx, a0(ctx, frame), a1(ctx, frame))
-            )
-        if count == 3:
-            a0, a1, a2 = accessors
-            return lambda ctx, frame: store(
-                ctx, frame,
-                fn(ctx, a0(ctx, frame), a1(ctx, frame), a2(ctx, frame)),
-            )
-        accs = tuple(accessors)
-        return lambda ctx, frame: store(
-            ctx, frame, fn(ctx, *[a(ctx, frame) for a in accs])
-        )
-
-    # -- special steps ----------------------------------------------------------
-
-    def compile_special_step(self, instruction: Instruction) -> Optional[Callable]:
-        """Engine mnemonics that still lower to plain steps."""
-        mnemonic = instruction.mnemonic
-        if mnemonic == "thread.schedule":
-            func_name = instruction.operands[0].name
-            args_acc = self.compile_read(instruction.operands[1])
-            vid_acc = self.compile_read(instruction.operands[2])
-            resolved = self._resolve_callee(func_name)
-
-            def schedule(ctx, frame):
-                if ctx.scheduler is None:
-                    raise HiltiError(
-                        INTERNAL_ERROR, "thread.schedule without a scheduler"
-                    )
-                ctx.scheduler.schedule(
-                    vid_acc(ctx, frame), resolved, args_acc(ctx, frame)
-                )
-
-            return schedule
-        if mnemonic == "callable.bind":
-            func_name = instruction.operands[0].name
-            args_acc = (
-                self.compile_read(instruction.operands[1])
-                if len(instruction.operands) > 1
-                else None
-            )
-            store = self.compile_write(instruction.target)
-            resolved = self._resolve_callee(func_name)
-
-            def bind(ctx, frame):
-                args = args_acc(ctx, frame) if args_acc is not None else ()
-                store(ctx, frame, HiltiCallable(resolved, args))
-
-            return bind
-        if mnemonic == "exception.throw":
-            acc = self.compile_read(instruction.operands[0])
-
-            def throw(ctx, frame):
-                error = acc(ctx, frame)
-                if not isinstance(error, HiltiError):
-                    error = HiltiError(VALUE_ERROR, str(error))
-                raise error
-
-            return throw
-        return None
-
-    def _resolve_callee(self, name: str) -> str:
-        """Resolve a function reference to its qualified name at link time."""
-        kind, target = self.program.linked.resolve_function(name, self.module)
-        if kind == "hilti":
-            return target.name
-        return name  # native, resolved at execution
-
-    # -- block lowering ----------------------------------------------------------
-
-    def lower(self) -> CompiledFunction:
-        for block in self.function.blocks:
-            self.block_entry[block.label] = None  # filled when emitted
-        for index, block in enumerate(self.function.blocks):
-            fallthrough = (
-                self.function.blocks[index + 1].label
-                if index + 1 < len(self.function.blocks)
-                else None
-            )
-            self._lower_block(block, fallthrough)
-        # Patch label references now that all segment indices are known.
-        for control in self._pending:
-            for position, item in enumerate(control):
-                if isinstance(item, _LabelPlaceholder):
-                    target = self.block_entry.get(item.label)
-                    if target is None:
-                        raise LinkError(
-                            f"branch to unknown block {item.label!r} in "
-                            f"{self.function.name}"
-                        )
-                    control[position] = target
-                elif isinstance(item, dict):
-                    for key, value in list(item.items()):
-                        if isinstance(value, _LabelPlaceholder):
-                            item[key] = self.block_entry[value.label]
-        self.cf.segments = [
-            (steps, tuple(control), count)
-            for steps, control, count in self._raw_segments
-        ]
-        return self.cf
-
-    @property
-    def _raw_segments(self):
-        return self.__dict__.setdefault("_segments_storage", [])
-
-    def _emit_segment(self, steps: List[Callable], control: List) -> int:
-        index = len(self._raw_segments)
-        count = sum(
-            getattr(step, "hilti_instructions", 1) for step in steps
-        ) + 1  # +1 for the control transfer itself
-        self._raw_segments.append((tuple(steps), control, count))
-        self._pending.append(control)
-        return index
-
-    def _label(self, label: str) -> "_LabelPlaceholder":
-        return _LabelPlaceholder(label)
-
-    def _lower_block(self, block, fallthrough: Optional[str]) -> None:
-        steps: List[Callable] = []
-        batch: List[Instruction] = []
-        first_segment_of_block = True
-
-        def flush_batch() -> None:
-            nonlocal batch
-            if batch:
-                steps.append(self._compile_batch(batch))
-                batch = []
-
-        def close_segment(control: List) -> None:
-            nonlocal steps, first_segment_of_block
-            flush_batch()
-            index = self._emit_segment(steps, control)
-            if first_segment_of_block:
-                self.block_entry[block.label] = index
-                first_segment_of_block = False
-            steps = []
-
-        instructions = block.instructions
-        position = 0
-        while position < len(instructions):
-            instruction = instructions[position]
-            mnemonic = instruction.mnemonic
-            if mnemonic in _TERMINATORS:
-                close_segment(self._lower_terminator(instruction))
-                position += 1
-                # Anything after a terminator in the same block is dead.
-                break
-            if mnemonic in _SEGMENT_BREAKERS:
-                if mnemonic == "call" and self._call_inlinable(instruction):
-                    batch.append(instruction)
-                    position += 1
-                    continue
-                if mnemonic == "hook.run" and \
-                        self._hook_inlinable(instruction):
-                    batch.append(instruction)
-                    position += 1
-                    continue
-                special = self.compile_special_step(instruction)
-                if special is not None:
-                    flush_batch()
-                    steps.append(special)
-                    position += 1
-                    continue
-                control = self._lower_breaker(instruction)
-                close_segment(control)
-                position += 1
-                continue
-            batch.append(instruction)
-            position += 1
-        else:
-            # Block ended without terminator: fall through.
-            if fallthrough is not None:
-                close_segment(["goto", self._label(fallthrough)])
-            elif self.function.result == ht.VOID:
-                close_segment(["ret"])
-            else:
-                close_segment(["ret"])
-
-    def _lower_terminator(self, instruction: Instruction) -> List:
-        mnemonic = instruction.mnemonic
-        if mnemonic == "jump":
-            return ["goto", self._label(instruction.operands[0].label)]
-        if mnemonic == "if.else":
-            cond = self.compile_read(instruction.operands[0])
-            return [
-                "branch",
-                cond,
-                self._label(instruction.operands[1].label),
-                self._label(instruction.operands[2].label),
-            ]
-        if mnemonic == "switch":
-            value_acc = self.compile_read(instruction.operands[0])
-            default = self._label(instruction.operands[1].label)
-            cases = {}
-            for case in instruction.operands[2:]:
-                if not isinstance(case, TupleOp) or len(case.elements) != 2:
-                    raise LinkError("switch cases must be (constant, label)")
-                const, label = case.elements
-                if not isinstance(const, Const) or not isinstance(label, LabelRef):
-                    raise LinkError("switch cases must be (constant, label)")
-                cases[const.value] = self._label(label.label)
-            return ["switch", value_acc, cases, default]
-        if mnemonic == "return.void":
-            return ["ret"]
-        if mnemonic == "return.result":
-            return ["retv", self.compile_read(instruction.operands[0])]
-        raise LinkError(f"unknown terminator {mnemonic}")
-
-    def _lower_breaker(self, instruction: Instruction) -> List:
-        """Engine instructions that split the enclosing block."""
-        mnemonic = instruction.mnemonic
-        next_label = _NEXT_SEGMENT  # resolved to the following segment index
-        if mnemonic == "call":
-            func_name = instruction.operands[0].name
-            args_op = (
-                instruction.operands[1]
-                if len(instruction.operands) > 1
-                else TupleOp(())
-            )
-            if isinstance(args_op, TupleOp):
-                arg_accs = tuple(
-                    self.compile_read(e) for e in args_op.elements
-                )
-            else:
-                single = self.compile_read(args_op)
-                arg_accs = (single,)
-            store = (
-                self.compile_write(instruction.target)
-                if instruction.target is not None
-                else None
-            )
-            kind, target = self.program.linked.resolve_function(
-                func_name, self.module
-            )
-            if kind == "native":
-                return ["ncall", target, arg_accs, store, next_label]
-            return ["call", target.name, arg_accs, store, next_label]
-        if mnemonic == "yield":
-            return ["yield", next_label]
-        if mnemonic == "try.begin":
-            handler = self._label(instruction.operands[0].label)
-            catch_type = (
-                instruction.operands[1].type
-                if len(instruction.operands) > 1
-                else None
-            )
-            store = (
-                self.compile_write(instruction.operands[2])
-                if len(instruction.operands) > 2
-                and isinstance(instruction.operands[2], Var)
-                else None
-            )
-            return ["try_push", handler, catch_type, store, next_label]
-        if mnemonic == "try.end":
-            return ["try_pop", next_label]
-        if mnemonic == "hook.run":
-            hook_name = instruction.operands[0]
-            name = (
-                hook_name.name
-                if isinstance(hook_name, (FieldRef, FuncRef))
-                else str(hook_name)
-            )
-            args_op = (
-                instruction.operands[1]
-                if len(instruction.operands) > 1
-                else TupleOp(())
-            )
-            arg_accs = tuple(self.compile_read(e) for e in args_op.elements) \
-                if isinstance(args_op, TupleOp) else (self.compile_read(args_op),)
-            store = (
-                self.compile_write(instruction.target)
-                if instruction.target is not None
-                else None
-            )
-            return ["hook", name, arg_accs, store, next_label]
-        if mnemonic == "hook.stop":
-            acc = (
-                self.compile_read(instruction.operands[0])
-                if instruction.operands
-                else None
-            )
-            return ["hook_stop", acc]
-        if mnemonic == "callable.call":
-            acc = self.compile_read(instruction.operands[0])
-            store = (
-                self.compile_write(instruction.target)
-                if instruction.target is not None
-                else None
-            )
-            return ["call_callable", acc, store, next_label]
-        if mnemonic == "timer_mgr.advance":
-            mgr_acc = self.compile_read(instruction.operands[0])
-            time_acc = self.compile_read(instruction.operands[1])
-            return ["advance", mgr_acc, time_acc, next_label]
-        if mnemonic == "timer_mgr.advance_global":
-            time_acc = self.compile_read(instruction.operands[0])
-            return ["advance", None, time_acc, next_label]
-        if mnemonic == "timer_mgr.expire_all":
-            mgr_acc = (
-                self.compile_read(instruction.operands[0])
-                if instruction.operands
-                else None
-            )
-            return ["expire", mgr_acc, next_label]
-        if mnemonic == "watchpoint.check":
-            return ["wp_check", next_label]
-        raise LinkError(f"unhandled engine instruction {mnemonic}")
-
-
-class _LabelPlaceholder:
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-
-class _NextSegment:
-    """Placeholder meaning "the segment emitted right after this one"."""
-
-    __repr__ = lambda self: "<next-segment>"
-
-
-_NEXT_SEGMENT = _NextSegment()
-
-
-def compile_program(linked: LinkedProgram,
-                    opt_level: int = 1) -> CompiledProgram:
-    """Lower every function of *linked* into a CompiledProgram.
-
-    At ``opt_level >= 1``, call/hook dispatch is optimized two ways: sites
-    whose targets provably cannot suspend compile straight into the
-    batches (with per-site inline caches), and the remaining dispatch
-    controls get their targets resolved to compiled objects at link time
-    instead of per-execution name lookups.
+# --------------------------------------------------------------------------
+# Compile-time specialisation of single instructions (-O1 up)
+# --------------------------------------------------------------------------
+#
+# Each takes (emitter, instruction, operand expressions) and returns the
+# Python text for the instruction — an expression, or a whole statement
+# for instructions without a target — or None for the generic path.
+
+
+def _site_struct(em: "_Emitter", instruction: Instruction,
+                 args: List[str]) -> Optional[str]:
+    """A constant-field struct op as direct slot access.
+
+    The site keeps a monomorphic inline cache in the program namespace:
+    ``k<n>`` = (struct type last seen, the field's slot in it), one
+    tuple so that a hit reads a consistent pair even while another
+    thread re-points it.  A hit touches ``_slots`` only; a null
+    operand, another type, or an unset field on a read goes to the
+    site's ``m<n>``, which runs the generic REGISTRY function (every
+    error is the oracle's own) and re-points the cache.  A declared struct
+    type resolves the slot here, at compile time; the guard stays
+    because typecheck does not prove which struct an ``any``
+    assigned into it held.
     """
-    program = CompiledProgram(linked)
-    program.opt_level = opt_level
-    module_of: Dict[str, Module] = {}
-    for module in linked.modules:
-        for function in module.all_functions():
-            module_of[id(function)] = module
-    ir_suspends = _ir_can_suspend(linked, module_of) if opt_level >= 1 \
-        else None
-    for name, function in linked.functions.items():
-        lowering = _FunctionLowering(
-            program, module_of.get(id(function)), function,
-            opt_level=opt_level, ir_suspends=ir_suspends,
-        )
-        program.functions[name] = _finalize(lowering.lower())
-    for hook_name, bodies in linked.hooks.items():
-        compiled_bodies = []
-        for body in bodies:
-            lowering = _FunctionLowering(
-                program, module_of.get(id(body)), body,
-                opt_level=opt_level, ir_suspends=ir_suspends,
-            )
-            compiled_bodies.append(_finalize(lowering.lower()))
-        program.hooks[hook_name] = compiled_bodies
-    for index, var in enumerate(linked.global_layout):
-        program._global_inits.append((index, var.init, var.type))
-    _compute_suspension(program)
-    if opt_level >= 1:
-        _resolve_dispatch(program)
-    return program
+    operands = instruction.operands
+    if len(operands) < 2 or not isinstance(operands[1], FieldRef):
+        return None
+    mnemonic = instruction.mnemonic
+    field = operands[1].name
+    generic = REGISTRY[mnemonic].fn
+    cached = (None, 0)  # every struct has a type: a miss
+    declared = em.function.variable_type(operands[0].name) \
+        if isinstance(operands[0], Var) else None
+    if isinstance(declared, ht.RefT):
+        declared = declared.target
+    if isinstance(declared, ht.StructT) and field in declared.slot_index:
+        cached = (declared, declared.slot_index[field])
+    namespace = em.unit.namespace
+    k = em.unit.bind(cached, share=False)
+
+    def miss(ctx, struct, *rest):
+        result = generic(ctx, struct, field, *rest)
+        struct_type = struct.struct_type
+        namespace[k] = (struct_type, struct_type.slot_index[field])
+        return result
+
+    m = em.unit.bind(miss, "m")
+    hit = (f"(_s := {args[0]}) is not None "
+           f"and _s.struct_type is (_k := {k})[0]")
+    slot = "_s._slots[_k[1]]"
+    if mnemonic == "struct.get":
+        return (f"_v if {hit} and (_v := {slot}) is not UNSET "
+                f"else {m}(ctx, _s)")
+    if mnemonic == "struct.is_set":
+        return f"({slot} is not UNSET) if {hit} else {m}(ctx, _s)"
+    if mnemonic == "struct.get_default":
+        return (f"({args[2]} if (_v := {slot}) is UNSET else _v) "
+                f"if {hit} else {m}(ctx, _s, {args[2]})")
+    if mnemonic == "struct.set":
+        # A miss performs the (generic) set itself and returns None.
+        return f"if {hit} or {m}(ctx, _s, {args[2]}): {slot} = {args[2]}"
+    # struct.unset: back to the type's template value
+    return f"if {hit} or {m}(ctx, _s): {slot} = _k[0].template[_k[1]]"
 
 
-# IR mnemonics that are themselves suspension points; the IR-level
-# analysis mirrors _SUSPENDING_CONTROLS but runs *before* lowering so the
-# batch compiler can inline provably non-suspending call sites.
+def _site_overlay_get(em, instruction, args):
+    """``overlay.get`` with a constant type and field: the field spec
+    (offset, format alias, struct code, bit range) resolves once."""
+    operands = instruction.operands
+    if len(operands) != 3 or not isinstance(operands[0], TypeRef) \
+            or not isinstance(operands[1], FieldRef):
+        return None
+    overlay_type = operands[0].type
+    if isinstance(overlay_type, ht.RefT):
+        overlay_type = overlay_type.target
+    try:
+        fld = overlay_type.field(operands[1].name)
+        unpacker = rt_overlay.make_unpacker(fld.fmt)
+    except Exception:
+        return None  # let the generic path report it at runtime
+    return (f"{em.unit.bind(unpacker)}({args[2]}, "
+            f"({args[2]}).begin_offset + {fld.offset})")
+
+
+def _site_unpack(em, instruction, args):
+    """``unpack <bytes> <offset> <Format>`` (no bit-range operand)."""
+    operands = instruction.operands
+    if len(operands) != 3 or not isinstance(operands[2], FieldRef):
+        return None
+    try:
+        unpacker = rt_overlay.make_unpacker(
+            ht.UnpackFormat(operands[2].name, None))
+    except Exception:
+        return None
+    return (f"{em.unit.bind(unpacker)}({args[0]}, "
+            f"({args[0]}).begin_offset + {args[1]})")
+
+
+def _site_bytes_unpack(em, instruction, args):
+    """``bytes.unpack <iter> <Format>``: precompiled unpacker plus a
+    fixed iterator advance."""
+    if not isinstance(instruction.operands[1], FieldRef):
+        return None
+    try:
+        unpacker = rt_overlay.make_iter_unpacker(instruction.operands[1].name)
+    except Exception:
+        return None
+    return f"{em.unit.bind(unpacker)}({args[0]})"
+
+
+def _site_new(em, instruction, args):
+    """``new <constant type>`` without arguments."""
+    if len(args) != 1 or not isinstance(instruction.operands[0], TypeRef):
+        return None
+    make = constructor(instruction.operands[0].type)
+    return None if make is None else f"{em.unit.bind(make)}(ctx)"
+
+
+def _site_tuple_index(em, instruction, args):
+    """Constant tuple indexing is a plain subscript; a stray IndexError
+    becomes Hilti::IndexError where the function traps (:func:`_trap`)."""
+    index = instruction.operands[1]
+    if isinstance(index, Const) and type(index.value) is int \
+            and index.value >= 0:
+        return f"{args[0]}[{index.value}]"
+    return None
+
+
+# mnemonic -> (lowest -O level, specialiser)
+_SITES = {
+    "tuple.index": (0, _site_tuple_index),
+    "overlay.get": (1, _site_overlay_get),
+    "unpack": (1, _site_unpack),
+    "bytes.unpack": (1, _site_bytes_unpack),
+    "new": (1, _site_new),
+    **{f"struct.{op}": (1, _site_struct)
+       for op in ("get", "set", "is_set", "get_default", "unset")},
+}
+
+# Instructions that read ctx.instr_count: the region is charged first
+# (themselves included), so profiler deltas equal the interpreter's.
+_READS_COUNTER = {"profiler.start", "profiler.stop"}
+
+# A block ends at the first of these; what follows it is dead.
+_BLOCK_ENDS = {"jump", "if.else", "switch", "return.void", "return.result",
+               "exception.throw", "hook.stop"}
+
+# IR mnemonics that are themselves suspension points: yield, and any
+# dispatch whose target is unknown until runtime (timer actions, bound
+# callables).
 _IR_SUSPENDING = {
     "yield",
     "timer_mgr.advance",
@@ -1159,499 +527,620 @@ _IR_SUSPENDING = {
     "watchpoint.check",
 }
 
+# Deepest nesting of single-predecessor blocks under branches before a
+# block becomes a rung instead (CPython refuses > 100 indent levels).
+_MAX_NESTING = 40
 
-def _ir_can_suspend(linked: LinkedProgram,
-                    module_of: Dict[int, Module]) -> Dict[str, bool]:
-    """Whole-program fixpoint over the *IR*: function name -> may suspend.
+_LITERALS = (type(None), bool, int, str, bytes)
 
-    Same lattice as :func:`_compute_suspension`, computed pre-lowering;
-    anything unresolvable stays conservatively suspending, so the two
-    analyses agree wherever this one says "no".
+
+def _hook_name(operand: Operand) -> str:
+    return operand.name if isinstance(operand, (FieldRef, FuncRef)) \
+        else str(operand)
+
+
+def _describe(instruction: Instruction) -> str:
+    """The HILTI instruction as the comment ending its generated lines."""
+
+    def text(operand) -> str:
+        if isinstance(operand, TupleOp):
+            return "(" + ", ".join(text(e) for e in operand.elements) + ")"
+        if isinstance(operand, Const):
+            return repr(operand.value)
+        for attribute in ("name", "label", "type"):
+            if hasattr(operand, attribute):
+                return str(getattr(operand, attribute))
+        return repr(operand)
+
+    parts = [instruction.mnemonic] + [text(o) for o in instruction.operands]
+    head = f"{instruction.target.name} = " if instruction.target else ""
+    line = " ".join((head + " ".join(parts)).splitlines())
+    return line if len(line) <= 100 else line[:97] + "..."
+
+
+class _Unit:
+    """What the functions of one program share while it compiles."""
+
+    def __init__(self, program: CompiledProgram, opt_level: int):
+        self.linked = program.linked
+        self.opt_level = opt_level
+        self.namespace: Dict[str, object] = dict(_SUPPORT, _P=program)
+        self.module_of: Dict[int, Module] = {}
+        for module in self.linked.modules:
+            for function in module.all_functions():
+                self.module_of[id(function)] = module
+        # id(Function) -> name of its Python function in the namespace.
+        self.pyname: Dict[int, str] = {}
+        for index, function in enumerate(self.all_functions()):
+            self.pyname[id(function)] = f"f{index}"
+        self.suspends = _ir_can_suspend(self)
+        self._bound: Dict[int, str] = {}
+
+    def all_functions(self) -> List[Function]:
+        out = list(self.linked.functions.values())
+        for bodies in self.linked.hooks.values():
+            out.extend(bodies)
+        return out
+
+    def bind(self, value, prefix: str = "k", share: bool = True) -> str:
+        """A namespace name for *value*: one per distinct object, or a
+        fresh one (*share* off) for a slot the site will rebind."""
+        name = self._bound.get(id(value)) if share else None
+        if name is None:
+            name = f"{prefix}{len(self.namespace)}"
+            self.namespace[name] = value
+            if share:
+                self._bound[id(value)] = name
+        return name
+
+class _Emitter:
+    """Emits the Python function of one HILTI function."""
+
+    def __init__(self, unit: _Unit, function: Function):
+        self.unit = unit
+        self.function = function
+        self.module = unit.module_of.get(id(function))
+        self.can_suspend = unit.suspends[id(function)]
+        self.slots: Dict[str, int] = {}
+        for variable in list(function.params) + list(function.locals):
+            self.slots[variable.name] = len(self.slots)
+        self.lines: List[str] = []
+        self.table: List[int] = [0]  # line number -> uncharged count
+        self.depth = 1
+        self.pending = 0  # instructions started in the current region
+        self.comment = ""
+        self._plan()
+
+    # -- control-flow plan ----------------------------------------------------
+
+    def _plan(self) -> None:
+        """Reachable block bodies, their successors, and the rungs."""
+        blocks = self.function.blocks
+        index_of = {block.label: i for i, block in enumerate(blocks)}
+        self.body: Dict[str, List[Instruction]] = {}
+        self.next_label: Dict[str, Optional[str]] = {}
+        succs: Dict[str, List[str]] = {}
+        handlers: List[str] = []
+        for i, block in enumerate(blocks):
+            body = []
+            for instruction in block.instructions:
+                body.append(instruction)
+                if instruction.mnemonic in _BLOCK_ENDS:
+                    break
+            self.body[block.label] = body
+            self.next_label[block.label] = \
+                blocks[i + 1].label if i + 1 < len(blocks) else None
+            last = body[-1] if body else None
+            out = []
+            if last is None or last.mnemonic not in _BLOCK_ENDS:
+                out.append(self.next_label[block.label])
+            else:
+                for operand in last.operands:
+                    for leaf in getattr(operand, "elements", (operand,)):
+                        if isinstance(leaf, LabelRef):
+                            out.append(leaf.label)
+            for label in out:
+                if label is not None and label not in index_of:
+                    raise LinkError(
+                        f"branch to unknown block {label!r} in "
+                        f"{self.function.name}")
+            succs[block.label] = [label for label in out if label is not None]
+        entry = blocks[0].label if blocks else None
+        preds: Dict[str, int] = {}
+        seen = set()
+        stack = [entry] if blocks else []
+        while stack:
+            label = stack.pop()
+            if label in seen:
+                continue
+            seen.add(label)
+            for instruction in self.body[label]:
+                if instruction.mnemonic == "try.begin":
+                    handler = instruction.operands[0].label
+                    handlers.append(handler)
+                    stack.append(handler)
+            for succ in succs[label]:
+                preds[succ] = preds.get(succ, 0) + 1
+                stack.append(succ)
+        self.has_handlers = bool(handlers)
+        rungs = {entry} | set(handlers) | \
+            {label for label, count in preds.items() if count > 1}
+        # Nest single-predecessor blocks in place, up to _MAX_NESTING
+        # branch levels below their rung; deeper ones become rungs too.
+        work = sorted(rungs - {None}, key=index_of.get)
+        for root in work:
+            stack = [(root, 0)]
+            while stack:
+                label, depth = stack.pop()
+                for succ in succs[label]:
+                    if succ in rungs:
+                        continue
+                    below = depth + (len(succs[label]) > 1)
+                    if below > _MAX_NESTING:
+                        rungs.add(succ)
+                        work.append(succ)
+                    else:
+                        stack.append((succ, below))
+        ordered = sorted(rungs - {None}, key=index_of.get)
+        self.rungs = {label: i for i, label in enumerate(ordered)}
+        # try.begin sites that bind the exception land on a rung of their
+        # own (assign, then go to the handler): (variable, handler label).
+        self.landings: List[Tuple[Var, str]] = []
+        self.loop = len(ordered) > 1 or self.has_handlers or \
+            preds.get(entry, 0) > 0
+        self.rung = 0  # the rung being emitted
+
+    # -- source assembly ------------------------------------------------------
+
+    def line(self, text: str) -> None:
+        comment = f"  # {self.comment}" if self.comment else ""
+        self.lines.append(f"{'    ' * self.depth}{text}{comment}\n")
+        self.table.append(self.pending)
+
+    def compile(self) -> CompiledFunction:
+        function = self.function
+        cf = CompiledFunction(function, self.can_suspend)
+        pyname = self.unit.pyname[id(function)]
+        table_name = f"_T{pyname}"
+        signature = ["ctx"] + [f"v{i}" for i in range(len(function.params))]
+        for local in function.locals:
+            if local.init is not None:
+                value = local.init.value \
+                    if isinstance(local.init, Const) else local.init
+            else:
+                value = default_value(local.type)
+            # Defaults are shared by every call: init values are
+            # immutable (ints, strings, domain values).
+            signature.append(
+                f"v{self.slots[local.name]}={self.literal(value)}")
+        self.depth = 0
+        self.line(f"def {pyname}({', '.join(signature)}):  "
+                  f"# {function.name}")
+        self.depth = 1
+        if self.can_suspend:
+            self.line("if 0: yield  # a generator whatever is reachable")
+        if self.loop:
+            self.line("pc = 0")
+        if self.has_handlers:
+            self.line("_h = []")
+        if self.loop:
+            self.line("while True:")
+            self.depth += 1
+        self.line("try:")
+        self.depth += 1
+        if not function.blocks:
+            self.transfer(None)
+        elif not self.loop:
+            self.block(function.blocks[0].label)
+        else:
+            for label, index in self.rungs.items():
+                self.rung = index
+                self.comment = ""
+                self.line(f"if pc == {index}:")
+                self.depth += 1
+                self.pending = 0
+                self.block(label)
+                self.depth -= 1
+            self.rung = len(self.rungs)
+            self.comment = ""
+            for offset, (variable, handler) in enumerate(self.landings):
+                self.line(f"if pc == {self.rung + offset}:")
+                self.depth += 1
+                self.line(f"{self.expr(variable)} = _x")
+                self.line(f"pc = {self.rungs[handler]}; continue")
+                self.depth -= 1
+        self.depth -= 1
+        self.comment = ""
+        self.pending = 0
+        self.line("except Exception as _e:")
+        if self.has_handlers:
+            self.line(f"    pc, _x = _unwind(ctx, _e, {table_name}, _h)")
+            self.line("    if pc < 0: raise")
+        else:
+            self.line(f"    _trap(ctx, _e, {table_name})")
+            self.line("    raise")
+        cf._lines = self.lines
+        namespace = self.unit.namespace
+        namespace[table_name] = bytes(self.table) \
+            if max(self.table) < 256 else tuple(self.table)
+        linecache.cache[cf.filename] = (
+            sum(map(len, self.lines)), None, self.lines, cf.filename)
+        exec(compile(cf.source, cf.filename, "exec"), namespace)
+        cf.entry = namespace[pyname]
+        return cf
+
+    # -- operands ---------------------------------------------------------------
+
+    def literal(self, value) -> str:
+        """Python text for a constant: a literal, or a namespace name."""
+        if type(value) in _LITERALS or \
+                (type(value) is float and value == value
+                 and abs(value) != float("inf")):
+            return repr(value)
+        return self.unit.bind(value)
+
+    def expr(self, operand: Operand) -> str:
+        """A Python expression reading (or, for a Var, naming) *operand*."""
+        if isinstance(operand, Const):
+            value = operand.value
+            if isinstance(operand.type, ht.BytesT) and isinstance(value, bytes):
+                value = Bytes(value)
+                value.freeze()
+            return self.literal(value)
+        if isinstance(operand, Var):
+            slot = self.slots.get(operand.name)
+            if slot is not None:
+                return f"v{slot}"
+            slot = self.unit.linked.global_slot(operand.name, self.module)
+            return f"ctx.globals[{slot}]"
+        if isinstance(operand, TupleOp):
+            inner = ", ".join(self.expr(e) for e in operand.elements)
+            if len(operand.elements) == 1:
+                inner += ","
+            return f"({inner})"
+        if isinstance(operand, FieldRef):
+            return repr(operand.name)
+        if isinstance(operand, TypeRef):
+            return self.unit.bind(operand.type)
+        if isinstance(operand, FuncRef):
+            return repr(operand.name)
+        raise LinkError(f"cannot compile operand {operand!r}")
+
+    def reads_global(self, operand: Operand) -> bool:
+        if isinstance(operand, TupleOp):
+            return any(self.reads_global(e) for e in operand.elements)
+        return isinstance(operand, Var) and operand.name not in self.slots
+
+    def call_args(self, instruction: Instruction) -> List[str]:
+        """Argument expressions of a ``call``/``hook.run``."""
+        if len(instruction.operands) < 2:
+            return []
+        args = instruction.operands[1]
+        if isinstance(args, TupleOp):
+            return [self.expr(e) for e in args.elements]
+        return [self.expr(args)]
+
+    def assign(self, instruction: Instruction, text: str) -> None:
+        if instruction.target is not None:
+            text = f"{self.expr(instruction.target)} = {text}"
+        self.line(text)
+
+    # -- regions and transfers --------------------------------------------------
+
+    def charge(self) -> None:
+        """End the current region: charge what it started."""
+        if self.pending:
+            count, self.pending = self.pending, 0
+            self.line(f"ctx.instr_count += {count}; "
+                      f"ctx.segments_dispatched += 1; "
+                      f"ctx.instr_budget is None or _watchdog(ctx)")
+
+    def transfer(self, label: Optional[str]) -> Optional[str]:
+        """Continue at *label*: returns it when its block nests right
+        here (the caller emits it), else emits the way to its rung."""
+        if label is None:  # fell off the function's end
+            self.charge()
+            self.line("return None")
+        elif label in self.rungs:
+            self.charge()
+            rung = self.rungs[label]
+            # A forward transfer falls down the ladder to its rung.
+            self.line(f"pc = {rung}" + ("; continue" * (rung <= self.rung)))
+        else:
+            return label
+        return None
+
+    def arm(self, label: str) -> None:
+        """One arm of a branch; the region forks with it."""
+        pending, comment = self.pending, self.comment
+        self.depth += 1
+        self.block(self.transfer(label))
+        self.depth -= 1
+        self.pending, self.comment = pending, comment
+
+    def block(self, label: Optional[str]) -> None:
+        """Emit a block, then every block that nests straight after it."""
+        while label is not None:
+            body = self.body[label]
+            following = self.next_label[label]
+            label = None
+            for instruction in body:
+                self.comment = _describe(instruction)
+                self.pending += 1  # counted before it executes
+                emit = _ENGINE.get(instruction.mnemonic)
+                if instruction.mnemonic == "jump":
+                    label = self.transfer(instruction.operands[0].label)
+                elif emit is not None:
+                    emit(self, instruction)
+                else:
+                    self.value(instruction)
+            if not body or body[-1].mnemonic not in _BLOCK_ENDS:
+                # The implicit control transfer counts as one instruction.
+                self.comment = "(falls through)"
+                self.pending += 1
+                label = self.transfer(following)
+
+    # -- value instructions -------------------------------------------------------
+
+    def value(self, instruction: Instruction) -> None:
+        mnemonic = instruction.mnemonic
+        definition = REGISTRY[mnemonic]
+        if definition.fn is None:
+            raise LinkError(f"unhandled engine instruction {mnemonic}")
+        if mnemonic in _READS_COUNTER:
+            self.charge()
+        args = [self.expr(op) for op in instruction.operands]
+        text = None
+        level, site = _SITES.get(mnemonic, (0, None))
+        if site is not None and self.unit.opt_level >= level:
+            text = site(self, instruction, args)
+        if text is None and definition.inline is not None and \
+                self.unit.opt_level >= definition.inline_level and \
+                len(args) == len(definition.operands):
+            text = definition.inline.format(*args)
+        if text is None:
+            name = self.unit.bind(definition.fn, "i")
+            text = f"{name}({', '.join(['ctx'] + args)})"
+        self.assign(instruction, text)
+
+    # -- engine instructions ----------------------------------------------------
+
+    def op_if_else(self, instruction: Instruction) -> None:
+        cond, then_label, else_label = instruction.operands
+        self.line(f"if {self.expr(cond)}:")
+        self.arm(then_label.label)
+        self.line("else:")
+        self.arm(else_label.label)
+
+    def op_switch(self, instruction: Instruction) -> None:
+        value = self.expr(instruction.operands[0])
+        keyword = "if"
+        for case in instruction.operands[2:]:
+            if not isinstance(case, TupleOp) or len(case.elements) != 2 \
+                    or not isinstance(case.elements[0], Const) \
+                    or not isinstance(case.elements[1], LabelRef):
+                raise LinkError("switch cases must be (constant, label)")
+            const, label = case.elements
+            # First matching case wins, compared as the interpreter does.
+            self.line(f"{keyword} {self.expr(const)} == {value}:")
+            self.arm(label.label)
+            keyword = "elif"
+        default = instruction.operands[1].label
+        if keyword == "if":
+            self.block(self.transfer(default))
+        else:
+            self.line("else:")
+            self.arm(default)
+
+    def op_return(self, instruction: Instruction) -> None:
+        self.charge()
+        value = self.expr(instruction.operands[0]) \
+            if instruction.operands else "None"
+        self.line(f"return {value}")
+
+    def op_yield(self, instruction: Instruction) -> None:
+        self.charge()
+        self.line("yield")
+
+    def op_throw(self, instruction: Instruction) -> None:
+        self.charge()
+        self.line(f"raise _throwable({self.expr(instruction.operands[0])})")
+
+    def op_hook_stop(self, instruction: Instruction) -> None:
+        self.charge()
+        value = self.expr(instruction.operands[0]) \
+            if instruction.operands else "None"
+        self.line(f"raise _HookStop({value})")
+
+    def invoke(self, function: Function, args: List[str],
+               count: int) -> str:
+        """Call expression for a HILTI function taking *count* *args*;
+        charges first if the callee may suspend (a fiber parked inside
+        it may never resume)."""
+        if count != len(function.params):
+            return f"_arity({function.name!r}, {len(function.params)}, {count})"
+        call = f"{self.unit.pyname[id(function)]}({', '.join(['ctx'] + args)})"
+        if self.unit.suspends[id(function)]:
+            self.charge()
+            return f"(yield from {call})"
+        return call
+
+    def op_call(self, instruction: Instruction) -> None:
+        kind, target = self.unit.linked.resolve_function(
+            instruction.operands[0].name, self.module)
+        args = self.call_args(instruction)
+        if kind == "native":  # synchronous by construction
+            text = f"{self.unit.bind(target, 'n')}({', '.join(['ctx'] + args)})"
+        else:
+            text = self.invoke(target, args, len(args))
+        self.assign(instruction, text)
+
+    def op_hook_run(self, instruction: Instruction) -> None:
+        name = _hook_name(instruction.operands[0])
+        bodies = self.unit.linked.hooks.get(name, ())
+        args = self.call_args(instruction)
+        result = self.expr(instruction.target) \
+            if instruction.target is not None else None
+        if any(self.unit.suspends[id(body)] for body in bodies):
+            self.charge()
+        count = len(args)
+        if len(bodies) > 1 and \
+                any(map(self.reads_global, instruction.operands[1:])):
+            # Evaluate once: a body may change what the next would read.
+            self.line(f"_a = ({', '.join(args)},)")
+            args = ["*_a"]
+        if not bodies:
+            self.line(f"{result} = None" if result else "pass")
+            return
+        # The body list unrolled; hook.stop in any body skips the rest.
+        self.line("try:")
+        self.depth += 1
+        for body in bodies:
+            call = self.invoke(body, args, count)
+            if body.hook_group is not None:
+                call = (f"{body.hook_group!r} in ctx.hook_groups_disabled "
+                        f"or {call}")
+            self.line(call)
+        if result:
+            self.line(f"{result} = None")
+        self.depth -= 1
+        self.line("except _HookStop as _stop:")
+        self.line(f"    {result} = _stop.value" if result else "    pass")
+
+    def op_try_begin(self, instruction: Instruction) -> None:
+        operands = instruction.operands
+        rung = self.rungs[operands[0].label]
+        if len(operands) > 2 and isinstance(operands[2], Var):
+            rung = len(self.rungs) + len(self.landings)
+            self.landings.append((operands[2], operands[0].label))
+        catch_type = self.unit.bind(operands[1].type) \
+            if len(operands) > 1 else None
+        self.line(f"_h.append(({rung}, {catch_type}))")
+
+    def op_try_end(self, instruction: Instruction) -> None:
+        self.line("if _h: _h.pop()")
+
+    def op_callable_bind(self, instruction: Instruction) -> None:
+        args = self.expr(instruction.operands[1]) \
+            if len(instruction.operands) > 1 else "()"
+        name = self.resolved_name(instruction.operands[0].name)
+        self.assign(instruction, f"_Callable({name!r}, {args})")
+
+    def op_callable_call(self, instruction: Instruction) -> None:
+        self.charge()
+        bound = self.expr(instruction.operands[0])
+        self.assign(instruction,
+                    f"(yield from _run_callable(_P, ctx, {bound}))")
+
+    def op_thread_schedule(self, instruction: Instruction) -> None:
+        function, args, vid = instruction.operands
+        self.line(f"_schedule(ctx, {self.expr(vid)}, "
+                  f"{self.resolved_name(function.name)!r}, {self.expr(args)})")
+
+    def op_timers(self, instruction: Instruction) -> None:
+        self.charge()
+        operands = [self.expr(op) for op in instruction.operands]
+        if instruction.mnemonic == "timer_mgr.expire_all":
+            due = f"{operands[0] if operands else 'ctx.timer_mgr'}.expire_all()"
+        elif instruction.mnemonic == "timer_mgr.advance":
+            due = f"{operands[0]}.advance({operands[1]})"
+        else:
+            due = f"ctx.timer_mgr.advance({operands[0]})"
+        self.line(f"yield from _fire(_P, ctx, {due})")
+
+    def op_watchpoint_check(self, instruction: Instruction) -> None:
+        self.charge()
+        self.line("yield from _check_watchpoints(_P, ctx)")
+
+    def resolved_name(self, name: str) -> str:
+        """A function reference as its link-time qualified name."""
+        kind, target = self.unit.linked.resolve_function(name, self.module)
+        return target.name if kind == "hilti" else name  # native: by name
+
+
+_ENGINE = {
+    "if.else": _Emitter.op_if_else,
+    "switch": _Emitter.op_switch,
+    "return.void": _Emitter.op_return,
+    "return.result": _Emitter.op_return,
+    "call": _Emitter.op_call,
+    "yield": _Emitter.op_yield,
+    "try.begin": _Emitter.op_try_begin,
+    "try.end": _Emitter.op_try_end,
+    "hook.run": _Emitter.op_hook_run,
+    "hook.stop": _Emitter.op_hook_stop,
+    "exception.throw": _Emitter.op_throw,
+    "callable.bind": _Emitter.op_callable_bind,
+    "callable.call": _Emitter.op_callable_call,
+    "thread.schedule": _Emitter.op_thread_schedule,
+    "timer_mgr.advance": _Emitter.op_timers,
+    "timer_mgr.advance_global": _Emitter.op_timers,
+    "timer_mgr.expire_all": _Emitter.op_timers,
+    "watchpoint.check": _Emitter.op_watchpoint_check,
+}
+
+
+def _ir_can_suspend(unit: _Unit) -> Dict[int, bool]:
+    """Whole-program fixpoint over the IR: id(function) -> may suspend.
+
+    A function suspends if it contains a suspension point or calls (or
+    runs a hook with a body) that does; natives are synchronous.
+    Functions that cannot suspend are plain ``def``\\s on the Python call
+    stack — the analogue of the real compiler giving non-yielding
+    functions ordinary frames while fiber-capable code carries the
+    context-switching machinery.
     """
-    entries: List[Function] = list(linked.functions.values())
-    for bodies in linked.hooks.values():
-        entries.extend(bodies)
-    suspend: Dict[str, bool] = {}
-    callees: Dict[str, set] = {}
-    hook_calls: Dict[str, set] = {}
-    for function in entries:
+    functions = unit.all_functions()
+    suspend: Dict[int, bool] = {}
+    callees: Dict[int, List[Function]] = {}
+    for function in functions:
         direct = False
-        called: set = set()
-        hooks_run: set = set()
+        called: List[Function] = []
         for block in function.blocks:
             for instruction in block.instructions:
                 mnemonic = instruction.mnemonic
                 if mnemonic in _IR_SUSPENDING:
                     direct = True
                 elif mnemonic == "call":
-                    try:
-                        kind, target = linked.resolve_function(
-                            instruction.operands[0].name,
-                            module_of.get(id(function)),
-                        )
-                    except (LinkError, KeyError):
-                        direct = True  # unresolvable: stay conservative
-                        continue
+                    kind, target = unit.linked.resolve_function(
+                        instruction.operands[0].name,
+                        unit.module_of.get(id(function)))
                     if kind == "hilti":
-                        called.add(target.name)
+                        called.append(target)
                 elif mnemonic == "hook.run":
-                    operand = instruction.operands[0]
-                    name = operand.name \
-                        if isinstance(operand, (FieldRef, FuncRef)) \
-                        else str(operand)
-                    hooks_run.add(name)
-        suspend[function.name] = direct
-        callees[function.name] = called
-        hook_calls[function.name] = hooks_run
-    bodies_of = {
-        name: [body.name for body in bodies]
-        for name, bodies in linked.hooks.items()
-    }
+                    called.extend(unit.linked.hooks.get(
+                        _hook_name(instruction.operands[0]), ()))
+        suspend[id(function)] = direct
+        callees[id(function)] = called
     changed = True
     while changed:
         changed = False
-        for function in entries:
-            name = function.name
-            if suspend[name]:
-                continue
-            transitively = any(
-                suspend.get(callee, True) for callee in callees[name]
-            ) or any(
-                suspend.get(body, True)
-                for hook in hook_calls[name]
-                for body in bodies_of.get(hook, ())
-            )
-            if transitively:
-                suspend[name] = True
-                changed = True
+        for function in functions:
+            key = id(function)
+            if not suspend[key] and \
+                    any(suspend[id(callee)] for callee in callees[key]):
+                suspend[key] = changed = True
     return suspend
 
 
-def _resolve_dispatch(program: CompiledProgram) -> None:
-    """Resolve remaining call/hook controls to compiled objects.
+def compile_program(linked: LinkedProgram,
+                    opt_level: int = 1) -> CompiledProgram:
+    """Lower every function of *linked* into a CompiledProgram.
 
-    The engine accepts either form (name for -O0, object for -O1); this
-    removes the per-execution ``program.functions[name]`` /
-    ``program.hooks.get(name)`` lookups from suspending dispatch sites
-    that could not be batched.
+    The emitter is the same at every level; ``opt_level >= 1`` turns on
+    the compile-time specialisations (:data:`_SITES`) and the registry's
+    ``-O1`` inline templates, ``-O0`` calls the generic registry
+    functions on whatever IR it is handed.
     """
-    everything: List[CompiledFunction] = list(program.functions.values())
-    for bodies in program.hooks.values():
-        everything.extend(bodies)
-    for cf in everything:
-        resolved = []
-        for steps, control, count in cf.segments:
-            if control[0] == "call":
-                control = ("call", program.functions[control[1]],
-                           control[2], control[3], control[4])
-            elif control[0] == "hook":
-                control = ("hook", tuple(program.hooks.get(control[1], ())),
-                           control[2], control[3], control[4])
-            resolved.append((steps, control, count))
-        cf.segments = resolved
-
-
-# Control kinds that are themselves suspension points: yield, and any
-# dispatch whose target is unknown until runtime (timer actions, bound
-# callables) — those must stay on the generator path.
-_SUSPENDING_CONTROLS = {"yield", "advance", "expire", "call_callable", "wp_check"}
-
-
-def _compute_suspension(program: CompiledProgram) -> None:
-    """Whole-program fixpoint: which functions can reach a suspension?
-
-    Functions that cannot suspend execute on a plain call stack
-    (``_run_simple``) with no generator setup per call — the analogue of
-    the real compiler giving non-yielding functions ordinary frames while
-    fiber-capable code carries the context-switching machinery.
-    """
-    everything: List[CompiledFunction] = list(program.functions.values())
-    for bodies in program.hooks.values():
-        everything.extend(bodies)
-
-    def direct_suspends(cf: CompiledFunction) -> bool:
-        return any(
-            control[0] in _SUSPENDING_CONTROLS
-            for __, control, __count in cf.segments
-        )
-
-    suspend = {cf.name: direct_suspends(cf) for cf in everything}
-    by_name = {cf.name: cf for cf in everything}
-
-    changed = True
-    while changed:
-        changed = False
-        for cf in everything:
-            if suspend[cf.name]:
-                continue
-            for __, control, __count in cf.segments:
-                kind = control[0]
-                if kind == "call":
-                    if suspend.get(control[1], control[1] not in by_name):
-                        suspend[cf.name] = True
-                        changed = True
-                        break
-                elif kind == "hook":
-                    bodies = program.hooks.get(control[1], ())
-                    if any(suspend.get(b.name, True) for b in bodies):
-                        suspend[cf.name] = True
-                        changed = True
-                        break
-    for cf in everything:
-        cf.can_suspend = suspend[cf.name]
-
-
-def _finalize(cf: CompiledFunction) -> CompiledFunction:
-    """Resolve _NEXT_SEGMENT placeholders to concrete indices."""
-    resolved = []
-    for index, (steps, control, count) in enumerate(cf.segments):
-        control = tuple(
-            index + 1 if isinstance(item, _NextSegment) else item
-            for item in control
-        )
-        resolved.append((steps, control, count))
-    cf.segments = resolved
-    return cf
-
-
-# --------------------------------------------------------------------------
-# The engine
-# --------------------------------------------------------------------------
-
-
-def _charge_trap(ctx, steps, executed, exc) -> None:
-    """Charge a partially-executed segment after a trap.
-
-    The success path adds the whole segment's count at once; when a step
-    raises, that charge never lands, so the tiers' ``instr_count`` parity
-    would break on any trapping program.  Completed steps charge their
-    full batches; the raising step charges up to and including the
-    trapping instruction — each batch instruction compiles to exactly
-    one line of the generated ``_batch`` function, so the traceback's
-    line number recovers how deep the batch got.  The trapping
-    instruction itself counts, matching the interpreter's
-    count-then-execute accounting.
-    """
-    if executed < 0:
-        return
-    charge = 0
-    for step in steps[:executed]:
-        charge += getattr(step, "hilti_instructions", 1)
-    size = getattr(steps[executed], "hilti_instructions", 1)
-    if size <= 1:
-        charge += size
-    else:
-        depth = size
-        tb = exc.__traceback__
-        while tb is not None:
-            if tb.tb_frame.f_code.co_name == "_batch":
-                depth = min(size, max(1, tb.tb_lineno - 1))
-                break
-            tb = tb.tb_next
-        charge += depth
-    ctx.instr_count += charge
-
-
-def _execute(program: CompiledProgram, ctx, cf: CompiledFunction, args):
-    """Run one compiled function as a generator (engine core loop)."""
-    frame = cf.make_frame(args)
-    handlers: List[Tuple[int, object, Optional[Callable]]] = []
-    segments = cf.segments
-    seg = 0
-    while True:
-        steps, control, instr_count = segments[seg]
-        ctx.segments_dispatched += 1
-        executed = -1
-        charged = False
-        try:
-            for executed, step in enumerate(steps):
-                step(ctx, frame)
-            ctx.instr_count += instr_count
-            charged = True
-            if ctx.instr_budget is not None and \
-                    ctx.instr_count > ctx.instr_budget:
-                # One-shot: disarm so catch handlers can run.
-                ctx.instr_budget = None
-                raise HiltiError(
-                    PROCESSING_TIMEOUT, "instruction budget exhausted"
-                )
-            kind = control[0]
-            if kind == "goto":
-                seg = control[1]
-                continue
-            if kind == "branch":
-                seg = control[2] if control[1](ctx, frame) else control[3]
-                continue
-            if kind == "switch":
-                value = control[1](ctx, frame)
-                seg = control[2].get(value, control[3])
-                continue
-            if kind == "retv":
-                return control[1](ctx, frame)
-            if kind == "ret":
-                return None
-            if kind == "call":
-                __, callee, arg_accs, store, nxt = control
-                if callee.__class__ is str:  # -O0: resolve per execution
-                    callee = program.functions[callee]
-                if callee.can_suspend:
-                    result = yield from _execute(
-                        program, ctx, callee,
-                        [a(ctx, frame) for a in arg_accs],
-                    )
-                else:
-                    result = _run_simple(
-                        program, ctx, callee,
-                        [a(ctx, frame) for a in arg_accs],
-                    )
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "ncall":
-                __, native, arg_accs, store, nxt = control
-                result = native(ctx, *[a(ctx, frame) for a in arg_accs])
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "yield":
-                yield None
-                seg = control[1]
-                continue
-            if kind == "try_push":
-                __, handler_seg, catch_type, store, nxt = control
-                handlers.append((handler_seg, catch_type, store))
-                seg = nxt
-                continue
-            if kind == "try_pop":
-                if handlers:
-                    handlers.pop()
-                seg = control[1]
-                continue
-            if kind == "hook":
-                __, hook_ref, arg_accs, store, nxt = control
-                bodies = program.hooks.get(hook_ref, ()) \
-                    if hook_ref.__class__ is str else hook_ref
-                hook_args = [a(ctx, frame) for a in arg_accs]
-                hook_result = None
-                for body in bodies:
-                    if body.hook_group is not None and \
-                            body.hook_group in ctx.hook_groups_disabled:
-                        continue
-                    try:
-                        yield from _execute(program, ctx, body, list(hook_args))
-                    except _HookStop as stop:
-                        hook_result = stop.value
-                        break
-                if store is not None:
-                    store(ctx, frame, hook_result)
-                seg = nxt
-                continue
-            if kind == "hook_stop":
-                value = control[1](ctx, frame) if control[1] is not None else None
-                raise _HookStop(value)
-            if kind == "call_callable":
-                __, acc, store, nxt = control
-                bound = acc(ctx, frame)
-                result = yield from _run_callable(program, ctx, bound)
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "advance":
-                __, mgr_acc, time_acc, nxt = control
-                mgr = mgr_acc(ctx, frame) if mgr_acc is not None else ctx.timer_mgr
-                actions = mgr.advance(time_acc(ctx, frame))
-                for action in actions:
-                    yield from _run_callable(program, ctx, action)
-                while ctx.pending_expirations:
-                    action = ctx.pending_expirations.pop(0)
-                    yield from _run_callable(program, ctx, action)
-                seg = nxt
-                continue
-            if kind == "expire":
-                __, mgr_acc, nxt = control
-                mgr = mgr_acc(ctx, frame) if mgr_acc is not None else ctx.timer_mgr
-                actions = mgr.expire_all()
-                for action in actions:
-                    yield from _run_callable(program, ctx, action)
-                while ctx.pending_expirations:
-                    action = ctx.pending_expirations.pop(0)
-                    yield from _run_callable(program, ctx, action)
-                seg = nxt
-                continue
-            if kind == "wp_check":
-                for entry in ctx.watchpoints:
-                    if entry[2]:
-                        continue
-                    due = yield from _run_callable(program, ctx, entry[0])
-                    if due:
-                        entry[2] = True
-                        yield from _run_callable(program, ctx, entry[1])
-                ctx.watchpoints[:] = [
-                    e for e in ctx.watchpoints if not e[2]
-                ]
-                seg = control[1]
-                continue
-            raise HiltiError(INTERNAL_ERROR, f"bad control {kind!r}")
-        except HiltiError as error:
-            if not charged:
-                _charge_trap(ctx, steps, executed, error)
-            seg = _dispatch_exception(handlers, error, ctx, frame)
-            if seg is None:
-                raise
-        except IndexError as exc:
-            if not charged:
-                _charge_trap(ctx, steps, executed, exc)
-            error = HiltiError(_INDEX_ERROR, f"index out of range: {exc}")
-            seg = _dispatch_exception(handlers, error, ctx, frame)
-            if seg is None:
-                raise error from exc
-
-
-def _run_simple(program: CompiledProgram, ctx, cf: CompiledFunction, args):
-    """Run a non-suspending compiled function on the plain call stack.
-
-    Mirrors ``_execute`` minus the generator machinery; the suspension
-    analysis guarantees none of the suspending control kinds can occur
-    here (callees are non-suspending too).
-    """
-    frame = cf.make_frame(args)
-    handlers: List[Tuple[int, object, Optional[Callable]]] = []
-    segments = cf.segments
-    seg = 0
-    while True:
-        steps, control, instr_count = segments[seg]
-        ctx.segments_dispatched += 1
-        executed = -1
-        charged = False
-        try:
-            for executed, step in enumerate(steps):
-                step(ctx, frame)
-            ctx.instr_count += instr_count
-            charged = True
-            if ctx.instr_budget is not None and \
-                    ctx.instr_count > ctx.instr_budget:
-                # One-shot: disarm so catch handlers can run.
-                ctx.instr_budget = None
-                raise HiltiError(
-                    PROCESSING_TIMEOUT, "instruction budget exhausted"
-                )
-            kind = control[0]
-            if kind == "goto":
-                seg = control[1]
-                continue
-            if kind == "branch":
-                seg = control[2] if control[1](ctx, frame) else control[3]
-                continue
-            if kind == "switch":
-                value = control[1](ctx, frame)
-                seg = control[2].get(value, control[3])
-                continue
-            if kind == "retv":
-                return control[1](ctx, frame)
-            if kind == "ret":
-                return None
-            if kind == "call":
-                __, callee, arg_accs, store, nxt = control
-                if callee.__class__ is str:  # -O0: resolve per execution
-                    callee = program.functions[callee]
-                result = _run_simple(
-                    program, ctx, callee,
-                    [a(ctx, frame) for a in arg_accs],
-                )
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "ncall":
-                __, native, arg_accs, store, nxt = control
-                result = native(ctx, *[a(ctx, frame) for a in arg_accs])
-                if store is not None:
-                    store(ctx, frame, result)
-                seg = nxt
-                continue
-            if kind == "try_push":
-                __, handler_seg, catch_type, store, nxt = control
-                handlers.append((handler_seg, catch_type, store))
-                seg = nxt
-                continue
-            if kind == "try_pop":
-                if handlers:
-                    handlers.pop()
-                seg = control[1]
-                continue
-            if kind == "hook":
-                __, hook_ref, arg_accs, store, nxt = control
-                bodies = program.hooks.get(hook_ref, ()) \
-                    if hook_ref.__class__ is str else hook_ref
-                hook_args = [a(ctx, frame) for a in arg_accs]
-                hook_result = None
-                for body in bodies:
-                    if body.hook_group is not None and \
-                            body.hook_group in ctx.hook_groups_disabled:
-                        continue
-                    try:
-                        _run_simple(program, ctx, body, list(hook_args))
-                    except _HookStop as stop:
-                        hook_result = stop.value
-                        break
-                if store is not None:
-                    store(ctx, frame, hook_result)
-                seg = nxt
-                continue
-            if kind == "hook_stop":
-                value = control[1](ctx, frame) if control[1] is not None else None
-                raise _HookStop(value)
-            raise HiltiError(
-                INTERNAL_ERROR,
-                f"suspending control {kind!r} in non-suspending function "
-                f"{cf.name}",
-            )
-        except HiltiError as error:
-            if not charged:
-                _charge_trap(ctx, steps, executed, error)
-            seg = _dispatch_exception(handlers, error, ctx, frame)
-            if seg is None:
-                raise
-        except IndexError as exc:
-            if not charged:
-                _charge_trap(ctx, steps, executed, exc)
-            error = HiltiError(_INDEX_ERROR, f"index out of range: {exc}")
-            seg = _dispatch_exception(handlers, error, ctx, frame)
-            if seg is None:
-                raise error from exc
-
-
-def _dispatch_exception(handlers, error: HiltiError, ctx, frame):
-    """Find the innermost matching handler; None reraises to the caller."""
-    while handlers:
-        handler_seg, catch_type, store = handlers.pop()
-        if catch_type is None or error.matches(catch_type):
-            if store is not None:
-                store(ctx, frame, error)
-            return handler_seg
-    return None
-
-
-def _run_callable(program: CompiledProgram, ctx, bound):
-    """Execute a HILTI callable (timers, scheduled jobs)."""
-    if isinstance(bound, HiltiCallable):
-        function = bound.function
-        if isinstance(function, str):
-            cf = program.functions.get(function)
-            if cf is None:
-                native = program.natives.get(function)
-                if native is None:
-                    raise HiltiError(
-                        INTERNAL_ERROR, f"unresolved callable {function!r}"
-                    )
-                return native(ctx, *bound.args)
-        else:
-            cf = function
-        result = yield from _execute(program, ctx, cf, list(bound.args))
-        return result
-    if callable(bound):
-        return bound()
-    raise HiltiError(INTERNAL_ERROR, f"cannot invoke {bound!r}")
+    program = CompiledProgram(linked)
+    program.opt_level = opt_level
+    unit = _Unit(program, opt_level)
+    for name, function in linked.functions.items():
+        program.functions[name] = _Emitter(unit, function).compile()
+    for hook_name, bodies in linked.hooks.items():
+        program.hooks[hook_name] = [
+            _Emitter(unit, body).compile() for body in bodies
+        ]
+    for index, var in enumerate(linked.global_layout):
+        program._global_inits.append((index, var.init, var.type))
+    return program

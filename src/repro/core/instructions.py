@@ -7,7 +7,14 @@ and the closure code generator:
 
 * ``InstrDef`` describes each mnemonic: target requirements, operand
   specs, and — for *value* instructions — a semantics function
-  ``fn(ctx, *values) -> result``.
+  ``fn(ctx, *values) -> result``, plus an optional ``inline`` template:
+  the same semantics as a Python expression over the operand
+  expressions (``"({0} + {1})"``), which the code generator pastes into
+  the function it emits instead of calling ``fn``.  ``inline_level`` is
+  the lowest ``-O`` level that uses the template: operators inline at
+  every level, the one-method wrappers on the parsers' hot path
+  (``({0}).available()``) from ``-O1`` so ``-O0`` stays the
+  generic-call baseline.
 * *Engine* instructions (control flow, calls, fibers, hooks, timer
   advancement) have no ``fn``; both execution tiers implement them against
   the operand conventions documented per instruction.
@@ -19,6 +26,7 @@ type predicates for the verifier (``repro.core.typecheck``).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 from ..runtime import classifier as rt_classifier
@@ -49,13 +57,15 @@ __all__ = [
     "lookup",
     "default_value",
     "instantiate",
+    "constructor",
 ]
 
 
 class InstrDef:
     """Definition of one instruction."""
 
-    __slots__ = ("mnemonic", "target", "operands", "fn", "engine", "doc")
+    __slots__ = ("mnemonic", "target", "operands", "fn", "engine", "doc",
+                 "inline", "inline_level")
 
     def __init__(
         self,
@@ -65,6 +75,8 @@ class InstrDef:
         fn: Optional[Callable] = None,
         engine: bool = False,
         doc: str = "",
+        inline: Optional[str] = None,
+        inline_level: int = 0,
     ):
         self.mnemonic = mnemonic
         self.target = target  # None, "req", or "opt"
@@ -72,6 +84,8 @@ class InstrDef:
         self.fn = fn
         self.engine = engine
         self.doc = doc
+        self.inline = inline
+        self.inline_level = inline_level
 
     def min_operands(self) -> int:
         count = 0
@@ -94,10 +108,13 @@ REGISTRY: Dict[str, InstrDef] = {}
 ENGINE_MNEMONICS = set()
 
 
-def _register(mnemonic, target, operands, fn=None, engine=False, doc=""):
+def _register(mnemonic, target, operands, fn=None, engine=False, doc="",
+              inline=None, inline_o1=None):
     if mnemonic in REGISTRY:
         raise ValueError(f"duplicate instruction {mnemonic}")
-    REGISTRY[mnemonic] = InstrDef(mnemonic, target, tuple(operands), fn, engine, doc)
+    REGISTRY[mnemonic] = InstrDef(
+        mnemonic, target, tuple(operands), fn, engine, doc,
+        inline=inline or inline_o1, inline_level=1 if inline_o1 else 0)
     if engine:
         ENGINE_MNEMONICS.add(mnemonic)
 
@@ -187,6 +204,38 @@ def instantiate(ctx, value_type: ht.Type, *args):
     raise HiltiError(VALUE_ERROR, f"cannot instantiate type {value_type}")
 
 
+def constructor(value_type: ht.Type) -> Optional[Callable]:
+    """``new <type>`` for a type known at compile time.
+
+    Returns ``make(ctx) -> object`` with :func:`instantiate`'s effect for
+    the argument-less allocations generated code is full of (containers,
+    bytes, structs), the type dispatch done once; None for every other
+    type, which stays on the generic path.
+    """
+    if isinstance(value_type, ht.RefT):
+        value_type = value_type.target
+    if isinstance(value_type, ht.StructT):
+        build = functools.partial(
+            value_type.instance_class or StructInstance, value_type)
+    elif isinstance(value_type, ht.VectorT):
+        build = functools.partial(
+            rt_containers.HiltiVector,
+            default=default_value(value_type.element))
+    else:
+        build = {ht.ListT: rt_containers.HiltiList,
+                 ht.SetT: rt_containers.HiltiSet,
+                 ht.MapT: rt_containers.HiltiMap,
+                 ht.BytesT: Bytes}.get(type(value_type))
+        if build is None:
+            return None
+
+    def make(ctx):
+        ctx.alloc_stats.on_new()
+        return build()
+
+    return make
+
+
 _register(
     "new", "req", ("type", "val*"),
     fn=lambda ctx, t, *args: instantiate(ctx, t, *args),
@@ -208,7 +257,7 @@ def _generic_equal(a, b) -> bool:
 
 
 _register("assign", "req", ("val",), fn=lambda ctx, v: v,
-          doc="Copy a value into the target.")
+          doc="Copy a value into the target.", inline="{0}")
 _register("equal", "req", ("val", "val"),
           fn=lambda ctx, a, b: _generic_equal(a, b),
           doc="Generic equality on two values of the same type.")
@@ -225,7 +274,7 @@ _register("and", "req", ("val", "val"), fn=lambda ctx, a, b: a and b,
 _register("or", "req", ("val", "val"), fn=lambda ctx, a, b: a or b,
           doc="Logical/bitwise or (per operand type).")
 _register("not", "req", ("bool",), fn=lambda ctx, a: not a,
-          doc="Boolean negation.")
+          doc="Boolean negation.", inline="(not {0})")
 
 
 # --------------------------------------------------------------------------
@@ -246,25 +295,40 @@ def _int_mod(ctx, a, b):
     return a - b * _int_div(ctx, a, b)
 
 
-_register("int.add", "req", ("int", "int"), fn=lambda ctx, a, b: a + b)
-_register("int.sub", "req", ("int", "int"), fn=lambda ctx, a, b: a - b)
-_register("int.mul", "req", ("int", "int"), fn=lambda ctx, a, b: a * b)
+_register("int.add", "req", ("int", "int"), fn=lambda ctx, a, b: a + b,
+          inline="({0} + {1})")
+_register("int.sub", "req", ("int", "int"), fn=lambda ctx, a, b: a - b,
+          inline="({0} - {1})")
+_register("int.mul", "req", ("int", "int"), fn=lambda ctx, a, b: a * b,
+          inline="({0} * {1})")
 _register("int.div", "req", ("int", "int"), fn=_int_div,
           doc="Truncating division; raises Hilti::DivisionByZero.")
 _register("int.mod", "req", ("int", "int"), fn=_int_mod)
 _register("int.pow", "req", ("int", "int"), fn=lambda ctx, a, b: a ** b)
-_register("int.eq", "req", ("int", "int"), fn=lambda ctx, a, b: a == b)
-_register("int.lt", "req", ("int", "int"), fn=lambda ctx, a, b: a < b)
-_register("int.le", "req", ("int", "int"), fn=lambda ctx, a, b: a <= b)
-_register("int.gt", "req", ("int", "int"), fn=lambda ctx, a, b: a > b)
-_register("int.ge", "req", ("int", "int"), fn=lambda ctx, a, b: a >= b)
-_register("int.and", "req", ("int", "int"), fn=lambda ctx, a, b: a & b)
-_register("int.or", "req", ("int", "int"), fn=lambda ctx, a, b: a | b)
-_register("int.xor", "req", ("int", "int"), fn=lambda ctx, a, b: a ^ b)
-_register("int.shl", "req", ("int", "int"), fn=lambda ctx, a, b: a << b)
-_register("int.shr", "req", ("int", "int"), fn=lambda ctx, a, b: a >> b)
-_register("int.incr", "req", ("int",), fn=lambda ctx, a: a + 1)
-_register("int.decr", "req", ("int",), fn=lambda ctx, a: a - 1)
+_register("int.eq", "req", ("int", "int"), fn=lambda ctx, a, b: a == b,
+          inline="({0} == {1})")
+_register("int.lt", "req", ("int", "int"), fn=lambda ctx, a, b: a < b,
+          inline="({0} < {1})")
+_register("int.le", "req", ("int", "int"), fn=lambda ctx, a, b: a <= b,
+          inline="({0} <= {1})")
+_register("int.gt", "req", ("int", "int"), fn=lambda ctx, a, b: a > b,
+          inline="({0} > {1})")
+_register("int.ge", "req", ("int", "int"), fn=lambda ctx, a, b: a >= b,
+          inline="({0} >= {1})")
+_register("int.and", "req", ("int", "int"), fn=lambda ctx, a, b: a & b,
+          inline="({0} & {1})")
+_register("int.or", "req", ("int", "int"), fn=lambda ctx, a, b: a | b,
+          inline="({0} | {1})")
+_register("int.xor", "req", ("int", "int"), fn=lambda ctx, a, b: a ^ b,
+          inline="({0} ^ {1})")
+_register("int.shl", "req", ("int", "int"), fn=lambda ctx, a, b: a << b,
+          inline="({0} << {1})")
+_register("int.shr", "req", ("int", "int"), fn=lambda ctx, a, b: a >> b,
+          inline="({0} >> {1})")
+_register("int.incr", "req", ("int",), fn=lambda ctx, a: a + 1,
+          inline="({0} + 1)")
+_register("int.decr", "req", ("int",), fn=lambda ctx, a: a - 1,
+          inline="({0} - 1)")
 _register("int.neg", "req", ("int",), fn=lambda ctx, a: -a)
 _register("int.abs", "req", ("int",), fn=lambda ctx, a: abs(a))
 _register("int.min", "req", ("int", "int"), fn=lambda ctx, a, b: min(a, b))
@@ -288,14 +352,20 @@ def _double_div(ctx, a, b):
     return a / b
 
 
-_register("double.add", "req", ("double", "double"), fn=lambda ctx, a, b: a + b)
-_register("double.sub", "req", ("double", "double"), fn=lambda ctx, a, b: a - b)
-_register("double.mul", "req", ("double", "double"), fn=lambda ctx, a, b: a * b)
+_register("double.add", "req", ("double", "double"), fn=lambda ctx, a, b: a + b,
+          inline="({0} + {1})")
+_register("double.sub", "req", ("double", "double"), fn=lambda ctx, a, b: a - b,
+          inline="({0} - {1})")
+_register("double.mul", "req", ("double", "double"), fn=lambda ctx, a, b: a * b,
+          inline="({0} * {1})")
 _register("double.div", "req", ("double", "double"), fn=_double_div)
 _register("double.pow", "req", ("double", "double"), fn=lambda ctx, a, b: a ** b)
-_register("double.eq", "req", ("double", "double"), fn=lambda ctx, a, b: a == b)
-_register("double.lt", "req", ("double", "double"), fn=lambda ctx, a, b: a < b)
-_register("double.gt", "req", ("double", "double"), fn=lambda ctx, a, b: a > b)
+_register("double.eq", "req", ("double", "double"), fn=lambda ctx, a, b: a == b,
+          inline="({0} == {1})")
+_register("double.lt", "req", ("double", "double"), fn=lambda ctx, a, b: a < b,
+          inline="({0} < {1})")
+_register("double.gt", "req", ("double", "double"), fn=lambda ctx, a, b: a > b,
+          inline="({0} > {1})")
 _register("double.to_int", "req", ("double",), fn=lambda ctx, a: int(a))
 
 
@@ -303,10 +373,14 @@ _register("double.to_int", "req", ("double",), fn=lambda ctx, a: int(a))
 # Booleans / bitsets / enums
 # --------------------------------------------------------------------------
 
-_register("bool.and", "req", ("bool", "bool"), fn=lambda ctx, a, b: a and b)
-_register("bool.or", "req", ("bool", "bool"), fn=lambda ctx, a, b: a or b)
-_register("bool.xor", "req", ("bool", "bool"), fn=lambda ctx, a, b: a != b)
-_register("bool.not", "req", ("bool",), fn=lambda ctx, a: not a)
+_register("bool.and", "req", ("bool", "bool"), fn=lambda ctx, a, b: a and b,
+          inline="({0} and {1})")
+_register("bool.or", "req", ("bool", "bool"), fn=lambda ctx, a, b: a or b,
+          inline="({0} or {1})")
+_register("bool.xor", "req", ("bool", "bool"), fn=lambda ctx, a, b: a != b,
+          inline="({0} != {1})")
+_register("bool.not", "req", ("bool",), fn=lambda ctx, a: not a,
+          inline="(not {0})")
 
 _register("bitset.set", "req", ("int", "int"), fn=lambda ctx, a, b: a | b,
           doc="Set the given bits.")
@@ -361,10 +435,12 @@ def _string_fmt(ctx, template: str, args):
 
 
 _register("string.concat", "req", ("string", "string"),
-          fn=lambda ctx, a, b: a + b)
+          fn=lambda ctx, a, b: a + b, inline="({0} + {1})")
 _register("string.length", "req", ("string",), fn=lambda ctx, a: len(a))
-_register("string.eq", "req", ("string", "string"), fn=lambda ctx, a, b: a == b)
-_register("string.lt", "req", ("string", "string"), fn=lambda ctx, a, b: a < b)
+_register("string.eq", "req", ("string", "string"), fn=lambda ctx, a, b: a == b,
+          inline="({0} == {1})")
+_register("string.lt", "req", ("string", "string"), fn=lambda ctx, a, b: a < b,
+          inline="({0} < {1})")
 _register("string.find", "req", ("string", "string"),
           fn=lambda ctx, a, b: a.find(b))
 _register("string.upper", "req", ("string",), fn=lambda ctx, a: a.upper())
@@ -427,7 +503,8 @@ _register("bytes.contains", "req", ("bytes", "bytes"),
 _register("bytes.startswith", "req", ("bytes", "bytes"),
           fn=lambda ctx, a, b: _as_raw(a).startswith(_as_raw(b)))
 _register("bytes.sub", "req", ("iter", "iter"),
-          fn=lambda ctx, i1, i2: i1.bytes_obj.sub(i1, i2))
+          fn=lambda ctx, i1, i2: i1.bytes_obj.sub(i1, i2),
+          inline_o1="({0}).bytes_obj.sub({0}, {1})")
 _register("bytes.find", "req", ("bytes", "bytes", "iter?"), fn=_bytes_find,
           doc="Returns (found, iterator) tuple.")
 _register("bytes.offset", "req", ("bytes", "int"),
@@ -436,7 +513,8 @@ _register("bytes.begin", "req", ("bytes",), fn=lambda ctx, b: b.begin())
 _register("bytes.end", "req", ("bytes",), fn=lambda ctx, b: b.end())
 _register("bytes.freeze", None, ("bytes",), fn=lambda ctx, b: b.freeze())
 _register("bytes.unfreeze", None, ("bytes",), fn=lambda ctx, b: b.unfreeze())
-_register("bytes.is_frozen", "req", ("bytes",), fn=lambda ctx, b: b.is_frozen)
+_register("bytes.is_frozen", "req", ("bytes",), fn=lambda ctx, b: b.is_frozen,
+          inline_o1="({0}).is_frozen")
 _register("bytes.trim", None, ("bytes", "iter"),
           fn=lambda ctx, b, it: b.trim(it))
 _register("bytes.to_int", "req", ("bytes", "int?"),
@@ -454,14 +532,16 @@ _register("bytes.concat", "req", ("bytes", "bytes"),
           fn=lambda ctx, a, b: a + b)
 _register("bytes.available", "req", ("iter",),
           fn=lambda ctx, it: it.available(),
-          doc="Bytes available at and after the iterator position.")
+          doc="Bytes available at and after the iterator position.",
+          inline_o1="({0}).available()")
 _register("bytes.match_at", "req", ("iter", "bytes"),
           fn=lambda ctx, it, prefix: it.bytes_obj.startswith(
               _as_raw(prefix), it),
           doc="True if the data at the iterator starts with the prefix.")
 _register("bytes.at_end", "req", ("iter",),
           fn=lambda ctx, it: it.at_end(),
-          doc="True if the iterator sits at the current end of data.")
+          doc="True if the iterator sits at the current end of data.",
+          inline_o1="({0}).at_end()")
 
 
 def _list_of(items):
@@ -756,10 +836,7 @@ _register("pack", "req", ("val", "field"), fn=_pack,
 
 
 def _unpack_iter(ctx, it, fmt_name):
-    fmt = ht.UnpackFormat(fmt_name)
-    value = rt_overlay.unpack_value(it.bytes_obj, it.offset, fmt)
-    size = rt_overlay.format_size(fmt_name)
-    return value, it.incr_by(size)
+    return rt_overlay.make_iter_unpacker(fmt_name)(it)
 
 
 _register("bytes.unpack", "req", ("iter", "field"), fn=_unpack_iter,
@@ -807,7 +884,8 @@ _register("regexp.match", "req", ("ref", "bytes"),
           doc="Anchored match against a bytes value; returns pattern id.")
 _register("regexp.match_token", "req", ("ref", "iter"),
           fn=lambda ctx, r, it: r.match_token(it.bytes_obj, it),
-          doc="Incremental anchored match; returns (status, iterator).")
+          doc="Incremental anchored match; returns (status, iterator).",
+          inline_o1="({0}).match_token(({1}).bytes_obj, {1})")
 _register("regexp.find", "req", ("ref", "bytes"),
           fn=lambda ctx, r, data: r.find(_as_raw(data)),
           doc="Leftmost match anywhere; returns (id, begin, end).")

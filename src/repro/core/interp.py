@@ -2,7 +2,7 @@
 
 Walks the IR directly: every step re-dispatches the mnemonic through the
 instruction registry and resolves operands by name — precisely the work
-the closure code generator (``repro.core.codegen``) specializes away.
+the code generator (``repro.core.codegen``) specializes away.
 It exists for two reasons:
 
 * differential testing: both tiers must produce identical results on the
@@ -61,6 +61,9 @@ class Interpreter:
         self.linked = linked
         # Host-selectable runtime backends, mirroring CompiledProgram.
         self.runtime_options: Dict[str, str] = {}
+        # Yields passed: this tier runs to completion, but the count is
+        # the oracle for how often the compiled tier's fiber suspends.
+        self.suspensions = 0
         self._module_of: Dict[int, Module] = {}
         for module in linked.modules:
             for function in module.all_functions():
@@ -183,7 +186,7 @@ class Interpreter:
                     # The implicit control transfer (fall-through goto, or
                     # the synthetic return of a void fall-off exit) counts
                     # as one instruction, exactly like the compiled tier's
-                    # per-segment "+1 for the control transfer" — keeping
+                    # "+1 for the implicit control transfer" — keeping
                     # the two tiers' instruction counts identical.
                     ctx.instr_count += 1
                     if index >= len(function.blocks):
@@ -222,6 +225,7 @@ class Interpreter:
             self._store(ctx, module, scope, instruction.target, result)
             return None
         if mnemonic == "yield":
+            self.suspensions += 1
             return None  # The interpreter tier runs to completion.
         if mnemonic == "try.begin":
             handler = ops[0].label

@@ -23,8 +23,8 @@ harness (``benchmarks/bench_regression.py``) turn it on and off:
 * dead-store elimination — pure results written to locals nobody reads;
 * jump threading — branches into trivial forwarding blocks retarget;
 * straight-line block merging — a block whose only entry is one
-  unconditional predecessor splices into it, so the codegen trampoline
-  dispatches fewer, larger superblocks;
+  unconditional predecessor splices into it, so the code generator
+  charges fewer, larger straight-line regions;
 * dead-block elimination — blocks unreachable in the CFG are dropped.
 
 ``-O2`` adds a second tier on top (guarded by ``level >= 2``):
@@ -34,15 +34,17 @@ harness (``benchmarks/bench_regression.py``) turn it on and off:
   true leg of ``if.else b ...`` pins ``b = True``; a unique ``switch``
   case pins the scrutinee), so re-tests of the same condition fold;
 * intra-module inlining — small single-block leaf functions splice into
-  their call sites (direct ``call`` operands are statically monomorphic,
-  the IR-level analogue of the codegen tier's per-site inline caches);
+  their call sites (direct ``call`` operands are statically
+  monomorphic);
 * flow-function specialization — call sites passing constant arguments
   to a small function retarget to a per-signature clone whose seeded
-  parameters the regular pipeline then folds;
-* superblock formation — a block ending in ``jump`` to a small
-  multi-predecessor block absorbs a copy of it (tail duplication),
-  extending ``merge_blocks``/``thread_jumps`` into straight-line traces
-  the dispatch trampoline runs as one segment.
+  parameters the regular pipeline then folds.
+
+(Superblock formation by tail duplication used to close this list: it
+saved one trampoline dispatch per ``jump``.  The code generator now
+emits a ``jump`` as fall-through Python, the pass stopped beating ``-O1``
+on the HTTP and DNS traces — table in docs/PERFORMANCE.md — and was
+deleted.)
 
 ``-O2`` must never change observable behaviour; ``repro.tools.fuzz``
 differentially tests every level against the interpreter oracle.
@@ -147,14 +149,12 @@ class OptStats:
         # -O2 tier.
         self.inlined = 0
         self.specialized = 0
-        self.superblocks = 0
 
     def total(self) -> int:
         return (self.folded + self.propagated + self.branches_simplified
                 + self.dead_blocks + self.dead_stores + self.cse_hits
                 + self.jumps_threaded + self.blocks_merged
-                + self.locals_pruned + self.inlined + self.specialized
-                + self.superblocks)
+                + self.locals_pruned + self.inlined + self.specialized)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -169,7 +169,6 @@ class OptStats:
             "locals_pruned": self.locals_pruned,
             "inlined": self.inlined,
             "specialized": self.specialized,
-            "superblocks": self.superblocks,
         }
 
     def __repr__(self) -> str:
@@ -718,8 +717,8 @@ def merge_blocks(function: Function, stats: OptStats) -> None:
 
     After jump threading the CFG often contains chains ``A -jump-> B``
     (or fallthroughs) where B has no other entry; merging them gives the
-    code generator longer straight-line runs — fewer, larger superblocks
-    on the dispatch trampoline.  Entry blocks and try-handler targets are
+    code generator longer straight-line runs — fewer, larger regions to
+    charge.  Entry blocks and try-handler targets are
     never merged away (exceptional control enters handlers edge-free).
     """
     while True:
@@ -815,8 +814,6 @@ _INLINE_MAX = 16
 _SPEC_MAX_INSTRUCTIONS = 48
 #: Clone budget per module — specialization must not balloon code size.
 _SPEC_MAX_CLONES = 8
-#: Largest block tail duplication copies into a predecessor.
-_SUPERBLOCK_TAIL_MAX = 8
 
 
 def _copy_instruction(instruction: Instruction) -> Instruction:
@@ -935,9 +932,8 @@ def inline_calls(module: Module, stats: OptStats) -> None:
     """Splice small leaf functions into their intra-module call sites.
 
     Direct ``call`` operands name their target statically, so every site
-    is monomorphic by construction — the IR-level counterpart of the
-    codegen tier's per-call-site inline caches, but paying the dispatch
-    cost zero times instead of once.
+    is monomorphic by construction: the code generator binds the callee
+    by name at link time, inlining removes the call altogether.
     """
     candidates = _inline_candidates(module)
     if not candidates:
@@ -1063,56 +1059,6 @@ def specialize_calls(module: Module, stats: OptStats) -> None:
                 )
 
 
-def form_superblocks(function: Function, stats: OptStats) -> None:
-    """Tail-duplicate small jump targets into their predecessors.
-
-    ``merge_blocks`` only absorbs single-predecessor blocks; a hot trace
-    through a shared join (a loop header, a common exit) still pays one
-    trampoline dispatch per ``jump``.  Copying a small multi-predecessor
-    target into the jumping block extends the straight-line segment the
-    code generator batches — classic superblock formation via tail
-    duplication.  Growth is budgeted to at most ~2x the function, copies
-    must end in an explicit terminator, and try-scope instructions and
-    handler entries never duplicate.
-    """
-    budget = max(24, sum(len(b.instructions) for b in function.blocks))
-    while budget > 0:
-        handlers = _handler_labels(function)
-        by_label = {b.label: b for b in function.blocks}
-        preds = _predecessors(function)
-        duplicated = False
-        for block in function.blocks:
-            last = block.instructions[-1] if block.instructions else None
-            if last is None or last.mnemonic != "jump":
-                continue
-            succ = last.operands[0].label
-            if succ == block.label or succ in handlers:
-                continue
-            target = by_label.get(succ)
-            if target is None or not target.instructions:
-                continue
-            if len(preds.get(succ, ())) <= 1:
-                continue  # merge_blocks splices these without copying
-            if len(target.instructions) > _SUPERBLOCK_TAIL_MAX or \
-                    len(target.instructions) > budget:
-                continue
-            if target.instructions[-1].mnemonic not in _TERMINATORS:
-                continue  # relies on fallthrough; a copy would run off
-            if any(i.mnemonic in ("try.begin", "try.end")
-                   for i in target.instructions):
-                continue
-            block.instructions.pop()
-            block.instructions.extend(
-                _copy_instruction(i) for i in target.instructions
-            )
-            budget -= len(target.instructions)
-            stats.superblocks += 1
-            duplicated = True
-            break
-        if not duplicated:
-            return
-
-
 def optimize_function(module: Module, function: Function,
                       stats: Optional[OptStats] = None,
                       level: int = 1) -> OptStats:
@@ -1137,15 +1083,6 @@ def optimize_function(module: Module, function: Function,
         pipeline()
         if stats.total() == before:
             break
-    if level >= 2:
-        # Trace formation, then let the scalar pipeline exploit the
-        # duplicated tails (each copy now sees one predecessor's facts).
-        for _round in range(2):
-            before = stats.total()
-            form_superblocks(function, stats)
-            pipeline()
-            if stats.total() == before:
-                break
     return stats
 
 

@@ -47,8 +47,8 @@ def hiltic(
 ):
     """Compile sources into an executable program.
 
-    *tier* selects the backend: ``"compiled"`` (the closure code generator,
-    the paper's native-code path) or ``"interpreted"`` (the reference
+    *tier* selects the backend: ``"compiled"`` (the code generator, the
+    paper's native-code path) or ``"interpreted"`` (the reference
     interpreter).  *profile* inserts function-granularity profiler
     instrumentation (paper, section 3.3); per-function reports appear in
     each context's ``profilers`` registry under ``func/<name>``.
@@ -56,9 +56,9 @@ def hiltic(
     *opt_level* is the ``-O`` knob (see ``optimize.OPT_LEVELS``): ``0``
     lowers the IR verbatim, ``1`` (the default) runs the
     ``repro.core.optimize`` pass pipeline between typecheck and lowering
-    and optimizes call/hook dispatch in codegen, ``2`` adds the
-    trace/inlining tier (branch-refined propagation, intra-module
-    inlining, flow-function specialization, superblock formation).  The
+    and turns on codegen's compile-time specialisations, ``2`` adds the
+    inlining tier (branch-refined propagation, intra-module inlining,
+    flow-function specialization).  The
     legacy boolean *optimize* maps onto it when *opt_level* is not
     given.  The interpreted tier always executes the *unoptimized* IR so
     the two tiers stay a differential oracle for the optimizer;

@@ -379,7 +379,7 @@ class StructT(Type):
     ``slot_index`` maps a field name to its slot; ``template`` is the
     slot list of a fresh instance (the field default, or ``UNSET``).
     Instances copy the template and address slots directly, and so does
-    compiled code (``codegen._struct_site``).  ``new`` builds a
+    compiled code (``codegen._site_struct``).  ``new`` builds a
     ``StructInstance``, or the subclass of it a host's struct types name
     in ``instance_class`` (Bro's ``RecordType`` names ``RecordVal``).
     """

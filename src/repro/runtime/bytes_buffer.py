@@ -108,7 +108,10 @@ class Bytes(Managed):
 
     def available_from(self, offset: int) -> int:
         """Number of bytes available at and after absolute *offset*."""
-        return max(0, self.end_offset - max(offset, self._base))
+        size = len(self._data)
+        left = self._base + size - offset
+        # Past the end: nothing; before the trimmed region: all of it.
+        return left if 0 <= left <= size else (0 if left < 0 else size)
 
     def view_from(self, offset: int) -> memoryview:
         """Zero-copy view of the data from absolute *offset* to the end.
@@ -277,7 +280,8 @@ class BytesIter:
         return other.offset - self.offset
 
     def at_end(self) -> bool:
-        return self.offset >= self.bytes_obj.end_offset
+        data = self.bytes_obj
+        return self.offset >= data._base + len(data._data)
 
     def available(self) -> int:
         return self.bytes_obj.available_from(self.offset)

@@ -5,7 +5,7 @@ storing all of the thread's relevant state: the array of thread-local
 variables ("globals"), the currently executing fiber, the timers scheduled
 within the thread, and the exception status (paper, section 5 "Runtime
 Model").  Compiled functions receive the context as a hidden argument —
-here it is the explicit first parameter of every step closure.
+here it is the explicit first parameter of every generated function.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ExecutionContext:
         self.fiber = None
         self.instr_count = 0
         # Tier dispatch counters (telemetry): basic blocks entered by the
-        # interpreter, segments entered by the compiled-code trampoline.
+        # interpreter, straight-line regions charged by compiled code.
         self.blocks_dispatched = 0
         self.segments_dispatched = 0
         # Watchdog: when set, execution raises Hilti::ProcessingTimeout as

@@ -12,16 +12,17 @@ format, produce the typed field value.
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core import types as ht
 from ..core.values import Addr, Port
-from .bytes_buffer import Bytes
+from .bytes_buffer import Bytes, BytesIter
 from .exceptions import HiltiError, OVERLAY_NOT_ATTACHED, VALUE_ERROR
 
-__all__ = ["unpack_value", "make_unpacker", "OverlayInstance",
-           "FORMAT_SIZES"]
+__all__ = ["unpack_value", "make_unpacker", "make_iter_unpacker",
+           "OverlayInstance", "FORMAT_SIZES"]
 
 # Format name -> (size in bytes, struct code or special handler tag).
 _FIXED_FORMATS = {
@@ -112,14 +113,21 @@ def unpack_value(data: Bytes, offset: int, fmt: ht.UnpackFormat):
     return value
 
 
+@functools.lru_cache(maxsize=None)  # bounded by the formats programs name
 def make_unpacker(fmt: ht.UnpackFormat):
     """Precompile :func:`unpack_value` for a fixed format.
 
     Returns ``f(data, offset) -> value`` with the same observable
     behavior, but format resolution, size/code dispatch, and bit-range
-    validation happen once — the compiled tier uses this to specialize
-    ``overlay.get``/``unpack`` sites whose layout is a compile-time
-    constant.
+    validation happen once per distinct format: the compiled tier binds
+    the result into ``overlay.get``/``unpack`` sites whose layout is a
+    compile-time constant, and the generic ``bytes.unpack`` resolves its
+    format name through the same table per call.
+
+    Scalars read the backing buffer in place (``Struct.unpack_from``)
+    after one bounds check; a short or trimmed read goes through
+    ``Bytes.read`` so the error is its own (``WouldBlock`` while the
+    buffer can still grow, ``IndexError`` once frozen).
     """
     name = canonical_format(fmt.name)
     if name.startswith("BytesFixed"):
@@ -139,31 +147,42 @@ def make_unpacker(fmt: ht.UnpackFormat):
             return _make(data.read(offset, _size))
 
         return unpack_addr
-    if code in ("port-tcp", "port-udp"):
-        proto = Port.TCP if code == "port-tcp" else Port.UDP
-        port_unpack = struct.Struct(">H").unpack
+    proto = {"port-tcp": Port.TCP, "port-udp": Port.UDP}.get(code)
+    unpack_from = struct.Struct(
+        ">H" if proto is not None else code).unpack_from
 
-        def unpack_port(data, offset, _p=proto, _u=port_unpack):
-            return Port(_u(data.read(offset, 2))[0], _p)
+    def scalar(data, offset):
+        index = offset - data._base
+        if index < 0 or index + size > len(data._data):
+            data.read(offset, size)  # raises the buffer's own error
+        return unpack_from(data._data, index)[0]
 
-        return unpack_port
-    scalar_unpack = struct.Struct(code).unpack
-    if fmt.bits is not None:
-        low, high = fmt.bits
-        if not 0 <= low <= high < size * 8:
-            raise HiltiError(VALUE_ERROR, f"bit range {fmt.bits} out of field")
-        mask = (1 << (high - low + 1)) - 1
+    if proto is not None:
+        return lambda data, offset: Port(scalar(data, offset), proto)
+    if fmt.bits is None:
+        return scalar
+    low, high = fmt.bits
+    if not 0 <= low <= high < size * 8:
+        raise HiltiError(VALUE_ERROR, f"bit range {fmt.bits} out of field")
+    mask = (1 << (high - low + 1)) - 1
+    return lambda data, offset: (scalar(data, offset) >> low) & mask
 
-        def unpack_bits(data, offset, _u=scalar_unpack, _size=size,
-                        _low=low, _mask=mask):
-            return (_u(data.read(offset, _size))[0] >> _low) & _mask
 
-        return unpack_bits
+@functools.lru_cache(maxsize=None)
+def make_iter_unpacker(fmt_name: str):
+    """:func:`make_unpacker` in iterator form, for ``bytes.unpack``.
 
-    def unpack_scalar(data, offset, _u=scalar_unpack, _size=size):
-        return _u(data.read(offset, _size))[0]
+    Returns ``f(it) -> (value, iterator advanced past the field)``; the
+    advance is a fixed offset, not a per-call ``format_size`` lookup.
+    """
+    unpacker = make_unpacker(ht.UnpackFormat(fmt_name))
+    size = format_size(fmt_name)
 
-    return unpack_scalar
+    def unpack_at(it):
+        data, offset = it.bytes_obj, it.offset
+        return unpacker(data, offset), BytesIter(data, offset + size)
+
+    return unpack_at
 
 
 class OverlayInstance:

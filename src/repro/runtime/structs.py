@@ -24,7 +24,7 @@ class StructInstance(Managed):
     ``_slots`` starts as a copy of the type's template (or adopts the
     *slots* list given); a slot holding ``UNSET`` is an unset field
     without a default.  Compiled code reads and writes ``_slots``
-    directly (``codegen._struct_site``).
+    directly (``codegen._site_struct``).
     """
 
     __slots__ = ("struct_type", "_slots")

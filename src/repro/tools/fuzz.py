@@ -1,10 +1,10 @@
 """fuzz — the coverage-guided differential oracle for the optimizer.
 
 The ``-O2`` tier rewrites programs aggressively (inlining,
-specialization, superblock traces); the reference interpreter always
-executes the *unoptimized* IR.  That pairing is a differential oracle:
-for any program, every compiled level must produce byte-identical
-observable behaviour to the interpreter.  This tool generates
+specialization, branch-refined propagation); the reference interpreter
+always executes the *unoptimized* IR.  That pairing is a differential
+oracle: for any program, every compiled level must produce
+byte-identical observable behaviour to the interpreter.  This tool generates
 random-but-well-typed programs and drives the oracle at scale::
 
     python -m repro.tools.fuzz --seed 1 --count 500
@@ -17,11 +17,17 @@ Four lanes, each a different program source:
 * ``module`` — random HILTI modules built through ``core.builder``:
   integer dataflow, branches, bounded loops, switches, lexical
   fallthrough blocks, div/mod traps, calls into small helper
-  functions shaped to tickle the inliner and specializer, and struct
+  functions shaped to tickle the inliner and specializer, struct
   ops on typed, ``any`` and null operands (the codegen's slot inline
-  cache).  Oracle:
-  interpreter vs compiled ``-O0``/``-O1``/``-O2`` outcome (value or
-  exception type), plus the ``ctx.instr_count`` parity invariant
+  cache), and what the code generator turns into Python control flow
+  of its own: ``yield`` (in ``Main::f`` and in suspending helpers),
+  ``try.begin``/``try.end`` scopes with throws from ``int.div`` and
+  ``exception.throw`` inside and outside them, and hooks with 0-3
+  bodies, priorities, a group that gets disabled, and ``hook.stop``.
+  Oracle: interpreter vs compiled ``-O0``/``-O1``/``-O2``, each compiled
+  program driven through ``call_fiber`` to completion: outcome (value
+  or exception type), the number of suspensions (the interpreter counts
+  the yields it passes), plus the ``ctx.instr_count`` parity invariant
   between the interpreter and ``-O0``.
 * ``filter`` — random BPF expressions over well-formed and mutated
   frames; the classic VM, the interpreted tier, and every compiled
@@ -58,7 +64,8 @@ from ..core.optimize import OPT_LEVELS
 from ..core.parser import parse_module
 from ..core.printer import print_module
 from ..core.toolchain import hiltic
-from ..runtime.exceptions import HiltiError
+from ..runtime.exceptions import HiltiError, builtin_exception_types
+from ..runtime.fibers import YIELDED
 
 __all__ = [
     "Fuzzer",
@@ -101,6 +108,12 @@ _DIV_OPS = ["int.div", "int.mod"]
 #   ["fallthrough", stmts]                  stmts, then a lexical
 #                                           fallthrough into a fresh block
 #   ["call", helper_name, [operand...], target]
+#   ["yield"]                               a suspension point
+#   ["try", stmts, exc, handler_stmts]      try scope catching _EXC_TYPES[exc]
+#   ["throw", exc, cmp, a, b]               if cmp(a, b): throw _EXC_TYPES[exc]
+#   ["hook", hook_index, operand, target]   target = stop value (or the
+#                                           global `acc`) of hook.run
+#   ["group", "disable" | "enable"]         the hook group "g"
 #   ["struct", op, which, field, target, operand]
 #       op: get / set / is_set / unset / get_default on struct variable
 #       `which` (sa: ref<A>, sb: ref<B>, so: any, sn: a null ref<A>);
@@ -110,11 +123,17 @@ _DIV_OPS = ["int.div", "int.mod"]
 #       sx(sa), sx(sb), sx(so), sx(sa) to its result.  A and B order
 #       x, y, z differently, so a stale slot index reads the wrong field.
 #
-# Helpers are int<64> -> int<64> functions in one of four shapes:
+# Helpers are int<64> -> int<64> functions in one of five shapes:
 # "leaf" (single pure block — an inline candidate), "init" (leaf plus
 # an initialized local — exercises init seeding at the splice),
-# "branchy" (two-armed — not inlinable, but specializable), and "big"
-# (over the inline size cap).
+# "branchy" (two-armed — not inlinable, but specializable), "big"
+# (over the inline size cap), and "susp" (a leaf that yields half way,
+# so every caller up to Main::f compiles to a generator).
+#
+# spec["hooks"] is a list of body lists; hook i is Main::hk<i>(x).  A
+# body is {"priority", "group" (bool), "ops" [[mnemonic, operand]...]
+# folded into the global `acc`, "yields" (bool), "stop" (operand or
+# None)}; inside a body operands index (x, acc).
 
 
 def _operand(fb: FunctionBuilder, spec, names: Sequence[str]):
@@ -137,11 +156,11 @@ def _gen_ops(rng: random.Random, n_vars: int, count: int) -> List:
 
 
 def _gen_helper(rng: random.Random, index: int) -> Dict:
-    kind = rng.choice(["leaf", "leaf", "init", "branchy", "big"])
+    kind = rng.choice(["leaf", "leaf", "init", "branchy", "big", "susp"])
     nparams = rng.randint(1, 3)
     n_vars = nparams + (1 if kind == "init" else 0)
     sizes = {"leaf": (1, 6), "init": (1, 5), "branchy": (1, 4),
-             "big": (18, 22)}
+             "big": (18, 22), "susp": (2, 6)}
     ops = _gen_ops(rng, n_vars, rng.randint(*sizes[kind]))
     helper = {
         "name": f"h{index}",
@@ -164,27 +183,45 @@ def _gen_helper(rng: random.Random, index: int) -> Dict:
 _STRUCT_OPS = ["get", "set", "set", "is_set", "unset", "get_default",
                "pick", "via"]
 _STRUCT_VARS = ["sa", "sb", "so", "sn"]
+_EXC_TYPES = ["Hilti::DivisionByZero", "Hilti::ValueError",
+              "Hilti::Exception"]
+_MAX_HOOKS = 2
 
 
 def _gen_stmt(rng: random.Random, helpers: Sequence[Dict],
               depth: int) -> List:
     roll = rng.random()
-    if 0.37 <= roll < 0.45:
+    if 0.30 <= roll < 0.36:
         return ["struct", rng.choice(_STRUCT_OPS),
                 rng.choice([0, 1, 2, 2, 2, 3]), rng.choice("xyz"),
                 rng.randrange(_N_VARS), _gen_operand(rng, _N_VARS)]
-    if depth >= 2 or roll < 0.45:
+    if 0.36 <= roll < 0.40:
+        return ["yield"]
+    if 0.40 <= roll < 0.44:
+        return ["throw", rng.randrange(len(_EXC_TYPES)),
+                rng.choice(_CMP_OPS), _gen_operand(rng, _N_VARS),
+                _gen_operand(rng, _N_VARS)]
+    if 0.44 <= roll < 0.48:
+        if rng.random() < 0.2:
+            return ["group", rng.choice(["disable", "disable", "enable"])]
+        return ["hook", rng.randrange(_MAX_HOOKS),
+                _gen_operand(rng, _N_VARS), rng.randrange(_N_VARS)]
+    if depth >= 2 or roll < 0.36:
         return ["op", rng.choice(_BINOPS), rng.randrange(_N_VARS),
                 _gen_operand(rng, _N_VARS), _gen_operand(rng, _N_VARS)]
-    if roll < 0.52:
+    if roll < 0.53:
         return ["div", rng.choice(_DIV_OPS), rng.randrange(_N_VARS),
                 _gen_operand(rng, _N_VARS), _gen_operand(rng, _N_VARS)]
-    if roll < 0.67:
+    if roll < 0.60:
+        return ["try", _gen_stmts(rng, helpers, depth + 1, 1, 3),
+                rng.randrange(len(_EXC_TYPES)),
+                _gen_stmts(rng, helpers, depth + 1, 0, 2)]
+    if roll < 0.70:
         return ["if", rng.choice(_CMP_OPS),
                 _gen_operand(rng, _N_VARS), _gen_operand(rng, _N_VARS),
                 _gen_stmts(rng, helpers, depth + 1, 1, 3),
                 _gen_stmts(rng, helpers, depth + 1, 0, 3)]
-    if roll < 0.78:
+    if roll < 0.79:
         return ["loop", rng.randint(0, 6),
                 _gen_stmts(rng, helpers, depth + 1, 1, 3)]
     if roll < 0.85:
@@ -215,10 +252,23 @@ def _gen_stmts(rng: random.Random, helpers: Sequence[Dict], depth: int,
             for __ in range(rng.randint(lo, hi))]
 
 
+def _gen_hook_body(rng: random.Random) -> Dict:
+    return {
+        "priority": rng.randint(-2, 2),
+        "group": rng.random() < 0.3,
+        "ops": [[rng.choice(_BINOPS), _gen_operand(rng, 2, -9, 9)]
+                for __ in range(rng.randint(1, 3))],
+        "yields": rng.random() < 0.3,
+        "stop": _gen_operand(rng, 2, -9, 9) if rng.random() < 0.3 else None,
+    }
+
+
 def gen_module_spec(rng: random.Random) -> Dict:
     helpers = [_gen_helper(rng, i) for i in range(rng.randint(0, 3))]
     return {
         "helpers": helpers,
+        "hooks": [[_gen_hook_body(rng) for __ in range(rng.randint(0, 3))]
+                  for __ in range(_MAX_HOOKS)],
         "body": _gen_stmts(rng, helpers, 0, 2, 7),
     }
 
@@ -251,9 +301,30 @@ def _build_helper(mb: ModuleBuilder, helper: Dict) -> None:
         emit_ops(helper["else_ops"])
         fb.jump("done")
         fb.block("done")
+    elif helper["kind"] == "susp":
+        half = len(helper["ops"]) // 2
+        emit_ops(helper["ops"][:half])
+        fb.emit("yield")
+        emit_ops(helper["ops"][half:])
     else:
         emit_ops(helper["ops"])
     fb.ret(_operand(fb, helper["ret"], names))
+
+
+def _build_hooks(mb: ModuleBuilder, hooks: Sequence) -> None:
+    for index, bodies in enumerate(hooks):
+        for body in bodies:
+            fb = mb.hook(f"hk{index}", [("x", ht.INT64)],
+                         priority=body["priority"],
+                         group="g" if body["group"] else None)
+            names = ["x", "acc"]
+            for mnemonic, operand in body["ops"]:
+                fb.emit(mnemonic, fb.var("acc"),
+                        _operand(fb, operand, names), target=fb.var("acc"))
+            if body["yields"]:
+                fb.emit("yield")
+            if body["stop"] is not None:
+                fb.emit("hook.stop", _operand(fb, body["stop"], names))
 
 
 def _emit_stmts(fb: FunctionBuilder, stmts: Sequence, names: List[str],
@@ -344,6 +415,47 @@ def _emit_stmts(fb: FunctionBuilder, stmts: Sequence, names: List[str],
                 extra = [value] if op in ("set", "get_default") else []
                 fb.emit(f"struct.{op}", ref, fb.field(field), *extra,
                         target=dest if op.startswith("get") else None)
+        elif tag == "yield":
+            fb.emit("yield")
+        elif tag == "try":
+            __, body, exc, handler_stmts = stmt
+            exc_type = builtin_exception_types()[
+                _EXC_TYPES[exc % len(_EXC_TYPES)]]
+            handler, after = fb.fresh_label("x"), fb.fresh_label("a")
+            fb.emit("try.begin", fb.label(handler), fb.type_ref(exc_type),
+                    fb.temp(ht.RefT(exc_type), "e"))
+            _emit_stmts(fb, body, names, helpers)
+            fb.emit("try.end")
+            fb.jump(after)
+            fb.block(handler)
+            _emit_stmts(fb, handler_stmts, names, helpers)
+            fb.jump(after)
+            fb.block(after)
+        elif tag == "throw":
+            __, exc, cmp_op, a, b = stmt
+            cond = fb.temp(ht.BOOL, "c")
+            fb.emit(cmp_op, _operand(fb, a, names),
+                    _operand(fb, b, names), target=cond)
+            throw_l, on = fb.fresh_label("r"), fb.fresh_label("n")
+            fb.branch(cond, throw_l, on)
+            fb.block(throw_l)
+            error = fb.temp(ht.ANY, "x")
+            fb.emit("exception.new",
+                    fb.field(_EXC_TYPES[exc % len(_EXC_TYPES)]),
+                    fb.const(ht.STRING, "fuzz"), target=error)
+            fb.emit("exception.throw", error)
+            fb.block(on)
+        elif tag == "hook":
+            __, index, operand, target = stmt
+            stopped, ran_out = fb.temp(ht.ANY, "h"), fb.temp(ht.BOOL, "n")
+            fb.emit("hook.run", fb.field(f"Main::hk{index % _MAX_HOOKS}"),
+                    fb.args(_operand(fb, operand, names)), target=stopped)
+            fb.emit("equal", stopped, fb.const(ht.ANY, None),
+                    target=ran_out)
+            fb.emit("select", ran_out, fb.var("acc"), stopped,
+                    target=fb.var(names[target % len(names)]))
+        elif tag == "group":
+            fb.emit(f"hook.group_{stmt[1]}", fb.field("g"))
         elif tag == "call":
             __, name, arguments, target = stmt
             helper = helpers.get(name)
@@ -362,9 +474,11 @@ def _emit_stmts(fb: FunctionBuilder, stmts: Sequence, names: List[str],
 def build_module(spec: Dict):
     """Build the spec's module fresh (callers compile it destructively)."""
     mb = ModuleBuilder("Main")
+    mb.global_var("acc", ht.INT64)
     helpers = {helper["name"]: helper for helper in spec["helpers"]}
     for helper in spec["helpers"]:
         _build_helper(mb, helper)
+    _build_hooks(mb, spec.get("hooks", ()))
     names = [f"v{i}" for i in range(_N_VARS)]
     uses_structs = any(
         stmt[0] == "struct" for stmt in _walk_stmts(spec["body"]))
@@ -395,7 +509,7 @@ def build_module(spec: Dict):
     _emit_stmts(fb, spec["body"], names, helpers)
     total = fb.temp(ht.INT64, "total")
     fb.emit("assign", fb.const(ht.INT64, 0), target=total)
-    for name in names:
+    for name in names + ["acc"]:
         fb.emit("int.add", total, fb.var(name), target=total)
     if uses_structs:
         for ref in ("sa", "sb", "so", "sa"):
@@ -445,7 +559,7 @@ def _outcome(call):
 
 
 _STMT_TAGS = ("op", "div", "if", "loop", "switch", "fallthrough", "call",
-              "struct")
+              "struct", "yield", "try", "throw", "hook", "group")
 
 
 def _walk_stmts(node):
@@ -465,40 +579,65 @@ def _spec_features(spec: Dict) -> List[str]:
     return sorted(tags)
 
 
+def _run_oracle(make_module, entry: str, arguments: List,
+                levels: Sequence[int]):
+    """One program on the interpreter and every compiled level.
+
+    Compiled programs run inside a fiber, resumed until done, so the
+    generator path is what executes; the interpreter runs yields
+    through and counts them.  Returns ``(expected, outcomes,
+    divergences, the program compiled at the highest level)``.
+    """
+    interp = hiltic([make_module()], tier="interpreted", optimize=False)
+    interp_ctx = interp.make_context()
+    expected = _outcome(
+        lambda: interp.call(interp_ctx, entry, arguments))
+    outcomes, divergences, top = {}, [], None
+    for level in levels:
+        program = hiltic([make_module()], opt_level=level)
+        if level == max(levels):
+            top = program
+        ctx = program.make_context()
+        resumes = [0]
+
+        def drive():
+            fiber = program.call_fiber(ctx, entry, arguments)
+            value = YIELDED
+            while value is YIELDED:
+                resumes[0] += 1
+                value = fiber.resume()
+            return value
+
+        got = outcomes[level] = _outcome(drive)
+        if got != expected:
+            divergences.append(
+                f"-O{level}: {got!r} != interp {expected!r}")
+        if resumes[0] - 1 != interp.suspensions:
+            divergences.append(
+                f"-O{level}: suspended {resumes[0] - 1} times, interp "
+                f"passed {interp.suspensions} yields")
+        if level == 0 and ctx.instr_count != interp_ctx.instr_count:
+            divergences.append(
+                f"-O0 instr_count {ctx.instr_count} != "
+                f"interp {interp_ctx.instr_count}")
+    return expected, outcomes, divergences, top
+
+
 def run_module_case(spec: Dict, args: Sequence[int],
                     levels: Sequence[int] = OPT_LEVELS) -> Dict:
     """Run one spec through the oracle; returns outcomes + divergences."""
-    arguments = list(args)
-    interp = hiltic([build_module(spec)], tier="interpreted",
-                    optimize=False)
-    interp_ctx = interp.make_context()
-    expected = _outcome(
-        lambda: interp.call(interp_ctx, _ENTRY, arguments))
-    result = {
+    expected, outcomes, divergences, program = _run_oracle(
+        lambda: build_module(spec), _ENTRY, list(args), levels)
+    stats = getattr(program, "opt_stats", None)
+    fired = sorted(key for key, value in
+                   (stats.as_dict() if stats else {}).items() if value)
+    return {
         "expected": expected,
-        "levels": {},
-        "divergences": [],
-        "signature": [],
+        "levels": outcomes,
+        "divergences": divergences,
+        # Which passes fired at the highest level, plus what was in it.
+        "signature": fired + _spec_features(spec),
     }
-    for level in levels:
-        program = hiltic([build_module(spec)], opt_level=level)
-        ctx = program.make_context()
-        got = _outcome(lambda: program.call(ctx, _ENTRY, arguments))
-        result["levels"][level] = got
-        if got != expected:
-            result["divergences"].append(
-                f"-O{level}: {got!r} != interp {expected!r}")
-        if level == 0 and ctx.instr_count != interp_ctx.instr_count:
-            result["divergences"].append(
-                f"-O0 instr_count {ctx.instr_count} != "
-                f"interp {interp_ctx.instr_count}")
-        if level == max(levels):
-            stats = getattr(program, "opt_stats", None)
-            fired = sorted(
-                key for key, value in (stats.as_dict() if stats else
-                                       {}).items() if value)
-            result["signature"] = fired + _spec_features(spec)
-    return result
 
 
 def minimize_module_case(spec: Dict, args: Sequence[int],
@@ -604,22 +743,8 @@ def run_corpus_text(text: str,
     match = re.search(r"#\s*entry:\s*(\S+)", text)
     entry = match.group(1) if match else _ENTRY
 
-    interp = hiltic([parse_module(text)], tier="interpreted",
-                    optimize=False)
-    interp_ctx = interp.make_context()
-    expected = _outcome(lambda: interp.call(interp_ctx, entry, arguments))
-    divergences = []
-    for level in levels:
-        program = hiltic([parse_module(text)], opt_level=level)
-        ctx = program.make_context()
-        got = _outcome(lambda: program.call(ctx, entry, arguments))
-        if got != expected:
-            divergences.append(
-                f"-O{level}: {got!r} != interp {expected!r}")
-        if level == 0 and ctx.instr_count != interp_ctx.instr_count:
-            divergences.append(
-                f"-O0 instr_count {ctx.instr_count} != "
-                f"interp {interp_ctx.instr_count}")
+    expected, __, divergences, __ = _run_oracle(
+        lambda: parse_module(text), entry, arguments, levels)
     return {"expected": expected, "divergences": divergences}
 
 

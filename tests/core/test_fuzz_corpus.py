@@ -39,6 +39,44 @@ class TestCorpusReplay:
         assert result["divergences"] == []
 
 
+class TestOracleSeesTheEmitter:
+    """The corpus cases that suspend, throw and dispatch hooks must
+    catch a broken emitter: sabotage it two ways and replay."""
+
+    def _replay(self, name):
+        with open(os.path.join(CORPUS_DIR, name)) as stream:
+            return run_corpus_text(stream.read())["divergences"]
+
+    def test_sabotaged_line_count_table_is_caught(self, monkeypatch):
+        from repro.core import codegen
+
+        emit_line = codegen._Emitter.line
+
+        def uncounted_line(self, text):
+            emit_line(self, text)
+            self.table[-1] = 0  # a trap here charges nothing
+
+        assert self._replay("case_018.hlt") == []
+        monkeypatch.setattr(codegen._Emitter, "line", uncounted_line)
+        assert any("instr_count" in line
+                   for line in self._replay("case_018.hlt"))
+
+    def test_dropped_yield_from_is_caught(self, monkeypatch):
+        from repro.core import codegen
+
+        invoke = codegen._Emitter.invoke
+
+        def plain_call(self, function, args, count):
+            return invoke(self, function, args, count).replace(
+                "yield from ", "")
+
+        assert self._replay("case_017.hlt") == []
+        monkeypatch.setattr(codegen._Emitter, "invoke", plain_call)
+        # The caller gets the callee's generator object, not its value.
+        with pytest.raises(TypeError):
+            self._replay("case_017.hlt")
+
+
 class TestFixedSeedSmoke:
     def test_fresh_module_cases_do_not_diverge(self):
         fuzzer = Fuzzer(seed=1, lanes=("module",))
