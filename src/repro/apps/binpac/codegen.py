@@ -29,6 +29,7 @@ from ...core.ir import Const as IRConst
 from ...core.ir import LabelRef, Module, TupleOp, Var
 from ...core.toolchain import hiltic
 from ...runtime.bytes_buffer import Bytes
+from ...runtime.fibers import YIELDED
 from ...runtime.regexp import RegExp
 from . import runtime as bp_runtime
 from .ast import (
@@ -648,9 +649,6 @@ class ParseSession:
     """An incremental parse riding a suspended fiber."""
 
     def __init__(self, parser: Parser, unit_name: str):
-        from ...runtime.fibers import YIELDED
-
-        self._yielded = YIELDED
         self.parser = parser
         self.buffer = Bytes()
         self.fiber = parser.program.call_fiber(
@@ -666,7 +664,7 @@ class ParseSession:
 
     def _advance(self) -> None:
         outcome = self.fiber.resume()
-        if outcome is not self._yielded:
+        if outcome is not YIELDED:
             self.finished = True
             self.result = outcome[0] if outcome is not None else None
 

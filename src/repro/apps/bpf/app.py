@@ -24,7 +24,7 @@ from ...host.app import HostApp, PipelineServices
 from ...host.flowtable import FlowTable
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
-from ...net.flows import frame_flow_info
+from ...net.flows import decode_flow
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH
 from ...runtime.telemetry import Telemetry
@@ -72,21 +72,21 @@ class BpfApp(HostApp):
     def _evaluate(self, frame: bytes) -> bool:
         if self._program is not None:
             return bool(self._program.run(frame))
+        budget = self.services.watchdog_budget
+        if not budget:
+            return bool(self._filter(frame))
         ctx = self._filter.ctx
-        if self.services.watchdog_budget:
-            ctx.arm_watchdog(self.services.watchdog_budget)
+        ctx.arm_watchdog(budget)
         try:
             return bool(self._filter(frame))
         finally:
             ctx.disarm_watchdog()
 
     def packet(self, timestamp, frame: bytes) -> None:
-        info = frame_flow_info(frame)
-        if info is not None:
-            flow, payload_len, tcp_flags = info
-            self.flows.account(flow, timestamp.seconds,
-                               payload_len=payload_len,
-                               tcp_flags=tcp_flags)
+        packet = decode_flow(frame)
+        if packet is not None:
+            self.flows.account(packet, timestamp.seconds,
+                               packet.payload_len, packet.flags)
         health = self.services.health
         begin = _time.perf_counter_ns()
         try:

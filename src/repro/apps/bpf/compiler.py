@@ -21,6 +21,7 @@ from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
 from ...core.codegen import CompiledProgram
 from ...core.toolchain import hiltic
+from ...runtime.bytes_buffer import Bytes
 from .lang import And, HostTest, NetTest, Node, Not, Or, PortTest, ProtoTest, parse_filter
 
 __all__ = ["compile_to_hilti", "build_filter_module", "HiltiFilter"]
@@ -224,10 +225,8 @@ class HiltiFilter:
         self._call = program.call
 
     def __call__(self, frame) -> bool:
-        from ...runtime.bytes_buffer import Bytes
-
         if isinstance(frame, (bytes, bytearray)):
-            buf = Bytes(bytes(frame))
+            buf = Bytes(frame)
             buf.freeze()
         else:
             buf = frame

@@ -20,16 +20,14 @@ from __future__ import annotations
 import time as _time
 from typing import Callable, Dict, Optional, Tuple
 
-from ...core.values import Port, Time
-from ...net.flows import FiveTuple
+from ...core.values import Addr, Port, Time
 from ...net.packet import (
     PROTO_TCP,
     PROTO_UDP,
     SYN,
+    Decoded,
     PacketError,
-    TCPSegment,
-    UDPDatagram,
-    parse_ethernet,
+    decode,
 )
 from ...host.flowtable import FlowTable
 from ...net.reassembly import ConnectionReassembler
@@ -53,8 +51,7 @@ class _TcpConnection:
     lifecycle state."""
 
     __slots__ = ("key", "conn_val", "reassembler", "analyzer",
-                 "established", "orig_is_first", "entry", "last_time",
-                 "span")
+                 "established", "entry", "last_time", "span")
 
     def __init__(self, key, conn_val, reassembler, analyzer, entry):
         self.key = key
@@ -68,8 +65,8 @@ class _TcpConnection:
 
 
 class _UdpFlow:
-    __slots__ = ("key", "conn_val", "analyzer", "orig_is_first",
-                 "entry", "last_time", "span")
+    __slots__ = ("key", "conn_val", "analyzer", "entry", "last_time",
+                 "span")
 
     def __init__(self, key, conn_val, analyzer, entry):
         self.key = key
@@ -113,8 +110,8 @@ class ConnectionTracker:
         # order before fan-out, so every lane labels its connections
         # exactly as the sequential pipeline would (docs/PARALLELISM.md).
         self._uid_map = uid_map
-        self._tcp: Dict[FiveTuple, _TcpConnection] = {}
-        self._udp: Dict[FiveTuple, _UdpFlow] = {}
+        self._tcp: Dict[Tuple, _TcpConnection] = {}
+        self._udp: Dict[Tuple, _UdpFlow] = {}
         # TIME_WAIT: keys of recently torn-down TCP connections.  The
         # teardown's trailing bare ACK arrives after both FINs completed
         # the reassembler, so the connection entry is already gone; it
@@ -188,7 +185,7 @@ class ConnectionTracker:
         self.packets += 1
         try:
             self.core.faults.check(SITE_PACKET_PARSE)
-            ip, transport = parse_ethernet(frame)
+            packet = decode(frame)
         except PacketError:
             self.ignored += 1
             return
@@ -198,10 +195,10 @@ class ConnectionTracker:
             self.core.health.record_error(SITE_PACKET_PARSE)
             self.ignored += 1
             return
-        if isinstance(transport, TCPSegment):
-            self._tcp_packet(timestamp, ip, transport)
-        elif isinstance(transport, UDPDatagram):
-            self._udp_packet(timestamp, ip, transport)
+        if packet.protocol == PROTO_TCP:
+            self._tcp_packet(timestamp, packet)
+        elif packet.protocol == PROTO_UDP:
+            self._udp_packet(timestamp, packet)
         else:
             self.ignored += 1
         if self._evicting:
@@ -220,12 +217,12 @@ class ConnectionTracker:
 
     # -- eviction ----------------------------------------------------------------
 
-    def _on_evict_conn(self, key: FiveTuple, reason: str) -> bool:
+    def _on_evict_conn(self, key: Tuple, reason: str) -> bool:
         """The ledger's owner callback: close one TTL/cap victim with
         full final-flush semantics — the analyzer finishes, the
         conn_val is finalized, and ``connection_state_remove`` fires,
         so an evicted connection still gets its conn.log line."""
-        if key.protocol == PROTO_TCP:
+        if key[4] == PROTO_TCP:
             connection = self._tcp.pop(key, None)
             if connection is None:
                 return False
@@ -305,13 +302,11 @@ class ConnectionTracker:
 
     # -- TCP ------------------------------------------------------------------
 
-    def _tcp_packet(self, timestamp: Time, ip, segment: TCPSegment) -> None:
-        flow = FiveTuple(ip.src, ip.dst, segment.src_port,
-                         segment.dst_port, PROTO_TCP)
-        key, sender_is_first = flow.canonical_with_origin()
+    def _tcp_packet(self, timestamp: Time, packet: Decoded) -> None:
+        key = packet.key
         connection = self._tcp.get(key)
         if connection is None and key in self._timewait:
-            if not (segment.flags & SYN) and not segment.payload:
+            if not (packet.flags & SYN) and not packet.payload_len:
                 # The teardown's trailing ACK (or a stray RST): part of
                 # the finished connection, not a new one.
                 return
@@ -321,48 +316,49 @@ class ConnectionTracker:
             # New connection: the first packet's sender is the originator.
             conn_val = self.core.make_connection_val(
                 self._uid_for(key),
-                ip.src, Port(segment.src_port, Port.TCP),
-                ip.dst, Port(segment.dst_port, Port.TCP),
+                Addr.from_value(packet.src),
+                Port(packet.src_port, Port.TCP),
+                Addr.from_value(packet.dst),
+                Port(packet.dst_port, Port.TCP),
                 timestamp, "tcp",
             )
             analyzer = self.analyzer_factory(
-                conn_val, "tcp", segment.dst_port
+                conn_val, "tcp", packet.dst_port
             )
             if analyzer is not None:
                 self.core.health.breaker.record_flow()
+            # The canonical key loses direction; the ledger entry
+            # remembers which canonical side is the originator.
             connection = _TcpConnection(
                 key, conn_val,
                 ConnectionReassembler(),
                 analyzer,
-                self.table.open(flow, timestamp.seconds,
+                self.table.open(packet, timestamp.seconds,
                                 uid=conn_val.get_or("uid")),
             )
-            # The canonical key loses direction; remember which canonical
-            # side is the originator.
-            connection.orig_is_first = sender_is_first
             self._tcp[key] = connection
             self._note_flow_opened("tcp")
             if self.tracer.enabled:
                 connection.span = self.tracer.start_span(
                     "flow", uid=conn_val.get_or("uid"), proto="tcp",
-                    resp_port=segment.dst_port,
+                    resp_port=packet.dst_port,
                 )
             self.core.queue_event("new_connection", [conn_val])
-        is_orig = sender_is_first == connection.orig_is_first
+        is_orig = packet.sender_is_first == connection.entry.orig_is_first
         connection.last_time = timestamp
         if self._evicting:
             self.table.touch(key, timestamp.seconds)
-        connection.entry.add(timestamp.seconds, len(segment.payload),
-                             segment.flags, is_orig)
+        connection.entry.add(timestamp.seconds, packet.payload_len,
+                             packet.flags, is_orig)
         pkt_span = NULL_SPAN
         if self.tracer.enabled:
             pkt_span = connection.span.child(
-                "packet", len=len(segment.payload), is_orig=is_orig,
+                "packet", len=packet.payload_len, is_orig=is_orig,
             )
         reassembler = connection.reassembler
         try:
             self.core.faults.check(SITE_TCP_REASSEMBLY)
-            data = reassembler.feed_segment(is_orig, segment)
+            data = reassembler.feed_segment(is_orig, packet.transport())
         except HiltiError:
             # Contained at segment granularity: this segment's payload is
             # lost (like a capture drop); the stream continues.
@@ -433,47 +429,45 @@ class ConnectionTracker:
 
     # -- UDP -----------------------------------------------------------------
 
-    def _udp_packet(self, timestamp: Time, ip, datagram: UDPDatagram) -> None:
-        five = FiveTuple(ip.src, ip.dst, datagram.src_port,
-                         datagram.dst_port, PROTO_UDP)
-        key, sender_is_first = five.canonical_with_origin()
+    def _udp_packet(self, timestamp: Time, packet: Decoded) -> None:
+        key = packet.key
         flow = self._udp.get(key)
         if flow is None:
             conn_val = self.core.make_connection_val(
                 self._uid_for(key),
-                ip.src, Port(datagram.src_port, Port.UDP),
-                ip.dst, Port(datagram.dst_port, Port.UDP),
+                Addr.from_value(packet.src),
+                Port(packet.src_port, Port.UDP),
+                Addr.from_value(packet.dst),
+                Port(packet.dst_port, Port.UDP),
                 timestamp, "udp",
             )
             analyzer = self.analyzer_factory(
-                conn_val, "udp", datagram.dst_port
+                conn_val, "udp", packet.dst_port
             )
             if analyzer is not None:
                 self.core.health.breaker.record_flow()
             flow = _UdpFlow(key, conn_val, analyzer,
-                            self.table.open(five, timestamp.seconds,
+                            self.table.open(packet, timestamp.seconds,
                                             uid=conn_val.get_or("uid")))
-            flow.orig_is_first = sender_is_first
             self._udp[key] = flow
             self._note_flow_opened("udp")
             if self.tracer.enabled:
                 flow.span = self.tracer.start_span(
                     "flow", uid=conn_val.get_or("uid"), proto="udp",
-                    resp_port=datagram.dst_port,
+                    resp_port=packet.dst_port,
                 )
             self.core.queue_event("new_connection", [conn_val])
-        is_orig = sender_is_first == flow.orig_is_first
+        is_orig = packet.sender_is_first == flow.entry.orig_is_first
         flow.last_time = timestamp
         if self._evicting:
             self.table.touch(key, timestamp.seconds)
-        flow.entry.add(timestamp.seconds, len(datagram.payload), 0,
-                       is_orig)
-        if datagram.payload:
+        flow.entry.add(timestamp.seconds, packet.payload_len, 0, is_orig)
+        if packet.payload_len:
             pkt_span = NULL_SPAN
             if self.tracer.enabled:
                 pkt_span = flow.span.child(
-                    "packet", len=len(datagram.payload), is_orig=is_orig,
+                    "packet", len=packet.payload_len, is_orig=is_orig,
                 )
-            self._deliver(flow, is_orig, datagram.payload,
+            self._deliver(flow, is_orig, packet.payload,
                           parent_span=pkt_span)
             pkt_span.finish()

@@ -21,12 +21,12 @@ from __future__ import annotations
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
+from ...core.values import Addr
 from ...host.app import HostApp, PipelineServices
 from ...host.flowtable import FlowTable
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
-from ...net.flows import _fnv1a, flow_of_frame, frame_flow_info
-from ...net.packet import PacketError, parse_ethernet
+from ...net.flows import FiveTuple, _fnv1a, decode_flow
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH, SITE_PACKET_PARSE
 from ...runtime.telemetry import Telemetry
@@ -40,22 +40,17 @@ __all__ = ["FirewallApp", "FirewallLaneSpec", "ENGINES",
 ENGINES = ("compiled", "interpreted", "reference")
 
 
-def host_pair_key(flow) -> Tuple:
+def host_pair_key(flow: FiveTuple) -> Tuple:
     """The unordered address pair whose dynamic-rule state the packet
     touches — the firewall's state-locality unit."""
-    a, b = flow.src, flow.dst
-    if a.value <= b.value:
-        return (a.value, b.value)
-    return (b.value, a.value)
+    a, b = flow[0], flow[2]  # the endpoints' Addr.value
+    return (a, b) if a <= b else (b, a)
 
 
-def host_pair_place(flow, vthreads: int) -> int:
+def host_pair_place(flow: FiveTuple, vthreads: int) -> int:
     """Deterministic, direction-symmetric lane placement by host pair."""
-    a, b = flow.src, flow.dst
-    if a.value <= b.value:
-        material = a.packed() + b.packed()
-    else:
-        material = b.packed() + a.packed()
+    a, b = host_pair_key(flow)
+    material = Addr.from_value(a).packed() + Addr.from_value(b).packed()
     return _fnv1a(material) % vthreads
 
 
@@ -72,10 +67,10 @@ class FirewallApp(HostApp):
             raise ValueError(f"unknown firewall engine {engine!r}")
         super().__init__(services)
         self.engine = engine
-        # The flow ledger.  Fed via frame_flow_info — independent of the
-        # fault-injected decision parse, so the record stream is the
-        # same whether or not faults fire (and identical across the
-        # parallel backends, whose lanes inject faults independently).
+        # The flow ledger.  Fed before the parse fault site is checked,
+        # so the record stream is the same whether or not faults fire
+        # (and identical across the parallel backends, whose lanes
+        # inject faults independently).
         self.flows = FlowTable(uid_map=uid_map, uid_format=format_record_uid)
         if engine == "reference":
             self.firewall = ReferenceFirewall(ruleset)
@@ -103,36 +98,32 @@ class FirewallApp(HostApp):
                 ctx.disarm_watchdog()
 
     def packet(self, timestamp, frame: bytes) -> None:
-        info = frame_flow_info(frame)
-        if info is not None:
-            flow, payload_len, tcp_flags = info
-            self.flows.account(flow, timestamp.seconds,
-                               payload_len=payload_len,
-                               tcp_flags=tcp_flags)
         health = self.services.health
         begin = _time.perf_counter_ns()
+        packet = decode_flow(frame)
+        if packet is not None:
+            self.flows.account(packet, timestamp.seconds,
+                               packet.payload_len, packet.flags)
         try:
             self.services.faults.check(SITE_PACKET_PARSE)
-            ip, transport = parse_ethernet(frame)
-        except PacketError:
-            self.ignored += 1
-            return
         except HiltiError:
             health.record_error(SITE_PACKET_PARSE)
             self.ignored += 1
             return
         finally:
             self._parse_ns += _time.perf_counter_ns() - begin
-        if transport is None:
+        if packet is None:
             # Only TCP/UDP packets are firewalled — exactly the frames
             # the parallel dispatcher can place, so sequential and
             # parallel runs decide the identical packet set.
             self.ignored += 1
             return
+        src = Addr.from_value(packet.src)
+        dst = Addr.from_value(packet.dst)
         begin = _time.perf_counter_ns()
         try:
             self.services.faults.check(SITE_ANALYZER_DISPATCH)
-            verdict = self._match(timestamp, ip.src, ip.dst)
+            verdict = self._match(timestamp, src, dst)
         except HiltiError as error:
             # Fail safe: an erroring match denies the packet.
             health.record_error(SITE_ANALYZER_DISPATCH)
@@ -148,7 +139,7 @@ class FirewallApp(HostApp):
         else:
             self.denied += 1
         self._lines.append(
-            f"{timestamp.seconds:.6f} {ip.src} {ip.dst} {action}")
+            f"{timestamp.seconds:.6f} {src} {dst} {action}")
 
     def finish(self) -> None:
         self.flows.finish()
@@ -198,14 +189,11 @@ class FirewallLaneSpec(LaneSpec):
     def __init__(self, config: Optional[Dict] = None):
         self.config = config
 
-    def key_of(self, flow) -> Tuple:
-        return host_pair_key(flow)
+    def key_of(self, packet) -> Tuple:
+        return host_pair_key(FiveTuple.of(packet))
 
-    def place(self, flow, vthreads: int, workers: int) -> int:
-        return host_pair_place(flow, vthreads)
-
-    def flow_of(self, frame: bytes):
-        return flow_of_frame(frame)
+    def place(self, packet, vthreads: int, workers: int) -> int:
+        return host_pair_place(FiveTuple.of(packet), vthreads)
 
     def make_lane(self, uid_map: Dict) -> FirewallApp:
         config = self.config

@@ -146,6 +146,14 @@ class Addr:
         return addr
 
     @classmethod
+    def from_value(cls, value: int) -> "Addr":
+        """Build from the 128-bit integer form, trusted to be in range
+        (the packet decoder's per-flow path)."""
+        addr = cls.__new__(cls)
+        addr._value = value
+        return addr
+
+    @classmethod
     def from_v4_int(cls, value: int) -> "Addr":
         """Build an IPv4 address from its 32-bit host integer."""
         if not 0 <= value < (1 << 32):

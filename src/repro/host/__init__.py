@@ -18,6 +18,7 @@ Layering (docs/ARCHITECTURE.md)::
     net        repro.net.{pcap,packet,flows,reassembly,tracegen}
 """
 
+from .._lazy import lazy_exports
 from .app import HostApp, PipelineServices, export_health
 from .demux import FlowDemux
 from .eviction import SessionLRU
@@ -30,9 +31,20 @@ from .parallel import (
     flow_key,
 )
 from .pipeline import Pipeline
-from .pool import PoolError, WorkerPool
-from .ring import MessageChannel, RingFull, ShmRing
-from .service import BoundedQueue, HostService, RollingWindows, ServiceConfig
+
+# A batch run needs none of these: the service, the worker pool and its
+# rings load on first use (PEP 562), not into every CLI and worker.
+__getattr__ = lazy_exports(__name__, {
+    "PoolError": "pool",
+    "WorkerPool": "pool",
+    "MessageChannel": "ring",
+    "RingFull": "ring",
+    "ShmRing": "ring",
+    "BoundedQueue": "service",
+    "HostService": "service",
+    "RollingWindows": "service",
+    "ServiceConfig": "service",
+})
 
 __all__ = [
     "BoundedQueue",

@@ -32,14 +32,8 @@ from __future__ import annotations
 import time as _time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..net.flows import FiveTuple
-from ..net.packet import (
-    PROTO_TCP,
-    PROTO_UDP,
-    TCPSegment,
-    UDPDatagram,
-    parse_ethernet,
-)
+from ..net.flows import FiveTuple, decode_flow
+from ..net.packet import PROTO_TCP
 from ..net.reassembly import ConnectionReassembler, StreamReassembler
 from .flowtable import FlowTable
 
@@ -51,12 +45,12 @@ _BUDGET_CHECK_INTERVAL = 64
 
 
 class _Flow:
-    __slots__ = ("key", "handler", "originator", "reassembler", "closed")
+    __slots__ = ("key", "handler", "orig_is_first", "reassembler", "closed")
 
-    def __init__(self, key: Tuple, handler, originator: Optional[Tuple]):
+    def __init__(self, key: Tuple, handler, orig_is_first: bool):
         self.key = key
         self.handler = handler
-        self.originator = originator
+        self.orig_is_first = orig_is_first
         self.reassembler: Optional[ConnectionReassembler] = None
         self.closed = False
 
@@ -85,7 +79,7 @@ class FlowDemux:
                  uid_format: Optional[Callable[[int], str]] = None):
         self._factory = factory
         self._max_pending = max_pending_bytes
-        self._flows: Dict[FiveTuple, _Flow] = {}
+        self._flows: Dict[Tuple, _Flow] = {}
         self.max_sessions = max_sessions
         self.session_ttl = session_ttl
         self.memory_budget_bytes = memory_budget_bytes
@@ -137,37 +131,24 @@ class FlowDemux:
 
     def feed(self, frame: bytes, now: Optional[float] = None) -> None:
         """Route one Ethernet frame to its flow's handler."""
-        try:
-            ip, transport = parse_ethernet(frame)
-        except Exception:
-            self.packets_ignored += 1
-            return
-        if isinstance(transport, TCPSegment):
-            flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                             transport.dst_port, PROTO_TCP)
-            tcp_flags = transport.flags
-        elif isinstance(transport, UDPDatagram):
-            flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                             transport.dst_port, PROTO_UDP)
-            tcp_flags = 0
-        else:
+        packet = decode_flow(frame)
+        if packet is None:
             self.packets_ignored += 1
             return
         if now is not None:
             self._clock = now
-        key = flow.canonical()
+        key = packet.key
         state = self._flows.get(key)
         if state is None:
-            handler = self._factory(flow)
+            handler = self._factory(FiveTuple.of(packet))
             if handler is None:
                 self.flows_ignored += 1
-                self._flows[key] = state = _Flow(key, None, None)
+                self._flows[key] = state = _Flow(key, None, True)
                 state.closed = True
             else:
                 self.flows_opened += 1
-                state = _Flow(key, handler,
-                              (flow.src.value, flow.src_port))
-                if flow.protocol == PROTO_TCP:
+                state = _Flow(key, handler, packet.sender_is_first)
+                if packet.protocol == PROTO_TCP:
                     state.reassembler = ConnectionReassembler(
                         on_data=handler.data,
                         on_close=lambda s=state: self._close(s),
@@ -177,9 +158,8 @@ class FlowDemux:
         # Ledger accounting covers every flow — tombstones included, so
         # records and serials are a pure function of trace content.
         self.table.account(
-            flow, self._clock if self._clock is not None else 0.0,
-            payload_len=len(transport.payload), tcp_flags=tcp_flags,
-            touch=False)
+            packet, self._clock if self._clock is not None else 0.0,
+            packet.payload_len, packet.flags, touch=False)
         if self._evicting:
             self._fed += 1
             if self._clock is not None:
@@ -187,13 +167,13 @@ class FlowDemux:
             self._run_eviction()
         if state.handler is None or state.closed:
             return
-        is_orig = (flow.src.value, flow.src_port) == state.originator
+        is_orig = packet.sender_is_first == state.orig_is_first
         budget = self.flow_budget_ns
         begin = _time.perf_counter_ns() if budget is not None else 0
         if state.reassembler is not None:
-            state.reassembler.feed_segment(is_orig, transport)
-        elif transport.payload:
-            state.handler.datagram(is_orig, transport.payload)
+            state.reassembler.feed_segment(is_orig, packet.transport())
+        elif packet.payload_len:
+            state.handler.datagram(is_orig, packet.payload)
         if budget is not None and not state.closed \
                 and _time.perf_counter_ns() - begin > budget:
             self._quarantine_slow(state)
@@ -239,7 +219,7 @@ class FlowDemux:
 
     # -- eviction ----------------------------------------------------------
 
-    def _on_evict_flow(self, key: FiveTuple, reason: str) -> bool:
+    def _on_evict_flow(self, key: Tuple, reason: str) -> bool:
         """The ledger's owner callback: final-flush a TTL/cap victim.
         Returns whether the eviction counts (tombstones do not)."""
         state = self._flows.pop(key, None)
@@ -279,8 +259,7 @@ class FlowDemux:
             if state.closed:
                 continue
             out.append({
-                "key": [[key.src.value, key.src_port],
-                        [key.dst.value, key.dst_port], key.protocol],
+                "key": [[key[0], key[1]], [key[2], key[3]], key[4]],
                 "uid": getattr(state.handler, "uid", None),
                 "protocol": getattr(state.handler, "protocol", None),
                 "last_active": self.table.last_active(key),

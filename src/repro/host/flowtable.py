@@ -7,10 +7,11 @@ re-implemented three times — :class:`repro.host.demux.FlowDemux`,
 keying, uid assignment, per-direction accounting, and TTL/LRU/cap
 eviction loop.  :class:`FlowTable` is that logic factored out once:
 
-* **keying** — canonical :class:`~repro.net.flows.FiveTuple` objects
-  (direction-independent; both directions of a connection hit the same
-  entry), with the originator orientation captured from the first
-  packet;
+* **keying** — the canonical flow key the packet decoder computes
+  (:attr:`repro.net.packet.Decoded.key`: a plain tuple of ints, equal
+  to the canonical :class:`~repro.net.flows.FiveTuple`; both directions
+  of a connection hit the same entry), with the originator orientation
+  captured from the first packet;
 * **uid assignment** — explicit uid > pre-assigned ``uid_map`` (the
   parallel dispatcher's arrival-order map) > ``uid_format(serial)``
   (the sequential fallback; the serial counts *every* first-sighted
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..core.values import Addr
 from ..net.flowrecord import FlowRecord
-from ..net.flows import FiveTuple
 from .eviction import SessionLRU
 
 __all__ = ["FlowEntry", "FlowTable"]
@@ -43,25 +44,19 @@ __all__ = ["FlowEntry", "FlowTable"]
 class FlowEntry:
     """One open flow's ledger state.
 
-    ``src``/``src_port`` is the originator end (first packet's sender);
-    the entry is keyed by the canonical 5-tuple, so both directions
-    update the same counters.
+    The entry is keyed by the canonical flow key, so both directions
+    update the same counters; ``orig_is_first`` remembers which of the
+    key's endpoints sent the first packet (the originator).
     """
 
-    __slots__ = ("key", "src", "dst", "src_port", "dst_port", "protocol",
-                 "uid", "first_ts", "last_ts", "orig_pkts", "orig_bytes",
-                 "resp_pkts", "resp_bytes", "tcp_flags")
+    __slots__ = ("key", "orig_is_first", "uid", "first_ts", "last_ts",
+                 "orig_pkts", "orig_bytes", "resp_pkts", "resp_bytes",
+                 "tcp_flags")
 
-    def __init__(self, key: FiveTuple, flow: FiveTuple, now: float,
+    def __init__(self, key, orig_is_first: bool, now: float,
                  uid: Optional[str]):
         self.key = key
-        # Originator orientation: the directional tuple of the first
-        # packet, not the canonical order.
-        self.src = flow.src
-        self.dst = flow.dst
-        self.src_port = flow.src_port
-        self.dst_port = flow.dst_port
-        self.protocol = flow.protocol
+        self.orig_is_first = orig_is_first
         self.uid = uid
         self.first_ts = now
         self.last_ts = now
@@ -70,11 +65,6 @@ class FlowEntry:
         self.resp_pkts = 0
         self.resp_bytes = 0
         self.tcp_flags = 0
-
-    def is_orig(self, flow: FiveTuple) -> bool:
-        """Does *flow* (a directional tuple) travel originator->responder?"""
-        return (flow.src.value, flow.src_port) == \
-            (self.src.value, self.src_port)
 
     def add(self, now: float, payload_len: int, tcp_flags: int,
             is_orig: bool) -> None:
@@ -88,10 +78,13 @@ class FlowEntry:
             self.resp_bytes += payload_len
 
     def to_record(self, reason: str) -> FlowRecord:
+        src, src_port, dst, dst_port, protocol = self.key
+        if not self.orig_is_first:
+            src, src_port, dst, dst_port = dst, dst_port, src, src_port
         return FlowRecord(
-            src=str(self.src), dst=str(self.dst),
-            src_port=self.src_port, dst_port=self.dst_port,
-            protocol=self.protocol, uid=self.uid,
+            src=str(Addr.from_value(src)), dst=str(Addr.from_value(dst)),
+            src_port=src_port, dst_port=dst_port,
+            protocol=protocol, uid=self.uid,
             first_ts=self.first_ts, last_ts=self.last_ts,
             orig_pkts=self.orig_pkts, orig_bytes=self.orig_bytes,
             resp_pkts=self.resp_pkts, resp_bytes=self.resp_bytes,
@@ -165,40 +158,40 @@ class FlowTable:
             return self.uid_format(self.serial)
         return None
 
-    def open(self, flow: FiveTuple, now: float,
-             uid: Optional[str] = None) -> FlowEntry:
+    def open(self, flow, now: float, uid: Optional[str] = None) -> FlowEntry:
         """Open a ledger entry for a first-sighted flow.
 
-        Bumps the arrival serial (every first sight counts, ignored or
-        not — the dispatcher's pre-assignment counts the same way) and
-        resolves the uid: explicit > uid_map > uid_format(serial).
+        *flow* is the first packet's :class:`~repro.net.packet.Decoded`
+        record or directional :class:`~repro.net.flows.FiveTuple`; both
+        carry the canonical ``key`` and ``sender_is_first``.  Bumps the
+        arrival serial (every first sight counts, ignored or not — the
+        dispatcher's pre-assignment counts the same way) and resolves
+        the uid: explicit > uid_map > uid_format(serial).
         """
-        key = flow.canonical()
+        key = flow.key
         self.serial += 1
-        entry = FlowEntry(key, flow, now, self._uid_for(key, uid))
+        entry = FlowEntry(key, flow.sender_is_first, now,
+                          self._uid_for(key, uid))
         self._entries[key] = entry
         return entry
 
-    def account(self, flow: FiveTuple, now: float, payload_len: int = 0,
+    def account(self, flow, now: float, payload_len: int = 0,
                 tcp_flags: int = 0, uid: Optional[str] = None,
-                is_orig: Optional[bool] = None,
                 touch: bool = True) -> FlowEntry:
-        """Account one packet: open on first sight, then update
-        last-activity, the per-direction counters, and the flag union.
+        """Account one packet of *flow* (see :meth:`open`): open on
+        first sight, then update last-activity, the per-direction
+        counters, and the flag union.
 
-        *is_orig* defaults to comparing the packet's source end against
-        the entry's originator end; owners that track orientation
-        themselves (ConnectionTracker) pass it explicitly.  Owners with
-        their own recency discipline (FlowDemux touches only once a
-        clock is known) pass ``touch=False`` and drive :meth:`touch`.
+        Owners with their own recency discipline (FlowDemux touches
+        only once a clock is known) pass ``touch=False`` and drive
+        :meth:`touch`.
         """
-        key = flow.canonical()
+        key = flow.key
         entry = self._entries.get(key)
         if entry is None:
             entry = self.open(flow, now, uid=uid)
-        if is_orig is None:
-            is_orig = entry.is_orig(flow)
-        entry.add(now, payload_len, tcp_flags, is_orig)
+        entry.add(now, payload_len, tcp_flags,
+                  flow.sender_is_first == entry.orig_is_first)
         if touch and self.evicting:
             self._lru.touch(key, now)
         return entry
@@ -274,10 +267,9 @@ class FlowTable:
             if len(out) >= limit:
                 break
             out.append({
-                "key": [[key.src.value, key.src_port],
-                        [key.dst.value, key.dst_port], key.protocol],
+                "key": [[key[0], key[1]], [key[2], key[3]], key[4]],
                 "uid": entry.uid,
-                "protocol": entry.protocol,
+                "protocol": key[4],
                 "last_active": self._lru.last_active(key),
             })
         return out

@@ -37,7 +37,7 @@ import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.values import Time
-from ..net.flows import FiveTuple, flow_of_frame, placement
+from ..net.flows import FiveTuple, decode_flow, vthread_of
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
 from .worker import process_worker as _process_worker  # noqa: F401 (re-export)
@@ -72,12 +72,13 @@ def default_backend() -> str:
     return "pool" if usable_cpus() > 1 else "process"
 
 
-def flow_key(flow: FiveTuple) -> FiveTuple:
-    """The canonical per-connection key — the direction-independent
-    :class:`FiveTuple` itself (value-hashed, picklable).  The dispatcher
-    and the lanes' flow tables build exactly the same object, so
-    pre-assigned uids resolve across process boundaries."""
-    return flow.canonical()
+def flow_key(flow) -> Tuple:
+    """The canonical per-connection key of a :class:`FiveTuple` or a
+    decoded packet: a tuple of ints (value-hashed in C, picklable, the
+    same in every process).  The dispatcher and the lanes' flow tables
+    use exactly this key, so pre-assigned uids resolve across process
+    boundaries."""
+    return flow.key
 
 
 class LaneSpec:
@@ -99,17 +100,18 @@ class LaneSpec:
     # -- flow placement (the Bro defaults; apps may reshard) --------------
 
     def flow_of(self, frame: bytes):
-        """The frame's flow, or ``None`` for stray frames (lane 0)."""
-        return flow_of_frame(frame)
+        """The frame's decoded TCP/UDP packet
+        (:class:`~repro.net.packet.Decoded`), or ``None`` for stray
+        frames (lane 0)."""
+        return decode_flow(frame)
 
-    def key_of(self, flow) -> Tuple:
+    def key_of(self, packet) -> Tuple:
         """The state-locality key lanes shard by."""
-        return flow_key(flow)
+        return packet.key
 
-    def place(self, flow, vthreads: int, workers: int) -> int:
+    def place(self, packet, vthreads: int, workers: int) -> int:
         """First-sight placement: the flow's vthread id."""
-        vid, __ = placement(flow, vthreads, workers)
-        return vid
+        return vthread_of(FiveTuple.of(packet), vthreads)
 
     # -- lane lifecycle ---------------------------------------------------
 
@@ -167,14 +169,14 @@ def dispatch_plan(
     serial = 0
     record_serial = 0
     for timestamp, frame in packets:
-        flow = spec.flow_of(frame)
-        if flow is None:
+        packet = spec.flow_of(frame)
+        if packet is None:
             jobs.append((0, timestamp.nanos, frame))
             continue
-        key = spec.key_of(flow)
+        key = spec.key_of(packet)
         vid = vids.get(key)
         if vid is None:
-            vid = spec.place(flow, vthreads, workers)
+            vid = spec.place(packet, vthreads, workers)
             vids[key] = vid
             serial += 1
             if spec.uid_format is not None:
@@ -184,7 +186,7 @@ def dispatch_plan(
             # canonical 5-tuple key — disjoint from ``key_of`` keys when
             # the app shards by something else (the firewall's host
             # pairs), identical when it shards by 5-tuple.
-            rkey = flow_key(flow)
+            rkey = packet.key
             if rkey not in uid_map:
                 record_serial += 1
                 uid_map[rkey] = spec.record_uid_format(record_serial)

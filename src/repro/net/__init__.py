@@ -1,5 +1,6 @@
 """The packet substrate: wire formats, traces, flows, and reassembly."""
 
+from .._lazy import lazy_exports
 from .flows import FiveTuple, flow_hash, flow_of_frame  # noqa: F401
 from .packet import (  # noqa: F401
     EthernetFrame,
@@ -16,16 +17,17 @@ from .packet import (  # noqa: F401
 )
 from .pcap import PcapReader, PcapWriter, read_pcap, write_pcap  # noqa: F401
 from .reassembly import ConnectionReassembler, StreamReassembler  # noqa: F401
-from .replay import (  # noqa: F401
-    LiveCaptureSource,
-    RateLimiter,
-    TraceReplayer,
-)
-from .tracegen import (  # noqa: F401
-    DnsTraceConfig,
-    HttpTraceConfig,
-    generate_dns_trace,
-    generate_http_trace,
-    write_dns_trace,
-    write_http_trace,
-)
+
+# Trace generation and replay load on first use (PEP 562): a run over an
+# existing pcap needs neither.
+__getattr__ = lazy_exports(__name__, {
+    "LiveCaptureSource": "replay",
+    "RateLimiter": "replay",
+    "TraceReplayer": "replay",
+    "DnsTraceConfig": "tracegen",
+    "HttpTraceConfig": "tracegen",
+    "generate_dns_trace": "tracegen",
+    "generate_http_trace": "tracegen",
+    "write_dns_trace": "tracegen",
+    "write_http_trace": "tracegen",
+})

@@ -10,20 +10,14 @@ front-end balancers of NIDS clusters.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Tuple
 
-from ..core.values import Addr, Port
-from .packet import (
-    PROTO_TCP,
-    PROTO_UDP,
-    IPv4Packet,
-    TCPSegment,
-    UDPDatagram,
-    parse_ethernet,
-)
+from ..core.values import Addr
+from .packet import PROTO_TCP, PROTO_UDP, Decoded, PacketError, decode
 
-__all__ = ["FiveTuple", "flow_hash", "flow_of_frame", "frame_flow_info",
-           "vthread_of", "placement"]
+__all__ = ["FiveTuple", "decode_flow", "flow_hash", "flow_of_frame",
+           "frame_flow_info", "vthread_of", "placement"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -37,55 +31,72 @@ def _fnv1a(data: bytes) -> int:
     return value
 
 
-class FiveTuple:
-    """A connection identifier: endpoints plus transport protocol."""
+class FiveTuple(tuple):
+    """A connection identifier: endpoints plus transport protocol.
 
-    __slots__ = ("src", "dst", "src_port", "dst_port", "protocol")
+    The value tuple ``(src.value, src_port, dst.value, dst_port,
+    protocol)`` under names.  A tuple of ints hashes and compares by
+    fields in C — once per dict probe, never through a Python-level
+    ``__hash__`` — and identically in every process (nothing salted is
+    cached), so keys pickled into a ``spawn``ed worker's ``uid_map``
+    still resolve.  A canonical ``FiveTuple`` equals the plain
+    :attr:`~repro.net.packet.Decoded.key` tuple of its packets: flow
+    tables store the decoder's keys and answer lookups by either.
+    """
 
-    def __init__(self, src: Addr, dst: Addr, src_port: int, dst_port: int,
-                 protocol: int):
-        self.src = src
-        self.dst = dst
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.protocol = protocol
+    __slots__ = ()
 
-    def reversed(self) -> "FiveTuple":
-        return FiveTuple(
-            self.dst, self.src, self.dst_port, self.src_port, self.protocol
-        )
+    def __new__(cls, src: Addr, dst: Addr, src_port: int, dst_port: int,
+                protocol: int):
+        return tuple.__new__(
+            cls, (src.value, src_port, dst.value, dst_port, protocol))
 
-    def canonical(self) -> "FiveTuple":
-        """Direction-independent form: smaller endpoint first."""
-        this_end = (self.src.value, self.src_port)
-        that_end = (self.dst.value, self.dst_port)
-        if this_end <= that_end:
-            return self
-        return self.reversed()
+    @classmethod
+    def of(cls, packet: Decoded) -> "FiveTuple":
+        """The directional tuple of a decoded TCP/UDP packet."""
+        return tuple.__new__(cls, (packet.src, packet.src_port, packet.dst,
+                                   packet.dst_port, packet.protocol))
 
-    def canonical_with_origin(self) -> Tuple["FiveTuple", bool]:
-        """``(canonical form, src_is_first)`` in one comparison.
-
-        The boolean says whether this tuple's ``src`` end is the
-        canonical tuple's first endpoint — what flow tables need to
-        orient per-direction counters without re-deriving the order.
-        """
-        this_end = (self.src.value, self.src_port)
-        that_end = (self.dst.value, self.dst_port)
-        if this_end <= that_end:
-            return self, True
-        return self.reversed(), False
+    def __getnewargs__(self):
+        # Pickle and copy rebuild through __new__, which takes Addrs.
+        return self.src, self.dst, self[1], self[3], self[4]
 
     @property
-    def key(self) -> Tuple:
-        return (self.src, self.dst, self.src_port, self.dst_port,
-                self.protocol)
+    def src(self) -> Addr:
+        return Addr.from_value(self[0])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiveTuple) and self.key == other.key
+    @property
+    def dst(self) -> Addr:
+        return Addr.from_value(self[2])
 
-    def __hash__(self) -> int:
-        return hash(self.key)
+    src_port = property(itemgetter(1))
+    dst_port = property(itemgetter(3))
+    protocol = property(itemgetter(4))
+
+    def reversed(self) -> "FiveTuple":
+        return tuple.__new__(
+            FiveTuple, (self[2], self[3], self[0], self[1], self[4]))
+
+    @property
+    def sender_is_first(self) -> bool:
+        """Is ``src`` the canonical key's first — smaller
+        ``(Addr.value, port)`` — endpoint?"""
+        return self[0] < self[2] or (self[0] == self[2]
+                                     and self[1] <= self[3])
+
+    @property
+    def key(self) -> "FiveTuple":
+        """Direction-independent form: smaller endpoint first."""
+        return self if self.sender_is_first else self.reversed()
+
+    def canonical(self) -> "FiveTuple":
+        """:attr:`key`, under its historical name."""
+        return self.key
+
+    def canonical_with_origin(self) -> Tuple["FiveTuple", bool]:
+        """``(key, sender_is_first)`` — what flow tables need to orient
+        per-direction counters without re-deriving the order."""
+        return self.key, self.sender_is_first
 
     def __repr__(self) -> str:
         proto = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(
@@ -134,19 +145,21 @@ def placement(flow: FiveTuple, vthreads: int, workers: int) -> Tuple[int, int]:
     return vid, vid % workers
 
 
+def decode_flow(frame: bytes) -> Optional[Decoded]:
+    """:func:`~repro.net.packet.decode`, with undecodable and
+    non-TCP/UDP frames as ``None`` — the planner's and the ledger's
+    per-packet entry."""
+    try:
+        packet = decode(frame)
+    except PacketError:
+        return None
+    return packet if packet.key is not None else None
+
+
 def flow_of_frame(frame: bytes) -> Optional[FiveTuple]:
     """Extract the 5-tuple of an Ethernet frame, or None if not TCP/UDP."""
-    try:
-        ip, transport = parse_ethernet(frame)
-    except Exception:
-        return None
-    if isinstance(transport, TCPSegment):
-        return FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_TCP)
-    if isinstance(transport, UDPDatagram):
-        return FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_UDP)
-    return None
+    packet = decode_flow(frame)
+    return FiveTuple.of(packet) if packet is not None else None
 
 
 def frame_flow_info(frame: bytes) -> Optional[Tuple[FiveTuple, int, int]]:
@@ -156,16 +169,7 @@ def frame_flow_info(frame: bytes) -> Optional[Tuple[FiveTuple, int, int]]:
     table needs to account one packet — transport payload length and,
     for TCP, the segment's flag byte (0 for UDP).
     """
-    try:
-        ip, transport = parse_ethernet(frame)
-    except Exception:
+    packet = decode_flow(frame)
+    if packet is None:
         return None
-    if isinstance(transport, TCPSegment):
-        flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_TCP)
-        return flow, len(transport.payload), transport.flags
-    if isinstance(transport, UDPDatagram):
-        flow = FiveTuple(ip.src, ip.dst, transport.src_port,
-                         transport.dst_port, PROTO_UDP)
-        return flow, len(transport.payload), 0
-    return None
+    return FiveTuple.of(packet), packet.payload_len, packet.flags

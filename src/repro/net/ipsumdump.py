@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Tuple
 
 from ..core.values import Addr, Time
-from .packet import PacketError, parse_ethernet
+from .packet import PacketError, decode
 
 __all__ = ["dump_lines", "parse_line", "dump_to_file", "read_file"]
 
@@ -20,10 +20,11 @@ def dump_lines(packets: Iterable[Tuple[Time, bytes]]) -> Iterator[str]:
     """Render ``timestamp src dst`` lines for the IPv4 packets of a trace."""
     for timestamp, frame in packets:
         try:
-            ip, __ = parse_ethernet(frame)
+            packet = decode(frame)
         except PacketError:
             continue
-        yield f"{timestamp.seconds:.6f} {ip.src} {ip.dst}"
+        yield (f"{timestamp.seconds:.6f} {Addr.from_value(packet.src)} "
+               f"{Addr.from_value(packet.dst)}")
 
 
 def parse_line(line: str) -> Tuple[Time, Addr, Addr]:

@@ -6,7 +6,10 @@ definition of a networking application is one that "processes network
 packets directly in wire format" (paper, section 2, footnote 1).
 
 Builders produce real byte strings (checksums included) that flow into
-pcap files; parsers perform the inverse, validating lengths as they go.
+pcap files.  Reading goes through one decoder, :func:`decode`: a single
+zero-copy pass over the L2-L4 headers that every app, the flow ledger
+and the parallel planner share; the per-class ``parse`` classmethods
+are the independent reference its property test compares against.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "build_udp_packet",
     "build_tcp6_packet",
     "build_udp6_packet",
+    "Decoded",
+    "decode",
     "parse_ethernet",
     "checksum16",
 ]
@@ -337,6 +342,164 @@ def build_tcp6_packet(src: Addr, dst: Addr, src_port: int, dst_port: int,
     return EthernetFrame(packet, ethertype=ETHERTYPE_IPV6).build()
 
 
+# --------------------------------------------------------------------------
+# The single-pass decoder
+# --------------------------------------------------------------------------
+
+_V4_MAPPED = 0xFFFF << 32  # Addr.value of an IPv4 address: ::ffff:a.b.c.d
+
+# Ethernet + the fixed IP header in one unpack at offset 0 (MACs are
+# skipped, never copied), then the transport header at the L4 offset.
+_unpack_eth_ip4 = struct.Struct(">12xHBBHHHBBxxII").unpack_from   # 34 bytes
+_unpack_eth_ip6 = struct.Struct(">12xHIHBBQQQQ").unpack_from      # 54 bytes
+_unpack_tcp = struct.Struct(">HHIIBBH").unpack_from
+_unpack_udp = struct.Struct(">HHH").unpack_from
+
+
+class Decoded:
+    """One frame's L2-L4 headers, as :func:`decode` read them.
+
+    ``src``/``dst`` are raw 128-bit :attr:`Addr.value` ints; ``l4:end``
+    bounds the IP payload and ``payload_start:payload_end`` the
+    transport payload, both as offsets into ``frame`` — nothing is
+    sliced until a consumer asks.  ``ip_fields`` holds the rest of the
+    IP header in the order the IP classes' constructors take it.
+
+    For TCP and UDP, ``key`` is the canonical flow key ``(addr, port,
+    addr, port, protocol)`` with the smaller ``(Addr.value, port)``
+    endpoint first — a plain tuple of ints, so it hashes and compares
+    in C and identically in every process — and ``sender_is_first``
+    says whether this packet's source is that first endpoint.  Other
+    protocols carry ``key = None``, zero ports and an empty payload.
+    """
+
+    __slots__ = ("frame", "ethertype", "protocol", "src", "dst",
+                 "ip_fields", "l4", "end", "src_port", "dst_port", "seq",
+                 "ack", "flags", "window", "payload_start", "payload_end",
+                 "payload_len", "key", "sender_is_first")
+
+    def __init__(self, frame, ethertype, protocol, src, dst, ip_fields,
+                 l4, end, src_port, dst_port, seq, ack, flags, window,
+                 payload_start, payload_end, key, sender_is_first):
+        self.frame = frame
+        self.ethertype = ethertype
+        self.protocol = protocol
+        self.src = src
+        self.dst = dst
+        self.ip_fields = ip_fields
+        self.l4 = l4
+        self.end = end
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.payload_start = payload_start
+        self.payload_end = payload_end
+        self.payload_len = payload_end - payload_start
+        self.key = key
+        self.sender_is_first = sender_is_first
+
+    @property
+    def payload(self) -> bytes:
+        """The transport payload, sliced on demand."""
+        return self.frame[self.payload_start:self.payload_end]
+
+    def ip(self):
+        """The network layer as an :class:`IPv4Packet`/:class:`IPv6Packet`."""
+        cls = IPv4Packet if self.ethertype == ETHERTYPE_IPV4 else IPv6Packet
+        return cls(Addr.from_value(self.src), Addr.from_value(self.dst),
+                   self.protocol, self.frame[self.l4:self.end],
+                   *self.ip_fields)
+
+    def transport(self):
+        """The transport layer as a :class:`TCPSegment`/:class:`UDPDatagram`
+        (``None`` for other protocols)."""
+        if self.protocol == PROTO_TCP:
+            return TCPSegment(self.src_port, self.dst_port, self.seq,
+                              self.ack, self.flags, self.window,
+                              self.payload)
+        if self.protocol == PROTO_UDP:
+            return UDPDatagram(self.src_port, self.dst_port, self.payload)
+        return None
+
+
+def decode(frame) -> Decoded:
+    """Decode Ethernet -> IPv4 (any IHL) / IPv6 -> TCP / UDP in one pass.
+
+    The single header walk under every consumer: two precompiled
+    ``unpack_from`` calls on the frame itself, no intermediate payload
+    copies.  Raises :class:`PacketError` exactly where the composed
+    per-class ``parse`` methods would.
+    """
+    size = len(frame)
+    if size < 34:
+        # Shorter than Ethernet + a minimal IPv4 header: nothing decodes.
+        raise PacketError("truncated frame")
+    (ethertype, version_ihl, tos, total_length, identification,
+     flags_fragment, ttl, protocol, src, dst) = _unpack_eth_ip4(frame)
+    if ethertype == ETHERTYPE_IPV4:
+        if version_ihl >> 4 != 4:
+            raise PacketError(
+                f"not an IPv4 packet (version {version_ihl >> 4})")
+        l4 = 14 + (version_ihl & 0x0F) * 4
+        if l4 < 34 or size < l4:
+            raise PacketError("bad IPv4 header length")
+        end = 14 + total_length
+        src |= _V4_MAPPED
+        dst |= _V4_MAPPED
+        ip_fields = (ttl, identification, tos, flags_fragment)
+    elif ethertype == ETHERTYPE_IPV6:
+        if size < 54:
+            raise PacketError("truncated IPv6 header")
+        (__, first_word, payload_length, protocol, hop_limit, src_hi,
+         src_lo, dst_hi, dst_lo) = _unpack_eth_ip6(frame)
+        if first_word >> 28 != 6:
+            raise PacketError(
+                f"not an IPv6 packet (version {first_word >> 28})")
+        l4 = 54
+        end = 54 + payload_length
+        src = src_hi << 64 | src_lo
+        dst = dst_hi << 64 | dst_lo
+        ip_fields = (hop_limit, (first_word >> 20) & 0xFF,
+                     first_word & 0xFFFFF)
+    else:
+        raise PacketError(f"unsupported ethertype {ethertype:#06x}")
+    if end > size:
+        end = size
+    if protocol == PROTO_TCP:
+        if end - l4 < 20:
+            raise PacketError("truncated TCP header")
+        (src_port, dst_port, seq, ack, offset, flags,
+         window) = _unpack_tcp(frame, l4)
+        payload_start = l4 + (offset >> 4) * 4
+        if offset < 0x50 or payload_start > end:
+            raise PacketError("bad TCP data offset")
+        payload_end = end
+    elif protocol == PROTO_UDP:
+        if end - l4 < 8:
+            raise PacketError("truncated UDP header")
+        src_port, dst_port, length = _unpack_udp(frame, l4)
+        if length < 8:
+            raise PacketError("bad UDP length")
+        seq = ack = flags = window = 0
+        payload_start = l4 + 8
+        payload_end = l4 + length
+        if payload_end > end:
+            payload_end = end
+    else:
+        return Decoded(frame, ethertype, protocol, src, dst, ip_fields, l4,
+                       end, 0, 0, 0, 0, 0, 0, end, end, None, True)
+    sender_is_first = src < dst or (src == dst and src_port <= dst_port)
+    return Decoded(frame, ethertype, protocol, src, dst, ip_fields, l4, end,
+                   src_port, dst_port, seq, ack, flags, window,
+                   payload_start, payload_end,
+                   (src, src_port, dst, dst_port, protocol) if sender_is_first
+                   else (dst, dst_port, src, src_port, protocol),
+                   sender_is_first)
+
+
 def parse_ethernet(data: bytes):
     """Parse a frame down to transport: (ip, segment_or_datagram).
 
@@ -345,16 +508,5 @@ def parse_ethernet(data: bytes):
     ``src``/``dst``/``protocol``/``payload``, so callers are
     family-agnostic — HILTI's single ``addr`` type carries through.
     """
-    frame = EthernetFrame.parse(data)
-    if frame.ethertype == ETHERTYPE_IPV4:
-        ip = IPv4Packet.parse(frame.payload)
-    elif frame.ethertype == ETHERTYPE_IPV6:
-        ip = IPv6Packet.parse(frame.payload)
-    else:
-        raise PacketError(f"unsupported ethertype {frame.ethertype:#06x}")
-    transport = None
-    if ip.protocol == PROTO_TCP:
-        transport = TCPSegment.parse(ip.payload)
-    elif ip.protocol == PROTO_UDP:
-        transport = UDPDatagram.parse(ip.payload)
-    return ip, transport
+    decoded = decode(data)
+    return decoded.ip(), decoded.transport()

@@ -105,11 +105,12 @@ class PcapReader:
         self.snaplen = fields[4]
         self.link_type = fields[5]
         self.packets_read = 0
-
-    def _capture_limit(self) -> int:
+        # Per-record constants, fixed at open.
+        self._unpack_record = struct.Struct(self._endian + "IIII").unpack
+        self._fraction_nanos = 1 if self._nanos else 1000
         limit = self.snaplen if 0 < self.snaplen <= _SANE_CAPTURE_LIMIT \
             else 0
-        return max(limit, 0x40000)
+        self._capture_limit = max(limit, 0x40000)
 
     def read_packet(self) -> Optional[Tuple[Time, bytes]]:
         while True:
@@ -121,10 +122,8 @@ class PcapReader:
                     self.records_skipped += 1
                     return None
                 raise PcapError("truncated pcap record header")
-            seconds, fraction, captured, __ = struct.unpack(
-                self._endian + "IIII", record
-            )
-            if captured > self._capture_limit():
+            seconds, fraction, captured, __ = self._unpack_record(record)
+            if captured > self._capture_limit:
                 if not self.tolerant:
                     raise PcapError(
                         f"implausible captured length {captured}"
@@ -146,11 +145,10 @@ class PcapReader:
                     self.records_skipped += 1
                     return None
                 raise PcapError("truncated pcap record body")
-            nanos = seconds * 1_000_000_000 + (
-                fraction if self._nanos else fraction * 1000
-            )
             self.packets_read += 1
-            return Time.from_nanos(nanos), data
+            return Time.from_nanos(
+                seconds * 1_000_000_000 + fraction * self._fraction_nanos
+            ), data
 
     def __iter__(self) -> Iterator[Tuple[Time, bytes]]:
         while True:

@@ -30,7 +30,7 @@ from ..net.flowrecord import (
     validate_flowrecord_lines,
     write_flowrecords_jsonl,
 )
-from ..net.flows import frame_flow_info
+from ..net.flows import decode_flow
 from ..net.pcap import PcapReader
 
 __all__ = ["export_flows", "main"]
@@ -42,12 +42,10 @@ def export_flows(trace_path: str, tolerant: bool = False) -> FlowTable:
     table = FlowTable(uid_format=format_record_uid)
     with PcapReader(trace_path, tolerant=tolerant) as reader:
         for timestamp, frame in reader:
-            info = frame_flow_info(frame)
-            if info is None:
-                continue
-            flow, payload_len, tcp_flags = info
-            table.account(flow, timestamp.seconds,
-                          payload_len=payload_len, tcp_flags=tcp_flags)
+            packet = decode_flow(frame)
+            if packet is not None:
+                table.account(packet, timestamp.seconds,
+                              packet.payload_len, packet.flags)
     table.finish()
     return table
 

@@ -669,8 +669,11 @@ class TestHostService:
 @pytest.mark.slow
 class TestGracefulShutdown:
     def test_batch_interrupt_flushes_partial_telemetry(self, tmp_path):
+        # Big enough that the run is still mid-trace when SIGTERM lands
+        # (the 1500-session trace finishes in ~1.5 s since the
+        # single-pass decoder).
         records = generate_mixed_trace(
-            http=HttpTraceConfig(sessions=1500, seed=7))
+            http=HttpTraceConfig(sessions=4000, seed=7))
         pcap = tmp_path / "big.pcap"
         write_pcap(str(pcap), records)
         logdir = tmp_path / "logs"
