@@ -19,11 +19,10 @@ non-zero if any optimized level is slower than -O0 on any named kernel
 
 ``--parallel-scaling`` switches to the flow-parallel harness
 (docs/PARALLELISM.md): a fixed-seed HTTP+DNS trace runs through the
-sequential pipeline and through ``ParallelBro`` on the process and
-pool backends at 1, 2, and 4 workers; each run's merged-log
-fingerprint must match the sequential one, and per-backend/per-worker
-wall-clock/speedup land in ``BENCH_parallel.json`` together with the
-host's usable CPU count.  ``--check-parallel FACTOR`` always asserts
+sequential pipeline and through ``ParallelBro`` on the pool backend at
+1, 2, and 4 workers; each run's merged-log fingerprint must match the
+sequential one, and per-worker wall-clock/speedup land in
+``BENCH_parallel.json`` together with the host's usable CPU count.  ``--check-parallel FACTOR`` always asserts
 fingerprint identity; on a multi-core host it additionally fails if
 the pool's 1-worker run costs more than FACTOR× sequential (the
 fan-out-overhead gate) or the pool never beats sequential at ≥2
@@ -415,12 +414,6 @@ def _log_fingerprint(pipeline):
     return "sha:" + digest.hexdigest()[:16]
 
 
-#: Backends the scaling harness measures: the classic one-shot process
-#: fan-out and the persistent shared-memory pool (the multi-core
-#: default).
-_SCALING_BACKENDS = ("process", "pool")
-
-
 def run_parallel_scaling(args):
     from repro.apps.bro import Bro, ParallelBro
     from repro.net.tracegen import (
@@ -435,11 +428,11 @@ def run_parallel_scaling(args):
     )
     rounds = 2 if args.quick else 3
     report = {
-        "schema": "bench-parallel/2",
+        "schema": "bench-parallel/3",
         "quick": args.quick,
         "cpus": _usable_cpus(),
         "packets": len(trace),
-        "backends": {},
+        "pool": {},
     }
     print(f"[bench_regression] parallel-scaling: {len(trace)} packets on "
           f"{report['cpus']} usable cpu(s)", flush=True)
@@ -458,27 +451,24 @@ def run_parallel_scaling(args):
     print(f"[bench_regression]   sequential={seq_s * 1e3:.2f}ms "
           f"events={seq_events}", flush=True)
 
-    for backend in _SCALING_BACKENDS:
-        entries = {}
-        for workers in _SCALING_WORKERS:
-            def run_parallel(workers=workers, backend=backend):
-                parallel = ParallelBro(workers=workers, backend=backend)
-                parallel.run(trace)
-                return _log_fingerprint(parallel), parallel.stats["events"]
+    pool = report["pool"]
+    for workers in _SCALING_WORKERS:
+        def run_parallel(workers=workers):
+            parallel = ParallelBro(workers=workers, backend="pool")
+            parallel.run(trace)
+            return _log_fingerprint(parallel), parallel.stats["events"]
 
-            par_s, (par_fp, par_events) = _best_of(run_parallel, rounds)
-            entry = {
-                "seconds": round(par_s, 6),
-                "speedup": round(seq_s / par_s, 3) if par_s else None,
-                "identical": par_fp == seq_fp and par_events == seq_events,
-                "fingerprint": par_fp,
-            }
-            entries[str(workers)] = entry
-            print(f"[bench_regression]   backend={backend} "
-                  f"workers={workers} {par_s * 1e3:.2f}ms "
-                  f"speedup={entry['speedup']}x "
-                  f"identical={entry['identical']}", flush=True)
-        report["backends"][backend] = entries
+        par_s, (par_fp, par_events) = _best_of(run_parallel, rounds)
+        entry = {
+            "seconds": round(par_s, 6),
+            "speedup": round(seq_s / par_s, 3) if par_s else None,
+            "identical": par_fp == seq_fp and par_events == seq_events,
+            "fingerprint": par_fp,
+        }
+        pool[str(workers)] = entry
+        print(f"[bench_regression]   pool workers={workers} "
+              f"{par_s * 1e3:.2f}ms speedup={entry['speedup']}x "
+              f"identical={entry['identical']}", flush=True)
 
     out_path = Path(args.output or str(REPO / "BENCH_parallel.json"))
     out_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -486,16 +476,12 @@ def run_parallel_scaling(args):
 
     # Byte-identity versus sequential is asserted unconditionally —
     # it is the differential oracle and holds at any core count.
-    failures = []
-    for backend, entries in report["backends"].items():
-        for workers, entry in entries.items():
-            if not entry["identical"]:
-                failures.append(
-                    f"backend={backend} workers={workers}: merged logs "
-                    "diverge from sequential")
+    failures = [
+        f"pool workers={workers}: merged logs diverge from sequential"
+        for workers, entry in pool.items() if not entry["identical"]
+    ]
     if args.check_parallel is not None:
         if report["cpus"] > 1:
-            pool = report["backends"]["pool"]
             bound = seq_s * args.check_parallel
             one_worker = pool["1"]["seconds"]
             if one_worker > bound:
@@ -517,169 +503,6 @@ def run_parallel_scaling(args):
             print("[bench_regression] SKIP speedup gate: only 1 usable "
                   "cpu — parallel runs time-slice a single core "
                   "(identity still asserted)", flush=True)
-    if failures:
-        for failure in failures:
-            print(f"[bench_regression] FAIL {failure}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _mixed_trace(quick):
-    from repro.net.tracegen import (
-        DnsTraceConfig,
-        HttpTraceConfig,
-        SshTraceConfig,
-        TftpTraceConfig,
-        generate_mixed_trace,
-    )
-
-    scale = 1 if quick else 4
-    return generate_mixed_trace(
-        http=HttpTraceConfig(sessions=15 * scale, seed=101),
-        dns=DnsTraceConfig(queries=40 * scale, seed=101),
-        ssh=SshTraceConfig(sessions=10 * scale, seed=101),
-        tftp=TftpTraceConfig(transfers=10 * scale, seed=101),
-    )
-
-
-_APP_RULES = """
-10.0.0.0/8   172.16.0.0/12  deny
-10.0.0.0/8   *              allow
-*            *              deny
-"""
-
-
-def _host_apps():
-    """app name -> (make sequential app, make parallel pipeline)."""
-    from repro.apps.binpac.app import PacApp, PacLaneSpec
-    from repro.apps.bpf.app import BpfApp, BpfLaneSpec
-    from repro.apps.firewall.app import FirewallApp, FirewallLaneSpec
-    from repro.apps.firewall.rules import RuleSet
-    from repro.host import ParallelPipeline
-
-    config = {"watchdog_budget": None, "metrics": False, "trace": False}
-
-    def parallel(spec, workers):
-        return ParallelPipeline(spec, workers=workers, backend="process")
-
-    return {
-        "bpf": (
-            lambda: BpfApp("tcp and port 80"),
-            lambda workers: parallel(BpfLaneSpec(dict(
-                config, filter="tcp and port 80", engine="compiled",
-                opt_level=None)), workers),
-        ),
-        "firewall": (
-            lambda: FirewallApp(
-                RuleSet.parse(_APP_RULES, timeout_seconds=5.0)),
-            lambda workers: parallel(FirewallLaneSpec(dict(
-                config, rules=_APP_RULES, timeout_seconds=5.0,
-                engine="compiled", opt_level=None)), workers),
-        ),
-        "pac": (
-            lambda: PacApp(),
-            lambda workers: parallel(PacLaneSpec(dict(
-                config, protocols=("http", "dns", "ssh", "tftp"),
-                opt_level=None)), workers),
-        ),
-    }
-
-
-def run_apps(args):
-    """The four-exemplar harness: every host application over one
-    fixed-seed mixed trace, sequential and flow-parallel, with the
-    byte-identity gate on each app's merged result stream and its
-    flow-record ledger (docs/FLOWS.md)."""
-    from repro.apps.bro import Bro, ParallelBro
-    from repro.host import Pipeline
-    from repro.host.cli import fingerprint
-
-    trace = _mixed_trace(args.quick)
-    rounds = 2 if args.quick else 3
-    workers = 2 if args.quick else 4
-    report = {
-        "schema": "bench-apps/1",
-        "quick": args.quick,
-        "cpus": _usable_cpus(),
-        "backend": "process",
-        "workers": workers,
-        "packets": len(trace),
-        "apps": {},
-    }
-    print(f"[bench_regression] apps: {len(trace)} packets, "
-          f"{workers} process workers", flush=True)
-
-    for name, (make_app, make_parallel) in _host_apps().items():
-        def run_sequential(app):
-            Pipeline(app).run(trace)
-            return (fingerprint(app.result_lines()),
-                    fingerprint(app.flow_record_lines()),
-                    len(app.result_lines()))
-
-        seq_s, (seq_fp, seq_flow_fp, seq_lines) = _best_of(
-            run_sequential, rounds, setup=make_app)
-
-        def run_parallel(pipe):
-            pipe.run(trace)
-            return (fingerprint(pipe.result_lines()),
-                    fingerprint(pipe.flow_record_lines()))
-
-        par_s, (par_fp, par_flow_fp) = _best_of(
-            run_parallel, rounds, setup=lambda: make_parallel(workers))
-        identical = par_fp == seq_fp and par_flow_fp == seq_flow_fp
-        report["apps"][name] = {
-            "sequential_seconds": round(seq_s, 6),
-            "parallel_seconds": round(par_s, 6),
-            "speedup": round(seq_s / par_s, 3) if par_s else None,
-            "lines": seq_lines,
-            "fingerprint": seq_fp,
-            "flow_fingerprint": seq_flow_fp,
-            "identical": identical,
-        }
-        print(f"[bench_regression]   {name}: seq={seq_s * 1e3:.2f}ms "
-              f"par={par_s * 1e3:.2f}ms lines={seq_lines} "
-              f"identical={identical}", flush=True)
-
-    # Bro keeps its own pipeline classes but the same oracle shape.
-    def run_bro():
-        bro = Bro(print_stream=io.StringIO())
-        bro.run(trace)
-        return (_log_fingerprint(bro),
-                fingerprint(bro.flow_record_lines()),
-                bro.stats["events"])
-
-    seq_s, (seq_fp, seq_flow_fp, seq_events) = _best_of(run_bro, rounds)
-
-    def run_bro_parallel():
-        parallel = ParallelBro(workers=workers, backend="process")
-        parallel.run(trace)
-        return (_log_fingerprint(parallel),
-                fingerprint(parallel.flow_record_lines()))
-
-    par_s, (par_fp, par_flow_fp) = _best_of(run_bro_parallel, rounds)
-    identical = par_fp == seq_fp and par_flow_fp == seq_flow_fp
-    report["apps"]["bro"] = {
-        "sequential_seconds": round(seq_s, 6),
-        "parallel_seconds": round(par_s, 6),
-        "speedup": round(seq_s / par_s, 3) if par_s else None,
-        "events": seq_events,
-        "fingerprint": seq_fp,
-        "flow_fingerprint": seq_flow_fp,
-        "identical": identical,
-    }
-    print(f"[bench_regression]   bro: seq={seq_s * 1e3:.2f}ms "
-          f"par={par_s * 1e3:.2f}ms events={seq_events} "
-          f"identical={identical}", flush=True)
-
-    out_path = Path(args.output or str(REPO / "BENCH_apps.json"))
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"[bench_regression] wrote {out_path}")
-
-    failures = [
-        f"{name}: parallel results diverge from sequential"
-        for name, entry in report["apps"].items()
-        if not entry["identical"]
-    ]
     if failures:
         for failure in failures:
             print(f"[bench_regression] FAIL {failure}", file=sys.stderr)
@@ -792,9 +615,8 @@ def main(argv=None):
                     help="with --telemetry-overhead, fail if disabled "
                          "telemetry costs more than PCT%% over baseline")
     ap.add_argument("--parallel-scaling", action="store_true",
-                    help="measure the flow-parallel pipeline (process "
-                         "and pool backends) at 1/2/4 workers against "
-                         "sequential")
+                    help="measure the flow-parallel pipeline (pool "
+                         "backend) at 1/2/4 workers against sequential")
     ap.add_argument("--check-parallel", type=float, default=None,
                     metavar="FACTOR",
                     help="with --parallel-scaling, assert fingerprint "
@@ -802,16 +624,8 @@ def main(argv=None):
                          "if the pool's 1-worker run costs more than "
                          "FACTOR x sequential or never beats sequential "
                          "at >=2 workers")
-    ap.add_argument("--apps", action="store_true",
-                    help="run all four host applications (bpf, firewall, "
-                         "pac, bro) over one fixed-seed mixed trace, "
-                         "sequential and flow-parallel, into "
-                         "BENCH_apps.json; fails on any fingerprint "
-                         "divergence")
     args = ap.parse_args(argv)
 
-    if args.apps:
-        return run_apps(args)
     if args.parallel_scaling:
         return run_parallel_scaling(args)
     if args.telemetry_overhead:

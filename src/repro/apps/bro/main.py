@@ -12,28 +12,17 @@ protocol parsing, script execution, HILTI-to-Bro glue, and "other".
 
 from __future__ import annotations
 
-import json as _json
-import os as _os
 import time as _time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...core.values import Time
 from ...host.app import HostApp, PipelineServices, export_health
-from ...host.pipeline import (
-    Pipeline,
-    write_flows_jsonl,
-    write_metrics_jsonl,
-    write_prof_log,
-    write_stats_log,
-)
+from ...host.pipeline import Pipeline
 from ...runtime.faults import (
     CircuitBreaker,
     HealthReport,
 )
-from ...runtime.telemetry import (
-    Telemetry,
-    cpu_breakdown_report,
-)
+from ...runtime.telemetry import Telemetry
 from .compiler import ScriptCompiler
 from .conn import ConnectionTracker
 from .core import BroCore, WEIRD_LOG_COLUMNS
@@ -68,11 +57,10 @@ class Bro(HostApp):
     (compiled; the paper's ``compile_scripts=T``).
 
     Implements the :class:`~repro.host.app.HostApp` drive API
-    (``on_begin``/``on_packet``/``on_end``) on top of its historical
-    ``run_begin``/``feed_packet``/``run_end`` so the shared
-    :class:`~repro.host.pipeline.Pipeline` and the flow-parallel lanes
-    drive it like any other app; it keeps its own stats assembly and
-    exporter so its reports stay byte-identical.
+    (``on_begin``/``on_packet``/``on_end``) directly, so the shared
+    :class:`~repro.host.pipeline.Pipeline`, the flow-parallel lanes and
+    the service drive it like any other app; it keeps its own stats
+    assembly and exporter so its reports stay byte-identical.
     """
 
     name = "bro"
@@ -157,7 +145,7 @@ class Bro(HostApp):
                                          session_ttl=session_ttl)
         self.stats: Dict[str, object] = {}
         self._pcap_stats: Dict[str, int] = {}
-        self._run_begin_ns: Optional[int] = None
+        self._begin_ns: Optional[int] = None
 
     # -- analyzer wiring ----------------------------------------------------
 
@@ -206,14 +194,10 @@ class Bro(HostApp):
             session_ttl=self.tracker.session_ttl,
         )
 
-    def on_begin(self) -> None:
-        self.run_begin()
-
-    def on_packet(self, timestamp: Time, frame: bytes) -> None:
-        self.feed_packet(timestamp, frame)
-
-    def on_end(self) -> Dict:
-        return self.run_end()
+    @property
+    def packets(self) -> int:
+        """Packets processed so far (the tracker counts every frame)."""
+        return self.tracker.packets
 
     def result_lines(self) -> List[str]:
         """Every log line of the run, sorted — the byte-identity
@@ -237,45 +221,31 @@ class Bro(HostApp):
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
         return self.tracker.flow_snapshot(limit)
 
-    # -- running ---------------------------------------------------------------
+    # -- the drive API -------------------------------------------------------
 
-    def run(self, packets: Iterable[Tuple[Time, bytes]]) -> Dict:
-        """Process a trace; returns the per-component timing report."""
-        self.run_begin()
-        for timestamp, frame in packets:
-            self.feed_packet(timestamp, frame)
-        return self.run_end()
-
-    # The incremental drive API: the flow-parallel pipeline feeds one
-    # lane packet-by-packet from scheduled vthread jobs instead of an
-    # iterable it controls (docs/PARALLELISM.md).  ``run`` is exactly
-    # begin + feed* + end, so both drive styles share one code path.
-
-    def run_begin(self) -> None:
+    def on_begin(self) -> None:
         """Start a run: lifecycle event, timing origin."""
-        self._run_begin_ns = _time.perf_counter_ns()
+        self._begin_ns = _time.perf_counter_ns()
         self.core.queue_event("bro_init", [])
         self.core.drain_events()
 
-    def feed_packet(self, timestamp: Time, frame: bytes) -> None:
+    def on_packet(self, timestamp: Time, frame: bytes) -> None:
         """Process one packet and drain the events it raised."""
         self.tracker.packet(timestamp, frame)
         self.core.drain_events()
 
-    def run_end(self) -> Dict:
+    def on_end(self) -> Dict:
         """Finish a run: close flows, lifecycle event, assemble stats."""
         self.tracker.finish()
         self.core.drain_events()
         self.core.queue_event("bro_done", [])
         self.core.drain_events()
-        total_ns = _time.perf_counter_ns() - self._run_begin_ns
+        total_ns = _time.perf_counter_ns() - self._begin_ns
 
+        # Parser-side glue (unit structs -> event Vals inside the pac
+        # analyzer adapters) is timed under parsing; ``self.glue``
+        # accounts the script-side glue.
         glue_ns = self.glue.ns_spent if self.glue is not None else 0
-        if self._pac is not None:
-            # Parser-side glue: unit structs -> event Vals happens inside
-            # the analyzer adapters (timed under parsing); the script-side
-            # glue is what `self.glue` accounts.
-            pass
         parsing_ns = self.tracker.parsing_ns
         script_ns = max(0, self.core.timers["script"] - glue_ns)
         other_ns = max(0, total_ns - parsing_ns - script_ns - glue_ns)
@@ -297,7 +267,7 @@ class Bro(HostApp):
 
     # -- telemetry ----------------------------------------------------------------
 
-    def _engine_contexts(self) -> List[Tuple[str, object]]:
+    def engine_contexts(self) -> List[Tuple[str, object]]:
         """Every HILTI ExecutionContext this run drove, labeled."""
         contexts: List[Tuple[str, object]] = []
         ctx = getattr(self.engine, "ctx", None)
@@ -307,9 +277,6 @@ class Bro(HostApp):
             contexts.append(("pac/http", self._pac.http.ctx))
             contexts.append(("pac/dns", self._pac.dns.ctx))
         return contexts
-
-    # The HostApp spelling of the same hook (prof.log, engine.* series).
-    engine_contexts = _engine_contexts
 
     def _opt_stats(self) -> List[Tuple[str, object]]:
         """OptStats of every compiled program in the pipeline, labeled."""
@@ -362,7 +329,7 @@ class Bro(HostApp):
             ).set(int(stats[f"{component}_ns"]))
 
         # Execution tiers: instruction/dispatch counters per context.
-        for label, ctx in self._engine_contexts():
+        for label, ctx in self.engine_contexts():
             metrics.counter(
                 "engine.instructions", context=label,
             ).inc(ctx.instr_count)
@@ -414,96 +381,19 @@ class Bro(HostApp):
             metrics.counter("trace.spans_started").inc(tracer.spans_started)
             metrics.counter("trace.spans_dropped").inc(tracer.spans_dropped)
 
-    def cpu_breakdown(self) -> Dict:
-        """The Figures 9/10 machine-readable report for the last run."""
-        if not self.stats:
-            raise RuntimeError("cpu_breakdown() requires a completed run")
-        return cpu_breakdown_report(self.stats, config={
-            "parsers": self.parser_tier,
-            "scripts_engine": self.script_tier,
-        })
+    def report_config(self) -> Dict[str, object]:
+        return {"parsers": self.parser_tier,
+                "scripts_engine": self.script_tier}
 
-    def telemetry_report(self) -> Dict:
-        """Everything the exporter knows, as one plain dict."""
-        profilers = {}
-        for label, ctx in self._engine_contexts():
-            report = ctx.profilers.report()
-            if report:
-                profilers[label] = report
-        return {
-            "stats": dict(self.stats),
-            "metrics": self.telemetry.metrics.collect(),
-            "profilers": profilers,
-            "pcap": dict(self._pcap_stats),
-        }
-
-    def write_telemetry(self, logdir: str) -> List[str]:
-        """Emit the reporting layer's files into *logdir*.
-
-        ``metrics.jsonl`` (machine-readable registry dump), ``stats.log``
-        (human run summary), ``prof.log`` (per-function profilers and
-        interval snapshots per execution context), and — when flow
-        tracing is armed — ``flows.jsonl`` with one span tree per flow.
-        Returns the paths written.
-        """
-        _os.makedirs(logdir, exist_ok=True)
-        written: List[str] = []
-
-        written.append(write_metrics_jsonl(
-            _os.path.join(logdir, "metrics.jsonl"),
-            self.telemetry.metrics, meta={
-                "parsers": self.parser_tier,
-                "scripts_engine": self.script_tier,
-            }))
-
-        sections: Dict[str, Dict] = {}
-        if self.stats:
-            health = self.stats.get("health", {})
-            sections["health"] = {
-                key: health[key]
-                for key in ("flows_quarantined", "records_skipped",
-                            "watchdog_trips", "injected_faults")
-                if key in health
-            }
+    def report_sections(self) -> Dict[str, Dict]:
+        sections = super().report_sections()
         sections["occupancy"] = {
             "flows_open": self.tracker.open_flows(),
             "flows_peak": self.tracker.peak_flows,
             "reassembly_pending_bytes":
                 self.tracker.reassembly_stats()["pending_bytes"],
         }
-        engines = {}
-        for label, ctx in self._engine_contexts():
-            engines[f"{label}.instructions"] = ctx.instr_count
-        if engines:
-            sections["engine"] = engines
-        written.append(write_stats_log(
-            _os.path.join(logdir, "stats.log"), self.stats, sections))
-
-        # Bro always emits prof.log, even with an interpreted-only
-        # pipeline that drove no contexts (the file stays informative:
-        # empty means "no HILTI execution this run").
-        written.append(write_prof_log(
-            _os.path.join(logdir, "prof.log"), self._engine_contexts()))
-
-        from ...net.flowrecord import write_flowrecords_jsonl
-
-        written.append(write_flowrecords_jsonl(
-            _os.path.join(logdir, "flow_records.jsonl"), self.name,
-            self.flow_record_lines()))
-
-        if self.telemetry.tracer.enabled:
-            written.append(write_flows_jsonl(
-                _os.path.join(logdir, "flows.jsonl"),
-                self.telemetry.tracer))
-        return written
-
-    def write_cpu_breakdown(self, path: str) -> Dict:
-        """Write the Figures 9/10 JSON report; returns the report."""
-        report = self.cpu_breakdown()
-        with open(path, "w") as stream:
-            _json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        return report
+        return sections
 
     def run_pcap(self, path: str, tolerant: bool = False) -> Dict:
         """Drive the run from a pcap trace through the shared pipeline

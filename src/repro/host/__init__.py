@@ -26,7 +26,6 @@ from .flowtable import FlowEntry, FlowTable
 from .parallel import (
     LaneSpec,
     ParallelPipeline,
-    default_backend,
     dispatch_plan,
     flow_key,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "SessionLRU",
     "ShmRing",
     "WorkerPool",
-    "default_backend",
     "dispatch_plan",
     "export_health",
     "flow_key",

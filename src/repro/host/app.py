@@ -16,11 +16,13 @@ hooks below (``packet`` is the only mandatory one).
 
 from __future__ import annotations
 
+import json as _json
+import os as _os
 import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..runtime.faults import NULL_INJECTOR, HealthReport
-from ..runtime.telemetry import Telemetry
+from ..runtime.telemetry import Telemetry, cpu_breakdown_report
 
 __all__ = ["HostApp", "PipelineServices", "export_health"]
 
@@ -77,7 +79,8 @@ class HostApp:
     :meth:`packet`; the remaining hooks — :meth:`begin`, :meth:`finish`,
     :meth:`cpu_ns`, :meth:`app_stats`, :meth:`gather_metrics`,
     :meth:`engine_contexts`, :meth:`metric_sources`,
-    :meth:`result_lines` — have working defaults.
+    :meth:`result_lines`, :meth:`report_config`,
+    :meth:`report_sections` — have working defaults.
     """
 
     #: Metrics namespace and the ``app`` field of the stats report.
@@ -252,3 +255,77 @@ class HostApp:
         if tracer.enabled:
             metrics.counter("trace.spans_started").inc(tracer.spans_started)
             metrics.counter("trace.spans_dropped").inc(tracer.spans_dropped)
+
+    # -- reporting (what Pipeline's report writers delegate to) -----------
+
+    def report_config(self) -> Dict[str, object]:
+        """The run configuration stamped into ``cpu_breakdown.json`` and
+        the ``metrics.jsonl`` header."""
+        return {"app": self.name}
+
+    def report_sections(self) -> Dict[str, Dict]:
+        """The key/value blocks ``stats.log`` carries below the
+        breakdown."""
+        sections: Dict[str, Dict] = {}
+        health = self.stats.get("health") if self.stats else None
+        if health:
+            sections["health"] = {
+                key: health[key]
+                for key in ("flows_quarantined", "records_skipped",
+                            "watchdog_trips", "injected_faults")
+                if key in health
+            }
+        engines = {
+            f"{label}.instructions": ctx.instr_count
+            for label, ctx in self.engine_contexts()
+        }
+        if engines:
+            sections["engine"] = engines
+        return sections
+
+    def cpu_breakdown(self, config: Optional[Dict] = None) -> Dict:
+        """The Figures 9/10 machine-readable report for the last run."""
+        if not self.stats:
+            raise RuntimeError("cpu_breakdown() requires a completed run")
+        return cpu_breakdown_report(
+            self.stats,
+            config=config if config is not None else self.report_config())
+
+    def write_cpu_breakdown(self, path: str,
+                            config: Optional[Dict] = None) -> Dict:
+        """Write the Figures 9/10 JSON report; returns the report."""
+        report = self.cpu_breakdown(config)
+        with open(path, "w") as stream:
+            _json.dump(report, stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        return report
+
+    def write_telemetry(self, logdir: str) -> List[str]:
+        """Emit the reporting layer's files into *logdir*; returns the
+        paths written.  ``prof.log`` appears when the app drove HILTI
+        execution contexts, ``flows.jsonl`` when tracing was armed."""
+        from .pipeline import (write_flowrecords_jsonl, write_flows_jsonl,
+                               write_metrics_jsonl, write_prof_log,
+                               write_stats_log)
+
+        _os.makedirs(logdir, exist_ok=True)
+        written = [
+            write_metrics_jsonl(
+                _os.path.join(logdir, "metrics.jsonl"),
+                self.telemetry.metrics, meta=self.report_config()),
+            write_stats_log(
+                _os.path.join(logdir, "stats.log"), self.stats,
+                self.report_sections()),
+            write_flowrecords_jsonl(
+                _os.path.join(logdir, "flow_records.jsonl"), self.name,
+                self.flow_record_lines()),
+        ]
+        contexts = list(self.engine_contexts())
+        if contexts:
+            written.append(write_prof_log(
+                _os.path.join(logdir, "prof.log"), contexts))
+        if self.telemetry.tracer.enabled:
+            written.append(write_flows_jsonl(
+                _os.path.join(logdir, "flows.jsonl"),
+                self.telemetry.tracer))
+        return written

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 from ..runtime.faults import FaultInjector, registered_sites
 from ..runtime.telemetry import Telemetry
 from .app import HostApp, PipelineServices
-from .parallel import LaneSpec, ParallelPipeline, default_backend
+from .parallel import LaneSpec, ParallelPipeline
 from .pipeline import Pipeline
 
 __all__ = [
@@ -151,19 +151,17 @@ def add_pipeline_args(parser: argparse.ArgumentParser,
                              f"(default {default_workers})")
     parser.add_argument("--vthreads", type=int, default=None, metavar="M",
                         help="virtual thread supply (default 4*workers)")
-    parser.add_argument("--backend",
-                        choices=["vthread", "threaded", "process", "pool"],
-                        default=None,
-                        help="parallel drive mode: deterministic vthread "
-                             "scheduler, real threads, one process per "
-                             "worker, or the persistent shared-memory "
-                             "worker pool (default: pool on multi-core "
-                             "hosts, else process)")
+    parser.add_argument("--backend", choices=["vthread", "pool"],
+                        default="pool",
+                        help="parallel drive mode: the persistent "
+                             "shared-memory worker pool (default) or the "
+                             "deterministic vthread scheduler (the "
+                             "differential oracle)")
     parser.add_argument("--start-method",
                         choices=["fork", "spawn"], default=None,
-                        help="multiprocessing start method for the "
-                             "process/pool backends (default: fork "
-                             "where available, else spawn)")
+                        help="multiprocessing start method of the pool "
+                             "workers (default: fork where available, "
+                             "else spawn)")
 
 
 def add_service_args(parser: argparse.ArgumentParser) -> None:
@@ -278,12 +276,16 @@ def run_host_app(
     make_spec: Callable[[argparse.Namespace], LaneSpec],
     results_name: str = "results.log",
     summarize: Optional[Callable[[Dict], str]] = None,
+    save_logs: Optional[Callable[[object, str], List[str]]] = None,
 ) -> int:
     """The generic driver main: run *make_app*'s application over the
     trace (sequentially, flow-parallel, or as a streaming service),
     write the sorted result lines and any armed telemetry reports into
-    ``--logdir``, print the shared summary.  Returns the process exit
-    code."""
+    ``--logdir``, print the shared summary.  *summarize* extends the
+    ``processed`` line from the stats; *save_logs* writes app-specific
+    output files beside the result lines — called with the app (or the
+    :class:`ParallelPipeline`) and the log directory, it returns summary
+    lines to print.  Returns the process exit code."""
     if getattr(args, "serve", False):
         return run_host_service(args, prog, make_app, make_spec,
                                 results_name)
@@ -305,8 +307,7 @@ def run_host_app(
             make_spec(args),
             workers=args.workers,
             vthreads=args.vthreads,
-            backend=(args.backend if args.backend is not None
-                     else default_backend()),
+            backend=args.backend,
             telemetry=telemetry,
             start_method=getattr(args, "start_method", None),
         )
@@ -323,7 +324,7 @@ def run_host_app(
         finally:
             _restore_interrupt_handler(previous)
         lines = pipe.result_lines()
-        writers = pipe
+        run = writers = pipe
         app_name = pipe.spec.app_name
     else:
         services = PipelineServices(
@@ -334,7 +335,7 @@ def run_host_app(
             session_ttl=args.session_ttl,
             memory_budget_bytes=args.memory_budget,
         )
-        app = make_app(args, services)
+        run = app = make_app(args, services)
         writers = Pipeline(app)
         previous = _install_interrupt_handler()
         try:
@@ -365,6 +366,7 @@ def run_host_app(
     with open(results_path, "w") as stream:
         for line in lines:
             stream.write(line + "\n")
+    saved = save_logs(run, args.logdir) if save_logs is not None else []
 
     # The flow ledger always ships: every run leaves a schema-valid
     # flow_records.jsonl next to results.log (empty stream for apps
@@ -389,6 +391,8 @@ def run_host_app(
               f"({stats['vthreads']} vthreads)")
     print(f"  {results_path}: {len(lines)} lines")
     print(f"  fingerprint: sha256:{fingerprint(lines)}")
+    for line in saved:
+        print(line)
     print(f"  {records_path}: {len(record_lines)} flow records")
     print(f"  flow fingerprint: sha256:{fingerprint(record_lines)}")
     if args.stats and not interrupted:

@@ -3,25 +3,24 @@
 The paper's concurrency model (section 3.2), generalized from the Bro
 exemplar to the whole substrate: packets hash to virtual threads, each
 vthread's lane runs one isolated app instance, and no lane touches
-another lane's state.  Four drive backends execute the same dispatch
+another lane's state.  Two drive backends execute the same dispatch
 plan:
 
 * ``vthread`` — the deterministic differential oracle
   (``Scheduler.run_until_idle`` on one OS thread);
-* ``threaded`` — the same jobs on real ``threading`` workers;
-* ``process`` — a ``multiprocessing`` fan-out, one subprocess per
-  worker, results reduced at join;
-* ``pool`` — the persistent shared-memory worker pool
-  (:mod:`repro.host.pool`): workers spawn once and stay hot across
-  runs, packets travel as length-prefixed batches through SPSC rings.
-  The default on multi-core hosts (:func:`default_backend`).
+* ``pool`` — real parallelism, and the default: the persistent
+  shared-memory worker pool (:mod:`repro.host.pool`), whose workers
+  spawn once and stay hot across runs while packets travel as
+  length-prefixed batches through SPSC rings.
 
 What varies per application lives in a picklable :class:`LaneSpec`: how
-to build a lane (``make_lane``), how to harvest it (``lane_result``),
-how packets map to flows and vthreads (``flow_of`` / ``key_of`` /
-``place`` — the firewall shards by host *pair* instead of 5-tuple so its
-dynamic-rule state stays lane-local), and how per-flow uids are
-pre-assigned in global arrival order (``uid_format``).
+to build a lane (``make_lane``), how to harvest it (``lane_result`` /
+``result_lines_of``), how packets map to flows and vthreads
+(``flow_of`` / ``key_of`` / ``place`` — the firewall shards by host
+*pair* instead of 5-tuple so its dynamic-rule state stays lane-local),
+how per-flow uids are pre-assigned in global arrival order
+(``uid_format``), and what the merge must repair for the app
+(``max_gauges``, ``dedup_lanes``).
 
 Output determinism is the load-bearing property: merged result lines are
 sorted lexicographically, so the merge is a pure function of content,
@@ -31,7 +30,6 @@ pipeline.  See ``docs/PARALLELISM.md``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os as _os
 import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -40,36 +38,22 @@ from ..core.values import Time
 from ..net.flows import FiveTuple, decode_flow, vthread_of
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
-from .worker import process_worker as _process_worker  # noqa: F401 (re-export)
 
 __all__ = [
     "LaneSpec",
     "ParallelPipeline",
-    "default_backend",
     "dispatch_plan",
     "flow_key",
+    "lane_payload",
     "merge_health",
     "prof_snapshots",
-    "usable_cpus",
 ]
 
-_BACKENDS = ("vthread", "threaded", "process", "pool")
+_BACKENDS = ("vthread", "pool")
 
-
-def usable_cpus() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(_os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return _os.cpu_count() or 1
-
-
-def default_backend() -> str:
-    """The backend ``--parallel`` picks when none is named: the
-    persistent pool wherever real parallelism exists, the classic
-    one-shot process fan-out on a single-CPU box (where hot workers
-    buy nothing and the pool's resident processes are pure cost)."""
-    return "pool" if usable_cpus() > 1 else "process"
+#: Gauges whose lane-merge takes the max instead of the sum, for every
+#: app (a spec's ``max_gauges`` extend this).
+_MAX_GAUGES = ("health.breaker_tripped",)
 
 
 def flow_key(flow) -> Tuple:
@@ -79,6 +63,23 @@ def flow_key(flow) -> Tuple:
     use exactly this key, so pre-assigned uids resolve across process
     boundaries."""
     return flow.key
+
+
+def lane_payload(app) -> Dict:
+    """The app-independent part of a lane result, as plain (picklable)
+    data: the flow ledger, the stats report, and — when telemetry is
+    armed — the registry, profiler dumps and span trees."""
+    telemetry = app.telemetry
+    tracer = telemetry.tracer
+    return {
+        "flow_records": app.flow_record_lines(),
+        "stats": dict(app.stats),
+        "metrics": (telemetry.metrics.collect()
+                    if telemetry.enabled else None),
+        "prof": prof_snapshots(app) if telemetry.enabled else None,
+        "trace_roots": ([root.to_dict() for root in tracer.roots]
+                        if tracer.enabled else None),
+    }
 
 
 class LaneSpec:
@@ -96,6 +97,9 @@ class LaneSpec:
     #: when ``uid_format`` already covers flow keys, else a callable
     #: ``serial -> str`` applied per first-sighted flow key.
     record_uid_format = None
+
+    #: The app's high-water-mark gauges: merged by max across lanes.
+    max_gauges: Tuple[str, ...] = ()
 
     # -- flow placement (the Bro defaults; apps may reshard) --------------
 
@@ -121,32 +125,28 @@ class LaneSpec:
 
     def lane_result(self, app) -> Dict:
         """Everything the merge needs from one finished lane, as plain
-        data (the process backend sends this through a pipe)."""
-        tracer = app.telemetry.tracer
-        return {
-            "lines": app.result_lines(),
-            "flow_records": app.flow_record_lines(),
-            "stats": dict(app.stats),
-            "metrics": (app.telemetry.metrics.collect()
-                        if app.telemetry.enabled else None),
-            "prof": (prof_snapshots(app)
-                     if app.telemetry.enabled else None),
-            "trace_roots": ([root.to_dict() for root in tracer.roots]
-                            if tracer.enabled else None),
-        }
+        data (pool workers pickle it back through their rings)."""
+        result = lane_payload(app)
+        result["lines"] = app.result_lines()
+        return result
 
     def result_lines_of(self, result: Dict) -> List[str]:
         """The mergeable output lines inside one :meth:`lane_result`
         payload.  The default reads the generic ``lines`` key; apps
         with richer payloads (Bro's per-stream logs) override this so
-        generic harvesters — the service's pool lanes — need no
-        app-specific knowledge."""
+        the generic harvesters — the merge and the service's pool
+        lanes — need no app-specific knowledge."""
         return list(result["lines"])
 
     def flow_record_lines_of(self, result: Dict) -> List[str]:
         """The lane's sealed flow-record lines inside one
         :meth:`lane_result` payload."""
         return list(result.get("flow_records") or [])
+
+    def dedup_lanes(self, stats: Dict, metrics, lanes: int) -> None:
+        """Undo, in the merged *stats* and aggregate *metrics* (``None``
+        when telemetry is off), work every lane did once that a
+        sequential run does once in total.  The default has none."""
 
 
 def dispatch_plan(
@@ -241,7 +241,7 @@ def merge_health(reports: List[Dict]) -> Dict:
 
 
 # --------------------------------------------------------------------------
-# Lanes: one isolated app instance per vthread (or per process worker)
+# Lanes: one isolated app instance per vthread
 # --------------------------------------------------------------------------
 
 
@@ -268,13 +268,6 @@ class _LaneProgram:
         lane.on_packet(Time.from_nanos(nanos), frame)
 
 
-# The subprocess entry bodies live in :mod:`repro.host.worker`, which
-# is import-side-effect-free — the property that makes the ``spawn``
-# start method safe (the child imports the entry's module before the
-# target runs; importing *this* module would drag the whole substrate
-# in).  ``_process_worker`` above is re-exported for compatibility.
-
-
 # --------------------------------------------------------------------------
 # The parallel driver
 # --------------------------------------------------------------------------
@@ -284,36 +277,29 @@ class ParallelPipeline:
     """A flow-parallel run of one app: same analysis, N isolated lanes.
 
     *workers* is the hardware parallelism, *vthreads* the virtual-thread
-    supply (defaults to ``4 * workers``), *backend* one of ``vthread``,
-    ``threaded``, ``process``, ``pool`` (``None`` resolves via
-    :func:`default_backend`).  The deterministic fault injector is
+    supply (defaults to ``4 * workers``), *backend* ``pool`` (the
+    default) or ``vthread``.  The deterministic fault injector is
     intentionally not plumbed through — its per-site random streams are
     sequential by construction and would diverge per lane.
 
-    *start_method* overrides the multiprocessing start method for the
-    ``process`` and ``pool`` backends (default: ``fork`` where the
-    platform has it, else ``spawn``); *join_timeout* bounds how long a
-    run waits for any worker's result before declaring it lost — a
-    worker killed mid-run is reaped, its unretired jobs are counted in
-    :attr:`jobs_lost`, and the run fails with a diagnostic instead of
-    hanging the join.
+    *start_method* overrides the pool's multiprocessing start method
+    (default: ``fork`` where the platform has it, else ``spawn``);
+    *join_timeout* bounds how long a run waits for any worker's result
+    before declaring it lost — a worker killed mid-run is detected, its
+    unretired packets are counted in :attr:`jobs_lost`, and the run
+    raises :class:`~repro.host.pool.PoolError` instead of hanging.
     """
-
-    #: Gauge series whose lane-merge takes the max instead of the sum.
-    GAUGE_MERGE: Dict[str, str] = {"health.breaker_tripped": "max"}
 
     def __init__(
         self,
         spec: LaneSpec,
         workers: int = 4,
         vthreads: Optional[int] = None,
-        backend: Optional[str] = "process",
+        backend: str = "pool",
         telemetry: Optional[Telemetry] = None,
         start_method: Optional[str] = None,
         join_timeout: float = 60.0,
     ):
-        if backend is None:
-            backend = default_backend()
         if backend not in _BACKENDS:
             raise ValueError(f"unknown parallel backend {backend!r}")
         if workers < 1:
@@ -332,7 +318,8 @@ class ParallelPipeline:
         #: Packets handed to workers that died before retiring them
         #: (conservation diagnostic populated when a run fails).
         self.jobs_lost = 0
-        self._results: List[Dict] = []
+        #: The last run's per-lane :meth:`LaneSpec.lane_result` payloads.
+        self.lane_results: List[Dict] = []
         self._lines: List[str] = []
         self._flow_records: List[str] = []
         self._trace_roots: List[Dict] = []
@@ -345,29 +332,13 @@ class ParallelPipeline:
         begin = _time.perf_counter_ns()
         jobs, uid_map = dispatch_plan(packets, self.vthreads, self.workers,
                                       spec=self.spec)
-        if self.backend == "pool":
-            self._run_pool(jobs, uid_map)
-        elif self.backend == "process":
-            self._run_process(jobs, uid_map)
-        else:
-            self._run_scheduler(jobs, uid_map,
-                                threaded=self.backend == "threaded")
-        self._merge(_time.perf_counter_ns() - begin)
+        self._execute(jobs, uid_map, begin)
         return self.stats
 
-    def run_pcap(self, path: str, tolerant: bool = False,
-                 shard_dir: Optional[str] = None) -> Dict:
-        """Drive the lanes from a pcap trace.
-
-        With *shard_dir* (process backend only) the trace is fanned out
-        into per-worker pcap shard files which the workers read
-        themselves — the scalable route for traces that should not live
-        in the parent's memory twice.
-        """
+    def run_pcap(self, path: str, tolerant: bool = False) -> Dict:
+        """Drive the lanes from a pcap trace."""
         from ..net.pcap import PcapReader
 
-        if shard_dir is not None and self.backend != "process":
-            raise ValueError("pcap sharding requires the process backend")
         begin = _time.perf_counter_ns()
         with PcapReader(path, tolerant=tolerant) as reader:
             jobs, uid_map = dispatch_plan(reader, self.vthreads,
@@ -377,41 +348,21 @@ class ParallelPipeline:
                 "records_skipped": reader.records_skipped,
                 "resyncs": reader.resyncs,
             }
-        if shard_dir is not None:
-            shards = self._write_shards(jobs, shard_dir)
-            self._run_process(jobs, uid_map, shard_paths=shards)
-        elif self.backend == "pool":
-            self._run_pool(jobs, uid_map)
-        elif self.backend == "process":
-            self._run_process(jobs, uid_map)
-        else:
-            self._run_scheduler(jobs, uid_map,
-                                threaded=self.backend == "threaded")
-        self._merge(_time.perf_counter_ns() - begin)
+        self._execute(jobs, uid_map, begin)
         skipped = self._pcap_stats["records_skipped"]
         if skipped:
             self.stats["health"]["records_skipped"] += skipped
         return self.stats
 
-    def _write_shards(self, jobs, shard_dir: str) -> List[str]:
-        """Fan the dispatch plan out into per-worker pcap shard files."""
-        from ..net.pcap import PcapWriter
+    def _execute(self, jobs, uid_map, begin: int) -> None:
+        if self.backend == "pool":
+            self._run_pool(jobs, uid_map)
+        else:
+            self._run_scheduler(jobs, uid_map)
+        self._merge(_time.perf_counter_ns() - begin)
 
-        _os.makedirs(shard_dir, exist_ok=True)
-        paths = [_os.path.join(shard_dir, f"shard-{i:03d}.pcap")
-                 for i in range(self.workers)]
-        writers = [PcapWriter(p, nanos=True) for p in paths]
-        try:
-            for vid, nanos, frame in jobs:
-                writers[vid % self.workers].write(
-                    Time.from_nanos(nanos), frame)
-        finally:
-            for writer in writers:
-                writer.close()
-        return paths
-
-    def _run_scheduler(self, jobs, uid_map, threaded: bool) -> None:
-        """In-process backends: packet jobs on the vthread scheduler."""
+    def _run_scheduler(self, jobs, uid_map) -> None:
+        """The oracle backend: packet jobs on the vthread scheduler."""
         program = _LaneProgram(self.spec, uid_map)
         scheduler = Scheduler(program, workers=self.workers)
         # Lane 0 always exists: it owns stray frames and guarantees any
@@ -419,10 +370,7 @@ class ParallelPipeline:
         scheduler.context_for(0)
         for vid, nanos, frame in jobs:
             scheduler.schedule(vid, "packet", (nanos, frame))
-        if threaded:
-            scheduler.run_threaded()
-        else:
-            scheduler.run_until_idle()
+        scheduler.run_until_idle()
         self.scheduler = scheduler
         contexts = scheduler.contexts()
         results = []
@@ -430,161 +378,47 @@ class ParallelPipeline:
             lane = contexts[vid]
             lane.on_end()
             results.append(self.spec.lane_result(lane))
-        self._results = results
+        self.lane_results = results
 
-    def _shard_jobs(self, jobs) -> List[List[Tuple[int, bytes]]]:
-        """Fan the dispatch plan out into per-worker in-memory shards
-        (the scheduler rule: ``vid % workers``)."""
+    def _run_pool(self, jobs, uid_map) -> None:
+        """The persistent shared-memory pool backend: batched packet
+        slices (the scheduler's ``vid % workers`` rule) through SPSC
+        rings into workers that outlive the run."""
+        from .pool import PoolError, WorkerPool
+
         shards: List[List[Tuple[int, bytes]]] = [
             [] for __ in range(self.workers)
         ]
         for vid, nanos, frame in jobs:
             shards[vid % self.workers].append((nanos, frame))
-        return shards
-
-    def _resolve_context(self):
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        return multiprocessing.get_context(method)
-
-    def _run_pool(self, jobs, uid_map) -> None:
-        """The persistent shared-memory pool backend: batched packet
-        slices through SPSC rings into workers that outlive the run."""
-        from .pool import PoolError, WorkerPool
-
         pool = WorkerPool.shared(self.workers,
                                  start_method=self.start_method)
         try:
-            self._results = pool.run(self.spec, uid_map,
-                                     self._shard_jobs(jobs),
-                                     timeout=self.join_timeout)
+            self.lane_results = pool.run(self.spec, uid_map, shards,
+                                         timeout=self.join_timeout)
         except PoolError as error:
             self.jobs_lost = error.jobs_lost
             raise
-
-    def _run_process(self, jobs, uid_map,
-                     shard_paths: Optional[List[str]] = None) -> None:
-        """The one-shot multiprocessing backend: one subprocess per
-        worker per run.
-
-        The join polls every pipe with a deadline instead of blocking
-        on ``recv()``: a worker killed mid-job (OOM, signal) is
-        detected by liveness, reaped, and its shard's jobs accounted
-        as lost — the run fails with the conservation diagnostic
-        instead of hanging forever on a pipe no one will ever write.
-        """
-        if shard_paths is None:
-            shards = self._shard_jobs(jobs)
-        else:
-            shards = shard_paths  # type: ignore[assignment]
-        # Lost-job accounting needs per-worker job counts even when
-        # workers read their shards from pcap files themselves.
-        shard_counts = [0] * self.workers
-        for vid, __, __unused in jobs:
-            shard_counts[vid % self.workers] += 1
-        ctx = self._resolve_context()
-        procs = []
-        pipes = []
-        for index in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_process_worker,
-                args=(child_conn, self.spec, shards[index], uid_map),
-            )
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            pipes.append(parent_conn)
-        results: List[Optional[Dict]] = [None] * self.workers
-        failures: List[str] = []
-        jobs_lost = 0
-        deadline = _time.monotonic() + self.join_timeout
-        pending = set(range(self.workers))
-        while pending:
-            reaped = False
-            for index in sorted(pending):
-                proc, conn = procs[index], pipes[index]
-                result: Optional[Dict] = None
-                if conn.poll(0.01):
-                    try:
-                        result = conn.recv()
-                    except EOFError:
-                        result = {"error": "worker died before reporting"}
-                elif not proc.is_alive():
-                    # Dead with an empty pipe — but a worker can exit
-                    # between writing its result and our poll, so give
-                    # the pipe one more look before declaring a crash.
-                    if conn.poll(0.01):
-                        try:
-                            result = conn.recv()
-                        except EOFError:
-                            result = {
-                                "error": "worker died before reporting"}
-                    else:
-                        proc.join(timeout=1.0)
-                        result = {"error": (
-                            f"worker died (exitcode {proc.exitcode}) "
-                            "before reporting")}
-                else:
-                    continue
-                conn.close()
-                pending.discard(index)
-                reaped = True
-                if "error" in result:
-                    lost = shard_counts[index]
-                    jobs_lost += lost
-                    failures.append(
-                        f"worker {index}: {result['error']} "
-                        f"({lost} jobs lost)")
-                else:
-                    results[index] = result
-            if pending and not reaped and _time.monotonic() >= deadline:
-                for index in sorted(pending):
-                    procs[index].terminate()
-                    procs[index].join(timeout=1.0)
-                    pipes[index].close()
-                    lost = shard_counts[index]
-                    jobs_lost += lost
-                    failures.append(
-                        f"worker {index}: no result within "
-                        f"{self.join_timeout:.1f}s, terminated "
-                        f"({lost} jobs lost)")
-                pending.clear()
-        for proc in procs:
-            proc.join(timeout=5.0)
-        self.jobs_lost = jobs_lost
-        if failures:
-            raise RuntimeError(
-                "parallel workers failed: " + "; ".join(failures)
-                + (f" — {jobs_lost} jobs lost (conservation broken)"
-                   if jobs_lost else ""))
-        self._results = [r for r in results if r is not None]
 
     # -- the ordered merge --------------------------------------------------
 
     def _merge(self, total_ns: int) -> None:
         """Reduce per-lane results into one deterministic report: result
-        lines merge by lexicographic sort, integer stats sum, the health
-        reports reduce, per-lane metric registries merge."""
-        results = self._results
+        lines merge by lexicographic sort, integer stats (and dicts of
+        them) sum, the health reports reduce, per-lane metric registries
+        merge, and the spec undoes per-lane duplicated work."""
+        spec = self.spec
+        results = self.lane_results
         lanes = len(results)
 
-        lines: List[str] = []
-        for result in results:
-            lines.extend(result["lines"])
-        lines.sort()
-        self._lines = lines
-
+        self._lines = sorted(line for result in results
+                             for line in spec.result_lines_of(result))
         # Flow records merge exactly like result lines: each sealed flow
         # is wholly one lane's, so the sorted union is byte-identical to
         # the sequential ledger's sorted stream.
-        records: List[str] = []
-        for result in results:
-            records.extend(self.spec.flow_record_lines_of(result))
-        records.sort()
-        self._flow_records = records
+        self._flow_records = sorted(
+            line for result in results
+            for line in spec.flow_record_lines_of(result))
 
         def stat_sum(key):
             return sum(int(r["stats"].get(key, 0)) for r in results)
@@ -593,7 +427,7 @@ class ParallelPipeline:
         script_ns = stat_sum("script_ns")
         glue_ns = stat_sum("glue_ns")
         self.stats = {
-            "app": self.spec.app_name,
+            "app": spec.app_name,
             "total_ns": total_ns,
             "parsing_ns": parsing_ns,
             "script_ns": script_ns,
@@ -611,39 +445,46 @@ class ParallelPipeline:
                 len(self.scheduler.errors) if self.scheduler else 0
             ),
         }
-        # Application counters (integer-valued app_stats entries) sum
-        # across lanes; non-numeric entries pass through from lane 0.
-        fixed = set(self.stats) | {"total_ns", "other_ns"}
+        # Application counters sum across lanes — integers, and dicts of
+        # integers per key; other entries pass through from lane 0.
+        fixed = set(self.stats)
         for result in results:
             for key, value in result["stats"].items():
                 if key in fixed:
                     continue
-                if isinstance(value, bool) or not isinstance(value, int):
+                if isinstance(value, dict):
+                    counts = self.stats.setdefault(key, {})
+                    for name, count in value.items():
+                        counts[name] = counts.get(name, 0) + count
+                elif isinstance(value, bool) or not isinstance(value, int):
                     self.stats.setdefault(key, value)
                 else:
                     self.stats[key] = int(self.stats.get(key, 0)) + value
+        metrics = None
         if self.telemetry.enabled:
-            self._merge_metrics(results, lanes)
-        self._trace_roots = []
-        for result in results:
-            if result.get("trace_roots"):
-                self._trace_roots.extend(result["trace_roots"])
+            metrics = self.telemetry.metrics
+            self._merge_metrics(results)
+        spec.dedup_lanes(self.stats, metrics, lanes)
+        self._trace_roots = [root for result in results
+                             for root in result.get("trace_roots") or ()]
 
-    def _merge_metrics(self, results: List[Dict], lanes: int) -> None:
+    def _merge_metrics(self, results: List[Dict]) -> None:
         """Reduce per-lane registries, then repair the series whose
         lane-sum is not the sequential semantic: the per-component CPU
         gauges (total is this run's wall clock, other its remainder) and
         the parent-side pcap counters."""
         metrics = self.telemetry.metrics
+        gauge_merge = dict.fromkeys(_MAX_GAUGES + self.spec.max_gauges,
+                                    "max")
         for index, result in enumerate(results):
             if result["metrics"]:
                 # Twice: once unlabeled (the aggregate the differential
                 # oracle compares to the sequential run) and once under
                 # a ``worker`` label for per-lane attribution.
                 metrics.merge_series(result["metrics"],
-                                     gauge_merge=self.GAUGE_MERGE)
+                                     gauge_merge=gauge_merge)
                 metrics.merge_series(result["metrics"],
-                                     gauge_merge=self.GAUGE_MERGE,
+                                     gauge_merge=gauge_merge,
                                      extra_labels={"worker": str(index)})
         name = self.spec.app_name
         for component in ("parsing", "script", "glue", "other", "total"):
@@ -715,9 +556,9 @@ class ParallelPipeline:
         written.append(write_flowrecords_jsonl(
             _os.path.join(logdir, "flow_records.jsonl"),
             self.spec.app_name, self._flow_records))
-        if any(result.get("prof") for result in self._results):
+        if any(result.get("prof") for result in self.lane_results):
             written.append(write_parallel_prof_log(
-                _os.path.join(logdir, "prof.log"), self._results))
+                _os.path.join(logdir, "prof.log"), self.lane_results))
         if self._trace_roots:
             path = _os.path.join(logdir, "flows.jsonl")
             lines = sorted(

@@ -5,7 +5,8 @@ tolerant pcap reader with skip/resync accounting, the ``pcap.record``
 fault-injection point, the robustness counters the exporter publishes —
 plus the unified telemetry file emitters (``metrics.jsonl``,
 ``stats.log``, ``prof.log``, ``flows.jsonl``, ``cpu_breakdown.json``)
-that every host application shares.
+that every host application's report writers
+(:meth:`HostApp.write_telemetry` and friends) share.
 
 Extracted from ``repro.apps.bro.main`` (which now delegates here); the
 BPF filter, firewall, and BinPAC++ drivers get the identical ingest and
@@ -14,13 +15,11 @@ reporting for free.
 
 from __future__ import annotations
 
-import json as _json
-import os as _os
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime.exceptions import HiltiError
 from ..runtime.faults import SITE_PCAP_RECORD
-from ..runtime.telemetry import cpu_breakdown_report, render_stats_log
+from ..runtime.telemetry import render_stats_log
 from .app import HostApp
 
 __all__ = [
@@ -148,66 +147,16 @@ class Pipeline:
         stats["health"] = services.health.as_dict(services.faults)
         return stats
 
-    # -- reporting ---------------------------------------------------------
+    # -- reporting (the app's own writers) ---------------------------------
 
     def cpu_breakdown(self, config: Optional[Dict] = None) -> Dict:
         """The Figures 9/10 machine-readable report for the last run."""
-        if not self.app.stats:
-            raise RuntimeError("cpu_breakdown() requires a completed run")
-        if config is None:
-            config = {"app": self.app.name}
-        return cpu_breakdown_report(self.app.stats, config=config)
+        return self.app.cpu_breakdown(config)
 
     def write_cpu_breakdown(self, path: str,
                             config: Optional[Dict] = None) -> Dict:
-        report = self.cpu_breakdown(config)
-        with open(path, "w") as stream:
-            _json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        return report
+        return self.app.write_cpu_breakdown(path, config)
 
-    def write_telemetry(self, logdir: str,
-                        meta: Optional[Dict] = None,
-                        sections: Optional[Dict[str, Dict]] = None,
-                        ) -> List[str]:
-        """Emit the reporting layer's files into *logdir*; returns the
-        paths written.  ``prof.log`` appears when the app drove HILTI
-        execution contexts, ``flows.jsonl`` when tracing was armed."""
-        app = self.app
-        _os.makedirs(logdir, exist_ok=True)
-        written: List[str] = []
-        if meta is None:
-            meta = {"app": app.name}
-        written.append(write_metrics_jsonl(
-            _os.path.join(logdir, "metrics.jsonl"),
-            app.telemetry.metrics, meta=meta))
-        if sections is None:
-            sections = {}
-            health = app.stats.get("health") if app.stats else None
-            if health:
-                sections["health"] = {
-                    key: health[key]
-                    for key in ("flows_quarantined", "records_skipped",
-                                "watchdog_trips", "injected_faults")
-                    if key in health
-                }
-            engines = {
-                f"{label}.instructions": ctx.instr_count
-                for label, ctx in app.engine_contexts()
-            }
-            if engines:
-                sections["engine"] = engines
-        written.append(write_stats_log(
-            _os.path.join(logdir, "stats.log"), app.stats, sections))
-        written.append(write_flowrecords_jsonl(
-            _os.path.join(logdir, "flow_records.jsonl"), app.name,
-            app.flow_record_lines()))
-        contexts = list(app.engine_contexts())
-        if contexts:
-            written.append(write_prof_log(
-                _os.path.join(logdir, "prof.log"), contexts))
-        if app.telemetry.tracer.enabled:
-            written.append(write_flows_jsonl(
-                _os.path.join(logdir, "flows.jsonl"),
-                app.telemetry.tracer))
-        return written
+    def write_telemetry(self, logdir: str) -> List[str]:
+        """Emit the reporting layer's files into *logdir*."""
+        return self.app.write_telemetry(logdir)

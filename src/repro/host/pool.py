@@ -1,10 +1,9 @@
 """A persistent, shared-memory-fed worker pool for flow-parallel runs.
 
-The original ``process`` backend respawned every worker per run and
-pickled every packet job through a ``Pipe`` — measured at 0.14–0.86x of
-sequential on the recorded benchmarks, i.e. parallelism that costs more
-than it buys.  This module removes both overheads, mirroring the DPDK
-burst-processing idiom:
+The real-parallelism backend of
+:class:`~repro.host.parallel.ParallelPipeline` (and the streaming
+service's pool lane transport).  It pays neither a per-run worker spawn
+nor a per-packet pickle, mirroring the DPDK burst-processing idiom:
 
 * **Workers spawn once and stay hot.**  A :class:`WorkerPool` owns N
   subprocesses that live across runs (and across service restarts);
@@ -22,12 +21,11 @@ burst-processing idiom:
   streaming service's conservation accounting) always knows how many
   packets a worker has actually retired.
 
-Failure semantics match the hardened process backend: a worker death
-or in-run error is detected by liveness polling against a deadline,
-the un-retired packet count is reported in the diagnostic (the
-conservation counters), the run fails loudly instead of hanging, and
-the dead worker is respawned so the pool stays usable for the next
-run.
+Failure semantics: a worker death or in-run error is detected by
+liveness polling against a deadline, the un-retired packet count is
+reported in the diagnostic (the conservation counters), the run fails
+loudly instead of hanging, and the dead worker is respawned so the
+pool stays usable for the next run.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Subprocess entry points for the parallel backends.
+"""The subprocess entry point of the pool backend.
 
 This module is deliberately **side-effect-free at import time**: it
 pulls in only the standard library and :mod:`repro.host.ring`, and
-imports the runtime pieces it needs (``Time``, ``PcapReader``) lazily
-inside the functions.  That is what makes the ``spawn`` start method
+imports the runtime pieces it needs (``Time``) lazily inside the
+functions.  That is what makes the ``spawn`` start method
 safe — a spawned child imports the module named by the process target
 before anything runs, and the original home of the worker body
 (:mod:`repro.host.parallel`) drags in the whole host substrate, which
@@ -12,13 +12,10 @@ Keeping the entry here means a worker boots with no application code
 at all until a pickled :class:`~repro.host.parallel.LaneSpec` arrives
 and names what to build.
 
-Two entry points live here:
-
-* :func:`process_worker` — the classic one-shot pipe backend body
-  (one subprocess per run, results pickled back through a ``Pipe``);
-* :func:`pool_worker_main` — the persistent pool worker: a loop over
-  a shared-memory ring that serves many runs without respawning,
-  parsing length-prefixed packet batches straight off the ring.
+The entry point is :func:`pool_worker_main` — the persistent pool
+worker: a loop over a shared-memory ring that serves many runs without
+respawning, parsing length-prefixed packet batches straight off the
+ring.
 
 The pool protocol is tagged messages (:class:`~repro.host.ring.
 MessageChannel`) with a per-run epoch so late batches of a failed run
@@ -64,7 +61,6 @@ __all__ = [
     "decode_batch",
     "encode_packet",
     "pool_worker_main",
-    "process_worker",
     "telemetry_snapshot",
 ]
 
@@ -102,41 +98,6 @@ def decode_batch(payload: bytes) -> Iterator[Tuple[int, bytes]]:
         offset += size
         yield nanos, payload[offset:offset + length]
         offset += length
-
-
-# --------------------------------------------------------------------------
-# The one-shot pipe backend (``--backend process``)
-# --------------------------------------------------------------------------
-
-
-def process_worker(conn, spec, shard, uid_map) -> None:
-    """Subprocess body: run one lane over one flow shard, ship the
-    result back through the pipe.  *shard* is either an in-memory list
-    of ``(nanos, frame)`` or a path to a pcap shard file."""
-    try:
-        from ..core.values import Time
-
-        lane = spec.make_lane(uid_map)
-        lane.on_begin()
-        if isinstance(shard, str):
-            from ..net.pcap import PcapReader
-
-            with PcapReader(shard) as reader:
-                for timestamp, frame in reader:
-                    lane.on_packet(timestamp, frame)
-        else:
-            for nanos, frame in shard:
-                lane.on_packet(Time.from_nanos(nanos), frame)
-        lane.on_end()
-        conn.send(spec.lane_result(lane))
-    except BaseException as error:  # surface the failure to the parent
-        try:
-            conn.send({"error": repr(error)})
-        except Exception:
-            pass
-        raise
-    finally:
-        conn.close()
 
 
 def telemetry_snapshot(lane, processed: int) -> Dict:

@@ -5,7 +5,7 @@ shared pipeline driver::
 
     python -m repro.tools.bpf_filter 'tcp and port 80' -r trace.pcap
     python -m repro.tools.bpf_filter 'host 10.0.0.1' -r trace.pcap \
-        --engine vm --parallel --backend threaded
+        --engine vm --parallel --backend vthread
 
 Shares the full ``repro.host.cli`` surface with the other drivers:
 ``--metrics``, ``--inject``, ``--watchdog``, ``--parallel``,

@@ -107,6 +107,7 @@ class TestBroOptLevel:
             watchdog = 7
             opt_level = 2
             metrics = False
+            trace_flows = False
 
         spec = bro_cli._make_spec(_Namespace(), scripts=None)
         assert spec.config["opt_level"] == 2
@@ -131,3 +132,42 @@ class TestBroPacParsers:
         assert bro_cli.main(["-r", pcap, "--parsers", "pac",
                              "--logdir", logdir]) == 0
         assert os.path.exists(os.path.join(logdir, "dns.log"))
+
+
+class TestBroHostCli:
+    """bro is a ``run_host_app`` client: the shared flags, the shared
+    fingerprint lines, and no silently ignored knob."""
+
+    @staticmethod
+    def _fingerprints(out):
+        return [line.strip() for line in out.splitlines()
+                if "fingerprint: sha256:" in line]
+
+    def test_parallel_fingerprints_match_sequential(self, tmp_path, capsys):
+        pcap = str(tmp_path / "http.pcap")
+        tracegen_cli.main(["http", "--sessions", "6", "-o", pcap])
+        capsys.readouterr()
+        assert bro_cli.main(["-r", pcap,
+                             "--logdir", str(tmp_path / "seq")]) == 0
+        sequential = self._fingerprints(capsys.readouterr().out)
+        assert bro_cli.main(["-r", pcap, "--parallel", "--workers", "2",
+                             "--backend", "vthread",
+                             "--logdir", str(tmp_path / "par")]) == 0
+        out = capsys.readouterr().out
+        assert "parallel: " in out and "vthread workers" in out
+        assert len(sequential) == 2
+        assert self._fingerprints(out) == sequential
+        for name in ("conn", "http", "files"):
+            par = (tmp_path / "par" / f"{name}.log").read_text()
+            seq = (tmp_path / "seq" / f"{name}.log").read_text()
+            assert sorted(par.splitlines()) == sorted(seq.splitlines())
+
+    def test_memory_budget_refused(self, tmp_path, capsys):
+        pcap = str(tmp_path / "http.pcap")
+        tracegen_cli.main(["http", "--sessions", "2", "-o", pcap])
+        with pytest.raises(SystemExit) as excinfo:
+            bro_cli.main(["-r", pcap, "--memory-budget", "4096",
+                          "--logdir", str(tmp_path / "logs")])
+        assert excinfo.value.code != 0
+        assert "--memory-budget" in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists()

@@ -5,9 +5,8 @@ Every host application seals its flows through the one shared
 makes is the strongest observable one: the sorted record stream — and
 therefore the ``flow_records.jsonl`` file — is a pure function of
 trace content, **byte-identical** between the sequential pipeline and
-every parallel backend (deterministic vthread scheduler, real threads,
-one process per worker, the persistent shared-memory pool) at any
-worker count.  This holds even though bpf and firewall lanes inject
+both parallel backends (the deterministic vthread scheduler and the
+persistent shared-memory pool) at any worker count.  This holds even though bpf and firewall lanes inject
 faults and assign record uids independently: the ledger feed bypasses
 the fault-injected parse, and the dispatcher pre-assigns uids in
 global arrival order.
@@ -40,7 +39,7 @@ from repro.net.tracegen import (
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["vthread", "threaded", "process", "pool"]
+BACKENDS = ["vthread", "pool"]
 
 FILTER = "tcp and port 80"
 
@@ -52,7 +51,7 @@ RULES = """
 
 
 def _needs_fork(backend):
-    if backend in ("process", "pool") and not HAVE_FORK:
+    if backend == "pool" and not HAVE_FORK:
         pytest.skip("fork start method unavailable")
 
 
@@ -107,7 +106,7 @@ def baselines(mixed_trace):
 
 
 class TestBpfBackendMatrix:
-    """The full 4-backend x {1,3}-worker oracle on one app."""
+    """The full 2-backend x {1,3}-worker oracle on one app."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 3])

@@ -43,7 +43,7 @@ from repro.runtime.telemetry import (
     validate_metrics_lines,
 )
 
-BACKENDS = ("vthread", "threaded", "process")
+BACKENDS = ("vthread", "pool")
 
 FILTER = "tcp and port 80"
 

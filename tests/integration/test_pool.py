@@ -2,11 +2,10 @@
 
 Covers the tentpole of the pool backend (byte-identity with the
 sequential oracle, worker reuse across runs, spawn-mode safety) and
-the failure semantics of both multiprocessing backends: a worker
-killed mid-run is detected by a deadline poll, reaped, its unretired
-packets accounted as lost, and the run fails loudly instead of
-hanging; the pool additionally survives — the dead worker is
-respawned and the next run proceeds normally.
+its failure semantics: a worker killed mid-run is detected by a
+deadline poll, reaped, its unretired packets accounted as lost, and
+the run fails loudly instead of hanging; the pool survives — the dead
+worker is respawned and the next run proceeds normally.
 
 Ring coverage (the satellite checklist): wraparound, full-ring
 backpressure, oversized-record rejection, concurrent
@@ -21,7 +20,7 @@ import threading
 import pytest
 
 from repro.apps.bpf.app import BpfLaneSpec
-from repro.host.parallel import ParallelPipeline, default_backend
+from repro.host.parallel import ParallelPipeline
 from repro.host.pool import PoolError, WorkerPool, shutdown_shared_pools
 from repro.host.ring import MessageChannel, ShmRing
 from repro.net.tracegen import (
@@ -320,7 +319,7 @@ class TestWorkerPool:
     "spawn" not in multiprocessing.get_all_start_methods(),
     reason="spawn start method unavailable")
 class TestSpawnStartMethod:
-    """The worker entries live in :mod:`repro.host.worker`, which a
+    """The worker entry lives in :mod:`repro.host.worker`, which a
     ``spawn`` child imports cold — these would hang or crash if the
     entry module dragged in import-time side effects (the original
     bug: worker bodies lived in ``repro.host.parallel``)."""
@@ -333,18 +332,10 @@ class TestSpawnStartMethod:
         pipe.run(trace)
         assert pipe.result_lines() == _reference_lines(spec, trace, 2)
 
-    def test_process_backend_under_spawn(self):
-        spec = BpfLaneSpec(dict(BPF_CONFIG))
-        trace = _trace(sessions=6, queries=12)
-        pipe = ParallelPipeline(spec, workers=2, backend="process",
-                                start_method="spawn")
-        pipe.run(trace)
-        assert pipe.result_lines() == _reference_lines(spec, trace, 2)
-
     def test_worker_module_own_imports_are_clean(self):
         """The entry module's own top-level imports must stay stdlib +
-        the ring — the runtime substrate (``Time``, ``PcapReader``) is
-        imported lazily inside the worker bodies.  This is the property
+        the ring — the runtime substrate (``Time``) is imported
+        lazily inside the worker body.  This is the property
         that keeps a spawned child from re-importing application code
         before a run's pickled spec names what to build."""
         import ast
@@ -370,26 +361,53 @@ class TestSpawnStartMethod:
         assert not bad, f"worker entry imports the substrate: {bad}"
 
 
+class TestBatchImportSet:
+    def test_batch_apps_never_import_multiprocessing(self):
+        """Only the pool forks: a sequential or vthread run's imports
+        must not pay for ``multiprocessing`` (the pool and its rings
+        load on first use)."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys\n"
+                "import repro.apps.bro, repro.apps.bpf.app, "
+                "repro.host.pipeline\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('multiprocessing')))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert out.stdout.strip() == "[]"
+
+
 # --------------------------------------------------------------------------
-# Process-backend death handling (the recv() hang bugfix)
+# Worker death through the driver (the recv() hang bugfix, on the pool)
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-class TestProcessBackendDeath:
+class TestPoolBackendDeath:
     def test_dead_worker_fails_run_instead_of_hanging(self):
         trace = _trace(sessions=4, queries=8)
         pipe = ParallelPipeline(KillerSpec(dict(BPF_CONFIG)), workers=2,
-                                backend="process", join_timeout=15.0)
-        with pytest.raises(RuntimeError, match="jobs lost"):
+                                backend="pool", join_timeout=15.0)
+        with pytest.raises(PoolError, match="lost"):
             pipe.run(trace)
         assert pipe.jobs_lost > 0
+        # The dead workers were respawned: the same pipeline runs on.
+        spec = BpfLaneSpec(dict(BPF_CONFIG))
+        pipe.spec = spec
+        pipe.run(trace)
+        assert pipe.result_lines() == _reference_lines(spec, trace, 2)
 
     def test_lost_jobs_cover_the_whole_trace(self):
         trace = _trace(sessions=4, queries=8)
         pipe = ParallelPipeline(KillerSpec(dict(BPF_CONFIG)), workers=2,
-                                backend="process", join_timeout=15.0)
-        with pytest.raises(RuntimeError):
+                                backend="pool", join_timeout=15.0)
+        with pytest.raises(PoolError):
             pipe.run(trace)
         assert pipe.jobs_lost == len(trace)
 
@@ -400,19 +418,12 @@ class TestProcessBackendDeath:
 
 
 class TestDefaultBackend:
-    def test_default_matches_core_count(self, monkeypatch):
-        import repro.host.parallel as parallel
-
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        assert parallel.default_backend() == "process"
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-        assert parallel.default_backend() == "pool"
-        assert default_backend() in ("pool", "process")
-
-    def test_pipeline_resolves_none_backend(self):
+    def test_pipeline_defaults_to_pool(self):
         spec = BpfLaneSpec(dict(BPF_CONFIG))
-        pipe = ParallelPipeline(spec, workers=1, backend=None)
-        assert pipe.backend in ("pool", "process")
+        assert ParallelPipeline(spec, workers=1).backend == "pool"
+        for removed in (None, "process", "threaded"):
+            with pytest.raises(ValueError):
+                ParallelPipeline(spec, workers=1, backend=removed)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The cross-process worker telemetry plane.
 
 The parallel-equivalence oracle for metrics: a ``--backend pool`` (or
-any other backend) run must merge its per-worker registries so that
+``vthread``) run must merge its per-worker registries so that
 
 * the unlabeled aggregate series are identical to the sequential
   pipeline's content-determined counters, and
@@ -37,7 +37,7 @@ from repro.runtime.telemetry import Telemetry, validate_metrics_lines
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["vthread", "threaded", "process", "pool"]
+BACKENDS = ["vthread", "pool"]
 
 CONFIG = {"filter": "tcp", "engine": "interpreted", "opt_level": 2,
           "watchdog_budget": None, "metrics": True, "trace": False}
@@ -202,6 +202,20 @@ class TestTelemSnapshot:
         # Mid-run the registry is sparse (export happens at on_end) —
         # the series list still rides along, possibly empty.
         assert isinstance(snapshot["series"], list)
+
+    def test_bro_live_metrics(self, trace):
+        """Bro's packet count is its tracker's: the live gauges a pool
+        lane ships in TELEM must not be swallowed as ``{}``."""
+        from repro.apps.bro import Bro
+
+        bro = Bro(telemetry=Telemetry(metrics=True))
+        bro.on_begin()
+        for timestamp, frame in trace[:50]:
+            bro.on_packet(timestamp, frame)
+        live = bro.live_metrics()
+        assert live["packets"] == 50.0
+        assert live["sessions_open"] == bro.tracker.open_flows() > 0
+        assert telemetry_snapshot(bro, processed=50)["live"] == live
 
     def test_disabled_telemetry_omits_series(self, trace):
         app = BpfApp("tcp", engine="vm",
