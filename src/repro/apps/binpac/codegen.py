@@ -27,6 +27,7 @@ from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
 from ...core.ir import Const as IRConst
 from ...core.ir import LabelRef, Module, TupleOp, Var
+from ...core.stubs import Stub
 from ...core.toolchain import hiltic
 from ...runtime.bytes_buffer import Bytes
 from ...runtime.fibers import YIELDED
@@ -623,6 +624,7 @@ class Parser:
             opt_level=opt_level,
         )
         self.ctx = self.program.make_context()
+        self._stubs: Dict[str, Stub] = {}
 
     def events(self) -> List:
         """Events collected so far (when no on_event callback is set)."""
@@ -630,16 +632,19 @@ class Parser:
         self._events = []
         return out
 
+    def stub(self, unit_name: str) -> Stub:
+        """The host stub of *unit_name*'s parse function (built once)."""
+        stub = self._stubs.get(unit_name)
+        if stub is None:
+            stub = self._stubs[unit_name] = Stub(
+                self.program, f"{self.grammar.name}::{unit_name}::parse")
+        return stub
+
     def parse(self, unit_name: str, data: bytes):
         """One-shot parse of complete input; returns the unit struct."""
         buf = Bytes(data if isinstance(data, bytes) else data.to_bytes())
         buf.freeze()
-        pair = self.program.call(
-            self.ctx,
-            f"{self.grammar.name}::{unit_name}::parse",
-            [buf, buf.begin()],
-        )
-        return pair[0]
+        return self.stub(unit_name)(self.ctx, buf, buf.begin())[0]
 
     def start(self, unit_name: str) -> "ParseSession":
         return ParseSession(self, unit_name)
@@ -651,22 +656,24 @@ class ParseSession:
     def __init__(self, parser: Parser, unit_name: str):
         self.parser = parser
         self.buffer = Bytes()
-        self.fiber = parser.program.call_fiber(
-            parser.ctx,
-            f"{parser.grammar.name}::{unit_name}::parse",
-            [self.buffer, self.buffer.begin()],
-        )
         self.result = None
         self.finished = False
-        # Run up to the first suspension (empty buffer -> immediate yield
-        # unless the unit is empty).
-        self._advance()
+        # The stub runs the parse up to its first suspension (empty
+        # buffer -> immediate yield unless the unit is empty).
+        started = parser.stub(unit_name).start(
+            parser.ctx, self.buffer, self.buffer.begin())
+        self.fiber = started.fiber
+        if self.fiber is None:
+            self._complete(started.value)
 
     def _advance(self) -> None:
         outcome = self.fiber.resume()
         if outcome is not YIELDED:
-            self.finished = True
-            self.result = outcome[0] if outcome is not None else None
+            self._complete(outcome)
+
+    def _complete(self, outcome) -> None:
+        self.finished = True
+        self.result = outcome[0] if outcome is not None else None
 
     def feed(self, data: bytes) -> bool:
         """Append payload; returns True once the unit completed."""

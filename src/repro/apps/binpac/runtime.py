@@ -80,10 +80,12 @@ def bp_find_delim(ctx, data: Bytes, it: BytesIter, regexp):
     Returns ``(status, begin_iter, end_iter)``: status 1 when found
     (iterators bracket the delimiter), -1 when more input could still
     contain or extend a match, 0 when the input is frozen with no match.
-    Powers ``bytes &until=/re/`` fields.
+    Powers ``bytes &until=/re/`` fields.  The scan reads the buffer in
+    place; the view is released before returning, since a live export
+    would make the next ``Bytes.append`` raise ``BufferError``.
     """
-    available = data.view_from(it.offset)
-    pid, begin, end = regexp.find(bytes(available))
+    with data.view_from(it.offset) as available:
+        pid, begin, end = regexp.find(available)
     if pid > 0:
         match_end_is_buffer_end = it.offset + end == data.end_offset
         if match_end_is_buffer_end and not data.is_frozen:

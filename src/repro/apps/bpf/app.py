@@ -56,10 +56,12 @@ class BpfApp(HostApp):
         self.flows = FlowTable(uid_map=uid_map, uid_format=format_record_uid)
         if engine == "vm":
             self._program = compile_to_vm(parse_filter(filter_text))
-            self._filter = None
+            self._filter = self._ctx = None
         else:
-            self._filter = compile_to_hilti(
+            # Every packet enters Main::filter through its host stub.
+            hilti = compile_to_hilti(
                 filter_text, tier=engine, opt_level=opt_level)
+            self._filter, self._ctx = hilti.stub.call, hilti.ctx
             self._program = None
         self.accepted = 0
         self.rejected = 0
@@ -72,13 +74,13 @@ class BpfApp(HostApp):
     def _evaluate(self, frame: bytes) -> bool:
         if self._program is not None:
             return bool(self._program.run(frame))
+        ctx = self._ctx
         budget = self.services.watchdog_budget
         if not budget:
-            return bool(self._filter(frame))
-        ctx = self._filter.ctx
+            return bool(self._filter(ctx, frame))
         ctx.arm_watchdog(budget)
         try:
-            return bool(self._filter(frame))
+            return bool(self._filter(ctx, frame))
         finally:
             ctx.disarm_watchdog()
 
@@ -125,8 +127,8 @@ class BpfApp(HostApp):
         }
 
     def engine_contexts(self) -> List[Tuple[str, object]]:
-        if self._filter is not None:
-            return [("filter", self._filter.ctx)]
+        if self._ctx is not None:
+            return [("filter", self._ctx)]
         return []
 
     def gather_metrics(self, metrics) -> None:

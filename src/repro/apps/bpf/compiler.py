@@ -15,13 +15,10 @@ wire-format detail overlays encapsulate.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
-from ...core.codegen import CompiledProgram
+from ...core.stubs import Stub
 from ...core.toolchain import hiltic
-from ...runtime.bytes_buffer import Bytes
 from .lang import And, HostTest, NetTest, Node, Not, Or, PortTest, ProtoTest, parse_filter
 
 __all__ = ["compile_to_hilti", "build_filter_module", "HiltiFilter"]
@@ -217,20 +214,19 @@ def build_filter_module(node: Node) -> ModuleBuilder:
 
 
 class HiltiFilter:
-    """A compiled filter: callable host-side object over raw frames."""
+    """A compiled filter: callable host-side object over raw frames.
 
-    def __init__(self, program: CompiledProgram):
+    *program* is either tier's; ``stub`` is the generated entry into
+    ``Main::filter`` (a raw frame is marshalled into frozen bytes).
+    """
+
+    def __init__(self, program):
         self.program = program
         self.ctx = program.make_context()
-        self._call = program.call
+        self.stub = Stub(program, "Main::filter")
 
     def __call__(self, frame) -> bool:
-        if isinstance(frame, (bytes, bytearray)):
-            buf = Bytes(frame)
-            buf.freeze()
-        else:
-            buf = frame
-        return self._call(self.ctx, "Main::filter", [buf])
+        return self.stub.call(self.ctx, frame)
 
 
 def compile_to_hilti(filter_text_or_node, optimize: bool = True,
@@ -243,12 +239,5 @@ def compile_to_hilti(filter_text_or_node, optimize: bool = True,
         else filter_text_or_node
     )
     module = build_filter_module(node).finish()
-    program = hiltic([module], optimize=optimize, tier=tier,
-                     opt_level=opt_level)
-    if tier == "interpreted":
-        filt = HiltiFilter.__new__(HiltiFilter)
-        filt.program = program
-        filt.ctx = program.make_context()
-        filt._call = program.call
-        return filt
-    return HiltiFilter(program)
+    return HiltiFilter(hiltic([module], optimize=optimize, tier=tier,
+                              opt_level=opt_level))

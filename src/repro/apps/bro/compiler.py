@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
 from ...core.ir import LabelRef, TupleOp, Var
+from ...core.stubs import Stub
 from ...core.toolchain import hiltic
 from .builtins import make_builtins, render
 from .glue import Glue
@@ -610,6 +611,8 @@ class CompiledScripts:
             decl.name: f"event::{decl.name}"
             for decl in compiler.script.events
         }
+        # Host stubs of the script functions called so far, by name.
+        self._stubs: Dict[str, Stub] = {}
         program.call(self.ctx, "Scripts::__init_globals")
 
     def has_handler(self, event_name: str) -> bool:
@@ -623,9 +626,10 @@ class CompiledScripts:
         return 1
 
     def call_function(self, name: str, args: List):
-        result = self.program.call(
-            self.ctx, f"Scripts::{name}", self.glue.args_to_hilti(args)
-        )
+        stub = self._stubs.get(name)
+        if stub is None:
+            stub = self._stubs[name] = Stub(self.program, f"Scripts::{name}")
+        result = stub(self.ctx, *self.glue.args_to_hilti(args))
         return self.glue.from_hilti(result)
 
     def check_watchpoints(self) -> int:

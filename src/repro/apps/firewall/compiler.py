@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ...core.stubs import Stub
 from ...core.toolchain import hiltic
 from ...core.values import Addr, Time
 from ...net import ipsumdump
@@ -110,14 +111,13 @@ class HiltiFirewall:
         self.tier = tier
         self.ctx = program.make_context()
         program.call(self.ctx, "Main::init_classifier")
+        self._match = Stub(program, "Main::match_packet").call
         self.matches = 0
         self.lookups = 0
 
     def match_packet(self, when: Time, src: Addr, dst: Addr) -> bool:
         self.lookups += 1
-        allowed = self.program.call(
-            self.ctx, "Main::match_packet", [when, src, dst]
-        )
+        allowed = self._match(self.ctx, when, src, dst)
         if allowed:
             self.matches += 1
         return allowed

@@ -435,7 +435,9 @@ def _site_struct(em: "_Emitter", instruction: Instruction,
 
 def _site_overlay_get(em, instruction, args):
     """``overlay.get`` with a constant type and field: the field spec
-    (offset, format alias, struct code, bit range) resolves once."""
+    (offset, format alias, struct code, bit range) resolves once.  The
+    buffer's start is read as the ``_base`` slot (``Bytes.begin_offset``
+    without the property call)."""
     operands = instruction.operands
     if len(operands) != 3 or not isinstance(operands[0], TypeRef) \
             or not isinstance(operands[1], FieldRef):
@@ -449,11 +451,12 @@ def _site_overlay_get(em, instruction, args):
     except Exception:
         return None  # let the generic path report it at runtime
     return (f"{em.unit.bind(unpacker)}({args[2]}, "
-            f"({args[2]}).begin_offset + {fld.offset})")
+            f"({args[2]})._base + {fld.offset})")
 
 
 def _site_unpack(em, instruction, args):
-    """``unpack <bytes> <offset> <Format>`` (no bit-range operand)."""
+    """``unpack <bytes> <offset> <Format>`` (no bit-range operand);
+    the offset is relative to the buffer's ``_base``."""
     operands = instruction.operands
     if len(operands) != 3 or not isinstance(operands[2], FieldRef):
         return None
@@ -463,7 +466,7 @@ def _site_unpack(em, instruction, args):
     except Exception:
         return None
     return (f"{em.unit.bind(unpacker)}({args[0]}, "
-            f"({args[0]}).begin_offset + {args[1]})")
+            f"({args[0]})._base + {args[1]})")
 
 
 def _site_bytes_unpack(em, instruction, args):

@@ -41,7 +41,28 @@ from .ir import (
 )
 from .linker import LinkedProgram, LinkError
 
-__all__ = ["Interpreter"]
+__all__ = ["InterpretedFunction", "Interpreter"]
+
+
+class InterpretedFunction:
+    """One HILTI function as the interpreter enters it from the host.
+
+    This tier runs suspension points to completion, so ``entry``
+    returns the result directly and ``can_suspend`` is always False.
+    """
+
+    __slots__ = ("name", "param_count", "can_suspend", "entry")
+
+    def __init__(self, interpreter: "Interpreter", function: Function):
+        self.name = function.name
+        self.param_count = len(function.params)
+        self.can_suspend = False
+        run = interpreter._run_function
+
+        def entry(ctx, *args):
+            return run(ctx, function, list(args))
+
+        self.entry = entry
 
 
 class _HookStop(Exception):
@@ -88,6 +109,15 @@ class Interpreter:
                 ctx.globals[index] = var.init.value
             else:
                 ctx.globals[index] = var.init
+
+    def function(self, name: str) -> "InterpretedFunction":
+        """The host-entry view of one HILTI function — what a
+        :class:`~repro.core.stubs.Stub` resolves, shaped like the
+        compiled tier's ``CompiledFunction``."""
+        function = self.linked.functions.get(name)
+        if function is None:
+            raise LinkError(f"no HILTI function {name!r}")
+        return InterpretedFunction(self, function)
 
     def call(self, ctx: ExecutionContext, name: str, args: Sequence = ()):
         kind, target = self.linked.resolve_function(name)

@@ -52,6 +52,7 @@ differentially tests every level against the interpreter oracle.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import types as ht
@@ -181,10 +182,11 @@ class OptStats:
         )
 
 
+@functools.cache
 def _is_pure(mnemonic: str) -> bool:
-    if mnemonic in _PURE_EXACT:
-        return True
-    return any(mnemonic.startswith(p) for p in _PURE_PREFIXES)
+    """The purity rule, memoized per mnemonic (the passes ask it for
+    every instruction they visit)."""
+    return mnemonic in _PURE_EXACT or mnemonic.startswith(_PURE_PREFIXES)
 
 
 def _invalidates_memory(mnemonic: str) -> bool:

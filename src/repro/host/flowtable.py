@@ -22,9 +22,12 @@ eviction loop.  :class:`FlowTable` is that logic factored out once:
   :class:`~repro.host.eviction.SessionLRU`, with an ``on_evict``
   callback that lets the owner flush its own session state and decide
   whether the eviction is *counted* (tombstoned flows are not);
-* **records** — every closed flow seals into a
-  :class:`~repro.net.flowrecord.FlowRecord`; ``record_lines()`` is the
-  sorted, deterministic export stream.
+* **records** — closing a flow *seals* it: the entry takes its close
+  reason and is appended; nothing else is built.  ``record_lines()``
+  formats every sealed entry straight into its ``repro-flowrecords/1``
+  line (the sorted, deterministic export stream); ``records()`` builds
+  :class:`~repro.net.flowrecord.FlowRecord` objects on demand.  The two
+  agree byte for byte: ``FlowRecord.to_line`` is the schema reference.
 
 Owners keep what is genuinely theirs (handlers, reassemblers, analyzer
 teardown) and delegate the rest here — see docs/FLOWS.md.
@@ -32,26 +35,63 @@ teardown) and delegate the rest here — see docs/FLOWS.md.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Dict, List, Optional
 
-from ..core.values import Addr
+from ..core.values import Addr, _format_v6
 from ..net.flowrecord import FlowRecord
 from .eviction import SessionLRU
 
 __all__ = ["FlowEntry", "FlowTable"]
 
+# One repro-flowrecords/1 line, keys in sorted order: exactly what
+# ``json.dumps(FlowRecord.to_dict(), sort_keys=True, separators=(",",
+# ":"))`` produces.  Strings arrive JSON-encoded (quotes included).
+_RECORD_LINE = (
+    '{"close_reason":%s,"dst":%s,"dst_port":%d,"first_ts":%s,'
+    '"last_ts":%s,"orig_bytes":%d,"orig_pkts":%d,"protocol":%d,'
+    '"resp_bytes":%d,"resp_pkts":%d,"src":%s,"src_port":%d,'
+    '"tcp_flags":%d,"uid":%s}')
+
+
+def _ts_json(ts) -> str:
+    """``json.dumps(round(ts, 6))``, i.e. ``repr(round(ts, 6))``.
+
+    ``round`` and ``repr`` each run a correctly rounded float/decimal
+    conversion (~0.5 µs apiece).  For a float with 1e-4 <= |ts| < 4e9
+    (any capture timestamp) one ``%.6f`` conversion gives the same text:
+    it rounds the exact value to six decimals as ``round`` does, and
+    below 2**52 * 1e-6 no two six-decimal numbers share a double, so the
+    shortest repr of the rounded double is that decimal without its
+    trailing zeros.  Everything else takes the reference path.
+    """
+    if type(ts) is float and 1e-4 <= abs(ts) < 4e9:
+        text = ("%.6f" % ts).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(ts, 6))
+
+
+def _addr_json(value: int) -> str:
+    """``str(Addr.from_value(value))`` as a JSON string literal (the
+    text is ASCII digits, hex, dots and colons: nothing to escape)."""
+    if value >> 32 == 0xFFFF:
+        return '"%d.%d.%d.%d"' % (value >> 24 & 255, value >> 16 & 255,
+                                  value >> 8 & 255, value & 255)
+    return f'"{_format_v6(value)}"'
+
 
 class FlowEntry:
-    """One open flow's ledger state.
+    """One flow's ledger state.
 
     The entry is keyed by the canonical flow key, so both directions
     update the same counters; ``orig_is_first`` remembers which of the
     key's endpoints sent the first packet (the originator).
+    ``close_reason`` stays None while the flow is open; sealing sets it.
     """
 
     __slots__ = ("key", "orig_is_first", "uid", "first_ts", "last_ts",
                  "orig_pkts", "orig_bytes", "resp_pkts", "resp_bytes",
-                 "tcp_flags")
+                 "tcp_flags", "close_reason")
 
     def __init__(self, key, orig_is_first: bool, now: float,
                  uid: Optional[str]):
@@ -65,6 +105,7 @@ class FlowEntry:
         self.resp_pkts = 0
         self.resp_bytes = 0
         self.tcp_flags = 0
+        self.close_reason = None
 
     def add(self, now: float, payload_len: int, tcp_flags: int,
             is_orig: bool) -> None:
@@ -77,7 +118,7 @@ class FlowEntry:
             self.resp_pkts += 1
             self.resp_bytes += payload_len
 
-    def to_record(self, reason: str) -> FlowRecord:
+    def to_record(self) -> FlowRecord:
         src, src_port, dst, dst_port, protocol = self.key
         if not self.orig_is_first:
             src, src_port, dst, dst_port = dst, dst_port, src, src_port
@@ -88,7 +129,7 @@ class FlowEntry:
             first_ts=self.first_ts, last_ts=self.last_ts,
             orig_pkts=self.orig_pkts, orig_bytes=self.orig_bytes,
             resp_pkts=self.resp_pkts, resp_bytes=self.resp_bytes,
-            tcp_flags=self.tcp_flags, close_reason=reason)
+            tcp_flags=self.tcp_flags, close_reason=self.close_reason)
 
 
 class FlowTable:
@@ -118,7 +159,9 @@ class FlowTable:
         self.on_evict = on_evict
         self._entries: Dict = {}
         self._lru = SessionLRU()
-        self._records: List[FlowRecord] = []
+        # Sealed flows: a closed entry is never updated again (it left
+        # ``_entries``), so sealing keeps the entry itself.
+        self._sealed: List[FlowEntry] = []
         self.serial = 0
         self.sessions_expired = 0
         self.sessions_evicted = 0
@@ -204,12 +247,15 @@ class FlowTable:
     # -- closing and eviction -----------------------------------------------
 
     def close(self, key, reason: str = "finished") -> Optional[FlowEntry]:
-        """Seal *key*'s ledger entry into a record (owner-initiated
-        close: normal teardown or end-of-run flush)."""
+        """Seal *key*'s ledger entry (owner-initiated close: normal
+        teardown or end-of-run flush).  Recency is only tracked while
+        an eviction policy is armed, so only then is there any to drop."""
         entry = self._entries.pop(key, None)
-        self._lru.remove(key)
+        if self.evicting:
+            self._lru.remove(key)
         if entry is not None:
-            self._records.append(entry.to_record(reason))
+            entry.close_reason = reason
+            self._sealed.append(entry)
         return entry
 
     def _evict(self, key, reason: str) -> None:
@@ -225,7 +271,8 @@ class FlowTable:
                 self.sessions_evicted += 1
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self._records.append(entry.to_record(reason))
+            entry.close_reason = reason
+            self._sealed.append(entry)
 
     def evict(self, key, reason: str) -> None:
         """Evict one key the owner already removed from recency (the
@@ -247,18 +294,55 @@ class FlowTable:
     def finish(self) -> None:
         """End of run: seal every open entry as finished, in insertion
         (arrival) order."""
-        for key in list(self._entries):
-            self.close(key, "finished")
+        if self.evicting:
+            for key in list(self._entries):
+                self.close(key, "finished")
+            return
+        for entry in self._entries.values():
+            entry.close_reason = "finished"
+        self._sealed.extend(self._entries.values())
+        self._entries.clear()
 
     # -- reporting ----------------------------------------------------------
 
     def records(self) -> List[FlowRecord]:
-        return list(self._records)
+        """The sealed flows as records, in sealing order."""
+        return [entry.to_record() for entry in self._sealed]
 
     def record_lines(self) -> List[str]:
         """The deterministic export stream: one JSON line per sealed
-        flow, sorted (a pure function of trace content)."""
-        return sorted(record.to_line() for record in self._records)
+        flow, sorted (a pure function of trace content).
+
+        Byte-identical to ``sorted(r.to_line() for r in records())``
+        without building the records: each entry fills one precompiled
+        format, with address and reason strings encoded once per call.
+        """
+        texts: Dict = {}
+        lines = []
+        append = lines.append
+        for entry in self._sealed:
+            src, src_port, dst, dst_port, protocol = entry.key
+            if not entry.orig_is_first:
+                src, src_port, dst, dst_port = dst, dst_port, src, src_port
+            src_text = texts.get(src)
+            if src_text is None:
+                src_text = texts[src] = _addr_json(src)
+            dst_text = texts.get(dst)
+            if dst_text is None:
+                dst_text = texts[dst] = _addr_json(dst)
+            reason = entry.close_reason
+            reason_text = texts.get(reason)
+            if reason_text is None:
+                reason_text = texts[reason] = _json_str(reason)
+            uid = entry.uid
+            append(_RECORD_LINE % (
+                reason_text, dst_text, dst_port,
+                _ts_json(entry.first_ts), _ts_json(entry.last_ts),
+                entry.orig_bytes, entry.orig_pkts, protocol,
+                entry.resp_bytes, entry.resp_pkts, src_text, src_port,
+                entry.tcp_flags, "null" if uid is None else _json_str(uid)))
+        lines.sort()
+        return lines
 
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
         """Open flows, oldest-activity data included when tracked."""

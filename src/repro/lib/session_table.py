@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.stubs import Stub
 from ..host.flowtable import FlowTable
 
 SESSION_TABLE = """module SessionTable
@@ -110,7 +111,9 @@ class SessionTable:
     One instance owns one table inside one execution context.  The
     *factory* creating per-session state and the optional *on_evict*
     callback are host Python functions, registered as natives — the same
-    integration path a C++ host application would use.
+    integration path a C++ host application would use.  Per-record calls
+    enter the driver module through host stubs, so raw ``bytes`` keys
+    and values arrive as HILTI bytes.
     """
 
     def __init__(self, timeout_seconds: float, factory=None, on_evict=None,
@@ -207,11 +210,21 @@ void advance(time now) {
             self.ctx, "Driver::init",
             [Interval(timeout_seconds), access_refreshes],
         )
+        # The per-record entries: host stubs, each resolved once.
+        def stub(name):
+            return Stub(self.program, f"Driver::{name}").call
+
+        self._get_or_create = stub("get_or_create")
+        self._contains = stub("contains")
+        self._put = stub("put")
+        self._drop = stub("drop")
+        self._size = stub("size")
+        self._advance = stub("advance")
 
     def _capacity_evicted(self, victim, reason: str) -> bool:
         """FlowTable's capacity loop found a victim: drop it from the
         HILTI map and run the owner's final flush."""
-        self.program.call(self.ctx, "Driver::drop", [victim])
+        self._drop(self.ctx, victim)
         self.capacity_evictions += 1
         if self._on_evict_cb is not None:
             self._on_evict_cb(victim)
@@ -226,33 +239,33 @@ void advance(time now) {
 
     def get_or_create(self, key):
         self.lookups += 1
-        value = self.program.call(self.ctx, "Driver::get_or_create", [key])
+        value = self._get_or_create(self.ctx, key)
         self._touch(key)
         return value
 
     def __contains__(self, key) -> bool:
         self.lookups += 1
-        return self.program.call(self.ctx, "Driver::contains", [key])
+        return self._contains(self.ctx, key)
 
     def put(self, key, value) -> None:
         self.mutations += 1
-        self.program.call(self.ctx, "Driver::put", [key, value])
+        self._put(self.ctx, key, value)
         self._touch(key)
 
     def drop(self, key) -> None:
         self.mutations += 1
         self._recency.close(key)
-        self.program.call(self.ctx, "Driver::drop", [key])
+        self._drop(self.ctx, key)
 
     def __len__(self) -> int:
-        return self.program.call(self.ctx, "Driver::size")
+        return self._size(self.ctx)
 
     def advance(self, now) -> None:
         from ..core.values import Time
 
         if not isinstance(now, Time):
             now = Time(float(now))
-        self.program.call(self.ctx, "Driver::advance", [now])
+        self._advance(self.ctx, now)
 
     # -- telemetry ---------------------------------------------------------
 

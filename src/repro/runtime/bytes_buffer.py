@@ -33,7 +33,9 @@ class Bytes(Managed):
     __slots__ = ("_data", "_base", "_frozen")
 
     def __init__(self, initial: bytes = b""):
-        super().__init__()
+        # Managed.__init__, inlined: host stubs and parsers build one
+        # Bytes per packet or field.
+        self._refcount = 1
         self._data = bytearray(initial)
         self._base = 0  # absolute offset of _data[0]
         self._frozen = False
@@ -94,8 +96,9 @@ class Bytes(Managed):
             raise HiltiError(INDEX_ERROR, "offset past end of bytes object")
         return self._data[idx]
 
-    def read(self, offset: int, count: int) -> bytes:
-        """Raw data for [offset, offset+count); raises if unavailable."""
+    def _index(self, offset: int, count: int) -> int:
+        """Index into ``_data`` of [offset, offset+count); raises if
+        that range is unavailable."""
         start = offset - self._base
         if start < 0:
             raise HiltiError(INDEX_ERROR, "read before trimmed region")
@@ -104,6 +107,11 @@ class Bytes(Managed):
                 WOULD_BLOCK if not self._frozen else INDEX_ERROR,
                 "read past end of bytes object",
             )
+        return start
+
+    def read(self, offset: int, count: int) -> bytes:
+        """Raw data for [offset, offset+count); raises if unavailable."""
+        start = self._index(offset, count)
         return bytes(self._data[start:start + count])
 
     def available_from(self, offset: int) -> int:
@@ -128,9 +136,11 @@ class Bytes(Managed):
         """A new frozen Bytes with a copy of [start, stop)."""
         if start.offset > stop.offset:
             raise HiltiError(VALUE_ERROR, "bytes.sub: start after stop")
-        data = self.read(start.offset, stop.offset - start.offset)
-        result = Bytes(data)
-        result.freeze()
+        count = stop.offset - start.offset
+        index = self._index(start.offset, count)
+        result = Bytes()
+        result._data = self._data[index:index + count]  # the one copy
+        result._frozen = True
         return result
 
     def to_bytes(self) -> bytes:

@@ -585,15 +585,18 @@ class RegExp(Managed):
     def find(self, data: bytes, start: int = 0) -> Tuple[int, int, int]:
         """First (leftmost) match anywhere in *data*.
 
-        Returns ``(pattern_id, begin, end)`` or ``(0, -1, -1)``.
+        Returns ``(pattern_id, begin, end)`` or ``(0, -1, -1)``.  *data*
+        may be any buffer (a memoryview scans in place); each candidate
+        start is a zero-copy slice, released before this returns.
         """
         if isinstance(data, Bytes):
             data = data.to_bytes()
-        for begin in range(start, len(data) + 1):
-            state = self.token_state()
-            status, length = self.feed(state, data[begin:], True)
-            if status > 0:
-                return status, begin, begin + length
+        with memoryview(data) as view:
+            for begin in range(start, len(view) + 1):
+                status, length = self.feed(self.token_state(), view[begin:],
+                                           True)
+                if status > 0:
+                    return status, begin, begin + length
         return MATCH_FAIL, -1, -1
 
     def __repr__(self) -> str:

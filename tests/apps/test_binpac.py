@@ -317,6 +317,50 @@ export type Pair = unit {
         with pytest.raises(HiltiError):
             parser.parse("Pair", b"no delimiter here")
 
+    _LINES = r"""
+module Lines;
+
+export type Two = unit {
+    first: bytes &until=/\r\n/;
+    second: bytes &until=/\r\n/;
+};
+"""
+
+    @pytest.mark.parametrize("split", [
+        [b"ab\r", b"\ncd\r", b"\n"],              # delimiter split in two
+        [bytes([b]) for b in b"ab\r\ncd\r\n"],  # one byte at a time
+        [b"ab\r\ncd\r\n"],
+    ])
+    def test_until_delimiter_across_chunks(self, split):
+        session = Parser(parse_grammar(self._LINES)).start("Two")
+        for chunk in split:
+            session.feed(chunk)
+        obj = session.done()
+        assert (obj.get("first"), obj.get("second")) == (b"ab", b"cd")
+
+    def test_until_frozen_without_delimiter_is_parse_error(self):
+        session = Parser(parse_grammar(self._LINES)).start("Two")
+        session.feed(b"ab\r\ncd\r")
+        with pytest.raises(HiltiError) as exc:
+            session.done()
+        assert "ParseError" in exc.value.except_type.type_name
+
+    def test_find_delim_scans_in_place_and_releases(self):
+        from repro.apps.binpac.runtime import bp_find_delim
+        from repro.runtime.bytes_buffer import Bytes
+        from repro.runtime.regexp import RegExp
+
+        delim = RegExp(r"\r\n")
+        data = Bytes(b"xyz\r")
+        status, __, __ = bp_find_delim(None, data, data.at(1), delim)
+        assert status == -1
+        data.append(b"\nrest")  # no export left alive on the buffer
+        status, begin, end = bp_find_delim(None, data, data.at(1), delim)
+        assert (status, begin.offset, end.offset) == (1, 3, 5)
+        data.freeze()
+        status, __, __ = bp_find_delim(None, data, data.at(5), delim)
+        assert status == 0
+
     def test_until_regex_delimiter(self):
         from repro.apps.binpac.ast import BytesField, Grammar, Unit
 

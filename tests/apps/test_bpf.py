@@ -131,6 +131,38 @@ class TestOnTrace:
             assert compiled(frame) == interp(frame)
 
 
+class TestBpfAppStub:
+    """BpfApp enters Main::filter through its host stub on both tiers."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_watchdog_trip_is_contained_as_reject(self, engine):
+        from repro.apps.bpf.app import BpfApp
+        from repro.core.values import Time
+        from repro.host.app import PipelineServices
+
+        app = BpfApp("tcp and port 80", engine=engine,
+                     services=PipelineServices(watchdog_budget=1))
+        frame = _SAMPLE[0]  # matches without a watchdog
+        app.packet(Time(1.0), frame)
+        # The filter's own catch-all handler turns the ProcessingTimeout
+        # into its reject verdict: fail safe, nothing escapes the stub.
+        assert (app.accepted, app.rejected, app.errors) == (0, 1, 0)
+        assert app._ctx.instr_count > 1
+        assert app._ctx.instr_budget is None  # disarmed again
+
+        roomy = BpfApp("tcp and port 80", engine=engine,
+                       services=PipelineServices(watchdog_budget=10_000))
+        roomy.packet(Time(1.0), frame)
+        assert (roomy.accepted, roomy.errors) == (1, 0)
+
+    def test_stub_counts_every_packet(self):
+        hilti = compile_to_hilti("tcp")
+        for frame in _SAMPLE:
+            hilti(frame)
+        assert hilti.stub.calls == len(_SAMPLE)
+        assert hilti.stub.overhead_ns > 0
+
+
 class TestVmVerifier:
     def test_rejects_empty(self):
         from repro.apps.bpf.vm import BpfProgram

@@ -679,3 +679,17 @@ class TestMergeBlocksFallthroughRepair:
         assert len(function.blocks) == 1
         last = function.blocks[0].instructions[-1]
         assert last.mnemonic == "return.void"
+
+
+class TestPurityMemo:
+    def test_memo_agrees_with_the_prefix_rule(self):
+        from repro.core.instructions import REGISTRY
+        from repro.core.optimize import _PURE_EXACT, _PURE_PREFIXES, _is_pure
+
+        _is_pure.cache_clear()
+        for mnemonic in sorted(REGISTRY):
+            rule = mnemonic in _PURE_EXACT or any(
+                mnemonic.startswith(prefix) for prefix in _PURE_PREFIXES)
+            assert _is_pure(mnemonic) is rule, mnemonic
+            assert _is_pure(mnemonic) is rule, mnemonic  # memoized answer
+        assert _is_pure.cache_info().currsize == len(REGISTRY)

@@ -12,6 +12,7 @@ contract, bare-key recency mode), the 19-feature vectors, and the
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.values import Addr
 from repro.host.flowtable import FlowTable
@@ -281,6 +282,113 @@ class TestFlowTable:
 
     def test_close_reason_domain(self):
         assert set(CLOSE_REASONS) == {"finished", "expired", "evicted"}
+
+    @pytest.mark.parametrize("evicting", [False, True])
+    def test_finish_seals_in_arrival_order(self, evicting):
+        table = FlowTable(uid_format=format_record_uid,
+                          max_sessions=100 if evicting else None)
+        for sport in (9, 2, 7, 5):
+            table.account(_tuple(sport=sport), float(sport))
+        table.close(_tuple(sport=2).canonical())
+        table.finish()
+        assert len(table) == 0
+        assert [r.uid for r in table.records()] == \
+            ["S000002", "S000001", "S000003", "S000004"]
+
+
+# -- record_lines(): the precompiled format against FlowRecord.to_line ------
+
+_V4 = st.integers(0, 2 ** 32 - 1).map(lambda v: (0xFFFF << 32) | v)
+_V6 = st.one_of(
+    st.integers(0, 2 ** 128 - 1),
+    # Runs of zero groups: the "::" compression cases.
+    st.lists(st.sampled_from([0, 0, 0, 1, 0xABCD, 0xFFFF]),
+             min_size=8, max_size=8).map(
+        lambda groups: sum(g << (16 * (7 - i))
+                           for i, g in enumerate(groups))),
+    st.sampled_from(["::", "::1", "1::", "2001:db8::1", "1:0:0:2::3",
+                     "::ffff:0:1"]).map(lambda text: Addr(text).value),
+)
+_ADDRS = st.one_of(_V4, _V6)
+_TIMES = st.one_of(
+    st.floats(0, 2e9, allow_nan=False, allow_infinity=False),
+    # Tiny, huge and negative values take record_lines' reference path.
+    st.floats(allow_nan=False, allow_infinity=False),
+    # Exact half-microsecond ties, where rounding has to agree.
+    st.integers(0, 4 * 10 ** 15).map(lambda us: us / 1e6 + 5e-7),
+    st.integers(0, 2 ** 31),
+    st.sampled_from([1.1234565, 0.1 + 0.2, 1e-7, 1700000000.1234567]))
+_UIDS = st.one_of(st.none(), st.text(min_size=1, max_size=8),
+                  st.sampled_from(['"q"', "a\\b", "é☃", "\x00\n"]))
+_STEPS = st.tuples(
+    st.integers(0, 7),                            # which endpoint pair
+    st.booleans(),                                # direction
+    _TIMES,
+    st.integers(0, 1500),                         # payload length
+    st.integers(0, 255),                          # TCP flags
+    _UIDS,
+    st.sampled_from(["account"] * 4 + list(CLOSE_REASONS)))
+
+
+class TestRecordLineOracle:
+    """``FlowTable.record_lines()`` formats sealed entries directly;
+    ``FlowRecord.to_line`` (``json.dumps``) is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(
+               st.tuples(_ADDRS, st.integers(0, 65535), _ADDRS,
+                         st.integers(0, 65535), st.sampled_from([6, 17])),
+               min_size=8, max_size=8),
+           steps=st.lists(_STEPS, max_size=40),
+           ttl=st.one_of(st.none(), st.floats(0, 1e9)),
+           cap=st.one_of(st.none(), st.integers(1, 4)),
+           numbered=st.booleans(), finish=st.booleans())
+    def test_record_lines_equal_to_line(self, pairs, steps, ttl, cap,
+                                        numbered, finish):
+        table = FlowTable(uid_format=format_record_uid if numbered else None,
+                          session_ttl=ttl, max_sessions=cap)
+        for index, forward, ts, length, flags, uid, action in steps:
+            src, sport, dst, dport, proto = pairs[index]
+            flow = FiveTuple(Addr(src), Addr(dst), sport, dport, proto)
+            if not forward:
+                flow = flow.reversed()
+            if action == "account":
+                table.account(flow, ts, payload_len=length,
+                              tcp_flags=flags, uid=uid)
+                table.run_eviction(ts)
+            else:
+                table.close(flow.key, action)
+        if finish:
+            table.finish()
+        assert table.record_lines() == \
+            sorted(r.to_line() for r in table.records())
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TIMES)
+    def test_timestamp_text_is_json_dumps(self, ts):
+        from repro.host.flowtable import _ts_json
+
+        assert _ts_json(ts) == json.dumps(round(ts, 6))
+
+
+class TestGoldenExport:
+    """The CI flow-export job's stream, pinned byte for byte: ``tracegen
+    mixed --seed 42`` through ``flowexport`` (records.jsonl)."""
+
+    SHA256 = "9858da7f2b7d0c2ca636f385ee79c7709af292cc8a1407baf05330327e460748"
+
+    def test_fixed_seed_mixed_trace_digest(self, tmp_path):
+        import hashlib
+
+        from repro.tools import flowexport, tracegen
+
+        trace = str(tmp_path / "mixed.pcap")
+        assert tracegen.main(["mixed", "--seed", "42", "-o", trace]) == 0
+        logdir = str(tmp_path / "flows")
+        assert flowexport.main(["-r", trace, "--logdir", logdir]) == 0
+        with open(f"{logdir}/records.jsonl", "rb") as stream:
+            digest = hashlib.sha256(stream.read()).hexdigest()
+        assert digest == self.SHA256
 
 
 class TestFeatures:

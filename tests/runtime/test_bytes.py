@@ -92,6 +92,26 @@ class TestSearchAndSlice:
         assert sub == b"world"
         assert sub.is_frozen
 
+    def test_sub_owns_its_copy(self):
+        b = Bytes(b"hello")
+        b.trim(b.at(1))
+        sub = b.sub(b.at(2), b.at(4))
+        assert sub == b"ll" and sub.is_frozen
+        assert (sub.begin_offset, sub.end_offset) == (0, 2)
+        b.append(b" world")
+        b.trim(b.at(3))
+        assert sub == b"ll"  # not aliased by later appends or trims
+        with pytest.raises(HiltiError):
+            sub.append(b"!")
+
+    def test_sub_of_unavailable_range(self):
+        b = Bytes(b"abc")
+        with pytest.raises(HiltiError):
+            b.sub(b.at(1), b.at(9))
+        b.freeze()
+        with pytest.raises(HiltiError):
+            b.sub(b.at(1), b.at(9))
+
     def test_find_hit(self):
         b = Bytes(b"abcXYZdef")
         found, it = b.find(b"XYZ")
