@@ -38,6 +38,8 @@ from .glue import unit_done_glue
 from .grammars import dns_grammar, http_grammar
 from .grammars.ssh import ssh_grammar
 from .grammars.tftp import tftp_grammar
+from .runtime import unit_field as _field
+from .runtime import unit_text as _text
 
 __all__ = ["PacApp", "PacLaneSpec", "PROTOCOLS", "format_flow_uid"]
 
@@ -62,23 +64,6 @@ def _containable(error: HiltiError) -> bool:
     timeouts escalate to quarantining the flow."""
     return not (error.matches(INJECTED_FAULT)
                 or error.matches(PROCESSING_TIMEOUT))
-
-
-def _field(struct, name, default=None):
-    try:
-        return struct.get(name)
-    except HiltiError:
-        return default
-
-
-def _text(value, default: str = "") -> str:
-    if value is None:
-        return default
-    if isinstance(value, Bytes):
-        return value.to_bytes().decode("latin-1")
-    if isinstance(value, bytes):
-        return value.decode("latin-1")
-    return str(value)
 
 
 def _render_unit(event: str, obj) -> str:
@@ -176,7 +161,8 @@ class _StreamFlow:
 
 
 class _DatagramFlow:
-    """A UDP flow: one one-shot parse per datagram."""
+    """A UDP flow: one one-shot parse per datagram (the DNS and TFTP
+    grammars are datagram grammars)."""
 
     UNITS = {"dns": "Message", "tftp": "Packet"}
 
@@ -193,14 +179,8 @@ class _DatagramFlow:
         if self._dead:
             return
         parser = self.app.parsers[self.protocol]
-
-        def parse():
-            session = parser.start(self._unit)
-            session.feed(payload)
-            if not session.finished:
-                session.done()
-
-        self.app.guarded_parse(self, parse)
+        self.app.guarded_parse(
+            self, lambda: parser.parse(self._unit, payload))
 
     def end(self) -> None:
         pass

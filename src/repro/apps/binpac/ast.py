@@ -404,10 +404,17 @@ class Unit:
 
 
 class Grammar:
-    """A named set of units with constants (the ``module`` of a .pac2)."""
+    """A named set of units with constants (the ``module`` of a .pac2).
 
-    def __init__(self, name: str):
+    *datagram* declares that every unit is parsed from one whole,
+    already-complete PDU (a UDP datagram): the generated parsers then
+    never suspend for more input, and the host parses with one call
+    instead of an incremental session (paper §6.4).
+    """
+
+    def __init__(self, name: str, datagram: bool = False):
         self.name = name
+        self.datagram = datagram
         self.constants: Dict[str, str] = {}  # name -> pattern
         self.units: Dict[str, Unit] = {}
 

@@ -13,6 +13,14 @@ inside its fiber.  The host resumes the fiber after appending more data
 and parsing transparently continues where it left off; no per-session
 state machines, no PDU-level buffering layer.
 
+A grammar declared ``datagram`` (``Grammar(..., datagram=True)``: DNS,
+TFTP) is parsed from whole PDUs only, the one-shot path paper §6.4 says
+UDP deserves: running out of input fails at once, the parse functions
+contain no suspension point and compile to plain calls, and the host
+enters through ``Parser.parse``.  Either way, a run of consecutive
+fixed-width integer fields is one availability check and one
+``bytes.unpack_seq`` read.
+
 Regular-expression tokens are compiled to automata at *grammar compile
 time* and embedded as constants, and each finished unit runs the hook
 ``<Grammar>::<Unit>::%done`` so event glue (``repro.apps.binpac.evt``) can
@@ -21,7 +29,7 @@ attach without touching the parser.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ...core import types as ht
 from ...core.builder import FunctionBuilder, ModuleBuilder
@@ -87,6 +95,9 @@ class _UnitCompiler:
         self.mb = mb
         self.struct_types = struct_types
         self.token_cache = token_cache
+        # Whole-PDU input: no suspension points, so the parse function
+        # compiles to a plain call instead of a fiber-driven generator.
+        self.datagram = grammar.datagram
         params = [("data", ht.RefT(ht.BYTES)), ("cur", ht.ANY)]
         params += [(f"arg{i}", ht.ANY) for i in range(unit.params)]
         self.fb: FunctionBuilder = mb.function(
@@ -117,30 +128,52 @@ class _UnitCompiler:
                 fb.const(ht.STRING, message), target=err)
         fb.emit("exception.throw", err)
 
-    def _need(self, count_operand) -> None:
-        """Suspend until *count_operand* bytes are available at cur."""
+    def _retry_point(self, name: str) -> Optional[str]:
+        """Open the block a suspended parse re-enters once resumed; a
+        datagram grammar never suspends and needs none."""
+        if self.datagram:
+            return None
         fb = self.fb
-        retry = fb.fresh_label("need")
-        ok = fb.fresh_label("have")
-        wait = fb.fresh_label("wait")
-        yield_block = fb.fresh_label("suspend")
-        fail = fb.fresh_label("short")
+        retry = fb.fresh_label(name)
         fb.jump(retry)
         fb.block(retry)
+        return retry
+
+    def _undecided(self, retry: Optional[str], give_up: str) -> None:
+        """End the current block, where the input seen so far cannot
+        decide the field: with the buffer frozen (always, for a datagram
+        grammar) go to *give_up*, else suspend and retry at *retry*."""
+        fb = self.fb
+        if retry is None:
+            fb.jump(give_up)
+            return
+        suspend = fb.fresh_label("suspend")
+        frozen = fb.temp(ht.BOOL, "frozen")
+        fb.emit("bytes.is_frozen", fb.var("data"), target=frozen)
+        fb.branch(frozen, give_up, suspend)
+        fb.block(suspend)
+        fb.emit("yield")
+        fb.jump(retry)
+
+    def _need(self, count_operand) -> None:
+        """Continue once *count_operand* bytes are available at cur:
+        suspend until they are, or fail at the end of input — at once,
+        for a datagram grammar."""
+        fb = self.fb
+        retry = self._retry_point("need")
+        ok = fb.fresh_label("have")
+        wait = fb.fresh_label("wait") if retry is not None else None
+        fail = fb.fresh_label("short")
         avail = fb.temp(ht.INT64, "avail")
         enough = fb.temp(ht.BOOL, "enough")
         fb.emit("bytes.available", fb.var("cur"), target=avail)
         fb.emit("int.ge", avail, count_operand, target=enough)
-        fb.branch(enough, ok, wait)
-        fb.block(wait)
-        frozen = fb.temp(ht.BOOL, "frozen")
-        fb.emit("bytes.is_frozen", fb.var("data"), target=frozen)
-        fb.branch(frozen, fail, yield_block)
+        fb.branch(enough, ok, wait or fail)
+        if wait is not None:
+            fb.block(wait)
+            self._undecided(retry, fail)
         fb.block(fail)
         self._fail("unexpected end of input")
-        fb.block(yield_block)
-        fb.emit("yield")
-        fb.jump(retry)
         fb.block(ok)
 
     # -- expressions ---------------------------------------------------------
@@ -178,8 +211,7 @@ class _UnitCompiler:
         fb = self.fb
         struct_type = self.struct_types[self.unit.name]
         fb.emit("new", fb.type_ref(struct_type), target=self.obj)
-        for field in self.unit.fields:
-            self.emit_field(field, self._store_to_struct(field))
+        self.emit_fields(self.unit.fields)
         # Unit finished: run the %done hook (event glue attaches here).
         fb.emit("hook.run", fb.field(self.hook_name()),
                 fb.args(self.obj))
@@ -199,6 +231,23 @@ class _UnitCompiler:
                          self.fb.field(field.name), value_operand)
 
         return store
+
+    def emit_fields(self, fields: Sequence[Field]) -> None:
+        """Emit a field sequence; a run of two or more consecutive
+        unconditional fixed-width integers is one read."""
+        index = 0
+        while index < len(fields):
+            end = index
+            while end < len(fields) and isinstance(fields[end], UIntField) \
+                    and fields[end].condition is None:
+                end += 1
+            if end - index > 1:
+                self._emit_uint_run(fields[index:end])
+                index = end
+            else:
+                field = fields[index]
+                self.emit_field(field, self._store_to_struct(field))
+                index += 1
 
     def emit_field(self, field: Field, store: Optional[Callable]) -> None:
         fb = self.fb
@@ -231,8 +280,7 @@ class _UnitCompiler:
         elif isinstance(field, NativeField):
             self._emit_native(field, store)
         elif isinstance(field, SeqField):
-            for inner in field.fields:
-                self.emit_field(inner, self._store_to_struct(inner))
+            self.emit_fields(field.fields)
         elif isinstance(field, SwitchField):
             self._emit_switch(field)
         elif isinstance(field, ComputeField):
@@ -252,14 +300,11 @@ class _UnitCompiler:
     def _emit_pattern(self, pattern: str, store: Optional[Callable]) -> None:
         fb = self.fb
         regexp_const = self._regexp(pattern)
-        retry = fb.fresh_label("tok")
+        retry = self._retry_point("tok")
         matched = fb.fresh_label("tok_ok")
         no_match = fb.fresh_label("tok_no")
         undecided = fb.fresh_label("tok_more")
-        suspend = fb.fresh_label("tok_wait")
         fail = fb.fresh_label("tok_fail")
-        fb.jump(retry)
-        fb.block(retry)
         result = fb.temp(ht.ANY, "match")
         status = fb.temp(ht.INT64, "status")
         end_iter = fb.temp(ht.ANY, "match_end")
@@ -275,12 +320,7 @@ class _UnitCompiler:
         fb.emit("int.eq", status, fb.const(ht.INT64, 0), target=failed)
         fb.branch(failed, fail, undecided)
         fb.block(undecided)
-        frozen = fb.temp(ht.BOOL, "frozen")
-        fb.emit("bytes.is_frozen", fb.var("data"), target=frozen)
-        fb.branch(frozen, fail, suspend)
-        fb.block(suspend)
-        fb.emit("yield")
-        fb.jump(retry)
+        self._undecided(retry, fail)
         fb.block(fail)
         self._fail(f"expected token /{pattern}/")
         fb.block(matched)
@@ -309,14 +349,17 @@ class _UnitCompiler:
                 fb.const(ht.INT64, len(literal)), target=advanced)
         fb.emit("assign", advanced, target=fb.var("cur"))
 
+    @staticmethod
+    def _uint_format(field: UIntField) -> str:
+        endian = "Little" if field.little_endian else "Big"
+        return f"UInt{field.width}{endian}"
+
     def _emit_uint(self, field: UIntField, store: Optional[Callable]) -> None:
         fb = self.fb
-        size = field.width // 8
-        self._need(fb.const(ht.INT64, size))
-        endian = "Little" if field.little_endian else "Big"
-        fmt = f"UInt{field.width}{endian}"
+        self._need(fb.const(ht.INT64, field.width // 8))
         pair = fb.temp(ht.ANY, "uint_pair")
-        fb.emit("bytes.unpack", fb.var("cur"), fb.field(fmt), target=pair)
+        fb.emit("bytes.unpack", fb.var("cur"),
+                fb.field(self._uint_format(field)), target=pair)
         if store is not None:
             value = fb.temp(ht.INT64, "uint")
             fb.emit("tuple.index", pair, fb.const(ht.INT64, 0), target=value)
@@ -324,6 +367,26 @@ class _UnitCompiler:
         advanced = fb.temp(ht.ANY, "uint_cur")
         fb.emit("tuple.index", pair, fb.const(ht.INT64, 1), target=advanced)
         fb.emit("assign", advanced, target=fb.var("cur"))
+
+    def _emit_uint_run(self, run: Sequence[UIntField]) -> None:
+        """Consecutive fixed-width integers: one availability check, one
+        ``bytes.unpack_seq`` yielding every value plus the advanced
+        cursor, then each value stored as a lone field would be."""
+        fb = self.fb
+        self._need(fb.const(ht.INT64, sum(field.width for field in run) // 8))
+        values = fb.temp(ht.ANY, "uint_run")
+        fb.emit("bytes.unpack_seq", fb.var("cur"),
+                *[fb.field(self._uint_format(field)) for field in run],
+                target=values)
+        for index, field in enumerate(run):
+            store = self._store_to_struct(field)
+            if store is not None:
+                value = fb.temp(ht.INT64, "uint")
+                fb.emit("tuple.index", values, fb.const(ht.INT64, index),
+                        target=value)
+                store(value)
+        fb.emit("tuple.index", values, fb.const(ht.INT64, len(run)),
+                target=fb.var("cur"))
 
     def _emit_bytes(self, field: BytesField, store: Optional[Callable]) -> None:
         fb = self.fb
@@ -341,18 +404,10 @@ class _UnitCompiler:
             return
         if field.eod:
             # Consume everything up to the (frozen) end of the data.
-            wait = fb.fresh_label("eod_wait")
-            take = fb.fresh_label("eod_take")
-            suspend = fb.fresh_label("eod_suspend")
-            fb.jump(wait)
-            fb.block(wait)
-            frozen = fb.temp(ht.BOOL, "frozen")
-            fb.emit("bytes.is_frozen", fb.var("data"), target=frozen)
-            fb.branch(frozen, take, suspend)
-            fb.block(suspend)
-            fb.emit("yield")
-            fb.jump(wait)
-            fb.block(take)
+            if not self.datagram:
+                take = fb.fresh_label("eod_take")
+                self._undecided(self._retry_point("eod_wait"), take)
+                fb.block(take)
             end_iter = fb.temp(ht.ANY, "eod_end")
             fb.emit("bytes.end", fb.var("data"), target=end_iter)
             if store is not None:
@@ -364,13 +419,9 @@ class _UnitCompiler:
         # &until=/re/: take bytes up to the first delimiter match; the
         # delimiter itself is consumed (and included when include_delim).
         delim = self._regexp(field.until)
-        retry = fb.fresh_label("until")
+        retry = self._retry_point("until")
         take = fb.fresh_label("until_take")
-        undecided = fb.fresh_label("until_more")
-        suspend = fb.fresh_label("until_wait")
         fail = fb.fresh_label("until_fail")
-        fb.jump(retry)
-        fb.block(retry)
         result = fb.temp(ht.ANY, "until_res")
         status = fb.temp(ht.INT64, "until_status")
         fb.call("BinPAC::find_delim", [fb.var("data"), fb.var("cur"), delim],
@@ -378,14 +429,21 @@ class _UnitCompiler:
         fb.emit("tuple.index", result, fb.const(ht.INT64, 0), target=status)
         found = fb.temp(ht.BOOL, "until_found")
         fb.emit("int.gt", status, fb.const(ht.INT64, 0), target=found)
-        fb.branch(found, take, undecided)
-        fb.block(undecided)
-        needs_more = fb.temp(ht.BOOL, "until_need")
-        fb.emit("int.lt", status, fb.const(ht.INT64, 0), target=needs_more)
-        fb.branch(needs_more, suspend, fail)
-        fb.block(suspend)
-        fb.emit("yield")
-        fb.jump(retry)
+        if retry is None:
+            # Whole input: find_delim has decided (status 1 or 0).
+            fb.branch(found, take, fail)
+        else:
+            undecided = fb.fresh_label("until_more")
+            suspend = fb.fresh_label("until_wait")
+            fb.branch(found, take, undecided)
+            fb.block(undecided)
+            needs_more = fb.temp(ht.BOOL, "until_need")
+            fb.emit("int.lt", status, fb.const(ht.INT64, 0),
+                    target=needs_more)
+            fb.branch(needs_more, suspend, fail)
+            fb.block(suspend)
+            fb.emit("yield")
+            fb.jump(retry)
         fb.block(fail)
         self._fail(f"delimiter /{field.until}/ not found before end of input")
         fb.block(take)
@@ -458,7 +516,6 @@ class _UnitCompiler:
             body = fb.fresh_label("ulist_body")
             stop = fb.fresh_label("ulist_stop")
             undecided = fb.fresh_label("ulist_more")
-            suspend = fb.fresh_label("ulist_wait")
             fb.jump(head)
             fb.block(head)
             result = fb.temp(ht.ANY, "ulist_match")
@@ -480,12 +537,7 @@ class _UnitCompiler:
             decide = fb.fresh_label("ulist_decide")
             fb.branch(needs_more, decide, body)
             fb.block(decide)
-            frozen = fb.temp(ht.BOOL, "ulist_frozen")
-            fb.emit("bytes.is_frozen", fb.var("data"), target=frozen)
-            fb.branch(frozen, body, suspend)
-            fb.block(suspend)
-            fb.emit("yield")
-            fb.jump(head)
+            self._undecided(None if self.datagram else head, body)
             fb.block(body)
             self._emit_field_inner(field.element, element_store)
             fb.jump(head)
@@ -495,7 +547,6 @@ class _UnitCompiler:
             head = fb.fresh_label("elist_head")
             body = fb.fresh_label("elist_body")
             check = fb.fresh_label("elist_check")
-            suspend = fb.fresh_label("elist_wait")
             done = fb.fresh_label("elist_done")
             fb.jump(head)
             fb.block(head)
@@ -503,12 +554,7 @@ class _UnitCompiler:
             fb.emit("bytes.at_end", fb.var("cur"), target=at_end)
             fb.branch(at_end, check, body)
             fb.block(check)
-            frozen = fb.temp(ht.BOOL, "elist_frozen")
-            fb.emit("bytes.is_frozen", fb.var("data"), target=frozen)
-            fb.branch(frozen, done, suspend)
-            fb.block(suspend)
-            fb.emit("yield")
-            fb.jump(head)
+            self._undecided(None if self.datagram else head, done)
             fb.block(body)
             self._emit_field_inner(field.element, element_store)
             fb.jump(head)
@@ -592,9 +638,11 @@ class GrammarCompiler:
 class Parser:
     """Host-side handle: one compiled grammar, ready to parse.
 
-    ``parse(unit, data)`` runs to completion over complete input;
-    ``start(unit)`` returns an incremental session: feed chunks with
-    ``session.feed(b"...")``, finish with ``session.done()``.
+    ``parse(unit, data)`` runs to completion over complete input — the
+    one entry of a datagram grammar, whose parse functions are plain
+    calls; ``start(unit)`` returns an incremental session of a stream
+    grammar: feed chunks with ``session.feed(b"...")``, finish with
+    ``session.done()``.
     """
 
     def __init__(self, grammar: Grammar, extra_modules=(),
@@ -640,13 +688,19 @@ class Parser:
                 self.program, f"{self.grammar.name}::{unit_name}::parse")
         return stub
 
-    def parse(self, unit_name: str, data: bytes):
-        """One-shot parse of complete input; returns the unit struct."""
-        buf = Bytes(data if isinstance(data, bytes) else data.to_bytes())
+    def parse(self, unit_name: str, data):
+        """One-shot parse of complete input — any bytes-like object or a
+        ``Bytes``, copied once into a frozen buffer; returns the unit
+        struct."""
+        buf = Bytes(data._data if isinstance(data, Bytes) else data)
         buf.freeze()
-        return self.stub(unit_name)(self.ctx, buf, buf.begin())[0]
+        return self.stub(unit_name).call(self.ctx, buf, buf.begin())[0]
 
     def start(self, unit_name: str) -> "ParseSession":
+        if self.grammar.datagram:
+            raise GrammarError(
+                f"grammar {self.grammar.name} parses whole datagrams: "
+                f"use parse(), not an incremental session")
         return ParseSession(self, unit_name)
 
 

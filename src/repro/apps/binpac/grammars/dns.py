@@ -46,7 +46,7 @@ TYPE_AAAA = 28
 
 
 def dns_grammar() -> Grammar:
-    g = Grammar("DNS")
+    g = Grammar("DNS", datagram=True)
 
     g.unit(Unit("Question", [
         NativeField("qname", "dns_name"),

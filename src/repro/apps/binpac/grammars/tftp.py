@@ -46,7 +46,7 @@ def _request_fields():
 
 
 def tftp_grammar() -> Grammar:
-    g = Grammar("TFTP")
+    g = Grammar("TFTP", datagram=True)
     g.unit(Unit("Packet", [
         UIntField("opcode", 16),
         SwitchField(SelfField("opcode"), [

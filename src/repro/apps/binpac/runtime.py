@@ -17,9 +17,10 @@ from typing import Dict, Tuple
 from ...core import types as ht
 from ...runtime.bytes_buffer import Bytes, BytesIter
 from ...runtime.exceptions import EXCEPTION_BASE, HiltiError
-from ...runtime.structs import StructInstance
+from ...runtime.structs import UNSET, StructInstance
 
-__all__ = ["natives", "ParseError", "PARSE_ERROR"]
+__all__ = ["natives", "ParseError", "PARSE_ERROR", "unit_field",
+           "unit_text"]
 
 PARSE_ERROR = ht.ExceptionT("BinPAC::ParseError", EXCEPTION_BASE)
 
@@ -35,13 +36,69 @@ def _to_raw(value) -> bytes:
     return bytes(value)
 
 
+def unit_field(struct: StructInstance, name: str, default=None):
+    """Field *name* of a parsed unit, or *default* while it is unset: a
+    slot read, for the host adapters that turn units into events."""
+    value = struct._slots[struct.struct_type.slot_index[name]]
+    return default if value is UNSET else value
+
+
+def unit_text(value, default: str = "") -> str:
+    """A unit field as host text (bytes decode as latin-1)."""
+    if value is None:
+        return default
+    if isinstance(value, Bytes):
+        return value.to_bytes().decode("latin-1")
+    if isinstance(value, bytes):
+        return value.decode("latin-1")
+    return str(value)
+
+
 def bp_dns_name(ctx, data: Bytes, it: BytesIter) -> Tuple[str, BytesIter]:
     """Decode a (possibly compressed) DNS name at *it*.
 
     Returns ``(name, iterator past the name)``.  Compression pointers are
     followed with a hop limit so adversarial loops terminate — fail-safe
     processing of untrusted input.
+
+    The scan reads the backing ``bytearray`` in place and only takes
+    names the reference loop (:func:`dns_name_reference`) would accept;
+    anything irregular — a bad label length, a pointer loop, a read out
+    of range, too many labels — runs that loop from the start instead,
+    so every error is its own.
     """
+    buf = data._data
+    base = data._base
+    size = len(buf)
+    pos = it.offset - base
+    labels = []
+    end = None  # buffer index where parsing resumes (set at first pointer)
+    hops = 0
+    while 0 <= pos < size:
+        length = buf[pos]
+        if length == 0:
+            name = b".".join(labels).decode("latin-1").lower()
+            return name, BytesIter(data, base + (pos + 1 if end is None
+                                                 else end))
+        if length < 64:
+            pos += 1 + length
+            if pos > size or len(labels) == 128:
+                break
+            labels.append(buf[pos - length:pos])
+        elif length >= 0xC0 and pos + 1 < size and hops < 64:
+            if end is None:
+                end = pos + 2
+            pos = ((length & 0x3F) << 8) | buf[pos + 1]
+            hops += 1
+        else:
+            break
+    return dns_name_reference(ctx, data, it)
+
+
+def dns_name_reference(ctx, data: Bytes, it: BytesIter
+                       ) -> Tuple[str, BytesIter]:
+    """The reference DNS name decoder :func:`bp_dns_name` falls back to:
+    one checked buffer access per byte, the error classes of record."""
     labels = []
     offset = it.offset
     end_offset = None  # where parsing resumes (set at first pointer)
@@ -120,15 +177,10 @@ def bp_http_header_value(ctx, headers, name: str):
     for header in headers:
         if not isinstance(header, StructInstance):
             continue
-        try:
-            header_name = header.get("name")
-        except HiltiError:
-            continue
-        if _to_raw(header_name).strip().lower() == wanted:
-            try:
-                return header.get("value")
-            except HiltiError:
-                return None
+        header_name = unit_field(header, "name")
+        if header_name is not None and \
+                _to_raw(header_name).strip().lower() == wanted:
+            return unit_field(header, "value")
     return None
 
 

@@ -7,10 +7,11 @@ events through generated glue.  Here the glue is a hook module raising
 below convert struct fields into the exact event vocabulary the standard
 analyzers emit, so identical scripts run against either parser tier.
 
-Parsers compile once per configuration and are shared across connections;
-each connection direction runs inside its own suspended fiber
+Parsers compile once per configuration and are shared across connections.
+Each HTTP connection direction runs inside its own suspended fiber
 (``ParseSession``), which is what makes the generated parsers fully
-incremental across packet boundaries.
+incremental across packet boundaries; a DNS datagram is one plain
+``Parser.parse`` call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from ....runtime.faults import SITE_BINPAC_PARSE
 from ...binpac.codegen import Parser
 from ...binpac.glue import unit_done_glue as _unit_done_glue
 from ...binpac.grammars import dns_grammar, http_grammar
+from ...binpac.runtime import unit_field as _field
+from ...binpac.runtime import unit_text as _text
 from ..files import FileInfo
 from ..val import VectorVal
 
@@ -83,23 +86,6 @@ def _containable(error: HiltiError) -> bool:
     fault-injection oracle measures."""
     return not (error.matches(INJECTED_FAULT)
                 or error.matches(PROCESSING_TIMEOUT))
-
-
-def _field(struct, name, default=None):
-    try:
-        return struct.get(name)
-    except HiltiError:
-        return default
-
-
-def _text(value, default: str = "") -> str:
-    if value is None:
-        return default
-    if isinstance(value, Bytes):
-        return value.to_bytes().decode("latin-1")
-    if isinstance(value, bytes):
-        return value.decode("latin-1")
-    return str(value)
 
 
 class HttpPacAnalyzer:
@@ -207,8 +193,8 @@ class HttpPacAnalyzer:
 
 
 class DnsPacAnalyzer:
-    """DNS over the BinPAC++ parser (incremental even for UDP — the
-    §6.4-noted inefficiency the ablation bench quantifies)."""
+    """DNS over the BinPAC++ parser: one one-shot parse per datagram
+    (the DNS grammar is a datagram grammar — no fiber, no session)."""
 
     name = "dns-pac"
 
@@ -228,10 +214,7 @@ class DnsPacAnalyzer:
         previous = self.parsers.current_sink
         self.parsers.current_sink = self
         try:
-            session = self.parsers.dns.start("Message")
-            session.feed(payload)
-            if not session.finished:
-                session.done()
+            self.parsers.dns.parse("Message", payload)
             self.messages += 1
         except HiltiError as error:
             if not _containable(error):

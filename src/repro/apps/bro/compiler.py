@@ -25,7 +25,7 @@ from ...core.ir import LabelRef, TupleOp, Var
 from ...core.stubs import Stub
 from ...core.toolchain import hiltic
 from .builtins import make_builtins, render
-from .glue import Glue
+from .glue import HILTI_BOXED, Glue
 from .lang import (
     AddStmt,
     Assign,
@@ -582,6 +582,28 @@ class ScriptCompiler:
         def native_queue_event(ctx, name, args):
             core.queue_event(name, glue.args_from_hilti(args))
 
+        boxed_tuple = natives["Bro::__tuple"]
+
+        def native_tuple(ctx, *items):
+            # A key of plain values ([c$uid, trans_id]) is its own HILTI
+            # value; only boxed members take the glue round trip.
+            for item in items:
+                if type(item) in HILTI_BOXED:
+                    return boxed_tuple(ctx, *items)
+            return items
+
+        snapshot_log_write = natives["Bro::Log::write"]
+
+        def native_log_write(ctx, stream, record):
+            # A typed record is rendered from its slots as it is (the log
+            # framework reads HILTI cells); untyped or anonymous records,
+            # or a non-string stream name, take the Val snapshot.
+            if type(record) is RecordVal and record._extra is None \
+                    and type(stream) is str:
+                core.log_write(stream, record)
+                return None
+            return snapshot_log_write(ctx, stream, record)
+
         natives.update({
             "Bro::size": native_size,
             "Bro::contains": native_contains,
@@ -592,9 +614,11 @@ class ScriptCompiler:
             "Bro::vector": native_vector,
             "Bro::print": native_print,
             "Bro::queue_event": native_queue_event,
+            "Bro::__tuple": native_tuple,
+            "Bro::Log::write": native_log_write,
         })
-        # Log::write and fmt need Val conversion (they face Bro); already
-        # wrapped above via val_builtins, including "Log::write".
+        # fmt and the other builtins need Val conversion (they face Bro):
+        # wrapped above via val_builtins.
         return natives
 
 

@@ -11,9 +11,12 @@ benchmarks can report the glue share of total cycles.
 The boundary rule: a typed record is shared, not converted.  Once it has
 crossed into compiled code its container and bytes fields are HILTI
 values — Bro containers the host put there are lowered in place, those
-scripts write stay as written — and Val consumers (natives, the log
-framework, host Python) read it through ``from_hilti``, which returns a
-Val-only snapshot, or the record itself when it holds none.
+scripts write stay as written — and Val consumers (natives, host
+Python) read it through ``from_hilti``, which returns a Val-only
+snapshot (:func:`to_val`), or the record itself when it holds none.
+The log framework needs no snapshot: ``Log::write`` hands it the record,
+and it renders HILTI cells as their snapshots would render
+(``repro.apps.bro.logging``).
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from ...runtime.containers import HiltiList, HiltiMap, HiltiSet, HiltiVector
 from ...runtime.structs import StructInstance
 from .val import RecordVal, SetVal, TableVal, VectorVal
 
-__all__ = ["Glue"]
+__all__ = ["Glue", "to_val"]
 
 # The Val-side types that are not their own HILTI value, and back.
 # Anything else (scalars incl. Addr/Port/Time/Interval/bytes/str)
 # crosses the boundary untouched.
 _BRO_BOXED = frozenset((RecordVal, TableVal, SetVal, VectorVal, tuple))
-_HILTI_BOXED = frozenset((StructInstance, RecordVal, HiltiMap, HiltiSet,
-                          HiltiVector, HiltiList, Bytes, tuple))
+HILTI_BOXED = frozenset((StructInstance, RecordVal, HiltiMap, HiltiSet,
+                         HiltiVector, HiltiList, Bytes, tuple))
 
 
 @lru_cache(maxsize=256)
@@ -44,6 +47,32 @@ def _anon_struct(names: tuple) -> ht.StructT:
     """The stand-in layout of an untyped record with these fields."""
     return ht.StructT("anon<" + ",".join(names) + ">",
                       [ht.StructField(name, ht.ANY) for name in names])
+
+
+def to_val(value):
+    """HILTI value -> Val, unaccounted: the snapshot a Val consumer
+    reads (a record holding no HILTI value comes back as itself)."""
+    kind = type(value)
+    if kind is StructInstance or kind is RecordVal:
+        slots = [to_val(v) if type(v) in HILTI_BOXED else v
+                 for v in value._slots]
+        if kind is RecordVal and all(map(is_, slots, value._slots)):
+            return value  # handed over as is, comes back as is
+        return RecordVal.from_struct(value.struct_type, slots)
+    if kind is HiltiMap:
+        out = TableVal()
+        for key, item in value.items():
+            out.set(to_val(key), to_val(item))
+        return out
+    if kind is HiltiSet:
+        return SetVal(to_val(m) for m in value)
+    if kind is HiltiVector or kind is HiltiList:
+        return VectorVal(to_val(i) for i in value)
+    if kind is Bytes:
+        return value.to_bytes()
+    if kind is tuple:
+        return tuple(to_val(v) for v in value)
+    return value
 
 
 class Glue:
@@ -118,35 +147,10 @@ class Glue:
     def args_from_hilti(self, args: Sequence) -> List:
         """One native call's arguments, HILTI -> Val; timed once."""
         begin = perf_counter_ns()
-        out = [self._from_hilti(a) if type(a) in _HILTI_BOXED else a
-               for a in args]
+        out = [to_val(a) if type(a) in HILTI_BOXED else a for a in args]
         self.from_hilti_calls += len(out)
         self.ns_spent += perf_counter_ns() - begin
         return out
-
-    def _from_hilti(self, value):
-        kind = type(value)
-        convert = self._from_hilti
-        if kind is StructInstance or kind is RecordVal:
-            slots = [convert(v) if type(v) in _HILTI_BOXED else v
-                     for v in value._slots]
-            if kind is RecordVal and all(map(is_, slots, value._slots)):
-                return value  # handed over as is, comes back as is
-            return RecordVal.from_struct(value.struct_type, slots)
-        if kind is HiltiMap:
-            out = TableVal()
-            for key, item in value.items():
-                out.set(convert(key), convert(item))
-            return out
-        if kind is HiltiSet:
-            return SetVal(convert(m) for m in value)
-        if kind is HiltiVector or kind is HiltiList:
-            return VectorVal(convert(i) for i in value)
-        if kind is Bytes:
-            return value.to_bytes()
-        if kind is tuple:
-            return tuple(convert(v) for v in value)
-        return value
 
     def stats(self) -> Dict:
         return {

@@ -12,7 +12,11 @@ from __future__ import annotations
 import io
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ...core import types as ht
 from ...core.values import Addr, Interval, Port, Time
+from ...runtime.bytes_buffer import Bytes
+from ...runtime.containers import HiltiList, HiltiSet, HiltiVector
+from .glue import to_val
 from .val import RecordVal, SetVal, VectorVal
 
 __all__ = ["LogStream", "LogManager", "render_value", "normalize_log"]
@@ -69,17 +73,82 @@ def render_value(value) -> str:
     return str(value)
 
 
+def _render_bytes(value) -> str:
+    return value.decode("utf-8", "replace") or EMPTY
+
+
+def _render_items(value) -> str:
+    items = [_render_hilti(v) for v in value]
+    return ",".join(items) if items else UNSET
+
+
+# The values a record shared with compiled code holds, by exact class,
+# rendered as their Val snapshots (``glue.to_val``) would render: Bytes as
+# bytes, a HILTI container as the VectorVal/SetVal it snapshots to (its
+# items likewise); Val containers are their own snapshot.
+_RENDER_HILTI = {
+    **_RENDER_EXACT,
+    bytes: _render_bytes,
+    VectorVal: render_value,
+    SetVal: render_value,
+    Bytes: lambda value: _render_bytes(value._data),
+    HiltiVector: _render_items,
+    HiltiList: _render_items,
+    HiltiSet: _render_items,
+}
+
+# A top-level cell may also be an unset slot, which renders as unset.
+_RENDER_CELL = {**_RENDER_HILTI, type(ht.UNSET): lambda value: UNSET}
+
+
+def _render_hilti(value) -> str:
+    """One value as ``render_value(to_val(value))``, without building
+    the snapshot unless its class is not in the table."""
+    render = _RENDER_HILTI.get(value.__class__)
+    if render is not None:
+        return render(value)
+    return render_value(to_val(value))
+
+
 class LogStream:
-    """One log stream: name plus ordered columns."""
+    """One log stream: name plus ordered columns.
+
+    A typed record renders straight from its slot list through a
+    column -> slot plan built once per record type (cached by the type's
+    identity: struct types hash structurally); an untyped one reads its
+    fields by name.  Both script engines write here, and a record from
+    compiled code arrives as is, HILTI cells included.
+    """
 
     def __init__(self, name: str, columns: Sequence[str]):
         self.name = name
         self.columns = list(columns)
         self.lines: List[str] = []
         self.writes = 0
+        # id(record type) -> (the type, slot per column or None); holding
+        # the type keeps its id from being reused by another one.
+        self._plans: Dict[int, tuple] = {}
+
+    def _plan(self, record_type) -> tuple:
+        plan = self._plans.get(id(record_type))
+        if plan is None:
+            index = record_type.slot_index
+            plan = (record_type,
+                    tuple(index.get(column) for column in self.columns))
+            self._plans[id(record_type)] = plan
+        return plan[1]
 
     def write(self, record: RecordVal) -> str:
-        fields = [render_value(record.get_or(c)) for c in self.columns]
+        if record._extra is not None:  # untyped: fields by name
+            fields = [render_value(record.get_or(c)) for c in self.columns]
+        else:
+            slots = record._slots
+            fields = []
+            for index in self._plan(record.struct_type):
+                value = ht.UNSET if index is None else slots[index]
+                render = _RENDER_CELL.get(value.__class__)
+                fields.append(render(value) if render is not None
+                              else render_value(to_val(value)))
         line = "\t".join(fields)
         self.lines.append(line)
         self.writes += 1

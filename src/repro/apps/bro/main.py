@@ -23,6 +23,8 @@ from ...runtime.faults import (
     HealthReport,
 )
 from ...runtime.telemetry import Telemetry
+from .analyzers.dns_std import DnsStdAnalyzer
+from .analyzers.http_std import HttpStdAnalyzer
 from .compiler import ScriptCompiler
 from .conn import ConnectionTracker
 from .core import BroCore, WEIRD_LOG_COLUMNS
@@ -130,14 +132,26 @@ class Bro(HostApp):
             self.glue = compiler.glue
         self.core.script_engine = self.engine
 
+        # Analyzer classes per service, resolved once: (std, pac).  The
+        # pac analyzers (and BinPAC++) load only for a pac run.
+        self._analyzers = {
+            ("tcp", 80): (HttpStdAnalyzer, None),
+            ("udp", 53): (DnsStdAnalyzer, None),
+        }
         self._pac = None
         if parsers == "pac":
-            if pac_parsers is not None:
-                self._pac = pac_parsers
-            else:
-                from .analyzers.pac import PacParsers
+            from .analyzers.pac import (
+                DnsPacAnalyzer,
+                HttpPacAnalyzer,
+                PacParsers,
+            )
 
-                self._pac = pac_parsers or PacParsers(opt_level=opt_level)
+            self._pac = pac_parsers if pac_parsers is not None \
+                else PacParsers(opt_level=opt_level)
+            self._analyzers = {
+                ("tcp", 80): (HttpStdAnalyzer, HttpPacAnalyzer),
+                ("udp", 53): (DnsStdAnalyzer, DnsPacAnalyzer),
+            }
         self.tracker = ConnectionTracker(self.core, self._make_analyzer,
                                          tracer=self.telemetry.tracer,
                                          uid_map=uid_map,
@@ -159,23 +173,13 @@ class Bro(HostApp):
         return self.parser_tier
 
     def _make_analyzer(self, conn_val, proto: str, resp_port: int):
-        if proto == "tcp" and resp_port == 80:
-            if self._effective_tier() == "std":
-                from .analyzers.http_std import HttpStdAnalyzer
-
-                return HttpStdAnalyzer(conn_val, self.core)
-            from .analyzers.pac import HttpPacAnalyzer
-
-            return HttpPacAnalyzer(conn_val, self.core, self._pac)
-        if proto == "udp" and resp_port == 53:
-            if self._effective_tier() == "std":
-                from .analyzers.dns_std import DnsStdAnalyzer
-
-                return DnsStdAnalyzer(conn_val, self.core)
-            from .analyzers.pac import DnsPacAnalyzer
-
-            return DnsPacAnalyzer(conn_val, self.core, self._pac)
-        return None
+        analyzers = self._analyzers.get((proto, resp_port))
+        if analyzers is None:
+            return None
+        std, pac = analyzers
+        if self._effective_tier() == "std":
+            return std(conn_val, self.core)
+        return pac(conn_val, self.core, self._pac)
 
     # -- the shared-substrate surface ---------------------------------------
 

@@ -470,12 +470,15 @@ def _site_unpack(em, instruction, args):
 
 
 def _site_bytes_unpack(em, instruction, args):
-    """``bytes.unpack <iter> <Format>``: precompiled unpacker plus a
-    fixed iterator advance."""
-    if not isinstance(instruction.operands[1], FieldRef):
+    """``bytes.unpack``/``bytes.unpack_seq <iter> <Format>...``: the
+    run's precompiled reader (one ``Struct.unpack_from`` for a plain
+    run) and a fixed iterator advance."""
+    formats = instruction.operands[1:]
+    if not all(isinstance(fmt, FieldRef) for fmt in formats):
         return None
     try:
-        unpacker = rt_overlay.make_iter_unpacker(instruction.operands[1].name)
+        unpacker = rt_overlay.make_seq_unpacker(
+            tuple(fmt.name for fmt in formats))
     except Exception:
         return None
     return f"{em.unit.bind(unpacker)}({args[0]})"
@@ -505,6 +508,7 @@ _SITES = {
     "overlay.get": (1, _site_overlay_get),
     "unpack": (1, _site_unpack),
     "bytes.unpack": (1, _site_bytes_unpack),
+    "bytes.unpack_seq": (1, _site_bytes_unpack),
     "new": (1, _site_new),
     **{f"struct.{op}": (1, _site_struct)
        for op in ("get", "set", "is_set", "get_default", "unset")},

@@ -835,12 +835,16 @@ _register("pack", "req", ("val", "field"), fn=_pack,
           doc="Render a value into wire-format bytes (inverse of unpack).")
 
 
-def _unpack_iter(ctx, it, fmt_name):
-    return rt_overlay.make_iter_unpacker(fmt_name)(it)
+def _unpack_iter(ctx, it, *fmt_names):
+    return rt_overlay.make_seq_unpacker(fmt_names)(it)
 
 
 _register("bytes.unpack", "req", ("iter", "field"), fn=_unpack_iter,
           doc="Unpack at an iterator; returns (value, advanced iterator).")
+_register("bytes.unpack_seq", "req", ("iter", "field", "field*"),
+          fn=_unpack_iter,
+          doc="Unpack consecutive fields at an iterator in one read; "
+              "returns (value, ..., advanced iterator).")
 
 
 # --------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..core import types as ht
 from ..core.values import Addr, Port
 from .bytes_buffer import Bytes, BytesIter
 from .exceptions import HiltiError, OVERLAY_NOT_ATTACHED, VALUE_ERROR
 
-__all__ = ["unpack_value", "make_unpacker", "make_iter_unpacker",
+__all__ = ["unpack_value", "make_unpacker", "make_seq_unpacker",
            "OverlayInstance", "FORMAT_SIZES"]
 
 # Format name -> (size in bytes, struct code or special handler tag).
@@ -121,8 +121,8 @@ def make_unpacker(fmt: ht.UnpackFormat):
     behavior, but format resolution, size/code dispatch, and bit-range
     validation happen once per distinct format: the compiled tier binds
     the result into ``overlay.get``/``unpack`` sites whose layout is a
-    compile-time constant, and the generic ``bytes.unpack`` resolves its
-    format name through the same table per call.
+    compile-time constant, and :func:`make_seq_unpacker` builds its
+    field-by-field readers from it.
 
     Scalars read the backing buffer in place (``Struct.unpack_from``)
     after one bounds check; a short or trimmed read goes through
@@ -169,20 +169,48 @@ def make_unpacker(fmt: ht.UnpackFormat):
 
 
 @functools.lru_cache(maxsize=None)
-def make_iter_unpacker(fmt_name: str):
-    """:func:`make_unpacker` in iterator form, for ``bytes.unpack``.
+def make_seq_unpacker(fmt_names: Tuple[str, ...]):
+    """A run of consecutive fields at an iterator, read as one: the
+    reader behind ``bytes.unpack`` (a run of one) and ``bytes.unpack_seq``.
 
-    Returns ``f(it) -> (value, iterator advanced past the field)``; the
-    advance is a fixed offset, not a per-call ``format_size`` lookup.
+    Returns ``f(it) -> (value, ..., iterator advanced past the run)``;
+    the advance is a fixed offset, not a per-call ``format_size`` lookup.
+    A run of plain integer/double formats of one byte order is one
+    precompiled ``Struct``: one bounds check for the whole run and one
+    ``unpack_from`` on the backing buffer; a short run raises the
+    buffer's own error, as the first short field would.  Any other run
+    reads field by field through :func:`make_unpacker`.
     """
-    unpacker = make_unpacker(ht.UnpackFormat(fmt_name))
-    size = format_size(fmt_name)
+    names = [canonical_format(name) for name in fmt_names]
+    codes = [_FIXED_FORMATS.get(name, (0, ""))[1] for name in names]
+    size = sum(format_size(name) for name in names)
+    order = codes[0][:1]
+    if order in (">", "<") and all(
+            len(code) == 2 and code[0] == order for code in codes):
+        unpack_from = struct.Struct(
+            order + "".join(code[1] for code in codes)).unpack_from
 
-    def unpack_at(it):
+        def unpack_run(it):
+            data, offset = it.bytes_obj, it.offset
+            index = offset - data._base
+            if index < 0 or index + size > len(data._data):
+                data.read(offset, size)  # raises the buffer's own error
+            return (*unpack_from(data._data, index),
+                    BytesIter(data, offset + size))
+
+        return unpack_run
+    fields = [(make_unpacker(ht.UnpackFormat(name)), format_size(name))
+              for name in names]
+
+    def unpack_each(it):
         data, offset = it.bytes_obj, it.offset
-        return unpacker(data, offset), BytesIter(data, offset + size)
+        values = []
+        for unpacker, width in fields:
+            values.append(unpacker(data, offset))
+            offset += width
+        return (*values, BytesIter(data, offset))
 
-    return unpack_at
+    return unpack_each
 
 
 class OverlayInstance:

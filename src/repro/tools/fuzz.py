@@ -12,7 +12,7 @@ random-but-well-typed programs and drives the oracle at scale::
     python -m repro.tools.fuzz --seed 7 --count 200 \
         --emit-corpus tests/core/fuzz_corpus
 
-Four lanes, each a different program source:
+Five lanes, each a different program source:
 
 * ``module`` — random HILTI modules built through ``core.builder``:
   integer dataflow, branches, bounded loops, switches, lexical
@@ -37,6 +37,15 @@ Four lanes, each a different program source:
 * ``pac`` — malformed HTTP byte streams through the BinPAC++-generated
   parser compiled at every level; unit events, parse errors, and
   completion state must match across levels.
+* ``dns`` — well-formed DNS responses malformed by truncation, label
+  lengths over 63, self- and forward-pointing compression pointers,
+  pointers past the end, count fields larger than the body, ``rdlength``
+  mismatches and bit flips.  Oracle: the datagram grammar's one-shot
+  parse on the interpreter and at every compiled level against an
+  always-incremental build of the same grammar fed the same bytes —
+  equal unit fields or the same error class — plus ``instr_count``
+  parity between the interpreter and ``-O0``.  Corpus cases are hex
+  ``.dns`` files.
 
 Coverage guidance: each module case's ``-O2`` ``OptStats`` counters
 (which passes actually fired) plus its structural features form a
@@ -54,6 +63,7 @@ import copy
 import json
 import random
 import re
+import struct
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -63,18 +73,26 @@ from ..core.builder import FunctionBuilder, ModuleBuilder
 from ..core.optimize import OPT_LEVELS
 from ..core.parser import parse_module
 from ..core.printer import print_module
+from ..core.stubs import Stub
 from ..core.toolchain import hiltic
+from ..runtime.bytes_buffer import Bytes, BytesIter
+from ..runtime.containers import HiltiList
 from ..runtime.exceptions import HiltiError, builtin_exception_types
 from ..runtime.fibers import YIELDED
+from ..runtime.structs import UNSET, StructInstance
 
 __all__ = [
     "Fuzzer",
     "build_module",
+    "dns_case_source",
+    "gen_dns_input",
+    "gen_dns_message",
     "gen_module_spec",
     "minimize_module_case",
     "module_case_source",
     "mutate_module_spec",
     "run_corpus_text",
+    "run_dns_corpus_text",
     "run_filter_case",
     "run_module_case",
     "run_script_case",
@@ -982,6 +1000,215 @@ class _PacOracle:
 
 
 # ---------------------------------------------------------------------------
+# DNS lane: malformed datagrams, one-shot parse vs an incremental build
+#
+# The DNS grammar is a datagram grammar: its parse functions cannot
+# suspend and the host parses a whole message in one call.  The oracle
+# holds that path — on the interpreter and at every compiled level — to
+# an always-incremental build of the same grammar fed the same bytes:
+# equal unit fields, or the same error class.  The interpreter and -O0
+# also agree on the instruction count.
+
+_DNS_NAMES = ("www", "mail", "ns1", "cdn", "a", "example", "org", "io")
+_DNS_MUTATIONS = ("truncate", "label", "self_pointer", "forward_pointer",
+                  "pointer_past_end", "counts", "rdlength", "flip")
+
+
+def _dns_name(rng: random.Random) -> bytes:
+    out = bytearray()
+    for __ in range(rng.randint(1, 4)):
+        label = rng.choice(_DNS_NAMES).encode()
+        out += bytes([len(label)]) + label
+    return bytes(out + b"\x00")
+
+
+def gen_dns_message(rng: random.Random) -> Tuple[bytes, List[int],
+                                                 List[int]]:
+    """A well-formed DNS response: one question and 0-4 records (A,
+    AAAA, NS, MX, TXT or an unknown type) whose owner names point back
+    at the question.  Returns the message, the offsets of its names, and
+    the offsets of its ``rdlength`` fields."""
+    records = []
+    for __ in range(rng.randint(0, 4)):
+        rtype = rng.choice((1, 28, 2, 15, 16, 99))
+        if rtype == 1:
+            rdata = bytes(rng.randrange(256) for __ in range(4))
+        elif rtype == 28:
+            rdata = bytes(rng.randrange(256) for __ in range(16))
+        elif rtype == 2:
+            rdata = _dns_name(rng)
+        elif rtype == 15:
+            rdata = struct.pack(">H", rng.randrange(100)) + _dns_name(rng)
+        elif rtype == 16:
+            text = rng.choice(_DNS_NAMES).encode() * rng.randint(1, 3)
+            rdata = bytes([len(text)]) + text
+        else:
+            rdata = bytes(rng.randrange(256)
+                          for __ in range(rng.randint(0, 6)))
+        records.append((rtype, rdata))
+    split = rng.randint(0, len(records))
+    message = bytearray(struct.pack(
+        ">HHHHHH", rng.randrange(1 << 16), 0x8180, 1, split,
+        len(records) - split, 0))
+    names = [len(message)]
+    message += _dns_name(rng) + struct.pack(">HH", 1, 1)
+    rdlengths = []
+    for rtype, rdata in records:
+        names.append(len(message))
+        message += b"\xc0\x0c" + struct.pack(">HHI", rtype, 1, 300)
+        rdlengths.append(len(message))
+        if rtype in (2, 15):
+            names.append(len(message) + 2 + (2 if rtype == 15 else 0))
+        message += struct.pack(">H", len(rdata)) + rdata
+    return bytes(message), names, rdlengths
+
+
+def gen_dns_input(rng: random.Random) -> Tuple[bytes, List[str]]:
+    """A well-formed message with 0-3 malformations (none: the fields
+    must agree too); returns the bytes and the mutation kinds applied."""
+    message, names, rdlengths = gen_dns_message(rng)
+    data = bytearray(message)
+    kinds = []
+    for __ in range(rng.randint(0, 3)):
+        kind = rng.choice(_DNS_MUTATIONS)
+        kinds.append(kind)
+        name = rng.choice(names)
+        if kind == "truncate":
+            data = data[:rng.randrange(len(data) + 1)]
+        elif kind == "label" and name < len(data):
+            data[name] = rng.randint(64, 191)
+        elif kind in ("self_pointer", "forward_pointer",
+                      "pointer_past_end") and name + 1 < len(data):
+            target = {"self_pointer": name,
+                      "forward_pointer": rng.randint(name + 1,
+                                                     len(data) - 1),
+                      "pointer_past_end": rng.randint(len(data),
+                                                      len(data) + 64),
+                      }[kind]
+            data[name:name + 2] = bytes([0xC0 | (target >> 8) & 0x3F,
+                                         target & 0xFF])
+        elif kind == "counts" and len(data) >= 12:
+            field = 4 + 2 * rng.randrange(4)  # qd/an/ns/arcount
+            count = rng.choice((len(data), 255, 0xFFFF))
+            data[field:field + 2] = count.to_bytes(2, "big")
+        elif kind == "rdlength" and rdlengths \
+                and rdlengths[-1] + 2 <= len(data):
+            where = rng.choice(rdlengths)
+            length = rng.randint(0, len(data) + 8)
+            data[where:where + 2] = length.to_bytes(2, "big")
+        elif kind == "flip" and data:
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data), kinds
+
+
+def _dns_fields(value):
+    """A parsed unit as plain nested tuples (marks as buffer offsets)."""
+    if isinstance(value, StructInstance):
+        return tuple((field.name, _dns_fields(item)) for field, item
+                     in zip(value.struct_type.fields, value._slots)
+                     if item is not UNSET)
+    if isinstance(value, HiltiList):
+        return tuple(_dns_fields(item) for item in value)
+    if isinstance(value, Bytes):
+        return value.to_bytes()
+    if isinstance(value, BytesIter):
+        return ("offset", value.offset - value.bytes_obj.begin_offset)
+    if isinstance(value, (bool, int, str, bytes, type(None))):
+        return value
+    return str(value)
+
+
+def _dns_outcome(parse) -> Tuple:
+    try:
+        return ("ok", _dns_fields(parse()))
+    except HiltiError as error:
+        return ("raise", error.except_type.type_name)
+    except Exception as error:  # a crash is a finding on every side
+        return ("crash", f"{type(error).__name__}: {error}")
+
+
+class _DnsOracle:
+    """The DNS grammar compiled once per tier: one-shot on the
+    interpreter and at every level, plus the incremental reference."""
+
+    def __init__(self, levels: Sequence[int] = OPT_LEVELS):
+        from ..apps.binpac import runtime as bp_runtime
+        from ..apps.binpac.codegen import GrammarCompiler, Parser
+        from ..apps.binpac.grammars import dns_grammar
+
+        self.levels = tuple(levels)
+        incremental = dns_grammar()
+        incremental.datagram = False
+        self.reference = Parser(incremental)
+        self.parsers = {level: Parser(dns_grammar(), opt_level=level)
+                        for level in self.levels}
+        self.interp = hiltic(
+            [GrammarCompiler(dns_grammar()).compile_module()],
+            natives=bp_runtime.natives(), tier="interpreted",
+            optimize=False)
+        self.interp_ctx = self.interp.make_context()
+        self.interp_stub = Stub(self.interp, "DNS::Message::parse")
+
+    def _incremental(self, payload: bytes):
+        session = self.reference.start("Message")
+        session.feed(payload)
+        return session.done()
+
+    def _interpreted(self, payload: bytes):
+        buf = Bytes(payload)
+        buf.freeze()
+        return self.interp_stub(self.interp_ctx, buf, buf.begin())[0]
+
+    def run_case(self, payload: bytes) -> Dict:
+        # The reference gets the datagram as one chunk, then the end of
+        # input: the name decoder is a native and cannot suspend, so a
+        # name split across chunks would fail there and nowhere else.
+        expected = _dns_outcome(lambda: self._incremental(payload))
+        if expected == ("raise", "Hilti::WouldBlock"):
+            # A native's short read before the freeze: the same read of
+            # the frozen buffer raises Hilti::IndexError (Bytes.read).
+            expected = ("raise", "Hilti::IndexError")
+        before = self.interp_ctx.instr_count
+        outcomes = {"interp": _dns_outcome(
+            lambda: self._interpreted(payload))}
+        interp_count = self.interp_ctx.instr_count - before
+        divergences = []
+        for level in self.levels:
+            parser = self.parsers[level]
+            before = parser.ctx.instr_count
+            outcomes[f"O{level}"] = _dns_outcome(
+                lambda: parser.parse("Message", payload))
+            count = parser.ctx.instr_count - before
+            if level == 0 and count != interp_count:
+                divergences.append(f"dns -O0 instr_count {count} != "
+                                   f"interp {interp_count}")
+        for side, got in outcomes.items():
+            if got != expected:
+                divergences.append(f"dns {side}: {got!r} != "
+                                   f"incremental {expected!r}")
+        if expected[0] == "crash":
+            divergences.append(f"dns incremental crashed: {expected[1]}")
+        return {"expected": expected, "outcomes": outcomes,
+                "divergences": divergences}
+
+
+def dns_case_source(payload: bytes, note: str = "") -> str:
+    header = ["# fuzz corpus case — repro.tools.fuzz (dns lane)"]
+    if note:
+        header.append(f"# note: {note}")
+    return "\n".join(header) + "\n\n" + payload.hex() + "\n"
+
+
+def run_dns_corpus_text(text: str, oracle: Optional[_DnsOracle] = None,
+                        levels: Sequence[int] = OPT_LEVELS) -> Dict:
+    """Replay one DNS corpus file's text (hex after the comment header)
+    through the DNS oracle."""
+    payload = bytes.fromhex("".join(
+        line for line in text.splitlines() if not line.startswith("#")))
+    return (oracle or _DnsOracle(levels)).run_case(payload)
+
+
+# ---------------------------------------------------------------------------
 # The fuzzing loop
 
 
@@ -990,7 +1217,7 @@ class Fuzzer:
 
     def __init__(self, seed: int = 0, levels: Sequence[int] = OPT_LEVELS,
                  lanes: Sequence[str] = ("module", "filter", "script",
-                                         "pac")):
+                                         "pac", "dns")):
         self.rng = random.Random(seed)
         self.levels = tuple(levels)
         self.lanes = tuple(lanes)
@@ -999,11 +1226,14 @@ class Fuzzer:
         self.divergences: List[Dict] = []
         self.cases = {lane: 0 for lane in self.lanes}
         self.interesting: List[Tuple[Dict, List[int], str]] = []
+        # DNS inputs with a novel (mutations, outcome) signature.
+        self.dns_interesting: List[Tuple[bytes, str]] = []
         self._pac: Optional[_PacOracle] = None
+        self._dns: Optional[_DnsOracle] = None
         self._frames: Optional[List[bytes]] = None
 
     # Lane weights: the module lane is where the optimizer lives.
-    _WEIGHTS = {"module": 6, "filter": 2, "script": 1, "pac": 1}
+    _WEIGHTS = {"module": 6, "filter": 2, "script": 1, "pac": 1, "dns": 1}
 
     def _pick_lane(self) -> str:
         weights = [self._WEIGHTS.get(lane, 1) for lane in self.lanes]
@@ -1054,6 +1284,20 @@ class Fuzzer:
         return {"lane": "pac", "payload": payload.hex(),
                 "divergences": result["divergences"]}
 
+    def _dns_case(self) -> Dict:
+        if self._dns is None:
+            self._dns = _DnsOracle(self.levels)
+        payload, kinds = gen_dns_input(self.rng)
+        result = self._dns.run_case(payload)
+        signature = ",".join(sorted(set(kinds)) + [result["expected"][0]])
+        if result["expected"][0] == "raise":
+            signature += f":{result['expected'][1]}"
+        if signature not in self.signatures:
+            self.signatures.add(signature)
+            self.dns_interesting.append((payload, signature))
+        return {"lane": "dns", "payload": payload.hex(),
+                "divergences": result["divergences"]}
+
     def run_one(self) -> Dict:
         lane = self._pick_lane()
         case = {
@@ -1061,6 +1305,7 @@ class Fuzzer:
             "filter": self._filter_case,
             "script": self._script_case,
             "pac": self._pac_case,
+            "dns": self._dns_case,
         }[lane]()
         self.cases[lane] += 1
         if case["divergences"]:
@@ -1097,7 +1342,8 @@ class Fuzzer:
     # -- corpus -------------------------------------------------------------
 
     def emit_corpus(self, directory: str, limit: int = 8) -> List[str]:
-        """Write the most interesting minimized module cases as .hlt."""
+        """Write the most interesting minimized module cases as .hlt and
+        the DNS inputs with novel signatures as .dns."""
         import os
 
         os.makedirs(directory, exist_ok=True)
@@ -1110,6 +1356,12 @@ class Fuzzer:
             with open(path, "w") as stream:
                 stream.write(module_case_source(small, small_args,
                                                 note=note))
+            written.append(path)
+        for index, (payload, note) in enumerate(
+                self.dns_interesting[:limit]):
+            path = os.path.join(directory, f"dns_{index:03d}.dns")
+            with open(path, "w") as stream:
+                stream.write(dns_case_source(payload, note=note))
             written.append(path)
         return written
 
@@ -1159,19 +1411,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated opt levels to compare "
                              "(default all)")
     parser.add_argument("--lanes",
-                        default="module,filter,script,pac",
+                        default="module,filter,script,pac,dns",
                         help="comma-separated lanes to fuzz")
     parser.add_argument("--max-seconds", type=float, default=0,
                         help="stop after this wall-clock budget "
                              "(0 = no limit)")
     parser.add_argument("--emit-corpus", metavar="DIR", default=None,
                         help="write minimized interesting module cases "
-                             "into DIR as replayable .hlt files")
+                             "(.hlt) and DNS inputs (.dns) into DIR as "
+                             "replayable files")
     parser.add_argument("--corpus-limit", type=int, default=8,
                         help="max corpus files to emit (default 8)")
     parser.add_argument("--replay", metavar="DIR", default=None,
-                        help="replay every .hlt corpus case in DIR "
-                             "instead of fuzzing")
+                        help="replay every .hlt and .dns corpus case in "
+                             "DIR instead of fuzzing")
     parser.add_argument("--progress", type=int, default=0, metavar="N",
                         help="print a progress line every N cases")
     args = parser.parse_args(argv)
@@ -1182,10 +1435,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         failures = 0
+        dns_oracle = None
         paths = sorted(glob.glob(os.path.join(args.replay, "*.hlt")))
+        paths += sorted(glob.glob(os.path.join(args.replay, "*.dns")))
         for path in paths:
             with open(path) as stream:
-                result = run_corpus_text(stream.read(), levels)
+                text = stream.read()
+            if path.endswith(".dns"):
+                dns_oracle = dns_oracle or _DnsOracle(levels)
+                result = run_dns_corpus_text(text, dns_oracle)
+            else:
+                result = run_corpus_text(text, levels)
             status = "ok" if not result["divergences"] else "DIVERGED"
             print(f"{path}: {status}")
             for line in result["divergences"]:

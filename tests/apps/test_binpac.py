@@ -28,6 +28,7 @@ from repro.apps.binpac.grammars import (
     http_grammar,
     ssh_grammar,
 )
+from repro.runtime.bytes_buffer import Bytes
 from repro.runtime.exceptions import HiltiError
 
 
@@ -231,6 +232,98 @@ class TestDnsGrammar:
         parser = Parser(dns_grammar())
         with pytest.raises(HiltiError):
             parser.parse("Message", evil + struct.pack(">HH", 1, 1))
+
+    def test_datagram_parse_functions_are_plain_calls(self):
+        parser = Parser(dns_grammar())
+        for unit in ("Message", "Question", "RR"):
+            assert not parser.program.function(
+                f"DNS::{unit}::parse").can_suspend
+        with pytest.raises(GrammarError):
+            parser.start("Message")
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview, Bytes])
+    def test_parse_accepts_any_bytes_like_input(self, kind):
+        data = _dns_query()
+        payload = _frozen(data) if kind is Bytes else kind(data)
+        obj = Parser(dns_grammar()).parse("Message", payload)
+        assert obj.get("txid") == 0x1234
+        if kind is bytearray:
+            payload[0] = 0  # the parse copied its input
+            assert obj.get("txid") == 0x1234
+
+
+def _frozen(raw: bytes) -> Bytes:
+    value = Bytes(raw)
+    value.freeze()
+    return value
+
+
+def _name_outcome(decode, data: Bytes, offset: int):
+    try:
+        name, end = decode(None, data, data.at(offset))
+        return ("ok", name, end.offset)
+    except HiltiError as error:
+        return ("raise", error.except_type.type_name, str(error))
+
+
+def _pointer_chain(hops: int) -> bytes:
+    """*hops* compression pointers, each to the next, then the root."""
+    return b"".join(bytes([0xC0, 2 * (i + 1)]) for i in range(hops)) \
+        + b"\x00"
+
+
+# A wire name as tokens: a label, a compression pointer, a root byte, an
+# out-of-range label length, or a raw byte.
+_NAME_TOKENS = st.one_of(
+    st.binary(max_size=70).map(lambda raw: bytes([len(raw)]) + raw),
+    st.integers(0, 0x3FFF).map(lambda p: bytes([0xC0 | p >> 8, p & 0xFF])),
+    st.just(b"\x00"),
+    st.integers(64, 191).map(lambda n: bytes([n])),
+    st.binary(min_size=1, max_size=1),
+)
+
+
+class TestDnsNameFastPath:
+    """``bp_dns_name`` scans the buffer in place; it must equal the
+    reference loop: the same name and end offset, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_NAME_TOKENS, max_size=12), st.integers(0, 40),
+           st.integers(0, 12), st.integers(0, 3), st.booleans())
+    def test_equals_reference(self, tokens, cut, start, trimmed, frozen):
+        from repro.apps.binpac.runtime import bp_dns_name, dns_name_reference
+
+        wire = b"".join(tokens)
+        wire = wire[:max(0, len(wire) - cut)] if cut < 20 else wire
+        data = Bytes(bytes(trimmed) + wire)
+        # A trimmed buffer: pointers stay relative to the message start.
+        data.trim(data.at(trimmed))
+        if frozen:
+            data.freeze()
+        offset = trimmed + start % (len(wire) + 1)
+        assert _name_outcome(bp_dns_name, data, offset) == \
+            _name_outcome(dns_name_reference, data, offset)
+
+    @pytest.mark.parametrize("wire, start", [
+        (b"\x03www\x07example\x03com\x00", 0),      # plain labels
+        (b"\x03foo\x00\x03bar\xc0\x00", 5),          # label then pointer
+        (b"\xc0\x00", 0),                            # pointer loop
+        (b"\x05ab", 0),                              # label past the end
+        (b"\x3f" + b"a" * 63 + b"\x00", 0),         # longest label
+        (b"\x40" + b"a" * 64 + b"\x00", 0),         # label length 64
+        (b"\x40abc", 0),                             # ... and short
+        (b"\x01a" * 128 + b"\x00", 0),               # most labels
+        (b"\x01a" * 129 + b"\x00", 0),               # too many labels
+        (_pointer_chain(64), 0),                     # most pointer hops
+        (_pointer_chain(65), 0),                     # one hop too many
+        (b"\xc0", 0),                                # half a pointer
+    ])
+    def test_edge_cases(self, wire, start):
+        from repro.apps.binpac.runtime import bp_dns_name, dns_name_reference
+
+        data = _frozen(wire)
+        assert _name_outcome(bp_dns_name, data, start) == \
+            _name_outcome(dns_name_reference, data, start)
 
 
 class TestEvt:

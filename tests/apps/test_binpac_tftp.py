@@ -59,11 +59,23 @@ class TestTftp:
         with pytest.raises(HiltiError):
             obj.get("filename")
 
-    def test_incremental_data_transfer(self, parser):
-        session = parser.start("Packet")
+    def test_incremental_data_transfer(self):
+        # The shipped grammar is a datagram grammar; the same units
+        # without the declaration parse incrementally.
+        grammar = tftp_grammar()
+        grammar.datagram = False
+        session = Parser(grammar).start("Packet")
         session.feed(struct.pack(">H", OP_DATA))
         session.feed(struct.pack(">H", 1))
         session.feed(b"chunk-one-")
         session.feed(b"chunk-two")
         obj = session.done()  # eod data needs the freeze
         assert obj.get("data") == b"chunk-one-chunk-two"
+
+    def test_datagram_grammar_has_no_incremental_session(self, parser):
+        from repro.apps.binpac.ast import GrammarError
+
+        with pytest.raises(GrammarError):
+            parser.start("Packet")
+        function = parser.program.function("TFTP::Packet::parse")
+        assert not function.can_suspend

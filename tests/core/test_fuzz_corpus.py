@@ -5,7 +5,9 @@ coverage-signature-preserving modules emitted by ``repro.tools.fuzz``.
 Each file must execute identically on the reference interpreter and on
 the compiled tier at every optimization level — this is the fast,
 deterministic slice of the fuzzing oracle that runs on every test
-invocation.
+invocation.  Beside them, ``dns_*.dns`` files hold malformed DNS
+messages from the DNS lane: the one-shot parse at every tier and level
+must agree with an incremental build of the same grammar.
 
 The regression classes pin the actual bugs the fuzzer found so they
 stay fixed even if the corpus is regenerated.
@@ -13,13 +15,20 @@ stay fixed even if the corpus is regenerated.
 
 import glob
 import os
+import random
 
 import pytest
 
 from repro.core import hiltic
 from repro.core.optimize import OPT_LEVELS
 from repro.runtime.exceptions import HiltiError
-from repro.tools.fuzz import Fuzzer, run_corpus_text
+from repro.tools.fuzz import (
+    Fuzzer,
+    _DnsOracle,
+    gen_dns_message,
+    run_corpus_text,
+    run_dns_corpus_text,
+)
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.hlt")))
@@ -83,6 +92,65 @@ class TestFixedSeedSmoke:
         summary = fuzzer.run(40)
         assert summary["cases"] == {"module": 40}
         assert summary["divergences"] == 0
+
+    def test_fresh_dns_cases_do_not_diverge(self):
+        fuzzer = Fuzzer(seed=1, lanes=("dns",))
+        summary = fuzzer.run(40)
+        assert summary["cases"] == {"dns": 40}
+        assert summary["divergences"] == 0
+
+
+DNS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.dns")))
+
+
+@pytest.fixture(scope="module")
+def dns_oracle():
+    return _DnsOracle()
+
+
+class TestDnsLane:
+    """The malformed-DNS lane: the datagram grammar's one-shot parse
+    (interpreter, -O0/-O1/-O2) against an incremental build."""
+
+    def test_dns_corpus_is_checked_in(self):
+        assert len(DNS_FILES) >= 8
+
+    @pytest.mark.parametrize(
+        "path", DNS_FILES, ids=[os.path.basename(p) for p in DNS_FILES])
+    def test_dns_case_agrees(self, path, dns_oracle):
+        with open(path) as stream:
+            result = run_dns_corpus_text(stream.read(), dns_oracle)
+        assert result["divergences"] == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_truncation_at_every_length(self, seed, dns_oracle):
+        message, __, __ = gen_dns_message(random.Random(seed))
+        outcomes = set()
+        for length in range(len(message) + 1):
+            result = dns_oracle.run_case(message[:length])
+            assert result["divergences"] == [], length
+            outcomes.add(result["expected"][1] if result["expected"][0]
+                         == "raise" else "ok")
+        assert "ok" in outcomes and "BinPAC::ParseError" in outcomes
+
+    def test_lane_sees_a_short_availability_check(self, monkeypatch):
+        # Sabotage the one-shot parser only: its availability checks ask
+        # for one byte less, so a truncated fixed-width run traps in the
+        # read instead of failing the check.
+        from repro.apps.binpac import codegen
+        from repro.core.ir import Const
+
+        need = codegen._UnitCompiler._need
+
+        def short_need(self, count):
+            if self.datagram and isinstance(count, Const):
+                count = Const(count.type, count.value - 1)
+            need(self, count)
+
+        monkeypatch.setattr(codegen._UnitCompiler, "_need", short_need)
+        message, __, __ = gen_dns_message(random.Random(1))
+        result = _DnsOracle().run_case(message[:11])
+        assert any("incremental" in line for line in result["divergences"])
 
 
 def _outcome(program, entry, args):
