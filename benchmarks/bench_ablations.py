@@ -114,10 +114,9 @@ int<64> hot(int<64> a, int<64> b) {
 """
 
 
-@pytest.mark.parametrize("optimize", [False, True],
-                         ids=["unoptimized", "optimized"])
-def test_hilti_optimizations(benchmark, optimize):
-    program = hiltic([_OPT_SRC], optimize=optimize)
+@pytest.mark.parametrize("level", [0, 1], ids=["unoptimized", "optimized"])
+def test_hilti_optimizations(benchmark, level):
+    program = hiltic([_OPT_SRC], opt_level=level)
     ctx = program.make_context()
     benchmark(lambda: [
         program.call(ctx, "Main::hot", [i, i + 1]) for i in range(200)
@@ -130,16 +129,16 @@ def test_optimization_report(report, benchmark):
     module = parse_module(_OPT_SRC)
     stats = optimize_module(module)
 
-    def timed(optimize):
-        program = hiltic([_OPT_SRC], optimize=optimize)
+    def timed(level):
+        program = hiltic([_OPT_SRC], opt_level=level)
         ctx = program.make_context()
         begin = time.perf_counter_ns()
         for i in range(2000):
             program.call(ctx, "Main::hot", [i, i + 1])
         return time.perf_counter_ns() - begin
 
-    off_ns = min(timed(False) for __ in range(3))
-    on_ns = min(timed(True) for __ in range(3))
+    off_ns = min(timed(0) for __ in range(3))
+    on_ns = min(timed(1) for __ in range(3))
     report(
         "Ablation 2: HILTI-level optimizations (paper: future work)",
         constants_folded=stats.folded,

@@ -32,7 +32,6 @@ from ...runtime.exceptions import (
     PROCESSING_TIMEOUT,
 )
 from ...runtime.faults import SITE_BINPAC_PARSE
-from ...runtime.telemetry import Telemetry
 from .codegen import Parser
 from .glue import unit_done_glue
 from .grammars import dns_grammar, http_grammar
@@ -371,18 +370,11 @@ class PacLaneSpec(LaneSpec):
     app_name = "pac"
     uid_format = staticmethod(format_flow_uid)
 
-    def __init__(self, config: Optional[Dict] = None):
-        self.config = config
-
     def make_lane(self, uid_map: Dict) -> PacApp:
         config = self.config
         return PacApp(
             protocols=config["protocols"],
             opt_level=config["opt_level"],
-            services=PipelineServices(
-                watchdog_budget=config["watchdog_budget"],
-                telemetry=Telemetry(metrics=config["metrics"],
-                                    trace=config["trace"]),
-            ),
+            services=self.lane_services(),
             uid_map=uid_map,
         )

@@ -647,7 +647,6 @@ class Parser:
 
     def __init__(self, grammar: Grammar, extra_modules=(),
                  natives: Optional[dict] = None,
-                 optimize: bool = True,
                  on_event: Optional[Callable] = None,
                  opt_level: Optional[int] = None):
         self.grammar = grammar
@@ -668,7 +667,6 @@ class Parser:
         self.program = hiltic(
             [compiled_module, *extra_modules],
             natives=table,
-            optimize=optimize,
             opt_level=opt_level,
         )
         self.ctx = self.program.make_context()

@@ -27,7 +27,6 @@ from ...net.flowrecord import format_record_uid
 from ...net.flows import decode_flow
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH
-from ...runtime.telemetry import Telemetry
 from .compiler import compile_to_hilti, parse_filter
 from .vm import compile_to_vm
 
@@ -150,19 +149,12 @@ class BpfLaneSpec(LaneSpec):
     app_name = "bpf"
     record_uid_format = staticmethod(format_record_uid)
 
-    def __init__(self, config: Optional[Dict] = None):
-        self.config = config
-
     def make_lane(self, uid_map: Dict) -> BpfApp:
         config = self.config
         return BpfApp(
             config["filter"],
             engine=config["engine"],
             opt_level=config["opt_level"],
-            services=PipelineServices(
-                watchdog_budget=config["watchdog_budget"],
-                telemetry=Telemetry(metrics=config["metrics"],
-                                    trace=config["trace"]),
-            ),
+            services=self.lane_services(),
             uid_map=uid_map,
         )

@@ -229,8 +229,7 @@ class HiltiFilter:
         return self.stub.call(self.ctx, frame)
 
 
-def compile_to_hilti(filter_text_or_node, optimize: bool = True,
-                     tier: str = "compiled",
+def compile_to_hilti(filter_text_or_node, tier: str = "compiled",
                      opt_level=None) -> HiltiFilter:
     """Full pipeline: filter expression -> HILTI -> executable filter."""
     node = (
@@ -239,5 +238,4 @@ def compile_to_hilti(filter_text_or_node, optimize: bool = True,
         else filter_text_or_node
     )
     module = build_filter_module(node).finish()
-    return HiltiFilter(hiltic([module], optimize=optimize, tier=tier,
-                              opt_level=opt_level))
+    return HiltiFilter(hiltic([module], tier=tier, opt_level=opt_level))

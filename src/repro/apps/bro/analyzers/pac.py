@@ -45,7 +45,7 @@ _QTYPE_NAMES = {
 class PacParsers:
     """Compiled HTTP and DNS parsers, shared by all connections."""
 
-    def __init__(self, optimize: bool = True, opt_level=None):
+    def __init__(self, opt_level=None):
         self.current_sink = None  # the analyzer currently feeding data
 
         def route(name, args):
@@ -55,14 +55,12 @@ class PacParsers:
         self.http = Parser(
             http_grammar(),
             extra_modules=[_unit_done_glue("HTTP", ["Request", "Reply"])],
-            optimize=optimize,
             opt_level=opt_level,
             on_event=route,
         )
         self.dns = Parser(
             dns_grammar(),
             extra_modules=[_unit_done_glue("DNS", ["Message"])],
-            optimize=optimize,
             opt_level=opt_level,
             on_event=route,
         )

@@ -58,22 +58,21 @@ class BroLaneSpec(LaneSpec):
     uid_format = staticmethod(format_uid)
     max_gauges = ("bro.flows_peak", "bro.flows_open")
 
-    def __init__(self, config: Optional[Dict] = None):
-        self.config = config
-
     def make_lane(self, uid_map: Dict) -> Bro:
         config = self.config
+        services = self.lane_services()
         return Bro(
             scripts=config["scripts"],
             parsers=config["parsers"],
             scripts_engine=config["scripts_engine"],
             log_enabled=config["log_enabled"],
             print_stream=io.StringIO(),
-            watchdog_budget=config["watchdog_budget"],
+            watchdog_budget=services.watchdog_budget,
             opt_level=config["opt_level"],
-            telemetry=Telemetry(metrics=config["metrics"],
-                                trace=config["trace"]),
+            telemetry=services.telemetry,
             uid_map=uid_map,
+            max_sessions=services.max_sessions,
+            session_ttl=services.session_ttl,
         )
 
     def lane_result(self, bro: Bro) -> Dict:

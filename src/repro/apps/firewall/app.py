@@ -29,7 +29,6 @@ from ...net.flowrecord import format_record_uid
 from ...net.flows import FiveTuple, _fnv1a, decode_flow
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH, SITE_PACKET_PARSE
-from ...runtime.telemetry import Telemetry
 from .compiler import compile_firewall
 from .reference import ReferenceFirewall
 from .rules import RuleSet
@@ -186,9 +185,6 @@ class FirewallLaneSpec(LaneSpec):
     app_name = "firewall"
     record_uid_format = staticmethod(format_record_uid)
 
-    def __init__(self, config: Optional[Dict] = None):
-        self.config = config
-
     def key_of(self, packet) -> Tuple:
         return host_pair_key(FiveTuple.of(packet))
 
@@ -202,10 +198,6 @@ class FirewallLaneSpec(LaneSpec):
                           timeout_seconds=config["timeout_seconds"]),
             engine=config["engine"],
             opt_level=config["opt_level"],
-            services=PipelineServices(
-                watchdog_budget=config["watchdog_budget"],
-                telemetry=Telemetry(metrics=config["metrics"],
-                                    trace=config["trace"]),
-            ),
+            services=self.lane_services(),
             uid_map=uid_map,
         )

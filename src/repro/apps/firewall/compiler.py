@@ -136,11 +136,9 @@ class HiltiFirewall:
         return matches, total - matches
 
 
-def compile_firewall(ruleset: RuleSet, optimize: bool = True,
-                     tier: str = "compiled",
+def compile_firewall(ruleset: RuleSet, tier: str = "compiled",
                      opt_level: Optional[int] = None) -> HiltiFirewall:
     """Compile a rule set into a running HILTI firewall."""
     source = generate_hilti_source(ruleset)
-    program = hiltic([source], optimize=optimize, tier=tier,
-                     opt_level=opt_level)
+    program = hiltic([source], tier=tier, opt_level=opt_level)
     return HiltiFirewall(program, tier)

@@ -158,9 +158,7 @@ class CompiledProgram:
         # non-standard capabilities", §7): e.g. {"classifier": "trie"}.
         self.runtime_options: Dict[str, str] = {}
         # Optimization level the program was lowered at (one of
-        # optimize.OPT_LEVELS; -O2 differs from -O1 only in the IR the
-        # toolchain hands this lowering — the codegen specializations
-        # apply identically at every level >= 1).
+        # optimize.OPT_LEVELS).
         self.opt_level = 1
         # IR-level optimization statistics, attached by the toolchain.
         self.opt_stats = None

@@ -27,26 +27,7 @@ harness (``benchmarks/bench_regression.py``) turn it on and off:
   charges fewer, larger straight-line regions;
 * dead-block elimination — blocks unreachable in the CFG are dropped.
 
-``-O2`` adds a second tier on top (guarded by ``level >= 2``):
-
-* branch-refined constant propagation — the must-dataflow join learns
-  per-edge facts from the terminator that selected the edge (taking the
-  true leg of ``if.else b ...`` pins ``b = True``; a unique ``switch``
-  case pins the scrutinee), so re-tests of the same condition fold;
-* intra-module inlining — small single-block leaf functions splice into
-  their call sites (direct ``call`` operands are statically
-  monomorphic);
-* flow-function specialization — call sites passing constant arguments
-  to a small function retarget to a per-signature clone whose seeded
-  parameters the regular pipeline then folds.
-
-(Superblock formation by tail duplication used to close this list: it
-saved one trampoline dispatch per ``jump``.  The code generator now
-emits a ``jump`` as fall-through Python, the pass stopped beating ``-O1``
-on the HTTP and DNS traces — table in docs/PERFORMANCE.md — and was
-deleted.)
-
-``-O2`` must never change observable behaviour; ``repro.tools.fuzz``
+The passes must never change observable behaviour; ``repro.tools.fuzz``
 differentially tests every level against the interpreter oracle.
 """
 
@@ -59,16 +40,13 @@ from . import types as ht
 from .cfg import reachable_blocks, successors
 from .instructions import REGISTRY
 from .ir import (
-    Block,
     Const,
     FieldRef,
-    FuncRef,
     Function,
     Instruction,
     LabelRef,
     Module,
     Operand,
-    Parameter,
     TupleOp,
     TypeRef,
     Var,
@@ -81,7 +59,7 @@ __all__ = [
 
 #: Every optimization level the toolchain accepts; the CLIs derive their
 #: ``-O`` flags/choices from this so a new tier lands everywhere at once.
-OPT_LEVELS = (0, 1, 2)
+OPT_LEVELS = (0, 1)
 
 #: The level used when no ``-O`` flag is given.
 DEFAULT_OPT_LEVEL = 1
@@ -147,15 +125,12 @@ class OptStats:
         self.jumps_threaded = 0
         self.blocks_merged = 0
         self.locals_pruned = 0
-        # -O2 tier.
-        self.inlined = 0
-        self.specialized = 0
 
     def total(self) -> int:
         return (self.folded + self.propagated + self.branches_simplified
                 + self.dead_blocks + self.dead_stores + self.cse_hits
                 + self.jumps_threaded + self.blocks_merged
-                + self.locals_pruned + self.inlined + self.specialized)
+                + self.locals_pruned)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -168,8 +143,6 @@ class OptStats:
             "jumps_threaded": self.jumps_threaded,
             "blocks_merged": self.blocks_merged,
             "locals_pruned": self.locals_pruned,
-            "inlined": self.inlined,
-            "specialized": self.specialized,
         }
 
     def __repr__(self) -> str:
@@ -256,8 +229,7 @@ def _handler_labels(function: Function) -> Set[str]:
 _MISSING = object()
 
 
-def _forward_must(function: Function, transfer,
-                  edge_refine=None) -> Dict[str, Dict]:
+def _forward_must(function: Function, transfer) -> Dict[str, Dict]:
     """Iterative forward must-dataflow over the CFG, to fixpoint.
 
     *transfer(block, state) -> state* applies a block's effect to a fact
@@ -268,15 +240,9 @@ def _forward_must(function: Function, transfer,
     exception-handler entries start from bottom — exceptional control can
     transfer from *any* point inside a try scope, so handlers inherit
     nothing.  Returns label -> facts on block entry.
-
-    *edge_refine(pred_block, succ_label) -> facts-or-None* (the -O2
-    extension) adds facts true only on that specific CFG edge — e.g. the
-    branch condition's value on each leg of an ``if.else`` — layered on
-    top of the predecessor's out-state before the join.
     """
     handlers = _handler_labels(function)
     preds = _predecessors(function)
-    by_label = {b.label: b for b in function.blocks}
     out: Dict[str, Dict] = {}
     ins: Dict[str, Dict] = {}
     changed = True
@@ -287,17 +253,7 @@ def _forward_must(function: Function, transfer,
                 in_state: Optional[Dict] = {}
             else:
                 block_preds = preds.get(block.label, set())
-                states = []
-                for p in block_preds:
-                    if p not in out:
-                        continue
-                    state = out[p]
-                    if edge_refine is not None:
-                        facts = edge_refine(by_label[p], block.label)
-                        if facts:
-                            state = dict(state)
-                            state.update(facts)
-                    states.append(state)
+                states = [out[p] for p in block_preds if p in out]
                 if not states:
                     if block_preds:
                         continue  # all preds unprocessed: stay at TOP
@@ -412,56 +368,7 @@ def _propagation_step(function: Function, instruction: Instruction,
             env[name] = source
 
 
-def _edge_facts(function: Function, block, succ_label: str) -> Optional[Dict]:
-    """Facts implied by control taking the edge *block* -> *succ_label*.
-
-    Reaching the true leg of ``if.else b then else`` means ``b`` held
-    ``True`` at the branch (and it is frame-private, so nothing else can
-    have changed it since); a ``switch`` case reached through exactly one
-    case constant pins the scrutinee to that constant.  Only locals and
-    parameters qualify — globals can change between the read and the
-    refined use.
-    """
-    if not block.instructions:
-        return None
-    last = block.instructions[-1]
-    if last.mnemonic == "if.else":
-        cond, then_ref, else_ref = last.operands[:3]
-        if not isinstance(cond, Var) or \
-                function.variable_type(cond.name) is None:
-            return None
-        if then_ref.label == else_ref.label:
-            return None
-        if succ_label == then_ref.label:
-            return {cond.name: Const(ht.BOOL, True)}
-        if succ_label == else_ref.label:
-            return {cond.name: Const(ht.BOOL, False)}
-        return None
-    if last.mnemonic == "switch":
-        value = last.operands[0]
-        if not isinstance(value, Var) or \
-                function.variable_type(value.name) is None:
-            return None
-        default = last.operands[1]
-        if isinstance(default, LabelRef) and default.label == succ_label:
-            return None  # the default edge only excludes values
-        hits = []
-        for case in last.operands[2:]:
-            if (
-                isinstance(case, TupleOp)
-                and len(case.elements) == 2
-                and isinstance(case.elements[0], Const)
-                and isinstance(case.elements[1], LabelRef)
-                and case.elements[1].label == succ_label
-            ):
-                hits.append(case.elements[0])
-        if len(hits) == 1:
-            return {value.name: hits[0]}
-    return None
-
-
-def propagate_constants(function: Function, stats: OptStats,
-                        level: int = 1) -> None:
+def propagate_constants(function: Function, stats: OptStats) -> None:
     """Forward constants and copies of locals into later operand uses.
 
     Locals are frame-private (nothing but this function's own stores can
@@ -469,20 +376,14 @@ def propagate_constants(function: Function, stats: OptStats,
     across block boundaries by must-dataflow: at a join they survive only
     when every incoming path agrees; try-handler entries inherit nothing
     because exceptional control can enter them from anywhere inside the
-    scope.  At ``-O2`` the join additionally refines each incoming edge
-    with the facts its terminator implies (see :func:`_edge_facts`).
+    scope.
     """
     def transfer(block, env):
         for instruction in block.instructions:
             _propagation_step(function, instruction, env)
         return env
 
-    refine = None
-    if level >= 2:
-        def refine(block, succ_label):
-            return _edge_facts(function, block, succ_label)
-
-    ins = _forward_must(function, transfer, edge_refine=refine)
+    ins = _forward_must(function, transfer)
     for block in function.blocks:
         env = ins.get(block.label)
         if env is None:
@@ -806,261 +707,6 @@ def prune_locals(function: Function, stats: OptStats) -> None:
         function.locals = kept
 
 
-# --------------------------------------------------------------------------
-# -O2 passes
-# --------------------------------------------------------------------------
-
-#: Largest callee body (instructions) the inliner splices.
-_INLINE_MAX = 16
-#: Largest callee (instructions) eligible for constant-argument cloning.
-_SPEC_MAX_INSTRUCTIONS = 48
-#: Clone budget per module — specialization must not balloon code size.
-_SPEC_MAX_CLONES = 8
-
-
-def _copy_instruction(instruction: Instruction) -> Instruction:
-    """A fresh Instruction wrapper for duplicated code.
-
-    Operand/target objects are never mutated by the passes (rewrites
-    rebind ``instruction.operands`` wholesale), so sharing them between
-    copies is safe; sharing the Instruction itself is not.
-    """
-    return Instruction(instruction.mnemonic, instruction.operands,
-                       instruction.target, instruction.location)
-
-
-def _inline_candidates(module: Module) -> Dict[str, Function]:
-    """Small single-block leaf functions safe to splice into callers.
-
-    A candidate's body may only contain pure computation (including the
-    trapping and memory-reading pure sets — both behave identically
-    inline, against the same heap) ending in a single return, and every
-    local must be initialized or written before it is read: inlined
-    locals live in the *caller's* frame, so a read of a never-written
-    local would otherwise observe a previous inline instance's value
-    instead of a fresh frame default.
-    """
-    candidates: Dict[str, Function] = {}
-    for fn in module.functions.values():
-        if len(fn.blocks) != 1:
-            continue
-        body = fn.blocks[0].instructions
-        if not body or len(body) > _INLINE_MAX:
-            continue
-        if body[-1].mnemonic not in ("return.void", "return.result"):
-            continue
-        written = {p.name for p in fn.params}
-        written |= {l.name for l in fn.locals if l.init is not None}
-        ok = True
-        for instruction in body:
-            mnemonic = instruction.mnemonic
-            if mnemonic not in ("return.void", "return.result") and not (
-                _is_pure(mnemonic)
-                or mnemonic in _PURE_MAY_RAISE
-                or mnemonic in _PURE_MEMREAD
-            ):
-                ok = False
-                break
-            for operand in instruction.operands:
-                for name in _operand_vars(operand):
-                    if fn.variable_type(name) is not None and \
-                            name not in written:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-            if instruction.target is not None:
-                written.add(instruction.target.name)
-        if ok:
-            candidates[fn.name] = fn
-    return candidates
-
-
-def _splice_inline(caller: Function, callee: Function, arg_ops,
-                   call_target, serial: List[int]) -> List[Instruction]:
-    """The inlined instruction sequence replacing one call site."""
-    n = serial[0]
-    serial[0] += 1
-    mapping: Dict[str, Operand] = {}
-    spliced: List[Instruction] = []
-    for param, arg in zip(callee.params, arg_ops):
-        fresh = f"%inl{n}_{param.name}"
-        caller.add_local(fresh, param.type)
-        mapping[param.name] = Var(fresh)
-        spliced.append(Instruction("assign", (arg,), Var(fresh)))
-    for local in callee.locals:
-        fresh = f"%inl{n}_{local.name}"
-        caller.add_local(fresh, local.type)
-        mapping[local.name] = Var(fresh)
-        if local.init is not None:
-            # Callee frames re-initialize per call; the caller's frame
-            # does not, so seed the init value at every splice.  Parsed
-            # modules store inits as Const operands, builder-made ones
-            # as raw values — normalize to one Const either way.
-            init = (local.init if isinstance(local.init, Const)
-                    else Const(local.type, local.init))
-            spliced.append(Instruction("assign", (init,), Var(fresh)))
-    body = callee.blocks[0].instructions
-    counter = [0]
-    for instruction in body[:-1]:
-        operands = tuple(_rewrite_operand(op, mapping, counter)
-                         for op in instruction.operands)
-        target = instruction.target
-        if target is not None and target.name in mapping:
-            target = mapping[target.name]
-        spliced.append(Instruction(instruction.mnemonic, operands, target,
-                                   instruction.location))
-    tail = body[-1]
-    if tail.mnemonic == "return.result" and call_target is not None:
-        value = _rewrite_operand(tail.operands[0], mapping, counter)
-        spliced.append(Instruction("assign", (value,), call_target,
-                                   tail.location))
-    return spliced
-
-
-def _resolve_intra_module(module: Module, by_name: Dict[str, Function],
-                          ref) -> Optional[Function]:
-    if not isinstance(ref, FuncRef):
-        return None
-    target = by_name.get(ref.name)
-    if target is None:
-        target = by_name.get(module.qualified(ref.name))
-    return target
-
-
-def inline_calls(module: Module, stats: OptStats) -> None:
-    """Splice small leaf functions into their intra-module call sites.
-
-    Direct ``call`` operands name their target statically, so every site
-    is monomorphic by construction: the code generator binds the callee
-    by name at link time, inlining removes the call altogether.
-    """
-    candidates = _inline_candidates(module)
-    if not candidates:
-        return
-    serial = [0]
-    for function in module.all_functions():
-        for block in function.blocks:
-            rewritten: List[Instruction] = []
-            changed = False
-            for instruction in block.instructions:
-                callee = None
-                if instruction.mnemonic == "call" and instruction.operands:
-                    callee = _resolve_intra_module(
-                        module, candidates, instruction.operands[0])
-                if callee is None or callee is function:
-                    rewritten.append(instruction)
-                    continue
-                args = (instruction.operands[1]
-                        if len(instruction.operands) > 1 else TupleOp(()))
-                arg_ops = (list(args.elements)
-                           if isinstance(args, TupleOp) else None)
-                if arg_ops is None or len(arg_ops) != len(callee.params):
-                    rewritten.append(instruction)
-                    continue
-                rewritten.extend(_splice_inline(
-                    function, callee, arg_ops, instruction.target, serial))
-                stats.inlined += 1
-                changed = True
-            if changed:
-                block.instructions = rewritten
-
-
-def _clone_for_specialization(callee: Function, clone_name: str,
-                              const_bindings) -> Function:
-    clone = Function(
-        clone_name,
-        [Parameter(p.name, p.type) for p in callee.params],
-        callee.result,
-        location=callee.location,
-    )
-    for local in callee.locals:
-        clone.add_local(local.name, local.type, local.init)
-    for block in callee.blocks:
-        copy = clone.add_block(block.label)
-        copy.instructions = [_copy_instruction(i)
-                             for i in block.instructions]
-    # A fresh entry block seeds the known-constant parameters, then
-    # jumps to the original entry.  Seeding in a new block (rather than
-    # prepending to the old entry) keeps loops targeting the original
-    # entry from re-running the seeds on every back edge.
-    seed = Block("%spec_entry")
-    seed.instructions = [
-        Instruction("assign", (Const(arg.type, arg.value),),
-                    Var(callee.params[index].name))
-        for index, arg in const_bindings
-    ]
-    seed.instructions.append(
-        Instruction("jump", (LabelRef(clone.blocks[0].label),))
-    )
-    clone.blocks.insert(0, seed)
-    clone.rebuild_block_index()
-    return clone
-
-
-def specialize_calls(module: Module, stats: OptStats) -> None:
-    """Clone small functions per constant-argument signature.
-
-    A call site passing constants retargets to a clone whose seeded
-    parameters the regular pipeline then folds through the whole flow
-    function — branches on configuration arguments collapse, dead legs
-    disappear.  Clones dedupe on (callee, constant signature) and are
-    capped so specialization never balloons the module.
-    """
-    by_name = dict(module.functions)
-    clones: Dict[Tuple, str] = {}
-    made = 0
-    for function in module.all_functions():
-        for block in function.blocks:
-            for instruction in block.instructions:
-                if instruction.mnemonic != "call" or \
-                        len(instruction.operands) < 2:
-                    continue
-                callee = _resolve_intra_module(
-                    module, by_name, instruction.operands[0])
-                if callee is None or callee is function:
-                    continue
-                if "%spec" in callee.name:
-                    continue
-                args = instruction.operands[1]
-                if not isinstance(args, TupleOp) or \
-                        len(args.elements) != len(callee.params):
-                    continue
-                const_bindings = []
-                for index, arg in enumerate(args.elements):
-                    if isinstance(arg, Const):
-                        try:
-                            hash(arg.value)
-                        except TypeError:
-                            continue
-                        const_bindings.append((index, arg))
-                if not const_bindings:
-                    continue
-                size = sum(len(b.instructions) for b in callee.blocks)
-                if size > _SPEC_MAX_INSTRUCTIONS:
-                    continue
-                key = (
-                    callee.name,
-                    tuple((index, arg.value)
-                          for index, arg in const_bindings),
-                )
-                clone_name = clones.get(key)
-                if clone_name is None:
-                    if made >= _SPEC_MAX_CLONES:
-                        continue
-                    clone_name = f"{callee.name}%spec{made}"
-                    module.add_function(_clone_for_specialization(
-                        callee, clone_name, const_bindings))
-                    clones[key] = clone_name
-                    made += 1
-                    stats.specialized += 1
-                instruction.operands = (
-                    (FuncRef(clone_name),) + instruction.operands[1:]
-                )
-
-
 def optimize_function(module: Module, function: Function,
                       stats: Optional[OptStats] = None,
                       level: int = 1) -> OptStats:
@@ -1071,7 +717,7 @@ def optimize_function(module: Module, function: Function,
 
     def pipeline():
         fold_constants(function, stats)
-        propagate_constants(function, stats, level=level)
+        propagate_constants(function, stats)
         local_cse(function, stats)
         remove_dead_stores(function, module, stats)
         simplify_branches(function, stats)
@@ -1095,13 +741,6 @@ def optimize_module(module: Module, stats: Optional[OptStats] = None,
         stats = OptStats()
     if level <= 0:
         return stats
-    if level >= 2:
-        # Cross-function first: inlining removes call sites outright,
-        # specialization retargets the rest to constant-seeded clones;
-        # the per-function pipeline below then optimizes callers, clones
-        # and survivors alike.
-        inline_calls(module, stats)
-        specialize_calls(module, stats)
     for function in module.all_functions():
         optimize_function(module, function, stats, level=level)
     return stats

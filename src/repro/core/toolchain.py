@@ -17,7 +17,7 @@ from .instrument import instrument_module
 from .interp import Interpreter
 from .ir import Module
 from .linker import link
-from .optimize import DEFAULT_OPT_LEVEL, OptStats, optimize_module
+from .optimize import DEFAULT_OPT_LEVEL, OPT_LEVELS, OptStats, optimize_module
 from .parser import parse_module
 from .typecheck import check_module
 
@@ -39,7 +39,6 @@ def _to_modules(sources: Sequence[Source]) -> List[Module]:
 def hiltic(
     sources: Sequence[Source],
     natives: Optional[Dict[str, Callable]] = None,
-    optimize: bool = True,
     entry: Optional[str] = None,
     tier: str = "compiled",
     profile: bool = False,
@@ -54,18 +53,16 @@ def hiltic(
     each context's ``profilers`` registry under ``func/<name>``.
 
     *opt_level* is the ``-O`` knob (see ``optimize.OPT_LEVELS``): ``0``
-    lowers the IR verbatim, ``1`` (the default) runs the
-    ``repro.core.optimize`` pass pipeline between typecheck and lowering
-    and turns on codegen's compile-time specialisations, ``2`` adds the
-    inlining tier (branch-refined propagation, intra-module inlining,
-    flow-function specialization).  The
-    legacy boolean *optimize* maps onto it when *opt_level* is not
-    given.  The interpreted tier always executes the *unoptimized* IR so
-    the two tiers stay a differential oracle for the optimizer;
+    lowers the IR verbatim, ``1`` (the default, also for ``None``) runs
+    the ``repro.core.optimize`` pass pipeline between typecheck and
+    lowering and turns on codegen's compile-time specialisations.  The
+    interpreted tier always executes the *unoptimized* IR so the two
+    tiers stay a differential oracle for the optimizer;
     ``repro.tools.fuzz`` exercises that oracle at every level.
     """
-    level = opt_level if opt_level is not None else \
-        (DEFAULT_OPT_LEVEL if optimize else 0)
+    level = DEFAULT_OPT_LEVEL if opt_level is None else opt_level
+    if level not in OPT_LEVELS:
+        raise ValueError(f"unknown optimization level {level!r}")
     modules = _to_modules(sources)
     stats = OptStats()
     profile_stops = 0
@@ -105,13 +102,12 @@ class HiltiExecutable:
 def hilti_build(
     sources: Sequence[Source],
     natives: Optional[Dict[str, Callable]] = None,
-    optimize: bool = True,
     entry: Optional[str] = None,
     opt_level: Optional[int] = None,
 ) -> HiltiExecutable:
     """Build an executable (entry defaults to ``Main::run``)."""
-    program = hiltic(sources, natives=natives, optimize=optimize,
-                     entry=entry, opt_level=opt_level)
+    program = hiltic(sources, natives=natives, entry=entry,
+                     opt_level=opt_level)
     if program.linked.entry is None:
         raise ValueError("hilti-build requires an entry point (Main::run)")
     return HiltiExecutable(program)

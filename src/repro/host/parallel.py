@@ -30,6 +30,7 @@ pipeline.  See ``docs/PARALLELISM.md``.
 
 from __future__ import annotations
 
+import copy as _copy
 import os as _os
 import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -38,6 +39,7 @@ from ..core.values import Time
 from ..net.flows import FiveTuple, decode_flow, vthread_of
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
+from .app import PipelineServices
 
 __all__ = [
     "LaneSpec",
@@ -54,6 +56,9 @@ _BACKENDS = ("vthread", "pool")
 #: Gauges whose lane-merge takes the max instead of the sum, for every
 #: app (a spec's ``max_gauges`` extend this).
 _MAX_GAUGES = ("health.breaker_tripped",)
+
+#: The session bounds a lane config may carry (absent keys: unbounded).
+_SESSION_BOUNDS = ("max_sessions", "session_ttl", "memory_budget_bytes")
 
 
 def flow_key(flow) -> Tuple:
@@ -83,7 +88,8 @@ def lane_payload(app) -> Dict:
 
 
 class LaneSpec:
-    """Picklable description of one application's parallel lanes."""
+    """Picklable description of one application's parallel lanes; app
+    specs build their lanes from the plain-data *config*."""
 
     #: Metrics namespace of the app (used by the generic merge to repair
     #: the per-component CPU gauges after summing lanes).
@@ -100,6 +106,9 @@ class LaneSpec:
 
     #: The app's high-water-mark gauges: merged by max across lanes.
     max_gauges: Tuple[str, ...] = ()
+
+    def __init__(self, config: Optional[Dict] = None):
+        self.config = config
 
     # -- flow placement (the Bro defaults; apps may reshard) --------------
 
@@ -122,6 +131,24 @@ class LaneSpec:
     def make_lane(self, uid_map: Dict):
         """Build one isolated app instance (a :class:`HostApp`)."""
         raise NotImplementedError
+
+    def lane_services(self) -> PipelineServices:
+        """The services one lane runs with, from the config: watchdog
+        budget, telemetry switches and session bounds."""
+        config = self.config
+        return PipelineServices(
+            watchdog_budget=config["watchdog_budget"],
+            telemetry=Telemetry(metrics=config["metrics"],
+                                trace=config["trace"]),
+            **{key: config.get(key) for key in _SESSION_BOUNDS})
+
+    def bounded(self, **bounds) -> "LaneSpec":
+        """A copy whose lanes enforce the session *bounds*
+        (``max_sessions`` / ``session_ttl`` / ``memory_budget_bytes``):
+        how the service hands its bounds to pool lanes."""
+        spec = _copy.copy(self)
+        spec.config = dict(self.config or {}, **bounds)
+        return spec
 
     def lane_result(self, app) -> Dict:
         """Everything the merge needs from one finished lane, as plain

@@ -508,16 +508,18 @@ class HostService:
 
     # -- lane lifecycle ----------------------------------------------------
 
-    def _lane_services(self, lane: _Lane) -> PipelineServices:
+    def _session_bounds(self) -> Dict[str, object]:
         config = self.config
+        return {"max_sessions": config.max_sessions,
+                "session_ttl": config.session_ttl,
+                "memory_budget_bytes": config.memory_budget_bytes}
+
+    def _lane_services(self, lane: _Lane) -> PipelineServices:
         return PipelineServices(
             faults=lane.injector,
-            watchdog_budget=config.watchdog_budget,
-            telemetry=Telemetry(metrics=config.lane_metrics),
-            max_sessions=config.max_sessions,
-            session_ttl=config.session_ttl,
-            memory_budget_bytes=config.memory_budget_bytes,
-        )
+            watchdog_budget=self.config.watchdog_budget,
+            telemetry=Telemetry(metrics=self.config.lane_metrics),
+            **self._session_bounds())
 
     def _start_lane(self, lane: _Lane) -> None:
         lane.breaker.record_flow()
@@ -1128,8 +1130,10 @@ class HostService:
         self._write_service_json("running")
         if self._transport == "pool":
             # One shared begin: every pool worker arms a fresh lane
-            # (dead workers are respawned inside begin_run).
-            self._pool.begin_run(self.spec, {})
+            # (dead workers are respawned inside begin_run) that
+            # enforces this service's session bounds.
+            self._pool.begin_run(
+                self.spec.bounded(**self._session_bounds()), {})
             for lane in self.lanes:
                 lane.breaker.record_flow()
         else:

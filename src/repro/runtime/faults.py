@@ -115,23 +115,18 @@ class FaultInjector:
 
     def __init__(self, seed: int = 0,
                  rates: Optional[Mapping[str, float]] = None,
-                 default_rate: float = 0.0,
-                 max_faults: Optional[int] = None):
+                 default_rate: float = 0.0):
         self.seed = seed
         self.rates: Dict[str, float] = dict(rates or {})
         self.default_rate = default_rate
-        self.max_faults = max_faults
         self.injected: Dict[str, int] = {}
         self.checks: Dict[str, int] = {}
         self._rngs: Dict[str, random.Random] = {}
 
     @classmethod
-    def everywhere(cls, seed: int = 0, rate: float = 0.05,
-                   max_faults: Optional[int] = None) -> "FaultInjector":
+    def everywhere(cls, seed: int = 0, rate: float = 0.05) -> "FaultInjector":
         """An injector firing at *rate* on every registered site."""
-        return cls(seed=seed,
-                   rates={site: rate for site in _SITES},
-                   max_faults=max_faults)
+        return cls(seed=seed, rates={site: rate for site in _SITES})
 
     @property
     def total_injected(self) -> int:
@@ -146,9 +141,6 @@ class FaultInjector:
         if rate <= 0.0:
             return
         self.checks[site] = self.checks.get(site, 0) + 1
-        if self.max_faults is not None and \
-                self.total_injected >= self.max_faults:
-            return
         rng = self._rngs.get(site)
         if rng is None:
             rng = self._rngs[site] = random.Random(f"{self.seed}:{site}")

@@ -1,11 +1,11 @@
 """fuzz — the coverage-guided differential oracle for the optimizer.
 
-The ``-O2`` tier rewrites programs aggressively (inlining,
-specialization, branch-refined propagation); the reference interpreter
-always executes the *unoptimized* IR.  That pairing is a differential
-oracle: for any program, every compiled level must produce
-byte-identical observable behaviour to the interpreter.  This tool generates
-random-but-well-typed programs and drives the oracle at scale::
+The ``-O1`` pass pipeline rewrites the IR the compiled tier runs; the
+reference interpreter always executes the *unoptimized* IR.  That
+pairing is a differential oracle: for any program, every compiled level
+must produce byte-identical observable behaviour to the interpreter.
+This tool generates random-but-well-typed programs and drives the
+oracle at scale::
 
     python -m repro.tools.fuzz --seed 1 --count 500
     python -m repro.tools.fuzz --replay tests/core/fuzz_corpus
@@ -17,14 +17,13 @@ Five lanes, each a different program source:
 * ``module`` — random HILTI modules built through ``core.builder``:
   integer dataflow, branches, bounded loops, switches, lexical
   fallthrough blocks, div/mod traps, calls into small helper
-  functions shaped to tickle the inliner and specializer, struct
-  ops on typed, ``any`` and null operands (the codegen's slot inline
-  cache), and what the code generator turns into Python control flow
+  functions of five shapes, struct ops on typed, ``any`` and null
+  operands (the codegen's slot inline cache), and what the code generator turns into Python control flow
   of its own: ``yield`` (in ``Main::f`` and in suspending helpers),
   ``try.begin``/``try.end`` scopes with throws from ``int.div`` and
   ``exception.throw`` inside and outside them, and hooks with 0-3
   bodies, priorities, a group that gets disabled, and ``hook.stop``.
-  Oracle: interpreter vs compiled ``-O0``/``-O1``/``-O2``, each compiled
+  Oracle: interpreter vs compiled ``-O0``/``-O1``, each compiled
   program driven through ``call_fiber`` to completion: outcome (value
   or exception type), the number of suspensions (the interpreter counts
   the yields it passes), plus the ``ctx.instr_count`` parity invariant
@@ -47,7 +46,7 @@ Five lanes, each a different program source:
   parity between the interpreter and ``-O0``.  Corpus cases are hex
   ``.dns`` files.
 
-Coverage guidance: each module case's ``-O2`` ``OptStats`` counters
+Coverage guidance: each module case's ``-O1`` ``OptStats`` counters
 (which passes actually fired) plus its structural features form a
 signature; cases with novel signatures enter a pool that seeds further
 mutations, steering generation toward optimizer paths not yet hit.
@@ -142,11 +141,10 @@ _DIV_OPS = ["int.div", "int.mod"]
 #       x, y, z differently, so a stale slot index reads the wrong field.
 #
 # Helpers are int<64> -> int<64> functions in one of five shapes:
-# "leaf" (single pure block — an inline candidate), "init" (leaf plus
-# an initialized local — exercises init seeding at the splice),
-# "branchy" (two-armed — not inlinable, but specializable), "big"
-# (over the inline size cap), and "susp" (a leaf that yields half way,
-# so every caller up to Main::f compiles to a generator).
+# "leaf" (a single pure block), "init" (leaf plus an initialized local,
+# which every call must reset), "branchy" (two-armed), "big" (a long
+# straight-line body), and "susp" (a leaf that yields half way, so
+# every caller up to Main::f compiles to a generator).
 #
 # spec["hooks"] is a list of body lists; hook i is Main::hk<i>(x).  A
 # body is {"priority", "group" (bool), "ops" [[mnemonic, operand]...]
@@ -255,7 +253,6 @@ def _gen_stmt(rng: random.Random, helpers: Sequence[Dict],
     if roll < 0.92 or not helpers:
         return ["fallthrough", _gen_stmts(rng, helpers, depth + 1, 1, 2)]
     helper = rng.choice(helpers)
-    # Constant arguments (sometimes all of them) feed the specializer.
     arguments = [
         ["c", rng.randint(-9, 9)] if rng.random() < 0.5
         else _gen_operand(rng, _N_VARS)
@@ -606,7 +603,7 @@ def _run_oracle(make_module, entry: str, arguments: List,
     through and counts them.  Returns ``(expected, outcomes,
     divergences, the program compiled at the highest level)``.
     """
-    interp = hiltic([make_module()], tier="interpreted", optimize=False)
+    interp = hiltic([make_module()], tier="interpreted")
     interp_ctx = interp.make_context()
     expected = _outcome(
         lambda: interp.call(interp_ctx, entry, arguments))
@@ -961,7 +958,6 @@ class _PacOracle:
                 http_grammar(),
                 extra_modules=[unit_done_glue("HTTP",
                                               ["Request", "Reply"])],
-                optimize=True,
                 opt_level=level,
                 on_event=on_event,
             )
@@ -1144,8 +1140,7 @@ class _DnsOracle:
                         for level in self.levels}
         self.interp = hiltic(
             [GrammarCompiler(dns_grammar()).compile_module()],
-            natives=bp_runtime.natives(), tier="interpreted",
-            optimize=False)
+            natives=bp_runtime.natives(), tier="interpreted")
         self.interp_ctx = self.interp.make_context()
         self.interp_stub = Stub(self.interp, "DNS::Message::parse")
 

@@ -21,7 +21,6 @@ from ..core.toolchain import hiltic
 _LEVEL_HELP = {
     0: "disable HILTI-level optimizations",
     1: "enable the IR pass pipeline",
-    2: "additionally inline, specialize, and refine constants per branch",
 }
 
 

@@ -215,6 +215,6 @@ class TestRandomFilters:
     @settings(max_examples=30, deadline=None)
     def test_vm_and_hilti_agree_on_random_filters(self, node):
         vm = compile_to_vm(node)
-        hilti = compile_to_hilti(node, optimize=False)
+        hilti = compile_to_hilti(node, opt_level=0)
         for frame in _SAMPLE:
             assert bool(vm.run(frame)) == hilti(frame)

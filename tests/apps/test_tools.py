@@ -93,7 +93,7 @@ class TestBroOptLevel:
         pcap = str(tmp_path / "http.pcap")
         tracegen_cli.main(["http", "--sessions", "4", "-o", pcap])
         logdir = str(tmp_path / "logs")
-        assert bro_cli.main(["-r", pcap, "--compile-scripts", "-O", "2",
+        assert bro_cli.main(["-r", pcap, "--compile-scripts", "-O", "0",
                              "--logdir", logdir]) == 0
         assert "processed" in capsys.readouterr().out
 
@@ -105,12 +105,12 @@ class TestBroOptLevel:
             parsers = "std"
             compile_scripts = True
             watchdog = 7
-            opt_level = 2
+            opt_level = 0
             metrics = False
             trace_flows = False
 
         spec = bro_cli._make_spec(_Namespace(), scripts=None)
-        assert spec.config["opt_level"] == 2
+        assert spec.config["opt_level"] == 0
         assert spec.config["scripts_engine"] == "hilti"
         assert spec.config["watchdog_budget"] == 7
 

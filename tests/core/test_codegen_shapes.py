@@ -6,8 +6,8 @@ points / loop headers / handlers become rungs of a ``pc`` ladder, a
 suspending function is a generator, hook dispatch is unrolled, and
 ``ctx.instr_count`` is charged per straight-line region with a
 line-to-count table for traps.  Each program below is hand-written HILTI
-for one such shape and runs four ways — the reference interpreter on the
-unoptimised IR, and at -O0/-O1/-O2 the compiled function next to the
+for one such shape and runs three ways — the reference interpreter on the
+unoptimised IR, and at -O0/-O1 the compiled function next to the
 interpreter *on the same optimised IR* — asserting the result (or error
 type), the printed output, ``ctx.instr_count`` and the number of fiber
 resumes agree.

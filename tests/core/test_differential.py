@@ -131,12 +131,9 @@ class TestDifferential:
                 ip.call(ic, "Main::match_packet", list(args))
 
     def test_optimized_matches_unoptimized(self):
-        for optimize in (True, False):
-            program = hiltic([_ARITH_SRC], optimize=optimize)
-            ctx = program.make_context()
-            assert program.call(ctx, "Main::compute", [10, -3]) == \
-                hiltic([_ARITH_SRC], optimize=not optimize).call(
-                    hiltic([_ARITH_SRC], optimize=not optimize)
-                    .make_context(),
-                    "Main::compute", [10, -3],
-                )
+        results = set()
+        for level in (0, 1):
+            program = hiltic([_ARITH_SRC], opt_level=level)
+            results.add(program.call(program.make_context(),
+                                     "Main::compute", [10, -3]))
+        assert len(results) == 1

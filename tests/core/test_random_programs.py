@@ -71,11 +71,10 @@ class TestStraightLine:
     @settings(max_examples=60, deadline=None)
     def test_three_engines_agree(self, ops, args):
         module = _build_straightline(ops)
-        compiled = hiltic([module], optimize=False)
+        compiled = hiltic([module], opt_level=0)
         # Rebuild: the optimizer mutates modules in place.
-        optimized = hiltic([_build_straightline(ops)], optimize=True)
-        interp = hiltic([_build_straightline(ops)], tier="interpreted",
-                        optimize=False)
+        optimized = hiltic([_build_straightline(ops)])
+        interp = hiltic([_build_straightline(ops)], tier="interpreted")
         expected = interp.call(interp.make_context(), "Main::f", list(args))
         assert compiled.call(
             compiled.make_context(), "Main::f", list(args)) == expected
@@ -148,10 +147,9 @@ class TestBranchesAndLoops:
                     max_size=_N_VARS))
     @settings(max_examples=40, deadline=None)
     def test_three_engines_agree(self, spec, args):
-        interp = hiltic([_build_branchy(spec)], tier="interpreted",
-                        optimize=False)
-        compiled = hiltic([_build_branchy(spec)], optimize=False)
-        optimized = hiltic([_build_branchy(spec)], optimize=True)
+        interp = hiltic([_build_branchy(spec)], tier="interpreted")
+        compiled = hiltic([_build_branchy(spec)], opt_level=0)
+        optimized = hiltic([_build_branchy(spec)])
         expected = interp.call(interp.make_context(), "Main::f", list(args))
         assert compiled.call(
             compiled.make_context(), "Main::f", list(args)) == expected

@@ -66,8 +66,7 @@ def _run(program, data: bytes, skip: int, frozen: bool):
 def run(request):
     formats, size = RUNS[request.param]
     source = _source(formats)
-    programs = {"interp": hiltic([source], tier="interpreted",
-                                 optimize=False)}
+    programs = {"interp": hiltic([source], tier="interpreted")}
     for level in OPT_LEVELS:
         programs[f"O{level}"] = hiltic([source], opt_level=level)
     return programs, size

@@ -3,7 +3,7 @@
 The optimizer rewrites the IR the compiled tier executes; the
 interpreter deliberately runs the unoptimized module.  For every example
 program and benchmark kernel, the observable behaviour at every
-optimization level (``-O0``/``-O1``/``-O2``) must be byte-identical to
+optimization level (``-O0``/``-O1``) must be byte-identical to
 the interpreted tier — the oracle that lets the benchmark harness
 attribute speedups to the pass pipeline rather than to changed
 semantics.  ``repro.tools.fuzz`` extends the same oracle to randomly

@@ -40,7 +40,7 @@ def _shutdown_pools():
     yield
     shutdown_shared_pools()
 
-BPF_CONFIG = {"filter": "tcp", "engine": "vm", "opt_level": 2,
+BPF_CONFIG = {"filter": "tcp", "engine": "vm", "opt_level": 1,
               "watchdog_budget": None, "metrics": False, "trace": False}
 
 
@@ -490,6 +490,33 @@ class TestServicePoolTransport:
             totals["packets_processed"] + totals["packets_shed"]
             + totals["packets_lost"] + totals["packets_dropped"])
         assert doc["config"]["lane_transport"] == "pool"
+
+    def test_session_bounds_reach_pool_lanes(self, tmp_path):
+        # Pool lanes are built in worker processes from the pickled
+        # spec; the service's bounds must travel in it.
+        from repro.apps.binpac.app import PacApp, PacLaneSpec
+        from repro.host.service import HostService, ServiceConfig
+
+        trace = list(_trace(sessions=4, queries=60, seed=11))
+        spec = PacLaneSpec({"protocols": ("dns",), "opt_level": None,
+                            "watchdog_budget": None, "metrics": False,
+                            "trace": False})
+
+        def make_app(services):
+            return PacApp(protocols=("dns",), services=services)
+
+        evicted = {}
+        for transport in ("thread", "pool"):
+            config = ServiceConfig(
+                lanes=2, lane_transport=transport, http_host=None,
+                http_port=None, logdir=str(tmp_path / transport),
+                max_sessions=8)
+            service = HostService(make_app, list(trace), config, spec=spec)
+            assert service.serve() == 0
+            evicted[transport] = sum(lane.end_stats["sessions_evicted"]
+                                     for lane in service.lanes)
+        assert evicted["pool"] > 0
+        assert evicted["pool"] == evicted["thread"]
 
     def test_injection_refused_on_pool_transport(self):
         from repro.host.service import ServiceConfig

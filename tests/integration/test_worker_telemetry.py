@@ -39,7 +39,7 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 BACKENDS = ["vthread", "pool"]
 
-CONFIG = {"filter": "tcp", "engine": "interpreted", "opt_level": 2,
+CONFIG = {"filter": "tcp", "engine": "interpreted", "opt_level": 1,
           "watchdog_budget": None, "metrics": True, "trace": False}
 
 #: Timing/occupancy series that are not content-determined.

@@ -112,13 +112,6 @@ class TestFaultInjector:
             list(range(10))
         assert injector.injected[SITE_PACKET_PARSE] == 10
 
-    def test_max_faults_budget(self):
-        injector = FaultInjector(seed=0, rates={SITE_PACKET_PARSE: 1.0},
-                                 max_faults=3)
-        fired = _schedule(injector, SITE_PACKET_PARSE, passes=10)
-        assert fired == [0, 1, 2]
-        assert injector.total_injected == 3
-
     def test_everywhere_covers_all_sites(self):
         injector = FaultInjector.everywhere(seed=0, rate=1.0)
         for site in registered_sites():
