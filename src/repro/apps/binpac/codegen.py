@@ -24,7 +24,14 @@ fixed-width integer fields is one availability check and one
 Regular-expression tokens are compiled to automata at *grammar compile
 time* and embedded as constants, and each finished unit runs the hook
 ``<Grammar>::<Unit>::%done`` so event glue (``repro.apps.binpac.evt``) can
-attach without touching the parser.
+attach without touching the parser.  A run of two or more unconditional
+tokens is one ``regexp.match_seq`` — each token still its own longest
+match, the whole run retried from its start while undecided, a failure
+naming the failing token — and a parameterless unit made only of
+unconditional tokens (HTTP's ``Header``, ``Version``) is inlined at its
+use site as ``new``, one such run, and its ``%done`` hook.  A run never
+crosses a hook; lone tokens, ``&until`` delimiters and list sentinels
+match through ``regexp.match_token``.
 """
 
 from __future__ import annotations
@@ -213,36 +220,46 @@ class _UnitCompiler:
         fb.emit("new", fb.type_ref(struct_type), target=self.obj)
         self.emit_fields(self.unit.fields)
         # Unit finished: run the %done hook (event glue attaches here).
-        fb.emit("hook.run", fb.field(self.hook_name()),
-                fb.args(self.obj))
+        self._run_done_hook(self.unit, self.obj)
         result = fb.temp(ht.ANY, "result")
         fb.emit("assign", TupleOp((self.obj, fb.var("cur"))), target=result)
         fb.ret(result)
 
-    def hook_name(self) -> str:
-        return f"{self.grammar.name}::{self.unit.name}::%done"
+    def _run_done_hook(self, unit: Unit, obj) -> None:
+        self.fb.emit("hook.run",
+                     self.fb.field(f"{self.grammar.name}::{unit.name}::%done"),
+                     self.fb.args(obj))
 
-    def _store_to_struct(self, field: Field) -> Optional[Callable]:
+    def _store_to_struct(self, field: Field, obj=None) -> Optional[Callable]:
+        """Where a named field's value goes: its slot in *obj* (default:
+        the unit being parsed)."""
         if not field.stored():
             return None
+        target = self.obj if obj is None else obj
 
         def store(value_operand) -> None:
-            self.fb.emit("struct.set", self.obj,
+            self.fb.emit("struct.set", target,
                          self.fb.field(field.name), value_operand)
 
         return store
 
     def emit_fields(self, fields: Sequence[Field]) -> None:
         """Emit a field sequence; a run of two or more consecutive
-        unconditional fixed-width integers is one read."""
+        unconditional fixed-width integers is one read, of two or more
+        unconditional tokens one match."""
         index = 0
         while index < len(fields):
+            kind = type(fields[index])
             end = index
-            while end < len(fields) and isinstance(fields[end], UIntField) \
+            while end < len(fields) and type(fields[end]) is kind \
+                    and kind in (UIntField, PatternField) \
                     and fields[end].condition is None:
                 end += 1
             if end - index > 1:
-                self._emit_uint_run(fields[index:end])
+                if kind is UIntField:
+                    self._emit_uint_run(fields[index:end])
+                else:
+                    self._emit_token_run(fields[index:end], self.obj)
                 index = end
             else:
                 field = fields[index]
@@ -329,6 +346,59 @@ class _UnitCompiler:
             fb.emit("bytes.sub", fb.var("cur"), end_iter, target=value)
             store(value)
         fb.emit("assign", end_iter, target=fb.var("cur"))
+
+    def _emit_token_run(self, run: Sequence[PatternField], obj) -> None:
+        """Consecutive tokens as one ``regexp.match_seq``: each token its
+        own longest match, exactly as lone tokens would match in turn.
+        While undecided the whole run retries from its start — exact, as
+        a decided token match does not change when input arrives.  A
+        failure names the failing token; a match yields each named
+        token's value, stored into *obj*'s slot."""
+        fb = self.fb
+        retry = self._retry_point("toks")
+        matched = fb.fresh_label("toks_ok")
+        no_match = fb.fresh_label("toks_no")
+        undecided = fb.fresh_label("toks_more")
+        fail = fb.fresh_label("toks_fail")
+        result = fb.temp(ht.ANY, "toks")
+        status = fb.temp(ht.INT64, "toks_status")
+        hit = fb.temp(ht.BOOL, "toks_hit")
+        mask = sum(1 << index for index, field in enumerate(run)
+                   if field.stored())
+        fb.emit("regexp.match_seq", fb.var("cur"), fb.const(ht.INT64, mask),
+                *[self._regexp(field.pattern) for field in run],
+                target=result)
+        fb.emit("tuple.index", result, fb.const(ht.INT64, 0), target=status)
+        fb.emit("int.gt", status, fb.const(ht.INT64, 0), target=hit)
+        fb.branch(hit, matched, no_match)
+        fb.block(no_match)
+        failed = fb.temp(ht.BOOL, "toks_failed")
+        fb.emit("int.eq", status, fb.const(ht.INT64, 0), target=failed)
+        fb.branch(failed, fail, undecided)
+        fb.block(undecided)
+        self._undecided(retry, fail)
+        fb.block(fail)
+        failing = fb.temp(ht.INT64, "toks_failing")
+        fb.emit("tuple.index", result, fb.const(ht.INT64, 2), target=failing)
+        labels = [fb.fresh_label("tok_fail") for __ in run]
+        fb.emit("switch", failing, LabelRef(labels[0]),
+                *[TupleOp((fb.const(ht.ANY, index), LabelRef(label)))
+                  for index, label in enumerate(labels) if index])
+        for label, field in zip(labels, run):
+            fb.block(label)
+            self._fail(f"expected token /{field.pattern}/")
+        fb.block(matched)
+        slot = 3
+        for field in run:
+            store = self._store_to_struct(field, obj)
+            if store is not None:
+                value = fb.temp(ht.ANY, "token")
+                fb.emit("tuple.index", result, fb.const(ht.INT64, slot),
+                        target=value)
+                store(value)
+                slot += 1
+        fb.emit("tuple.index", result, fb.const(ht.INT64, 1),
+                target=fb.var("cur"))
 
     def _emit_literal(self, literal: bytes, store: Optional[Callable]) -> None:
         fb = self.fb
@@ -463,8 +533,22 @@ class _UnitCompiler:
     def _emit_subunit(self, field: SubUnitField,
                       store: Optional[Callable]) -> None:
         fb = self.fb
-        if field.unit_name not in self.grammar.units:
+        unit = self.grammar.units.get(field.unit_name)
+        if unit is None:
             raise GrammarError(f"unknown unit {field.unit_name!r}")
+        if not unit.params and not field.args and unit.fields and all(
+                isinstance(inner, PatternField) and inner.condition is None
+                for inner in unit.fields):
+            # A token-only unit, inlined: what its parse function does
+            # (new, its tokens as one run, %done), minus the call.
+            obj = fb.temp(ht.ANY, "sub_obj")
+            fb.emit("new", fb.type_ref(self.struct_types[unit.name]),
+                    target=obj)
+            self._emit_token_run(unit.fields, obj)
+            self._run_done_hook(unit, obj)
+            if store is not None:
+                store(obj)
+            return
         args = [fb.var("data"), fb.var("cur")]
         args += [self.eval_expr(a) for a in field.args]
         pair = fb.temp(ht.ANY, "sub_pair")
@@ -642,14 +726,17 @@ class Parser:
     one entry of a datagram grammar, whose parse functions are plain
     calls; ``start(unit)`` returns an incremental session of a stream
     grammar: feed chunks with ``session.feed(b"...")``, finish with
-    ``session.done()``.
+    ``session.done()``.  *tier* is ``hiltic``'s: the reference
+    interpreter runs the same parsers as the code generator.
     """
 
     def __init__(self, grammar: Grammar, extra_modules=(),
                  natives: Optional[dict] = None,
                  on_event: Optional[Callable] = None,
-                 opt_level: Optional[int] = None):
+                 opt_level: Optional[int] = None,
+                 tier: str = "compiled"):
         self.grammar = grammar
+        self.tier = tier
         compiled_module = GrammarCompiler(grammar).compile_module()
         table = bp_runtime.natives()
         if natives:
@@ -668,6 +755,7 @@ class Parser:
             [compiled_module, *extra_modules],
             natives=table,
             opt_level=opt_level,
+            tier=tier,
         )
         self.ctx = self.program.make_context()
         self._stubs: Dict[str, Stub] = {}
@@ -699,6 +787,11 @@ class Parser:
             raise GrammarError(
                 f"grammar {self.grammar.name} parses whole datagrams: "
                 f"use parse(), not an incremental session")
+        if self.tier == "interpreted":
+            # The interpreter runs `yield` to completion: a session on
+            # an empty buffer would retry forever.
+            raise GrammarError("the interpreted tier cannot suspend: "
+                               "use parse(), not an incremental session")
         return ParseSession(self, unit_name)
 
 

@@ -171,15 +171,18 @@ def bp_http_header_value(ctx, headers, name: str):
     """The value of the first header whose name matches (case-insensitive).
 
     *headers* is a HILTI list of Header structs with ``name``/``value``
-    fields; returns the value bytes or None.
+    fields; returns the value bytes or None.  Names compare on their
+    backing ``bytearray``, without a copy.
     """
     wanted = name.lower().encode("latin-1")
     for header in headers:
         if not isinstance(header, StructInstance):
             continue
         header_name = unit_field(header, "name")
+        if isinstance(header_name, Bytes):
+            header_name = header_name._data
         if header_name is not None and \
-                _to_raw(header_name).strip().lower() == wanted:
+                header_name.strip().lower() == wanted:
             return unit_field(header, "value")
     return None
 

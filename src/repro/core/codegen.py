@@ -27,8 +27,8 @@ hook body) is emitted once as Python *source*, compiled with
   matching handler's rung;
 * value instructions become one line each: the registry's ``inline``
   template, a compile-time specialisation (:data:`_SITES`: struct slots,
-  constant-layout reads, constant-type ``new``), or a call of the
-  registry function.
+  constant-layout reads, constant-type ``new``, precompiled token
+  sequences), or a call of the registry function.
 
 **Accounting.**  ``ctx.instr_count`` is charged once per straight-line
 *region* — the instructions between two points where control can leave
@@ -54,6 +54,7 @@ import linecache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import overlay as rt_overlay
+from ..runtime import regexp as rt_regexp
 from ..runtime.bytes_buffer import Bytes
 from ..runtime.context import ExecutionContext
 from ..runtime.exceptions import (
@@ -482,6 +483,20 @@ def _site_bytes_unpack(em, instruction, args):
     return f"{em.unit.bind(unpacker)}({args[0]})"
 
 
+def _site_regexp_match_seq(em, instruction, args):
+    """``regexp.match_seq <iter> <mask> <regexp>...`` with constant
+    operands: the sequence matcher, built once per operand tuple."""
+    constants = instruction.operands[1:]
+    if not all(isinstance(op, Const) for op in constants):
+        return None
+    mask, *regexps = (op.value for op in constants)
+    if type(mask) is not int or \
+            not all(isinstance(r, rt_regexp.RegExp) for r in regexps):
+        return None
+    matcher = rt_regexp.sequence_matcher(tuple(regexps), mask)
+    return f"{em.unit.bind(matcher)}({args[0]})"
+
+
 def _site_new(em, instruction, args):
     """``new <constant type>`` without arguments."""
     if len(args) != 1 or not isinstance(instruction.operands[0], TypeRef):
@@ -507,6 +522,7 @@ _SITES = {
     "unpack": (1, _site_unpack),
     "bytes.unpack": (1, _site_bytes_unpack),
     "bytes.unpack_seq": (1, _site_bytes_unpack),
+    "regexp.match_seq": (1, _site_regexp_match_seq),
     "new": (1, _site_new),
     **{f"struct.{op}": (1, _site_struct)
        for op in ("get", "set", "is_set", "get_default", "unset")},

@@ -890,6 +890,12 @@ _register("regexp.match_token", "req", ("ref", "iter"),
           fn=lambda ctx, r, it: r.match_token(it.bytes_obj, it),
           doc="Incremental anchored match; returns (status, iterator).",
           inline_o1="({0}).match_token(({1}).bytes_obj, {1})")
+_register("regexp.match_seq", "req", ("iter", "int", "ref", "ref*"),
+          fn=lambda ctx, it, mask, *regexps: rt_regexp.match_seq(
+              it, mask, *regexps),
+          doc="Match tokens in turn, each longest-first, at an iterator; "
+              "returns (status, end iterator, failing index, one bytes "
+              "per token named in the mask).")
 _register("regexp.find", "req", ("ref", "bytes"),
           fn=lambda ctx, r, data: r.find(_as_raw(data)),
           doc="Leftmost match anywhere; returns (id, begin, end).")

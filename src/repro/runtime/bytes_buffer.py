@@ -40,6 +40,17 @@ class Bytes(Managed):
         self._base = 0  # absolute offset of _data[0]
         self._frozen = False
 
+    @staticmethod
+    def frozen(raw: bytearray) -> "Bytes":
+        """A frozen Bytes owning *raw*, a bytearray no one else holds
+        (no copy): a parsed field's value."""
+        value = Bytes.__new__(Bytes)
+        value._refcount = 1
+        value._data = raw
+        value._base = 0
+        value._frozen = True
+        return value
+
     # -- construction and growth ------------------------------------------
 
     def append(self, data) -> None:
@@ -138,10 +149,7 @@ class Bytes(Managed):
             raise HiltiError(VALUE_ERROR, "bytes.sub: start after stop")
         count = stop.offset - start.offset
         index = self._index(start.offset, count)
-        result = Bytes()
-        result._data = self._data[index:index + count]  # the one copy
-        result._frozen = True
-        return result
+        return Bytes.frozen(self._data[index:index + count])  # the one copy
 
     def to_bytes(self) -> bytes:
         return bytes(self._data)

@@ -13,6 +13,10 @@ we implement our own engine rather than binding an external library:
   input and resume later — exactly what suspending parsers need.
 * *Set matching*: several patterns compile into one automaton; a match
   reports which pattern won (lowest pattern id on ties).
+* *Sequence matching* (``regexp.match_seq``): a run of tokens, each
+  matched longest-first where the previous one ended, in one C-level
+  Python ``re`` call whenever that provably gives the DFA's answer
+  (:func:`sequence_matcher`).
 
 Supported syntax: literals, ``.``, escapes (``\\n \\r \\t \\0 \\xNN``),
 classes ``[a-z^...]``, ``\\d \\w \\s \\D \\W \\S``, grouping ``(...)``,
@@ -21,13 +25,16 @@ alternation ``|``, repetition ``* + ? {m,n}``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+import re
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bytes_buffer import Bytes, BytesIter
 from .exceptions import HiltiError, PATTERN_ERROR
 from .memory import Managed
 
-__all__ = ["RegExp", "MatchState", "MATCH_NEED_MORE", "MATCH_FAIL"]
+__all__ = ["RegExp", "MatchState", "MATCH_NEED_MORE", "MATCH_FAIL",
+           "match_seq", "sequence_matcher"]
 
 # Match-token status values (mirroring HILTI's regexp.match_token):
 #   > 0  id of the matched pattern
@@ -271,6 +278,77 @@ class _PatternParser:
 
 
 # --------------------------------------------------------------------------
+# Class R: patterns Python's greedy matcher matches exactly
+# --------------------------------------------------------------------------
+
+
+_Atom = Tuple[frozenset, int, Optional[int]]  # byte class, low, high
+
+
+def _atoms(node: _Node) -> Optional[List[_Atom]]:
+    """*node* as a concatenation of ``(byte class, low, high)`` atoms (a
+    literal is ``{1,1}``), or None when it is anything else."""
+    if isinstance(node, _Literal):
+        return [(node.chars, 1, 1)]
+    if isinstance(node, _Concat):
+        atoms: List[_Atom] = []
+        for part in node.parts:
+            inner = _atoms(part)
+            if inner is None:
+                return None
+            atoms += inner
+        return atoms
+    if isinstance(node, _Repeat):
+        inner = _atoms(node.child)
+        if inner is not None and len(inner) == 1 and inner[0][1:] == (1, 1):
+            return [(inner[0][0], node.low, node.high)]
+    return None
+
+
+def _byte_class(chars: frozenset) -> str:
+    ranges: List[List[int]] = []
+    for byte in sorted(chars):
+        if ranges and ranges[-1][1] == byte - 1:
+            ranges[-1][1] = byte
+        else:
+            ranges.append([byte, byte])
+    return "[" + "".join(f"\\x{low:02x}" if low == high
+                         else f"\\x{low:02x}-\\x{high:02x}"
+                         for low, high in ranges) + "]"
+
+
+def _class_r_source(node: _Node) -> Optional[str]:
+    """*node* as Python ``re`` source if it is in class R, else None.
+
+    Class R: a concatenation of byte-class atoms with ``{m,n}`` counts
+    where every variable-count atom's class is disjoint from every class
+    that can follow it, up to and including the next mandatory atom.
+    Then each byte of any input has at most one atom it can belong to,
+    so a prefix parses at most one way; and once the parse accepts,
+    every later live state accepts too.  Greedy backtracking therefore
+    returns the longest match — the DFA's — and that match ends exactly
+    where the DFA dies.
+    """
+    atoms = _atoms(node)
+    if atoms is None:
+        return None
+    parts = []
+    for index, (chars, low, high) in enumerate(atoms):
+        if not chars:
+            return None
+        if low != high:
+            for follow, follow_low, __ in atoms[index + 1:]:
+                if chars & follow:
+                    return None
+                if follow_low:
+                    break
+        count = "" if (low, high) == (1, 1) else \
+            f"{{{low},{'' if high is None else high}}}"
+        parts.append(_byte_class(chars) + count)
+    return "".join(parts)
+
+
+# --------------------------------------------------------------------------
 # NFA (Thompson construction)
 # --------------------------------------------------------------------------
 
@@ -454,9 +532,13 @@ class MatchState:
 
 
 class RegExp(Managed):
-    """One or more compiled patterns sharing a single automaton."""
+    """One or more compiled patterns sharing a single automaton.
 
-    __slots__ = ("patterns", "_dfa")
+    ``re_source`` is the single pattern as Python ``re`` source when it
+    is in class R (:func:`_class_r_source`), else None.
+    """
+
+    __slots__ = ("patterns", "_dfa", "re_source")
 
     def __init__(self, patterns):
         super().__init__()
@@ -471,9 +553,12 @@ class RegExp(Managed):
         for pid, pattern in enumerate(self.patterns, start=1):
             entry = nfa.new_state()
             nfa.add_epsilon(nfa.start, entry)
-            exit_state = nfa.build(_PatternParser(pattern).parse(), entry)
+            node = _PatternParser(pattern).parse()
+            exit_state = nfa.build(node, entry)
             nfa.accepts[exit_state] = pid
         self._dfa = _DFA(nfa)
+        self.re_source = _class_r_source(node) \
+            if len(self.patterns) == 1 else None
 
     # -- anchored token matching ------------------------------------------
 
@@ -519,21 +604,13 @@ class RegExp(Managed):
         state.done = True
         if state.last_accept_id:
             return state.last_accept_id, state.last_accept_len
-        if dfa.can_advance(s) or not frozen:
-            # Input ended inside a potential match with no accept yet.
-            return MATCH_FAIL, 0
         return MATCH_FAIL, 0
 
-    def match_token(self, data: Bytes, start: BytesIter) -> Tuple[int, BytesIter]:
-        """One-shot anchored longest match at *start* within *data*.
-
-        Returns ``(status, iterator past the match)``; on ``NEED_MORE`` the
-        iterator marks where feeding should resume.
-
-        This is the generated parsers' hottest operation, so the DFA walk
-        is inlined here (no MatchState allocation) — semantically the same
-        as ``token_state()`` + ``feed()``.
-        """
+    def _longest(self, view, frozen: bool) -> Tuple[int, int]:
+        """The DFA walk behind every anchored match: the longest match
+        at the start of *view* (no MatchState allocation — semantically
+        ``token_state()`` + ``feed()``).  Returns ``(status, length)``;
+        on ``NEED_MORE`` the length counts the bytes consumed."""
         dfa = self._dfa
         trans = dfa.trans
         accept_table = dfa.accept
@@ -541,25 +618,31 @@ class RegExp(Managed):
         consumed = 0
         last_id = accept_table[0]
         last_len = 0
-        for byte in data.view_from(start.offset):
+        for byte in view:
             nxt = trans[s][byte]
             if nxt is None:
                 nxt = dfa.step(s, byte)
             if nxt < 0:
-                if last_id:
-                    return last_id, start.incr_by(last_len)
-                return MATCH_FAIL, start
+                return (last_id, last_len) if last_id else (MATCH_FAIL, 0)
             s = nxt
             consumed += 1
             pid = accept_table[s]
             if pid:
                 last_id = pid
                 last_len = consumed
-        if not data.is_frozen and dfa.can_advance(s):
-            return MATCH_NEED_MORE, start.incr_by(consumed)
-        if last_id:
-            return last_id, start.incr_by(last_len)
-        return MATCH_FAIL, start
+        if not frozen and dfa.can_advance(s):
+            return MATCH_NEED_MORE, consumed
+        return (last_id, last_len) if last_id else (MATCH_FAIL, 0)
+
+    def match_token(self, data: Bytes, start: BytesIter) -> Tuple[int, BytesIter]:
+        """One-shot anchored longest match at *start* within *data*.
+
+        Returns ``(status, iterator past the match)``; on ``NEED_MORE`` the
+        iterator marks where feeding should resume.
+        """
+        status, length = self._longest(data.view_from(start.offset),
+                                       data._frozen)
+        return status, start.incr_by(length)
 
     # -- convenience matching over plain bytes ------------------------------
 
@@ -601,3 +684,88 @@ class RegExp(Managed):
 
     def __repr__(self) -> str:
         return f"RegExp({self.patterns!r})"
+
+
+# --------------------------------------------------------------------------
+# Token sequences
+# --------------------------------------------------------------------------
+
+
+def _sequence_source(sources: Sequence[str], open_end: bool) -> bytes:
+    """One Python pattern matching class-R tokens in turn.  Each token is
+    an atomic group, ``(?=(tok))\\N``: a lookahead does not backtrack, so
+    every token keeps its own longest match, as sequential matching does.
+    With *open_end* (the buffer may still grow) the match must also end
+    before the last byte: a token ending there might extend once more
+    input arrives, which only the DFA walk can tell."""
+    body = "".join(f"(?=({source}))\\{group}"
+                   for group, source in enumerate(sources, start=1))
+    return (body + ("(?=[\\x00-\\xff])" if open_end else "")).encode("latin-1")
+
+
+@functools.lru_cache(maxsize=256)
+def sequence_matcher(regexps: Tuple[RegExp, ...],
+                     named_mask: int) -> Callable[[BytesIter], tuple]:
+    """The matcher behind ``regexp.match_seq``, built once per operand
+    tuple: ``match(it)`` matches each of *regexps* in turn, longest match
+    first, starting where the previous one ended.
+
+    It returns ``(status, end iterator, failing index, value...)``: status
+    1 when every token matched, with one frozen Bytes per token whose
+    bit is set in *named_mask*; else the failing token's ``MATCH_FAIL``
+    or ``MATCH_NEED_MORE``, its index, the start iterator and None
+    values.  That is exactly what sequential ``match_token`` calls give.
+
+    When every token is in class R, one ``re`` match decides the run
+    whenever it succeeds: its groups are the tokens' longest matches and
+    its guard (:func:`_sequence_source`) leaves an ending at the open end
+    of the buffer undecided.  Everything else — no match, an open end, a
+    token outside class R — takes the DFA walk, token by token.
+    """
+    named = [index for index in range(len(regexps)) if named_mask >> index & 1]
+    unmatched = (None,) * len(named)
+    frozen_bytes = Bytes.frozen
+
+    def walk(it: BytesIter) -> tuple:
+        data = it.bytes_obj
+        frozen = data._frozen
+        offset = it.offset
+        spans = []
+        for index, regexp in enumerate(regexps):
+            status, length = regexp._longest(data.view_from(offset), frozen)
+            if status <= 0:
+                return (status, it, index) + unmatched
+            start = offset - data._base
+            spans.append((start, start + length))
+            offset += length
+        raw = data._data
+        return (1, BytesIter(data, offset), -1,
+                *(frozen_bytes(raw[slice(*spans[index])]) for index in named))
+
+    sources = [regexp.re_source for regexp in regexps]
+    if None in sources:
+        return walk
+    closed = re.compile(_sequence_source(sources, False)).match
+    open_end = re.compile(_sequence_source(sources, True)).match
+    # The named tokens' groups, padded with group 0 (the whole run) to
+    # two: m.group() then always returns a tuple.
+    groups = [0] * max(0, 2 - len(named)) + [index + 1 for index in named]
+    skip = len(groups) - len(named)
+
+    def match(it: BytesIter) -> tuple:
+        data = it.bytes_obj
+        base = data._base
+        m = (closed if data._frozen else open_end)(data._data,
+                                                   it.offset - base)
+        if m is None:
+            return walk(it)
+        # On a bytearray, m.group() slices are fresh bytearrays.
+        return (1, BytesIter(data, base + m.end()), -1,
+                *map(frozen_bytes, m.group(*groups)[skip:]))
+
+    return match
+
+
+def match_seq(it: BytesIter, named_mask: int, *regexps: RegExp) -> tuple:
+    """``regexp.match_seq``: see :func:`sequence_matcher`."""
+    return sequence_matcher(regexps, named_mask)(it)

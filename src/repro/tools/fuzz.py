@@ -33,9 +33,15 @@ Five lanes, each a different program source:
   level must agree on each accept/reject decision.
 * ``script`` — random mini-Bro functions run on the tree-walking
   script interpreter and the HILTI script compiler at every level.
-* ``pac`` — malformed HTTP byte streams through the BinPAC++-generated
-  parser compiled at every level; unit events, parse errors, and
-  completion state must match across levels.
+* ``pac`` — malformed HTTP request or reply streams through the
+  BinPAC++-generated parser, whose token runs and token-only units
+  compile to one ``regexp.match_seq`` each.  Oracle: that parser — on
+  the interpreter one-shot, at every compiled level one-shot and fed in
+  random chunks — against an unfused build of the same grammar at
+  ``-O0``: equal unit events (every field), parse error class and
+  message, and completion state, plus ``instr_count`` parity between
+  the interpreter and ``-O0``.  Corpus cases are ``.http`` files (unit,
+  feed splits, hex).
 * ``dns`` — well-formed DNS responses malformed by truncation, label
   lengths over 63, self- and forward-pointing compression pointers,
   pointers past the end, count fields larger than the body, ``rdlength``
@@ -72,7 +78,6 @@ from ..core.builder import FunctionBuilder, ModuleBuilder
 from ..core.optimize import OPT_LEVELS
 from ..core.parser import parse_module
 from ..core.printer import print_module
-from ..core.stubs import Stub
 from ..core.toolchain import hiltic
 from ..runtime.bytes_buffer import Bytes, BytesIter
 from ..runtime.containers import HiltiList
@@ -86,15 +91,19 @@ __all__ = [
     "dns_case_source",
     "gen_dns_input",
     "gen_dns_message",
+    "gen_http_input",
     "gen_module_spec",
     "minimize_module_case",
     "module_case_source",
     "mutate_module_spec",
+    "pac_case_source",
     "run_corpus_text",
     "run_dns_corpus_text",
     "run_filter_case",
     "run_module_case",
+    "run_pac_corpus_text",
     "run_script_case",
+    "unfused_http_grammar",
 ]
 
 _N_VARS = 4
@@ -905,25 +914,52 @@ def run_script_case(source: str, args: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Pac lane: malformed HTTP through the generated parser at every level
+# Pac lane: malformed HTTP, the fused parser against an unfused build
+#
+# The HTTP grammar compiles each run of tokens, and each token-only unit
+# (Header, Version), to one regexp.match_seq.  The oracle holds that build
+# — on the interpreter and at every compiled level — to an unfused build
+# of the same grammar at -O0: a copy whose tokens are conditional on
+# True, which fusion and inlining skip.  Requests or replies, parsed
+# one-shot and (where the tier can suspend) fed in the same chunks, must
+# raise the same events (every unit field), the same error class and
+# message, and end in the same completion state; the interpreter and -O0
+# also agree on the instruction count.  Corpus cases are ``.http``
+# files: the unit, the feed splits and the hex payload.
+
+_HTTP_UNITS = ("Requests", "Replies")
+# Request and reply templates (spacing, version): the variants give feed
+# splits tokens to land in that could still grow.
+_HTTP_TEMPLATES = {
+    "Requests": (b"GET /index.html%sHTTP/%s\r\n"
+                 b"Host: example.org\r\n"
+                 b"User-Agent: fuzz/1.0\r\n"
+                 b"Content-Length: 5\r\n"
+                 b"\r\n"
+                 b"hello"),
+    "Replies": (b"HTTP/%s%s200 OK\r\n"
+                b"Server: fuzz/1.0\r\n"
+                b"Content-Type:\ttext/plain\r\n"
+                b"Content-Length: 5\r\n"
+                b"\r\n"
+                b"hello"),
+}
+_HTTP_SPACES = (b" ", b"  ", b" \t")
+_HTTP_VERSIONS = (b"1.1", b"1.0", b"1.10")
 
 
-_HTTP_BASE = (b"GET /index.html HTTP/1.1\r\n"
-              b"Host: example.org\r\n"
-              b"User-Agent: fuzz/1.0\r\n"
-              b"Content-Length: 5\r\n"
-              b"\r\n"
-              b"hello")
-
-
-def gen_http_input(rng: random.Random) -> bytes:
-    data = bytearray(_HTTP_BASE)
-    for __ in range(rng.randint(1, 4)):
+def gen_http_input(rng: random.Random, unit: str = "Requests") -> bytes:
+    """A well-formed request or reply stream with 0-4 malformations."""
+    space, version = rng.choice(_HTTP_SPACES), rng.choice(_HTTP_VERSIONS)
+    data = bytearray(_HTTP_TEMPLATES[unit] % (
+        (space, version) if unit == "Requests" else (version, space)))
+    for __ in range(rng.randint(0, 4)):
         roll = rng.random()
         if roll < 0.3 and data:
             data = data[:rng.randrange(len(data))]
         elif roll < 0.5 and data:
-            data[rng.randrange(len(data))] = rng.randrange(256)
+            data[rng.randrange(len(data))] = rng.choice(
+                (rng.randrange(256), *b" \t\r\n:/."))
         elif roll < 0.7 and len(data) > 4:
             start = rng.randrange(len(data) - 2)
             del data[start:start + rng.randint(1, 8)]
@@ -933,66 +969,157 @@ def gen_http_input(rng: random.Random) -> bytes:
                 rng.randrange(256) for __ in range(rng.randint(1, 8)))
         else:
             data += rng.choice((b"\r\n", b"GET ", b"\xff\xfe",
+                                b"HTTP/1.0 404 \r\n",
                                 b"Content-Length: 99\r\n"))
     return bytes(data)
 
 
+def unfused_http_grammar():
+    """The HTTP grammar with every token conditional on ``True``:
+    fusion and inlining skip conditional tokens, so this build matches
+    each token on its own, through ``regexp.match_token``."""
+    from ..apps.binpac.ast import Const, PatternField
+    from ..apps.binpac.grammars import http_grammar
+
+    grammar = http_grammar()
+    for unit in grammar.units.values():
+        for field in unit.fields:
+            if isinstance(field, PatternField):
+                field.condition = Const(True)
+    return grammar
+
+
+def _split(payload: bytes, cuts: Sequence[int]) -> List[bytes]:
+    chunks, start = [], 0
+    for cut in list(cuts) + [len(payload)]:
+        chunks.append(payload[start:cut])
+        start = cut
+    return chunks
+
+
+def _unit_fields(value):
+    """A parsed unit as plain nested tuples (marks as buffer offsets)."""
+    if isinstance(value, StructInstance):
+        return tuple((field.name, _unit_fields(item)) for field, item
+                     in zip(value.struct_type.fields, value._slots)
+                     if item is not UNSET)
+    if isinstance(value, HiltiList):
+        return tuple(_unit_fields(item) for item in value)
+    if isinstance(value, Bytes):
+        return value.to_bytes()
+    if isinstance(value, BytesIter):
+        return ("offset", value.offset - value.bytes_obj.begin_offset)
+    if isinstance(value, (bool, int, str, bytes, type(None))):
+        return value
+    return str(value)
+
+
 class _PacOracle:
-    """HTTP parsers compiled once per level, fed per-case sessions."""
+    """The fused HTTP parser on the interpreter and at every level, and
+    the unfused reference at -O0.
+
+    Every build parses the whole payload one-shot from a frozen buffer;
+    the compiled builds, which can suspend, also parse it fed in chunks
+    to an incremental session.  (The interpreter runs suspension points
+    to completion, so it takes the one-shot parse only.)
+    """
 
     def __init__(self, levels: Sequence[int] = OPT_LEVELS):
-        from ..apps.binpac.app import _render_unit
         from ..apps.binpac.codegen import Parser
         from ..apps.binpac.glue import unit_done_glue
         from ..apps.binpac.grammars import http_grammar
 
-        self.levels = tuple(levels)
-        self.events: List[Tuple[str, str]] = []
-        self.parsers = {}
+        self.events: List[Tuple[str, Tuple]] = []
 
-        def on_event(name, event_args):
-            self.events.append((name, _render_unit(name, event_args[0])))
+        def build(grammar, **kwargs):
+            return Parser(grammar,
+                          extra_modules=[unit_done_glue(
+                              "HTTP", ["Request", "Reply"])],
+                          on_event=self._on_event, **kwargs)
 
-        for level in self.levels:
-            self.parsers[level] = Parser(
-                http_grammar(),
-                extra_modules=[unit_done_glue("HTTP",
-                                              ["Request", "Reply"])],
-                opt_level=level,
-                on_event=on_event,
-            )
+        self.reference = build(unfused_http_grammar(), opt_level=0)
+        self.builds = {"interp": build(http_grammar(), tier="interpreted")}
+        for level in levels:
+            self.builds[f"O{level}"] = build(http_grammar(), opt_level=level)
 
-    def run_case(self, rng: random.Random, payload: bytes) -> Dict:
-        # Identical chunking at every level so incremental resume
-        # points line up.
-        cuts = sorted(rng.randrange(len(payload) + 1)
-                      for __ in range(rng.randint(0, 3)))
-        chunks, start = [], 0
-        for cut in cuts + [len(payload)]:
-            chunks.append(payload[start:cut])
-            start = cut
-        results = {}
-        for level in self.levels:
-            self.events = []
-            parser = self.parsers[level]
-            error = None
-            session = parser.start("Requests")
-            try:
+    def _on_event(self, name, event_args) -> None:
+        self.events.append((name, _unit_fields(event_args[0])))
+
+    def _outcome(self, parser, unit: str, payload: bytes,
+                 chunks: Optional[Sequence[bytes]] = None) -> Tuple:
+        """Events, error and completion of one parse: one-shot, or with
+        *chunks* fed to an incremental session."""
+        self.events = []
+        finished = False
+        error = None
+        try:
+            if chunks is None:
+                parser.parse(unit, payload)
+                finished = True
+            else:
+                session = parser.start(unit)
                 for chunk in chunks:
                     session.feed(chunk)
-                if not session.finished:
-                    session.done()
-            except HiltiError as exc:
-                error = exc.except_type.type_name
-            results[level] = (tuple(self.events), error,
-                              session.finished)
-        expected = results[self.levels[0]]
-        divergences = [
-            f"pac -O{level}: {results[level]!r} != "
-            f"-O{self.levels[0]} {expected!r}"
-            for level in self.levels[1:] if results[level] != expected
-        ]
-        return {"results": results, "divergences": divergences}
+                session.done()
+                finished = session.finished
+        except HiltiError as exc:
+            error = (exc.except_type.type_name, exc.message)
+        except Exception as exc:  # a crash is a finding on every side
+            error = ("crash", f"{type(exc).__name__}: {exc}")
+        return tuple(self.events), error, finished
+
+    def run_case(self, unit: str, payload: bytes,
+                 cuts: Sequence[int] = ()) -> Dict:
+        # The same chunks everywhere, so resume points line up.
+        chunks = _split(payload, cuts)
+        # The reference outcome, keyed by "fed in chunks".
+        expected = {
+            False: self._outcome(self.reference, unit, payload),
+            True: self._outcome(self.reference, unit, payload, chunks)}
+        outcomes, counts = {}, {}
+        for name, parser in self.builds.items():
+            before = parser.ctx.instr_count
+            outcomes[name] = self._outcome(parser, unit, payload)
+            counts[name] = parser.ctx.instr_count - before
+            if name != "interp":
+                outcomes[f"{name} fed"] = self._outcome(parser, unit,
+                                                        payload, chunks)
+        divergences = []
+        for name, got in outcomes.items():
+            want = expected[name.endswith(" fed")]
+            if got != want:
+                divergences.append(f"pac {name}: {got!r} != unfused "
+                                   f"{want!r}")
+        if "O0" in counts and counts["O0"] != counts["interp"]:
+            divergences.append(f"pac -O0 instr_count {counts['O0']} != "
+                               f"interp {counts['interp']}")
+        for fed, (__, error, __) in expected.items():
+            if error is not None and error[0] == "crash":
+                divergences.append(f"pac unfused{' fed' * fed} crashed: "
+                                   f"{error[1]}")
+        return {"expected": expected[False], "outcomes": outcomes,
+                "divergences": divergences}
+
+
+def pac_case_source(unit: str, payload: bytes, cuts: Sequence[int] = (),
+                    note: str = "") -> str:
+    header = ["# fuzz corpus case — repro.tools.fuzz (pac lane)",
+              f"# unit: {unit}",
+              f"# splits: {json.dumps(list(cuts))}"]
+    if note:
+        header.append(f"# note: {note}")
+    return "\n".join(header) + "\n\n" + payload.hex() + "\n"
+
+
+def run_pac_corpus_text(text: str, oracle: Optional[_PacOracle] = None,
+                        levels: Sequence[int] = OPT_LEVELS) -> Dict:
+    """Replay one HTTP corpus file's text (unit and feed splits in the
+    comment header, hex after it) through the pac oracle."""
+    unit = re.search(r"#\s*unit:\s*(\S+)", text).group(1)
+    cuts = json.loads(re.search(r"#\s*splits:\s*(\[[^\n]*\])", text).group(1))
+    payload = bytes.fromhex("".join(
+        line for line in text.splitlines() if not line.startswith("#")))
+    return (oracle or _PacOracle(levels)).run_case(unit, payload, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,26 +1224,9 @@ def gen_dns_input(rng: random.Random) -> Tuple[bytes, List[str]]:
     return bytes(data), kinds
 
 
-def _dns_fields(value):
-    """A parsed unit as plain nested tuples (marks as buffer offsets)."""
-    if isinstance(value, StructInstance):
-        return tuple((field.name, _dns_fields(item)) for field, item
-                     in zip(value.struct_type.fields, value._slots)
-                     if item is not UNSET)
-    if isinstance(value, HiltiList):
-        return tuple(_dns_fields(item) for item in value)
-    if isinstance(value, Bytes):
-        return value.to_bytes()
-    if isinstance(value, BytesIter):
-        return ("offset", value.offset - value.bytes_obj.begin_offset)
-    if isinstance(value, (bool, int, str, bytes, type(None))):
-        return value
-    return str(value)
-
-
 def _dns_outcome(parse) -> Tuple:
     try:
-        return ("ok", _dns_fields(parse()))
+        return ("ok", _unit_fields(parse()))
     except HiltiError as error:
         return ("raise", error.except_type.type_name)
     except Exception as error:  # a crash is a finding on every side
@@ -1128,8 +1238,7 @@ class _DnsOracle:
     interpreter and at every level, plus the incremental reference."""
 
     def __init__(self, levels: Sequence[int] = OPT_LEVELS):
-        from ..apps.binpac import runtime as bp_runtime
-        from ..apps.binpac.codegen import GrammarCompiler, Parser
+        from ..apps.binpac.codegen import Parser
         from ..apps.binpac.grammars import dns_grammar
 
         self.levels = tuple(levels)
@@ -1138,21 +1247,12 @@ class _DnsOracle:
         self.reference = Parser(incremental)
         self.parsers = {level: Parser(dns_grammar(), opt_level=level)
                         for level in self.levels}
-        self.interp = hiltic(
-            [GrammarCompiler(dns_grammar()).compile_module()],
-            natives=bp_runtime.natives(), tier="interpreted")
-        self.interp_ctx = self.interp.make_context()
-        self.interp_stub = Stub(self.interp, "DNS::Message::parse")
+        self.interp = Parser(dns_grammar(), tier="interpreted")
 
     def _incremental(self, payload: bytes):
         session = self.reference.start("Message")
         session.feed(payload)
         return session.done()
-
-    def _interpreted(self, payload: bytes):
-        buf = Bytes(payload)
-        buf.freeze()
-        return self.interp_stub(self.interp_ctx, buf, buf.begin())[0]
 
     def run_case(self, payload: bytes) -> Dict:
         # The reference gets the datagram as one chunk, then the end of
@@ -1163,10 +1263,10 @@ class _DnsOracle:
             # A native's short read before the freeze: the same read of
             # the frozen buffer raises Hilti::IndexError (Bytes.read).
             expected = ("raise", "Hilti::IndexError")
-        before = self.interp_ctx.instr_count
+        before = self.interp.ctx.instr_count
         outcomes = {"interp": _dns_outcome(
-            lambda: self._interpreted(payload))}
-        interp_count = self.interp_ctx.instr_count - before
+            lambda: self.interp.parse("Message", payload))}
+        interp_count = self.interp.ctx.instr_count - before
         divergences = []
         for level in self.levels:
             parser = self.parsers[level]
@@ -1274,10 +1374,14 @@ class Fuzzer:
     def _pac_case(self) -> Dict:
         if self._pac is None:
             self._pac = _PacOracle(self.levels)
-        payload = gen_http_input(self.rng)
-        result = self._pac.run_case(self.rng, payload)
-        return {"lane": "pac", "payload": payload.hex(),
-                "divergences": result["divergences"]}
+        rng = self.rng
+        unit = rng.choice(_HTTP_UNITS)
+        payload = gen_http_input(rng, unit)
+        cuts = sorted(rng.randrange(len(payload) + 1)
+                      for __ in range(rng.randint(0, 6)))
+        result = self._pac.run_case(unit, payload, cuts)
+        return {"lane": "pac", "unit": unit, "payload": payload.hex(),
+                "splits": cuts, "divergences": result["divergences"]}
 
     def _dns_case(self) -> Dict:
         if self._dns is None:
@@ -1418,8 +1522,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--corpus-limit", type=int, default=8,
                         help="max corpus files to emit (default 8)")
     parser.add_argument("--replay", metavar="DIR", default=None,
-                        help="replay every .hlt and .dns corpus case in "
-                             "DIR instead of fuzzing")
+                        help="replay every .hlt, .dns and .http corpus "
+                             "case in DIR instead of fuzzing")
     parser.add_argument("--progress", type=int, default=0, metavar="N",
                         help="print a progress line every N cases")
     args = parser.parse_args(argv)
@@ -1430,15 +1534,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         failures = 0
-        dns_oracle = None
-        paths = sorted(glob.glob(os.path.join(args.replay, "*.hlt")))
-        paths += sorted(glob.glob(os.path.join(args.replay, "*.dns")))
+        dns_oracle = pac_oracle = None
+        paths = []
+        for suffix in ("hlt", "dns", "http"):
+            paths += sorted(glob.glob(os.path.join(args.replay,
+                                                   f"*.{suffix}")))
         for path in paths:
             with open(path) as stream:
                 text = stream.read()
             if path.endswith(".dns"):
                 dns_oracle = dns_oracle or _DnsOracle(levels)
                 result = run_dns_corpus_text(text, dns_oracle)
+            elif path.endswith(".http"):
+                pac_oracle = pac_oracle or _PacOracle(levels)
+                result = run_pac_corpus_text(text, pac_oracle)
             else:
                 result = run_corpus_text(text, levels)
             status = "ok" if not result["divergences"] else "DIVERGED"

@@ -183,6 +183,15 @@ class TestHttpGrammar:
         assert obj.get("status_line").get("status") == b"404"
         assert obj.get("body") == b"not found"
 
+    def test_interpreted_tier_parses_one_shot_only(self):
+        parser = Parser(http_grammar(), tier="interpreted")
+        obj = parser.parse("Request", b"GET / HTTP/1.0\r\nA: 1\r\n\r\n")
+        assert obj.get("request_line").get("version").get("number") == \
+            b"1.0"
+        assert [h.get("value") for h in obj.get("headers")] == [b"1"]
+        with pytest.raises(GrammarError):
+            parser.start("Requests")
+
 
 def _dns_query(txid=0x1234, qname=b"\x03www\x07example\x03com\x00",
                qtype=1, flags=0x0100, answers=b"", ancount=0):

@@ -7,7 +7,10 @@ the compiled tier at every optimization level — this is the fast,
 deterministic slice of the fuzzing oracle that runs on every test
 invocation.  Beside them, ``dns_*.dns`` files hold malformed DNS
 messages from the DNS lane: the one-shot parse at every tier and level
-must agree with an incremental build of the same grammar.
+must agree with an incremental build of the same grammar; and
+``http_*.http`` files hold HTTP request and reply streams with their
+feed splits: the fused HTTP parser at every tier and level must agree
+with an unfused build.
 
 The regression classes pin the actual bugs the fuzzer found so they
 stay fixed even if the corpus is regenerated.
@@ -25,9 +28,11 @@ from repro.runtime.exceptions import HiltiError
 from repro.tools.fuzz import (
     Fuzzer,
     _DnsOracle,
+    _PacOracle,
     gen_dns_message,
     run_corpus_text,
     run_dns_corpus_text,
+    run_pac_corpus_text,
 )
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
@@ -99,6 +104,12 @@ class TestFixedSeedSmoke:
         assert summary["cases"] == {"dns": 40}
         assert summary["divergences"] == 0
 
+    def test_fresh_pac_cases_do_not_diverge(self):
+        fuzzer = Fuzzer(seed=1, lanes=("pac",))
+        summary = fuzzer.run(100)
+        assert summary["cases"] == {"pac": 100}
+        assert summary["divergences"] == 0
+
 
 DNS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.dns")))
 
@@ -151,6 +162,75 @@ class TestDnsLane:
         message, __, __ = gen_dns_message(random.Random(1))
         result = _DnsOracle().run_case(message[:11])
         assert any("incremental" in line for line in result["divergences"])
+
+
+HTTP_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.http")))
+
+
+@pytest.fixture(scope="module")
+def pac_oracle():
+    return _PacOracle()
+
+
+def _replay_http(name, oracle):
+    with open(os.path.join(CORPUS_DIR, name)) as stream:
+        return run_pac_corpus_text(stream.read(), oracle)
+
+
+class TestPacLane:
+    """The malformed-HTTP lane: the fused parser (interpreter, -O0/-O1)
+    against an unfused build, one-shot and fed in chunks."""
+
+    def test_http_corpus_is_checked_in(self):
+        assert len(HTTP_FILES) >= 10
+
+    @pytest.mark.parametrize(
+        "path", HTTP_FILES, ids=[os.path.basename(p) for p in HTTP_FILES])
+    def test_http_case_agrees(self, path, pac_oracle):
+        with open(path) as stream:
+            result = run_pac_corpus_text(stream.read(), pac_oracle)
+        assert result["divergences"] == []
+
+    def test_corpus_fails_at_every_token_that_can_fail(self, pac_oracle):
+        # Every token of RequestLine, StatusLine and Header except the
+        # two that match any line (reason, header value).
+        failed = set()
+        for path in HTTP_FILES:
+            error = _replay_http(os.path.basename(path),
+                                 pac_oracle)["expected"][1]
+            if error is not None:
+                failed.add(error[1])
+        assert {f"expected token /{pattern}/" for pattern in (
+            r"[^ \t\r\n]+", r"[ \t]+", r"\r?\n", "HTTP/", r"[0-9]+\.[0-9]+",
+            r"[0-9]{3}", r"[^:\r\n]+", r":[ \t]*")} <= failed
+
+    def test_reference_is_unfused_and_builds_are_fused(self, pac_oracle):
+        def count(parser, mnemonic):
+            return sum(instruction.mnemonic == mnemonic
+                       for module in parser.program.linked.modules
+                       for function in module.all_functions()
+                       for block in function.blocks
+                       for instruction in block.instructions)
+
+        assert count(pac_oracle.reference, "regexp.match_seq") == 0
+        for parser in pac_oracle.builds.values():
+            assert count(parser, "regexp.match_seq") > 0
+
+    def test_lane_sees_a_dropped_end_guard(self, monkeypatch):
+        # Sabotage the sequence matcher: a run ending at the open end of
+        # the buffer counts as decided.  Feeding byte by byte, a doubled
+        # space or a longer version number then fails to parse.
+        from repro.runtime import regexp
+
+        source = regexp._sequence_source
+        monkeypatch.setattr(regexp, "_sequence_source",
+                            lambda sources, open_end: source(sources, False))
+        regexp.sequence_matcher.cache_clear()
+        try:
+            result = _replay_http("http_016.http", _PacOracle())
+        finally:
+            regexp.sequence_matcher.cache_clear()
+        assert any("fed" in line for line in result["divergences"])
 
 
 def _outcome(program, entry, args):

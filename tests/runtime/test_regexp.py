@@ -1,13 +1,14 @@
-"""The regexp engine: anchored, incremental, and set matching."""
+"""The regexp engine: anchored, incremental, set and sequence matching."""
 
 import re as python_re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.runtime import regexp as regexp_module
 from repro.runtime.bytes_buffer import Bytes
 from repro.runtime.exceptions import HiltiError
-from repro.runtime.regexp import MATCH_FAIL, MATCH_NEED_MORE, RegExp
+from repro.runtime.regexp import MATCH_FAIL, MATCH_NEED_MORE, RegExp, match_seq
 
 
 def _frozen(data: bytes) -> Bytes:
@@ -169,3 +170,146 @@ class TestAgainstPythonRe:
                 assert it.offset == 0
         else:
             assert status == 0
+
+
+# -- token sequences: regexp.match_seq ------------------------------------
+
+HTTP_TOKENS = (r"[^ \t\r\n]+", r"[ \t]+", r"\r?\n", "HTTP/",
+               r"[0-9]+\.[0-9]+", r"[0-9]{3}", r"[^\r\n]*", r"[^:\r\n]+",
+               r":[ \t]*")
+
+
+class TestClassR:
+    @pytest.mark.parametrize("pattern", HTTP_TOKENS)
+    def test_http_tokens_qualify(self, pattern):
+        assert RegExp(pattern).re_source is not None
+
+    @pytest.mark.parametrize("pattern",
+                             ["a?a", "a*a", "[ab]*b", "(ab)*", "cat|dog"])
+    def test_ambiguous_patterns_do_not(self, pattern):
+        assert RegExp(pattern).re_source is None
+
+    def test_pattern_sets_do_not(self):
+        assert RegExp(["a", "b"]).re_source is None
+
+    def test_rendering_is_explicit_byte_sets(self):
+        assert RegExp(r"\r?\n").re_source == r"[\x0d]{0,1}[\x0a]"
+
+
+def _buffer(prefix: bytes, data: bytes, frozen: bool):
+    """*data* after a trimmed-away *prefix*, so offsets and the buffer's
+    base differ; returns the buffer and an iterator at *data*."""
+    buf = Bytes(prefix + data)
+    buf.trim(buf.at(len(prefix) // 2))
+    if frozen:
+        buf.freeze()
+    return buf, buf.at(len(prefix))
+
+
+def _sequential(regexps, named_mask, it):
+    """The reference: lone ``match_token`` calls, one token after the
+    other."""
+    start, values = it, []
+    for index, regexp in enumerate(regexps):
+        status, end = regexp.match_token(it.bytes_obj, it)
+        if status <= 0:
+            return status, start.offset, index, None
+        if named_mask >> index & 1:
+            values.append(it.bytes_obj.sub(it, end).to_bytes())
+        it = end
+    return 1, it.offset, -1, values
+
+
+def _fused(regexps, named_mask, it):
+    status, end, failing, *values = match_seq(it, named_mask, *regexps)
+    if status <= 0:
+        assert values == [None] * bin(named_mask).count("1")
+        return status, end.offset, failing, None
+    assert all(value.is_frozen for value in values)
+    return status, end.offset, failing, [value.to_bytes()
+                                         for value in values]
+
+
+def _disagreements(patterns, data, named_mask=None, prefix=b"xy"):
+    """Every (prefix length, frozen) where match_seq and sequential
+    matching differ on *data* fed up to that point."""
+    regexps = tuple(RegExp(p) for p in patterns)
+    if named_mask is None:
+        named_mask = (1 << len(patterns)) - 1
+    found = []
+    for length in range(len(data) + 1):
+        for frozen in (False, True):
+            buf, it = _buffer(prefix, data[:length], frozen)
+            want = _sequential(regexps, named_mask, it)
+            got = _fused(regexps, named_mask, it)
+            if got != want:
+                found.append((length, frozen, got, want))
+    return found
+
+
+_SEQ_ATOM = st.sampled_from(["a", "b", "[ab]", "[^a]", "[bc]", r"\n"])
+_SEQ_COUNT = st.sampled_from(["", "*", "+", "?", "{2}", "{1,2}", "{0,3}"])
+# Outside class R: groups, alternation, nested repetition.
+_SEQ_OTHER = st.sampled_from(["(ab)*", "a|bc", "(a|b)c", "a**", "(ba?)+"])
+
+
+@st.composite
+def _token(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_SEQ_OTHER)
+    parts = draw(st.lists(st.tuples(_SEQ_ATOM, _SEQ_COUNT),
+                          min_size=1, max_size=3))
+    return "".join(atom + count for atom, count in parts)
+
+
+class TestMatchSeq:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_token(), min_size=1, max_size=4),
+           st.binary(max_size=10).map(
+               lambda raw: bytes(b"abc\n"[byte % 4] for byte in raw)),
+           st.integers(0, 15))
+    def test_agrees_with_sequential_match_token(self, patterns, data, mask):
+        mask &= (1 << len(patterns)) - 1
+        assert _disagreements(patterns, data, mask) == []
+
+    def test_http_header_at_every_split(self):
+        header = (r"[^:\r\n]+", r":[ \t]*", r"[^\r\n]*", r"\r?\n")
+        for data in (b"Host: example.org\r\n\r\n", b"Host\r\n", b": x\r\n",
+                     b"X-A:\t\r\r\n", b"A:b\n"):
+            assert _disagreements(header, data, 0b0101) == []
+
+    def test_values_and_failing_index(self):
+        version = (RegExp("HTTP/"), RegExp(r"[0-9]+\.[0-9]+"))
+        buf, it = _buffer(b"", b"HTTP/1.1\r\n", True)
+        status, end, failing, number = match_seq(it, 0b10, *version)
+        assert (status, end.offset, failing) == (1, 8, -1)
+        assert number.to_bytes() == b"1.1" and number.is_frozen
+        buf, it = _buffer(b"", b"HTTP/x", True)
+        assert match_seq(it, 0b10, *version)[::2] == (MATCH_FAIL, 1)
+        buf, it = _buffer(b"", b"HTTP/1.1", False)
+        assert match_seq(it, 0b10, *version)[::2] == (MATCH_NEED_MORE, 1)
+
+    def test_sabotage_without_atomic_groups_is_caught(self, monkeypatch):
+        # Plain groups let a later token take bytes back from an earlier
+        # one: a* then a matches "aa", which sequential matching refuses.
+        monkeypatch.setattr(
+            regexp_module, "_sequence_source",
+            lambda sources, open_end: "".join(
+                f"({source})" for source in sources).encode("latin-1"))
+        regexp_module.sequence_matcher.cache_clear()
+        try:
+            assert _disagreements(["a*", "a"], b"aab")
+        finally:
+            regexp_module.sequence_matcher.cache_clear()
+
+    def test_sabotage_without_end_guard_is_caught(self, monkeypatch):
+        # Without the guard a token ending at the open end of the buffer
+        # counts as decided, though more input could extend it.
+        source = regexp_module._sequence_source
+        monkeypatch.setattr(regexp_module, "_sequence_source",
+                            lambda sources, open_end: source(sources, False))
+        regexp_module.sequence_matcher.cache_clear()
+        try:
+            assert _disagreements(["[ab]", "a+"], b"aaa")
+        finally:
+            regexp_module.sequence_matcher.cache_clear()
