@@ -318,7 +318,7 @@ class PacApp(HostApp):
     def finish(self) -> None:
         begin = _time.perf_counter_ns()
         try:
-            self.demux.finish()
+            self.demux.finish(self.services.faults)
         finally:
             self._parse_ns += _time.perf_counter_ns() - begin
 

@@ -6,8 +6,8 @@ contiguous payload in order), treats UDP endpoint pairs as flows, assigns
 Bro-style uids, and raises the connection lifecycle events
 (``connection_established``, ``connection_state_remove``).
 
-This layer is also the pipeline's primary fault boundary: frame parsing,
-reassembly, and analyzer dispatch are registered injection points, and a
+This layer is also the pipeline's primary fault boundary: reassembly and
+analyzer dispatch are registered injection points, and a
 typed HILTI exception escaping an analyzer *quarantines* that analyzer
 for its flow only — the connection keeps being tracked (conn.log still
 gets its line), every other flow is untouched, and the violation feeds
@@ -34,7 +34,6 @@ from ...net.reassembly import ConnectionReassembler
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import (
     SITE_ANALYZER_DISPATCH,
-    SITE_PACKET_PARSE,
     SITE_TCP_REASSEMBLY,
     classify,
 )
@@ -184,15 +183,8 @@ class ConnectionTracker:
         self.core.advance_time(timestamp)
         self.packets += 1
         try:
-            self.core.faults.check(SITE_PACKET_PARSE)
             packet = decode(frame)
         except PacketError:
-            self.ignored += 1
-            return
-        except HiltiError:
-            # Contained at packet granularity: the frame is dropped like
-            # any unparseable one, the pipeline keeps running.
-            self.core.health.record_error(SITE_PACKET_PARSE)
             self.ignored += 1
             return
         if packet.protocol == PROTO_TCP:
@@ -206,13 +198,23 @@ class ConnectionTracker:
 
     def finish(self) -> None:
         """End of trace: close every connection still open, then seal
-        the ledger's remaining entries as finished."""
-        for connection in list(self._tcp.values()):
-            self._close_tcp(connection)
-        self._tcp.clear()
-        for flow in list(self._udp.values()):
-            self._close_udp(flow)
-        self._udp.clear()
+        the ledger's remaining entries as finished.
+
+        Each flow closes at its own last packet's network time, inside
+        its own fault unit, with its events drained there: the
+        whole-run clock and the order flows close in both differ per
+        parallel lane, and neither may leak into a flow's output."""
+        core = self.core
+        end = core.network_time()
+        for table, close in ((self._tcp, self._close_tcp),
+                             (self._udp, self._close_udp)):
+            for key, entry in list(table.items()):
+                core.faults.enter_flow(key)
+                core.set_time(entry.last_time)
+                close(entry)
+                core.drain_events()
+            table.clear()
+        core.set_time(end)
         self.table.finish()
 
     # -- eviction ----------------------------------------------------------------

@@ -109,6 +109,12 @@ class BroCore:
             __, __seq, name, args = heapq.heappop(self._scheduled)
             self.queue_event(name, list(args))
 
+    def set_time(self, when: Time) -> None:
+        """Set network time, even backwards, firing no scheduled
+        events (end-of-run flow finalization runs at each flow's own
+        clock)."""
+        self._now = when
+
     def schedule_event(self, delay, name: str, args: List) -> None:
         """Queue *name(args)* once network time passes now + delay."""
         from ...core.values import Interval

@@ -228,10 +228,12 @@ class Bro(HostApp):
     # -- the drive API -------------------------------------------------------
 
     def on_begin(self) -> None:
-        """Start a run: lifecycle event, timing origin."""
+        """Start a run: lifecycle event, timing origin.  Every parallel
+        lane repeats ``bro_init``, so no fault fires inside it."""
         self._begin_ns = _time.perf_counter_ns()
-        self.core.queue_event("bro_init", [])
-        self.core.drain_events()
+        with self.core.faults.suspended():
+            self.core.queue_event("bro_init", [])
+            self.core.drain_events()
 
     def on_packet(self, timestamp: Time, frame: bytes) -> None:
         """Process one packet and drain the events it raised."""
@@ -241,9 +243,9 @@ class Bro(HostApp):
     def on_end(self) -> Dict:
         """Finish a run: close flows, lifecycle event, assemble stats."""
         self.tracker.finish()
-        self.core.drain_events()
-        self.core.queue_event("bro_done", [])
-        self.core.drain_events()
+        with self.core.faults.suspended():
+            self.core.queue_event("bro_done", [])
+            self.core.drain_events()
         total_ns = _time.perf_counter_ns() - self._begin_ns
 
         # Parser-side glue (unit structs -> event Vals inside the pac

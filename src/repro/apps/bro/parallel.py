@@ -67,6 +67,7 @@ class BroLaneSpec(LaneSpec):
             scripts_engine=config["scripts_engine"],
             log_enabled=config["log_enabled"],
             print_stream=io.StringIO(),
+            fault_injector=services.faults,
             watchdog_budget=services.watchdog_budget,
             opt_level=config["opt_level"],
             telemetry=services.telemetry,

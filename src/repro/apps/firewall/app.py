@@ -28,7 +28,7 @@ from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
 from ...net.flows import FiveTuple, _fnv1a, decode_flow
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
-from ...runtime.faults import SITE_ANALYZER_DISPATCH, SITE_PACKET_PARSE
+from ...runtime.faults import SITE_ANALYZER_DISPATCH
 from .compiler import compile_firewall
 from .reference import ReferenceFirewall
 from .rules import RuleSet
@@ -66,10 +66,8 @@ class FirewallApp(HostApp):
             raise ValueError(f"unknown firewall engine {engine!r}")
         super().__init__(services)
         self.engine = engine
-        # The flow ledger.  Fed before the parse fault site is checked,
-        # so the record stream is the same whether or not faults fire
-        # (and identical across the parallel backends, whose lanes
-        # inject faults independently).
+        # The flow ledger: every TCP/UDP frame is accounted, whatever
+        # the rule verdict.
         self.flows = FlowTable(uid_map=uid_map, uid_format=format_record_uid)
         if engine == "reference":
             self.firewall = ReferenceFirewall(ruleset)
@@ -103,14 +101,7 @@ class FirewallApp(HostApp):
         if packet is not None:
             self.flows.account(packet, timestamp.seconds,
                                packet.payload_len, packet.flags)
-        try:
-            self.services.faults.check(SITE_PACKET_PARSE)
-        except HiltiError:
-            health.record_error(SITE_PACKET_PARSE)
-            self.ignored += 1
-            return
-        finally:
-            self._parse_ns += _time.perf_counter_ns() - begin
+        self._parse_ns += _time.perf_counter_ns() - begin
         if packet is None:
             # Only TCP/UDP packets are firewalled — exactly the frames
             # the parallel dispatcher can place, so sequential and

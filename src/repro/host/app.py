@@ -21,7 +21,12 @@ import os as _os
 import time as _time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..runtime.faults import NULL_INJECTOR, HealthReport
+from ..runtime.faults import (
+    NULL_INJECTOR,
+    SITE_PCAP_RECORD,
+    SITE_SERVICE_LANE,
+    HealthReport,
+)
 from ..runtime.telemetry import Telemetry, cpu_breakdown_report
 
 __all__ = ["HostApp", "PipelineServices", "export_health"]
@@ -57,6 +62,30 @@ class PipelineServices:
         self.max_sessions = max_sessions
         self.session_ttl = session_ttl
         self.memory_budget_bytes = memory_budget_bytes
+
+    def admit(self, nanos: int, frame: bytes) -> bool:
+        """Enter the packet's fault unit and apply the host-owned
+        packet-level draws (``pcap.record``, ``packet.parse``); False
+        when one fired and the app must not see the frame.  Every
+        driver that hands a packet to an app calls this first when the
+        injector is armed."""
+        site = self.faults.enter_packet(nanos, frame)
+        if site is None:
+            return True
+        self.health.record_error(site)
+        if site == SITE_PCAP_RECORD:
+            self.health.records_skipped += 1
+        return False
+
+    def admit_to_lane(self, nanos: int, frame: bytes) -> bool:
+        """:meth:`admit` at a lane loop's packet entry, which is also
+        the ``service.lane`` crash site: a fault there raises out of
+        the loop and crashes the lane.  Batch drivers leave that site
+        unarmed; a sequential run has no lane to crash."""
+        if not self.admit(nanos, frame):
+            return False
+        self.faults.check(SITE_SERVICE_LANE)
+        return True
 
 
 def export_health(metrics, health: Dict) -> None:

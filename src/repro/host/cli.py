@@ -27,7 +27,11 @@ import signal as _signal
 import threading as _threading
 from typing import Callable, Dict, List, Optional
 
-from ..runtime.faults import FaultInjector, registered_sites
+from ..runtime.faults import (
+    SITE_SERVICE_LANE,
+    FaultInjector,
+    registered_sites,
+)
 from ..runtime.telemetry import Telemetry
 from .app import HostApp, PipelineServices
 from .parallel import LaneSpec, ParallelPipeline
@@ -109,8 +113,8 @@ def add_pipeline_args(parser: argparse.ArgumentParser,
                              f"(SITE is 'all' or one of: {sites}); "
                              "repeatable")
     parser.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the fault injector's per-site "
-                             "random streams (default 0)")
+                        help="seed of the fault injector's per-packet "
+                             "draws (default 0)")
     parser.add_argument("--health", action="store_true",
                         help="print the recovery/health report "
                              "(quarantines, skipped records, watchdog "
@@ -291,20 +295,24 @@ def run_host_app(
                                 results_name)
 
     telemetry = Telemetry(metrics=args.metrics, trace=args.trace_flows)
+    injector = parse_injections(args.inject, args.fault_seed, prog)
     interrupted = False
     if args.parallel:
-        if args.inject:
-            raise SystemExit(
-                f"{prog}: --inject is sequential-only (the injector's "
-                "per-site random streams diverge across lanes)")
         if (args.max_sessions is not None or args.session_ttl is not None
                 or args.memory_budget is not None):
             raise SystemExit(
                 f"{prog}: session bounds (--max-sessions/--session-ttl/"
                 "--memory-budget) are sequential-only (a global LRU "
                 "diverges across lanes)")
+        spec = make_spec(args)
+        if injector is not None:
+            # service.lane is a service lane's crash site; a batch run
+            # has no lane to crash, and the sequential run never draws it.
+            injector.rates.pop(SITE_SERVICE_LANE, None)
+            spec = spec.configured(faults={"seed": injector.seed,
+                                           "rates": injector.rates})
         pipe = ParallelPipeline(
-            make_spec(args),
+            spec,
             workers=args.workers,
             vthreads=args.vthreads,
             backend=args.backend,
@@ -328,7 +336,7 @@ def run_host_app(
         app_name = pipe.spec.app_name
     else:
         services = PipelineServices(
-            faults=parse_injections(args.inject, args.fault_seed, prog),
+            faults=injector,
             watchdog_budget=args.watchdog,
             telemetry=telemetry,
             max_sessions=args.max_sessions,
@@ -443,16 +451,9 @@ def run_host_service(
         raise SystemExit(
             f"{prog}: --serve and --parallel are exclusive — service "
             "mode has its own lane parallelism (--lanes)")
-    lane_transport = getattr(args, "lane_transport", "thread")
-    if lane_transport == "pool" and args.inject:
-        raise SystemExit(
-            f"{prog}: --inject requires thread lanes — pool lanes run "
-            "in worker processes where the injector's deterministic "
-            "per-site streams cannot be threaded through")
-
     config = ServiceConfig(
         lanes=args.lanes,
-        lane_transport=lane_transport,
+        lane_transport=getattr(args, "lane_transport", "thread"),
         queue_capacity=args.queue_cap,
         overload=args.overload,
         tick_seconds=args.tick,

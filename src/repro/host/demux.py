@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..net.flows import FiveTuple, decode_flow
 from ..net.packet import PROTO_TCP
 from ..net.reassembly import ConnectionReassembler, StreamReassembler
+from ..runtime.faults import NULL_INJECTOR
 from .flowtable import FlowTable
 
 __all__ = ["FlowDemux"]
@@ -178,11 +179,15 @@ class FlowDemux:
                 and _time.perf_counter_ns() - begin > budget:
             self._quarantine_slow(state)
 
-    def finish(self) -> None:
-        """End of trace: close every flow still open and seal the
-        ledger's remaining entries as finished."""
-        for state in list(self._flows.values()):
-            self._close(state)
+    def finish(self, faults=NULL_INJECTOR) -> None:
+        """End of trace: close every flow still open, each inside its
+        own unit of *faults* (the order flows close in differs per
+        parallel lane), and seal the ledger's remaining entries as
+        finished."""
+        for key, state in list(self._flows.items()):
+            if not state.closed:
+                faults.enter_flow(key)
+                self._close(state)
         self.table.finish()
 
     # -- internals ---------------------------------------------------------

@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.values import Time
 from ..net.flows import FiveTuple, decode_flow, vthread_of
+from ..runtime.faults import NULL_INJECTOR, injector_for
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
 from .app import PipelineServices
@@ -79,6 +80,7 @@ def lane_payload(app) -> Dict:
     return {
         "flow_records": app.flow_record_lines(),
         "stats": dict(app.stats),
+        "sessions": app.session_stats(),
         "metrics": (telemetry.metrics.collect()
                     if telemetry.enabled else None),
         "prof": prof_snapshots(app) if telemetry.enabled else None,
@@ -132,22 +134,30 @@ class LaneSpec:
         """Build one isolated app instance (a :class:`HostApp`)."""
         raise NotImplementedError
 
+    def fault_injector(self):
+        """The fault injector the config's ``faults`` entry
+        (``{"seed", "rates"}``) describes; the null one when absent."""
+        return injector_for((self.config or {}).get("faults"))
+
     def lane_services(self) -> PipelineServices:
-        """The services one lane runs with, from the config: watchdog
-        budget, telemetry switches and session bounds."""
+        """The services one lane runs with, from the config: fault
+        injector, watchdog budget, telemetry switches and session
+        bounds."""
         config = self.config
         return PipelineServices(
+            faults=self.fault_injector(),
             watchdog_budget=config["watchdog_budget"],
             telemetry=Telemetry(metrics=config["metrics"],
                                 trace=config["trace"]),
             **{key: config.get(key) for key in _SESSION_BOUNDS})
 
-    def bounded(self, **bounds) -> "LaneSpec":
-        """A copy whose lanes enforce the session *bounds*
-        (``max_sessions`` / ``session_ttl`` / ``memory_budget_bytes``):
-        how the service hands its bounds to pool lanes."""
+    def configured(self, **entries) -> "LaneSpec":
+        """A copy whose config also carries *entries* — how drivers
+        hand a fault config (``faults``) and session bounds
+        (``max_sessions`` / ``session_ttl`` / ``memory_budget_bytes``)
+        to lanes they do not build themselves."""
         spec = _copy.copy(self)
-        spec.config = dict(self.config or {}, **bounds)
+        spec.config = dict(self.config or {}, **entries)
         return spec
 
     def lane_result(self, app) -> Dict:
@@ -187,9 +197,14 @@ def dispatch_plan(
     per packet (frames with no flow ride on vthread 0, where the lane
     counts them exactly like the sequential pipeline) and *uid_map*
     assigns each flow key the uid the sequential run's counter would
-    have produced — allocated in first-packet arrival order.
+    have produced — allocated in first-packet arrival order.  With
+    faults armed, a frame the packet-level draws drop allocates
+    nothing (the sequential app never sees it) and rides on vthread 0,
+    whose lane draws the same verdict and counts it.
     """
     spec = spec if spec is not None else LaneSpec()
+    faults = spec.fault_injector()
+    armed = faults is not NULL_INJECTOR
     jobs: List[Tuple[int, int, bytes]] = []
     uid_map: Dict[Tuple, str] = {}
     vids: Dict[Tuple, int] = {}
@@ -197,7 +212,8 @@ def dispatch_plan(
     record_serial = 0
     for timestamp, frame in packets:
         packet = spec.flow_of(frame)
-        if packet is None:
+        if packet is None or (armed and faults.enter_packet(
+                timestamp.nanos, frame) is not None):
             jobs.append((0, timestamp.nanos, frame))
             continue
         key = spec.key_of(packet)
@@ -279,6 +295,7 @@ class _LaneProgram:
     def __init__(self, spec: LaneSpec, uid_map: Dict):
         self._spec = spec
         self._uid_map = uid_map
+        self._armed = spec.fault_injector() is not NULL_INJECTOR
 
     def make_context(self, vthread_id: int):
         lane = self._spec.make_lane(self._uid_map)
@@ -292,7 +309,8 @@ class _LaneProgram:
         if function != "packet":
             raise ValueError(f"unknown lane job {function!r}")
         nanos, frame = args
-        lane.on_packet(Time.from_nanos(nanos), frame)
+        if not self._armed or lane.services.admit_to_lane(nanos, frame):
+            lane.on_packet(Time.from_nanos(nanos), frame)
 
 
 # --------------------------------------------------------------------------
@@ -305,9 +323,10 @@ class ParallelPipeline:
 
     *workers* is the hardware parallelism, *vthreads* the virtual-thread
     supply (defaults to ``4 * workers``), *backend* ``pool`` (the
-    default) or ``vthread``.  The deterministic fault injector is
-    intentionally not plumbed through — its per-site random streams are
-    sequential by construction and would diverge per lane.
+    default) or ``vthread``.  A ``faults`` entry in the spec's config
+    arms every lane's injector and the dispatch plan's packet-level
+    draws; the verdicts are keyed by packet, so they match the
+    sequential run's.
 
     *start_method* overrides the pool's multiprocessing start method
     (default: ``fork`` where the platform has it, else ``spawn``);

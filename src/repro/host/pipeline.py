@@ -1,8 +1,9 @@
 """The sequential pipeline: pcap ingest driving one :class:`HostApp`.
 
 Owns everything between the trace file and the app callbacks — the
-tolerant pcap reader with skip/resync accounting, the ``pcap.record``
-fault-injection point, the robustness counters the exporter publishes —
+tolerant pcap reader with skip/resync accounting, each packet's fault
+unit (``PipelineServices.admit``), the robustness counters the
+exporter publishes —
 plus the unified telemetry file emitters (``metrics.jsonl``,
 ``stats.log``, ``prof.log``, ``flows.jsonl``, ``cpu_breakdown.json``)
 that every host application's report writers
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime.exceptions import HiltiError
-from ..runtime.faults import SITE_PCAP_RECORD
+from ..runtime.faults import NULL_INJECTOR
 from ..runtime.telemetry import render_stats_log
 from .app import HostApp
 
@@ -102,7 +102,14 @@ class Pipeline:
     # -- running -----------------------------------------------------------
 
     def run(self, packets) -> Dict:
-        """Process an iterable of ``(Time, frame)``; returns app stats."""
+        """Process an iterable of ``(Time, frame)``; returns app stats.
+        With faults armed, each packet enters its fault unit (which
+        stays entered while the app processes it) before the app sees
+        it."""
+        services = self.app.services
+        if services.faults is not NULL_INJECTOR:
+            packets = ((timestamp, frame) for timestamp, frame in packets
+                       if services.admit(timestamp.nanos, frame))
         return self.app.run(packets)
 
     def result_lines(self) -> List[str]:
@@ -112,21 +119,12 @@ class Pipeline:
         return self.app.flow_record_lines()
 
     def _pcap_records(self, reader):
-        """Iterate trace records through the ``pcap.record`` injection
-        point; a fault there skips the record like a corrupt one in
-        tolerant mode.  The reader's final counters land in
+        """Iterate trace records; the reader's final counters land in
         ``services.pcap_stats`` (in place — the exporter and any aliases
         keep seeing them) once the generator is exhausted, which happens
         before the run takes its totals."""
+        yield from reader
         services = self.app.services
-        for record in reader:
-            try:
-                services.faults.check(SITE_PCAP_RECORD)
-            except HiltiError:
-                services.health.record_error(SITE_PCAP_RECORD)
-                services.health.records_skipped += 1
-                continue
-            yield record
         services.pcap_stats.clear()
         services.pcap_stats.update({
             "records_read": reader.packets_read,

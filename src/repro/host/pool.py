@@ -110,7 +110,7 @@ class WorkerPool:
 
     One pool serves many runs: :meth:`run` is the batch entry the
     ``pool`` backend of :class:`~repro.host.parallel.ParallelPipeline`
-    uses, and the granular :meth:`begin_run` / :meth:`feed` /
+    uses, and the granular :meth:`begin_worker` / :meth:`feed` /
     :meth:`finish` / :meth:`collect` surface is what the streaming
     service's ring-fed lanes drive incrementally.  Use
     :meth:`WorkerPool.shared` to reuse one pool per ``(workers,
@@ -221,24 +221,31 @@ class WorkerPool:
 
     # -- the per-run protocol ----------------------------------------------
 
+    @staticmethod
+    def spec_blob(spec, uid_map: Optional[Dict] = None) -> bytes:
+        """The pickled ``(spec, uid_map)`` a ``BEGIN`` message carries."""
+        return pickle.dumps((spec, uid_map if uid_map is not None else {}),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+
     def begin_run(self, spec, uid_map: Optional[Dict] = None) -> None:
         """Arm every worker for a new run (respawning any dead ones)."""
-        self._spec_blob = pickle.dumps(
-            (spec, uid_map if uid_map is not None else {}),
-            protocol=pickle.HIGHEST_PROTOCOL)
+        self._spec_blob = self.spec_blob(spec, uid_map)
         self.runs_served += 1
         for state in self._states:
             if not self.alive(state.index):
                 self.respawn(state.index)
             self.begin_worker(state.index)
 
-    def begin_worker(self, index: int) -> None:
-        """(Re)start one worker's run: a fresh lane, a fresh epoch."""
+    def begin_worker(self, index: int,
+                     blob: Optional[bytes] = None) -> None:
+        """(Re)start one worker's run: a fresh lane from *blob* (a
+        :meth:`spec_blob`; default: the current run's), a fresh epoch."""
         state = self._states[index]
         state.run_id += 1
         state.reset_run()
         state.outbox.send(
-            MSG_BEGIN, pack_run_prefix(state.run_id) + self._spec_blob)
+            MSG_BEGIN, pack_run_prefix(state.run_id)
+            + (blob if blob is not None else self._spec_blob))
 
     def feed(self, index: int, nanos: int, frame: bytes, *,
              wait: Optional[float] = None,
@@ -339,9 +346,6 @@ class WorkerPool:
         """The worker's most recent ``TELEM`` snapshot this run (None
         until one arrives or when the lane's telemetry is off)."""
         return self._states[index].telem
-
-    def result(self, index: int) -> Optional[Dict]:
-        return self._states[index].result
 
     def collect(self, index: int, timeout: float) -> Dict:
         """Wait for one worker's result; raise :class:`PoolError` with

@@ -7,16 +7,16 @@ module wraps any :class:`~repro.host.app.HostApp` in that shape::
     ingest (TraceReplayer / LiveCaptureSource, rate-paced)
        |            place by flow key (LaneSpec sharding)
        v
-    BoundedQueue[0] ... BoundedQueue[N-1]     overload: block | shed
-       |                     |
-    lane 0                lane N-1            one isolated app each
-       \\                     /
-        supervisor  --------+   restarts crashed lanes w/ exp. backoff,
-            |                   escalates to a CircuitBreaker
-        aggregator              1s/10s/60s rolling windows -> registry,
-            |                   time-series history ring
-        HTTP control surface    /healthz /metrics /stats /flows
-                                /metrics/history
+    lane 0 ... lane N-1        one interface, overload: block | shed
+       |   thread transport: BoundedQueue -> thread -> in-process app
+       |   pool transport:   shm ring -> WorkerPool worker -> lane app
+       v
+    supervisor                 one crash routine: restart w/ exp.
+       |                       backoff, escalate to a CircuitBreaker
+    aggregator                 1s/10s/60s rolling windows -> registry,
+       |                       time-series history ring
+    HTTP control surface       /healthz /metrics /stats /flows
+                               /metrics/history
 
 ``/metrics`` speaks JSON-lines (``repro-metrics/1``) by default and the
 Prometheus text exposition (version 0.0.4) under content negotiation
@@ -54,12 +54,7 @@ import time as _time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..runtime.faults import (
-    CircuitBreaker,
-    FaultInjector,
-    NULL_INJECTOR,
-    SITE_SERVICE_LANE,
-)
+from ..runtime.faults import NULL_INJECTOR, CircuitBreaker, injector_for
 from ..runtime import promtext as _promtext
 from ..runtime.telemetry import (
     MetricsRegistry,
@@ -68,7 +63,7 @@ from ..runtime.telemetry import (
     TIMESERIES_SCHEMA,
 )
 from .app import HostApp, PipelineServices
-from .parallel import LaneSpec
+from .parallel import LaneSpec, lane_payload
 
 __all__ = [
     "BoundedQueue",
@@ -84,6 +79,9 @@ SERVICE_SCHEMA = "repro-service/1"
 
 _SENTINEL = object()  # end-of-stream marker, force-put past capacity
 _EMPTY = object()     # get() timeout marker
+
+#: Longest a partial pool batch waits in the parent before a flush.
+_FLUSH_SECONDS = 0.05
 
 
 # --------------------------------------------------------------------------
@@ -122,9 +120,6 @@ class BoundedQueue:
     def __len__(self) -> int:
         with self._lock:
             return len(self._items)
-
-    def depth(self) -> int:
-        return len(self)
 
     def _append(self, item) -> None:
         self._items.append(item)
@@ -293,10 +288,6 @@ class ServiceConfig:
                 f"lane_transport must be thread|pool, got {lane_transport!r}")
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes!r}")
-        if lane_transport == "pool" and inject_rates:
-            raise ValueError(
-                "fault injection requires thread lanes — pool lanes run "
-                "in worker processes")
         self.lanes = lanes
         self.lane_transport = lane_transport
         self.queue_capacity = queue_capacity
@@ -349,60 +340,84 @@ class ServiceConfig:
 
 
 # --------------------------------------------------------------------------
-# Lanes
+# Lanes: one interface, two transports
 # --------------------------------------------------------------------------
+
+_NO_SESSIONS = {"open": 0, "evicted": 0, "expired": 0}
 
 
 class _Lane:
-    """One supervised worker: a bounded queue, an isolated app
-    instance, the lane's own fault-injection stream and escalation
-    breaker, and crash/restart accounting."""
+    """One supervised lane as the service's one ingest loop, crash
+    routine and drain see it: per-packet fate counters, crash/restart
+    accounting, the escalation breaker, and results archived from
+    replaced app instances.  A transport subclass implements
+    ``start`` (and restart), ``feed`` (one packet under the overload
+    policy), ``poll`` (a crash diagnostic, once), ``halt`` (failed for
+    good), ``drain`` (finish and return the lane result, or None),
+    ``depth``, ``alive`` and ``live_sessions``."""
 
-    def __init__(self, index: int, config: ServiceConfig):
+    def __init__(self, index: int, service: "HostService"):
+        config = service.config
         self.index = index
-        self.queue = BoundedQueue(config.queue_capacity,
-                                  name=f"lane{index}")
-        # One injector per lane, persistent across restarts, seeded per
-        # lane so the fault schedule is deterministic and independent.
-        if config.inject_rates:
-            self.injector = FaultInjector(
-                seed=config.fault_seed + 1009 * index,
-                rates=config.inject_rates)
-        else:
-            self.injector = NULL_INJECTOR
+        self.service = service
+        self.shed_policy = config.overload == "shed"
         self.breaker = CircuitBreaker(
             threshold=config.breaker_threshold,
             min_flows=config.breaker_min_starts)
-        self.app: Optional[HostApp] = None
-        self.thread: Optional[threading.Thread] = None
+        self.app: Optional[HostApp] = None  # in-process app (thread lanes)
         self.processed = 0
         self.processed_since_start = 0
+        self.shed = 0
+        self.packets_lost = 0
+        self.dropped_on_stop = 0
+        self.dropped_failed = 0
         self.crashes = 0
         self.restarts = 0
-        self.packets_lost = 0
         self.backoff_seconds = 0.0
-        self.crashed = False
-        self.drained = False
+        self.down = False  # executor gone until restart; feeds are lost
         self.failed = False
+        self.hung = False
+        self.error: Optional[str] = None  # a crash poll() has not reported
         self.last_error: Optional[str] = None
         self.pending_restart_at: Optional[float] = None
         self.archived_lines: List[str] = []
         self.archived_records: List[str] = []
         self.end_stats: Optional[Dict] = None
-        # Pool-transport state: the ring replaces the object queue, so
-        # shed and in-flight accounting live on the lane itself.
-        self.pool_lock = threading.Lock()
-        self.pool_down = False       # worker dead/poisoned, respawn due
-        self.pool_shed = 0           # shed at a full ring (shed policy)
-        self.pool_base = 0           # processed by prior incarnations
+        self.end_sessions: Optional[Dict[str, int]] = None
 
-    def alive(self) -> bool:
-        """Is the lane's executor currently able to consume packets?
-        Thread transport: the lane thread is running.  Pool transport
-        (no parent-side thread): not failed, not in a crash window."""
-        if self.thread is not None:
-            return self.thread.is_alive()
-        return not (self.failed or self.pool_down)
+    def _refusing(self) -> bool:
+        """Backpressure releases when the service stops or the lane
+        goes down or fails."""
+        return self.service.should_stop() or self.down or self.failed
+
+    def _refused(self) -> None:
+        """Book one packet the transport did not accept."""
+        stopping = self.service.should_stop()
+        if self.shed_policy:
+            self.shed += 1
+        elif self.down and not stopping:
+            self.packets_lost += 1
+        elif self.failed and not stopping:
+            self.dropped_failed += 1
+        else:
+            self.dropped_on_stop += 1
+
+    def take_error(self) -> Optional[str]:
+        error, self.error = self.error, None
+        return error
+
+    def flush(self, final: bool = False) -> None:
+        """Push buffered packets on (*final*: block until done)."""
+
+    def telemetry(self) -> Optional[Dict]:
+        """The executor's latest ``TELEM`` snapshot, if it ships any."""
+        return None
+
+    def sessions(self) -> Dict[str, int]:
+        """The final lane result's sessions once drained, else live."""
+        if self.end_sessions is not None:
+            return self.end_sessions
+        return self.live_sessions()
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -414,12 +429,265 @@ class _Lane:
             "packets_lost": self.packets_lost,
             "backoff_seconds": round(self.backoff_seconds, 3),
             "failed": self.failed,
-            "queue_depth": self.queue.depth(),
-            "queue_high_water": self.queue.high_water,
-            "queue_shed": self.queue.shed + self.pool_shed,
+            "queue_depth": self.depth(),
+            "queue_high_water": self.high_water,
+            "queue_shed": self.shed,
             "last_error": self.last_error,
             "breaker": self.breaker.as_dict(),
         }
+
+
+class _ThreadLane(_Lane):
+    """A :class:`BoundedQueue`, a thread and an in-process app from the
+    service's ``make_app`` — the transport that runs any app, including
+    one that cannot cross a process boundary."""
+
+    def __init__(self, index: int, service: "HostService"):
+        super().__init__(index, service)
+        self.queue = BoundedQueue(service.config.queue_capacity,
+                                  name=f"lane{index}")
+        self.thread: Optional[threading.Thread] = None
+        self.crashed = False
+
+    @property
+    def high_water(self) -> int:
+        return self.queue.high_water
+
+    def start(self) -> None:
+        self._archive()
+        self.crashed = False
+        self.thread = threading.Thread(
+            target=self._run, name=f"service-lane-{self.index}",
+            daemon=True)
+        self.thread.start()
+
+    def _run(self) -> None:
+        in_hand = False
+        try:
+            if self.app is None:
+                # Built inside the lane thread so a slow (or crashing)
+                # construction never blocks supervision.
+                self.app = self.service.make_app(
+                    self.service._lane_services())
+                self.app.on_begin()
+            app = self.app
+            services = app.services
+            admit = (None if services.faults is NULL_INJECTOR
+                     else services.admit_to_lane)
+            while True:
+                item = self.queue.get(timeout=0.2)
+                if item is _EMPTY:
+                    continue
+                if item is _SENTINEL:
+                    return
+                in_hand = True
+                timestamp, frame = item
+                if admit is None or admit(timestamp.nanos, frame):
+                    app.on_packet(timestamp, frame)
+                in_hand = False
+                self.processed += 1
+                self.processed_since_start += 1
+        except BaseException as error:  # noqa: BLE001 — crash boundary
+            self.crashed = True
+            if in_hand:
+                self.packets_lost += 1
+            self.error = f"{type(error).__name__}: {error}"
+
+    def _archive(self) -> None:
+        """Keep what a replaced (or crashed) app produced."""
+        if self.app is None:
+            return
+        try:
+            self.archived_lines.extend(self.app.result_lines())
+            self.archived_records.extend(self.app.flow_record_lines())
+        except Exception:
+            pass
+        self.app = None
+
+    def feed(self, item) -> None:
+        if self.shed_policy:
+            accepted = self.queue.offer(item)
+        else:
+            accepted = self.queue.put(item, should_stop=self._refusing)
+        if not accepted:
+            self._refused()
+
+    def poll(self) -> Optional[str]:
+        if self.thread is None or self.thread.is_alive():
+            return None
+        return self.take_error()
+
+    def halt(self) -> None:
+        # Nothing will consume this queue again: count the leftovers now
+        # so the drain condition (all queues empty) stays reachable.
+        self.dropped_failed += self.queue.drain()
+        self._archive()
+        self.thread = None
+
+    def alive(self) -> bool:
+        return self.thread is not None and self.thread.is_alive()
+
+    def depth(self) -> int:
+        return len(self.queue)
+
+    def live_sessions(self) -> Dict[str, int]:
+        return (self.app.session_stats() if self.app is not None
+                else _NO_SESSIONS)
+
+    def drain(self, timeout: float) -> Optional[Dict]:
+        if self.failed:
+            self.dropped_failed += self.queue.drain()
+        elif not self.alive():
+            # A crashed-but-not-restarted lane can't consume its queue.
+            self.dropped_on_stop += self.queue.drain()
+        self.queue.force(_SENTINEL)
+        if self.thread is not None:
+            self.thread.join(timeout=timeout)
+            if self.thread.is_alive():
+                self.hung = True
+                return None
+        # Anything still queued behind a crash that raced the sentinel.
+        self.dropped_on_stop += self.queue.drain()
+        app = self.app
+        if app is None or self.crashed:
+            self._archive()
+            return None
+        try:
+            app.on_end()
+            result = lane_payload(app)
+            result["lines"] = app.result_lines()
+        except Exception as error:
+            self.last_error = f"{type(error).__name__}: {error}"
+            return None
+        return result
+
+
+class _PoolLane(_Lane):
+    """One :class:`~repro.host.pool.WorkerPool` slot: packet batches
+    through the worker's shared-memory ring into a lane the worker
+    builds from the service's spec — the multi-core transport."""
+
+    def __init__(self, index: int, service: "HostService"):
+        from .pool import WorkerPool
+
+        super().__init__(index, service)
+        # The shared pool outlives this service instance: a restart
+        # reattaches to the same hot workers instead of respawning.
+        self.pool = WorkerPool.shared(service.config.lanes)
+        self.spec = service.spec.configured(
+            faults=service.fault_config, **service._session_bounds())
+        self.blob = WorkerPool.spec_blob(self.spec)
+        self.lock = threading.Lock()  # batch state: ingest vs control
+        self.base = 0  # packets retired by prior worker incarnations
+        self.high_water = 0
+
+    def start(self) -> None:
+        pool, index = self.pool, self.index
+        with self.lock:
+            if self.down or not pool.alive(index):
+                pool.respawn(index)
+            pool.begin_worker(index, self.blob)
+            self.down = False
+
+    def feed(self, item) -> None:
+        timestamp, frame = item
+        with self.lock:
+            if self.down:
+                # The ring is reset on respawn: nothing buffers across
+                # a crash window.
+                self.packets_lost += 1
+            elif not self.pool.feed(
+                    self.index, timestamp.nanos, frame,
+                    wait=(0.0 if self.shed_policy else None),
+                    should_stop=self._refusing):
+                self._refused()
+
+    def flush(self, final: bool = False) -> None:
+        # Paced sources can leave a partial batch sitting in the parent
+        # buffer indefinitely; the ingest loop flushes periodically.
+        if not (self.down or self.failed):
+            with self.lock:
+                self.pool.flush(self.index, wait=(None if final else 0.0),
+                                should_stop=self._refusing)
+
+    def _go_down(self, error: str) -> None:
+        # Set first, unlocked: it releases a feed blocked on the dead
+        # worker's full ring, which holds the lock.
+        self.down = True
+        pool, index = self.pool, self.index
+        with self.lock:
+            progressed = pool.progressed(index)
+            # Everything handed to the worker but not retired — the
+            # unflushed parent-side batch included — is lost with it.
+            self.packets_lost += max(
+                0, pool.pushed(index) + pool.buffered(index) - progressed)
+            self.processed = self.base = self.base + progressed
+            self.processed_since_start = progressed
+            self.error = error
+
+    def poll(self) -> Optional[str]:
+        pool, index = self.pool, self.index
+        if not self.down:
+            pool.poll(index)
+            failure = pool.failure(index)
+            if failure is None and not pool.alive(index):
+                failure = ("worker process died "
+                           f"(exitcode {pool.exitcode(index)})")
+            if failure is not None:
+                self._go_down(failure)
+            else:
+                progressed = pool.progressed(index)
+                self.processed = self.base + progressed
+                self.processed_since_start = progressed
+                self.high_water = max(self.high_water, self.depth())
+        return self.take_error()
+
+    def halt(self) -> None:
+        # Respawn anyway: the shared pool must stay healthy for sibling
+        # lanes now and for future runs.
+        with self.lock:
+            self.pool.respawn(self.index)
+
+    def alive(self) -> bool:
+        return not (self.failed or self.down)
+
+    def depth(self) -> int:
+        """Packets fed but not retired: pushed + buffered − progressed."""
+        if self.down:
+            return 0
+        pool, index = self.pool, self.index
+        return max(0, pool.pushed(index) + pool.buffered(index)
+                   - pool.progressed(index))
+
+    def telemetry(self) -> Optional[Dict]:
+        return self.pool.telemetry(self.index)
+
+    def live_sessions(self) -> Dict[str, int]:
+        return (self.telemetry() or {}).get("sessions", _NO_SESSIONS)
+
+    def drain(self, timeout: float) -> Optional[Dict]:
+        from .pool import PoolError
+
+        if self.failed or self.down:
+            return None  # its losses were counted when it went down
+        pool, index = self.pool, self.index
+        try:
+            with self.lock:
+                pool.finish(index, timeout=timeout)
+            result = pool.collect(index, timeout)
+        except PoolError as error:
+            self._go_down(str(error))
+            with self.lock:
+                pool.respawn(index)
+            return None
+        self.processed = self.base + pool.pushed(index)
+        result["lines"] = self.spec.result_lines_of(result)
+        result["flow_records"] = self.spec.flow_record_lines_of(result)
+        return result
+
+
+#: ``ServiceConfig.lane_transport`` -> lane class.
+_TRANSPORTS = {"thread": _ThreadLane, "pool": _PoolLane}
 
 
 # --------------------------------------------------------------------------
@@ -450,16 +718,13 @@ class HostService:
         self.source = source
         self.config = config if config is not None else ServiceConfig()
         self.spec = spec if spec is not None else LaneSpec()
-        self.lanes = [_Lane(i, self.config)
-                      for i in range(self.config.lanes)]
-        self._transport = self.config.lane_transport
-        self._pool = None
-        if self._transport == "pool":
-            # The shared pool outlives this service instance: a restart
-            # reattaches to the same hot workers instead of respawning.
-            from .pool import WorkerPool
-
-            self._pool = WorkerPool.shared(self.config.lanes)
+        config = self.config
+        #: One fault schedule for every lane, on either transport.
+        self.fault_config = (
+            {"seed": config.fault_seed, "rates": config.inject_rates}
+            if config.inject_rates else None)
+        lane_class = _TRANSPORTS[config.lane_transport]
+        self.lanes = [lane_class(i, self) for i in range(config.lanes)]
         self.metrics = MetricsRegistry()
         self.windows = RollingWindows(self.config.windows)
         self.history = TimeSeriesStore(
@@ -475,8 +740,6 @@ class HostService:
         self._started_ts: Optional[float] = None  # wall clock, discovery
         self.ingested = 0
         self.ingest_done = False
-        self.dropped_on_stop = 0
-        self.dropped_to_failed = 0
         self.exit_code: Optional[int] = None
         self.artifacts: List[str] = []
 
@@ -514,123 +777,43 @@ class HostService:
                 "session_ttl": config.session_ttl,
                 "memory_budget_bytes": config.memory_budget_bytes}
 
-    def _lane_services(self, lane: _Lane) -> PipelineServices:
+    def _lane_services(self) -> PipelineServices:
         return PipelineServices(
-            faults=lane.injector,
+            faults=injector_for(self.fault_config),
             watchdog_budget=self.config.watchdog_budget,
             telemetry=Telemetry(metrics=self.config.lane_metrics),
             **self._session_bounds())
 
-    def _start_lane(self, lane: _Lane) -> None:
+    def _start(self, lane: _Lane) -> None:
         lane.breaker.record_flow()
-        lane.crashed = False
-        lane.drained = False
         lane.processed_since_start = 0
-        lane.thread = threading.Thread(
-            target=self._lane_body, args=(lane,),
-            name=f"service-lane-{lane.index}", daemon=True)
-        lane.thread.start()
+        lane.start()
 
-    def _lane_body(self, lane: _Lane) -> None:
-        in_hand = False
-        try:
-            if lane.app is None:
-                # Built inside the lane thread so a slow (or crashing)
-                # construction never blocks supervision.
-                lane.app = self.make_app(self._lane_services(lane))
-                lane.app.on_begin()
-            while True:
-                item = lane.queue.get(timeout=0.2)
-                if item is _EMPTY:
-                    continue
-                if item is _SENTINEL:
-                    lane.drained = True
-                    return
-                in_hand = True
-                lane.injector.check(SITE_SERVICE_LANE)
-                timestamp, frame = item
-                lane.app.on_packet(timestamp, frame)
-                in_hand = False
-                lane.processed += 1
-                lane.processed_since_start += 1
-        except BaseException as error:  # noqa: BLE001 — crash boundary
-            lane.crashes += 1
-            lane.crashed = True
-            lane.last_error = f"{type(error).__name__}: {error}"
-            if in_hand:
-                lane.packets_lost += 1
-
-    def _archive_lane_app(self, lane: _Lane) -> None:
-        """Harvest whatever a (possibly crashed) app produced so its
-        results survive the replacement instance."""
-        if lane.app is None:
-            return
-        try:
-            lane.archived_lines.extend(lane.app.result_lines())
-        except Exception:
-            pass
-        try:
-            lane.archived_records.extend(lane.app.flow_record_lines())
-        except Exception:
-            pass
-        lane.app = None
-
-    def _supervise_lanes(self, now: float) -> None:
-        config = self.config
+    def _supervise(self, now: float) -> None:
+        """Restart lanes whose backoff elapsed; report fresh crashes."""
         for lane in self.lanes:
-            if lane.failed or lane.thread is None:
+            if lane.failed:
                 continue
-            if lane.thread.is_alive() or lane.drained:
+            if lane.pending_restart_at is not None:
+                if now >= lane.pending_restart_at:
+                    lane.pending_restart_at = None
+                    lane.restarts += 1
+                    self._start(lane)
                 continue
-            if not lane.crashed:
-                continue
-            if lane.pending_restart_at is None:
-                # Fresh crash: a long healthy run forgives past
-                # violations (the breaker targets rapid crash loops,
-                # not a crash every few million packets).
-                if lane.processed_since_start >= config.healthy_packets:
-                    lane.breaker = CircuitBreaker(
-                        threshold=config.breaker_threshold,
-                        min_flows=config.breaker_min_starts)
-                    lane.breaker.record_flow()
-                lane.breaker.record_violation()
-                if lane.breaker.tripped:
-                    lane.failed = True
-                    # Nothing will consume this queue again; count the
-                    # leftovers now so the drain condition (all queues
-                    # empty) stays reachable and accounting stays exact.
-                    self.dropped_to_failed += lane.queue.drain()
-                    self._archive_lane_app(lane)
-                    lane.thread = None
-                    continue
-                consecutive = max(1, lane.breaker.violations)
-                delay = min(config.backoff_cap,
-                            config.backoff_base * (2 ** (consecutive - 1)))
-                lane.backoff_seconds += delay
-                lane.pending_restart_at = now + delay
-            elif now >= lane.pending_restart_at:
-                lane.pending_restart_at = None
-                lane.restarts += 1
-                self._archive_lane_app(lane)
-                self._start_lane(lane)
+            error = lane.poll()
+            if error is not None:
+                self._crash(lane, now, error)
 
-    def _crash_pool_lane(self, lane: _Lane, now: float,
-                         error: str) -> None:
-        """Shared crash bookkeeping for a pool lane: conservation
-        accounting, breaker escalation, restart scheduling."""
+    def _crash(self, lane: _Lane, now: float, error: str) -> None:
+        """The crash routine: breaker escalation, then either the lane
+        fails for good or its restart is scheduled with exponential
+        backoff."""
         config = self.config
-        pool = self._pool
-        lane.pool_down = True
         lane.crashes += 1
-        lane.crashed = True
         lane.last_error = error
-        # Everything handed to the worker but not retired — including
-        # the parent-side batch that never flushed — is lost with it.
-        lost = max(0, pool.pushed(lane.index) + pool.buffered(lane.index)
-                   - pool.progressed(lane.index))
-        lane.packets_lost += lost
-        lane.processed = lane.pool_base + pool.progressed(lane.index)
-        lane.pool_base = lane.processed
+        # A long healthy run forgives past violations (the breaker
+        # targets rapid crash loops, not a crash every few million
+        # packets).
         if lane.processed_since_start >= config.healthy_packets:
             lane.breaker = CircuitBreaker(
                 threshold=config.breaker_threshold,
@@ -639,51 +822,13 @@ class HostService:
         lane.breaker.record_violation()
         if lane.breaker.tripped:
             lane.failed = True
-            # Respawn anyway: the shared pool must stay healthy for
-            # sibling lanes now and for future runs.
-            with lane.pool_lock:
-                pool.respawn(lane.index)
+            lane.halt()
             return
         consecutive = max(1, lane.breaker.violations)
         delay = min(config.backoff_cap,
                     config.backoff_base * (2 ** (consecutive - 1)))
         lane.backoff_seconds += delay
         lane.pending_restart_at = now + delay
-
-    def _supervise_pool_lanes(self, now: float) -> None:
-        """Pool-transport supervision: liveness and in-run errors come
-        from the pool's progress protocol instead of thread state."""
-        pool = self._pool
-        for lane in self.lanes:
-            if lane.failed:
-                continue
-            index = lane.index
-            if lane.pending_restart_at is not None:
-                if now >= lane.pending_restart_at:
-                    lane.pending_restart_at = None
-                    lane.restarts += 1
-                    with lane.pool_lock:
-                        pool.respawn(index)
-                        pool.begin_worker(index)
-                        lane.pool_down = False
-                    lane.crashed = False
-                    lane.processed_since_start = 0
-                    lane.breaker.record_flow()
-                continue
-            if lane.pool_down:
-                continue
-            pool.poll(index)
-            failure = pool.failure(index)
-            if failure is not None:
-                self._crash_pool_lane(lane, now, failure)
-            elif not pool.alive(index):
-                self._crash_pool_lane(
-                    lane, now, "worker process died "
-                    f"(exitcode {pool.exitcode(index)})")
-            else:
-                progressed = pool.progressed(index)
-                lane.processed = lane.pool_base + progressed
-                lane.processed_since_start = progressed
 
     # -- ingest ------------------------------------------------------------
 
@@ -695,45 +840,8 @@ class HostService:
         return self.lanes[self.spec.place(flow, lanes, lanes) % lanes]
 
     def _ingest_body(self) -> None:
-        shed_policy = self.config.overload == "shed"
-        try:
-            for timestamp, frame in self.source:
-                if self._stop.is_set():
-                    break
-                self.ingested += 1
-                lane = self._place(frame)
-                if lane.failed:
-                    self.dropped_to_failed += 1
-                    continue
-                item = (timestamp, frame)
-                if shed_policy:
-                    lane.queue.offer(item)  # drop counted by the queue
-                    continue
-                # Backpressure must release when the service stops OR
-                # when the blocked-on lane escalates to failed — put()
-                # rechecks between wait slices, so neither deadlocks.
-                queued = lane.queue.put(
-                    item,
-                    should_stop=lambda lane=lane: (self._stop.is_set()
-                                                   or lane.failed))
-                if not queued:
-                    if lane.failed and not self._stop.is_set():
-                        self.dropped_to_failed += 1
-                    else:
-                        self.dropped_on_stop += 1
-        finally:
-            self.ingest_done = True
-
-    def _ingest_pool_body(self) -> None:
-        """Pool-transport ingest: frames go straight into the placed
-        lane's shared-memory ring as batches.  Overload semantics
-        mirror the queue path — ``block`` waits for ring space
-        (re-checking stop/crash), ``shed`` drops at a full ring — and
-        packets placed to a lane inside its crash/backoff window are
-        counted lost (the ring is reset on respawn, so nothing buffers
-        across the gap)."""
-        shed_policy = self.config.overload == "shed"
-        pool = self._pool
+        """Place each packet by flow and feed it to its lane, which
+        books it under the overload policy."""
         last_flush = _time.monotonic()
         try:
             for timestamp, frame in self.source:
@@ -742,68 +850,42 @@ class HostService:
                 self.ingested += 1
                 lane = self._place(frame)
                 if lane.failed:
-                    self.dropped_to_failed += 1
-                    continue
-                if lane.pool_down:
-                    lane.packets_lost += 1
-                    continue
-                with lane.pool_lock:
-                    fed = pool.feed(
-                        lane.index, timestamp.nanos, frame,
-                        wait=(0.0 if shed_policy else None),
-                        should_stop=lambda lane=lane: (
-                            self._stop.is_set() or lane.failed
-                            or lane.pool_down))
-                if not fed:
-                    if shed_policy:
-                        lane.pool_shed += 1
-                    elif lane.pool_down and not self._stop.is_set():
-                        lane.packets_lost += 1
-                    elif lane.failed and not self._stop.is_set():
-                        self.dropped_to_failed += 1
-                    else:
-                        self.dropped_on_stop += 1
-                # Paced sources can leave a partial batch sitting in the
-                # parent buffer indefinitely; a periodic flush bounds
-                # that latency (all batch state stays on this thread).
+                    lane.dropped_failed += 1
+                else:
+                    lane.feed((timestamp, frame))
                 now = _time.monotonic()
-                if now - last_flush >= 0.05:
+                if now - last_flush >= _FLUSH_SECONDS:
                     last_flush = now
-                    for other in self.lanes:
-                        if not (other.failed or other.pool_down):
-                            with other.pool_lock:
-                                pool.flush(other.index, wait=0.0)
+                    for lane in self.lanes:
+                        lane.flush()
+            for lane in self.lanes:
+                lane.flush(final=True)
         finally:
             self.ingest_done = True
 
     # -- aggregation -------------------------------------------------------
 
     def totals(self) -> Dict[str, float]:
-        processed = sum(lane.processed for lane in self.lanes)
-        shed = sum(lane.queue.shed + lane.pool_shed
-                   for lane in self.lanes)
-        lost = sum(lane.packets_lost for lane in self.lanes)
+        lanes = self.lanes
+        on_stop = sum(lane.dropped_on_stop for lane in lanes)
+        failed = sum(lane.dropped_failed for lane in lanes)
         return {
             "packets_ingested": self.ingested,
-            "packets_processed": processed,
-            "packets_shed": shed,
-            "packets_lost": lost,
-            "packets_dropped": self.dropped_on_stop
-                               + self.dropped_to_failed,
-            "packets_dropped_on_stop": self.dropped_on_stop,
-            "packets_dropped_failed": self.dropped_to_failed,
-            "lane_crashes": sum(lane.crashes for lane in self.lanes),
-            "lane_restarts": sum(lane.restarts for lane in self.lanes),
+            "packets_processed": sum(lane.processed for lane in lanes),
+            "packets_shed": sum(lane.shed for lane in lanes),
+            "packets_lost": sum(lane.packets_lost for lane in lanes),
+            "packets_dropped": on_stop + failed,
+            "packets_dropped_on_stop": on_stop,
+            "packets_dropped_failed": failed,
+            "lane_crashes": sum(lane.crashes for lane in lanes),
+            "lane_restarts": sum(lane.restarts for lane in lanes),
         }
 
     def session_totals(self) -> Dict[str, int]:
         totals = {"open": 0, "evicted": 0, "expired": 0}
         for lane in self.lanes:
-            app = lane.app
-            if app is None:
-                continue
             try:
-                stats = app.session_stats()
+                stats = lane.sessions()
             except Exception:
                 continue
             for key in totals:
@@ -819,11 +901,10 @@ class HostService:
         totals = self.totals()
         sessions = self.session_totals()
         telem = {}
-        if self._transport == "pool":
-            for lane in self.lanes:
-                snapshot = self._pool.telemetry(lane.index)
-                if snapshot:
-                    telem[lane.index] = snapshot
+        for lane in self.lanes:
+            snapshot = lane.telemetry()
+            if snapshot:
+                telem[lane.index] = snapshot
         with self._lock:
             self.windows.sample(now, totals)
             rates = self.windows.rates()
@@ -849,12 +930,12 @@ class HostService:
             for lane in self.lanes:
                 label = str(lane.index)
                 metrics.gauge("service.queue_depth", lane=label).set(
-                    lane.queue.depth())
+                    lane.depth())
                 metrics.gauge("service.queue_high_water", lane=label).set(
-                    lane.queue.high_water)
+                    lane.high_water)
                 shed = metrics.counter("service.queue_shed", lane=label)
                 shed.value = 0
-                shed.inc(lane.queue.shed)
+                shed.inc(lane.shed)
             for window, entries in rates.items():
                 pps = entries.get("packets_processed")
                 if pps is not None:
@@ -1128,21 +1209,10 @@ class HostService:
         self._started_ts = _time.time()
         self._start_http()
         self._write_service_json("running")
-        if self._transport == "pool":
-            # One shared begin: every pool worker arms a fresh lane
-            # (dead workers are respawned inside begin_run) that
-            # enforces this service's session bounds.
-            self._pool.begin_run(
-                self.spec.bounded(**self._session_bounds()), {})
-            for lane in self.lanes:
-                lane.breaker.record_flow()
-        else:
-            for lane in self.lanes:
-                self._start_lane(lane)
+        for lane in self.lanes:
+            self._start(lane)
         self._ingest_thread = threading.Thread(
-            target=(self._ingest_pool_body if self._transport == "pool"
-                    else self._ingest_body),
-            name="service-ingest", daemon=True)
+            target=self._ingest_body, name="service-ingest", daemon=True)
         self._ingest_thread.start()
 
         next_tick = self._started_at + config.tick_seconds
@@ -1156,19 +1226,13 @@ class HostService:
                     break
                 # Failed lanes are excluded: nothing consumes their
                 # queues (a put() racing the escalation drain can still
-                # land an item there; _drain re-counts it).  Pool lanes
-                # have no parent-side queue — the drain collects what
-                # is still in flight in the rings.
-                if self.ingest_done and (
-                        self._transport == "pool" or all(
-                            lane.queue.depth() == 0 for lane in self.lanes
-                            if not lane.failed)):
+                # land an item there; the drain re-counts it).
+                if self.ingest_done and all(
+                        lane.depth() == 0 for lane in self.lanes
+                        if not lane.failed):
                     self.request_stop("source exhausted")
                     break
-                if self._transport == "pool":
-                    self._supervise_pool_lanes(now)
-                else:
-                    self._supervise_lanes(now)
+                self._supervise(now)
                 if now >= next_tick:
                     self._sample()
                     next_tick += config.tick_seconds
@@ -1189,11 +1253,23 @@ class HostService:
         if self._ingest_thread is not None:
             self._ingest_thread.join(timeout=config.drain_timeout)
 
-        if self._transport == "pool":
-            lines, hung = self._drain_pool_lanes()
-        else:
-            lines, hung = self._drain_thread_lanes()
+        lines: List[str] = []
+        for lane in self.lanes:
+            result = lane.drain(config.drain_timeout)
+            error = lane.take_error()
+            if error is not None:
+                self._crash(lane, _time.monotonic(), error)
+            lines.extend(lane.archived_lines)
+            if result is None:
+                continue
+            lane.end_stats = result["stats"]
+            lane.end_sessions = result["sessions"]
+            lines.extend(result["lines"])
+            lane.archived_records.extend(result["flow_records"])
+            if result["metrics"]:
+                self._merge_lane_series(lane.index, result["metrics"])
         lines.sort()
+        hung = any(lane.hung for lane in self.lanes)
 
         self._sample()
         self.artifacts = self._write_artifacts(lines)
@@ -1208,45 +1284,6 @@ class HostService:
         }, name="service-final.json")
         self._remove_service_json()
         return exit_code
-
-    def _drain_thread_lanes(self) -> Tuple[List[str], bool]:
-        config = self.config
-        # Crashed-but-not-restarted lanes can't consume their queues.
-        for lane in self.lanes:
-            alive = lane.thread is not None and lane.thread.is_alive()
-            if lane.failed:
-                self.dropped_to_failed += lane.queue.drain()
-            elif not alive:
-                self.dropped_on_stop += lane.queue.drain()
-            lane.queue.force(_SENTINEL)
-
-        hung = False
-        for lane in self.lanes:
-            if lane.thread is not None:
-                lane.thread.join(timeout=config.drain_timeout)
-                if lane.thread.is_alive():
-                    hung = True
-        # Anything still queued behind a crash that raced the sentinel.
-        for lane in self.lanes:
-            self.dropped_on_stop += lane.queue.drain()
-
-        lines: List[str] = []
-        for lane in self.lanes:
-            lines.extend(lane.archived_lines)
-            if lane.app is None:
-                continue
-            try:
-                if not lane.crashed:
-                    lane.end_stats = lane.app.on_end()
-                lines.extend(lane.app.result_lines())
-                lane.archived_records.extend(lane.app.flow_record_lines())
-            except Exception as error:
-                lane.last_error = f"{type(error).__name__}: {error}"
-                continue
-            if lane.app.telemetry.enabled and not lane.crashed:
-                self._merge_lane_series(
-                    lane.index, lane.app.telemetry.metrics.collect())
-        return lines, hung
 
     def _merge_lane_series(self, index: int, series: List[Dict]) -> None:
         """Fold one finished lane's final registry into the service's:
@@ -1268,45 +1305,6 @@ class HostService:
             scalars = [entry for entry in series
                        if entry["kind"] != "histogram"]
             self._apply_worker_snapshot(label, {"series": scalars})
-
-    def _drain_pool_lanes(self) -> Tuple[List[str], bool]:
-        """Finish every live pool worker's run and harvest its result;
-        lanes inside a crash window (or failed) have nothing left to
-        collect — their losses were counted when they went down."""
-        from .pool import PoolError
-
-        config = self.config
-        pool = self._pool
-        lines: List[str] = []
-        hung = False
-        for lane in self.lanes:
-            lines.extend(lane.archived_lines)
-            index = lane.index
-            if lane.failed or lane.pool_down:
-                continue
-            try:
-                with lane.pool_lock:
-                    pool.finish(index, timeout=config.drain_timeout)
-                result = pool.collect(index, config.drain_timeout)
-                lane.processed = lane.pool_base + pool.pushed(index)
-                lane.end_stats = result.get("stats")
-                lines.extend(self.spec.result_lines_of(result))
-                lane.archived_records.extend(
-                    self.spec.flow_record_lines_of(result))
-                if result.get("metrics"):
-                    self._merge_lane_series(index, result["metrics"])
-            except PoolError as error:
-                lane.crashes += 1
-                lane.crashed = True
-                lane.pool_down = True
-                lane.last_error = str(error)
-                lane.packets_lost += max(
-                    0, pool.pushed(index) + pool.buffered(index)
-                    - pool.progressed(index))
-                lane.processed = lane.pool_base + pool.progressed(index)
-                with lane.pool_lock:
-                    pool.respawn(index)
-        return lines, hung
 
     def _write_artifacts(self, lines: List[str]) -> List[str]:
         from ..net.flowrecord import write_flowrecords_jsonl

@@ -41,6 +41,7 @@ disabled path stays a no-op.
 from __future__ import annotations
 
 import pickle
+import signal
 import struct
 import time as _time
 import traceback
@@ -115,6 +116,7 @@ def telemetry_snapshot(lane, processed: int) -> Dict:
     }
     try:
         snapshot["live"] = lane.live_metrics()
+        snapshot["sessions"] = lane.session_stats()
     except Exception:
         snapshot["live"] = {}
     if telemetry.enabled:
@@ -140,6 +142,10 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
     worker stays alive, discards the failed run's remaining traffic by
     epoch, and serves the next ``BEGIN`` normally.
     """
+    # A forked worker inherits its parent's Python signal handlers — the
+    # service's graceful-drain SIGTERM handler among them — which would
+    # make the pool's terminate() (respawn, close) a no-op.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     in_ring = ShmRing.attach(in_name)
     out_ring = ShmRing.attach(out_name)
     inbox = MessageChannel(in_ring)
@@ -147,6 +153,7 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
 
     lane = None
     spec = None
+    admit = None
     run_id = -1
     processed = 0
     telem_armed = False
@@ -167,6 +174,7 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
 
     try:
         from ..core.values import Time
+        from ..runtime.faults import NULL_INJECTOR
 
         while True:
             # A long timeout keeps an idle worker in one deep-backoff
@@ -188,6 +196,11 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
                     spec, uid_map = pickle.loads(body)
                     lane = spec.make_lane(uid_map)
                     lane.on_begin()
+                    # Resolved once per run: an unarmed injector keeps
+                    # the packet loop free of fault calls.
+                    services = lane.services
+                    admit = (None if services.faults is NULL_INJECTOR
+                             else services.admit_to_lane)
                     telemetry = getattr(lane, "telemetry", None)
                     telem_armed = (telemetry is not None
                                    and telemetry.any_enabled)
@@ -202,7 +215,8 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
             if tag == MSG_DATA:
                 try:
                     for nanos, frame in decode_batch(body):
-                        lane.on_packet(Time.from_nanos(nanos), frame)
+                        if admit is None or admit(nanos, frame):
+                            lane.on_packet(Time.from_nanos(nanos), frame)
                         processed += 1
                 except BaseException as error:  # noqa: BLE001
                     fail(error)

@@ -12,8 +12,10 @@ instead of assuming it:
   dispatch, script-engine call);
 * a seedable, fully deterministic :class:`FaultInjector` that raises a
   typed ``Hilti::InjectedFault`` at those points with configurable
-  per-site rates — the test oracle then checks that the surviving output
-  is exactly what the recovery policy predicts;
+  per-site rates, each verdict keyed by the packet (or finalized flow)
+  in hand, so sequential, parallel and service runs fault identically —
+  the test oracle then checks that the surviving output is exactly what
+  the recovery policy predicts;
 * a :class:`HealthReport` collecting error-budget counters per site plus
   the recovery activity of one run (``flows_quarantined``,
   ``records_skipped``, ``watchdog_trips``, ``injected_faults``);
@@ -28,8 +30,10 @@ exceptions; this layer decides what recovery means for the Bro pipeline.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, Mapping, Optional
+import contextlib
+import hashlib
+import zlib
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .exceptions import HiltiError, INJECTED_FAULT, PROCESSING_TIMEOUT
 
@@ -41,6 +45,7 @@ __all__ = [
     "HealthReport",
     "CircuitBreaker",
     "register_site",
+    "injector_for",
     "registered_sites",
     "SITE_PCAP_RECORD",
     "SITE_PACKET_PARSE",
@@ -92,6 +97,9 @@ register_site(SITE_SERVICE_LANE, "service-mode lane worker loop")
 # Fault injection
 # --------------------------------------------------------------------------
 
+_DRAW_SPAN = float(1 << 64)
+_NULL_CONTEXT = contextlib.nullcontext()
+
 
 class FaultError(HiltiError):
     """A deliberately injected fault (``Hilti::InjectedFault``).
@@ -108,20 +116,27 @@ class FaultError(HiltiError):
 class FaultInjector:
     """Seedable, deterministic fault source for the registered sites.
 
-    Each site draws from its own ``random.Random`` stream seeded with
-    ``(seed, site)``, so the fault schedule of one site never shifts when
-    another site's rate changes — runs are reproducible per site.
+    Every draw is a pure function of ``(seed, site, unit, ordinal)``:
+    ``blake2b`` of those, read as a fraction of ``2**64``, fires when
+    below the site's rate.  The *unit* is the packet being processed
+    (entered with :meth:`enter_packet`) or a flow being finalized
+    (:meth:`enter_flow`); the *ordinal* counts checks of one site
+    inside the unit.  A flow's state lives on one lane, so a packet
+    makes the same checks in the same order on every backend, and the
+    verdicts do not depend on where the check runs.  ``hashlib``, not
+    ``hash()``: bytes hashing is salted per process, and pool workers
+    must agree with their parent.  A check made outside any unit
+    draws from a per-site stream ordered by check count.
     """
 
     def __init__(self, seed: int = 0,
-                 rates: Optional[Mapping[str, float]] = None,
-                 default_rate: float = 0.0):
+                 rates: Optional[Mapping[str, float]] = None):
         self.seed = seed
         self.rates: Dict[str, float] = dict(rates or {})
-        self.default_rate = default_rate
         self.injected: Dict[str, int] = {}
-        self.checks: Dict[str, int] = {}
-        self._rngs: Dict[str, random.Random] = {}
+        self._unit = b""
+        self._ordinals: Dict[str, int] = {}
+        self._suspended = False
 
     @classmethod
     def everywhere(cls, seed: int = 0, rate: float = 0.05) -> "FaultInjector":
@@ -132,39 +147,80 @@ class FaultInjector:
     def total_injected(self) -> int:
         return sum(self.injected.values())
 
-    def rate_for(self, site: str) -> float:
-        return self.rates.get(site, self.default_rate)
+    def enter_packet(self, nanos: int, frame: bytes) -> Optional[str]:
+        """Enter the unit of the packet ``(nanos, frame)`` and draw the
+        host-owned packet-level sites, once per packet, before the app
+        sees the frame; returns the first one that fired (the host
+        drops the frame) or ``None``."""
+        self._unit = b"P%d:%d" % (nanos, zlib.crc32(frame))
+        self._ordinals = {}
+        for site in (SITE_PCAP_RECORD, SITE_PACKET_PARSE):
+            try:
+                self.check(site)
+            except FaultError:
+                return site
+        return None
+
+    def enter_flow(self, key: Tuple) -> None:
+        """Enter the unit that finalizes the flow with canonical *key*."""
+        self._unit = b"F" + repr(key).encode()
+        self._ordinals = {}
+
+    @contextlib.contextmanager
+    def suspended(self) -> Iterator[None]:
+        """No site fires inside: for work every lane repeats once
+        (lifecycle events) that a sequential run does once in total."""
+        self._suspended = True
+        try:
+            yield
+        finally:
+            self._suspended = False
 
     def check(self, site: str) -> None:
         """One pass through injection point *site*; may raise FaultError."""
-        rate = self.rates.get(site, self.default_rate)
-        if rate <= 0.0:
+        rate = self.rates.get(site, 0.0)
+        if rate <= 0.0 or self._suspended:
             return
-        self.checks[site] = self.checks.get(site, 0) + 1
-        rng = self._rngs.get(site)
-        if rng is None:
-            rng = self._rngs[site] = random.Random(f"{self.seed}:{site}")
-        if rng.random() < rate:
+        ordinal = self._ordinals.get(site, 0)
+        self._ordinals[site] = ordinal + 1
+        digest = hashlib.blake2b(
+            f"{self.seed}:{site}:{ordinal}:".encode() + self._unit,
+            digest_size=8).digest()
+        if int.from_bytes(digest, "little") < rate * _DRAW_SPAN:
             self.injected[site] = self.injected.get(site, 0) + 1
             raise FaultError(site)
 
 
 class NullInjector:
-    """The disabled injector: ``check`` is a no-op on the hot path."""
+    """The disabled injector: every entry point is a no-op (hosts skip
+    packet units altogether when they hold it)."""
 
     seed = None
     rates: Dict[str, float] = {}
     injected: Dict[str, int] = {}
     total_injected = 0
 
+    def enter_flow(self, key: Tuple) -> None:
+        return
+
+    def suspended(self):
+        return _NULL_CONTEXT
+
     def check(self, site: str) -> None:
         return
 
-    def rate_for(self, site: str) -> float:
-        return 0.0
-
 
 NULL_INJECTOR = NullInjector()
+
+
+def injector_for(config: Optional[Mapping]):
+    """The injector a ``{"seed", "rates"}`` dict describes — the null
+    one when it is absent or arms no site.  How lanes built in other
+    processes share their parent's fault schedule."""
+    if not config or not any(rate > 0.0
+                             for rate in config["rates"].values()):
+        return NULL_INJECTOR
+    return FaultInjector(seed=config["seed"], rates=config["rates"])
 
 
 # --------------------------------------------------------------------------

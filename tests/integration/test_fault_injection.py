@@ -14,6 +14,7 @@ import io
 import pytest
 
 from repro.apps.bro import Bro
+from repro.host import Pipeline
 from repro.net.pcap import write_pcap
 from repro.net.tracegen import (
     DnsTraceConfig,
@@ -55,7 +56,7 @@ def _run(trace, injector=None, parsers="pac", watchdog=None, **kw):
     bro = Bro(parsers=parsers, scripts_engine="interp",
               print_stream=io.StringIO(), fault_injector=injector,
               watchdog_budget=watchdog, **kw)
-    stats = bro.run(trace)
+    stats = Pipeline(bro).run(trace)
     stats["health"] = bro.core.health.as_dict(bro.core.faults)
     return bro, stats
 

@@ -16,6 +16,7 @@ with differing traces.
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -518,9 +519,67 @@ class TestServicePoolTransport:
         assert evicted["pool"] > 0
         assert evicted["pool"] == evicted["thread"]
 
-    def test_injection_refused_on_pool_transport(self):
-        from repro.host.service import ServiceConfig
+    def test_pool_lanes_crash_restart_and_drain(self, tmp_path):
+        """service.lane faults crash pool workers mid-run; the one crash
+        routine restarts them with backoff and the drain still exits
+        cleanly with exact conservation."""
+        from repro.host.service import HostService, ServiceConfig
 
-        with pytest.raises(ValueError, match="thread lanes"):
-            ServiceConfig(lanes=1, lane_transport="pool",
-                          inject_rates={"service.lane": 0.5})
+        trace = list(_trace(sessions=20, queries=120, seed=13))
+
+        def paced():
+            # Slow enough that crashed lanes outlive their backoff.
+            for index, record in enumerate(trace):
+                if index % 10 == 0:
+                    time.sleep(0.005)
+                yield record
+
+        config = ServiceConfig(
+            lanes=2, lane_transport="pool", http_host=None,
+            http_port=None, backoff_base=0.01, backoff_cap=0.05,
+            breaker_min_starts=1000, inject_rates={"service.lane": 0.01},
+            fault_seed=4, logdir=str(tmp_path))
+        service = HostService(lambda services: None, paced(), config,
+                              spec=BpfLaneSpec(dict(BPF_CONFIG)))
+        assert service.serve() == 0
+        totals = service.totals()
+        assert totals["lane_crashes"] > 0
+        assert totals["lane_restarts"] > 0
+        assert totals["packets_lost"] > 0
+        assert not any(lane.failed for lane in service.lanes)
+        assert totals["packets_ingested"] == len(trace) == (
+            totals["packets_processed"] + totals["packets_shed"]
+            + totals["packets_lost"] + totals["packets_dropped"])
+        assert (tmp_path / "results.log").exists()
+
+    def test_pool_lane_reporting(self, tmp_path):
+        """Pool lanes report sheds and sessions through the lane
+        interface: the per-lane shed series add up to packets_shed, and
+        the final session totals are the lanes' end stats."""
+        import json
+
+        from repro.apps.binpac.app import PacLaneSpec
+        from repro.host.service import HostService, ServiceConfig
+
+        trace = list(_trace(sessions=4, queries=60, seed=11))
+        spec = PacLaneSpec({"protocols": ("dns",), "opt_level": None,
+                            "watchdog_budget": None, "metrics": False,
+                            "trace": False})
+        config = ServiceConfig(
+            lanes=2, lane_transport="pool", overload="shed",
+            max_sessions=8, http_host=None, http_port=None,
+            logdir=str(tmp_path))
+        service = HostService(lambda services: None, trace, config,
+                              spec=spec)
+        assert service.serve() == 0
+        totals = service.totals()
+        shed = [entry["value"] for entry in service.metrics.collect()
+                if entry["name"] == "service.queue_shed"]
+        assert len(shed) == 2
+        assert sum(shed) == totals["packets_shed"]
+        evicted = sum(lane.end_stats["sessions_evicted"]
+                      for lane in service.lanes)
+        assert evicted > 0
+        final = json.loads((tmp_path / "service-final.json").read_text())
+        assert final["sessions"]["evicted"] == evicted
+        assert service.session_totals()["evicted"] == evicted

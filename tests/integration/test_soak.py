@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro.apps.binpac.app import PacApp
-from repro.host import HostApp, HostService, ServiceConfig
+from repro.host import HostApp, HostService, LaneSpec, ServiceConfig
+from repro.host.pool import shutdown_shared_pools
 from repro.net.replay import TraceReplayer
 from repro.net.tracegen import (
     DnsTraceConfig,
@@ -25,6 +26,12 @@ from repro.net.tracegen import (
     generate_mixed_trace,
     write_pcap,
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shutdown_pools():
+    yield
+    shutdown_shared_pools()
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +54,17 @@ class CountApp(HostApp):
         pass
 
 
+class CountLaneSpec(LaneSpec):
+    """Builds the pool transport's CountApp lanes in the workers."""
+
+    def make_lane(self, uid_map):
+        return CountApp(self.lane_services())
+
+
+COUNT_SPEC = CountLaneSpec({"watchdog_budget": None, "metrics": False,
+                            "trace": False})
+
+
 def _invariant(totals):
     return (totals["packets_ingested"]
             == totals["packets_processed"] + totals["packets_shed"]
@@ -55,12 +73,15 @@ def _invariant(totals):
 
 @pytest.mark.slow
 class TestServiceSoak:
-    def test_100k_packets_with_injected_crashes(self, soak_pcap, tmp_path):
+    @pytest.mark.parametrize("transport", ["thread", "pool"])
+    def test_100k_packets_with_injected_crashes(self, soak_pcap, tmp_path,
+                                                transport):
         path, n = soak_pcap
         loops = 100_000 // n + 1
         queue_cap = 512
         config = ServiceConfig(
-            lanes=2, queue_capacity=queue_cap, overload="block",
+            lanes=2, lane_transport=transport, queue_capacity=queue_cap,
+            overload="block",
             tick_seconds=0.1,
             backoff_base=0.005, backoff_cap=0.02, healthy_packets=64,
             inject_rates={"service.lane": 0.0003}, fault_seed=11,
@@ -70,7 +91,8 @@ class TestServiceSoak:
         replayer = TraceReplayer(
             path, loops=loops,
             should_stop=lambda: service.should_stop())
-        service = HostService(lambda s: CountApp(s), replayer, config)
+        service = HostService(lambda s: CountApp(s), replayer, config,
+                              spec=COUNT_SPEC)
         code = service.serve()
         totals = service.totals()
 
@@ -85,9 +107,10 @@ class TestServiceSoak:
         assert not any(lane.failed for lane in service.lanes)
         assert sum(lane.backoff_seconds for lane in service.lanes) > 0
         # bounded queues held their caps (force() only ever adds the
-        # drain sentinel, hence +1)
+        # drain sentinel, hence +1); pool lanes are bounded by their ring
         for lane in service.lanes:
-            assert lane.queue.high_water <= queue_cap + 1
+            if transport == "thread":
+                assert lane.queue.high_water <= queue_cap + 1
         # block policy: nothing shed
         assert totals["packets_shed"] == 0
 

@@ -1,5 +1,7 @@
 """The fault-injection framework: determinism, budgets, recovery policy."""
 
+import random
+
 import pytest
 
 from repro.runtime.exceptions import (
@@ -118,11 +120,34 @@ class TestFaultInjector:
             with pytest.raises(FaultError):
                 injector.check(site)
 
+    def test_verdicts_do_not_depend_on_unit_order(self):
+        """A draw is keyed by the packet in hand, not by check order:
+        entering the same packets shuffled gives each the same verdict
+        (its packet-level draw plus three script-call checks)."""
+        packets = [(1_000 + i, bytes([i % 256]) * (1 + i % 7))
+                   for i in range(300)]
+        shuffled = list(packets)
+        random.Random(9).shuffle(shuffled)
+
+        def verdicts(order):
+            injector = FaultInjector(seed=5, rates={
+                SITE_PCAP_RECORD: 0.1, SITE_SCRIPT_CALL: 0.2})
+            out = {}
+            for nanos, frame in order:
+                dropped = injector.enter_packet(nanos, frame)
+                out[nanos, frame] = (dropped, _schedule(
+                    injector, SITE_SCRIPT_CALL, passes=3))
+            return out
+
+        expected = verdicts(packets)
+        assert verdicts(shuffled) == expected
+        assert any(dropped for dropped, __ in expected.values())
+        assert any(fired for __, fired in expected.values())
+
     def test_null_injector_is_inert(self):
         for site in ALL_SITES:
             NULL_INJECTOR.check(site)
         assert NULL_INJECTOR.total_injected == 0
-        assert NULL_INJECTOR.rate_for(SITE_SCRIPT_CALL) == 0.0
 
 
 class TestCircuitBreaker:
