@@ -6,4 +6,4 @@ from .lang import BroParseError, Script, parse_script  # noqa: F401
 from .logging import LogManager, normalize_log  # noqa: F401
 from .main import Bro, default_scripts  # noqa: F401
 from .parallel import ParallelBro  # noqa: F401
-from .val import RecordVal, SetVal, TableVal, VectorVal  # noqa: F401
+from .val import RecordVal  # noqa: F401

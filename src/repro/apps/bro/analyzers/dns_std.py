@@ -13,7 +13,7 @@ import struct
 from typing import List, Optional, Tuple
 
 from ....core.values import Interval
-from ..val import VectorVal
+from ....runtime.containers import HiltiVector
 
 __all__ = ["DnsStdAnalyzer"]
 
@@ -113,8 +113,8 @@ class DnsStdAnalyzer:
                 _QTYPE_NAMES.get(qtype, str(qtype)),
             ])
             return
-        answers = VectorVal()
-        ttls = VectorVal()
+        answers = HiltiVector()
+        ttls = HiltiVector()
         for record_index in range(ancount + nscount + arcount):
             name, offset = _read_name(message, offset)
             if offset + 10 > len(message):

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from ....core.values import Interval
 from ....runtime.bytes_buffer import Bytes
+from ....runtime.containers import HiltiVector
 from ....runtime.exceptions import (
     HiltiError,
     INJECTED_FAULT,
@@ -32,7 +33,6 @@ from ...binpac.grammars import dns_grammar, http_grammar
 from ...binpac.runtime import unit_field as _field
 from ...binpac.runtime import unit_text as _text
 from ..files import FileInfo
-from ..val import VectorVal
 
 __all__ = ["PacParsers", "HttpPacAnalyzer", "DnsPacAnalyzer"]
 
@@ -245,8 +245,8 @@ class DnsPacAnalyzer:
                 _QTYPE_NAMES.get(qtype, str(qtype)),
             ])
             return
-        answers = VectorVal()
-        ttls = VectorVal()
+        answers = HiltiVector()
+        ttls = HiltiVector()
         rrs = _field(obj, "answers")
         if rrs is not None:
             for rr in rrs:

@@ -1,9 +1,9 @@
 """Built-in functions of the mini-Bro script language.
 
 One implementation shared by both script engines: the interpreter calls
-these directly on Vals; the HILTI compiler exposes them as ``Bro::*``
-natives behind the glue layer (so each call from compiled code pays the
-Val conversion cost the paper measures).
+these directly; the HILTI compiler exposes them as ``Bro::*`` natives,
+most behind the glue layer's accounting (``repro.apps.bro.glue``).  Both
+engines hand them the same values (``repro.apps.bro.val``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import hashlib
 from typing import Callable, Dict
 
 from ...core.values import Addr, Interval, Port, Time
-from .val import BroRuntimeError, RecordVal, SetVal, TableVal, VectorVal
+from ...runtime.containers import HiltiMap, HiltiSet, HiltiVector
+from .val import BroRuntimeError, RecordVal
 
 __all__ = ["make_builtins", "bro_fmt", "render"]
 
@@ -31,10 +32,9 @@ def render(value) -> str:
         return f"{value.seconds:.1f}"
     if isinstance(value, bytes):
         return value.decode("utf-8", "replace")
-    if isinstance(value, (SetVal, VectorVal)):
+    if isinstance(value, (HiltiSet, HiltiVector, HiltiMap)):
+        # A table renders its keys.
         return "{" + ", ".join(render(v) for v in value) + "}"
-    if isinstance(value, TableVal):
-        return "{" + ", ".join(render(k) for k in value) + "}"
     if isinstance(value, RecordVal):
         inner = ", ".join(
             f"${k}={render(v)}" for k, v in value.fields().items()
@@ -81,6 +81,13 @@ def bro_fmt(template: str, *args) -> str:
     return "".join(out)
 
 
+def _set(*members) -> HiltiSet:
+    out = HiltiSet()
+    for member in members:
+        out.insert(member)
+    return out
+
+
 def make_builtins(core) -> Dict[str, Callable]:
     """The builtin table; *core* supplies engine services (time, logs).
 
@@ -113,9 +120,9 @@ def make_builtins(core) -> Dict[str, Callable]:
         "schedule_event": lambda delay, name, args: core.schedule_event(
             delay, _as_text(name), list(args)
         ),
-        "vector": lambda *items: VectorVal(items),
-        "set": lambda *items: SetVal(items),
-        "table": lambda: TableVal(),
+        "vector": lambda *items: HiltiVector(items=items),
+        "set": _set,
+        "table": HiltiMap,
         "__select": lambda cond, a, b: a if cond else b,
         "__tuple": lambda *items: tuple(items),
         "port_to_count": lambda p: p.number if isinstance(p, Port) else int(p),

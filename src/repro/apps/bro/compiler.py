@@ -4,14 +4,16 @@ The paper's fourth exemplar (section 4): a plugin translating all loaded
 scripts into corresponding HILTI logic.  Event handlers become HILTI
 *hooks* ("roughly, functions with multiple bodies that all execute upon
 invocation", Figure 8); script functions become HILTI functions; script
-globals become HILTI (thread-local) globals; and Bro data types map onto
-HILTI equivalents — records to structs, tables to maps, sets to sets,
-vectors to vectors.
+globals become HILTI (thread-local) globals; and Bro data types *are*
+their HILTI equivalents — records structs, tables maps, sets sets,
+vectors vectors (``repro.apps.bro.val``), on both script engines.
 
 When Bro generates an event, the host triggers the corresponding hook
-instead of the interpreter, converting arguments through the glue layer
-(``repro.apps.bro.glue``).  Builtins that interact with the rest of "Bro"
-(fmt, logging, network_time) cross back through the same glue.
+instead of the interpreter, handing the arguments over through the glue
+layer's accounting (``repro.apps.bro.glue``).  Builtins that interact
+with the rest of "Bro" (fmt, print, network_time) cross back through
+the same glue; Bro's container operations are the natives of the same
+functions the interpreter calls.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from ...core.builder import FunctionBuilder, ModuleBuilder
 from ...core.ir import LabelRef, TupleOp, Var
 from ...core.stubs import Stub
 from ...core.toolchain import hiltic
+from . import val
 from .builtins import make_builtins, render
-from .glue import HILTI_BOXED, Glue
+from .glue import Glue
 from .lang import (
     AddStmt,
     Assign,
@@ -58,7 +61,7 @@ from .lang import (
     VectorType,
     WhenStmt,
 )
-from .val import BroRuntimeError, RecordType, RecordVal, SetVal, TableVal, VectorVal
+from .val import BroRuntimeError, RecordType
 
 __all__ = ["ScriptCompiler", "CompiledScripts"]
 
@@ -76,9 +79,23 @@ _NUMERIC_OPS = {
     ">=": "int.ge",
 }
 
-# Builtins whose arguments/results are plain enough to skip Val
-# conversion entirely (pure structural helpers the compiler itself emits).
-_DIRECT_NATIVES = {"__select", "vector", "set", "table"}
+# Builtins registered without the glue's accounting: the structural
+# helpers the compiler itself emits, and the log write (a record goes to
+# the log framework as is).
+_DIRECT_NATIVES = {"__select", "__tuple", "vector", "set", "table",
+                   "Log::write"}
+
+# Bro's container semantics (``repro.apps.bro.val``), which the
+# interpreter calls directly: the compiled engine's natives of the same
+# name.
+_CONTAINER_NATIVES = (val.index, val.index_assign, val.contains,
+                      val.iter_keys, val.delete, val.size)
+
+
+def _direct(fn: Callable) -> Callable:
+    """A native calling a host function that needs no execution
+    context."""
+    return lambda ctx, *args: fn(*args)
 
 
 class _BodyCompiler:
@@ -436,10 +453,7 @@ class ScriptCompiler:
 
     def struct_type(self, name: str) -> ht.StructT:
         """The struct layout of a declared record type (they are one)."""
-        try:
-            return self.record_types[name]
-        except KeyError:
-            raise BroRuntimeError(f"unknown record type {name!r}") from None
+        return val.declared_type(self.record_types, name)
 
     # -- compilation ------------------------------------------------------------
 
@@ -506,119 +520,30 @@ class ScriptCompiler:
     def _natives(self) -> Dict[str, Callable]:
         glue = self.glue
         core = self.core
-        val_builtins = make_builtins(core)
 
-        def wrapped(name: str):
-            impl = val_builtins[name]
-
+        def wrapped(impl: Callable) -> Callable:
             def call(ctx, *args):
                 return glue.to_hilti(impl(*glue.args_from_hilti(args)))
 
             return call
 
-        natives: Dict[str, Callable] = {}
-        for name in val_builtins:
-            natives[f"Bro::{name}"] = wrapped(name)
-
-        # Structural helpers the compiler emits; these act on HILTI values
-        # directly (no Val conversion — they are not Bro-facing).
-        from ...runtime.containers import (
-            HiltiList,
-            HiltiMap,
-            HiltiSet,
-            HiltiVector,
-        )
-        from ...runtime.exceptions import HiltiError, INDEX_ERROR
-
-        def native_size(ctx, value):
-            return len(value)
-
-        def native_contains(ctx, container, element):
-            if isinstance(container, HiltiSet):
-                return container.exists(element)
-            if isinstance(container, HiltiMap):
-                return container.exists(element)
-            if isinstance(container, (HiltiVector, HiltiList)):
-                return any(item == element for item in container)
-            if isinstance(container, str):
-                return str(element) in container
-            raise HiltiError(INDEX_ERROR, f"'in' on {container!r}")
-
-        def native_index(ctx, container, key):
-            if isinstance(container, HiltiMap):
-                return container.get(key)
-            if isinstance(container, HiltiVector):
-                return container.get(int(key))
-            raise HiltiError(INDEX_ERROR, f"indexing {container!r}")
-
-        def native_index_assign(ctx, container, key, value):
-            if isinstance(container, HiltiMap):
-                container.insert(key, value)
-            elif isinstance(container, HiltiVector):
-                container.set(int(key), value)
-            else:
-                raise HiltiError(INDEX_ERROR, f"index-assign {container!r}")
-
-        def native_delete(ctx, container, key):
-            container.remove(key)
-
-        def native_iter_keys(ctx, container):
-            if isinstance(container, (HiltiVector, HiltiList)):
-                return list(range(len(container)))
-            if isinstance(container, (HiltiMap, HiltiSet)):
-                return list(container)
-            raise HiltiError(INDEX_ERROR, f"'for' over {container!r}")
-
-        def native_vector(ctx, *items):
-            out = HiltiVector()
-            for item in items:
-                out.push_back(item)
-            return out
+        natives: Dict[str, Callable] = {
+            f"Bro::{name}": (_direct if name in _DIRECT_NATIVES
+                             else wrapped)(impl)
+            for name, impl in make_builtins(core).items()
+        }
+        for fn in _CONTAINER_NATIVES:
+            natives[f"Bro::{fn.__name__}"] = _direct(fn)
 
         def native_print(ctx, args):
-            vals = glue.args_from_hilti(args)
-            core.print_line(", ".join(render(v) for v in vals))
+            values = glue.args_from_hilti(args)
+            core.print_line(", ".join(render(v) for v in values))
 
         def native_queue_event(ctx, name, args):
             core.queue_event(name, glue.args_from_hilti(args))
 
-        boxed_tuple = natives["Bro::__tuple"]
-
-        def native_tuple(ctx, *items):
-            # A key of plain values ([c$uid, trans_id]) is its own HILTI
-            # value; only boxed members take the glue round trip.
-            for item in items:
-                if type(item) in HILTI_BOXED:
-                    return boxed_tuple(ctx, *items)
-            return items
-
-        snapshot_log_write = natives["Bro::Log::write"]
-
-        def native_log_write(ctx, stream, record):
-            # A typed record is rendered from its slots as it is (the log
-            # framework reads HILTI cells); untyped or anonymous records,
-            # or a non-string stream name, take the Val snapshot.
-            if type(record) is RecordVal and record._extra is None \
-                    and type(stream) is str:
-                core.log_write(stream, record)
-                return None
-            return snapshot_log_write(ctx, stream, record)
-
-        natives.update({
-            "Bro::size": native_size,
-            "Bro::contains": native_contains,
-            "Bro::index": native_index,
-            "Bro::index_assign": native_index_assign,
-            "Bro::delete": native_delete,
-            "Bro::iter_keys": native_iter_keys,
-            "Bro::vector": native_vector,
-            "Bro::print": native_print,
-            "Bro::queue_event": native_queue_event,
-            "Bro::__tuple": native_tuple,
-            "Bro::Log::write": native_log_write,
-        })
-        # fmt and the other builtins need Val conversion (they face Bro):
-        # wrapped above via val_builtins.
+        natives["Bro::print"] = native_print
+        natives["Bro::queue_event"] = native_queue_event
         return natives
 
 

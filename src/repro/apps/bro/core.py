@@ -146,9 +146,10 @@ class BroCore:
         """Dispatch queued events into the active script engine.
 
         The script-engine call is an injection point and a containment
-        boundary: a typed HILTI exception escaping one event handler
-        drops that event (counted, logged as a weird) but never aborts
-        the run — later events still dispatch.
+        boundary: a typed HILTI exception escaping one event handler —
+        a script runtime error (``BroRuntimeError``) on either engine
+        included — drops that event (counted, logged as a weird) but
+        never aborts the run; later events still dispatch.
         """
         dispatched = 0
         engine = self.script_engine

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ...runtime.containers import HiltiMap, HiltiSet, HiltiVector
+from . import val
 from .builtins import make_builtins, render
 from .lang import (
     AddStmt,
@@ -46,7 +48,7 @@ from .lang import (
     VectorType,
     WhenStmt,
 )
-from .val import BroRuntimeError, RecordType, RecordVal, SetVal, TableVal, VectorVal
+from .val import BroRuntimeError, RecordType, RecordVal
 
 __all__ = ["ScriptInterp"]
 
@@ -69,19 +71,14 @@ def default_value(type_expr, record_types: Dict[str, RecordType]):
             "string": "",
         }.get(type_expr.name)
     if isinstance(type_expr, SetType):
-        return SetVal()
+        return HiltiSet()
     if isinstance(type_expr, TableType):
-        return TableVal()
+        return HiltiMap()
     if isinstance(type_expr, VectorType):
-        return VectorVal()
+        return HiltiVector()
     if isinstance(type_expr, RecordRef):
-        record_type = record_types.get(type_expr.name)
-        return RecordVal(record_type)
+        return RecordVal(val.declared_type(record_types, type_expr.name))
     return None
-
-
-def _index_key(indexes: List):
-    return tuple(indexes) if len(indexes) > 1 else indexes[0]
 
 
 class ScriptInterp:
@@ -210,7 +207,7 @@ class ScriptInterp:
             return
         if isinstance(statement, For):
             container = self._eval(statement.container, env)
-            for item in _iterate(container):
+            for item in val.iter_keys(container):
                 env[statement.var] = item
                 self._exec_block(statement.body, env)
             return
@@ -227,20 +224,11 @@ class ScriptInterp:
             )
         if isinstance(statement, AddStmt):
             target = self._eval(statement.target, env)
-            key = _index_key([self._eval(i, env) for i in statement.index])
-            if not isinstance(target, SetVal):
-                raise BroRuntimeError("add on non-set")
-            target.add(key)
+            val.add(target, self._key(statement.index, env))
             return
         if isinstance(statement, DeleteStmt):
             target = self._eval(statement.target, env)
-            key = _index_key([self._eval(i, env) for i in statement.index])
-            if isinstance(target, SetVal):
-                target.remove(key)
-            elif isinstance(target, TableVal):
-                target.remove(key)
-            else:
-                raise BroRuntimeError("delete on non-container")
+            val.delete(target, self._key(statement.index, env))
             return
         if isinstance(statement, EventStmt):
             args = [self._eval(a, env) for a in statement.args]
@@ -275,15 +263,15 @@ class ScriptInterp:
             return
         if isinstance(target, Index):
             container = self._eval(target.obj, env)
-            key = _index_key([self._eval(i, env) for i in target.index])
-            if isinstance(container, TableVal):
-                container.set(key, value)
-            elif isinstance(container, VectorVal):
-                container.set(int(key), value)
-            else:
-                raise BroRuntimeError("index assignment on non-container")
+            val.index_assign(container, self._key(target.index, env), value)
             return
         raise BroRuntimeError(f"cannot assign to {target!r}")
+
+    def _key(self, indexes: List, env: Dict):
+        """A container key: one index, or a tuple of several."""
+        if len(indexes) == 1:
+            return self._eval(indexes[0], env)
+        return tuple([self._eval(i, env) for i in indexes])
 
     # -- expressions --------------------------------------------------------------
 
@@ -309,19 +297,9 @@ class ScriptInterp:
             return isinstance(record, RecordVal) and record.has(expr.field)
         if isinstance(expr, Index):
             container = self._eval(expr.obj, env)
-            key = _index_key([self._eval(i, env) for i in expr.index])
-            if isinstance(container, TableVal):
-                return container.get(key)
-            if isinstance(container, VectorVal):
-                return container.get(int(key))
-            raise BroRuntimeError("indexing non-container")
+            return val.index(container, self._key(expr.index, env))
         if isinstance(expr, SizeOf):
-            value = self._eval(expr.expr, env)
-            try:
-                return len(value)
-            except TypeError:
-                raise BroRuntimeError(f"|...| of non-container {value!r}") \
-                    from None
+            return val.size(self._eval(expr.expr, env))
         if isinstance(expr, BinExpr):
             if expr.op == "&&":
                 return bool(self._eval(expr.left, env)) and bool(
@@ -342,7 +320,7 @@ class ScriptInterp:
         if isinstance(expr, InExpr):
             element = self._eval(expr.element, env)
             container = self._eval(expr.container, env)
-            result = _contains(container, element)
+            result = val.contains(container, element)
             return (not result) if expr.negated else result
         if isinstance(expr, CallExpr):
             args = [self._eval(a, env) for a in expr.args]
@@ -379,23 +357,3 @@ def _binop(op: str, left, right):
         return left >= right
     raise BroRuntimeError(f"unknown operator {op!r}")
 
-
-def _contains(container, element) -> bool:
-    if isinstance(container, SetVal):
-        return container.contains(element)
-    if isinstance(container, TableVal):
-        return container.contains(element)
-    if isinstance(container, VectorVal):
-        return any(item == element for item in container)
-    if isinstance(container, str):
-        return str(element) in container
-    raise BroRuntimeError(f"'in' on non-container {container!r}")
-
-
-def _iterate(container):
-    """Bro semantics: tables/sets yield keys/members, vectors indices."""
-    if isinstance(container, VectorVal):
-        return range(len(container))
-    if isinstance(container, (SetVal, TableVal)):
-        return iter(container)
-    raise BroRuntimeError(f"'for' over non-container {container!r}")

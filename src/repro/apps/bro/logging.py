@@ -12,12 +12,10 @@ from __future__ import annotations
 import io
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ...core import types as ht
 from ...core.values import Addr, Interval, Port, Time
-from ...runtime.bytes_buffer import Bytes
-from ...runtime.containers import HiltiList, HiltiSet, HiltiVector
-from .glue import to_val
-from .val import RecordVal, SetVal, VectorVal
+from ...runtime.containers import HiltiSet, HiltiVector
+from ...runtime.structs import UNSET as UNSET_SLOT
+from .val import RecordVal
 
 __all__ = ["LogStream", "LogManager", "render_value", "normalize_log"]
 
@@ -29,19 +27,34 @@ def _render_seconds(value) -> str:
     return f"{value.seconds:.6f}"
 
 
-# What a log cell almost always is, by exact class: one dict probe in
-# place of the isinstance chain below (which a str walked most of and an
-# int all of).  Subclasses and containers take the chain.
+def _render_bytes(value) -> str:
+    return value.decode("utf-8", "replace") or EMPTY
+
+
+def _render_items(value) -> str:
+    items = [render_value(v) for v in value]
+    return ",".join(items) if items else UNSET
+
+
+# What a log cell is, by exact class: one dict probe in place of the
+# isinstance chain below, which only subclasses reach.  A vector or set
+# renders its items comma-joined; an unset record slot renders as unset.
 _RENDER_EXACT = {
     type(None): lambda value: UNSET,
+    type(UNSET_SLOT): lambda value: UNSET,
     bool: lambda value: "T" if value else "F",
     int: str,
     float: lambda value: f"{value:.6f}",
     str: lambda value: value or EMPTY,
+    bytes: _render_bytes,
     Time: _render_seconds,
     Interval: _render_seconds,
     Addr: str,
     Port: str,
+    HiltiVector: _render_items,
+    HiltiSet: _render_items,
+    tuple: _render_items,
+    list: _render_items,
 }
 
 
@@ -64,60 +77,16 @@ def render_value(value) -> str:
         return value.decode("utf-8", "replace") or EMPTY
     if isinstance(value, str):
         return value if value else EMPTY
-    if isinstance(value, (VectorVal, SetVal)):
-        items = [render_value(v) for v in value]
-        return ",".join(items) if items else UNSET
-    if isinstance(value, (list, tuple)):
-        items = [render_value(v) for v in value]
-        return ",".join(items) if items else UNSET
     return str(value)
-
-
-def _render_bytes(value) -> str:
-    return value.decode("utf-8", "replace") or EMPTY
-
-
-def _render_items(value) -> str:
-    items = [_render_hilti(v) for v in value]
-    return ",".join(items) if items else UNSET
-
-
-# The values a record shared with compiled code holds, by exact class,
-# rendered as their Val snapshots (``glue.to_val``) would render: Bytes as
-# bytes, a HILTI container as the VectorVal/SetVal it snapshots to (its
-# items likewise); Val containers are their own snapshot.
-_RENDER_HILTI = {
-    **_RENDER_EXACT,
-    bytes: _render_bytes,
-    VectorVal: render_value,
-    SetVal: render_value,
-    Bytes: lambda value: _render_bytes(value._data),
-    HiltiVector: _render_items,
-    HiltiList: _render_items,
-    HiltiSet: _render_items,
-}
-
-# A top-level cell may also be an unset slot, which renders as unset.
-_RENDER_CELL = {**_RENDER_HILTI, type(ht.UNSET): lambda value: UNSET}
-
-
-def _render_hilti(value) -> str:
-    """One value as ``render_value(to_val(value))``, without building
-    the snapshot unless its class is not in the table."""
-    render = _RENDER_HILTI.get(value.__class__)
-    if render is not None:
-        return render(value)
-    return render_value(to_val(value))
 
 
 class LogStream:
     """One log stream: name plus ordered columns.
 
-    A typed record renders straight from its slot list through a
-    column -> slot plan built once per record type (cached by the type's
-    identity: struct types hash structurally); an untyped one reads its
-    fields by name.  Both script engines write here, and a record from
-    compiled code arrives as is, HILTI cells included.
+    A record renders straight from its slot list through a column ->
+    slot plan built once per record type (cached by the type's identity:
+    struct types hash structurally).  Both script engines write here,
+    and hand over the record as is.
     """
 
     def __init__(self, name: str, columns: Sequence[str]):
@@ -139,16 +108,13 @@ class LogStream:
         return plan[1]
 
     def write(self, record: RecordVal) -> str:
-        if record._extra is not None:  # untyped: fields by name
-            fields = [render_value(record.get_or(c)) for c in self.columns]
-        else:
-            slots = record._slots
-            fields = []
-            for index in self._plan(record.struct_type):
-                value = ht.UNSET if index is None else slots[index]
-                render = _RENDER_CELL.get(value.__class__)
-                fields.append(render(value) if render is not None
-                              else render_value(to_val(value)))
+        slots = record._slots
+        fields = []
+        for index in self._plan(record.struct_type):
+            value = UNSET_SLOT if index is None else slots[index]
+            render = _RENDER_EXACT.get(value.__class__)
+            fields.append(render(value) if render is not None
+                          else render_value(value))
         line = "\t".join(fields)
         self.lines.append(line)
         self.writes += 1

@@ -248,7 +248,7 @@ class Bro(HostApp):
             self.core.drain_events()
         total_ns = _time.perf_counter_ns() - self._begin_ns
 
-        # Parser-side glue (unit structs -> event Vals inside the pac
+        # Parser-side glue (unit structs -> event values inside the pac
         # analyzer adapters) is timed under parsing; ``self.glue``
         # accounts the script-side glue.
         glue_ns = self.glue.ns_spent if self.glue is not None else 0

@@ -1,31 +1,54 @@
-"""Bro-style script values ("Vals").
+"""Bro script values: one value model for both script engines.
 
 Bro internally represents all script values as instances of classes
 derived from a joint ``Val`` base class, and those instances circulate far
 beyond the interpreter — the logging system, the event engine, the
-analyzers all traffic in them (paper, section 5 "Bro Interface").  We
-reproduce that architecture: the interpreter, event engine, and log
-framework all use these wrappers, and the HILTI-compiled script engine
-must convert at the boundary (``repro.apps.bro.glue``) — the measured
-"HILTI-to-Bro glue" slice of Figures 9 and 10.
+analyzers all traffic in them (paper, section 5 "Bro Interface").  Here
+that representation *is* HILTI's: a record is a HILTI struct of its
+``RecordType`` (:class:`RecordVal`), a table, set or vector is a
+``runtime.containers`` ``HiltiMap``/``HiltiSet``/``HiltiVector``, and a
+scalar (bool/int/str/Addr/Port/Time/Interval/bytes) is a plain Python
+object.  The interpreter, the compiled engine, the event engine, the
+analyzers and the log framework all hold the same objects, so nothing is
+converted where values cross into compiled code (``repro.apps.bro.glue``
+only accounts for the crossing).
 
-Scalars (bool/int/str/Addr/Port/Time/Interval/bytes) stay as plain Python
-objects; the wrappers cover the structured types.
+What Bro adds on top of HILTI's containers is written once, below, as
+plain functions: indexing (a missing key is a script runtime error),
+index assignment (assigning at ``|v|`` appends, past it is an error),
+``in``, the keys ``for`` binds, ``add``, ``delete`` and ``|x|``.  The
+interpreter calls them directly; the compiled engine registers them as
+its ``Bro::*`` natives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ...core import types as ht
+from ...runtime.containers import HiltiMap, HiltiSet, HiltiVector
+from ...runtime.exceptions import EXCEPTION_BASE, HiltiError
 from ...runtime.structs import UNSET, StructInstance
 
-__all__ = ["RecordType", "RecordVal", "TableVal", "SetVal", "VectorVal",
-           "BroRuntimeError"]
+__all__ = ["RecordType", "RecordVal", "BroRuntimeError", "SCRIPT_ERROR",
+           "declared_type", "index", "index_assign", "contains", "iter_keys",
+           "add", "delete", "size"]
+
+# The HILTI exception type of a script runtime error.
+SCRIPT_ERROR = ht.ExceptionT("Bro::RuntimeError", EXCEPTION_BASE)
 
 
-class BroRuntimeError(Exception):
-    """A script-level runtime error."""
+class BroRuntimeError(HiltiError):
+    """A script-level runtime error.
+
+    A HILTI exception (of type ``Bro::RuntimeError``), so whichever engine
+    raises it, the event engine contains it the way it contains any
+    HILTI exception escaping a handler: the event is dropped and logged
+    as a weird, and later events still run.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(SCRIPT_ERROR, message)
 
 
 def _no_such_field(record_type, field: str) -> BroRuntimeError:
@@ -55,52 +78,39 @@ class RecordType(ht.StructT):
             raise _no_such_field(self, name) from None
 
 
-_UNTYPED = RecordType("?", [])
+def declared_type(record_types: Dict[str, RecordType],
+                  name: str) -> RecordType:
+    """The declared record type *name*; an undeclared one is an error
+    on both engines."""
+    try:
+        return record_types[name]
+    except KeyError:
+        raise BroRuntimeError(f"unknown record type {name!r}") from None
 
 
 class RecordVal(StructInstance):
     """A record instance; unset fields read as errors (like Bro).
 
-    A typed record *is* a HILTI struct of its ``RecordType`` — same slot
-    list, same equality and hash — so the glue hands it to compiled code
-    as is, and ``new`` of a ``RecordType`` builds one.  An untyped
-    record (``RecordVal(None, ...)``) has no layout: its fields live in
-    ``_extra`` and it crosses the boundary by copy.
+    A record *is* a HILTI struct of its ``RecordType`` — same slot list,
+    same equality and hash — so it crosses into compiled code as is, and
+    ``new`` of a ``RecordType`` builds one.  Writing a field its type does
+    not declare is an error.
     """
 
-    __slots__ = ("_extra",)
+    __slots__ = ()
 
-    def __init__(self, record_type: Optional[RecordType] = None,
+    def __init__(self, record_type: RecordType,
                  values: Optional[Dict[str, object]] = None,
                  slots: Optional[List] = None):
-        untyped = record_type is None
-        super().__init__(_UNTYPED if untyped else record_type, slots)
-        self._extra = {} if untyped else None
+        super().__init__(record_type, slots)
         for field, value in (values or {}).items():
             self.set(field, value)
-
-    @classmethod
-    def from_struct(cls, struct_type: ht.StructT, slots: List) -> "RecordVal":
-        """The record over a struct's slot list (adopted, not copied);
-        untyped, from the set fields, when the struct's type is not a
-        ``RecordType`` (an untyped record's stand-in, a foreign struct)."""
-        if isinstance(struct_type, RecordType):
-            return cls(struct_type, slots=slots)
-        return cls(None, {
-            field.name: value
-            for field, value in zip(struct_type.fields, slots)
-            if value is not UNSET
-        })
-
-    @property
-    def record_type(self) -> Optional[RecordType]:
-        return None if self._extra is not None else self.struct_type
 
     def get(self, field: str):
         try:
             value = self._slots[self.struct_type.slot_index[field]]
         except KeyError:
-            value = (self._extra or {}).get(field, UNSET)
+            raise _no_such_field(self.struct_type, field) from None
         if value is UNSET:
             raise BroRuntimeError(
                 f"field {field!r} of record {self.struct_type.type_name} "
@@ -109,10 +119,8 @@ class RecordVal(StructInstance):
         return value
 
     def get_or(self, field: str, default=None):
-        try:
-            value = self._slots[self.struct_type.slot_index[field]]
-        except KeyError:
-            value = (self._extra or {}).get(field, UNSET)
+        index = self.struct_type.slot_index.get(field)
+        value = UNSET if index is None else self._slots[index]
         return default if value is UNSET else value
 
     def has(self, field: str) -> bool:
@@ -122,35 +130,15 @@ class RecordVal(StructInstance):
         try:
             self._slots[self.struct_type.slot_index[field]] = value
         except KeyError:
-            if self._extra is None:
-                raise _no_such_field(self.struct_type, field) from None
-            self._extra[field] = value
+            raise _no_such_field(self.struct_type, field) from None
 
     def fields(self) -> Dict[str, object]:
         """The set fields, by name."""
-        if self._extra is not None:
-            return dict(self._extra)
         return {
             field.name: value
             for field, value in zip(self.struct_type.fields, self._slots)
             if value is not UNSET
         }
-
-    # Typed records compare and hash as the structs they are (type and
-    # slots), whichever side of the boundary built them; untyped ones by
-    # their field dict.
-
-    def __eq__(self, other) -> bool:
-        if self._extra is None:
-            return StructInstance.__eq__(self, other)
-        return isinstance(other, RecordVal) and self._extra == other._extra
-
-    def __hash__(self) -> int:
-        if self._extra is None:
-            return StructInstance.__hash__(self)
-        return hash(tuple(sorted(
-            (k, str(v)) for k, v in self._extra.items()
-        )))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"${k}={v!r}" for k, v in self.fields().items())
@@ -160,101 +148,90 @@ class RecordVal(StructInstance):
 RecordType.instance_class = RecordVal
 
 
-class TableVal:
-    """``table[K] of V``."""
+# ---------------------------------------------------------------------------
+# Bro's container semantics over HILTI's containers: a table is a
+# HiltiMap, a set a HiltiSet, a vector a HiltiVector.  Keys of more than
+# one index are tuples.
 
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Optional[dict] = None):
-        self._entries = dict(entries or {})
-
-    def get(self, key):
-        try:
-            return self._entries[key]
-        except KeyError:
-            raise BroRuntimeError(f"no such index: {key!r}") from None
-
-    def set(self, key, value) -> None:
-        self._entries[key] = value
-
-    def contains(self, key) -> bool:
-        return key in self._entries
-
-    def remove(self, key) -> None:
-        self._entries.pop(key, None)
-
-    def keys(self):
-        return list(self._entries.keys())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(list(self._entries.keys()))
-
-    def __repr__(self) -> str:
-        return f"<table of {len(self._entries)}>"
+_MISSING = object()
 
 
-class SetVal:
-    """``set[T]``."""
-
-    __slots__ = ("_members",)
-
-    def __init__(self, members: Optional[Iterable] = None):
-        self._members = dict.fromkeys(members or ())  # insertion-ordered
-
-    def add(self, member) -> None:
-        self._members[member] = None
-
-    def remove(self, member) -> None:
-        self._members.pop(member, None)
-
-    def contains(self, member) -> bool:
-        return member in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return iter(list(self._members.keys()))
-
-    def __repr__(self) -> str:
-        return f"<set of {len(self._members)}>"
+def index(container, key):
+    """``c[key]``: a table's value at *key* or a vector's item."""
+    kind = type(container)
+    if kind is HiltiMap:
+        value = container.get_default(key, _MISSING)
+        if value is _MISSING:
+            raise BroRuntimeError(f"no such index: {key!r}")
+        return value
+    if kind is HiltiVector:
+        position = int(key)
+        if not 0 <= position < len(container):
+            raise BroRuntimeError(f"vector index {position} out of range")
+        return container.get(position)
+    raise BroRuntimeError("indexing non-container")
 
 
-class VectorVal:
-    """``vector of T`` — dense, append-by-index-past-end like Bro."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Optional[Iterable] = None):
-        self._items = list(items or ())
-
-    def get(self, index: int):
-        if not 0 <= index < len(self._items):
-            raise BroRuntimeError(f"vector index {index} out of range")
-        return self._items[index]
-
-    def set(self, index: int, value) -> None:
-        if index == len(self._items):
-            self._items.append(value)
-        elif 0 <= index < len(self._items):
-            self._items[index] = value
+def index_assign(container, key, value) -> None:
+    """``c[key] = value``; a vector grows only by assignment at ``|v|``."""
+    kind = type(container)
+    if kind is HiltiMap:
+        container.insert(key, value)
+        return
+    if kind is HiltiVector:
+        position = int(key)
+        if position == len(container):
+            container.push_back(value)
+        elif 0 <= position < len(container):
+            container.set(position, value)
         else:
-            raise BroRuntimeError(f"vector index {index} out of range")
+            raise BroRuntimeError(f"vector index {position} out of range")
+        return
+    raise BroRuntimeError("index assignment on non-container")
 
-    def append(self, value) -> None:
-        self._items.append(value)
 
-    def items(self) -> List:
-        return list(self._items)
+def contains(container, element) -> bool:
+    """``element in c``: a table key, a set member, a vector item, or a
+    substring."""
+    kind = type(container)
+    if kind is HiltiSet or kind is HiltiMap:
+        return container.exists(element)
+    if kind is HiltiVector:
+        return any(item == element for item in container)
+    if kind is str:
+        return str(element) in container
+    raise BroRuntimeError(f"'in' on non-container {container!r}")
 
-    def __len__(self) -> int:
-        return len(self._items)
 
-    def __iter__(self):
-        return iter(list(self._items))
+def iter_keys(container) -> List:
+    """What ``for`` binds: a table's keys, a set's members, a vector's
+    indices — a snapshot, so the body may change the container."""
+    kind = type(container)
+    if kind is HiltiVector:
+        return list(range(len(container)))
+    if kind is HiltiMap or kind is HiltiSet:
+        return list(container)
+    raise BroRuntimeError(f"'for' over non-container {container!r}")
 
-    def __repr__(self) -> str:
-        return f"<vector of {len(self._items)}>"
+
+def add(container, member) -> None:
+    """``add s[member]``."""
+    if type(container) is not HiltiSet:
+        raise BroRuntimeError("add on non-set")
+    container.insert(member)
+
+
+def delete(container, key) -> None:
+    """``delete c[key]``: drop a table entry or a set member, if there."""
+    kind = type(container)
+    if kind is not HiltiMap and kind is not HiltiSet:
+        raise BroRuntimeError("delete on non-container")
+    container.remove(key)
+
+
+def size(value) -> int:
+    """``|x|``."""
+    try:
+        return len(value)
+    except TypeError:
+        raise BroRuntimeError(f"|...| of non-container {value!r}") from None

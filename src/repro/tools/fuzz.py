@@ -31,8 +31,15 @@ Five lanes, each a different program source:
 * ``filter`` — random BPF expressions over well-formed and mutated
   frames; the classic VM, the interpreted tier, and every compiled
   level must agree on each accept/reject decision.
-* ``script`` — random mini-Bro functions run on the tree-walking
-  script interpreter and the HILTI script compiler at every level.
+* ``script`` — random mini-Bro scripts and the events to raise:
+  integer arithmetic through a helper function, or table, set and
+  vector globals and locals under add/delete, index reads and writes
+  (a missing key, a vector write at and past ``|v|``), ``in``, ``for``
+  and ``|x|``.  Oracle: the events drained through the event engine on
+  the tree-walking interpreter against the HILTI script compiler at
+  every level — equal printed output, weird lines, and outcome (every
+  runtime error contained, and how many, or one escaping).  Corpus
+  cases are ``.bro`` files (events in the header, then the script).
 * ``pac`` — malformed HTTP request or reply streams through the
   BinPAC++-generated parser, whose token runs and token-only units
   compile to one ``regexp.match_seq`` each.  Oracle: that parser — on
@@ -103,6 +110,8 @@ __all__ = [
     "run_module_case",
     "run_pac_corpus_text",
     "run_script_case",
+    "run_script_corpus_text",
+    "script_case_source",
     "unfused_http_grammar",
 ]
 
@@ -852,7 +861,29 @@ def run_filter_case(filter_text: str, frames: Sequence[bytes],
 
 
 # ---------------------------------------------------------------------------
-# Script lane
+# Script lane: mini-Bro scripts, the interpreter against the compiled engine
+#
+# A case is a script and the events to raise.  Half the scripts are
+# integer arithmetic through a helper function; half exercise Bro's
+# containers — table, set and vector globals and locals, add/delete,
+# index reads and writes (a missing key, a vector write at and past
+# |v|), `in`, `for` and |x|.  The oracle drains the events through the
+# event engine on the interpreter and the compiled engine at every level
+# and compares the printed output, the weird lines and the outcome: the
+# event engine contained every error (and how many), or one escaped.
+# Corpus cases are ``.bro`` files: the events in the comment header, the
+# script after it.
+
+_SCRIPT_KEYS = ('k', '"a"', '"b"', '"zz"')
+_SCRIPT_COUNTS = ('n', '0', '1', '2', '3')
+# The containers a script case declares: name -> kind.
+_SCRIPT_GLOBALS = {"t": "table", "s": "set", "v": "vector", "p": "pairs"}
+_SCRIPT_DECLS = {
+    "table": "table[string] of count",
+    "set": "set[count]",
+    "vector": "vector of string",
+    "pairs": "table[string, count] of string",
+}
 
 
 def _gen_script_expr(rng: random.Random, names: Sequence[str],
@@ -866,11 +897,11 @@ def _gen_script_expr(rng: random.Random, names: Sequence[str],
     return f"({left} {rng.choice('+*')} {right})"
 
 
-def gen_script_case(rng: random.Random) -> Tuple[str, List[int]]:
+def _gen_arith_script(rng: random.Random) -> str:
     cond_op = rng.choice(("<", "<=", ">", ">=", "=="))
     ab = ("a", "b")
     abx = ("a", "b", "x")
-    source = f"""
+    return f"""
 function g(n: count): count {{
     return {_gen_script_expr(rng, ("n",))};
 }}
@@ -885,32 +916,153 @@ function f(a: count, b: count): count {{
     return x + a + b;
 }}
 
-event bro_init() {{
+event e0(a: count, b: count) {{
+    print f(a, b);
 }}
 """
-    return source, [rng.randint(0, 50), rng.randint(0, 50)]
 
 
-def run_script_case(source: str, args: Sequence[int],
-                    levels: Sequence[int] = OPT_LEVELS) -> Dict:
+def _gen_container_stmt(rng: random.Random, name: str, kind: str) -> str:
+    key, count = rng.choice(_SCRIPT_KEYS), rng.choice(_SCRIPT_COUNTS)
+    if kind == "table":
+        return rng.choice((
+            f"{name}[{key}] = n;",
+            f"{name}[{key}] += n;",
+            f"print {name}[{key}];",
+            f"delete {name}[{key}];",
+            f"print {key} in {name}, {key} !in {name}, |{name}|;",
+            f"if ( {key} in {name} ) print {name}[{key}];",
+            f"for ( x in {name} ) print x, {name}[x];",
+            f"for ( x in {name} ) delete {name}[x];",
+        ))
+    if kind == "set":
+        return rng.choice((
+            f"add {name}[{count}];",
+            f"delete {name}[{count}];",
+            f"print {count} in {name}, {count} !in {name}, |{name}|;",
+            f"for ( m in {name} ) print m;",
+            f"print {name};",
+        ))
+    if kind == "vector":
+        return rng.choice((
+            f"{name}[|{name}|] = k;",
+            f"{name}[{count}] = k;",
+            f"print {name}[{count}];",
+            f"print k in {name}, |{name}|, {name};",
+            f"for ( i in {name} ) print i, {name}[i];",
+        ))
+    return rng.choice((
+        f"{name}[k, {count}] = k;",
+        f"print {name}[{key}, {count}];",
+        f"delete {name}[k, {count}];",
+        f"print [k, {count}] in {name}, |{name}|;",
+        f"for ( x in {name} ) print x, {name}[x];",
+    ))
+
+
+def _gen_container_script(rng: random.Random) -> str:
+    lines = [f"global {name}: {_SCRIPT_DECLS[kind]};"
+             for name, kind in _SCRIPT_GLOBALS.items()]
+    for index in range(rng.randint(1, 3)):
+        body = []
+        scope = list(_SCRIPT_GLOBALS.items())
+        if rng.random() < 0.5:
+            kind = rng.choice(sorted(_SCRIPT_DECLS))
+            body.append(f"local l: {_SCRIPT_DECLS[kind]};")
+            scope.append(("l", kind))
+        for __ in range(rng.randint(2, 7)):
+            body.append(_gen_container_stmt(rng, *rng.choice(scope)))
+        lines.append(f"\nevent e{index}(k: string, n: count) {{")
+        lines += [f"    {stmt}" for stmt in body]
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def gen_script_case(rng: random.Random) -> Tuple[str, List]:
+    """A script case: ``(source, events)``, each event ``[name, args]``."""
+    if rng.random() < 0.5:
+        source = _gen_arith_script(rng)
+        return source, [["e0", [rng.randint(0, 50), rng.randint(0, 50)]]]
+    source = _gen_container_script(rng)
+    handlers = len(re.findall(r"^event ", source, re.M))
+    events = [[f"e{rng.randrange(handlers)}",
+               [rng.choice("abc"), rng.randint(0, 3)]]
+              for __ in range(rng.randint(2, 8))]
+    return source, events
+
+
+def _script_outcome(source: str, events: Sequence, level=None) -> Tuple:
+    """(outcome, printed output, weird lines) of draining *events* on the
+    interpreter (*level* None) or the compiled engine at *level*."""
     import io
 
-    from ..apps.bro import Bro
+    from ..apps.bro.compiler import ScriptCompiler
+    from ..apps.bro.core import WEIRD_LOG_COLUMNS, BroCore
+    from ..apps.bro.interp import ScriptInterp
+    from ..apps.bro.lang import parse_script
+    from ..runtime.faults import SITE_SCRIPT_CALL
 
-    def call(**kwargs):
-        bro = Bro(scripts=[source], print_stream=io.StringIO(), **kwargs)
-        return bro.call_function("f", list(args))
+    core = BroCore(print_stream=io.StringIO())
+    core.logs.create_stream("weird", WEIRD_LOG_COLUMNS)
+    script = parse_script(source)
+    core.script_engine = (
+        ScriptInterp(script, core, print_stream=core.print_stream)
+        if level is None else
+        ScriptCompiler(script, core, opt_level=level).compile())
+    for name, args in events:
+        core.queue_event(name, list(args))
+    try:
+        core.drain_events()
+        outcome = ("contained", core.health.errors_at(SITE_SCRIPT_CALL))
+    except Exception as error:
+        outcome = ("raise", type(error).__name__, str(error))
+    return outcome, core.print_stream.getvalue(), core.logs.lines("weird")
 
-    expected = call(scripts_engine="interp")
+
+def run_script_case(source: str, events: Sequence,
+                    levels: Sequence[int] = OPT_LEVELS) -> Dict:
+    expected = _script_outcome(source, events)
     divergences = []
     outcomes = {"interp": expected}
     for level in levels:
-        got = call(scripts_engine="hilti", opt_level=level)
+        got = _script_outcome(source, events, level)
         outcomes[f"O{level}"] = got
-        if got != expected:
-            divergences.append(
-                f"script -O{level}: {got!r} != interp {expected!r}")
-    return {"outcomes": outcomes, "divergences": divergences}
+        for what, mine, theirs in zip(("outcome", "output", "weirds"),
+                                      got, expected):
+            if mine != theirs:
+                divergences.append(
+                    f"script -O{level} {what}: {mine!r} != interp {theirs!r}")
+    return {"expected": expected, "outcomes": outcomes,
+            "divergences": divergences}
+
+
+def _script_signature(source: str, result: Dict) -> str:
+    """What a case covers: its kind, its outcome and the classes of the
+    runtime errors the event engine contained."""
+    kind = "containers" if "global " in source else "arith"
+    outcome, __, weirds = result["expected"]
+    errors = sorted({re.sub(r"'[^']*'|\d+", "_", line.split("\t")[3]
+                            .split(": ", 1)[1]) for line in weirds})
+    return ",".join([kind, outcome[0]] + errors)
+
+
+def script_case_source(source: str, events: Sequence, note: str = "") -> str:
+    header = ["# fuzz corpus case — repro.tools.fuzz (script lane)",
+              f"# events: {json.dumps(list(events))}"]
+    if note:
+        header.append(f"# note: {note}")
+    return "\n".join(header) + "\n" + source
+
+
+def run_script_corpus_text(text: str,
+                           levels: Sequence[int] = OPT_LEVELS) -> Dict:
+    """Replay one script corpus file's text (the events in the comment
+    header, the script after it) through the script oracle."""
+    events = json.loads(re.search(r"#\s*events:\s*(\[[^\n]*\])",
+                                  text).group(1))
+    source = "\n".join(line for line in text.splitlines()
+                       if not line.startswith("#"))
+    return run_script_case(source, events, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -1323,6 +1475,8 @@ class Fuzzer:
         self.interesting: List[Tuple[Dict, List[int], str]] = []
         # DNS inputs with a novel (mutations, outcome) signature.
         self.dns_interesting: List[Tuple[bytes, str]] = []
+        # Script cases with a novel (kind, outcome, errors) signature.
+        self.script_interesting: List[Tuple[str, List, str]] = []
         self._pac: Optional[_PacOracle] = None
         self._dns: Optional[_DnsOracle] = None
         self._frames: Optional[List[bytes]] = None
@@ -1366,9 +1520,13 @@ class Fuzzer:
                 "divergences": result["divergences"]}
 
     def _script_case(self) -> Dict:
-        source, args = gen_script_case(self.rng)
-        result = run_script_case(source, args, self.levels)
-        return {"lane": "script", "source": source, "args": args,
+        source, events = gen_script_case(self.rng)
+        result = run_script_case(source, events, self.levels)
+        signature = "script:" + _script_signature(source, result)
+        if signature not in self.signatures:
+            self.signatures.add(signature)
+            self.script_interesting.append((source, events, signature))
+        return {"lane": "script", "source": source, "events": events,
                 "divergences": result["divergences"]}
 
     def _pac_case(self) -> Dict:
@@ -1441,8 +1599,9 @@ class Fuzzer:
     # -- corpus -------------------------------------------------------------
 
     def emit_corpus(self, directory: str, limit: int = 8) -> List[str]:
-        """Write the most interesting minimized module cases as .hlt and
-        the DNS inputs with novel signatures as .dns."""
+        """Write the most interesting minimized module cases as .hlt,
+        and the DNS inputs and script cases with novel signatures as .dns
+        and .bro."""
         import os
 
         os.makedirs(directory, exist_ok=True)
@@ -1461,6 +1620,12 @@ class Fuzzer:
             path = os.path.join(directory, f"dns_{index:03d}.dns")
             with open(path, "w") as stream:
                 stream.write(dns_case_source(payload, note=note))
+            written.append(path)
+        for index, (source, events, note) in enumerate(
+                self.script_interesting[:limit]):
+            path = os.path.join(directory, f"script_{index:03d}.bro")
+            with open(path, "w") as stream:
+                stream.write(script_case_source(source, events, note=note))
             written.append(path)
         return written
 
@@ -1517,13 +1682,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(0 = no limit)")
     parser.add_argument("--emit-corpus", metavar="DIR", default=None,
                         help="write minimized interesting module cases "
-                             "(.hlt) and DNS inputs (.dns) into DIR as "
-                             "replayable files")
+                             "(.hlt), DNS inputs (.dns) and script cases "
+                             "(.bro) into DIR as replayable files")
     parser.add_argument("--corpus-limit", type=int, default=8,
                         help="max corpus files to emit (default 8)")
     parser.add_argument("--replay", metavar="DIR", default=None,
-                        help="replay every .hlt, .dns and .http corpus "
-                             "case in DIR instead of fuzzing")
+                        help="replay every .hlt, .dns, .http and .bro "
+                             "corpus case in DIR instead of fuzzing")
     parser.add_argument("--progress", type=int, default=0, metavar="N",
                         help="print a progress line every N cases")
     args = parser.parse_args(argv)
@@ -1536,7 +1701,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures = 0
         dns_oracle = pac_oracle = None
         paths = []
-        for suffix in ("hlt", "dns", "http"):
+        for suffix in ("hlt", "dns", "http", "bro"):
             paths += sorted(glob.glob(os.path.join(args.replay,
                                                    f"*.{suffix}")))
         for path in paths:
@@ -1548,6 +1713,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif path.endswith(".http"):
                 pac_oracle = pac_oracle or _PacOracle(levels)
                 result = run_pac_corpus_text(text, pac_oracle)
+            elif path.endswith(".bro"):
+                result = run_script_corpus_text(text, levels)
             else:
                 result = run_corpus_text(text, levels)
             status = "ok" if not result["divergences"] else "DIVERGED"

@@ -164,7 +164,7 @@ class TestDns:
             pac.data(True, data)
         std_events = [(n, a[1:]) for n, a in _events(core_std)]
         pac_events = [(n, a[1:]) for n, a in _events(core_pac)]
-        # VectorVal instances compare by identity; render for comparison.
+        # HiltiVector instances compare by identity; list them to compare.
         def norm(events):
             return [
                 (n, [list(x) if hasattr(x, "__iter__")

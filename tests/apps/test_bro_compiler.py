@@ -11,6 +11,7 @@ from repro.apps.bro.interp import ScriptInterp
 from repro.apps.bro.lang import parse_script
 from repro.apps.bro.val import RecordType, RecordVal
 from repro.core.values import Addr
+from repro.runtime.containers import HiltiMap, HiltiSet, HiltiVector
 
 
 def _engines(source):
@@ -217,23 +218,18 @@ event report(c: connection) {
 
     def test_typed_record_is_not_copied(self):
         from repro.apps.bro.glue import Glue
-        from repro.apps.bro.val import VectorVal
         from repro.runtime.containers import HiltiVector
 
         glue, core = Glue(), BroCore()
         conn = self._conn(core)
         assert glue.to_hilti(conn) is conn
         assert glue.from_hilti(conn) is conn
-        # A Bro container inside is lowered in place, once; the record
-        # still crosses as is, and Val consumers get a Val snapshot.
-        conn.set("state", VectorVal([1, 2]))
-        assert glue.to_hilti(conn) is conn
-        lowered = conn.get("state")
-        assert isinstance(lowered, HiltiVector)
-        assert glue.to_hilti(conn) is conn and conn.get("state") is lowered
-        snapshot = glue.from_hilti(conn)
-        assert snapshot is not conn and snapshot.get("id") is conn.get("id")
-        assert list(snapshot.get("state")) == [1, 2]
+        # A container inside crosses with it, as the same object.
+        state = HiltiVector(items=[1, 2])
+        conn.set("state", state)
+        assert glue.to_hilti(conn) is conn and conn.get("state") is state
+        assert glue.from_hilti(conn) is conn and conn.get("state") is state
+        assert glue.to_hilti_calls == glue.from_hilti_calls == 2
 
     def test_records_compare_and_key_alike_whoever_built_them(self):
         # One equality and hash per record type: a host-built record
@@ -277,8 +273,7 @@ event probe() {
         built = RecordVal(row, {"a": 1})
         assert built == StructInstance(row, [1]) == built
         assert hash(built) == hash(StructInstance(row, [1]))
-        assert built != RecordVal(None, {"a": 1}) != built
-        assert RecordVal(None, {"a": 1}) == RecordVal(None, {"a": 1})
+        assert built != RecordVal(row) != built
         src = """
 type Row: record {
     a: count;
@@ -296,13 +291,10 @@ function make(): Row {
             assert type(made) is RecordVal and made.fields() == {"a": 1}
 
     def test_container_fields_alias_like_the_interpreter(self):
-        # The boundary rule for containers: a record that crossed into
-        # compiled code lives in the shared representation.  A Bro
-        # container the host put in it is lowered in place, once, so
-        # script writes through `c$...` persist from event to event on
-        # both engines; a container a script wrote stays a HILTI value,
-        # and host code reads either through `glue.from_hilti`.
-        from repro.apps.bro.val import SetVal
+        # The boundary rule for containers: one representation, crossing
+        # by reference.  A set the host puts in `c$state` is the object
+        # both engines' scripts add to, and a script global the script
+        # stores in `c$proto` is the host's to read, on both engines.
         from repro.runtime.containers import HiltiSet
 
         src = """
@@ -326,19 +318,16 @@ event report(c: connection) {
         (interp, core_i, out_i), (compiled, core_h, out_h) = _engines(src)
         for engine, core in ((interp, core_i), (compiled, core_h)):
             conn = self._conn(core)
-            conn.set("state", SetVal(["seed"]))
+            seeded = HiltiSet()
+            seeded.insert("seed")
+            conn.set("state", seeded)
             engine.dispatch("tag", [conn])
             engine.dispatch("report", [conn])
+            assert conn.get("state") is seeded
+            assert sorted(seeded) == ["a", "b", "seed"]
+            assert type(conn.get("proto")) is HiltiSet
+            assert sorted(conn.get("proto")) == ["t", "u"]
         assert out_i.getvalue() == out_h.getvalue() == "3, T, T, T\n"
-        # Host side, hilti engine: HILTI values in the shared record, a
-        # Val-only snapshot through the glue.
-        assert isinstance(conn.get("state"), HiltiSet)
-        assert isinstance(conn.get("proto"), HiltiSet)
-        snapshot = compiled.glue.from_hilti(conn)
-        assert snapshot is not conn
-        assert sorted(snapshot.get("state")) == ["a", "b", "seed"]
-        assert sorted(snapshot.get("proto")) == ["t", "u"]
-        assert isinstance(snapshot.get("state"), SetVal)
 
     def test_undeclared_field_is_an_error_on_both_engines(self):
         from repro.apps.bro.val import BroRuntimeError
@@ -365,6 +354,24 @@ event fresh() {
                 engine.dispatch("fresh", [])
         with pytest.raises(BroRuntimeError, match="no field 'bogus'"):
             self._conn(core_i).set("bogus", 1)
+
+    @pytest.mark.parametrize("decl", [
+        "global r: Nope;",
+        "event e() {\n    local r: Nope;\n}",
+    ])
+    def test_undeclared_record_type_is_an_error_on_both_engines(self, decl):
+        from repro.apps.bro.val import BroRuntimeError
+
+        messages = []
+        with pytest.raises(BroRuntimeError) as raised:
+            # The interpreter rejects a global's type when it loads it,
+            # a local's when the handler first declares it.
+            ScriptInterp(parse_script(decl), BroCore()).dispatch("e", [])
+        messages.append(str(raised.value))
+        with pytest.raises(BroRuntimeError) as raised:
+            ScriptCompiler(parse_script(decl), BroCore()).compile()
+        messages.append(str(raised.value))
+        assert messages == ["unknown record type 'Nope'"] * 2
 
     def test_no_pending_when_means_no_watchpoint_pass(self):
         src = """
@@ -398,17 +405,17 @@ event noop(c: connection) {
 
     def test_roundtrip_preserves_values(self):
         from repro.apps.bro.glue import Glue
-        from repro.apps.bro.val import RecordVal, SetVal, TableVal, VectorVal
+        from repro.apps.bro.val import index, index_assign
 
         glue = Glue()
-        table = TableVal({("k", 2): VectorVal([1, 2])})
-        back = glue.from_hilti(glue.to_hilti(table))
-        assert isinstance(back, TableVal)
-        assert list(back.get(("k", 2))) == [1, 2]
-
-        s = SetVal([Addr("1.2.3.4")])
-        back = glue.from_hilti(glue.to_hilti(s))
-        assert back.contains(Addr("1.2.3.4"))
+        table, vector = HiltiMap(), HiltiVector(items=[1, 2])
+        index_assign(table, ("k", 2), vector)
+        assert glue.from_hilti(glue.to_hilti(table)) is table
+        assert index(table, ("k", 2)) is vector
+        members = HiltiSet()
+        members.insert(Addr("1.2.3.4"))
+        assert glue.args_from_hilti(glue.args_to_hilti([members, 7])) \
+            == [members, 7]
 
 
 _scalar_vals = st.one_of(
@@ -422,114 +429,169 @@ _scalar_vals = st.one_of(
 _ABC_TYPE = RecordType("Abc", [("a", None), ("b", None), ("c", None)])
 
 
+def _hilti_set(members):
+    out = HiltiSet()
+    for member in members:
+        out.insert(member)
+    return out
+
+
 @st.composite
 def _vals(draw, depth=0):
-    from repro.apps.bro.val import RecordVal, SetVal, TableVal, VectorVal
-
+    """A Bro value: a scalar, or a typed record or container of them."""
     if depth >= 2:
         return draw(_scalar_vals)
     choice = draw(st.integers(0, 4))
     if choice == 0:
         return draw(_scalar_vals)
     if choice == 1:
-        return VectorVal(draw(st.lists(_vals(depth + 1), max_size=4)))
+        return HiltiVector(items=draw(st.lists(_vals(depth + 1),
+                                               max_size=4)))
     if choice == 2:
-        return SetVal(draw(st.lists(_scalar_vals, max_size=4)))
+        return _hilti_set(draw(st.lists(_scalar_vals, max_size=4)))
     if choice == 3:
-        keys = draw(st.lists(_scalar_vals, max_size=4, unique_by=str))
-        from repro.apps.bro.val import TableVal
-
-        table = TableVal()
-        for key in keys:
-            table.set(key, draw(_vals(depth + 1)))
+        table = HiltiMap()
+        for key in draw(st.lists(_scalar_vals, max_size=4, unique_by=str)):
+            table.insert(key, draw(_vals(depth + 1)))
         return table
-    from repro.apps.bro.val import RecordVal
-
     fields = draw(st.dictionaries(
         st.sampled_from(["a", "b", "c"]), _vals(depth + 1), max_size=3,
     ))
-    # Untyped (dict-backed, crosses by copy) or typed (slot-backed;
-    # crosses as is, Bro containers in it lowered in place).
-    return RecordVal(draw(st.sampled_from([None, _ABC_TYPE])), fields)
+    return RecordVal(_ABC_TYPE, fields)
+
+
+def _parts(value):
+    """Every record and container reachable from *value*, by identity."""
+    if isinstance(value, RecordVal):
+        children = list(value.fields().values())
+    elif isinstance(value, HiltiMap):
+        children = [item for __, item in value.items()]
+    elif isinstance(value, (HiltiVector, HiltiSet)):
+        children = list(value)
+    else:
+        return []
+    return [id(value)] + [part for child in children
+                          for part in _parts(child)]
 
 
 class TestGlueRoundtripProperty:
-    @staticmethod
-    def _canonical(value):
-        """Order-insensitive structural fingerprint.
-
-        Anonymous-record field order is not semantically significant
-        (the glue's struct types canonicalize it), so records render
-        with sorted fields; sets sort their members.
-        """
-        from repro.apps.bro.val import RecordVal, SetVal, TableVal, VectorVal
-
-        canonical = TestGlueRoundtripProperty._canonical
-        if isinstance(value, RecordVal):
-            inner = ", ".join(
-                f"${k}={canonical(v)}"
-                for k, v in sorted(value.fields().items())
-            )
-            return f"[{inner}]"
-        if isinstance(value, VectorVal):
-            return "<" + ", ".join(canonical(v) for v in value) + ">"
-        if isinstance(value, SetVal):
-            return "{" + ", ".join(sorted(canonical(v) for v in value)) + "}"
-        if isinstance(value, TableVal):
-            entries = sorted(
-                f"{canonical(k)}:{canonical(value.get(k))}" for k in value
-            )
-            return "map{" + ", ".join(entries) + "}"
-        return repr(value)
-
     @given(_vals())
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_preserves_structure(self, value):
         from repro.apps.bro.glue import Glue
 
+        # One representation: a value crosses both ways as itself, and
+        # so does everything it holds.
         glue = Glue()
-        # Fingerprints first: a typed record is lowered in place.
-        expected = self._canonical(value), self._record_types(value)
-        lowered = glue.to_hilti(value)
-        if isinstance(value, RecordVal) and value.record_type is not None:
-            assert lowered is value
-        back = glue.from_hilti(lowered)
-        assert (self._canonical(back), self._record_types(back)) == expected
-        assert not self._bro_containers(lowered)
+        parts = _parts(value)
+        assert glue.from_hilti(glue.to_hilti(value)) is value
+        assert _parts(value) == parts
 
-    @staticmethod
-    def _record_types(value):
-        """Record-type names in traversal order (typedness survives)."""
-        from repro.apps.bro.val import RecordVal, TableVal
 
-        walk = TestGlueRoundtripProperty._record_types
-        if isinstance(value, RecordVal):
-            name = value.record_type.name if value.record_type else None
-            return [name] + [
-                t for __, v in sorted(value.fields().items())
-                for t in walk(v)]
-        if isinstance(value, TableVal):
-            return [t for k in value for t in walk(value.get(k))]
-        if isinstance(value, (list, tuple)) or hasattr(value, "__iter__") \
-                and not isinstance(value, (str, bytes)):
-            return [t for v in value for t in walk(v)]
-        return []
+def _drained(src, events):
+    """Queue *events* on both engines, drain them through the event
+    engine; per engine: (printed output, weird lines, script.call
+    errors)."""
+    from repro.apps.bro.core import WEIRD_LOG_COLUMNS
+    from repro.runtime.faults import SITE_SCRIPT_CALL
 
-    @staticmethod
-    def _bro_containers(value):
-        """Bro containers still reachable from a lowered HILTI value."""
-        from repro.apps.bro.val import SetVal, TableVal, VectorVal
-        from repro.runtime.containers import HiltiMap
-        from repro.runtime.structs import UNSET, StructInstance
+    outcomes = []
+    for engine, core, out in _engines(src):
+        core.logs.create_stream("weird", WEIRD_LOG_COLUMNS)
+        for name, args in events:
+            core.queue_event(name, list(args))
+        assert core.drain_events() == len(events)
+        outcomes.append((out.getvalue(), core.logs.lines("weird"),
+                         core.health.errors_at(SITE_SCRIPT_CALL)))
+    return outcomes
 
-        walk = TestGlueRoundtripProperty._bro_containers
-        if isinstance(value, (SetVal, TableVal, VectorVal)):
-            return [value]
-        if isinstance(value, StructInstance):
-            return [c for v in value._slots if v is not UNSET
-                    for c in walk(v)]
-        if isinstance(value, HiltiMap):
-            return [c for k, v in value.items() for c in walk(k) + walk(v)]
-        if hasattr(value, "__iter__") and not isinstance(value, (str, bytes)):
-            return [c for v in value for c in walk(v)]
-        return []
+
+class TestContainerSemantics:
+    """Bro's container semantics are written once (``repro.apps.bro.val``)
+    and both engines run them: same results, same runtime errors."""
+
+    def test_vector_grows_only_by_assignment_at_its_size(self):
+        src = """
+global v: vector of count;
+
+event put(i: count, x: count) {
+    v[i] = x;
+}
+
+event report() {
+    print |v|, v;
+}
+"""
+        interp, compiled = _drained(src, [
+            ("put", (3, 7)), ("put", (0, 1)), ("put", (1, 2)),
+            ("put", (0, 5)), ("put", (3, 9)), ("report", ()),
+        ])
+        assert interp == compiled
+        out, weirds, errors = interp
+        assert out == "2, {5, 2}\n"
+        assert errors == 2
+        assert [line.split("\t")[2:] for line in weirds] == [
+            ["analyzer_violation", "put: vector index 3 out of range"],
+        ] * 2
+
+    def test_missing_key_is_contained_on_both_engines(self):
+        src = """
+global t: table[string] of count;
+
+event lookup(k: string) {
+    print "before";
+    print t[k];
+    print "after";
+}
+
+event later() {
+    t["x"] = 1;
+    print "later", |t|;
+}
+"""
+        interp, compiled = _drained(src, [
+            ("lookup", ("x",)), ("later", ()), ("lookup", ("x",)),
+        ])
+        assert interp == compiled
+        out, weirds, errors = interp
+        # The failing event is dropped where it fails; later ones run.
+        assert out == "before\nlater, 1\nbefore\n1\nafter\n"
+        assert errors == 1
+        assert [line.split("\t")[2:] for line in weirds] == [
+            ["analyzer_violation", "lookup: no such index: 'x'"],
+        ]
+
+    def test_membership_iteration_and_delete(self):
+        src = """
+global s: set[string];
+global t: table[count, string] of string;
+global v: vector of string;
+
+event fill() {
+    add s["a"];
+    add s["b"];
+    t[1, "x"] = "one";
+    t[2, "y"] = "two";
+    v[|v|] = "p";
+    v[|v|] = "q";
+    delete s["a"];
+    delete t[1, "x"];
+    delete s["zz"];
+}
+
+event report() {
+    for ( m in s )
+        print "s", m, m in s, "a" in s;
+    for ( k in t )
+        print "t", k, t[k];
+    for ( i in v )
+        print "v", i, v[i], "q" in v;
+    print |s|, |t|, |v|, [2, "y"] in t, "ell" in "hello";
+}
+"""
+        interp, compiled = _drained(src, [("fill", ()), ("report", ())])
+        assert interp == compiled
+        assert interp[1:] == ([], 0)
+        assert interp[0] == (
+            "s, b, T, F\nt, 2, y, two\nv, 0, p, T\nv, 1, q, T\n"
+            "1, 1, 2, T, T\n")

@@ -8,7 +8,7 @@ from repro.apps.bro.builtins import bro_fmt
 from repro.apps.bro.core import BroCore
 from repro.apps.bro.interp import ScriptInterp
 from repro.apps.bro.lang import BroParseError, parse_script
-from repro.apps.bro.val import RecordVal, SetVal, TableVal, VectorVal
+from repro.apps.bro.val import RecordType, RecordVal
 from repro.core.values import Addr, Interval, Port
 
 
@@ -246,6 +246,7 @@ class TestBuiltins:
     def test_log_write_through_core(self):
         core = BroCore()
         core.logs.create_stream("test", ["a", "b"])
-        record = RecordVal(None, {"a": 1, "b": "x"})
+        row = RecordType("row", [("a", None), ("b", None)])
+        record = RecordVal(row, {"a": 1, "b": "x"})
         core.log_write("test", record)
         assert core.logs.lines("test") == ["1\tx"]

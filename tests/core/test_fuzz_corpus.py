@@ -10,7 +10,10 @@ messages from the DNS lane: the one-shot parse at every tier and level
 must agree with an incremental build of the same grammar; and
 ``http_*.http`` files hold HTTP request and reply streams with their
 feed splits: the fused HTTP parser at every tier and level must agree
-with an unfused build.
+with an unfused build; and ``script_*.bro`` files hold mini-Bro scripts
+with the events to raise: the script interpreter and the compiled
+engine at every level must print the same, log the same weirds and
+contain the same runtime errors.
 
 The regression classes pin the actual bugs the fuzzer found so they
 stay fixed even if the corpus is regenerated.
@@ -24,6 +27,7 @@ import pytest
 
 from repro.core import hiltic
 from repro.core.optimize import OPT_LEVELS
+from repro.runtime.containers import HiltiMap, HiltiVector
 from repro.runtime.exceptions import HiltiError
 from repro.tools.fuzz import (
     Fuzzer,
@@ -33,6 +37,7 @@ from repro.tools.fuzz import (
     run_corpus_text,
     run_dns_corpus_text,
     run_pac_corpus_text,
+    run_script_corpus_text,
 )
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
@@ -231,6 +236,67 @@ class TestPacLane:
         finally:
             regexp.sequence_matcher.cache_clear()
         assert any("fed" in line for line in result["divergences"])
+
+
+SCRIPT_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.bro")))
+
+
+def _replay_script(name):
+    with open(os.path.join(CORPUS_DIR, name)) as stream:
+        return run_script_corpus_text(stream.read())["divergences"]
+
+
+class TestScriptLane:
+    """The script lane: events drained on the interpreter and on the
+    compiled engine at -O0/-O1, over arithmetic and container scripts."""
+
+    def test_script_corpus_is_checked_in(self):
+        assert len(SCRIPT_FILES) >= 6
+
+    @pytest.mark.parametrize(
+        "path", SCRIPT_FILES,
+        ids=[os.path.basename(p) for p in SCRIPT_FILES])
+    def test_script_case_agrees(self, path):
+        assert _replay_script(os.path.basename(path)) == []
+
+    def test_fresh_script_cases_do_not_diverge(self):
+        fuzzer = Fuzzer(seed=1, lanes=("script",))
+        summary = fuzzer.run(60)
+        assert summary["cases"] == {"script": 60}
+        assert summary["divergences"] == 0
+
+    def test_lane_sees_a_vector_write_that_pads(self, monkeypatch):
+        # Sabotage the compiled engine only: its vector writes pad with
+        # holes, as HILTI's vector.set does, instead of Bro's rule.
+        from repro.apps.bro import compiler, val
+
+        def padding_assign(container, key, value):
+            if type(container) is HiltiVector:
+                container.set(int(key), value)
+            else:
+                val.index_assign(container, key, value)
+
+        padding_assign.__name__ = "index_assign"
+        monkeypatch.setattr(compiler, "_CONTAINER_NATIVES", tuple(
+            padding_assign if fn is val.index_assign else fn
+            for fn in compiler._CONTAINER_NATIVES))
+        assert any("<uninitialized>" in line
+                   for line in _replay_script("script_006.bro"))
+
+    def test_lane_sees_an_escaping_runtime_error(self, monkeypatch):
+        # Sabotage the interpreter only: a missing key raises an error
+        # the event engine does not contain.
+        from repro.apps.bro import interp, val
+
+        def escaping_index(container, key):
+            if type(container) is HiltiMap and \
+                    not container.exists(key):
+                raise KeyError(key)
+            return val.index(container, key)
+
+        monkeypatch.setattr(interp.val, "index", escaping_index)
+        assert any("interp ('raise', 'KeyError'" in line
+                   for line in _replay_script("script_001.bro"))
 
 
 def _outcome(program, entry, args):
