@@ -35,7 +35,7 @@ class _Direction:
         self.version = None
         self.code = None
         self.reason = None
-        self.content_length = 0
+        self.content_length = None  # None until the first header
         self.content_type = None
         self.body = bytearray()
         self.skip_file_analysis = False
@@ -151,10 +151,13 @@ class HttpStdAnalyzer:
         value_text = value.strip().decode("latin-1")
         lowered = name_text.lower()
         if lowered == "content-length":
-            try:
-                direction.content_length = int(value_text)
-            except ValueError:
-                direction.content_length = 0
+            # The first one wins, as in the BinPAC++ runtime's
+            # ``bp_http_header_value``.
+            if direction.content_length is None:
+                try:
+                    direction.content_length = int(value_text)
+                except ValueError:
+                    direction.content_length = 0
         elif lowered == "content-type":
             direction.content_type = value_text.split(";")[0].strip()
         self.core.queue_event("http_header", [
@@ -167,7 +170,7 @@ class HttpStdAnalyzer:
         direction.skip_file_analysis = (
             not is_orig and direction.code == 206
         )
-        if direction.content_length > 0:
+        if (direction.content_length or 0) > 0:
             direction.state = _BODY
             self._parse_noop()
         else:
@@ -193,7 +196,7 @@ class HttpStdAnalyzer:
         ])
         # Reset for the next message on this persistent connection.
         direction.state = _LINE
-        direction.content_length = 0
+        direction.content_length = None
         direction.content_type = None
         direction.body = bytearray()
         direction.skip_file_analysis = False

@@ -31,9 +31,10 @@ pipeline.  See ``docs/PARALLELISM.md``.
 from __future__ import annotations
 
 import copy as _copy
+import functools as _functools
 import os as _os
 import time as _time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.values import Time
 from ..net.flows import FiveTuple, decode_flow, vthread_of
@@ -46,6 +47,7 @@ __all__ = [
     "LaneSpec",
     "ParallelPipeline",
     "dispatch_plan",
+    "dispatch_stream",
     "flow_key",
     "lane_payload",
     "merge_health",
@@ -186,54 +188,77 @@ class LaneSpec:
         sequential run does once in total.  The default has none."""
 
 
-def dispatch_plan(
+#: One planned packet: ``(vid, nanos, frame, uids)`` — *uids* holds the
+#: ``(key, uid)`` entries first assigned at this packet (almost always
+#: none).
+PlannedPacket = Tuple[int, int, bytes, Tuple[Tuple[Tuple, str], ...]]
+
+
+def dispatch_stream(
     packets: Iterable[Tuple[Time, bytes]], vthreads: int, workers: int,
     spec: Optional[LaneSpec] = None,
-) -> Tuple[List[Tuple[int, int, bytes]], Dict[Tuple, str]]:
-    """One pass over the trace: per-packet vthread placement plus the
-    global uid pre-assignment.
+) -> Iterator[PlannedPacket]:
+    """The dispatch plan as a stream: per-packet vthread placement plus
+    the global uid pre-assignment, one packet at a time.
 
-    Returns ``(jobs, uid_map)`` where *jobs* is ``(vid, nanos, frame)``
-    per packet (frames with no flow ride on vthread 0, where the lane
-    counts them exactly like the sequential pipeline) and *uid_map*
-    assigns each flow key the uid the sequential run's counter would
-    have produced — allocated in first-packet arrival order.  With
-    faults armed, a frame the packet-level draws drop allocates
-    nothing (the sequential app never sees it) and rides on vthread 0,
-    whose lane draws the same verdict and counts it.
+    Frames with no flow ride on vthread 0, where the lane counts them
+    exactly like the sequential pipeline.  Each flow key gets the uid
+    the sequential run's counter would have produced — allocated in
+    first-packet arrival order — and that entry rides with the packet
+    that first needed it.  With faults armed, a frame the packet-level
+    draws drop allocates nothing (the sequential app never sees it) and
+    rides on vthread 0, whose lane draws the same verdict and counts it.
+    The stream holds per-flow state only, never the trace.
     """
     spec = spec if spec is not None else LaneSpec()
     faults = spec.fault_injector()
     armed = faults is not NULL_INJECTOR
-    jobs: List[Tuple[int, int, bytes]] = []
-    uid_map: Dict[Tuple, str] = {}
+    uid_format = spec.uid_format
+    record_uid_format = spec.record_uid_format
     vids: Dict[Tuple, int] = {}
+    assigned = set()
     serial = 0
     record_serial = 0
     for timestamp, frame in packets:
+        nanos = timestamp.nanos
         packet = spec.flow_of(frame)
         if packet is None or (armed and faults.enter_packet(
-                timestamp.nanos, frame) is not None):
-            jobs.append((0, timestamp.nanos, frame))
+                nanos, frame) is not None):
+            yield 0, nanos, frame, ()
             continue
         key = spec.key_of(packet)
         vid = vids.get(key)
+        uids = ()
         if vid is None:
-            vid = spec.place(packet, vthreads, workers)
-            vids[key] = vid
+            vid = vids[key] = spec.place(packet, vthreads, workers)
             serial += 1
-            if spec.uid_format is not None:
-                uid_map[key] = spec.uid_format(serial)
-        if spec.record_uid_format is not None:
+            if uid_format is not None:
+                uids = ((key, uid_format(serial)),)
+                assigned.add(key)
+        if record_uid_format is not None and packet.key not in assigned:
             # Flow-record uids ride the same map under the flow's own
             # canonical 5-tuple key — disjoint from ``key_of`` keys when
             # the app shards by something else (the firewall's host
             # pairs), identical when it shards by 5-tuple.
-            rkey = packet.key
-            if rkey not in uid_map:
-                record_serial += 1
-                uid_map[rkey] = spec.record_uid_format(record_serial)
-        jobs.append((vid, timestamp.nanos, frame))
+            record_serial += 1
+            assigned.add(packet.key)
+            uids += ((packet.key, record_uid_format(record_serial)),)
+        yield vid, nanos, frame, uids
+
+
+def dispatch_plan(
+    packets: Iterable[Tuple[Time, bytes]], vthreads: int, workers: int,
+    spec: Optional[LaneSpec] = None,
+) -> Tuple[List[Tuple[int, int, bytes]], Dict[Tuple, str]]:
+    """:func:`dispatch_stream` collected: ``(jobs, uid_map)`` where
+    *jobs* is ``(vid, nanos, frame)`` per packet and *uid_map* every
+    pre-assigned uid."""
+    jobs: List[Tuple[int, int, bytes]] = []
+    uid_map: Dict[Tuple, str] = {}
+    for vid, nanos, frame, uids in dispatch_stream(packets, vthreads,
+                                                   workers, spec):
+        jobs.append((vid, nanos, frame))
+        uid_map.update(uids)
     return jobs, uid_map
 
 
@@ -330,10 +355,11 @@ class ParallelPipeline:
 
     *start_method* overrides the pool's multiprocessing start method
     (default: ``fork`` where the platform has it, else ``spawn``);
-    *join_timeout* bounds how long a run waits for any worker's result
-    before declaring it lost — a worker killed mid-run is detected, its
-    unretired packets are counted in :attr:`jobs_lost`, and the run
-    raises :class:`~repro.host.pool.PoolError` instead of hanging.
+    *join_timeout* bounds how long a run waits for ring space or for any
+    worker's result before declaring it lost — a worker killed mid-run
+    is detected, its unretired packets are counted in
+    :attr:`jobs_lost`, and the run raises
+    :class:`~repro.host.pool.PoolError` instead of hanging.
     """
 
     def __init__(
@@ -376,45 +402,46 @@ class ParallelPipeline:
     def run(self, packets: Iterable[Tuple[Time, bytes]]) -> Dict:
         """Process a trace across all lanes; returns the merged stats."""
         begin = _time.perf_counter_ns()
-        jobs, uid_map = dispatch_plan(packets, self.vthreads, self.workers,
-                                      spec=self.spec)
-        self._execute(jobs, uid_map, begin)
+        self._drive(packets)
+        self._merge(_time.perf_counter_ns() - begin)
         return self.stats
 
     def run_pcap(self, path: str, tolerant: bool = False) -> Dict:
-        """Drive the lanes from a pcap trace."""
+        """Drive the lanes from a pcap trace, read as the run goes."""
         from ..net.pcap import PcapReader
 
         begin = _time.perf_counter_ns()
         with PcapReader(path, tolerant=tolerant) as reader:
-            jobs, uid_map = dispatch_plan(reader, self.vthreads,
-                                          self.workers, spec=self.spec)
+            self._drive(reader)
             self._pcap_stats = {
                 "records_read": reader.packets_read,
                 "records_skipped": reader.records_skipped,
                 "resyncs": reader.resyncs,
             }
-        self._execute(jobs, uid_map, begin)
+        self._merge(_time.perf_counter_ns() - begin)
         skipped = self._pcap_stats["records_skipped"]
         if skipped:
             self.stats["health"]["records_skipped"] += skipped
         return self.stats
 
-    def _execute(self, jobs, uid_map, begin: int) -> None:
+    def _drive(self, packets: Iterable[Tuple[Time, bytes]]) -> None:
+        stream = dispatch_stream(packets, self.vthreads, self.workers,
+                                 spec=self.spec)
         if self.backend == "pool":
-            self._run_pool(jobs, uid_map)
+            self._run_pool(stream)
         else:
-            self._run_scheduler(jobs, uid_map)
-        self._merge(_time.perf_counter_ns() - begin)
+            self._run_scheduler(stream)
 
-    def _run_scheduler(self, jobs, uid_map) -> None:
+    def _run_scheduler(self, stream: Iterable[PlannedPacket]) -> None:
         """The oracle backend: packet jobs on the vthread scheduler."""
+        uid_map: Dict[Tuple, str] = {}
         program = _LaneProgram(self.spec, uid_map)
         scheduler = Scheduler(program, workers=self.workers)
         # Lane 0 always exists: it owns stray frames and guarantees any
         # per-lane lifecycle work runs at least once on an empty trace.
         scheduler.context_for(0)
-        for vid, nanos, frame in jobs:
+        for vid, nanos, frame, uids in stream:
+            uid_map.update(uids)
             scheduler.schedule(vid, "packet", (nanos, frame))
         scheduler.run_until_idle()
         self.scheduler = scheduler
@@ -426,25 +453,60 @@ class ParallelPipeline:
             results.append(self.spec.lane_result(lane))
         self.lane_results = results
 
-    def _run_pool(self, jobs, uid_map) -> None:
-        """The persistent shared-memory pool backend: batched packet
-        slices (the scheduler's ``vid % workers`` rule) through SPSC
-        rings into workers that outlive the run."""
+    def _run_pool(self, stream: Iterable[PlannedPacket]) -> None:
+        """The persistent shared-memory pool backend, fed as the plan
+        streams: each packet joins its worker's batch (the scheduler's
+        ``vid % workers`` rule) the moment it is placed, its new uids
+        ahead of it, so the parent holds at most one unflushed batch
+        per worker — never the trace.  BEGIN goes out before the first
+        packet is read.  A worker that fails, dies or stalls stops being
+        fed; every packet it never retired counts in :attr:`jobs_lost`.
+        """
         from .pool import PoolError, WorkerPool
 
-        shards: List[List[Tuple[int, bytes]]] = [
-            [] for __ in range(self.workers)
-        ]
-        for vid, nanos, frame in jobs:
-            shards[vid % self.workers].append((nanos, frame))
-        pool = WorkerPool.shared(self.workers,
-                                 start_method=self.start_method)
-        try:
-            self.lane_results = pool.run(self.spec, uid_map, shards,
-                                         timeout=self.join_timeout)
-        except PoolError as error:
-            self.jobs_lost = error.jobs_lost
-            raise
+        workers, timeout = self.workers, self.join_timeout
+        pool = WorkerPool.shared(workers, start_method=self.start_method)
+        pool.begin_run(self.spec)
+        stops = [_functools.partial(pool.down, index)
+                 for index in range(workers)]
+        unfed: Dict[int, int] = {}  # worker gone -> packets it never got
+        for vid, nanos, frame, uids in stream:
+            index = vid % workers
+            if index in unfed:
+                unfed[index] += 1
+            elif not pool.feed(index, nanos, frame, uids=uids,
+                               wait=timeout, should_stop=stops[index]):
+                unfed[index] = 1
+            elif pool.buffered(index) == 1 and pool.down(index):
+                # A batch just went out: its replies drain here, and a
+                # failed or dead worker is fed no more.
+                unfed[index] = 0
+
+        results: List[Dict] = []
+        failures: List[str] = []
+        lost = sum(unfed.values())
+        # Every END goes out before the first collect, so lanes finish
+        # side by side.
+        for index in range(workers):
+            if index not in unfed:
+                pool.finish(index, timeout=timeout,
+                            should_stop=stops[index])
+        for index in range(workers):
+            try:
+                results.append(pool.collect(index, timeout))
+            except PoolError as error:
+                failures.extend(error.failures)
+                lost += error.jobs_lost
+        for index in range(workers):
+            if not pool.alive(index):
+                pool.respawn(index)
+        if failures:
+            self.jobs_lost = lost
+            raise PoolError(
+                "parallel pool workers failed: " + "; ".join(failures)
+                + f" ({lost} packets lost — conservation broken)",
+                failures, jobs_lost=lost)
+        self.lane_results = results
 
     # -- the ordered merge --------------------------------------------------
 

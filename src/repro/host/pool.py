@@ -8,8 +8,10 @@ nor a per-packet pickle, mirroring the DPDK burst-processing idiom:
 * **Workers spawn once and stay hot.**  A :class:`WorkerPool` owns N
   subprocesses that live across runs (and across service restarts);
   each run ships its pickled :class:`~repro.host.parallel.LaneSpec`
-  and uid map to the workers, which build fresh lanes per run but pay
-  interpreter/module startup exactly once.
+  to the workers, which build fresh lanes per run but pay
+  interpreter/module startup exactly once.  Pre-assigned flow uids
+  follow as the run streams, each worker's ahead of the batch that
+  first needs them.
 * **Packets travel as length-prefixed batches through shared-memory
   rings** (:class:`~repro.host.ring.ShmRing`, one SPSC pair per
   worker).  The producer packs ~hundreds of frames into one ring
@@ -46,6 +48,7 @@ from .worker import (
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TELEM,
+    MSG_UIDS,
     encode_packet,
     pack_run_prefix,
     parse_progress,
@@ -85,8 +88,12 @@ class _WorkerState:
         self.outbox = MessageChannel(self.in_ring)   # parent -> worker
         self.proc = None
         self.run_id = 0
+        self.reset_run()
+
+    def reset_run(self) -> None:
         self.batch = bytearray()
         self.batch_count = 0
+        self.uids: List[Tuple] = []
         self.pushed = 0
         self.progressed = 0
         self.ended = False
@@ -94,25 +101,15 @@ class _WorkerState:
         self.failure: Optional[str] = None
         self.telem: Optional[Dict] = None
 
-    def reset_run(self) -> None:
-        self.batch = bytearray()
-        self.batch_count = 0
-        self.pushed = 0
-        self.progressed = 0
-        self.ended = False
-        self.result = None
-        self.failure = None
-        self.telem = None
-
 
 class WorkerPool:
     """N persistent lane workers fed by batched shared-memory rings.
 
-    One pool serves many runs: :meth:`run` is the batch entry the
-    ``pool`` backend of :class:`~repro.host.parallel.ParallelPipeline`
-    uses, and the granular :meth:`begin_worker` / :meth:`feed` /
-    :meth:`finish` / :meth:`collect` surface is what the streaming
-    service's ring-fed lanes drive incrementally.  Use
+    One pool serves many runs through one surface, :meth:`begin_run`
+    (or per worker :meth:`begin_worker`) / :meth:`feed` / :meth:`flush`
+    / :meth:`finish` / :meth:`collect`: the ``pool`` backend of
+    :class:`~repro.host.parallel.ParallelPipeline` drives it as its plan
+    streams, the service's ring-fed lanes as their sources deliver.  Use
     :meth:`WorkerPool.shared` to reuse one pool per ``(workers,
     start_method)`` across runs — that reuse is where the per-run
     spawn cost goes away.
@@ -124,9 +121,6 @@ class WorkerPool:
     #: under the channel chunk bound so every batch is one atomic ring
     #: record (a timed-out push leaves no partial message behind).
     BATCH_BYTES = 128 * 1024
-
-    #: Default deadline for joining results at the end of a run.
-    JOIN_TIMEOUT = 60.0
 
     _shared: Dict[Tuple[int, str], "WorkerPool"] = {}
 
@@ -222,14 +216,14 @@ class WorkerPool:
     # -- the per-run protocol ----------------------------------------------
 
     @staticmethod
-    def spec_blob(spec, uid_map: Optional[Dict] = None) -> bytes:
-        """The pickled ``(spec, uid_map)`` a ``BEGIN`` message carries."""
-        return pickle.dumps((spec, uid_map if uid_map is not None else {}),
-                            protocol=pickle.HIGHEST_PROTOCOL)
+    def spec_blob(spec) -> bytes:
+        """The pickled ``(spec, uid_map)`` a ``BEGIN`` message carries;
+        the map starts empty and fills through :meth:`feed`'s *uids*."""
+        return pickle.dumps((spec, {}), protocol=pickle.HIGHEST_PROTOCOL)
 
-    def begin_run(self, spec, uid_map: Optional[Dict] = None) -> None:
+    def begin_run(self, spec) -> None:
         """Arm every worker for a new run (respawning any dead ones)."""
-        self._spec_blob = self.spec_blob(spec, uid_map)
+        self._spec_blob = self.spec_blob(spec)
         self.runs_served += 1
         for state in self._states:
             if not self.alive(state.index):
@@ -248,30 +242,43 @@ class WorkerPool:
             + (blob if blob is not None else self._spec_blob))
 
     def feed(self, index: int, nanos: int, frame: bytes, *,
-             wait: Optional[float] = None,
+             uids: Tuple = (), wait: Optional[float] = None,
              should_stop: Optional[Callable[[], bool]] = None) -> bool:
-        """Queue one packet for a worker, flushing full batches.
+        """Queue one packet for a worker, flushing full batches; *uids*
+        are ``(key, uid)`` entries the lane's map must hold before the
+        packet runs (they travel in a ``UIDS`` message ahead of its
+        batch).
 
         ``wait=None`` blocks for ring space (re-checking *should_stop*)
         — the service's backpressure policy; a finite ``wait`` bounds
         the stall and returns ``False`` without consuming the packet —
         the shed policy.  A ``False`` return means the packet was NOT
-        accepted."""
+        accepted.  At most one unflushed batch is held per worker."""
         state = self._states[index]
         if (state.batch_count >= self.BATCH_PACKETS
                 or len(state.batch) >= self.BATCH_BYTES):
             if not self.flush(index, wait=wait, should_stop=should_stop):
                 return False
+        if uids:
+            state.uids.extend(uids)
         encode_packet(state.batch, nanos, frame)
         state.batch_count += 1
         return True
 
     def flush(self, index: int, *, wait: Optional[float] = None,
               should_stop: Optional[Callable[[], bool]] = None) -> bool:
-        """Push the worker's buffered batch as one ring record."""
+        """Push the worker's buffered batch as one ring record, its
+        pending uid entries first."""
         state = self._states[index]
         if not state.batch_count:
             return True
+        if state.uids:
+            if not state.outbox.send(
+                    MSG_UIDS, pack_run_prefix(state.run_id) + pickle.dumps(
+                        state.uids, protocol=pickle.HIGHEST_PROTOCOL),
+                    timeout=wait, should_stop=should_stop):
+                return False
+            state.uids = []
         ok = state.outbox.send(
             MSG_DATA, pack_run_prefix(state.run_id) + bytes(state.batch),
             timeout=wait, should_stop=should_stop)
@@ -281,16 +288,17 @@ class WorkerPool:
             state.batch_count = 0
         return ok
 
-    def finish(self, index: int,
-               timeout: Optional[float] = None) -> bool:
+    def finish(self, index: int, timeout: Optional[float] = None,
+               should_stop: Optional[Callable[[], bool]] = None) -> bool:
         """Flush any tail batch and mark the worker's run complete."""
         state = self._states[index]
         if state.ended:
             return True
-        if not self.flush(index, wait=timeout):
+        if not self.flush(index, wait=timeout, should_stop=should_stop):
             return False
         ok = state.outbox.send(
-            MSG_END, pack_run_prefix(state.run_id), timeout=timeout)
+            MSG_END, pack_run_prefix(state.run_id), timeout=timeout,
+            should_stop=should_stop)
         state.ended = ok
         return ok
 
@@ -342,6 +350,14 @@ class WorkerPool:
     def failure(self, index: int) -> Optional[str]:
         return self._states[index].failure
 
+    def down(self, index: int) -> bool:
+        """Drain the worker's messages; ``True`` once its run failed or
+        its process died (a feeder's *should_stop* while it waits for
+        ring space)."""
+        self.poll(index)
+        return (self._states[index].failure is not None
+                or not self.alive(index))
+
     def telemetry(self, index: int) -> Optional[Dict]:
         """The worker's most recent ``TELEM`` snapshot this run (None
         until one arrives or when the lane's telemetry is off)."""
@@ -349,14 +365,17 @@ class WorkerPool:
 
     def collect(self, index: int, timeout: float) -> Dict:
         """Wait for one worker's result; raise :class:`PoolError` with
-        the lost-packet accounting on error, death, or deadline."""
+        the lost-packet accounting (every packet :meth:`feed` accepted
+        that the worker never retired, an unflushed batch included) on
+        error, death, or deadline."""
         state = self._states[index]
         deadline = _time.monotonic() + timeout
         while True:
             self.poll(index)
             if state.result is not None:
                 return state.result
-            lost = max(0, state.pushed - state.progressed)
+            lost = max(0, state.pushed + state.batch_count
+                       - state.progressed)
             if state.failure is not None:
                 raise PoolError(
                     f"worker {index}: {state.failure} "
@@ -380,98 +399,6 @@ class WorkerPool:
                     [f"worker {index}: result deadline exceeded"],
                     jobs_lost=lost)
             _time.sleep(0.001)
-
-    # -- the batch entry (ParallelPipeline's pool backend) -----------------
-
-    def run(self, spec, uid_map: Dict,
-            shards: List[List[Tuple[int, bytes]]],
-            timeout: Optional[float] = None) -> List[Dict]:
-        """Drive one complete run: fan *shards* out as batches, await
-        every worker's result.  Raises :class:`PoolError` aggregating
-        all failures (dead workers are respawned before it raises, so
-        the pool survives for the next run)."""
-        if len(shards) != self.workers:
-            raise ValueError(
-                f"expected {self.workers} shards, got {len(shards)}")
-        timeout = timeout if timeout is not None else self.JOIN_TIMEOUT
-        deadline = _time.monotonic() + timeout
-        self.begin_run(spec, uid_map)
-
-        offsets = [0] * self.workers
-        pending = {i for i in range(self.workers) if shards[i]}
-        while pending:
-            advanced = False
-            for index in sorted(pending):
-                state = self._states[index]
-                self.poll(index)
-                if state.failure is not None or not self.alive(index):
-                    pending.discard(index)
-                    continue
-                fed = self._feed_slice(index, shards[index],
-                                       offsets[index])
-                if fed:
-                    offsets[index] += fed
-                    advanced = True
-                if offsets[index] >= len(shards[index]):
-                    pending.discard(index)
-            if pending and not advanced:
-                if _time.monotonic() >= deadline:
-                    break
-                _time.sleep(0.0005)
-
-        failures: List[str] = []
-        jobs_lost = 0
-        results: List[Optional[Dict]] = [None] * self.workers
-        for index in range(self.workers):
-            state = self._states[index]
-            unfed = len(shards[index]) - offsets[index]
-            try:
-                if state.failure is None and self.alive(index):
-                    self.finish(index, timeout=max(
-                        0.1, deadline - _time.monotonic()))
-                results[index] = self.collect(
-                    index, max(0.1, deadline - _time.monotonic()))
-            except PoolError as error:
-                failures.extend(error.failures)
-                jobs_lost += error.jobs_lost + unfed
-            else:
-                if unfed:
-                    failures.append(
-                        f"worker {index}: ring stalled with {unfed} "
-                        "packets unfed")
-                    jobs_lost += unfed
-        for index in range(self.workers):
-            if not self.alive(index):
-                self.respawn(index)
-        if failures:
-            raise PoolError(
-                "parallel pool workers failed: " + "; ".join(failures)
-                + f" ({jobs_lost} packets lost — conservation broken)",
-                failures, jobs_lost=jobs_lost)
-        return [result for result in results if result is not None]
-
-    def _feed_slice(self, index: int, shard: List[Tuple[int, bytes]],
-                    offset: int) -> int:
-        """Encode and push one batch starting at *offset*; returns the
-        number of packets accepted (0 when the ring is full)."""
-        state = self._states[index]
-        batch = bytearray()
-        count = 0
-        end = len(shard)
-        while offset + count < end and count < self.BATCH_PACKETS \
-                and len(batch) < self.BATCH_BYTES:
-            nanos, frame = shard[offset + count]
-            encode_packet(batch, nanos, frame)
-            count += 1
-        if not count:
-            return 0
-        ok = state.outbox.send(
-            MSG_DATA, pack_run_prefix(state.run_id) + bytes(batch),
-            timeout=0.02)
-        if not ok:
-            return 0
-        state.pushed += count
-        return count
 
 
 def shutdown_shared_pools() -> None:

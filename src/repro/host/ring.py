@@ -18,10 +18,13 @@ Layout (``capacity`` is a power of two)::
 consumer; both are monotonically increasing byte cursors (masked by
 ``capacity - 1`` on access), so free space is ``capacity - (tail -
 head)`` with no ambiguity between full and empty.  The cursors are
-aligned 8-byte words updated with a single ``memcpy`` — atomic on every
-platform CPython runs on — and each is published *after* the record
-bytes it covers, which is the entire correctness argument of an SPSC
-ring.
+aligned 8-byte words read and written as items of a native ``"Q"``
+memoryview — one 8-byte copy each, atomic on every platform CPython
+runs on — and each is published *after* the record bytes it covers,
+which is the entire correctness argument of an SPSC ring.  (Not
+``struct.pack_into``: it zeroes the field before writing it, and a
+consumer that reads that transient ``tail == 0`` against a non-zero
+``head`` pops a record that was never written.)
 
 On top of the raw ring, :class:`MessageChannel` frames logical messages
 (a tag byte plus an arbitrarily large payload) as one or more chunked
@@ -38,8 +41,7 @@ from typing import Callable, Optional, Tuple
 
 __all__ = ["MessageChannel", "RingFull", "ShmRing"]
 
-_CURSORS = struct.Struct("<QQQ")   # head, tail, capacity
-_HEADER = _CURSORS.size
+_HEADER = 24                       # head, tail, capacity: native u64s
 _LEN = struct.Struct("<I")         # per-record length prefix
 
 #: Polling interval while waiting on a full/empty ring.  The pool's
@@ -90,8 +92,8 @@ class ShmRing:
         if _shm is not None:
             self._shm = _shm
             self._owner = _owner
-            __, __, capacity = _CURSORS.unpack_from(self._shm.buf, 0)
-            self.capacity = int(capacity)
+            self._cursors = _shm.buf[:_HEADER].cast("Q")
+            self.capacity = self._cursors[2]
         else:
             if capacity <= 0 or capacity & (capacity - 1):
                 raise ValueError(
@@ -100,7 +102,8 @@ class ShmRing:
                 create=True, size=_HEADER + capacity)
             self._owner = True
             self.capacity = capacity
-            _CURSORS.pack_into(self._shm.buf, 0, 0, 0, capacity)
+            self._cursors = self._shm.buf[:_HEADER].cast("Q")
+            self._cursors[2] = capacity
         self._mask = self.capacity - 1
         self._closed = False
 
@@ -120,6 +123,7 @@ class ShmRing:
         if self._closed:
             return
         self._closed = True
+        self._cursors.release()  # an exported view blocks the unmap
         try:
             self._shm.close()
         except Exception:
@@ -133,22 +137,21 @@ class ShmRing:
     def reset(self) -> None:
         """Zero both cursors.  Only safe when the peer process is gone
         (the pool calls this while respawning a dead worker)."""
-        head, tail, capacity = _CURSORS.unpack_from(self._shm.buf, 0)
-        _CURSORS.pack_into(self._shm.buf, 0, 0, 0, capacity)
+        self._cursors[0] = self._cursors[1] = 0
 
     # -- cursors -----------------------------------------------------------
 
     def _head(self) -> int:
-        return struct.unpack_from("<Q", self._shm.buf, 0)[0]
+        return self._cursors[0]
 
     def _tail(self) -> int:
-        return struct.unpack_from("<Q", self._shm.buf, 8)[0]
+        return self._cursors[1]
 
     def _set_head(self, value: int) -> None:
-        struct.pack_into("<Q", self._shm.buf, 0, value)
+        self._cursors[0] = value
 
     def _set_tail(self, value: int) -> None:
-        struct.pack_into("<Q", self._shm.buf, 8, value)
+        self._cursors[1] = value
 
     def used_bytes(self) -> int:
         return self._tail() - self._head()

@@ -21,10 +21,18 @@ The pool protocol is tagged messages (:class:`~repro.host.ring.
 MessageChannel`) with a per-run epoch so late batches of a failed run
 are discarded instead of corrupting the next one::
 
-    parent -> worker:  BEGIN(run, spec+uid_map)  DATA(run, batch)*
+    parent -> worker:  BEGIN(run, spec+{})
+                       (UIDS(run, entries)? DATA(run, batch))*
                        END(run)            ...next run...   SHUTDOWN
     worker -> parent:  PROGRESS(run, count)*  TELEM(run, snapshot)*
                        then RESULT(run, result) or ERROR(run, diagnostic)
+
+``BEGIN`` carries the spec and an empty uid map, so a lane builds
+before the parent has read a packet.  ``UIDS`` carries the
+``(flow key, uid)`` entries the parent's plan assigned first for
+packets of the ``DATA`` batch right behind it; the worker merges them
+into the map its lane holds by reference, so every uid lands before the
+packet that needs it.
 
 ``TELEM`` is the cross-process observability plane: a worker whose lane
 has telemetry armed ships periodic pickled snapshots of its own
@@ -58,6 +66,7 @@ __all__ = [
     "MSG_RESULT",
     "MSG_SHUTDOWN",
     "MSG_TELEM",
+    "MSG_UIDS",
     "TELEM_INTERVAL",
     "decode_batch",
     "encode_packet",
@@ -74,6 +83,7 @@ MSG_ERROR = 5
 MSG_PROGRESS = 6
 MSG_SHUTDOWN = 7
 MSG_TELEM = 8
+MSG_UIDS = 9
 
 #: Minimum seconds between periodic TELEM snapshots from one worker.
 TELEM_INTERVAL = 0.25
@@ -153,6 +163,7 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
 
     lane = None
     spec = None
+    uid_map = None
     admit = None
     run_id = -1
     processed = 0
@@ -212,7 +223,9 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
                 # A stale message from a run that already failed (or
                 # that a respawned sibling never saw): drop it.
                 continue
-            if tag == MSG_DATA:
+            if tag == MSG_UIDS:
+                uid_map.update(pickle.loads(body))
+            elif tag == MSG_DATA:
                 try:
                     for nanos, frame in decode_batch(body):
                         if admit is None or admit(nanos, frame):

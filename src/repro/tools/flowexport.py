@@ -1,19 +1,15 @@
-"""Flow export: pcap -> flow records -> feature vectors.
+"""Flow export: pcap -> flow records.
 
 The ledger as a standalone tool — no host application, no parsers,
 just the shared :class:`~repro.host.flowtable.FlowTable` accounting
 every TCP/UDP frame of a trace and sealing one
 ``repro-flowrecords/1`` record per flow::
 
-    python -m repro.tools.flowexport -r trace.pcap --logdir logs
-    python -m repro.tools.flowexport -r trace.pcap --window 60
+    python -m repro.tools.flowexport -r trace.pcap --logdir logs --validate
 
-Writes ``records.jsonl`` (the schema-valid sorted record stream),
-``features.csv`` (one 19-feature vector per flow, see
-``repro.net.features``), and — when ``--window`` is given —
-``windows.csv`` (per-time-window mean vectors).  The outputs are pure
-functions of trace content: re-running, or exporting from any pipeline
-backend, fingerprints identically (docs/FLOWS.md).
+Writes ``records.jsonl``, the schema-valid sorted record stream.  It is
+a pure function of trace content: re-running, or exporting from any
+pipeline backend, fingerprints identically (docs/FLOWS.md).
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import sys
 from typing import List, Optional
 
 from ..host.flowtable import FlowTable
-from ..net.features import write_features_csv, write_windows_csv
 from ..net.flowrecord import (
     format_record_uid,
     validate_flowrecord_lines,
@@ -53,8 +48,7 @@ def export_flows(trace_path: str, tolerant: bool = False) -> FlowTable:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowexport",
-        description="export per-flow records and feature vectors "
-                    "from a pcap trace",
+        description="export per-flow records from a pcap trace",
     )
     parser.add_argument("-r", "--read", required=True, metavar="TRACE",
                         help="pcap file to read")
@@ -64,10 +58,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerant-pcap", action="store_true",
                         help="skip truncated/corrupt trace records "
                              "instead of aborting")
-    parser.add_argument("--window", type=float, default=None,
-                        metavar="SECONDS",
-                        help="additionally aggregate per-window mean "
-                             "feature vectors into windows.csv")
     parser.add_argument("--validate", action="store_true",
                         help="re-read and schema-check the written "
                              "record stream (exit 1 on violations)")
@@ -76,30 +66,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.window is not None and args.window <= 0:
-        raise SystemExit("flowexport: --window must be > 0")
-
     table = export_flows(args.read, tolerant=args.tolerant_pcap)
-    records = table.records()
+    lines = table.record_lines()
     _os.makedirs(args.logdir, exist_ok=True)
 
     records_path = write_flowrecords_jsonl(
-        _os.path.join(args.logdir, "records.jsonl"),
-        "flowexport", table.record_lines())
-    # Feature rows ride in record order (arrival order of the flows);
-    # the jsonl stream stays sorted per the schema.
-    features_path = write_features_csv(
-        _os.path.join(args.logdir, "features.csv"), records)
+        _os.path.join(args.logdir, "records.jsonl"), "flowexport", lines)
 
-    print(f"exported {len(records)} flows "
+    print(f"exported {len(lines)} flows "
           f"({table.serial} first-sighted)")
     print(f"  wrote {records_path}")
-    print(f"  wrote {features_path}")
-    if args.window is not None:
-        windows_path = write_windows_csv(
-            _os.path.join(args.logdir, "windows.csv"),
-            records, args.window)
-        print(f"  wrote {windows_path}")
 
     if args.validate:
         with open(records_path) as stream:

@@ -115,6 +115,24 @@ class TestHttpPacMatchesStd:
         assert std_done[2] == ""      # std: no mime
         assert pac_done[2] != ""      # pac extracts more information
 
+    def test_duplicate_content_length_first_wins(self, pac_parsers):
+        """Both analyzers size the body by the first Content-Length: 5
+        bytes of ``hello``, then a clean ``GET /b``."""
+        stream = [(True, b"POST /a HTTP/1.1\r\nContent-Length: 5\r\n"
+                         b"Content-Length: 3\r\n\r\nhello"
+                         b"GET /b HTTP/1.1\r\n\r\n")]
+        keep = ("http_request", "http_message_done")
+        std = [event for event in self._run(
+            HttpStdAnalyzer, BroCore(), *stream) if event[0] in keep]
+        pac = [event for event in self._run(
+            HttpPacAnalyzer, BroCore(), *stream, pac=pac_parsers)
+            if event[0] in keep]
+        assert std == pac
+        assert [args[0] for name, args in std
+                if name == "http_request"] == ["POST", "GET"]
+        assert [args[1] for name, args in std
+                if name == "http_message_done"] == [5, 0]
+
 
 def _dns_query():
     import struct

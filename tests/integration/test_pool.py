@@ -11,6 +11,11 @@ Ring coverage (the satellite checklist): wraparound, full-ring
 backpressure, oversized-record rejection, concurrent
 producer/consumer stress, and pool reuse across two consecutive runs
 with differing traces.
+
+Streaming: the batch run feeds the pool as its plan streams, so the
+parent holds at most one unflushed batch per worker however long the
+trace is, and pre-assigned uids reach each worker ahead of the batch
+that first needs them, at any batch size.
 """
 
 import multiprocessing
@@ -20,10 +25,14 @@ import time
 
 import pytest
 
-from repro.apps.bpf.app import BpfLaneSpec
+from repro.apps.bpf.app import BpfApp, BpfLaneSpec
+from repro.apps.bro import Bro
+from repro.apps.bro.parallel import BroLaneSpec
 from repro.host.parallel import ParallelPipeline
+from repro.host.pipeline import Pipeline
 from repro.host.pool import PoolError, WorkerPool, shutdown_shared_pools
 from repro.host.ring import MessageChannel, ShmRing
+from repro.host.worker import encode_packet
 from repro.net.tracegen import (
     DnsTraceConfig,
     HttpTraceConfig,
@@ -50,6 +59,15 @@ def _trace(sessions=12, queries=30, seed=5):
                                 DnsTraceConfig(queries=queries, seed=seed))
 
 
+def _produce_counted(name: str, count: int) -> None:
+    """Forked producer: *count* small tagged messages, numbered."""
+    ring = ShmRing.attach(name)
+    channel = MessageChannel(ring)
+    for i in range(count):
+        channel.send(6, i.to_bytes(8, "little"), timeout=10.0)
+    ring.close()
+
+
 def _record(i: int) -> bytes:
     # Deterministic pseudo-content with varying record sizes so pushes
     # land on every possible wraparound phase.
@@ -62,6 +80,25 @@ class KillerSpec(BpfLaneSpec):
 
     def make_lane(self, uid_map):
         os.kill(os.getpid(), 9)
+
+
+class MidRunKillerSpec(BpfLaneSpec):
+    """A lane spec whose worker dies on its lane's 300th packet, after
+    retiring one full 256-packet batch."""
+
+    def make_lane(self, uid_map):
+        lane = super().make_lane(uid_map)
+        on_packet = lane.on_packet
+        seen = [0]
+
+        def dying(timestamp, frame):
+            seen[0] += 1
+            if seen[0] == 300:
+                os.kill(os.getpid(), 9)
+            on_packet(timestamp, frame)
+
+        lane.on_packet = dying
+        return lane
 
 
 class BrokenSpec(BpfLaneSpec):
@@ -180,6 +217,34 @@ class TestShmRing:
             ring.close()
 
 
+    @pytest.mark.skipif(not HAVE_FORK,
+                        reason="fork start method unavailable")
+    def test_cross_process_polling_sees_only_whole_records(self):
+        """A forked producer streams small messages while this process
+        polls without waiting, as a pool feeder drains a worker's
+        PROGRESS messages on every retry.  Each cursor store must be
+        one atomic write: ``struct.pack_into`` zeroes the field first,
+        so a poll could read ``tail == 0 != head`` and pop a record
+        that was never written (caught by a run like this one some of
+        the time, never deterministically)."""
+        ring = ShmRing(1 << 20)
+        count = 200000
+        proc = multiprocessing.get_context("fork").Process(
+            target=_produce_counted, args=(ring.name, count))
+        proc.start()
+        channel = MessageChannel(ring)
+        try:
+            for i in range(count):
+                message = None
+                while message is None:
+                    message = channel.recv(timeout=0.0)
+                assert message == (6, i.to_bytes(8, "little"))
+        finally:
+            proc.kill()
+            proc.join()
+            ring.close()
+
+
 class TestMessageChannel:
     def test_message_larger_than_ring_streams_through(self):
         ring = ShmRing(1 << 12)
@@ -223,6 +288,21 @@ def _reference_lines(spec, trace, workers):
     return pipe.result_lines()
 
 
+def _pool_run(pool, spec, shards, timeout=60.0):
+    """One complete run on the pool's granular surface: arm every
+    worker, feed each shard to its worker, then finish and collect
+    them in order (``collect`` raises :class:`PoolError`)."""
+    pool.begin_run(spec)
+    for index, shard in enumerate(shards):
+        for nanos, frame in shard:
+            assert pool.feed(index, nanos, frame, wait=timeout)
+    results = []
+    for index in range(len(shards)):
+        pool.finish(index, timeout=timeout)
+        results.append(pool.collect(index, timeout))
+    return results
+
+
 @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 class TestWorkerPool:
     def test_identity_and_reuse_across_differing_traces(self):
@@ -238,7 +318,7 @@ class TestWorkerPool:
                 jobs = [(timestamp.nanos, frame)
                         for timestamp, frame in trace]
                 shards = [jobs[0::2], jobs[1::2]]
-                results = pool.run(spec, {}, shards)
+                results = _pool_run(pool, spec, shards)
                 lines = sorted(
                     line for result in results for line in result["lines"])
                 # Oracle: one sequential lane per shard.
@@ -281,10 +361,10 @@ class TestWorkerPool:
         pool = WorkerPool(1, start_method="fork")
         try:
             with pytest.raises(PoolError, match="exploded"):
-                pool.run(BrokenSpec(dict(BPF_CONFIG)), {}, [jobs])
+                _pool_run(pool, BrokenSpec(dict(BPF_CONFIG)), [jobs])
             pids = pool.pids()
             spec = BpfLaneSpec(dict(BPF_CONFIG))
-            results = pool.run(spec, {}, [jobs])
+            results = _pool_run(pool, spec, [jobs])
             assert pool.pids() == pids  # alive worker was NOT respawned
             assert sorted(results[0]["lines"]) == \
                 sorted(self._drive_lines(spec, jobs))
@@ -300,15 +380,95 @@ class TestWorkerPool:
         pool = WorkerPool(1, start_method="fork")
         try:
             with pytest.raises(PoolError) as excinfo:
-                pool.run(KillerSpec(dict(BPF_CONFIG)), {}, [jobs],
-                         timeout=20.0)
+                _pool_run(pool, KillerSpec(dict(BPF_CONFIG)), [jobs],
+                          timeout=20.0)
             assert "died" in str(excinfo.value)
+            assert excinfo.value.jobs_lost == len(jobs)
             spec = BpfLaneSpec(dict(BPF_CONFIG))
-            results = pool.run(spec, {}, [jobs])
+            results = _pool_run(pool, spec, [jobs])
             assert sorted(results[0]["lines"]) == \
                 sorted(self._drive_lines(spec, jobs))
         finally:
             pool.close()
+
+
+# --------------------------------------------------------------------------
+# The streamed batch run
+# --------------------------------------------------------------------------
+
+
+_LANE = {"watchdog_budget": None, "metrics": False, "trace": False,
+         "opt_level": None}
+
+#: app -> (sequential app, lane spec); bro pre-assigns connection uids,
+#: bpf flow-record uids.
+STREAM_APPS = {
+    "bro": (lambda: Bro(parsers="std"),
+            BroLaneSpec(dict(_LANE, scripts=None, parsers="std",
+                             scripts_engine="interp", log_enabled=True))),
+    "bpf": (lambda: BpfApp("tcp"), BpfLaneSpec(dict(BPF_CONFIG))),
+}
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
+class TestStreamedRun:
+    def test_parent_buffers_at_most_one_batch_per_worker(self,
+                                                         monkeypatch):
+        """A trace 16x the rings' total capacity cannot sit in the rings,
+        so it completes only if the parent streams it; meanwhile each
+        worker's unflushed batch never exceeds ``BATCH_BYTES`` plus the
+        largest frame (with its record header) — a bound with no trace
+        length in it."""
+        ring_bytes = 1 << 14
+        monkeypatch.setattr(WorkerPool, "BATCH_BYTES", 2048)
+        shutdown_shared_pools()
+        pool = WorkerPool.shared(2, start_method="fork",
+                                 ring_bytes=ring_bytes)
+        trace = _trace(sessions=200, queries=50, seed=17)
+        assert sum(len(frame) for __, frame in trace) >= (
+            16 * pool.workers * 2 * ring_bytes)
+        peaks = [0] * pool.workers
+        feed = pool.feed
+
+        def watched_feed(index, nanos, frame, **options):
+            accepted = feed(index, nanos, frame, **options)
+            peaks[index] = max(peaks[index],
+                               len(pool._states[index].batch))
+            return accepted
+
+        monkeypatch.setattr(pool, "feed", watched_feed)
+        spec = BpfLaneSpec(dict(BPF_CONFIG))
+        try:
+            pipe = ParallelPipeline(spec, workers=2, start_method="fork")
+            pipe.run(iter(trace))
+            assert sum(pool.pushed(index)
+                       for index in range(pool.workers)) == len(trace)
+        finally:
+            shutdown_shared_pools()
+        assert pipe.result_lines() == _reference_lines(spec, trace, 2)
+        header = bytearray()
+        encode_packet(header, 0, b"")
+        largest = max(len(frame) for __, frame in trace)
+        assert all(0 < peak <= WorkerPool.BATCH_BYTES + len(header)
+                   + largest for peak in peaks)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("name", sorted(STREAM_APPS))
+    def test_uid_entries_at_batch_boundaries(self, monkeypatch, name,
+                                             batch):
+        """Tiny batches put first sightings on every batch boundary:
+        each uid entry must still reach its worker ahead of the packet
+        that needs it, so pool output stays byte-identical to the
+        sequential run's."""
+        monkeypatch.setattr(WorkerPool, "BATCH_PACKETS", batch)
+        make, spec = STREAM_APPS[name]
+        trace = _trace(sessions=6, queries=20, seed=7)
+        app = make()
+        Pipeline(app).run(trace)
+        pipe = ParallelPipeline(spec, workers=2, start_method="fork")
+        pipe.run(trace)
+        assert pipe.result_lines() == sorted(app.result_lines())
+        assert pipe.flow_record_lines() == app.flow_record_lines()
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +571,19 @@ class TestPoolBackendDeath:
         with pytest.raises(PoolError):
             pipe.run(trace)
         assert pipe.jobs_lost == len(trace)
+
+    def test_worker_killed_mid_run_loses_exactly_the_unretired(self):
+        """Death mid-stream: the one retired batch is not lost, every
+        other packet — in the ring, in the parent's unflushed batch, or
+        never fed because the worker was gone — is."""
+        trace = _trace(sessions=40, queries=60)
+        assert len(trace) > 300
+        pipe = ParallelPipeline(MidRunKillerSpec(dict(BPF_CONFIG)),
+                                workers=1, backend="pool",
+                                join_timeout=15.0)
+        with pytest.raises(PoolError, match="died"):
+            pipe.run(trace)
+        assert pipe.jobs_lost == len(trace) - WorkerPool.BATCH_PACKETS
 
 
 # --------------------------------------------------------------------------
