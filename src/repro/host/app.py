@@ -356,5 +356,5 @@ class HostApp:
         if self.telemetry.tracer.enabled:
             written.append(write_flows_jsonl(
                 _os.path.join(logdir, "flows.jsonl"),
-                self.telemetry.tracer))
+                self.telemetry.tracer.lines()))
         return written

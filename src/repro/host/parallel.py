@@ -76,7 +76,7 @@ def flow_key(flow) -> Tuple:
 def lane_payload(app) -> Dict:
     """The app-independent part of a lane result, as plain (picklable)
     data: the flow ledger, the stats report, and — when telemetry is
-    armed — the registry, profiler dumps and span trees."""
+    armed — the registry, profiler dumps and span-tree lines."""
     telemetry = app.telemetry
     tracer = telemetry.tracer
     return {
@@ -86,8 +86,7 @@ def lane_payload(app) -> Dict:
         "metrics": (telemetry.metrics.collect()
                     if telemetry.enabled else None),
         "prof": prof_snapshots(app) if telemetry.enabled else None,
-        "trace_roots": ([root.to_dict() for root in tracer.roots]
-                        if tracer.enabled else None),
+        "trace_lines": tracer.lines() if tracer.enabled else None,
     }
 
 
@@ -394,7 +393,7 @@ class ParallelPipeline:
         self.lane_results: List[Dict] = []
         self._lines: List[str] = []
         self._flow_records: List[str] = []
-        self._trace_roots: List[Dict] = []
+        self._trace_lines: List[str] = []
         self._pcap_stats: Dict[str, int] = {}
 
     # -- running ------------------------------------------------------------
@@ -573,8 +572,9 @@ class ParallelPipeline:
             metrics = self.telemetry.metrics
             self._merge_metrics(results)
         spec.dedup_lanes(self.stats, metrics, lanes)
-        self._trace_roots = [root for result in results
-                             for root in result.get("trace_roots") or ()]
+        self._trace_lines = sorted(
+            line for result in results
+            for line in result.get("trace_lines") or ())
 
     def _merge_metrics(self, results: List[Dict]) -> None:
         """Reduce per-lane registries, then repair the series whose
@@ -633,10 +633,8 @@ class ParallelPipeline:
         is sectioned per worker (``# worker N context L``) rather than
         merged — per-function timings from different lanes are distinct
         measurements, not shards of one."""
-        import json as _json
-
         from ..net.flowrecord import write_flowrecords_jsonl
-        from .pipeline import (write_metrics_jsonl,
+        from .pipeline import (write_flows_jsonl, write_metrics_jsonl,
                                write_parallel_prof_log, write_stats_log)
 
         _os.makedirs(logdir, exist_ok=True)
@@ -667,14 +665,7 @@ class ParallelPipeline:
         if any(result.get("prof") for result in self.lane_results):
             written.append(write_parallel_prof_log(
                 _os.path.join(logdir, "prof.log"), self.lane_results))
-        if self._trace_roots:
-            path = _os.path.join(logdir, "flows.jsonl")
-            lines = sorted(
-                _json.dumps(root, sort_keys=True)
-                for root in self._trace_roots
-            )
-            with open(path, "w") as stream:
-                for line in lines:
-                    stream.write(line + "\n")
-            written.append(path)
+        if self.telemetry.tracer.enabled:
+            written.append(write_flows_jsonl(
+                _os.path.join(logdir, "flows.jsonl"), self._trace_lines))
         return written

@@ -16,7 +16,7 @@ reporting for free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..runtime.faults import NULL_INJECTOR
 from ..runtime.telemetry import render_stats_log
@@ -76,10 +76,11 @@ def write_parallel_prof_log(path: str, results: List[Dict]) -> str:
     return path
 
 
-def write_flows_jsonl(path: str, tracer) -> str:
-    """Dump the tracer's per-flow span trees as JSON lines."""
+def write_flows_jsonl(path: str, lines: Iterable[str]) -> str:
+    """Dump per-flow span-tree lines (``Tracer.lines``) as JSON lines."""
     with open(path, "w") as stream:
-        tracer.emit_jsonl(stream)
+        for line in lines:
+            stream.write(line + "\n")
     return path
 
 

@@ -481,22 +481,46 @@ class NullSpan:
 NULL_SPAN = NullSpan()
 
 
+class _RootSpan(Span):
+    """A tracer's root span.  Finishing it seals the tree: the tracer's
+    slot for the root takes the tree's ``flows.jsonl`` line in place of
+    the root, so from then on the tree lives only as long as its host
+    holds the root (the connection tracker lets go when the flow
+    closes).  Spans added to a sealed tree are not in its line."""
+
+    __slots__ = ("_slots", "_index", "__weakref__")
+
+    def __init__(self, name: str, attrs: Dict, slots: List):
+        super().__init__(name, attrs)
+        self._slots = slots
+        self._index = len(slots)
+        slots.append(self)
+
+    def finish(self) -> None:
+        if self.end_ns is None:
+            self.end_ns = time.perf_counter_ns()
+            self._slots[self._index] = json.dumps(self.to_dict(),
+                                                  sort_keys=True)
+
+
 class Tracer:
-    """Root-span factory with a memory bound.
+    """Root-span factory whose memory follows the open roots.
 
     Hosts check :attr:`enabled` before touching the tracer on hot paths;
     when disabled (or when the *max_spans* bound is hit) ``start_span``
     hands back the shared :data:`NULL_SPAN` so callers never branch on
-    None.  ``spans_dropped`` makes the bound visible instead of silently
-    truncating a trace.
+    None.  The tracer keeps one slot per started root, in start order:
+    the root while it is open, its encoded line once it finishes.
+    *max_spans* bounds the number of roots, not bytes; ``spans_dropped``
+    makes the bound visible instead of silently truncating a trace.
     """
 
-    __slots__ = ("enabled", "roots", "max_spans", "spans_started",
+    __slots__ = ("enabled", "_slots", "max_spans", "spans_started",
                  "spans_dropped")
 
     def __init__(self, enabled: bool = False, max_spans: int = 100_000):
         self.enabled = enabled
-        self.roots: List[Span] = []
+        self._slots: List = []
         self.max_spans = max_spans
         self.spans_started = 0
         self.spans_dropped = 0
@@ -507,18 +531,25 @@ class Tracer:
         if self.spans_started >= self.max_spans:
             self.spans_dropped += 1
             return NULL_SPAN
-        span = Span(name, attrs)
-        self.roots.append(span)
         self.spans_started += 1
-        return span
+        return _RootSpan(name, attrs, self._slots)
+
+    def lines(self) -> List[str]:
+        """One JSON line per root span tree, in start order.  A root
+        still open is sealed here (its duration ends now), so asking
+        twice gives the same lines."""
+        slots = self._slots
+        for slot in slots:
+            if not isinstance(slot, str):
+                slot.finish()
+        return list(slots)
 
     def emit_jsonl(self, stream) -> int:
         """One root span tree per line; returns lines written."""
-        lines = 0
-        for root in self.roots:
-            stream.write(json.dumps(root.to_dict(), sort_keys=True) + "\n")
-            lines += 1
-        return lines
+        lines = self.lines()
+        for line in lines:
+            stream.write(line + "\n")
+        return len(lines)
 
 
 NULL_TRACER = Tracer(enabled=False)

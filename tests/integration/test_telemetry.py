@@ -8,21 +8,60 @@ flags produce.
 
 import io
 import json
+import multiprocessing
 
 import pytest
 
-from repro.apps.bro import Bro
-from repro.net.tracegen import HttpTraceConfig, generate_http_trace
+from repro.apps.bro import Bro, ParallelBro
+from repro.host.pool import shutdown_shared_pools
+from repro.net.tracegen import (
+    DnsTraceConfig,
+    HttpTraceConfig,
+    generate_dns_trace,
+    generate_http_trace,
+)
 from repro.runtime.telemetry import (
     Telemetry,
+    Tracer,
     validate_cpu_breakdown,
     validate_metrics_lines,
 )
 
 
+HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shutdown_pools():
+    yield
+    shutdown_shared_pools()
+
+
 @pytest.fixture(scope="module")
 def http_trace():
     return generate_http_trace(HttpTraceConfig(sessions=20, seed=42))
+
+
+def _untimed(doc):
+    """A span-tree document without its timings (``duration_ns`` and
+    every event's ``offset_ns``), which differ run to run."""
+    doc = {key: value for key, value in doc.items()
+           if key != "duration_ns"}
+    if "events" in doc:
+        doc["events"] = [{key: value for key, value in event.items()
+                          if key != "offset_ns"}
+                         for event in doc["events"]]
+    if "children" in doc:
+        doc["children"] = [_untimed(child) for child in doc["children"]]
+    return doc
+
+
+def _flow_docs(logdir):
+    """The span trees of *logdir*'s ``flows.jsonl``, untimed and in a
+    canonical order."""
+    with open(f"{logdir}/flows.jsonl") as stream:
+        docs = [_untimed(json.loads(line)) for line in stream]
+    return sorted(docs, key=lambda doc: json.dumps(doc, sort_keys=True))
 
 
 def _run(trace, metrics=True, trace_flows=False, **kwargs):
@@ -118,31 +157,81 @@ class TestUnifiedMetrics:
         bro = _run(http_trace, metrics=False)
         assert bro.telemetry.metrics.collect() == []
         assert bro.core.event_counts == {}
-        assert bro.telemetry.tracer.roots == []
+        assert bro.telemetry.tracer.lines() == []
         # ...but the run itself is unaffected.
         assert bro.stats["packets"] == len(http_trace)
 
 
 class TestFlowTracing:
-    def test_span_trees_cover_flows_and_packets(self, http_trace):
+    def test_span_trees_cover_flows_and_packets(self, http_trace,
+                                                monkeypatch):
+        # Keep every root alive past its seal so the test can also see
+        # which spans were finished when their tree was encoded.
+        started = []
+        start_span = Tracer.start_span
+
+        def keeping_start_span(tracer, name, **attrs):
+            span = start_span(tracer, name, **attrs)
+            started.append(span)
+            return span
+
+        monkeypatch.setattr(Tracer, "start_span", keeping_start_span)
         bro = _run(http_trace, trace_flows=True)
-        roots = bro.telemetry.tracer.roots
+        roots = [json.loads(line) for line in bro.telemetry.tracer.lines()]
         assert len(roots) == bro.tracker.flows_opened["tcp"]
         flow = roots[0]
-        assert flow.name == "flow"
-        assert flow.attrs["proto"] == "tcp"
-        packets = [c for c in flow.children if c.name == "packet"]
+        assert flow["name"] == "flow"
+        assert flow["attrs"]["proto"] == "tcp"
+        packets = [c for c in flow["children"] if c["name"] == "packet"]
         assert packets
-        parses = [c for p in packets for c in p.children
-                  if c.name == "parse"]
+        parses = [c for p in packets for c in p.get("children", ())
+                  if c["name"] == "parse"]
         assert parses
-        assert all(p.end_ns is not None for p in packets)
-        assert any(e[1] == "close" for e in flow.events)
+        assert all(p.end_ns is not None
+                   for p in started[0].children if p.name == "packet")
+        assert any(e["name"] == "close" for e in flow["events"])
 
     def test_trace_without_metrics(self, http_trace):
         bro = _run(http_trace, metrics=False, trace_flows=True)
-        assert bro.telemetry.tracer.roots
+        assert bro.telemetry.tracer.lines()
         assert bro.telemetry.metrics.collect() == []
+
+
+class TestFlowTraceParity:
+    """The cross-backend flow-trace oracle: every backend writes the
+    same span trees as the sequential run, timings aside (lanes write
+    them sorted, the sequential run in flow start order)."""
+
+    @pytest.fixture(scope="class", params=["http", "dns"])
+    def traced(self, request, tmp_path_factory):
+        if request.param == "http":
+            trace = generate_http_trace(HttpTraceConfig(sessions=12,
+                                                        seed=7))
+        else:
+            trace = generate_dns_trace(DnsTraceConfig(queries=40, seed=7))
+        logdir = str(tmp_path_factory.mktemp("seq"))
+        bro = _run(trace, trace_flows=True)
+        bro.write_telemetry(logdir)
+        return trace, _flow_docs(logdir)
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("vthread", 2),
+        pytest.param("pool", 1, marks=pytest.mark.skipif(
+            not HAVE_FORK, reason="pool wants fork")),
+        pytest.param("pool", 3, marks=pytest.mark.skipif(
+            not HAVE_FORK, reason="pool wants fork")),
+    ])
+    def test_backend_matches_sequential(self, traced, backend, workers,
+                                        tmp_path):
+        trace, sequential = traced
+        assert sequential
+        parallel = ParallelBro(
+            parsers="pac", scripts_engine="hilti", workers=workers,
+            backend=backend,
+            telemetry=Telemetry(metrics=True, trace=True))
+        parallel.run(trace)
+        parallel.write_telemetry(str(tmp_path))
+        assert _flow_docs(str(tmp_path)) == sequential
 
 
 class TestReportFiles:

@@ -158,6 +158,32 @@ class TestMergedArtifacts:
             (par_dir / "metrics.jsonl").read_text().splitlines())
         assert errors == []
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["vthread", pytest.param(
+            "pool", marks=pytest.mark.skipif(
+                not HAVE_FORK, reason="pool wants fork"))])
+    def test_flows_jsonl_written_when_tracing_armed_without_roots(
+            self, trace, backend, tmp_path):
+        # BPF opens no span: armed tracing still writes an empty
+        # flows.jsonl, as the sequential run does.
+        config = dict(CONFIG, trace=True)
+        sequential = BpfApp(config["filter"], engine=config["engine"],
+                            opt_level=config["opt_level"],
+                            services=PipelineServices(
+                                telemetry=Telemetry(trace=True)))
+        sequential.run(trace)
+        seq_dir = tmp_path / "seq"
+        sequential.write_telemetry(str(seq_dir))
+        pipe = ParallelPipeline(BpfLaneSpec(config), workers=2,
+                                backend=backend,
+                                telemetry=Telemetry(trace=True))
+        pipe.run(trace)
+        par_dir = tmp_path / "par"
+        pipe.write_telemetry(str(par_dir))
+        assert (seq_dir / "flows.jsonl").read_text() == ""
+        assert (par_dir / "flows.jsonl").read_text() == ""
+
     def test_prof_log_sections_per_worker(self, trace, tmp_path):
         pipe = ParallelPipeline(BpfLaneSpec(CONFIG), workers=2,
                                 backend="vthread",

@@ -1,7 +1,10 @@
 """The telemetry substrate: metrics registry, span tracer, reports."""
 
+import gc
 import io
 import json
+import time
+import weakref
 
 import pytest
 
@@ -314,7 +317,7 @@ class TestSpans:
         assert span.child("packet") is NULL_SPAN
         span.event("anything")
         span.finish()
-        assert tracer.roots == []
+        assert tracer.lines() == []
         assert tracer.spans_started == 0
 
     def test_max_spans_bound_counts_drops(self):
@@ -332,6 +335,58 @@ class TestSpans:
         assert tracer.emit_jsonl(out) == 3
         docs = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [d["attrs"]["n"] for d in docs] == [0, 1, 2]
+
+
+class TestSealOnFinish:
+    """A root span seals into its line when it finishes: the tracer
+    keeps the text, not the tree."""
+
+    @staticmethod
+    def _flow(tracer, n=0):
+        flow = tracer.start_span("flow", n=n)
+        pkt = flow.child("packet", len=64)
+        pkt.child("parse", bytes=10).finish()
+        pkt.event("reassembly_fault")
+        pkt.finish()
+        flow.event("close")
+        return flow
+
+    def test_tracer_lets_go_of_a_finished_root(self):
+        tracer = Tracer(enabled=True)
+        flow = self._flow(tracer)
+        ref = weakref.ref(flow)
+        flow.finish()
+        del flow
+        gc.collect()
+        assert ref() is None
+        assert len(tracer.lines()) == 1
+
+    def test_line_is_the_tree_encoded_at_finish(self, monkeypatch):
+        # A stopped clock makes the snapshot's timings the seal's.
+        monkeypatch.setattr(time, "perf_counter_ns", lambda: 1_000)
+        tracer = Tracer(enabled=True)
+        flow = self._flow(tracer)
+        expected = json.dumps(flow.to_dict(), sort_keys=True)
+        flow.finish()
+        assert tracer.lines() == [expected]
+
+    def test_unfinished_root_still_emits(self):
+        tracer = Tracer(enabled=True)
+        self._flow(tracer, n=0).finish()
+        open_flow = self._flow(tracer, n=1)
+        docs = [json.loads(line) for line in tracer.lines()]
+        assert [doc["attrs"]["n"] for doc in docs] == [0, 1]
+        assert docs[1]["children"][0]["name"] == "packet"
+        assert open_flow.end_ns is not None  # sealed by the emit
+
+    def test_emit_twice_is_identical(self):
+        tracer = Tracer(enabled=True)
+        self._flow(tracer, n=0).finish()
+        self._flow(tracer, n=1)  # still open at the first emit
+        first, second = io.StringIO(), io.StringIO()
+        assert tracer.emit_jsonl(first) == 2
+        assert tracer.emit_jsonl(second) == 2
+        assert first.getvalue() == second.getvalue()
 
 
 class TestTelemetryHandle:
