@@ -116,7 +116,6 @@ class ConnectionTracker:
         # the reassembler, so the connection entry is already gone; it
         # belongs to the dead connection, not to a new one.
         self._timewait: Dict[Tuple, None] = {}
-        self.packets = 0
         self.ignored = 0
         self.parsing_ns = 0
         # Telemetry: per-flow span trees (with per-packet child spans)
@@ -181,7 +180,6 @@ class ConnectionTracker:
 
     def packet(self, timestamp: Time, frame: bytes) -> None:
         self.core.advance_time(timestamp)
-        self.packets += 1
         try:
             packet = decode(frame)
         except PacketError:

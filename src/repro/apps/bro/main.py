@@ -12,11 +12,10 @@ protocol parsing, script execution, HILTI-to-Bro glue, and "other".
 
 from __future__ import annotations
 
-import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from ...core.values import Time
-from ...host.app import HostApp, PipelineServices, export_health
+from ...host.app import HostApp, PipelineServices
 from ...host.pipeline import Pipeline
 from ...runtime.faults import (
     CircuitBreaker,
@@ -58,11 +57,10 @@ class Bro(HostApp):
     *scripts_engine*: ``"interp"`` (tree-walking) or ``"hilti"``
     (compiled; the paper's ``compile_scripts=T``).
 
-    Implements the :class:`~repro.host.app.HostApp` drive API
-    (``on_begin``/``on_packet``/``on_end``) directly, so the shared
-    :class:`~repro.host.pipeline.Pipeline`, the flow-parallel lanes and
-    the service drive it like any other app; it keeps its own stats
-    assembly and exporter so its reports stay byte-identical.
+    Implements the same :class:`~repro.host.app.HostApp` hooks as the
+    other three apps, so the shared :class:`~repro.host.pipeline.
+    Pipeline`, the flow-parallel lanes and the service drive it, and
+    report its stats and metrics, like any other app.
     """
 
     name = "bro"
@@ -91,23 +89,31 @@ class Bro(HostApp):
             raise ValueError(f"unknown script engine {scripts_engine!r}")
         self.parser_tier = parsers
         self.script_tier = scripts_engine
-        # Telemetry switchboard (repro.runtime.telemetry): metrics and
-        # flow tracing are both off by default; the disabled path costs
-        # one boolean check per guarded hook.
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        # The cross-cutting services: deterministic fault injector (off
+        # by default), recovery/health accounting with the circuit
+        # breaker that degrades pac -> std when too many flows violate,
+        # the per-packet instruction watchdog for the HILTI execution
+        # contexts, and the telemetry switchboard (metrics and flow
+        # tracing both off by default; the disabled path costs one
+        # boolean check per guarded hook).
+        super().__init__(PipelineServices(
+            faults=fault_injector,
+            health=HealthReport(CircuitBreaker(
+                threshold=breaker_threshold, min_flows=breaker_min_flows,
+            )),
+            watchdog_budget=watchdog_budget,
+            telemetry=telemetry,
+            max_sessions=max_sessions,
+            session_ttl=session_ttl,
+        ))
         self.core = BroCore(log_enabled=log_enabled,
                             print_stream=print_stream)
         self.core.count_events = self.telemetry.enabled
-        # Fault-isolation services: deterministic injector (off by
-        # default), recovery/health accounting, per-packet instruction
-        # watchdog for the HILTI execution contexts, and the circuit
-        # breaker that degrades pac -> std when too many flows violate.
-        if fault_injector is not None:
-            self.core.faults = fault_injector
-        self.core.health = HealthReport(CircuitBreaker(
-            threshold=breaker_threshold, min_flows=breaker_min_flows,
-        ))
-        self.core.watchdog_budget = watchdog_budget
+        # The analyzers and script engines read the services through
+        # the core.
+        self.core.faults = self.services.faults
+        self.core.health = self.services.health
+        self.core.watchdog_budget = self.services.watchdog_budget
         self.core.logs.create_stream("conn", CONN_LOG_COLUMNS)
         self.core.logs.create_stream("http", HTTP_LOG_COLUMNS)
         self.core.logs.create_stream("files", FILES_LOG_COLUMNS)
@@ -157,9 +163,6 @@ class Bro(HostApp):
                                          uid_map=uid_map,
                                          max_sessions=max_sessions,
                                          session_ttl=session_ttl)
-        self.stats: Dict[str, object] = {}
-        self._pcap_stats: Dict[str, int] = {}
-        self._begin_ns: Optional[int] = None
 
     # -- analyzer wiring ----------------------------------------------------
 
@@ -183,26 +186,6 @@ class Bro(HostApp):
 
     # -- the shared-substrate surface ---------------------------------------
 
-    @property
-    def services(self) -> PipelineServices:
-        """The cross-cutting services view the shared pipeline drives
-        through — backed by this instance's core state, so the pcap
-        ingest and exporters see exactly what the analyzers see."""
-        return PipelineServices(
-            faults=self.core.faults,
-            health=self.core.health,
-            watchdog_budget=self.core.watchdog_budget,
-            telemetry=self.telemetry,
-            pcap_stats=self._pcap_stats,
-            max_sessions=self.tracker.max_sessions,
-            session_ttl=self.tracker.session_ttl,
-        )
-
-    @property
-    def packets(self) -> int:
-        """Packets processed so far (the tracker counts every frame)."""
-        return self.tracker.packets
-
     def result_lines(self) -> List[str]:
         """Every log line of the run, sorted — the byte-identity
         fingerprint stream the differential oracles compare."""
@@ -225,51 +208,45 @@ class Bro(HostApp):
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
         return self.tracker.flow_snapshot(limit)
 
-    # -- the drive API -------------------------------------------------------
+    # -- the HostApp hooks ---------------------------------------------------
 
-    def on_begin(self) -> None:
-        """Start a run: lifecycle event, timing origin.  Every parallel
-        lane repeats ``bro_init``, so no fault fires inside it."""
-        self._begin_ns = _time.perf_counter_ns()
+    def begin(self) -> None:
+        """The ``bro_init`` lifecycle event.  Every parallel lane
+        repeats it, so no fault fires inside it."""
         with self.core.faults.suspended():
             self.core.queue_event("bro_init", [])
             self.core.drain_events()
 
-    def on_packet(self, timestamp: Time, frame: bytes) -> None:
+    def packet(self, timestamp: Time, frame: bytes) -> None:
         """Process one packet and drain the events it raised."""
         self.tracker.packet(timestamp, frame)
         self.core.drain_events()
 
-    def on_end(self) -> Dict:
-        """Finish a run: close flows, lifecycle event, assemble stats."""
+    def finish(self) -> None:
+        """Close every flow, then the ``bro_done`` lifecycle event."""
         self.tracker.finish()
         with self.core.faults.suspended():
             self.core.queue_event("bro_done", [])
             self.core.drain_events()
-        total_ns = _time.perf_counter_ns() - self._begin_ns
 
-        # Parser-side glue (unit structs -> event values inside the pac
-        # analyzer adapters) is timed under parsing; ``self.glue``
-        # accounts the script-side glue.
+    def cpu_ns(self) -> Dict[str, int]:
+        """Parser-side glue (unit structs -> event values inside the pac
+        analyzer adapters) is timed under parsing; ``self.glue``
+        accounts the script-side glue, which the script timer also
+        covers."""
         glue_ns = self.glue.ns_spent if self.glue is not None else 0
-        parsing_ns = self.tracker.parsing_ns
-        script_ns = max(0, self.core.timers["script"] - glue_ns)
-        other_ns = max(0, total_ns - parsing_ns - script_ns - glue_ns)
-        self.stats = {
-            "total_ns": total_ns,
-            "parsing_ns": parsing_ns,
-            "script_ns": script_ns,
-            "glue_ns": glue_ns,
-            "other_ns": other_ns,
-            "packets": self.tracker.packets,
+        return {
+            "parsing": self.tracker.parsing_ns,
+            "script": max(0, self.core.timers["script"] - glue_ns),
+            "glue": glue_ns,
+        }
+
+    def app_stats(self) -> Dict[str, object]:
+        return {
             "events": self.core.events_dispatched,
             "parser_tier": self.parser_tier,
             "script_tier": self.script_tier,
-            "health": self.core.health.as_dict(self.core.faults),
         }
-        if self.telemetry.enabled:
-            self._gather_metrics()
-        return self.stats
 
     # -- telemetry ----------------------------------------------------------------
 
@@ -299,93 +276,38 @@ class Bro(HostApp):
                     out.append((label, stats))
         return out
 
-    def _gather_metrics(self) -> None:
-        """Unify every component's counters into the metrics registry.
-
-        One exporter over the previously scattered instrumentation:
-        pipeline counts, per-component CPU attribution, both execution
-        tiers' dispatch counters, glue accounting, the fault layer's
-        HealthReport, optimizer OptStats, pcap reader skip/resync
-        counters, and reassembler/flow-table occupancy.
-        """
-        metrics = self.telemetry.metrics
-        stats = self.stats
-
-        # Pipeline throughput.
-        pipeline = {
-            "packets_total": self.tracker.packets,
-            "packets_ignored": self.tracker.ignored,
-            "events_queued": self.core.events_queued,
-            "events_dispatched": self.core.events_dispatched,
-            "flows_closed": self.tracker.flows_closed,
-            "sessions_evicted": self.tracker.sessions_evicted,
-            "sessions_expired": self.tracker.sessions_expired,
-        }
-        for name, value in pipeline.items():
+    def gather_metrics(self, metrics) -> None:
+        """Bro's own series: event and flow counts, glue accounting,
+        optimizer rewrites, flow-table and reassembler occupancy."""
+        tracker = self.tracker
+        for name, value in (
+                ("packets_ignored", tracker.ignored),
+                ("events_queued", self.core.events_queued),
+                ("events_dispatched", self.core.events_dispatched),
+                ("flows_closed", tracker.flows_closed)):
             metrics.counter(f"bro.{name}").inc(value)
-        for proto, count in self.tracker.flows_opened.items():
+        for proto, count in tracker.flows_opened.items():
             metrics.counter("bro.flows_opened", proto=proto).inc(count)
         for name, count in sorted(self.core.event_counts.items()):
             metrics.counter("bro.events_by_name", event=name).inc(count)
-
-        # Per-component CPU attribution (Figures 9-10 substrate).
-        for component in ("parsing", "script", "glue", "other", "total"):
-            metrics.gauge(
-                "bro.cpu_ns", component=component,
-            ).set(int(stats[f"{component}_ns"]))
-
-        # Execution tiers: instruction/dispatch counters per context.
-        for label, ctx in self.engine_contexts():
-            metrics.counter(
-                "engine.instructions", context=label,
-            ).inc(ctx.instr_count)
-            metrics.counter(
-                "engine.blocks_dispatched", context=label,
-            ).inc(ctx.blocks_dispatched)
-            metrics.counter(
-                "engine.segments_dispatched", context=label,
-            ).inc(ctx.segments_dispatched)
-            metrics.counter(
-                "engine.allocations", context=label,
-            ).inc(ctx.alloc_stats.allocations)
-
-        # HILTI-to-Bro glue accounting.
         if self.glue is not None:
             glue = self.glue.stats()
             metrics.counter("glue.to_hilti_calls").inc(
                 glue["to_hilti_calls"])
             metrics.counter("glue.from_hilti_calls").inc(
                 glue["from_hilti_calls"])
-
-        # Fault layer (HealthReport) and circuit breaker — the uniform
-        # shape every host app publishes.
-        export_health(metrics, stats["health"])
-
-        # Optimizer pass statistics.
         for label, opt_stats in self._opt_stats():
             for pass_name, count in opt_stats.as_dict().items():
                 metrics.counter(
                     "opt.rewrites", context=label, opt_pass=pass_name,
                 ).inc(count)
-
-        # Trace-input robustness counters (populated by run_pcap).
-        for name, value in self._pcap_stats.items():
-            metrics.counter(f"pcap.{name}").inc(value)
-
-        # Flow-table and reassembler occupancy.
-        metrics.gauge("bro.flows_open").set(self.tracker.open_flows())
-        metrics.gauge("bro.flows_peak").set(self.tracker.peak_flows)
-        for name, value in self.tracker.reassembly_stats().items():
+        metrics.gauge("bro.flows_open").set(tracker.open_flows())
+        metrics.gauge("bro.flows_peak").set(tracker.peak_flows)
+        for name, value in tracker.reassembly_stats().items():
             if name == "pending_bytes":
                 metrics.gauge("reassembly.pending_bytes").set(value)
             else:
                 metrics.counter(f"reassembly.{name}").inc(value)
-
-        # Tracer self-accounting (visible truncation).
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            metrics.counter("trace.spans_started").inc(tracer.spans_started)
-            metrics.counter("trace.spans_dropped").inc(tracer.spans_dropped)
 
     def report_config(self) -> Dict[str, object]:
         return {"parsers": self.parser_tier,
@@ -404,7 +326,7 @@ class Bro(HostApp):
     def run_pcap(self, path: str, tolerant: bool = False) -> Dict:
         """Drive the run from a pcap trace through the shared pipeline
         (tolerant reader, ``pcap.record`` injection point, robustness
-        counters into ``self._pcap_stats``)."""
+        counters into ``services.pcap_stats``)."""
         return Pipeline(self).run_pcap(path, tolerant=tolerant)
 
     # -- results ------------------------------------------------------------------

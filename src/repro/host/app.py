@@ -29,7 +29,8 @@ from ..runtime.faults import (
 )
 from ..runtime.telemetry import Telemetry, cpu_breakdown_report
 
-__all__ = ["HostApp", "PipelineServices", "export_health"]
+__all__ = ["HostApp", "PipelineServices", "cpu_stats", "export_cpu_gauges",
+           "export_health"]
 
 
 class PipelineServices:
@@ -88,6 +89,31 @@ class PipelineServices:
         return True
 
 
+def cpu_stats(total_ns: int, cpu: Dict[str, int]) -> Dict[str, int]:
+    """The ``*_ns`` entries of a stats report: *total_ns* is the run's
+    wall clock, *cpu* any of ``parsing``/``script``/``glue`` (what
+    :meth:`HostApp.cpu_ns` returns, or the lanes' sums), and ``other``
+    the remainder — computed here and nowhere else."""
+    parsing_ns = int(cpu.get("parsing", 0))
+    script_ns = int(cpu.get("script", 0))
+    glue_ns = int(cpu.get("glue", 0))
+    return {
+        "total_ns": total_ns,
+        "parsing_ns": parsing_ns,
+        "script_ns": script_ns,
+        "glue_ns": glue_ns,
+        "other_ns": max(0, total_ns - parsing_ns - script_ns - glue_ns),
+    }
+
+
+def export_cpu_gauges(metrics, app: str, stats: Dict) -> None:
+    """Publish a stats report's CPU attribution as ``{app}.cpu_ns``
+    gauges, one per component."""
+    for component in ("parsing", "script", "glue", "other", "total"):
+        metrics.gauge(f"{app}.cpu_ns", component=component).set(
+            int(stats[f"{component}_ns"]))
+
+
 def export_health(metrics, health: Dict) -> None:
     """Publish one HealthReport dict into a MetricsRegistry — the shape
     every host app shares (``health.*`` counters plus the breaker gauge).
@@ -140,17 +166,9 @@ class HostApp:
         """Finish a run: flush app state, assemble the stats report."""
         self.finish()
         total_ns = _time.perf_counter_ns() - (self._begin_ns or 0)
-        cpu = self.cpu_ns()
-        parsing_ns = int(cpu.get("parsing", 0))
-        script_ns = int(cpu.get("script", 0))
-        glue_ns = int(cpu.get("glue", 0))
         self.stats = {
             "app": self.name,
-            "total_ns": total_ns,
-            "parsing_ns": parsing_ns,
-            "script_ns": script_ns,
-            "glue_ns": glue_ns,
-            "other_ns": max(0, total_ns - parsing_ns - script_ns - glue_ns),
+            **cpu_stats(total_ns, self.cpu_ns()),
             "packets": self.packets,
             "health": self.services.health.as_dict(self.services.faults),
         }
@@ -252,10 +270,7 @@ class HostApp:
         stats = self.stats
         metrics.counter(f"{self.name}.packets_total").inc(
             int(stats["packets"]))
-        for component in ("parsing", "script", "glue", "other", "total"):
-            metrics.gauge(
-                f"{self.name}.cpu_ns", component=component,
-            ).set(int(stats[f"{component}_ns"]))
+        export_cpu_gauges(metrics, self.name, stats)
         for label, ctx in self.engine_contexts():
             metrics.counter(
                 "engine.instructions", context=label,

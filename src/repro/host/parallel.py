@@ -41,7 +41,7 @@ from ..net.flows import FiveTuple, decode_flow, vthread_of
 from ..runtime.faults import NULL_INJECTOR, injector_for
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
-from .app import PipelineServices
+from .app import PipelineServices, cpu_stats, export_cpu_gauges
 
 __all__ = [
     "LaneSpec",
@@ -530,17 +530,11 @@ class ParallelPipeline:
         def stat_sum(key):
             return sum(int(r["stats"].get(key, 0)) for r in results)
 
-        parsing_ns = stat_sum("parsing_ns")
-        script_ns = stat_sum("script_ns")
-        glue_ns = stat_sum("glue_ns")
         self.stats = {
             "app": spec.app_name,
-            "total_ns": total_ns,
-            "parsing_ns": parsing_ns,
-            "script_ns": script_ns,
-            "glue_ns": glue_ns,
-            "other_ns": max(
-                0, total_ns - parsing_ns - script_ns - glue_ns),
+            **cpu_stats(total_ns, {
+                component: stat_sum(f"{component}_ns")
+                for component in ("parsing", "script", "glue")}),
             "packets": stat_sum("packets"),
             "health": merge_health(
                 [r["stats"]["health"] for r in results]),
@@ -594,10 +588,7 @@ class ParallelPipeline:
                 metrics.merge_series(result["metrics"],
                                      gauge_merge=gauge_merge,
                                      extra_labels={"worker": str(index)})
-        name = self.spec.app_name
-        for component in ("parsing", "script", "glue", "other", "total"):
-            metrics.gauge(f"{name}.cpu_ns", component=component).set(
-                int(self.stats[f"{component}_ns"]))
+        export_cpu_gauges(metrics, self.spec.app_name, self.stats)
         for key, value in self._pcap_stats.items():
             metrics.counter(f"pcap.{key}").inc(value)
 

@@ -10,11 +10,9 @@ reason.  Records serialize to one deterministic JSON line each
 function of trace content — byte-identical across the sequential
 pipeline and all four parallel backends.
 
-The ``repro-flowrecords/1`` schema is validated by the same hand-rolled
-pattern as ``repro-metrics/1`` (no external JSON-Schema dependency):
-:func:`validate_flowrecord_lines` returns a list of human-readable
-errors, and ``python -m repro.runtime.telemetry validate-flowrecords``
-exposes it on the command line.
+The ``repro-flowrecords/1`` schema is one entry of the table every
+artifact format shares (:mod:`repro.tools.validate`):
+``python -m repro.tools.validate flow_records.jsonl`` checks a file.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "FlowRecord",
     "flowrecords_header_line",
     "format_record_uid",
-    "validate_flowrecord_lines",
     "write_flowrecords_jsonl",
 ]
 
@@ -110,10 +107,6 @@ _RECORD_FIELDS = (
     "resp_pkts", "resp_bytes", "tcp_flags", "close_reason",
 )
 
-#: field -> (allowed types, extra check). None values allowed for uid.
-_COUNTER_FIELDS = ("orig_pkts", "orig_bytes", "resp_pkts", "resp_bytes",
-                   "tcp_flags")
-
 
 def flowrecords_header_line(app: str, count: int) -> str:
     """The deterministic header line.
@@ -126,106 +119,6 @@ def flowrecords_header_line(app: str, count: int) -> str:
     return json.dumps(
         {"schema": FLOWRECORDS_SCHEMA, "app": app, "records": count},
         sort_keys=True, separators=(",", ":"))
-
-
-def validate_flowrecord_lines(lines: List[str]) -> List[str]:
-    """Validate a flow_records.jsonl body; returns error strings.
-
-    Hand-rolled (the repo bakes in no jsonschema): header shape, per
-    record the exact field set and types, port ranges, protocol and
-    close-reason domains, timestamp ordering, non-negative counters,
-    record-count agreement, and the sorted-order invariant the merge
-    relies on.
-    """
-    errors: List[str] = []
-    lines = [line for line in lines if line.strip()]
-    if not lines:
-        return ["empty input: missing header line"]
-
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        return [f"header: not JSON ({exc})"]
-    if not isinstance(header, dict):
-        return ["header: not a JSON object"]
-    if header.get("schema") != FLOWRECORDS_SCHEMA:
-        errors.append(
-            f"header: schema is {header.get('schema')!r},"
-            f" want {FLOWRECORDS_SCHEMA!r}")
-    if not isinstance(header.get("app"), str) or not header.get("app"):
-        errors.append("header: missing app name")
-    declared = header.get("records")
-    if not isinstance(declared, int) or declared < 0:
-        errors.append("header: records must be a non-negative int")
-        declared = None
-
-    body = lines[1:]
-    if declared is not None and len(body) != declared:
-        errors.append(
-            f"header: declares {declared} records, body has {len(body)}")
-    if body != sorted(body):
-        errors.append("body: record lines are not sorted")
-
-    for index, line in enumerate(body, start=2):
-        where = f"line {index}"
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            errors.append(f"{where}: not JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        missing = [f for f in _RECORD_FIELDS if f not in record]
-        extra = [f for f in record if f not in _RECORD_FIELDS]
-        if missing:
-            errors.append(f"{where}: missing fields {missing}")
-        if extra:
-            errors.append(f"{where}: unknown fields {extra}")
-        if missing or extra:
-            continue
-        for field in ("src", "dst"):
-            if not isinstance(record[field], str) or not record[field]:
-                errors.append(f"{where}: {field} must be a non-empty "
-                              f"string")
-        for field in ("src_port", "dst_port"):
-            value = record[field]
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or not 0 <= value <= 65535:
-                errors.append(f"{where}: {field} out of range: {value!r}")
-        if not isinstance(record["protocol"], int) \
-                or isinstance(record["protocol"], bool) \
-                or not 0 <= record["protocol"] <= 255:
-            errors.append(
-                f"{where}: protocol out of range: {record['protocol']!r}")
-        if record["uid"] is not None and (
-                not isinstance(record["uid"], str) or not record["uid"]):
-            errors.append(f"{where}: uid must be null or a non-empty "
-                          f"string")
-        ts_ok = True
-        for field in ("first_ts", "last_ts"):
-            value = record[field]
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, float)):
-                errors.append(f"{where}: {field} must be a number")
-                ts_ok = False
-        if ts_ok and record["first_ts"] > record["last_ts"]:
-            errors.append(f"{where}: first_ts > last_ts")
-        for field in _COUNTER_FIELDS:
-            value = record[field]
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                errors.append(
-                    f"{where}: {field} must be a non-negative int")
-        if isinstance(record["tcp_flags"], int) \
-                and not isinstance(record["tcp_flags"], bool) \
-                and record["tcp_flags"] > 0xFF:
-            errors.append(f"{where}: tcp_flags exceeds one octet")
-        if record["close_reason"] not in CLOSE_REASONS:
-            errors.append(
-                f"{where}: close_reason {record['close_reason']!r}"
-                f" not in {CLOSE_REASONS}")
-    return errors
 
 
 def write_flowrecords_jsonl(path: str, app: str,

@@ -12,12 +12,10 @@ queryable and exportable instead of scattered across ad-hoc counters:
 * a lightweight **span tracer** (:class:`Tracer` / :class:`Span`) for
   per-flow and per-packet span trees with attached point events;
 * a **reporting layer**: the human ``stats.log`` renderer, the
-  ``prof.log`` writer (delegating to :class:`~.profiler.ProfilerRegistry`),
-  the Figures 9/10 **CPU-breakdown** report builder, and hand-rolled
-  schema validators for both machine-readable formats (no third-party
-  jsonschema dependency);
-* a ``python -m repro.runtime.telemetry`` CLI exposing the validators so
-  CI can gate on report well-formedness.
+  ``prof.log`` writer (delegating to :class:`~.profiler.ProfilerRegistry`)
+  and the Figures 9/10 **CPU-breakdown** report builder.  The schemas
+  of the machine-readable formats are checked by
+  ``python -m repro.tools.validate`` (:mod:`repro.tools.validate`).
 
 Disabled-path cost is near zero by construction: hosts hold one
 :class:`Telemetry` object and guard hot-path hooks on its ``enabled`` /
@@ -46,9 +44,6 @@ __all__ = [
     "NULL_TRACER",
     "Telemetry",
     "cpu_breakdown_report",
-    "validate_cpu_breakdown",
-    "validate_metrics_lines",
-    "validate_timeseries_lines",
     "render_stats_log",
     "CPU_BREAKDOWN_SCHEMA",
     "METRICS_SCHEMA",
@@ -638,179 +633,6 @@ def cpu_breakdown_report(stats: Dict, config: Optional[Dict] = None) -> Dict:
     return report
 
 
-def validate_cpu_breakdown(doc: Dict) -> List[str]:
-    """Schema check for :func:`cpu_breakdown_report` output.
-
-    Returns a list of human-readable problems (empty when valid).
-    """
-    errors: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != CPU_BREAKDOWN_SCHEMA:
-        errors.append(
-            f"schema must be {CPU_BREAKDOWN_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}"
-        )
-    total = doc.get("total_ns")
-    if not isinstance(total, int) or total <= 0:
-        errors.append(f"total_ns must be a positive integer, got {total!r}")
-    components = doc.get("components")
-    if not isinstance(components, dict):
-        errors.append("components must be an object")
-        return errors
-    share_sum = 0.0
-    for name in _COMPONENTS:
-        entry = components.get(name)
-        if not isinstance(entry, dict):
-            errors.append(f"missing component {name!r}")
-            continue
-        ns = entry.get("ns")
-        share = entry.get("share")
-        if not isinstance(ns, int) or ns < 0:
-            errors.append(f"{name}.ns must be a non-negative integer")
-        if not isinstance(share, (int, float)) or share < 0 or share > 100:
-            errors.append(f"{name}.share must be a percentage in [0, 100]")
-        else:
-            share_sum += share
-    extra = set(components) - set(_COMPONENTS)
-    if extra:
-        errors.append(f"unknown components: {sorted(extra)}")
-    if not errors and abs(share_sum - 100.0) > 0.01:
-        errors.append(f"shares sum to {share_sum:.2f}, expected 100.00")
-    ranking = doc.get("ranking")
-    if ranking is not None and sorted(ranking) != sorted(_COMPONENTS):
-        errors.append(f"ranking must permute {list(_COMPONENTS)}")
-    for field in ("packets", "events"):
-        value = doc.get(field)
-        if value is not None and (not isinstance(value, int) or value < 0):
-            errors.append(f"{field} must be a non-negative integer")
-    return errors
-
-
-# --------------------------------------------------------------------------
-# Metrics JSON-lines validation
-# --------------------------------------------------------------------------
-
-
-def _series_entry_errors(doc: Dict, where: str) -> List[str]:
-    """Shared shape checks for one ``collect()``-style series dict."""
-    errors: List[str] = []
-    kind = doc.get("kind")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"{where}: missing series name")
-    if kind in ("counter", "gauge"):
-        if "value" not in doc or not isinstance(
-                doc["value"], (int, float)):
-            errors.append(f"{where}: {kind} needs a numeric value")
-        if kind == "counter" and isinstance(
-                doc.get("value"), (int, float)) and doc["value"] < 0:
-            errors.append(f"{where}: counter value negative")
-    elif kind == "histogram":
-        if not isinstance(doc.get("buckets"), dict):
-            errors.append(f"{where}: histogram needs buckets")
-        if not isinstance(doc.get("count"), int):
-            errors.append(f"{where}: histogram needs a count")
-    else:
-        errors.append(f"{where}: unknown series kind {kind!r}")
-    labels = doc.get("labels")
-    if labels is not None and (
-        not isinstance(labels, dict)
-        or not all(isinstance(k, str) and isinstance(v, str)
-                   for k, v in labels.items())
-    ):
-        errors.append(f"{where}: labels must map str -> str")
-    return errors
-
-
-def validate_metrics_lines(lines: Iterable[str]) -> List[str]:
-    """Schema check for :meth:`MetricsRegistry.emit_jsonl` output."""
-    errors: List[str] = []
-    saw_header = False
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            errors.append(f"line {number}: not JSON ({exc})")
-            continue
-        if not isinstance(doc, dict):
-            errors.append(f"line {number}: not an object")
-            continue
-        if not saw_header:
-            if doc.get("schema") != METRICS_SCHEMA:
-                errors.append(
-                    f"line {number}: header schema must be "
-                    f"{METRICS_SCHEMA!r}"
-                )
-            saw_header = True
-            continue
-        errors.extend(_series_entry_errors(doc, f"line {number}"))
-    if not saw_header:
-        errors.append("no header line")
-    return errors
-
-
-def validate_timeseries_lines(lines: Iterable[str]) -> List[str]:
-    """Schema check for :meth:`TimeSeriesStore.emit_jsonl` output
-    (``repro-timeseries/1``): a schema header, then one sample object
-    per line — numeric non-decreasing ``ts``, a ``series`` list of
-    ``collect()``-shaped entries whose cumulative kinds carry a numeric
-    ``delta``."""
-    errors: List[str] = []
-    saw_header = False
-    last_ts: Optional[float] = None
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            errors.append(f"line {number}: not JSON ({exc})")
-            continue
-        if not isinstance(doc, dict):
-            errors.append(f"line {number}: not an object")
-            continue
-        if not saw_header:
-            if doc.get("schema") != TIMESERIES_SCHEMA:
-                errors.append(
-                    f"line {number}: header schema must be "
-                    f"{TIMESERIES_SCHEMA!r}"
-                )
-            saw_header = True
-            continue
-        ts = doc.get("ts")
-        if not isinstance(ts, (int, float)):
-            errors.append(f"line {number}: sample needs a numeric ts")
-        else:
-            if last_ts is not None and ts < last_ts:
-                errors.append(
-                    f"line {number}: ts {ts} goes backwards "
-                    f"(previous {last_ts})")
-            last_ts = ts
-        series = doc.get("series")
-        if not isinstance(series, list):
-            errors.append(f"line {number}: sample needs a series list")
-            continue
-        for position, entry in enumerate(series):
-            where = f"line {number} series[{position}]"
-            if not isinstance(entry, dict):
-                errors.append(f"{where}: not an object")
-                continue
-            errors.extend(_series_entry_errors(entry, where))
-            if entry.get("kind") in ("counter", "histogram"):
-                if not isinstance(entry.get("delta"), (int, float)):
-                    errors.append(
-                        f"{where}: cumulative series needs a "
-                        "numeric delta")
-    if not saw_header:
-        errors.append("no header line")
-    return errors
-
-
 # --------------------------------------------------------------------------
 # Human stats.log rendering
 # --------------------------------------------------------------------------
@@ -841,91 +663,3 @@ def render_stats_log(stats: Dict, sections: Optional[Dict[str, Dict]] = None,
         for key in sorted(entries):
             out.append(f"{key} {entries[key]}")
     return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
-# CLI: report validation for CI
-# --------------------------------------------------------------------------
-
-
-def _main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runtime.telemetry",
-        description="validate telemetry reports (CI gate)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    breakdown = sub.add_parser(
-        "validate-breakdown",
-        help="check a CPU-breakdown JSON report against its schema",
-    )
-    breakdown.add_argument("path")
-    breakdown.add_argument(
-        "--require-nonzero", action="store_true",
-        help="additionally require every component's share to be > 0",
-    )
-    metrics = sub.add_parser(
-        "validate-metrics", help="check a metrics JSON-lines file")
-    metrics.add_argument("path")
-    timeseries = sub.add_parser(
-        "validate-timeseries",
-        help="check a timeseries JSON-lines file (repro-timeseries/1)")
-    timeseries.add_argument("path")
-    timeseries.add_argument(
-        "--min-samples", type=int, default=0, metavar="N",
-        help="additionally require at least N sample lines")
-    flowrecords = sub.add_parser(
-        "validate-flowrecords",
-        help="check a flow-records JSON-lines file (repro-flowrecords/1)")
-    flowrecords.add_argument("path")
-    flowrecords.add_argument(
-        "--min-records", type=int, default=0, metavar="N",
-        help="additionally require at least N record lines")
-    args = parser.parse_args(argv)
-
-    with open(args.path) as stream:
-        if args.command == "validate-breakdown":
-            try:
-                doc = json.load(stream)
-            except ValueError as exc:
-                print(f"{args.path}: not JSON ({exc})")
-                return 1
-            errors = validate_cpu_breakdown(doc)
-            if not errors and args.require_nonzero:
-                for name in _COMPONENTS:
-                    if doc["components"][name]["share"] <= 0:
-                        errors.append(f"{name}.share is zero")
-        elif args.command == "validate-flowrecords":
-            # Imported lazily: repro.net sits above the runtime layer.
-            from ..net.flowrecord import validate_flowrecord_lines
-
-            lines = stream.readlines()
-            errors = validate_flowrecord_lines(lines)
-            records = sum(1 for line in lines[1:] if line.strip())
-            if not errors and records < args.min_records:
-                errors.append(
-                    f"only {records} records, expected at least "
-                    f"{args.min_records}")
-        elif args.command == "validate-timeseries":
-            lines = stream.readlines()
-            errors = validate_timeseries_lines(lines)
-            samples = sum(1 for line in lines[1:] if line.strip())
-            if not errors and samples < args.min_samples:
-                errors.append(
-                    f"only {samples} samples, expected at least "
-                    f"{args.min_samples}")
-        else:
-            errors = validate_metrics_lines(stream)
-    for error in errors:
-        print(f"{args.path}: {error}")
-    if errors:
-        return 1
-    print(f"{args.path}: ok")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(_main())

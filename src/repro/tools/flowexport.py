@@ -20,13 +20,10 @@ import sys
 from typing import List, Optional
 
 from ..host.flowtable import FlowTable
-from ..net.flowrecord import (
-    format_record_uid,
-    validate_flowrecord_lines,
-    write_flowrecords_jsonl,
-)
+from ..net.flowrecord import format_record_uid, write_flowrecords_jsonl
 from ..net.flows import decode_flow
 from ..net.pcap import PcapReader
+from .validate import validate_file
 
 __all__ = ["export_flows", "main"]
 
@@ -78,8 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  wrote {records_path}")
 
     if args.validate:
-        with open(records_path) as stream:
-            errors = validate_flowrecord_lines(stream.readlines())
+        errors = validate_file(records_path)
         for error in errors:
             print(f"{records_path}: {error}")
         if errors:

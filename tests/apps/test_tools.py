@@ -1,5 +1,6 @@
 """The command-line tools (hiltic / hilti-build / bro / trace-gen)."""
 
+import json
 import os
 
 import pytest
@@ -8,6 +9,7 @@ from repro.tools import bro as bro_cli
 from repro.tools import hilti_build as build_cli
 from repro.tools import hiltic as hiltic_cli
 from repro.tools import tracegen as tracegen_cli
+from repro.tools import validate as validate_cli
 
 _HELLO = """module Main
 
@@ -171,3 +173,73 @@ class TestBroHostCli:
         assert excinfo.value.code != 0
         assert "--memory-budget" in capsys.readouterr().err
         assert not (tmp_path / "logs").exists()
+
+
+class TestValidateCli:
+    """``python -m repro.tools.validate``: one command for every report
+    format, told which schema by the file itself."""
+
+    @pytest.fixture(scope="class")
+    def logdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("validate")
+        pcap = str(root / "http.pcap")
+        tracegen_cli.main(["http", "--sessions", "4", "-o", pcap])
+        logdir = root / "logs"
+        assert bro_cli.main(["-r", pcap, "--metrics", "--cpu-breakdown",
+                             "--logdir", str(logdir)]) == 0
+        return logdir
+
+    @pytest.mark.parametrize("name", [
+        "cpu_breakdown.json", "metrics.jsonl", "flow_records.jsonl"])
+    def test_run_reports_validate(self, logdir, name, capsys):
+        assert validate_cli.main([str(logdir / name)]) == 0
+        assert capsys.readouterr().out.endswith(": ok\n")
+
+    def test_min_counts_body_records(self, logdir):
+        path = str(logdir / "flow_records.jsonl")
+        assert validate_cli.main([path, "--min", "4"]) == 0
+        assert validate_cli.main([path, "--min", "5"]) == 1
+
+    def test_require_nonzero_needs_a_breakdown(self, logdir, capsys):
+        assert validate_cli.main(
+            [str(logdir / "metrics.jsonl"), "--require-nonzero"]) == 1
+        assert "no nonzero rule" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["null", "[]", "1", '"x"', "true"])
+    @pytest.mark.parametrize("schema", sorted(
+        tag for tag, entry in validate_cli.SCHEMAS.items() if entry.record))
+    def test_non_object_lines_rejected(self, schema, line):
+        """JSON that is not an object — ``null`` included — is a
+        rejection wherever a JSON-lines format wants a header or a
+        record."""
+        header = json.dumps({"schema": schema, "app": "x", "records": 1})
+        assert validate_cli.validate(schema, [header, line]) == [
+            "line 2 is not an object"]
+        assert validate_cli.validate(schema, [line]) == [
+            "header is not an object"]
+
+    def test_document_with_trailing_line_rejected(self, logdir, tmp_path):
+        """A one-line document tags the file by its first line; the
+        line after it still makes the file not JSON."""
+        doc = json.loads((logdir / "cpu_breakdown.json").read_text())
+        path = tmp_path / "cpu_breakdown.json"
+        path.write_text(json.dumps(doc) + "\nnull\n")
+        assert any("not JSON" in error
+                   for error in validate_cli.validate_file(str(path)))
+
+    @pytest.mark.parametrize("tag", ['"nope/1"', '["nope/1"]'])
+    def test_unknown_schema_rejected(self, tmp_path, capsys, tag):
+        path = tmp_path / "other.jsonl"
+        path.write_text('{"schema": %s}\n{"x": 1}\n' % tag)
+        assert validate_cli.main([str(path)]) == 1
+        assert "no known schema tag" in capsys.readouterr().out
+
+    def test_not_imported_on_the_run_path(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, repro.tools.bro, repro.tools.bpf_filter, "
+                "repro.tools.firewall, repro.tools.pac_driver, "
+                "repro.host.service; "
+                "assert 'repro.tools.validate' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)

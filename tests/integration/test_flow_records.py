@@ -26,7 +26,6 @@ from repro.host import ParallelPipeline
 from repro.host.pool import shutdown_shared_pools
 from repro.net.flowrecord import (
     FLOWRECORDS_SCHEMA,
-    validate_flowrecord_lines,
     write_flowrecords_jsonl,
 )
 from repro.net.tracegen import (
@@ -36,6 +35,7 @@ from repro.net.tracegen import (
     TftpTraceConfig,
     generate_mixed_trace,
 )
+from repro.tools.validate import validate
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -182,7 +182,7 @@ class TestWrittenFiles:
         assert seq_bytes == par_bytes
 
         lines = seq_bytes.decode().splitlines()
-        assert validate_flowrecord_lines(lines) == []
+        assert validate(FLOWRECORDS_SCHEMA, lines) == []
         header = json.loads(lines[0])
         assert header["schema"] == FLOWRECORDS_SCHEMA
         assert header["app"] == "bpf"
@@ -194,5 +194,5 @@ class TestWrittenFiles:
         for name, lines in baselines.items():
             assert lines, name
             header = flowrecords_header_line(name, len(lines))
-            assert validate_flowrecord_lines([header] + lines) == [], \
+            assert validate(FLOWRECORDS_SCHEMA, [header] + lines) == [], \
                 name

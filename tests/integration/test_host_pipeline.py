@@ -13,6 +13,7 @@ substrate promises every app:
   sequential run, for every backend.
 """
 
+import io
 import json
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.apps.binpac.app import PacApp, PacLaneSpec
 from repro.apps.bpf.app import BpfApp, BpfLaneSpec
 from repro.apps.bro import Bro
+from repro.apps.bro.parallel import BroLaneSpec
 from repro.apps.firewall.app import (
     FirewallApp,
     FirewallLaneSpec,
@@ -27,7 +29,7 @@ from repro.apps.firewall.app import (
     host_pair_place,
 )
 from repro.apps.firewall.rules import RuleSet
-from repro.host import ParallelPipeline, Pipeline
+from repro.host import ParallelPipeline, Pipeline, PipelineServices
 from repro.host.cli import fingerprint
 from repro.net.tracegen import (
     DnsTraceConfig,
@@ -38,10 +40,11 @@ from repro.net.tracegen import (
     write_pcap,
 )
 from repro.runtime.telemetry import (
+    CPU_BREAKDOWN_SCHEMA,
+    METRICS_SCHEMA,
     Telemetry,
-    validate_cpu_breakdown,
-    validate_metrics_lines,
 )
+from repro.tools.validate import validate
 
 BACKENDS = ("vthread", "pool")
 
@@ -156,10 +159,10 @@ class TestTelemetrySchema:
         by_name = {p.rsplit("/", 1)[-1]: p for p in paths}
         assert "metrics.jsonl" in by_name
         with open(by_name["metrics.jsonl"]) as stream:
-            assert validate_metrics_lines(stream) == []
+            assert validate(METRICS_SCHEMA, stream) == []
         assert "stats.log" in by_name
         report = pipe.cpu_breakdown()
-        assert validate_cpu_breakdown(report) == []
+        assert validate(CPU_BREAKDOWN_SCHEMA, report) == []
         # flows.jsonl lines are JSON span trees.
         if "flows.jsonl" in by_name:
             with open(by_name["flows.jsonl"]) as stream:
@@ -174,7 +177,7 @@ class TestTelemetrySchema:
         report = pipe.write_cpu_breakdown(path)
         with open(path) as stream:
             assert json.load(stream) == report
-        assert validate_cpu_breakdown(report) == []
+        assert validate(CPU_BREAKDOWN_SCHEMA, report) == []
 
 
 class TestParallelFingerprints:
@@ -235,7 +238,77 @@ class TestParallelFingerprints:
         paths = pipe.write_telemetry(str(tmp_path))
         by_name = {p.rsplit("/", 1)[-1]: p for p in paths}
         with open(by_name["metrics.jsonl"]) as stream:
-            assert validate_metrics_lines(stream) == []
+            assert validate(METRICS_SCHEMA, stream) == []
+
+
+class TestOneRunContract:
+    """Every app reports through the same stats assembly and exporter:
+    ``other`` is the remainder of the run's wall clock, and each shared
+    series is written exactly once — sequentially and merged across
+    vthread lanes."""
+
+    CONFIGS = {
+        "bpf": dict(filter=FILTER, engine="compiled", opt_level=None),
+        "firewall": dict(rules=RULES, timeout_seconds=5.0,
+                         engine="compiled", opt_level=None),
+        "pac": dict(protocols=("http", "dns", "ssh", "tftp"),
+                    opt_level=None),
+        "bro": dict(scripts=None, parsers="std", scripts_engine="hilti",
+                    log_enabled=True, opt_level=None),
+    }
+    SPECS = {"bpf": BpfLaneSpec, "firewall": FirewallLaneSpec,
+             "pac": PacLaneSpec, "bro": BroLaneSpec}
+    # Few enough that the trace's open flows overflow the table.
+    MAX_SESSIONS = 4
+
+    def _sequential(self, name, pcap):
+        services = PipelineServices(telemetry=Telemetry(metrics=True),
+                                    max_sessions=self.MAX_SESSIONS)
+        config = self.CONFIGS[name]
+        if name == "bro":
+            app = Bro(parsers=config["parsers"],
+                      scripts_engine=config["scripts_engine"],
+                      print_stream=io.StringIO(),
+                      telemetry=services.telemetry,
+                      max_sessions=self.MAX_SESSIONS)
+        elif name == "bpf":
+            app = BpfApp(FILTER, services=services)
+        elif name == "firewall":
+            app = FirewallApp(RuleSet.parse(RULES, timeout_seconds=5.0),
+                              services=services)
+        else:
+            app = PacApp(services=services)
+        stats = Pipeline(app).run_pcap(pcap)
+        return stats, app.telemetry.metrics, [app]
+
+    def _parallel(self, name, pcap):
+        spec = self.SPECS[name](_lane_config(
+            metrics=True, max_sessions=self.MAX_SESSIONS,
+            **self.CONFIGS[name]))
+        pipe = ParallelPipeline(spec, workers=2, vthreads=2,
+                                backend="vthread",
+                                telemetry=Telemetry(metrics=True))
+        stats = pipe.run_pcap(pcap)
+        lanes = list(pipe.scheduler.contexts().values())
+        assert len(lanes) == 2
+        return stats, pipe.telemetry.metrics, lanes
+
+    @pytest.mark.parametrize("mode", ["sequential", "vthread"])
+    @pytest.mark.parametrize("name", ["bpf", "firewall", "pac", "bro"])
+    def test_contract(self, mixed_pcap, name, mode):
+        run = self._sequential if mode == "sequential" else self._parallel
+        stats, metrics, apps = run(name, mixed_pcap)
+        assert stats["other_ns"] == max(
+            0, stats["total_ns"] - stats["parsing_ns"]
+            - stats["script_ns"] - stats["glue_ns"])
+        assert stats["packets"] > 0
+        assert metrics._series[(f"{name}.packets_total", ())].value \
+            == stats["packets"]
+        if name == "bro":
+            evicted = sum(app.tracker.sessions_evicted for app in apps)
+            assert evicted > 0
+            assert metrics._series[("bro.sessions_evicted", ())].value \
+                == evicted
 
 
 class TestFirewallSharding:

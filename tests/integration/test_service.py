@@ -45,7 +45,8 @@ from repro.net.tracegen import (
     generate_mixed_trace,
     write_pcap,
 )
-from repro.runtime.telemetry import validate_metrics_lines
+from repro.runtime.telemetry import METRICS_SCHEMA
+from repro.tools.validate import validate
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -512,8 +513,9 @@ class TestHostService:
         assert (tmp_path / "results.log").exists()
         assert (tmp_path / "metrics.jsonl").exists()
         assert (tmp_path / "stats.log").exists()
-        validate_metrics_lines(
-            (tmp_path / "metrics.jsonl").read_text().splitlines())
+        assert validate(
+            METRICS_SCHEMA,
+            (tmp_path / "metrics.jsonl").read_text().splitlines()) == []
 
     def test_block_policy_backpressure_no_loss(self, mixed_pcap, tmp_path):
         path, n = mixed_pcap
@@ -644,7 +646,7 @@ class TestHostService:
 
             status, body = fetch("/metrics")
             assert status == 200
-            validate_metrics_lines(body.splitlines())
+            assert validate(METRICS_SCHEMA, body.splitlines()) == []
             assert "service.packets_ingested" in body
 
             status, body = fetch("/flows")
@@ -691,8 +693,9 @@ class TestGracefulShutdown:
         assert (logdir / "metrics.jsonl").exists()
         assert (logdir / "stats.log").exists()
         assert (logdir / "events.log").stat().st_size > 0
-        validate_metrics_lines(
-            (logdir / "metrics.jsonl").read_text().splitlines())
+        assert validate(
+            METRICS_SCHEMA,
+            (logdir / "metrics.jsonl").read_text().splitlines()) == []
 
     def test_service_sigterm_drains_exit_zero(self, mixed_pcap, tmp_path):
         path, n = mixed_pcap
@@ -729,5 +732,6 @@ class TestGracefulShutdown:
         assert doc["state"] == "drained" and doc["exit_code"] == 0
         assert (logdir / "events.log").exists()
         assert (logdir / "metrics.jsonl").exists()
-        validate_metrics_lines(
-            (logdir / "metrics.jsonl").read_text().splitlines())
+        assert validate(
+            METRICS_SCHEMA,
+            (logdir / "metrics.jsonl").read_text().splitlines()) == []

@@ -21,11 +21,12 @@ from repro.net.tracegen import (
     generate_http_trace,
 )
 from repro.runtime.telemetry import (
+    CPU_BREAKDOWN_SCHEMA,
+    METRICS_SCHEMA,
     Telemetry,
     Tracer,
-    validate_cpu_breakdown,
-    validate_metrics_lines,
 )
+from repro.tools.validate import validate
 
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -84,7 +85,7 @@ def _series(bro, name, **labels):
 class TestCpuBreakdownReport:
     def test_schema_valid_all_components_nonzero(self, http_trace):
         report = _run(http_trace).cpu_breakdown()
-        assert validate_cpu_breakdown(report) == []
+        assert validate(CPU_BREAKDOWN_SCHEMA, report) == []
         for name in ("parsing", "script", "glue", "other"):
             assert report["components"][name]["ns"] > 0
             assert report["components"][name]["share"] > 0
@@ -151,7 +152,7 @@ class TestUnifiedMetrics:
         bro = _run(http_trace)
         out = io.StringIO()
         bro.telemetry.metrics.emit_jsonl(out)
-        assert validate_metrics_lines(out.getvalue().splitlines()) == []
+        assert validate(METRICS_SCHEMA, out.getvalue().splitlines()) == []
 
     def test_disabled_telemetry_gathers_nothing(self, http_trace):
         bro = _run(http_trace, metrics=False)
@@ -257,7 +258,7 @@ class TestReportFiles:
 
         with open(f"{logdir}/metrics.jsonl") as stream:
             lines = stream.read().splitlines()
-        assert validate_metrics_lines(lines) == []
+        assert validate(METRICS_SCHEMA, lines) == []
         names = {json.loads(line).get("name") for line in lines[1:]}
         assert "pcap.records_read" in names  # run_pcap fed the reader stats
 
@@ -265,7 +266,7 @@ class TestReportFiles:
         with open(tmp_path / "cpu.json") as stream:
             on_disk = json.load(stream)
         assert on_disk == report
-        assert validate_cpu_breakdown(on_disk) == []
+        assert validate(CPU_BREAKDOWN_SCHEMA, on_disk) == []
 
         stats_log = (tmp_path / "logs" / "stats.log").read_text()
         assert "[health]" in stats_log and "[engine]" in stats_log
@@ -297,6 +298,6 @@ class TestReportFiles:
         out = capsys.readouterr().out
         assert "cpu breakdown:" in out
         with open(f"{logdir}/cpu_breakdown.json") as stream:
-            assert validate_cpu_breakdown(json.load(stream)) == []
+            assert validate(CPU_BREAKDOWN_SCHEMA, json.load(stream)) == []
         with open(f"{logdir}/metrics.jsonl") as stream:
-            assert validate_metrics_lines(stream) == []
+            assert validate(METRICS_SCHEMA, stream) == []

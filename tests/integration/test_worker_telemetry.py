@@ -33,7 +33,8 @@ from repro.net.tracegen import (
     generate_mixed_trace,
     write_pcap,
 )
-from repro.runtime.telemetry import Telemetry, validate_metrics_lines
+from repro.runtime.telemetry import METRICS_SCHEMA, Telemetry
+from repro.tools.validate import validate
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -154,7 +155,8 @@ class TestMergedArtifacts:
         par_files = {p.name for p in par_dir.iterdir()}
         assert {"metrics.jsonl", "stats.log", "prof.log"} <= seq_files
         assert seq_files == par_files
-        errors = validate_metrics_lines(
+        errors = validate(
+            METRICS_SCHEMA,
             (par_dir / "metrics.jsonl").read_text().splitlines())
         assert errors == []
 

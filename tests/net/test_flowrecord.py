@@ -22,11 +22,11 @@ from repro.net.flowrecord import (
     FlowRecord,
     flowrecords_header_line,
     format_record_uid,
-    validate_flowrecord_lines,
     write_flowrecords_jsonl,
 )
 from repro.net.flows import FiveTuple
 from repro.net.packet import ACK, FIN, PROTO_TCP, PROTO_UDP, SYN
+from repro.tools.validate import validate
 
 
 def _tuple(sport=1234, dport=80, proto=PROTO_TCP):
@@ -81,31 +81,30 @@ class TestValidator:
     def test_valid_stream_passes(self):
         lines = _file_lines([_record(), _record(src_port=9999,
                                                 uid="S000002")])
-        assert validate_flowrecord_lines(lines) == []
+        assert validate(FLOWRECORDS_SCHEMA, lines) == []
 
     def test_written_file_passes(self, tmp_path):
         path = write_flowrecords_jsonl(
             str(tmp_path / "flow_records.jsonl"), "test",
             sorted(r.to_line() for r in [_record()]))
         with open(path) as stream:
-            assert validate_flowrecord_lines(stream.readlines()) == []
+            assert validate(FLOWRECORDS_SCHEMA, stream.readlines()) == []
 
     def test_empty_input(self):
-        assert validate_flowrecord_lines([]) == \
-            ["empty input: missing header line"]
+        assert validate(FLOWRECORDS_SCHEMA, []) == ["no header line"]
 
     def test_bad_schema_tag(self):
         lines = _file_lines([_record()])
         lines[0] = json.dumps({"schema": "nope/9", "app": "x",
                                "records": 1})
         assert any("schema" in e for e in
-                   validate_flowrecord_lines(lines))
+                   validate(FLOWRECORDS_SCHEMA, lines))
 
     def test_count_mismatch(self):
         lines = _file_lines([_record()])
         lines[0] = flowrecords_header_line("test", 5)
         assert any("declares 5 records" in e
-                   for e in validate_flowrecord_lines(lines))
+                   for e in validate(FLOWRECORDS_SCHEMA, lines))
 
     def test_unsorted_body_rejected(self):
         records = [_record(uid="S000002"), _record(uid="S000001",
@@ -113,7 +112,7 @@ class TestValidator:
         lines = [flowrecords_header_line("test", 2)] + \
             sorted((r.to_line() for r in records), reverse=True)
         assert any("not sorted" in e
-                   for e in validate_flowrecord_lines(lines))
+                   for e in validate(FLOWRECORDS_SCHEMA, lines))
 
     def test_missing_and_unknown_fields(self):
         doc = _record().to_dict()
@@ -121,7 +120,7 @@ class TestValidator:
         doc["bogus"] = 1
         lines = [flowrecords_header_line("test", 1),
                  json.dumps(doc, sort_keys=True)]
-        errors = validate_flowrecord_lines(lines)
+        errors = validate(FLOWRECORDS_SCHEMA, lines)
         assert any("missing fields ['uid']" in e for e in errors)
         assert any("unknown fields ['bogus']" in e for e in errors)
 
@@ -131,7 +130,7 @@ class TestValidator:
         ("protocol", 300, "protocol out of range"),
         ("uid", "", "uid must be null"),
         ("orig_pkts", -1, "non-negative"),
-        ("tcp_flags", 0x1FF, "exceeds one octet"),
+        ("tcp_flags", 0x1FF, "tcp_flags out of range"),
         ("close_reason", "vanished", "close_reason"),
         ("first_ts", "soon", "must be a number"),
     ])
@@ -141,16 +140,23 @@ class TestValidator:
         lines = [flowrecords_header_line("test", 1),
                  json.dumps(doc, sort_keys=True)]
         assert any(fragment in e
-                   for e in validate_flowrecord_lines(lines))
+                   for e in validate(FLOWRECORDS_SCHEMA, lines))
 
     def test_reversed_timestamps_rejected(self):
         lines = _file_lines([_record(first_ts=9.0, last_ts=1.0)])
         assert any("first_ts > last_ts" in e
-                   for e in validate_flowrecord_lines(lines))
+                   for e in validate(FLOWRECORDS_SCHEMA, lines))
+
+    def test_bool_record_count_rejected(self):
+        lines = _file_lines([_record()])
+        lines[0] = json.dumps({"schema": FLOWRECORDS_SCHEMA, "app": "x",
+                               "records": True})
+        assert any("records must be a non-negative int" in e
+                   for e in validate(FLOWRECORDS_SCHEMA, lines))
 
     def test_null_uid_allowed(self):
         lines = _file_lines([_record(uid=None)])
-        assert validate_flowrecord_lines(lines) == []
+        assert validate(FLOWRECORDS_SCHEMA, lines) == []
 
 
 class TestFiveTupleIdentity:
@@ -259,7 +265,7 @@ class TestFlowTable:
         lines = table.record_lines()
         assert lines == sorted(lines) and len(lines) == 3
         header = flowrecords_header_line("test", len(lines))
-        assert validate_flowrecord_lines([header] + lines) == []
+        assert validate(FLOWRECORDS_SCHEMA, [header] + lines) == []
 
     def test_bare_key_recency_mode(self):
         dropped = []
@@ -422,5 +428,5 @@ class TestFlowExport:
 
         with open(f"{logdir}/records.jsonl") as stream:
             lines = stream.readlines()
-        assert validate_flowrecord_lines(lines) == []
+        assert validate(FLOWRECORDS_SCHEMA, lines) == []
         assert json.loads(lines[0])["records"] == len(lines) - 1 > 0

@@ -10,6 +10,7 @@ import pytest
 
 from repro.runtime.telemetry import (
     CPU_BREAKDOWN_SCHEMA,
+    METRICS_SCHEMA,
     TIMESERIES_SCHEMA,
     Counter,
     Gauge,
@@ -24,10 +25,8 @@ from repro.runtime.telemetry import (
     Tracer,
     cpu_breakdown_report,
     render_stats_log,
-    validate_cpu_breakdown,
-    validate_metrics_lines,
-    validate_timeseries_lines,
 )
+from repro.tools.validate import validate
 
 
 class TestCounter:
@@ -105,20 +104,27 @@ class TestRegistryEmission:
         assert lines == 4  # header + 3 series
         text = out.getvalue().splitlines()
         assert json.loads(text[0])["run"] == "test"
-        assert validate_metrics_lines(text) == []
+        assert validate(METRICS_SCHEMA, text) == []
 
     def test_validator_flags_problems(self):
-        assert validate_metrics_lines([]) == ["no header line"]
+        assert validate(METRICS_SCHEMA, []) == ["no header line"]
         bad = [
             json.dumps({"schema": "repro-metrics/1"}),
             json.dumps({"kind": "counter", "name": "x", "value": -1}),
             json.dumps({"kind": "wat", "name": "y"}),
             "not json",
         ]
-        errors = validate_metrics_lines(bad)
+        errors = validate(METRICS_SCHEMA, bad)
         assert any("negative" in e for e in errors)
         assert any("unknown series kind" in e for e in errors)
         assert any("not JSON" in e for e in errors)
+
+    def test_validator_rejects_bool_values(self):
+        lines = [json.dumps({"schema": METRICS_SCHEMA}),
+                 json.dumps({"kind": "counter", "name": "x",
+                             "value": True})]
+        assert any("value must be a non-negative number" in e
+                   for e in validate(METRICS_SCHEMA, lines))
 
     def test_emit_jsonl_is_byte_deterministic(self):
         """Series order (and key order within a line) is a function of
@@ -251,20 +257,31 @@ class TestTimeSeriesStore:
         assert header["schema"] == TIMESERIES_SCHEMA
         assert header["app"] == "bro"
         assert header["samples"] == 2
-        assert validate_timeseries_lines(lines) == []
+        assert validate(TIMESERIES_SCHEMA, lines) == []
 
     def test_validator_flags_problems(self):
-        assert validate_timeseries_lines([]) == ["no header line"]
+        assert validate(TIMESERIES_SCHEMA, []) == ["no header line"]
         bad = [
             json.dumps({"schema": TIMESERIES_SCHEMA}),
             json.dumps({"ts": 5.0, "series": [
                 {"kind": "counter", "name": "x", "value": 1}]}),
             json.dumps({"ts": 4.0, "series": "nope"}),
         ]
-        errors = validate_timeseries_lines(bad)
-        assert any("numeric delta" in e for e in errors)
+        errors = validate(TIMESERIES_SCHEMA, bad)
+        assert any("missing fields ['delta']" in e for e in errors)
         assert any("goes backwards" in e for e in errors)
-        assert any("series list" in e for e in errors)
+        assert any("series must be a list" in e for e in errors)
+
+    def test_validator_rejects_bool_values(self):
+        lines = [
+            json.dumps({"schema": TIMESERIES_SCHEMA}),
+            json.dumps({"ts": True, "series": [
+                {"kind": "counter", "name": "x", "value": 1,
+                 "delta": False}]}),
+        ]
+        errors = validate(TIMESERIES_SCHEMA, lines)
+        assert any("ts must be a number" in e for e in errors)
+        assert any("delta must be a number" in e for e in errors)
 
     def test_validate_timeseries_cli(self, tmp_path):
         import subprocess
@@ -277,13 +294,13 @@ class TestTimeSeriesStore:
         with open(path, "w") as stream:
             store.emit_jsonl(stream)
         done = subprocess.run(
-            [sys.executable, "-m", "repro.runtime.telemetry",
-             "validate-timeseries", str(path), "--min-samples", "2"],
+            [sys.executable, "-m", "repro.tools.validate",
+             str(path), "--min", "2"],
             capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         strict = subprocess.run(
-            [sys.executable, "-m", "repro.runtime.telemetry",
-             "validate-timeseries", str(path), "--min-samples", "3"],
+            [sys.executable, "-m", "repro.tools.validate",
+             str(path), "--min", "3"],
             capture_output=True, text=True)
         assert strict.returncode != 0
 
@@ -423,7 +440,7 @@ class TestCpuBreakdown:
         assert report["ranking"] == ["parsing", "script", "glue", "other"]
         assert report["components"]["parsing"]["share"] == 40.0
         assert report["config"] == {"parsers": "pac"}
-        assert validate_cpu_breakdown(report) == []
+        assert validate(CPU_BREAKDOWN_SCHEMA, report) == []
 
     def test_shares_sum_to_exactly_100(self):
         # 1/3 splits round to 33.33 x3 = 99.99; the residue must be
@@ -433,7 +450,7 @@ class TestCpuBreakdown:
         report = cpu_breakdown_report(stats)
         shares = [c["share"] for c in report["components"].values()]
         assert round(sum(shares), 2) == 100.0
-        assert validate_cpu_breakdown(report) == []
+        assert validate(CPU_BREAKDOWN_SCHEMA, report) == []
 
     def test_zero_total_rejected(self):
         stats = {f"{n}_ns": 0 for n in ("parsing", "script", "glue", "other")}
@@ -444,12 +461,20 @@ class TestCpuBreakdown:
     def test_validator_catches_corruption(self):
         report = cpu_breakdown_report(_STATS)
         report["components"]["parsing"]["share"] = 95.0
-        assert any("sum" in e for e in validate_cpu_breakdown(report))
+        assert any("sum" in e for e in validate(CPU_BREAKDOWN_SCHEMA, report))
         del report["components"]["glue"]
-        assert any("glue" in e for e in validate_cpu_breakdown(report))
-        assert validate_cpu_breakdown({"schema": "nope"})
-        assert validate_cpu_breakdown("not a dict") == \
+        assert any("glue" in e for e in validate(CPU_BREAKDOWN_SCHEMA, report))
+        assert validate(CPU_BREAKDOWN_SCHEMA, {"schema": "nope"})
+        assert validate(CPU_BREAKDOWN_SCHEMA, "not a dict") == \
             ["document is not an object"]
+
+    def test_validator_rejects_bool_values(self):
+        report = cpu_breakdown_report(_STATS)
+        report["total_ns"] = True
+        report["packets"] = True
+        errors = validate(CPU_BREAKDOWN_SCHEMA, report)
+        assert any("total_ns must be" in e for e in errors)
+        assert any("packets must be" in e for e in errors)
 
 
 class TestStatsLogRendering:
