@@ -201,17 +201,24 @@ class ConnectionTracker:
         Each flow closes at its own last packet's network time, inside
         its own fault unit, with its events drained there: the
         whole-run clock and the order flows close in both differ per
-        parallel lane, and neither may leak into a flow's output."""
+        parallel lane, and neither may leak into a flow's output.  Each
+        flow leaves its table before it closes, so a closed flow is
+        released before the next one closes."""
         core = self.core
         end = core.network_time()
         for table, close in ((self._tcp, self._close_tcp),
                              (self._udp, self._close_udp)):
-            for key, entry in list(table.items()):
+            # Arrival order, popped off the end of a reversed key list
+            # (see FlowTable.finish).
+            keys = list(table)
+            keys.reverse()
+            while keys:
+                key = keys.pop()
+                flow = table.pop(key)
                 core.faults.enter_flow(key)
-                core.set_time(entry.last_time)
-                close(entry)
+                core.set_time(flow.last_time)
+                close(flow)
                 core.drain_events()
-            table.clear()
         core.set_time(end)
         self.table.finish()
 

@@ -123,9 +123,6 @@ class LogStream:
     def header(self) -> str:
         return "#fields\t" + "\t".join(self.columns)
 
-    def dump(self) -> str:
-        return "\n".join([self.header(), *self.lines]) + "\n"
-
 
 class LogManager:
     """All streams of one Bro instance."""
@@ -159,8 +156,12 @@ class LogManager:
         os.makedirs(directory, exist_ok=True)
         for stream in self.streams.values():
             path = os.path.join(directory, f"{stream.name}.log")
+            # Line by line: joining the log first would copy it whole.
             with open(path, "w") as out:
-                out.write(stream.dump())
+                write = out.write
+                write(stream.header() + "\n")
+                for line in stream.lines:
+                    write(line + "\n")
 
 
 def normalize_log(lines: Iterable[str],

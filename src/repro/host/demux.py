@@ -273,10 +273,6 @@ class FlowDemux:
                 break
         return out
 
-    def flow_records(self) -> List:
-        """The sealed :class:`~repro.net.flowrecord.FlowRecord` list."""
-        return self.table.records()
-
     def flow_record_lines(self) -> List[str]:
         """The sorted, deterministic flow-record export stream."""
         return self.table.record_lines()

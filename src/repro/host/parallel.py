@@ -401,6 +401,7 @@ class ParallelPipeline:
     def run(self, packets: Iterable[Tuple[Time, bytes]]) -> Dict:
         """Process a trace across all lanes; returns the merged stats."""
         begin = _time.perf_counter_ns()
+        self._pcap_stats = {}
         self._drive(packets)
         self._merge(_time.perf_counter_ns() - begin)
         return self.stats
@@ -418,9 +419,6 @@ class ParallelPipeline:
                 "resyncs": reader.resyncs,
             }
         self._merge(_time.perf_counter_ns() - begin)
-        skipped = self._pcap_stats["records_skipped"]
-        if skipped:
-            self.stats["health"]["records_skipped"] += skipped
         return self.stats
 
     def _drive(self, packets: Iterable[Tuple[Time, bytes]]) -> None:
@@ -546,6 +544,10 @@ class ParallelPipeline:
                 len(self.scheduler.errors) if self.scheduler else 0
             ),
         }
+        # The reader's skipped records are the parent's: no lane saw
+        # them.  Counted before the metrics merge exports the report.
+        skipped = self._pcap_stats.get("records_skipped", 0)
+        self.stats["health"]["records_skipped"] += skipped
         # Application counters sum across lanes — integers, and dicts of
         # integers per key; other entries pass through from lane 0.
         fixed = set(self.stats)
@@ -573,8 +575,9 @@ class ParallelPipeline:
     def _merge_metrics(self, results: List[Dict]) -> None:
         """Reduce per-lane registries, then repair the series whose
         lane-sum is not the sequential semantic: the per-component CPU
-        gauges (total is this run's wall clock, other its remainder) and
-        the parent-side pcap counters."""
+        gauges (total is this run's wall clock, other its remainder),
+        the parent-side pcap counters and the records the reader
+        skipped."""
         metrics = self.telemetry.metrics
         gauge_merge = dict.fromkeys(_MAX_GAUGES + self.spec.max_gauges,
                                     "max")
@@ -591,6 +594,8 @@ class ParallelPipeline:
         export_cpu_gauges(metrics, self.spec.app_name, self.stats)
         for key, value in self._pcap_stats.items():
             metrics.counter(f"pcap.{key}").inc(value)
+        metrics.counter("health.records_skipped").inc(
+            self._pcap_stats.get("records_skipped", 0))
 
     # -- results ------------------------------------------------------------
 

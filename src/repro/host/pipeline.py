@@ -122,8 +122,9 @@ class Pipeline:
     def _pcap_records(self, reader):
         """Iterate trace records; the reader's final counters land in
         ``services.pcap_stats`` (in place — the exporter and any aliases
-        keep seeing them) once the generator is exhausted, which happens
-        before the run takes its totals."""
+        keep seeing them) and its skipped records in the health report
+        once the generator is exhausted, which happens before the run
+        takes its totals."""
         yield from reader
         services = self.app.services
         services.pcap_stats.clear()
@@ -132,19 +133,14 @@ class Pipeline:
             "records_skipped": reader.records_skipped,
             "resyncs": reader.resyncs,
         })
+        services.health.records_skipped += reader.records_skipped
 
     def run_pcap(self, path: str, tolerant: bool = False) -> Dict:
         """Drive the app from a pcap trace file."""
         from ..net.pcap import PcapReader
 
-        services = self.app.services
         with PcapReader(path, tolerant=tolerant) as reader:
-            stats = self.run(self._pcap_records(reader))
-            skipped = reader.records_skipped
-        if skipped:
-            services.health.records_skipped += skipped
-        stats["health"] = services.health.as_dict(services.faults)
-        return stats
+            return self.run(self._pcap_records(reader))
 
     # -- reporting (the app's own writers) ---------------------------------
 

@@ -117,14 +117,18 @@ class WorkerPool:
 
     #: Flush a batch once it holds this many packets ...
     BATCH_PACKETS = 256
-    #: ... or this many payload bytes, whichever comes first.  Kept
-    #: under the channel chunk bound so every batch is one atomic ring
-    #: record (a timed-out push leaves no partial message behind).
+    #: ... or this many payload bytes, whichever comes first.  A batch
+    #: fits its ring whole, so the channel lands it all or nothing (a
+    #: timed-out push leaves no partial message behind).
     BATCH_BYTES = 128 * 1024
+    #: Each ring holds the batches in flight, about two: the parent
+    #: touches every page of its in-rings as they cycle.  A caller that
+    #: sheds on a full ring passes more room to absorb bursts.
+    RING_BYTES = 2 * BATCH_BYTES
 
     _shared: Dict[Tuple[int, str], "WorkerPool"] = {}
 
-    def __init__(self, workers: int, ring_bytes: int = 1 << 20,
+    def __init__(self, workers: int, ring_bytes: int = RING_BYTES,
                  start_method: Optional[str] = None):
         if workers < 1:
             raise ValueError("pool needs at least one worker")
@@ -144,9 +148,10 @@ class WorkerPool:
 
     @classmethod
     def shared(cls, workers: int, start_method: Optional[str] = None,
-               ring_bytes: int = 1 << 20) -> "WorkerPool":
+               ring_bytes: int = RING_BYTES) -> "WorkerPool":
         """The process-wide pool for this worker count (and start
-        method) — created on first use, reused ever after."""
+        method) — created on first use, with *ring_bytes* rings, and
+        reused ever after."""
         method = start_method or default_start_method()
         key = (workers, method)
         pool = cls._shared.get(key)

@@ -205,10 +205,23 @@ class ShmRing:
                   should_stop: Optional[Callable[[], bool]] = None) -> bool:
         """``push`` with a bounded wait for space; ``False`` when the
         deadline passes or *should_stop* fires first."""
+        return self._wait(lambda: self.push(payload), timeout, should_stop)
+
+    def wait_free(self, need: int, timeout: Optional[float] = None,
+                  should_stop: Optional[Callable[[], bool]] = None) -> bool:
+        """Wait until *need* bytes are free; ``False`` when the deadline
+        passes or *should_stop* fires first.  Only the producer fills
+        the ring, so the space stays free for its next pushes."""
+        return self._wait(lambda: need <= self.free_bytes(), timeout,
+                          should_stop)
+
+    @staticmethod
+    def _wait(ready: Callable[[], bool], timeout: Optional[float],
+              should_stop: Optional[Callable[[], bool]]) -> bool:
         deadline = (None if timeout is None
                     else _time.monotonic() + timeout)
         while True:
-            if self.push(payload):
+            if ready():
                 return True
             if should_stop is not None and should_stop():
                 return False
@@ -273,11 +286,19 @@ class MessageChannel:
     def send(self, tag: int, payload=b"",
              timeout: Optional[float] = None,
              should_stop: Optional[Callable[[], bool]] = None) -> bool:
-        """Send one message, chunking as needed; ``False`` if any chunk
-        failed to land before the deadline (the message is then
-        truncated mid-stream — callers treat the channel as dead)."""
+        """Send one message, chunking as needed; ``False`` if it failed
+        to land before the deadline.  A message that fits the ring
+        whole waits for room for all its chunks first, so it lands all
+        or nothing; a larger one can fail with its head sent (the
+        message is then truncated mid-stream — callers treat the
+        channel as dead)."""
         view = memoryview(payload)
         total = len(view)
+        records = total // self._chunk + 1
+        need = total + records * (_LEN.size + 2)
+        if need <= self.ring.capacity and not self.ring.wait_free(
+                need, timeout=timeout, should_stop=should_stop):
+            return False
         offset = 0
         while True:
             end = min(offset + self._chunk, total)

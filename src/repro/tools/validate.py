@@ -2,8 +2,9 @@
 
 One declarative table, :data:`SCHEMAS`, gives each format's header,
 record fields, field types and domains, and cross-field rules as small
-named checks: the CPU breakdown (one JSON document), metrics,
-timeseries and flow records (a header line, then one object per line).
+named checks: the CPU breakdown and the service's discovery document
+(one JSON document each), metrics, timeseries and flow records (a
+header line, then one object per line).
 One function, :func:`validate`, applies any entry::
 
     python -m repro.tools.validate logs/metrics.jsonl
@@ -21,6 +22,7 @@ import json
 import sys
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
+from ..host.service import SERVICE_SCHEMA
 from ..net.flowrecord import CLOSE_REASONS, FLOWRECORDS_SCHEMA
 from ..runtime.telemetry import (
     CPU_BREAKDOWN_SCHEMA,
@@ -187,6 +189,27 @@ def body_sorted(header: Dict, body: List) -> List[str]:
         "body: record lines are not sorted"]
 
 
+def drained_carries_final_fields(doc: Dict) -> Optional[str]:
+    missing = [name for name in ("exit_code", "stop_reason", "totals",
+                                 "sessions", "artifacts")
+               if name not in doc]
+    if doc["state"] == "drained" and missing:
+        return f"a drained service lacks {missing}"
+    return None
+
+
+def packets_conserved(doc: Dict) -> Optional[str]:
+    totals = doc.get("totals")
+    if totals is None:
+        return None
+    accounted = (totals["packets_processed"] + totals["packets_shed"]
+                 + totals["packets_lost"] + totals["packets_dropped"])
+    if totals["packets_ingested"] != accounted:
+        return (f"totals ingested {totals['packets_ingested']} packets, "
+                f"accounted for {accounted}")
+    return None
+
+
 def every_share_nonzero(doc: Dict) -> List[str]:
     return [f"components.{name}.share is zero" for name in _COMPONENTS
             if doc["components"][name]["share"] <= 0]
@@ -235,6 +258,34 @@ SCHEMAS: Dict[str, Schema] = {
                 "events": NAT,
             },
             checks=(shares_sum_to_100,))),
+    SERVICE_SCHEMA: Schema(
+        header=Obj(
+            {"schema": Const(SERVICE_SCHEMA),
+             "pid": Rule(lambda v: _is_int(v) and v > 0,
+                         "must be a positive int"),
+             "state": Rule(lambda v: v in ("running", "drained"),
+                           "must be 'running' or 'drained'"),
+             "started_ts": NUMBER,
+             "http": Rule(lambda v: v is None or (
+                 isinstance(v, dict) and NAME.ok(v.get("host"))
+                 and Int(0xFFFF).ok(v.get("port"))),
+                 "must be null or {host, port}"),
+             "config": OBJECT},
+            optional={
+                "exit_code": Rule(_is_int, "must be an int"),
+                "stop_reason": Rule(lambda v: v is None or NAME.ok(v),
+                                    "must be null or a non-empty string"),
+                "totals": Obj(dict.fromkeys(
+                    ("packets_ingested", "packets_processed",
+                     "packets_shed", "packets_lost", "packets_dropped",
+                     "packets_dropped_on_stop", "packets_dropped_failed",
+                     "lane_crashes", "lane_restarts"), NAT)),
+                "sessions": Obj(dict.fromkeys(
+                    ("open", "evicted", "expired"), NAT)),
+                "artifacts": ListOf(NAME),
+            },
+            closed=True,
+            checks=(drained_carries_final_fields, packets_conserved))),
     METRICS_SCHEMA: Schema(
         header=Obj({"schema": Const(METRICS_SCHEMA)}),
         record=_series({})),

@@ -72,6 +72,24 @@ class TestStreams:
         content = (tmp_path / "s.log").read_text()
         assert content == "#fields\ta\nv\n"
 
+    @pytest.mark.parametrize("columns,values,expected", [
+        # No columns, no lines: the bare header.
+        ([], [], b"#fields\t\n"),
+        # Columns, no lines: the header line alone.
+        (["a", "b"], [], b"#fields\ta\tb\n"),
+        (["a", "b"], [{"a": 1, "b": "x"}, {"a": 2}, {"b": ""}],
+         b"#fields\ta\tb\n1\tx\n2\t-\n-\t(empty)\n"),
+    ])
+    def test_save_bytes(self, tmp_path, columns, values, expected):
+        """Written line by line, a log is byte for byte the header and
+        each line, newline-terminated."""
+        manager = LogManager()
+        manager.create_stream("s", columns)
+        for fields in values:
+            manager.write("s", RecordVal(_AB, fields))
+        manager.save(str(tmp_path))
+        assert (tmp_path / "s.log").read_bytes() == expected
+
 
 class TestNormalization:
     def test_sort_unique(self):

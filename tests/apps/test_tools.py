@@ -243,3 +243,49 @@ class TestValidateCli:
                 "repro.host.service; "
                 "assert 'repro.tools.validate' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _service_doc(**changes):
+    doc = {"schema": "repro-service/1", "pid": 4242, "state": "running",
+           "started_ts": 1700000000.5,
+           "http": {"host": "127.0.0.1", "port": 8080},
+           "config": {"lanes": 2}}
+    doc.update(changes)
+    return doc
+
+
+_DRAINED = dict(
+    state="drained", exit_code=0, stop_reason="source exhausted",
+    totals={"packets_ingested": 10, "packets_processed": 7,
+            "packets_shed": 1, "packets_lost": 1, "packets_dropped": 1,
+            "packets_dropped_on_stop": 1, "packets_dropped_failed": 0,
+            "lane_crashes": 0, "lane_restarts": 0},
+    sessions={"open": 0, "evicted": 3, "expired": 0},
+    artifacts=["logs/results.log"])
+
+
+class TestServiceSchema:
+    """``repro-service/1``: the live ``service.json`` and the drained
+    ``service-final.json`` are one document entry of the table."""
+
+    @pytest.mark.parametrize("doc", [
+        _service_doc(), _service_doc(http=None), _service_doc(**_DRAINED)])
+    def test_documents_validate(self, doc, tmp_path):
+        assert validate_cli.validate("repro-service/1", doc) == []
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps(doc, indent=2))
+        assert validate_cli.main([str(path)]) == 0
+
+    @pytest.mark.parametrize("doc,fragment", [
+        (_service_doc(state="stopped"), "state must be"),
+        (_service_doc(pid=0), "pid must be a positive int"),
+        (_service_doc(http={"host": "h"}), "http must be null or"),
+        (_service_doc(extra=1), "unknown fields ['extra']"),
+        (_service_doc(state="drained"), "a drained service lacks"),
+        (_service_doc(**dict(_DRAINED, totals=dict(
+            _DRAINED["totals"], packets_ingested=11))),
+         "totals ingested 11 packets, accounted for 10"),
+    ])
+    def test_violations_rejected(self, doc, fragment):
+        errors = validate_cli.validate("repro-service/1", doc)
+        assert any(fragment in error for error in errors), errors

@@ -372,3 +372,49 @@ class TestFaultContainment:
         app = PacApp(services=services)
         stats = Pipeline(app).run_pcap(mixed_pcap)
         assert stats["health"]["watchdog_trips"] > 0
+
+
+class TestSkippedRecordsInMetrics:
+    """A tolerant run's skipped pcap records are counted before the
+    metrics are exported, so ``metrics.jsonl`` agrees with the stats
+    (and ``stats.log``/``--health``), sequentially and on the pool."""
+
+    @pytest.fixture(scope="class")
+    def skipping_pcap(self, tmp_path_factory):
+        import struct
+
+        path = tmp_path_factory.mktemp("skip") / "oversized.pcap"
+        write_pcap(str(path), _mixed_packets()[:200])
+        data = bytearray(path.read_bytes())
+        offset = 24  # past the global header
+        for __ in range(150):
+            offset += 16 + struct.unpack_from("<I", data, offset + 8)[0]
+        # One record claims an implausible capture length: the tolerant
+        # reader counts it skipped and stops there.
+        struct.pack_into("<I", data, offset + 8, 0x7FFFFFFF)
+        path.write_bytes(bytes(data))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["sequential", "pool"])
+    def test_metrics_count_skipped_records(self, skipping_pcap, mode,
+                                           tmp_path):
+        if mode == "sequential":
+            pipe = Pipeline(BpfApp(FILTER, services=PipelineServices(
+                telemetry=Telemetry(metrics=True))))
+        else:
+            pipe = ParallelPipeline(
+                BpfLaneSpec(_lane_config(filter=FILTER, engine="compiled",
+                                         opt_level=None, metrics=True)),
+                workers=2, backend="pool",
+                telemetry=Telemetry(metrics=True))
+        stats = pipe.run_pcap(skipping_pcap, tolerant=True)
+        assert stats["packets"] == 150
+        assert stats["health"]["records_skipped"] == 1
+        pipe.write_telemetry(str(tmp_path))
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        values = {entry["name"]: entry["value"]
+                  for entry in map(json.loads, lines[1:])
+                  if not entry.get("labels")}
+        assert values["health.records_skipped"] == \
+            stats["health"]["records_skipped"]
+        assert values["pcap.records_skipped"] == 1

@@ -128,3 +128,38 @@ class TestPcapDriver:
         stats = bro.run_pcap(path)
         assert stats["packets"] == len(http_trace)
         assert len(bro.log_lines("http")) > 0
+
+
+class TestFinishReleasesFlows:
+    def test_closed_udp_flow_released_before_finish_returns(
+            self, dns_trace, monkeypatch):
+        """End of run closes flows one at a time; each closed flow (its
+        analyzer, conn record and span) is released before the next
+        closes, not held until the whole table is done."""
+        import gc
+        import weakref
+
+        from repro.apps.bro import conn
+
+        class Flow(conn._UdpFlow):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(conn, "_UdpFlow", Flow)
+        bro = Bro(parsers="std", scripts_engine="interp",
+                  print_stream=io.StringIO())
+        tracker = bro.tracker
+        close_udp = tracker._close_udp
+        closed = []
+
+        def watched(flow):
+            gc.collect()
+            assert [ref for ref in closed if ref() is not None] == []
+            closed.append(weakref.ref(flow))
+            close_udp(flow)
+
+        monkeypatch.setattr(tracker, "_close_udp", watched)
+        bro.run(dns_trace[:40])
+        assert len(closed) > 1
+        assert len(bro.log_lines("conn")) == len(closed)
+        gc.collect()
+        assert [ref for ref in closed if ref() is not None] == []

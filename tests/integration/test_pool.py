@@ -264,6 +264,25 @@ class TestMessageChannel:
         finally:
             ring.close()
 
+    def test_fitting_message_lands_whole_or_not_at_all(self):
+        """A message that fits the ring never lands in part: a batch a
+        timed-out push left half-sent would be re-sent whole and reach
+        the worker garbled."""
+        ring = ShmRing(1 << 10)
+        channel = MessageChannel(ring)  # chunks of 256 bytes
+        message = bytes(range(200)) * 3
+        try:
+            assert ring.push(b"x" * 500)
+            used = ring.used_bytes()
+            # Room for the first chunk, not for all three.
+            assert not channel.send(7, message, timeout=0.0)
+            assert ring.used_bytes() == used
+            assert ring.pop() == b"x" * 500
+            assert channel.send(7, message, timeout=0.0)
+            assert channel.recv() == (7, message)
+        finally:
+            ring.close()
+
     def test_tagged_messages_in_order(self):
         ring = ShmRing(1 << 12)
         channel = MessageChannel(ring)
@@ -644,6 +663,7 @@ class TestServicePoolTransport:
         from repro.apps.bro.parallel import BroLaneSpec
         from repro.host.service import HostService, ServiceConfig
 
+        shutdown_shared_pools()  # the service creates its own pool
         trace = list(_trace(sessions=4, queries=10, seed=9))
         spec = BroLaneSpec({"scripts": None, "parsers": "std",
                             "scripts_engine": "interp", "log_enabled": True,
@@ -664,6 +684,9 @@ class TestServicePoolTransport:
             totals["packets_processed"] + totals["packets_shed"]
             + totals["packets_lost"] + totals["packets_dropped"])
         assert doc["config"]["lane_transport"] == "pool"
+        # Under the shed policy the ring is the lane's burst buffer:
+        # service lanes keep 1 MiB rings, not the batch-sized default.
+        assert service.lanes[0].pool._states[0].in_ring.capacity == 1 << 20
 
     def test_session_bounds_reach_pool_lanes(self, tmp_path):
         # Pool lanes are built in worker processes from the pickled

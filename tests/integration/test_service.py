@@ -35,7 +35,7 @@ from repro.host import (
     ServiceConfig,
     SessionLRU,
 )
-from repro.host.service import _EMPTY, _SENTINEL
+from repro.host.service import _EMPTY, _SENTINEL, SERVICE_SCHEMA
 from repro.lib.session_table import SessionTable
 from repro.net.packet import build_udp_packet
 from repro.net.replay import RateLimiter, TraceReplayer
@@ -506,8 +506,8 @@ class TestHostService:
         # terminal document lands in service-final.json.
         assert not (tmp_path / "service.json").exists()
         doc = json.loads((tmp_path / "service-final.json").read_text())
+        assert validate(SERVICE_SCHEMA, doc) == []
         assert doc["state"] == "drained" and doc["exit_code"] == 0
-        assert doc["schema"] == "repro-service/1"
         assert doc["pid"] == os.getpid()
         assert isinstance(doc["started_ts"], float)
         assert (tmp_path / "results.log").exists()
@@ -717,6 +717,7 @@ class TestGracefulShutdown:
                 try:
                     doc = json.loads((logdir / "service.json").read_text())
                     if doc.get("state") == "running" and doc.get("http"):
+                        assert validate(SERVICE_SCHEMA, doc) == []
                         port = doc["http"]["port"]
                 except (OSError, ValueError):
                     continue
@@ -729,6 +730,7 @@ class TestGracefulShutdown:
         assert proc.returncode == 0, out
         assert not (logdir / "service.json").exists()
         doc = json.loads((logdir / "service-final.json").read_text())
+        assert validate(SERVICE_SCHEMA, doc) == []
         assert doc["state"] == "drained" and doc["exit_code"] == 0
         assert (logdir / "events.log").exists()
         assert (logdir / "metrics.jsonl").exists()

@@ -9,7 +9,9 @@ contract, bare-key recency mode), and the ``flowexport`` tool
 end-to-end.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +287,41 @@ class TestFlowTable:
         assert set(CLOSE_REASONS) == {"finished", "expired", "evicted"}
 
     @pytest.mark.parametrize("evicting", [False, True])
+    def test_closed_entry_released(self, evicting, monkeypatch):
+        """A sealed flow is its line: neither ``close()`` nor
+        ``finish()`` keeps the entry alive."""
+        from repro.host import flowtable
+
+        class Entry(flowtable.FlowEntry):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(flowtable, "FlowEntry", Entry)
+        table = FlowTable(uid_format=format_record_uid,
+                          max_sessions=100 if evicting else None)
+        closed = weakref.ref(table.account(_tuple(sport=1), 1.0))
+        finished = weakref.ref(table.account(_tuple(sport=2), 2.0))
+        table.close(_tuple(sport=1).canonical())
+        gc.collect()
+        assert closed() is None and finished() is not None
+        table.finish()
+        gc.collect()
+        assert finished() is None
+        assert len(table.record_lines()) == 2
+
+    def test_records_round_trip_lines(self):
+        table = FlowTable(uid_format=format_record_uid, max_sessions=2)
+        for sport in (9, 2, 7, 5):
+            table.account(_tuple(sport=sport), float(sport),
+                          payload_len=sport * 10, tcp_flags=SYN)
+            table.run_eviction(None)
+        table.close(_tuple(sport=5).canonical(), "expired")
+        table.finish()
+        records = table.records()
+        assert [r.close_reason for r in records] == \
+            ["evicted", "evicted", "expired", "finished"]
+        assert sorted(r.to_line() for r in records) == table.record_lines()
+
+    @pytest.mark.parametrize("evicting", [False, True])
     def test_finish_seals_in_arrival_order(self, evicting):
         table = FlowTable(uid_format=format_record_uid,
                           max_sessions=100 if evicting else None)
@@ -331,9 +368,23 @@ _STEPS = st.tuples(
     st.sampled_from(["account"] * 4 + list(CLOSE_REASONS)))
 
 
+class _SealWatch(FlowTable):
+    """Captures, per seal, the line kept and the reference line
+    ``entry.to_record().to_line()`` of the entry as it was sealed."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.seals = []
+
+    def _seal(self, entry, reason, texts):
+        super()._seal(entry, reason, texts)
+        self.seals.append((self._sealed[-1], entry.to_record().to_line()))
+
+
 class TestRecordLineOracle:
-    """``FlowTable.record_lines()`` formats sealed entries directly;
-    ``FlowRecord.to_line`` (``json.dumps``) is the reference."""
+    """``FlowTable`` formats each entry into its line as it seals it;
+    ``FlowRecord.to_line`` (``json.dumps``) of the entry's record at
+    that moment is the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(
@@ -346,8 +397,8 @@ class TestRecordLineOracle:
            numbered=st.booleans(), finish=st.booleans())
     def test_record_lines_equal_to_line(self, pairs, steps, ttl, cap,
                                         numbered, finish):
-        table = FlowTable(uid_format=format_record_uid if numbered else None,
-                          session_ttl=ttl, max_sessions=cap)
+        table = _SealWatch(uid_format=format_record_uid if numbered else None,
+                           session_ttl=ttl, max_sessions=cap)
         for index, forward, ts, length, flags, uid, action in steps:
             src, sport, dst, dport, proto = pairs[index]
             flow = FiveTuple(Addr(src), Addr(dst), sport, dport, proto)
@@ -361,8 +412,12 @@ class TestRecordLineOracle:
                 table.close(flow.key, action)
         if finish:
             table.finish()
-        assert table.record_lines() == \
-            sorted(r.to_line() for r in table.records())
+        for line, reference in table.seals:
+            assert line == reference
+        lines = sorted(line for line, __ in table.seals)
+        assert table.record_lines() == lines
+        # records() parses every line back.
+        assert sorted(r.to_line() for r in table.records()) == lines
 
     @settings(max_examples=500, deadline=None)
     @given(_TIMES)
