@@ -259,26 +259,27 @@ class ConnectionTracker:
 
     # -- fault isolation ---------------------------------------------------------
 
-    def _deliver(self, entry, is_orig: bool, data: bytes,
-                 parent_span=NULL_SPAN) -> None:
-        """Hand payload to the flow's analyzer inside the fault boundary."""
+    def _deliver(self, entry, is_orig: bool, data: bytes) -> int:
+        """Hand payload to the flow's analyzer inside the fault boundary.
+
+        Returns the parse time in ns (0 when an injected dispatch fault
+        stopped it first) — a traced packet's ``parse`` child — or -1
+        when the flow has no analyzer."""
         analyzer = entry.analyzer
         if analyzer is None:
-            return
-        span = NULL_SPAN
-        if self.tracer.enabled:
-            span = parent_span.child("parse", bytes=len(data))
+            return -1
+        elapsed = 0
         try:
             self.core.faults.check(SITE_ANALYZER_DISPATCH)
             begin = _time.perf_counter_ns()
             try:
                 analyzer.data(is_orig, data)
             finally:
-                self.parsing_ns += _time.perf_counter_ns() - begin
+                elapsed = _time.perf_counter_ns() - begin
+                self.parsing_ns += elapsed
         except HiltiError as error:
             self._quarantine(entry, error)
-        finally:
-            span.finish()
+        return elapsed
 
     def _finish_analyzer(self, entry) -> None:
         analyzer = entry.analyzer
@@ -357,11 +358,10 @@ class ConnectionTracker:
             self.table.touch(key, timestamp.seconds)
         connection.entry.add(timestamp.seconds, packet.payload_len,
                              packet.flags, is_orig)
-        pkt_span = NULL_SPAN
-        if self.tracer.enabled:
-            pkt_span = connection.span.child(
-                "packet", len=packet.payload_len, is_orig=is_orig,
-            )
+        tracing = self.tracer.enabled
+        if tracing:
+            start_ns = _time.perf_counter_ns()
+            events = None
         reassembler = connection.reassembler
         try:
             self.core.faults.check(SITE_TCP_REASSEMBLY)
@@ -370,16 +370,22 @@ class ConnectionTracker:
             # Contained at segment granularity: this segment's payload is
             # lost (like a capture drop); the stream continues.
             self.core.health.record_error(SITE_TCP_REASSEMBLY)
-            pkt_span.event("reassembly_fault")
+            if tracing:
+                events = [(_time.perf_counter_ns() - start_ns,
+                           "reassembly_fault", {})]
             data = b""
         if reassembler.established and not connection.established:
             connection.established = True
             self.core.queue_event(
                 "connection_established", [connection.conn_val]
             )
+        parse_ns = -1
         if data:
-            self._deliver(connection, is_orig, data, parent_span=pkt_span)
-        pkt_span.finish()
+            parse_ns = self._deliver(connection, is_orig, data)
+        if tracing:
+            connection.span.packet(
+                is_orig, packet.payload_len, start_ns,
+                len(data) if parse_ns >= 0 else -1, parse_ns, events)
         if reassembler.closed:
             self._close_tcp(connection)
             self._tcp.pop(key, None)
@@ -470,11 +476,11 @@ class ConnectionTracker:
             self.table.touch(key, timestamp.seconds)
         flow.entry.add(timestamp.seconds, packet.payload_len, 0, is_orig)
         if packet.payload_len:
-            pkt_span = NULL_SPAN
             if self.tracer.enabled:
-                pkt_span = flow.span.child(
-                    "packet", len=packet.payload_len, is_orig=is_orig,
-                )
-            self._deliver(flow, is_orig, packet.payload,
-                          parent_span=pkt_span)
-            pkt_span.finish()
+                start_ns = _time.perf_counter_ns()
+                parse_ns = self._deliver(flow, is_orig, packet.payload)
+                flow.span.packet(
+                    is_orig, packet.payload_len, start_ns,
+                    packet.payload_len if parse_ns >= 0 else -1, parse_ns)
+            else:
+                self._deliver(flow, is_orig, packet.payload)

@@ -51,6 +51,7 @@ glue: ``CompiledProgram`` drains generators, ``Fiber`` resumes them.
 from __future__ import annotations
 
 import linecache
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import overlay as rt_overlay
@@ -368,12 +369,13 @@ _SUPPORT = {
 
 
 # --------------------------------------------------------------------------
-# Compile-time specialisation of single instructions (-O1 up)
+# Compile-time specialisation of single instructions (:data:`_SITES`)
 # --------------------------------------------------------------------------
 #
 # Each takes (emitter, instruction, operand expressions) and returns the
-# Python text for the instruction — an expression, or a whole statement
-# for instructions without a target — or None for the generic path.
+# Python text for the instruction — an expression, or whole statements
+# (one per line) for instructions without a target — or None for the
+# generic path.
 
 
 def _site_struct(em: "_Emitter", instruction: Instruction,
@@ -515,9 +517,50 @@ def _site_tuple_index(em, instruction, args):
     return None
 
 
+def _site_profiler(em, instruction, args):
+    """``profiler.start``/``profiler.stop`` on a constant name: the
+    context's :class:`~repro.runtime.profiler.Profiler` through a
+    monomorphic inline cache (``k<n>`` = (profiler registry last seen,
+    its profiler of that name); a miss resolves and re-points it), then
+    ``Profiler.start``/``Profiler.stop`` inline — nesting depth, clock
+    and counters, with the same nesting rule: only the outermost pair
+    measures, and a stop at depth 0 does nothing.  The region is
+    charged first (:data:`_READS_COUNTER`), so the counter readings
+    are the interpreter's."""
+    operand = instruction.operands[0]
+    if not isinstance(operand, Const) or type(operand.value) is not str:
+        return None
+    name = operand.value
+    clock = em.unit.bind(time.perf_counter_ns)
+    namespace = em.unit.namespace
+    k = em.unit.bind((None, None), share=False)
+
+    def miss(ctx):
+        profiler = ctx.profilers.get(name)
+        namespace[k] = (ctx.profilers, profiler)
+        return profiler
+
+    resolve = (f"_r, _p = {k}\n"
+               f"if _r is not ctx.profilers: "
+               f"_p = {em.unit.bind(miss, 'm')}(ctx)\n")
+    if instruction.mnemonic == "profiler.start":
+        return (f"{resolve}if _p._depth: _p._depth += 1\n"
+                f"else: _p._depth = 1; _p._start_ns = {clock}(); "
+                "_p._start_instr = ctx.instr_count; "
+                "_p._start_alloc = ctx.alloc_stats.allocations")
+    return (f"{resolve}if _p._depth == 1: _p._depth = 0; _n = {clock}(); "
+            "_p.wall_ns += _n - _p._start_ns; "
+            "_p.instructions += ctx.instr_count - _p._start_instr; "
+            "_p.allocations += ctx.alloc_stats.allocations - _p._start_alloc; "
+            "_p.updates += 1; _p.snapshot_every_ns and _p.sample(_n)\n"
+            "elif _p._depth: _p._depth -= 1")
+
+
 # mnemonic -> (lowest -O level, specialiser)
 _SITES = {
     "tuple.index": (0, _site_tuple_index),
+    "profiler.start": (0, _site_profiler),
+    "profiler.stop": (0, _site_profiler),
     "overlay.get": (1, _site_overlay_get),
     "unpack": (1, _site_unpack),
     "bytes.unpack": (1, _site_bytes_unpack),
@@ -844,7 +887,8 @@ class _Emitter:
     def assign(self, instruction: Instruction, text: str) -> None:
         if instruction.target is not None:
             text = f"{self.expr(instruction.target)} = {text}"
-        self.line(text)
+        for part in text.split("\n"):  # a site may emit several lines
+            self.line(part)
 
     # -- regions and transfers --------------------------------------------------
 

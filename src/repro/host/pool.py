@@ -49,6 +49,7 @@ from .worker import (
     MSG_SHUTDOWN,
     MSG_TELEM,
     MSG_UIDS,
+    TELEM_DROPPED,
     encode_packet,
     pack_run_prefix,
     parse_progress,
@@ -100,6 +101,9 @@ class _WorkerState:
         self.result: Optional[Dict] = None
         self.failure: Optional[str] = None
         self.telem: Optional[Dict] = None
+        # TELEM snapshots this side dropped in this run, by reason
+        # (see WorkerPool.poll); a run whose metrics are off drops them.
+        self.telem_dropped: Dict[str, int] = {}
 
 
 class WorkerPool:
@@ -111,8 +115,8 @@ class WorkerPool:
     :class:`~repro.host.parallel.ParallelPipeline` drives it as its plan
     streams, the service's ring-fed lanes as their sources deliver.  Use
     :meth:`WorkerPool.shared` to reuse one pool per ``(workers,
-    start_method)`` across runs — that reuse is where the per-run
-    spawn cost goes away.
+    start_method, ring_bytes)`` across runs — that reuse is where the
+    per-run spawn cost goes away.
     """
 
     #: Flush a batch once it holds this many packets ...
@@ -126,12 +130,13 @@ class WorkerPool:
     #: sheds on a full ring passes more room to absorb bursts.
     RING_BYTES = 2 * BATCH_BYTES
 
-    _shared: Dict[Tuple[int, str], "WorkerPool"] = {}
+    _shared: Dict[Tuple[int, str, int], "WorkerPool"] = {}
 
-    def __init__(self, workers: int, ring_bytes: int = RING_BYTES,
+    def __init__(self, workers: int, ring_bytes: Optional[int] = None,
                  start_method: Optional[str] = None):
         if workers < 1:
             raise ValueError("pool needs at least one worker")
+        ring_bytes = ring_bytes or self.RING_BYTES
         self.workers = workers
         self.start_method = start_method or default_start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
@@ -148,12 +153,13 @@ class WorkerPool:
 
     @classmethod
     def shared(cls, workers: int, start_method: Optional[str] = None,
-               ring_bytes: int = RING_BYTES) -> "WorkerPool":
-        """The process-wide pool for this worker count (and start
-        method) — created on first use, with *ring_bytes* rings, and
-        reused ever after."""
+               ring_bytes: Optional[int] = None) -> "WorkerPool":
+        """The process-wide pool for this worker count, start method
+        and ring size (default :attr:`RING_BYTES`) — created on first
+        use and reused ever after."""
         method = start_method or default_start_method()
-        key = (workers, method)
+        ring_bytes = ring_bytes or cls.RING_BYTES
+        key = (workers, method, ring_bytes)
         pool = cls._shared.get(key)
         if pool is not None and pool.closed:
             pool = None
@@ -326,13 +332,27 @@ class WorkerPool:
                     state.result = pickle.loads(body)
                     state.progressed = state.result.get(
                         "stats", {}).get("packets", state.progressed)
+                    _fold_telem_dropped(state.result.get("metrics"),
+                                        state.telem_dropped)
             elif tag == MSG_TELEM:
+                # A snapshot of an earlier run that arrives late, or one
+                # that does not unpickle (torn), is dropped — it never
+                # poisons the run — and counted.
                 run_id, body = parse_run_prefix(payload)
-                if run_id == state.run_id:
-                    try:
-                        state.telem = pickle.loads(body)
-                    except Exception:
-                        pass  # a torn snapshot never poisons the run
+                drops = state.telem_dropped
+                if run_id != state.run_id:
+                    drops["late"] = drops.get("late", 0) + 1
+                    continue
+                try:
+                    snapshot = pickle.loads(body)
+                    series = snapshot.get("series")
+                except Exception:
+                    drops["torn"] = drops.get("torn", 0) + 1
+                    continue
+                if series is not None:
+                    snapshot["series"] = list(series)
+                    _fold_telem_dropped(snapshot["series"], drops)
+                state.telem = snapshot
             elif tag == MSG_ERROR:
                 run_id, body = parse_run_prefix(payload)
                 if run_id == state.run_id:
@@ -404,6 +424,20 @@ class WorkerPool:
                     [f"worker {index}: result deadline exceeded"],
                     jobs_lost=lost)
             _time.sleep(0.001)
+
+
+def _fold_telem_dropped(series: Optional[List[Dict]],
+                        drops: Dict[str, int]) -> None:
+    """Append the parent-side TELEM drops to a lane's ``collect()``
+    series as ``telemetry.telem_dropped{reason=...}`` counters, so the
+    worker-series merge carries them with the worker's own drops; a
+    lane that ships no series (its metrics are off) gets none."""
+    if series is None:
+        return
+    for reason in sorted(drops):
+        series.append({"kind": "counter", "name": TELEM_DROPPED,
+                       "labels": {"reason": reason},
+                       "value": drops[reason]})
 
 
 def shutdown_shared_pools() -> None:

@@ -41,9 +41,12 @@ back through the same ring, so the parent — the streaming service's
 aggregator in particular — can expose per-worker series while the run
 is still in flight.  The final, complete registry still travels in
 ``RESULT`` (the lane result's ``metrics``/``prof`` entries); TELEM is
-the live view, not the record of truth.  When telemetry is disabled
-the worker never builds a snapshot and never sends the message — the
-disabled path stays a no-op.
+the live view, not the record of truth.  A snapshot lost on the way —
+unpicklable or refused by a full ring here, late or torn at the parent
+— is counted as ``telemetry.telem_dropped{reason=...}`` and merged with
+the worker's series.  When telemetry is disabled the worker never
+builds a snapshot and never sends the message — the disabled path stays
+a no-op.
 """
 
 from __future__ import annotations
@@ -67,10 +70,12 @@ __all__ = [
     "MSG_SHUTDOWN",
     "MSG_TELEM",
     "MSG_UIDS",
+    "TELEM_DROPPED",
     "TELEM_INTERVAL",
     "decode_batch",
     "encode_packet",
     "pool_worker_main",
+    "send_telemetry",
     "telemetry_snapshot",
 ]
 
@@ -87,6 +92,12 @@ MSG_UIDS = 9
 
 #: Minimum seconds between periodic TELEM snapshots from one worker.
 TELEM_INTERVAL = 0.25
+#: Seconds a TELEM snapshot waits for out-ring room before it is dropped.
+TELEM_SEND_TIMEOUT = 1.0
+#: The counter series of dropped TELEM snapshots, labeled by ``reason``:
+#: ``unpicklable`` and ``ring_full`` on the worker side, ``late`` (an
+#: earlier run's) and ``torn`` (does not unpickle) on the parent side.
+TELEM_DROPPED = "telemetry.telem_dropped"
 
 _RUN = struct.Struct("<I")      # run epoch prefix on run-scoped messages
 _PKT = struct.Struct("<QI")     # per-packet batch header: nanos, length
@@ -136,6 +147,26 @@ def telemetry_snapshot(lane, processed: int) -> Dict:
         snapshot["spans_started"] = tracer.spans_started
         snapshot["spans_dropped"] = tracer.spans_dropped
     return snapshot
+
+
+def send_telemetry(outbox, run_id: int, lane, processed: int) -> bool:
+    """Ship one ``TELEM`` snapshot of *lane*.  A snapshot that does not
+    pickle, or that the out-ring cannot take in time, is dropped and
+    counted in the lane's registry as ``telemetry.telem_dropped
+    {reason=unpicklable|ring_full}`` — the next snapshot and the lane's
+    final series carry the count to the parent."""
+    try:
+        blob = pickle.dumps(telemetry_snapshot(lane, processed),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        reason = "unpicklable"
+    else:
+        if outbox.send(MSG_TELEM, _RUN.pack(run_id) + blob,
+                       timeout=TELEM_SEND_TIMEOUT):
+            return True
+        reason = "ring_full"
+    lane.telemetry.metrics.counter(TELEM_DROPPED, reason=reason).inc()
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -244,16 +275,7 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
                     now = _time.monotonic()
                     if now - last_telem >= TELEM_INTERVAL:
                         last_telem = now
-                        try:
-                            blob = pickle.dumps(
-                                telemetry_snapshot(lane, processed),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                        except Exception:
-                            blob = None
-                        if blob is not None:
-                            outbox.send(MSG_TELEM,
-                                        _RUN.pack(run_id) + blob,
-                                        timeout=1.0)
+                        send_telemetry(outbox, run_id, lane, processed)
             elif tag == MSG_END:
                 try:
                     lane.on_end()

@@ -83,9 +83,13 @@ class Profiler:
         self.instructions += instructions - self._start_instr
         self.allocations += allocations - self._start_alloc
         self.updates += 1
-        if self.snapshot_every_ns and (
-            now - self._last_snapshot_ns >= self.snapshot_every_ns
-        ):
+        if self.snapshot_every_ns:
+            self.sample(now)
+
+    def sample(self, now: int) -> None:
+        """Take an interval snapshot if one is due at *now* (the clock
+        reading that closed the region)."""
+        if now - self._last_snapshot_ns >= self.snapshot_every_ns:
             self._last_snapshot_ns = now
             self.snapshots.append(self._snapshot())
 

@@ -10,7 +10,8 @@ queryable and exportable instead of scattered across ad-hoc counters:
   point-in-time :class:`Gauge`, and bucketed :class:`Histogram` — with a
   JSON-lines exporter;
 * a lightweight **span tracer** (:class:`Tracer` / :class:`Span`) for
-  per-flow and per-packet span trees with attached point events;
+  per-flow span trees with attached point events, each packet one flat
+  record on its flow, sealed into the flow's line through a template;
 * a **reporting layer**: the human ``stats.log`` renderer, the
   ``prof.log`` writer (delegating to :class:`~.profiler.ProfilerRegistry`)
   and the Figures 9/10 **CPU-breakdown** report builder.  The schemas
@@ -466,6 +467,10 @@ class NullSpan:
     def event(self, name: str, **attrs) -> None:
         pass
 
+    def packet(self, is_orig, length, start_ns, parse_bytes=-1,
+               parse_ns=0, events=None) -> None:
+        pass
+
     def finish(self) -> None:
         pass
 
@@ -475,27 +480,144 @@ class NullSpan:
 
 NULL_SPAN = NullSpan()
 
+# A packet of a traced flow is not a Span but one flat record on its
+# root: a template — the packet's ``flows.jsonl`` text, i.e.
+# ``json.dumps(..., sort_keys=True)`` of its ``to_dict``, with the
+# numbers left open, one per (is_orig, parsed) shape — and the numbers
+# appended to one flat list: ``len, duration_ns``, or ``len, bytes,
+# parse_ns, duration_ns`` when its payload went to the parser (the
+# ``parse`` child).  Sealing a flow is then one ``join`` and one ``%``.
+_PACKET = tuple(
+    '{"attrs": {"is_orig": %s, "len": %%d}, "duration_ns": %%d, '
+    '"name": "packet"}' % flag for flag in ("false", "true"))
+_PARSED = tuple(
+    '{"attrs": {"is_orig": %s, "len": %%d}, "children": [{"attrs": '
+    '{"bytes": %%d}, "duration_ns": %%d, "name": "parse"}], '
+    '"duration_ns": %%d, "name": "packet"}' % flag
+    for flag in ("false", "true"))
+#: The template of a generic child span; its value is the Span.
+_GENERIC = "%s"
+_SHAPES = {template: (bool(is_orig), parsed)
+           for parsed, templates in ((False, _PACKET), (True, _PARSED))
+           for is_orig, template in enumerate(templates)}
+
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _event_json(event: Tuple[int, str, Dict]) -> str:
+    offset, name, attrs = event
+    doc = {"name": name, "offset_ns": offset}
+    if attrs:
+        doc["attrs"] = attrs
+    return _sorted_json(doc)
+
 
 class _RootSpan(Span):
-    """A tracer's root span.  Finishing it seals the tree: the tracer's
-    slot for the root takes the tree's ``flows.jsonl`` line in place of
-    the root, so from then on the tree lives only as long as its host
-    holds the root (the connection tracker lets go when the flow
-    closes).  Spans added to a sealed tree are not in its line."""
+    """A tracer's root span: a flow.  Its packets are flat records
+    (:meth:`packet`) and other children generic spans, kept in order
+    as templates plus one list of their values.  Finishing the root
+    seals the tree: the tracer's slot for the root takes the tree's
+    ``flows.jsonl`` line in place of the root, so from then on the tree
+    lives only as long as its host holds the root (the connection
+    tracker lets go when the flow closes).  Spans added to a sealed
+    tree are not in its line."""
 
-    __slots__ = ("_slots", "_index", "__weakref__")
+    __slots__ = ("_shapes", "_values", "_spans", "_slots", "_index",
+                 "__weakref__")
 
     def __init__(self, name: str, attrs: Dict, slots: List):
         super().__init__(name, attrs)
+        self.children = ()  # see _shapes
+        self._shapes: List[str] = []
+        self._values: List = []
+        self._spans = 0
         self._slots = slots
         self._index = len(slots)
         slots.append(self)
 
+    def child(self, name: str, **attrs) -> Span:
+        return self._add(Span(name, attrs))
+
+    def _add(self, span: Span) -> Span:
+        self._shapes.append(_GENERIC)
+        self._values.append(span)
+        self._spans += 1
+        return span
+
+    def packet(self, is_orig: bool, length: int, start_ns: int,
+               parse_bytes: int = -1, parse_ns: int = 0,
+               events: Optional[List[Tuple[int, str, Dict]]] = None,
+               ) -> None:
+        """Record one packet of the flow, from *start_ns* to now: the
+        ``packet`` child with its ``len``/``is_orig`` attributes and,
+        when *parse_bytes* >= 0, a ``parse`` child of that many bytes
+        lasting *parse_ns*.  A packet with point *events* (``(offset_ns,
+        name, attrs)``, as :attr:`Span.events`) is rare and is kept as
+        a :class:`Span`."""
+        end = time.perf_counter_ns()
+        if events is None:
+            if parse_bytes < 0:
+                self._shapes.append(_PACKET[is_orig])
+                self._values += (length, end - start_ns)
+            else:
+                self._shapes.append(_PARSED[is_orig])
+                self._values += (length, parse_bytes, parse_ns,
+                                 end - start_ns)
+            return
+        span = Span("packet", {"len": length, "is_orig": is_orig})
+        span.start_ns, span.end_ns, span.events = start_ns, end, events
+        if parse_bytes >= 0:
+            parse = span.child("parse", bytes=parse_bytes)
+            parse.start_ns, parse.end_ns = 0, parse_ns
+        self._add(span)
+
+    def to_dict(self) -> Dict:
+        out = super().to_dict()
+        if self._shapes:
+            values = iter(self._values)
+            children = out["children"] = []
+            for shape in self._shapes:
+                if shape == _GENERIC:
+                    children.append(next(values).to_dict())
+                    continue
+                is_orig, parsed = _SHAPES[shape]
+                attrs = {"len": next(values), "is_orig": is_orig}
+                doc = {"name": "packet", "attrs": attrs}
+                if parsed:
+                    doc["children"] = [{"name": "parse",
+                                        "attrs": {"bytes": next(values)},
+                                        "duration_ns": next(values)}]
+                doc["duration_ns"] = next(values)
+                children.append(doc)
+        return out
+
     def finish(self) -> None:
         if self.end_ns is None:
             self.end_ns = time.perf_counter_ns()
-            self._slots[self._index] = json.dumps(self.to_dict(),
-                                                  sort_keys=True)
+            self._slots[self._index] = self.line()
+
+    def line(self) -> str:
+        """The tree's ``flows.jsonl`` line: the bytes of
+        ``json.dumps(self.to_dict(), sort_keys=True)``, with the packet
+        records filled into their templates in one ``%`` and only
+        attrs, events and generic child spans through the encoder."""
+        parts = []
+        if self.attrs:
+            parts.append('"attrs": ' + _sorted_json(self.attrs))
+        if self._shapes:
+            values = self._values
+            if self._spans:
+                values = [_sorted_json(value.to_dict())
+                          if value.__class__ is Span else value
+                          for value in values]
+            parts.append('"children": ['
+                         + ", ".join(self._shapes) % tuple(values) + "]")
+        parts.append('"duration_ns": %d' % self.duration_ns)
+        if self.events:
+            parts.append('"events": ['
+                         + ", ".join(map(_event_json, self.events)) + "]")
+        parts.append('"name": ' + _sorted_json(self.name))
+        return "{" + ", ".join(parts) + "}"
 
 
 class Tracer:

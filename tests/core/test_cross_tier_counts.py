@@ -109,6 +109,155 @@ class TestInstructionCountParity:
         assert big > small
 
 
+_NESTED = """module Main
+type Pair = struct {
+    int<64> first,
+    int<64> second,
+}
+
+int<64> leaf(int<64> x) {
+    local ref<Pair> p
+    local int<64> y
+    p = new Pair
+    struct.set p first x
+    y = struct.get p first
+    y = int.mul y 3
+    return y
+}
+
+int<64> outer(int<64> n) {
+    local int<64> a
+    a = call leaf(n)
+    a = call leaf(a)
+    return a
+}
+
+int<64> drive(int<64> n) {
+    local int<64> total
+    local bool done
+loop:
+    done = int.eq n 0
+    if.else done out again
+again:
+    total = call outer(n)
+    n = int.sub n 1
+    jump loop
+out:
+    return total
+}
+"""
+
+_CAUGHT = """module Main
+int<64> risky(int<64> x) {
+    local int<64> y
+    y = int.div 10 x
+    return y
+}
+
+int<64> guarded(int<64> x) {
+    local int<64> r
+    try {
+        r = call risky(x)
+    } catch (ref<Hilti::Exception> e) {
+        r = -1
+    }
+    return r
+}
+
+int<64> drive() {
+    local int<64> total
+    local int<64> r
+    r = call guarded(5)
+    total = int.add total r
+    r = call guarded(0)
+    total = int.add total r
+    r = call guarded(2)
+    total = int.add total r
+    return total
+}
+"""
+
+_UNCAUGHT = """module Main
+int<64> boom(int<64> x) {
+    local int<64> y
+    y = int.div 10 x
+    return y
+}
+
+int<64> calls_boom(int<64> x) {
+    local int<64> y
+    y = call boom(x)
+    return y
+}
+"""
+
+
+def _profiled(source: str, entry: str, args, tier: str):
+    """Run with function-granularity profilers; returns the result (or
+    the HILTI error it raised), ``ctx.instr_count`` and every profiler's
+    report but its wall time."""
+    from repro.runtime.exceptions import HiltiError
+
+    program = hiltic([source], profile=True, tier=tier, opt_level=0)
+    ctx = program.make_context()
+    try:
+        result = program.call(ctx, entry, list(args))
+    except HiltiError as error:
+        result = repr(error)
+    reports = {name: {k: v for k, v in report.items() if k != "wall_ns"}
+               for name, report in ctx.profilers.report().items()}
+    return result, ctx.instr_count, reports
+
+
+@pytest.mark.parametrize("source,entry,args", [
+    (_FIB, "Main::fib", [10]),
+    (_NESTED, "Main::drive", [6]),
+    (_HOOKS, "Main::fire", [5]),
+    (_CAUGHT, "Main::drive", []),
+    (_UNCAUGHT, "Main::calls_boom", [0]),
+], ids=["recursion", "nested", "hook-bodies", "caught-exit",
+        "uncaught-exit"])
+class TestProfilerParityAcrossTiers:
+    """The compiled tier's inline ``profiler.start``/``profiler.stop``
+    sites and the interpreter's registry calls agree on every profiler:
+    instructions, allocations, updates and the ``unbalanced`` flag."""
+
+    def test_profiler_reports_agree(self, source, entry, args):
+        compiled = _profiled(source, entry, args, "compiled")
+        interpreted = _profiled(source, entry, args, "interpreted")
+        assert compiled == interpreted
+        __, count, reports = compiled
+        assert count > 0 and reports
+        assert all(report["updates"] > 0 for report in reports.values())
+
+    def test_compiled_sites_are_inline(self, source, entry, args):
+        program = hiltic([source], profile=True, opt_level=0)
+        for function in program.functions.values():
+            code = [line.split("  # ")[0]
+                    for line in function.source.splitlines()]
+            assert any("ctx.profilers" in line for line in code)
+            # No registry call by name is left.
+            assert not any("'func/" in line for line in code)
+
+
+class TestProfilerExitShapes:
+    def test_exits_are_flagged_as_they_happened(self):
+        __, __, caught = _profiled(_CAUGHT, "Main::drive", [], "compiled")
+        # risky's region is left open by the throw (and nests under it
+        # from then on); guarded catches and stops normally.
+        assert caught["func/Main::risky"]["unbalanced"] is True
+        assert caught["func/Main::guarded"] == {
+            **caught["func/Main::guarded"], "unbalanced": False,
+            "updates": 3}
+        __, __, uncaught = _profiled(_UNCAUGHT, "Main::calls_boom", [0],
+                                     "compiled")
+        assert all(report["unbalanced"] for report in uncaught.values())
+        __, __, nested = _profiled(_NESTED, "Main::drive", [6], "compiled")
+        assert nested["func/Main::leaf"]["updates"] == 12
+        assert nested["func/Main::leaf"]["allocations"] == 12
+        assert nested["func/Main::outer"]["allocations"] == 12
+
+
 class TestProfilerDeltasMatchAcrossTiers:
     def test_profiled_instruction_deltas_agree(self):
         """Totals are identical; profiler deltas may differ only by the

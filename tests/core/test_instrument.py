@@ -94,6 +94,48 @@ void run_all() {
 """
 
 
+class TestInlineSites:
+    """The compiled tier inlines ``profiler.start``/``profiler.stop``
+    (``core/codegen.py``'s ``_site_profiler``) at every ``-O`` level."""
+
+    def test_levels_and_tiers_agree(self):
+        reports = []
+        for tier, level in (("interpreted", 0), ("compiled", 0),
+                            ("compiled", 1)):
+            program = hiltic([_MULTI_RETURN], profile=True, tier=tier,
+                             opt_level=level)
+            ctx = program.make_context()
+            program.call(ctx, "Main::run_all")
+            report = ctx.profilers.get("func/Main::classify").report()
+            reports.append((report["updates"], report["allocations"],
+                            report["unbalanced"]))
+        assert reports == [(3, 0, False)] * 3
+
+    def test_interval_snapshots_from_inline_stops(self):
+        counts = {}
+        for tier in ("compiled", "interpreted"):
+            program = hiltic([_SRC], profile=True, tier=tier)
+            ctx = program.make_context()
+            ctx.profilers.default_snapshot_every_ns = 1
+            program.call(ctx, "Main::run_all")
+            helper = ctx.profilers.get("func/Main::helper")
+            counts[tier] = len(helper.snapshots)
+            assert [s["updates"] for s in helper.snapshots] == [1, 2, 3]
+        assert counts == {"compiled": 3, "interpreted": 3}
+
+    def test_context_switch_re_resolves(self):
+        """One compiled program, two contexts: each site's cache follows
+        the context it runs in, so each context's profilers count only
+        their own calls."""
+        program = hiltic([_SRC], profile=True)
+        first, second = program.make_context(), program.make_context()
+        program.call(first, "Main::run_all")
+        program.call(second, "Main::run_all")
+        program.call(first, "Main::run_all")
+        assert first.profilers.get("func/Main::helper").updates == 6
+        assert second.profilers.get("func/Main::helper").updates == 3
+
+
 class TestMultiReturnFunctions:
     def test_every_return_gets_a_stop(self):
         from repro.core.parser import parse_module

@@ -350,6 +350,22 @@ class TestWorkerPool:
         finally:
             pool.close()
 
+    def test_shared_pool_keyed_by_ring_size(self):
+        """A caller asking for bigger rings gets them, even when a pool
+        of that worker count already exists with the default size."""
+        shutdown_shared_pools()
+        try:
+            batch = WorkerPool.shared(1, start_method="fork")
+            service = WorkerPool.shared(1, start_method="fork",
+                                        ring_bytes=1 << 20)
+            assert service is not batch
+            assert batch._states[0].in_ring.capacity == \
+                WorkerPool.RING_BYTES
+            assert service._states[0].in_ring.capacity == 1 << 20
+            assert WorkerPool.shared(1, start_method="fork") is batch
+        finally:
+            shutdown_shared_pools()
+
     @staticmethod
     def _drive(spec, shard):
         from repro.core.values import Time
@@ -440,9 +456,10 @@ class TestStreamedRun:
         length in it."""
         ring_bytes = 1 << 14
         monkeypatch.setattr(WorkerPool, "BATCH_BYTES", 2048)
+        # The pipeline asks for the default ring size: make it small.
+        monkeypatch.setattr(WorkerPool, "RING_BYTES", ring_bytes)
         shutdown_shared_pools()
-        pool = WorkerPool.shared(2, start_method="fork",
-                                 ring_bytes=ring_bytes)
+        pool = WorkerPool.shared(2, start_method="fork")
         trace = _trace(sessions=200, queries=50, seed=17)
         assert sum(len(frame) for __, frame in trace) >= (
             16 * pool.workers * 2 * ring_bytes)
@@ -663,7 +680,6 @@ class TestServicePoolTransport:
         from repro.apps.bro.parallel import BroLaneSpec
         from repro.host.service import HostService, ServiceConfig
 
-        shutdown_shared_pools()  # the service creates its own pool
         trace = list(_trace(sessions=4, queries=10, seed=9))
         spec = BroLaneSpec({"scripts": None, "parsers": "std",
                             "scripts_engine": "interp", "log_enabled": True,

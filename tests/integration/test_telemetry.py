@@ -24,7 +24,6 @@ from repro.runtime.telemetry import (
     CPU_BREAKDOWN_SCHEMA,
     METRICS_SCHEMA,
     Telemetry,
-    Tracer,
 )
 from repro.tools.validate import validate
 
@@ -164,19 +163,7 @@ class TestUnifiedMetrics:
 
 
 class TestFlowTracing:
-    def test_span_trees_cover_flows_and_packets(self, http_trace,
-                                                monkeypatch):
-        # Keep every root alive past its seal so the test can also see
-        # which spans were finished when their tree was encoded.
-        started = []
-        start_span = Tracer.start_span
-
-        def keeping_start_span(tracer, name, **attrs):
-            span = start_span(tracer, name, **attrs)
-            started.append(span)
-            return span
-
-        monkeypatch.setattr(Tracer, "start_span", keeping_start_span)
+    def test_span_trees_cover_flows_and_packets(self, http_trace):
         bro = _run(http_trace, trace_flows=True)
         roots = [json.loads(line) for line in bro.telemetry.tracer.lines()]
         assert len(roots) == bro.tracker.flows_opened["tcp"]
@@ -188,9 +175,12 @@ class TestFlowTracing:
         parses = [c for p in packets for c in p.get("children", ())
                   if c["name"] == "parse"]
         assert parses
-        assert all(p.end_ns is not None
-                   for p in started[0].children if p.name == "packet")
         assert any(e["name"] == "close" for e in flow["events"])
+        # Every packet the ledger accounted is one packet child.
+        records = [json.loads(line) for line in bro.flow_record_lines()]
+        children = sum(len(root.get("children", ())) for root in roots)
+        assert children == sum(r["orig_pkts"] + r["resp_pkts"]
+                               for r in records)
 
     def test_trace_without_metrics(self, http_trace):
         bro = _run(http_trace, metrics=False, trace_flows=True)
@@ -233,6 +223,36 @@ class TestFlowTraceParity:
         parallel.run(trace)
         parallel.write_telemetry(str(tmp_path))
         assert _flow_docs(str(tmp_path)) == sequential
+
+
+class TestGoldenFlowTrace:
+    """The telemetry-reports CI job's ``flows.jsonl``, pinned byte for
+    byte once its timings are zeroed: ``tracegen http --sessions 30
+    --seed 42`` through ``bro --compile-scripts --parsers pac
+    --trace-flows``.  The digest was recorded from the
+    ``json.dumps(span.to_dict(), sort_keys=True)`` encoder the
+    per-record templates replaced; the CI step holds the same one."""
+
+    SHA256 = "cd2cab5169da1102afdcd80fbe153a99aedd34a703f9053cca8aba5ee245ca2b"
+
+    def test_untimed_flow_trace_digest(self, tmp_path, capsys):
+        import hashlib
+        import re
+
+        from repro.tools import bro, tracegen
+
+        trace = str(tmp_path / "http.pcap")
+        assert tracegen.main(["http", "--sessions", "30", "--seed", "42",
+                              "-o", trace]) == 0
+        logdir = str(tmp_path / "logs")
+        assert bro.main(["-r", trace, "--compile-scripts", "--parsers",
+                         "pac", "--metrics", "--trace-flows",
+                         "--logdir", logdir]) == 0
+        capsys.readouterr()
+        with open(f"{logdir}/flows.jsonl", "rb") as stream:
+            untimed = re.sub(rb'"(duration_ns|offset_ns)": [0-9]+',
+                             rb'"\1": 0', stream.read())
+        assert hashlib.sha256(untimed).hexdigest() == self.SHA256
 
 
 class TestReportFiles:

@@ -16,16 +16,26 @@ sectioned ``prof.log``.
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
 
 from repro.apps.bpf.app import BpfApp, BpfLaneSpec
+from repro.host import worker
 from repro.host.app import PipelineServices
 from repro.host.parallel import ParallelPipeline
-from repro.host.pool import shutdown_shared_pools
+from repro.host.pool import WorkerPool, shutdown_shared_pools
+from repro.host.ring import MessageChannel, ShmRing
 from repro.host.service import HostService, ServiceConfig
-from repro.host.worker import MSG_TELEM, TELEM_INTERVAL, telemetry_snapshot
+from repro.host.worker import (
+    MSG_TELEM,
+    TELEM_DROPPED,
+    TELEM_INTERVAL,
+    pack_run_prefix,
+    send_telemetry,
+    telemetry_snapshot,
+)
 from repro.net.replay import TraceReplayer
 from repro.net.tracegen import (
     DnsTraceConfig,
@@ -33,7 +43,11 @@ from repro.net.tracegen import (
     generate_mixed_trace,
     write_pcap,
 )
-from repro.runtime.telemetry import METRICS_SCHEMA, Telemetry
+from repro.runtime.telemetry import (
+    METRICS_SCHEMA,
+    MetricsRegistry,
+    Telemetry,
+)
 from repro.tools.validate import validate
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -261,6 +275,121 @@ class TestTelemSnapshot:
                 worker.MSG_SHUTDOWN, MSG_TELEM]
         assert len(set(tags)) == len(tags)
         assert 0 < TELEM_INTERVAL < 5
+
+
+def _dropped(series, reason):
+    return sum(entry["value"] for entry in series
+               if entry["name"] == TELEM_DROPPED
+               and entry.get("labels", {}).get("reason") == reason)
+
+
+class TestTelemDropped:
+    """A snapshot lost on its way to the parent is counted, on the side
+    that lost it, as ``telemetry.telem_dropped{reason=...}``."""
+
+    @staticmethod
+    def _lane(trace):
+        app = BpfApp("tcp", engine="vm",
+                     services=PipelineServices(
+                         telemetry=Telemetry(metrics=True)))
+        app.on_begin()
+        for timestamp, frame in trace[:20]:
+            app.on_packet(timestamp, frame)
+        return app
+
+    def test_full_ring_drops_and_counts(self, trace, monkeypatch):
+        monkeypatch.setattr(worker, "TELEM_SEND_TIMEOUT", 0.01)
+        app = self._lane(trace)
+        ring = ShmRing(1 << 16)
+        try:
+            outbox = MessageChannel(ring)
+            assert send_telemetry(outbox, 1, app, 20)
+            for size in (512, 1):
+                while ring.push(b"x" * size):
+                    pass
+            assert not send_telemetry(outbox, 1, app, 20)
+        finally:
+            ring.close()
+        series = app.telemetry.metrics.collect()
+        assert _dropped(series, "ring_full") == 1
+        assert _dropped(series, "unpicklable") == 0
+
+    def test_unpicklable_snapshot_drops_and_counts(self, trace,
+                                                   monkeypatch):
+        app = self._lane(trace)
+        monkeypatch.setattr(app, "live_metrics",
+                            lambda: {"packets": lambda: 0})
+        ring = ShmRing(1 << 16)
+        try:
+            assert not send_telemetry(MessageChannel(ring), 1, app, 20)
+            assert ring.used_bytes() == 0
+        finally:
+            ring.close()
+        assert _dropped(app.telemetry.metrics.collect(),
+                        "unpicklable") == 1
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="pool wants fork")
+    def test_late_and_torn_snapshots_reach_the_merge(self, trace):
+        """A stale-epoch snapshot and a torn one are dropped by the
+        parent, counted, and folded into the next good snapshot's and
+        the run result's series — the lists the worker-series merge
+        reads."""
+        pool = WorkerPool(1, start_method="fork")
+        try:
+            pool.begin_run(BpfLaneSpec(CONFIG))
+            state = pool._states[0]
+            # Until it is fed, the worker sends nothing: this side can
+            # stand in for it on the out-ring.
+            fake = MessageChannel(state.out_ring)
+            good = telemetry_snapshot(self._lane(trace), processed=20)
+            for run_id, body in (
+                    (state.run_id - 1, pickle.dumps(good)),
+                    (state.run_id, pickle.dumps(good)[:-7]),
+                    (state.run_id, pickle.dumps(good))):
+                assert fake.send(MSG_TELEM,
+                                 pack_run_prefix(run_id) + body)
+            pool.poll(0)
+            snapshot = pool.telemetry(0)
+            assert _dropped(snapshot["series"], "late") == 1
+            assert _dropped(snapshot["series"], "torn") == 1
+            for timestamp, frame in trace[:30]:
+                pool.feed(0, timestamp.nanos, frame)
+            pool.finish(0)
+            result = pool.collect(0, timeout=30.0)
+        finally:
+            pool.close()
+        merged = MetricsRegistry()
+        merged.merge_series(result["metrics"], extra_labels={"worker": "0"})
+        assert merged.counter(TELEM_DROPPED, reason="late",
+                              worker="0").value == 1
+        assert merged.counter(TELEM_DROPPED, reason="torn",
+                              worker="0").value == 1
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="pool wants fork")
+    def test_drops_stay_with_their_run(self, trace):
+        """A drop in a run whose metrics are off is not reported by the
+        next run on the same pool as its own."""
+        pool = WorkerPool(1, start_method="fork")
+        try:
+            results = []
+            for metrics in (False, True):
+                pool.begin_run(BpfLaneSpec(
+                    dict(CONFIG, metrics=metrics, trace=not metrics)))
+                state = pool._states[0]
+                if not metrics:
+                    assert MessageChannel(state.out_ring).send(
+                        MSG_TELEM, pack_run_prefix(state.run_id) + b"torn")
+                for timestamp, frame in trace[:30]:
+                    pool.feed(0, timestamp.nanos, frame)
+                pool.finish(0)
+                results.append(pool.collect(0, timeout=30.0))
+        finally:
+            pool.close()
+        assert results[0]["metrics"] is None
+        series = results[1]["metrics"]
+        assert series
+        assert not [entry for entry in series
+                    if entry["name"] == TELEM_DROPPED]
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="pool transport wants fork")
