@@ -30,9 +30,10 @@ def pac_parsers():
     return PacParsers()
 
 
-def _run(trace, parsers, engine="interp", pac=None):
-    bro = Bro(parsers=parsers, scripts_engine=engine, log_enabled=False,
-              print_stream=io.StringIO(), pac_parsers=pac)
+def _run(trace, parsers, engine="interp", pac=None, log_enabled=False):
+    bro = Bro(parsers=parsers, scripts_engine=engine,
+              log_enabled=log_enabled, print_stream=io.StringIO(),
+              pac_parsers=pac)
     stats = bro.run(trace)
     return bro, stats
 
@@ -113,19 +114,15 @@ def test_figure9_glue_share(http_trace, dns_trace, pac_parsers, report,
 
 def test_figure9_allocations(http_trace, dns_trace, report, benchmark):
     """§6.4's memory finding: generated parsers allocate more per PDU,
-    with DNS more affected than HTTP."""
+    with DNS more affected than HTTP.  PDUs are the log lines of a run
+    with logging on."""
     measurements = {}
     for proto, trace in (("http", http_trace), ("dns", dns_trace)):
         pac = PacParsers()  # fresh counters
-        bro, __ = _run(trace, "pac", pac=pac)
-        if proto == "http":
-            pdus = sum(
-                1 for line in _run(trace, "std")[0].log_lines("http")
-            ) or 1
-            allocs = pac.http.ctx.alloc_stats.allocations
-        else:
-            pdus = len(_run(trace, "std")[0].log_lines("dns")) or 1
-            allocs = pac.dns.ctx.alloc_stats.allocations
+        _run(trace, "pac", pac=pac)
+        pdus = len(_run(trace, "std", log_enabled=True)[0].log_lines(proto))
+        assert pdus > 0
+        allocs = getattr(pac, proto).ctx.alloc_stats.allocations
         measurements[proto] = allocs / pdus
     report(
         "Figure 9 allocations per logged PDU (paper: DNS growth > HTTP)",

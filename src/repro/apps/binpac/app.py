@@ -9,21 +9,21 @@ udp/69.  Every finished unit (forwarded by the generated
 ``unit_done_glue`` hooks through ``Bro::raise_event``) becomes one
 result line of ``timestamp  uid  event  fields...``.
 
-Flow uids are assigned in first-packet arrival order — pre-computed by
-the parallel dispatcher (``uid_map``) or counted locally in a
-sequential run, which is the same order by construction — so the sorted
-line stream is byte-identical across sequential and all parallel
-backends.
+A flow's uid names the ordinal of the packet that opened it
+(docs/FLOWS.md), which every backend computes alike, so the sorted line
+stream is byte-identical across sequential and all parallel backends.
 """
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from ...host.app import HostApp, PipelineServices
 from ...host.demux import FlowDemux
-from ...host.parallel import LaneSpec, flow_key
+from ...host.parallel import LaneSpec
+from ...net.flowrecord import format_uid
 from ...net.packet import PROTO_TCP, PROTO_UDP
 from ...runtime.bytes_buffer import Bytes
 from ...runtime.exceptions import (
@@ -53,9 +53,8 @@ PROTOCOLS = {
 _TFTP_OPCODES = {1: "rrq", 2: "wrq", 3: "data", 4: "ack", 5: "error"}
 
 
-def format_flow_uid(serial: int) -> str:
-    """The driver's flow uid: dense serials in global arrival order."""
-    return f"F{serial:06d}"
+#: The driver's flow uid: ``F`` and the ordinal of the opening packet.
+format_flow_uid = functools.partial(format_uid, "F")
 
 
 def _containable(error: HiltiError) -> bool:
@@ -201,15 +200,12 @@ class PacApp(HostApp):
     def __init__(self, protocols=("http", "dns", "ssh", "tftp"),
                  opt_level: Optional[int] = None,
                  services: Optional[PipelineServices] = None,
-                 uid_map: Optional[Dict] = None,
                  flow_budget_ns: Optional[int] = None):
         super().__init__(services)
         unknown = [p for p in protocols if p not in PROTOCOLS]
         if unknown:
             raise ValueError(f"unknown protocols {unknown!r}")
         self.protocols = tuple(protocols)
-        self._uid_map = uid_map
-        self._serial = 0
         self.now = None
         self.events = 0
         self.parse_errors = 0
@@ -235,7 +231,6 @@ class PacApp(HostApp):
             memory_budget_bytes=self.services.memory_budget_bytes,
             flow_budget_ns=flow_budget_ns,
             on_slow_flow=self._on_slow_flow,
-            uid_map=uid_map,
             uid_format=format_flow_uid,
         )
 
@@ -246,16 +241,10 @@ class PacApp(HostApp):
                 or self._ports.get((flow.protocol, flow.src_port)))
 
     def _flow_factory(self, flow):
-        # Serials count every flow (handled or not) so they line up with
-        # the parallel dispatcher's global uid pre-assignment.
-        self._serial += 1
         protocol = self._service_of(flow)
         if protocol is None:
             return None
-        if self._uid_map is not None:
-            uid = self._uid_map.get(flow_key(flow))
-        else:
-            uid = format_flow_uid(self._serial)
+        uid = format_flow_uid(self.ordinal)
         if flow.protocol == PROTO_TCP:
             return _StreamFlow(self, protocol, uid)
         return _DatagramFlow(self, protocol, uid)
@@ -311,7 +300,7 @@ class PacApp(HostApp):
         self.now = timestamp
         begin = _time.perf_counter_ns()
         try:
-            self.demux.feed(frame, now=timestamp.seconds)
+            self.demux.feed(frame, timestamp.seconds, self.ordinal)
         finally:
             self._parse_ns += _time.perf_counter_ns() - begin
 
@@ -364,17 +353,14 @@ class PacApp(HostApp):
 
 
 class PacLaneSpec(LaneSpec):
-    """Parallel lanes for the driver: default 5-tuple sharding, flow
-    uids pre-assigned in global arrival order."""
+    """Parallel lanes for the driver: default 5-tuple sharding."""
 
     app_name = "pac"
-    uid_format = staticmethod(format_flow_uid)
 
-    def make_lane(self, uid_map: Dict) -> PacApp:
+    def make_lane(self) -> PacApp:
         config = self.config
         return PacApp(
             protocols=config["protocols"],
             opt_level=config["opt_level"],
             services=self.lane_services(),
-            uid_map=uid_map,
         )

@@ -42,8 +42,7 @@ class BpfApp(HostApp):
 
     def __init__(self, filter_text: str, engine: str = "compiled",
                  opt_level: Optional[int] = None,
-                 services: Optional[PipelineServices] = None,
-                 uid_map: Optional[Dict] = None):
+                 services: Optional[PipelineServices] = None):
         if engine not in ENGINES:
             raise ValueError(f"unknown BPF engine {engine!r}")
         super().__init__(services)
@@ -52,7 +51,7 @@ class BpfApp(HostApp):
         # The flow ledger: every TCP/UDP frame is accounted regardless
         # of the filter verdict, so the record stream describes the
         # traffic the filter saw, not just what it passed.
-        self.flows = FlowTable(uid_map=uid_map, uid_format=format_record_uid)
+        self.flows = FlowTable(uid_format=format_record_uid)
         if engine == "vm":
             self._program = compile_to_vm(parse_filter(filter_text))
             self._filter = self._ctx = None
@@ -87,7 +86,8 @@ class BpfApp(HostApp):
         packet = decode_flow(frame)
         if packet is not None:
             self.flows.account(packet, timestamp.seconds,
-                               packet.payload_len, packet.flags)
+                               packet.payload_len, packet.flags,
+                               self.ordinal)
         health = self.services.health
         begin = _time.perf_counter_ns()
         try:
@@ -147,14 +147,12 @@ class BpfLaneSpec(LaneSpec):
     placement yields the identical accepted-line set."""
 
     app_name = "bpf"
-    record_uid_format = staticmethod(format_record_uid)
 
-    def make_lane(self, uid_map: Dict) -> BpfApp:
+    def make_lane(self) -> BpfApp:
         config = self.config
         return BpfApp(
             config["filter"],
             engine=config["engine"],
             opt_level=config["opt_level"],
             services=self.lane_services(),
-            uid_map=uid_map,
         )

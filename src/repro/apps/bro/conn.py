@@ -17,6 +17,7 @@ the circuit breaker that can degrade the parser tier for new flows
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from typing import Callable, Dict, Optional, Tuple
 
@@ -30,6 +31,7 @@ from ...net.packet import (
     decode,
 )
 from ...host.flowtable import FlowTable
+from ...net.flowrecord import format_uid
 from ...net.reassembly import ConnectionReassembler
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import (
@@ -41,6 +43,9 @@ from ...runtime.telemetry import NULL_SPAN, NULL_TRACER
 from .core import BroCore
 
 __all__ = ["ConnectionTracker"]
+
+#: A connection's uid: ``C`` and the ordinal of its opening packet.
+_conn_uid = functools.partial(format_uid, "C")
 
 
 class _TcpConnection:
@@ -87,7 +92,7 @@ class ConnectionTracker:
     TIMEWAIT_CAPACITY = 8192
 
     def __init__(self, core: BroCore, analyzer_factory: Callable,
-                 tracer=None, uid_map: Optional[Dict] = None,
+                 tracer=None,
                  max_sessions: Optional[int] = None,
                  session_ttl: Optional[float] = None):
         self.core = core
@@ -96,19 +101,16 @@ class ConnectionTracker:
         # inactivity TTL over network time, enforced by the shared
         # ledger's LRU eviction loop; with neither armed the tracker is
         # byte-identical to the unbounded original.  The ledger also
-        # owns the per-direction packet/byte accounting and seals every
+        # owns the per-direction packet/byte accounting, names each
+        # connection after its opening packet's ordinal and seals every
         # closed connection into a flow record.
         self.max_sessions = max_sessions
         self.session_ttl = session_ttl
         self._evicting = max_sessions is not None or session_ttl is not None
-        self.table = FlowTable(max_sessions=max_sessions,
+        self.table = FlowTable(uid_format=_conn_uid,
+                               max_sessions=max_sessions,
                                session_ttl=session_ttl,
                                on_evict=self._on_evict_conn)
-        # Pre-assigned connection uids, keyed by the canonical flow key.
-        # The flow-parallel driver computes these in global packet-arrival
-        # order before fan-out, so every lane labels its connections
-        # exactly as the sequential pipeline would (docs/PARALLELISM.md).
-        self._uid_map = uid_map
         self._tcp: Dict[Tuple, _TcpConnection] = {}
         self._udp: Dict[Tuple, _UdpFlow] = {}
         # TIME_WAIT: keys of recently torn-down TCP connections.  The
@@ -161,15 +163,6 @@ class ConnectionTracker:
                 out[key] += live[key]
         return out
 
-    def _uid_for(self, key) -> str:
-        """The connection uid for a new flow: pre-assigned when running
-        under the parallel driver, freshly allocated otherwise."""
-        if self._uid_map is not None:
-            uid = self._uid_map.get(key)
-            if uid is not None:
-                return uid
-        return self.core.next_uid()
-
     def _note_flow_opened(self, proto: str) -> None:
         self.flows_opened[proto] += 1
         occupancy = self.open_flows()
@@ -178,7 +171,9 @@ class ConnectionTracker:
 
     # -- packet entry ------------------------------------------------------------
 
-    def packet(self, timestamp: Time, frame: bytes) -> None:
+    def packet(self, timestamp: Time, frame: bytes, ordinal: int) -> None:
+        """Track packet number *ordinal*; a connection it opens is named
+        after it."""
         self.core.advance_time(timestamp)
         try:
             packet = decode(frame)
@@ -186,9 +181,9 @@ class ConnectionTracker:
             self.ignored += 1
             return
         if packet.protocol == PROTO_TCP:
-            self._tcp_packet(timestamp, packet)
+            self._tcp_packet(timestamp, packet, ordinal)
         elif packet.protocol == PROTO_UDP:
-            self._udp_packet(timestamp, packet)
+            self._udp_packet(timestamp, packet, ordinal)
         else:
             self.ignored += 1
         if self._evicting:
@@ -310,7 +305,8 @@ class ConnectionTracker:
 
     # -- TCP ------------------------------------------------------------------
 
-    def _tcp_packet(self, timestamp: Time, packet: Decoded) -> None:
+    def _tcp_packet(self, timestamp: Time, packet: Decoded,
+                    ordinal: int) -> None:
         key = packet.key
         connection = self._tcp.get(key)
         if connection is None and key in self._timewait:
@@ -322,8 +318,11 @@ class ConnectionTracker:
             del self._timewait[key]
         if connection is None:
             # New connection: the first packet's sender is the originator.
+            # The canonical key loses direction; the ledger entry
+            # remembers which canonical side is the originator.
+            entry = self.table.open(packet, timestamp.seconds, ordinal)
             conn_val = self.core.make_connection_val(
-                self._uid_for(key),
+                entry.uid,
                 Addr.from_value(packet.src),
                 Port(packet.src_port, Port.TCP),
                 Addr.from_value(packet.dst),
@@ -335,20 +334,13 @@ class ConnectionTracker:
             )
             if analyzer is not None:
                 self.core.health.breaker.record_flow()
-            # The canonical key loses direction; the ledger entry
-            # remembers which canonical side is the originator.
             connection = _TcpConnection(
-                key, conn_val,
-                ConnectionReassembler(),
-                analyzer,
-                self.table.open(packet, timestamp.seconds,
-                                uid=conn_val.get_or("uid")),
-            )
+                key, conn_val, ConnectionReassembler(), analyzer, entry)
             self._tcp[key] = connection
             self._note_flow_opened("tcp")
             if self.tracer.enabled:
                 connection.span = self.tracer.start_span(
-                    "flow", uid=conn_val.get_or("uid"), proto="tcp",
+                    "flow", uid=entry.uid, proto="tcp",
                     resp_port=packet.dst_port,
                 )
             self.core.queue_event("new_connection", [conn_val])
@@ -442,12 +434,14 @@ class ConnectionTracker:
 
     # -- UDP -----------------------------------------------------------------
 
-    def _udp_packet(self, timestamp: Time, packet: Decoded) -> None:
+    def _udp_packet(self, timestamp: Time, packet: Decoded,
+                    ordinal: int) -> None:
         key = packet.key
         flow = self._udp.get(key)
         if flow is None:
+            entry = self.table.open(packet, timestamp.seconds, ordinal)
             conn_val = self.core.make_connection_val(
-                self._uid_for(key),
+                entry.uid,
                 Addr.from_value(packet.src),
                 Port(packet.src_port, Port.UDP),
                 Addr.from_value(packet.dst),
@@ -459,14 +453,12 @@ class ConnectionTracker:
             )
             if analyzer is not None:
                 self.core.health.breaker.record_flow()
-            flow = _UdpFlow(key, conn_val, analyzer,
-                            self.table.open(packet, timestamp.seconds,
-                                            uid=conn_val.get_or("uid")))
+            flow = _UdpFlow(key, conn_val, analyzer, entry)
             self._udp[key] = flow
             self._note_flow_opened("udp")
             if self.tracer.enabled:
                 flow.span = self.tracer.start_span(
-                    "flow", uid=conn_val.get_or("uid"), proto="udp",
+                    "flow", uid=entry.uid, proto="udp",
                     resp_port=packet.dst_port,
                 )
             self.core.queue_event("new_connection", [conn_val])

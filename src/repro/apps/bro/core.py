@@ -29,22 +29,8 @@ from .logging import LogManager
 from .val import RecordType, RecordVal
 
 __all__ = ["BroCore", "CONN_ID_TYPE", "CONNECTION_TYPE", "WEIRD_TYPE",
-           "WEIRD_LOG_COLUMNS", "format_uid"]
+           "WEIRD_LOG_COLUMNS"]
 
-
-def format_uid(value: int) -> str:
-    """Bro-style connection uid for ordinal *value* (1-based).
-
-    A module-level function so the flow-parallel dispatcher can
-    pre-assign the exact uids the sequential pipeline's per-core counter
-    would produce (docs/PARALLELISM.md).
-    """
-    digits = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    out = []
-    while value:
-        value, rem = divmod(value, 62)
-        out.append(digits[rem])
-    return "C" + "".join(reversed(out)).rjust(8, "0")
 
 CONN_ID_TYPE = RecordType("conn_id", [
     ("orig_h", None), ("orig_p", None), ("resp_h", None), ("resp_p", None),
@@ -86,7 +72,6 @@ class BroCore:
         self.timers: Dict[str, int] = {
             "parsing": 0, "script": 0, "glue": 0, "other": 0,
         }
-        self._uid_counter = 0
         self.script_engine = None
         # Fault-isolation services (repro.runtime.faults): the injector is
         # the null object unless a host arms one; the health report always
@@ -129,12 +114,6 @@ class BroCore:
 
     def network_time(self) -> Time:
         return self._now
-
-    # -- uids ------------------------------------------------------------------
-
-    def next_uid(self) -> str:
-        self._uid_counter += 1
-        return format_uid(self._uid_counter)
 
     # -- events ------------------------------------------------------------------
 

@@ -79,7 +79,6 @@ class Bro(HostApp):
         breaker_min_flows: int = 8,
         opt_level: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        uid_map=None,
         max_sessions: Optional[int] = None,
         session_ttl: Optional[float] = None,
     ):
@@ -160,7 +159,6 @@ class Bro(HostApp):
             }
         self.tracker = ConnectionTracker(self.core, self._make_analyzer,
                                          tracer=self.telemetry.tracer,
-                                         uid_map=uid_map,
                                          max_sessions=max_sessions,
                                          session_ttl=session_ttl)
 
@@ -219,7 +217,7 @@ class Bro(HostApp):
 
     def packet(self, timestamp: Time, frame: bytes) -> None:
         """Process one packet and drain the events it raised."""
-        self.tracker.packet(timestamp, frame)
+        self.tracker.packet(timestamp, frame, self.ordinal)
         self.core.drain_events()
 
     def finish(self) -> None:

@@ -15,9 +15,9 @@ per-stream log accessors.
 
 Output determinism is the load-bearing property (the P4Testgen-style
 differential oracle of ``tests/integration/test_parallel_pipeline.py``):
-connection uids are pre-assigned in global packet-arrival order before
-fan-out, per-flow log lines are byte-identical to the sequential
-pipeline's, and the ordered merge (lexicographic sort — every line
+a connection's uid names the ordinal of its opening packet, which every
+lane computes alike, per-flow log lines are byte-identical to the
+sequential pipeline's, and the ordered merge (lexicographic sort — every line
 carries ts+uid) makes the merged logs independent of worker
 interleaving.  See ``docs/PARALLELISM.md`` for the full design,
 including the small, documented divergences.
@@ -37,7 +37,6 @@ from ...host.parallel import (
     lane_payload,
 )
 from ...runtime.telemetry import Telemetry
-from .core import format_uid
 from .logging import LogManager
 from .main import Bro
 
@@ -51,14 +50,12 @@ LIFECYCLE_EVENTS = ("bro_init", "bro_done")
 
 class BroLaneSpec(LaneSpec):
     """Bro's lane description: 5-tuple sharding (the generic default),
-    uids pre-assigned exactly as ``BroCore.next_uid`` would, lanes built
-    from the picklable constructor config."""
+    lanes built from the picklable constructor config."""
 
     app_name = "bro"
-    uid_format = staticmethod(format_uid)
     max_gauges = ("bro.flows_peak", "bro.flows_open")
 
-    def make_lane(self, uid_map: Dict) -> Bro:
+    def make_lane(self) -> Bro:
         config = self.config
         services = self.lane_services()
         return Bro(
@@ -71,7 +68,6 @@ class BroLaneSpec(LaneSpec):
             watchdog_budget=services.watchdog_budget,
             opt_level=config["opt_level"],
             telemetry=services.telemetry,
-            uid_map=uid_map,
             max_sessions=services.max_sessions,
             session_ttl=services.session_ttl,
         )
@@ -123,8 +119,8 @@ class BroLaneSpec(LaneSpec):
 
 def merge_logs(results: List[Dict]) -> LogManager:
     """The lanes' per-stream logs as one :class:`LogManager`: lines
-    sorted (every line leads with ts and carries the pre-assigned uid,
-    so the order is a pure function of content), writes summed."""
+    sorted (every line leads with ts and carries its flow's uid, so the
+    order is a pure function of content), writes summed."""
     logs = LogManager()
     for result in results:
         for name, (columns, lines, writes) in result["logs"].items():
@@ -140,10 +136,9 @@ def merge_logs(results: List[Dict]) -> LogManager:
 
 def dispatch_plan(
     packets: Iterable[Tuple[Time, bytes]], vthreads: int, workers: int,
-) -> Tuple[List[Tuple[int, int, bytes]], Dict[Tuple, str]]:
-    """One pass over the trace: per-packet vthread placement plus the
-    global uid pre-assignment (the generic plan with Bro's uid format).
-    """
+) -> Tuple[List[Tuple[int, int, bytes]], Dict[Tuple, int]]:
+    """One pass over the trace: per-packet vthread placement, and each
+    flow key's vthread (the generic plan under Bro's spec)."""
     return _host_dispatch_plan(packets, vthreads, workers,
                                spec=BroLaneSpec())
 

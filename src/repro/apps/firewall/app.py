@@ -60,15 +60,14 @@ class FirewallApp(HostApp):
 
     def __init__(self, ruleset: RuleSet, engine: str = "compiled",
                  opt_level: Optional[int] = None,
-                 services: Optional[PipelineServices] = None,
-                 uid_map: Optional[Dict] = None):
+                 services: Optional[PipelineServices] = None):
         if engine not in ENGINES:
             raise ValueError(f"unknown firewall engine {engine!r}")
         super().__init__(services)
         self.engine = engine
         # The flow ledger: every TCP/UDP frame is accounted, whatever
         # the rule verdict.
-        self.flows = FlowTable(uid_map=uid_map, uid_format=format_record_uid)
+        self.flows = FlowTable(uid_format=format_record_uid)
         if engine == "reference":
             self.firewall = ReferenceFirewall(ruleset)
         else:
@@ -100,7 +99,8 @@ class FirewallApp(HostApp):
         packet = decode_flow(frame)
         if packet is not None:
             self.flows.account(packet, timestamp.seconds,
-                               packet.payload_len, packet.flags)
+                               packet.payload_len, packet.flags,
+                               self.ordinal)
         self._parse_ns += _time.perf_counter_ns() - begin
         if packet is None:
             # Only TCP/UDP packets are firewalled — exactly the frames
@@ -174,7 +174,6 @@ class FirewallLaneSpec(LaneSpec):
     and hence its ledger record — stay wholly on one lane."""
 
     app_name = "firewall"
-    record_uid_format = staticmethod(format_record_uid)
 
     def key_of(self, packet) -> Tuple:
         return host_pair_key(FiveTuple.of(packet))
@@ -182,7 +181,7 @@ class FirewallLaneSpec(LaneSpec):
     def place(self, packet, vthreads: int, workers: int) -> int:
         return host_pair_place(FiveTuple.of(packet), vthreads)
 
-    def make_lane(self, uid_map: Dict) -> FirewallApp:
+    def make_lane(self) -> FirewallApp:
         config = self.config
         return FirewallApp(
             RuleSet.parse(config["rules"],
@@ -190,5 +189,4 @@ class FirewallLaneSpec(LaneSpec):
             engine=config["engine"],
             opt_level=config["opt_level"],
             services=self.lane_services(),
-            uid_map=uid_map,
         )

@@ -282,14 +282,23 @@ def _charge_pending(ctx, exc, table):
     return exc
 
 
-def _trap(ctx, exc, table) -> None:
-    """Exception leaving a function without handlers; caller re-raises."""
-    error = _charge_pending(ctx, exc, table)
+def _leave(ctx, exc, error, profiler) -> None:
+    """An exception leaves the function: stop its *profiler* (when
+    profiled) and raise the converted *error*; the caller re-raises an
+    unconverted one."""
+    if profiler is not None:
+        ctx.profilers.get(profiler).stop(ctx.instr_count,
+                                         ctx.alloc_stats.allocations)
     if error is not exc:
         raise error from exc
 
 
-def _unwind(ctx, exc, table, handlers):
+def _trap(ctx, exc, table, profiler=None) -> None:
+    """Exception leaving a function without handlers; caller re-raises."""
+    _leave(ctx, exc, _charge_pending(ctx, exc, table), profiler)
+
+
+def _unwind(ctx, exc, table, handlers, profiler=None):
     """Exception in a function with try scopes: ``(rung, error)`` of the
     innermost matching handler, or ``(-1, None)`` to re-raise."""
     error = _charge_pending(ctx, exc, table)
@@ -298,8 +307,7 @@ def _unwind(ctx, exc, table, handlers):
             rung, catch_type = handlers.pop()
             if catch_type is None or error.matches(catch_type):
                 return rung, error
-    if error is not exc:
-        raise error from exc
+    _leave(ctx, exc, error, profiler)
     return -1, None
 
 
@@ -817,11 +825,14 @@ class _Emitter:
         self.comment = ""
         self.pending = 0
         self.line("except Exception as _e:")
+        profiler = "" if function.profiler is None \
+            else f", {function.profiler!r}"
         if self.has_handlers:
-            self.line(f"    pc, _x = _unwind(ctx, _e, {table_name}, _h)")
+            self.line(f"    pc, _x = _unwind(ctx, _e, {table_name}, _h"
+                      f"{profiler})")
             self.line("    if pc < 0: raise")
         else:
-            self.line(f"    _trap(ctx, _e, {table_name})")
+            self.line(f"    _trap(ctx, _e, {table_name}{profiler})")
             self.line("    raise")
         cf._lines = self.lines
         namespace = self.unit.namespace

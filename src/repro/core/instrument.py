@@ -7,12 +7,13 @@ on a profiler named after the function; the runtime's ProfilerRegistry
 then accumulates wall time, instruction counts, and allocation counts per
 function, queryable from the execution context after a run.
 
-The stop must fire on *every* exit: before each return terminator and on
-the implicit fall-off of void functions.  Exceptional exits bypass the
-inserted stop; the runtime drains such still-open profilers when their
-report is taken, accounting wall time up to the report instead of
-silently misattributing it, and flags the series ``unbalanced: true``
-(see ``repro.runtime.profiler.Profiler.drain``).
+The stop must fire on *every* exit.  The pass inserts it before each
+return terminator and on the implicit fall-off of void functions, and
+names the profiler on the function (``Function.profiler``): an exit by
+exception (a throw, ``hook.stop``, a watchdog timeout) is each tier's
+own, and both stop that profiler as the exception leaves the frame —
+the compiled tier in the except clause every generated function already
+has, so the non-raising path pays nothing for it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ def instrument_function(function: Function) -> int:
     profiler_name = f"func/{function.name}"
     if not function.blocks:
         return 0
+    function.profiler = profiler_name
     entry = function.blocks[0]
     entry.instructions.insert(0, _start(profiler_name))
     stops = 0

@@ -228,6 +228,13 @@ class Interpreter:
                     index = block_index[target]
         except _Return as ret:
             return ret.value
+        except BaseException:
+            # Every other exit is by exception: stop the profiler the
+            # instrumentation pass started (its returns stop it in IR).
+            if function.profiler is not None:
+                ctx.profilers.get(function.profiler).stop(
+                    ctx.instr_count, ctx.alloc_stats.allocations)
+            raise
 
     def _step(self, ctx, module, function, scope, handlers,
               instruction: Instruction) -> Optional[str]:

@@ -291,6 +291,9 @@ class Function:
         self.locals: List[Local] = []
         self.blocks: List[Block] = []
         self._block_index: Dict[str, Block] = {}
+        # The profiler the instrumentation pass brackets the body with;
+        # each tier stops it when an exception leaves the function.
+        self.profiler: Optional[str] = None
 
     @property
     def is_hook(self) -> bool:

@@ -147,6 +147,11 @@ class HostApp:
         self.telemetry = self.services.telemetry
         self.stats: Dict[str, object] = {}
         self.packets = 0
+        #: The ordinal of the packet in hand, which names the flows it
+        #: opens (docs/FLOWS.md, "Uid assignment").  :meth:`on_packet`
+        #: advances it; a driver that skips records or hands a lane
+        #: only some of them sets it before each packet.
+        self.ordinal = 0
         self._begin_ns: Optional[int] = None
 
     # -- the drive API (what Pipeline / the parallel lanes call) ----------
@@ -155,12 +160,14 @@ class HostApp:
         """Start a run: timing origin, app-specific setup."""
         self._begin_ns = _time.perf_counter_ns()
         self.packets = 0
+        self.ordinal = 0
         self.begin()
 
     def on_packet(self, timestamp, frame: bytes) -> None:
-        """Process one trace record."""
+        """Process one trace record, the one numbered :attr:`ordinal`."""
         self.packets += 1
         self.packet(timestamp, frame)
+        self.ordinal += 1
 
     def on_end(self) -> Dict:
         """Finish a run: flush app state, assemble the stats report."""

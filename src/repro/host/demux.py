@@ -65,7 +65,9 @@ class FlowDemux:
     ``finish()`` closes every open flow.
 
     ``feed``'s optional *now* is the packet's network time in seconds;
-    it drives TTL eviction when *session_ttl* is armed.
+    it drives TTL eviction when *session_ttl* is armed.  Its optional
+    *ordinal* is the packet's ordinal, which names a flow it opens in
+    the ledger (``uid_format(ordinal)``).
     """
 
     def __init__(self, factory,
@@ -76,7 +78,6 @@ class FlowDemux:
                  memory_budget_bytes: Optional[int] = None,
                  flow_budget_ns: Optional[int] = None,
                  on_slow_flow: Optional[Callable] = None,
-                 uid_map: Optional[Dict] = None,
                  uid_format: Optional[Callable[[int], str]] = None):
         self._factory = factory
         self._max_pending = max_pending_bytes
@@ -94,7 +95,7 @@ class FlowDemux:
         # table entry (ignored-flow and torn-down tombstones included:
         # they absorb trailing packets like TIME_WAIT, and eviction is
         # what finally reaps them).
-        self.table = FlowTable(uid_map=uid_map, uid_format=uid_format,
+        self.table = FlowTable(uid_format=uid_format,
                                max_sessions=max_sessions,
                                session_ttl=session_ttl,
                                on_evict=self._on_evict_flow)
@@ -130,7 +131,8 @@ class FlowDemux:
 
     # -- feeding -----------------------------------------------------------
 
-    def feed(self, frame: bytes, now: Optional[float] = None) -> None:
+    def feed(self, frame: bytes, now: Optional[float] = None,
+             ordinal: Optional[int] = None) -> None:
         """Route one Ethernet frame to its flow's handler."""
         packet = decode_flow(frame)
         if packet is None:
@@ -157,10 +159,10 @@ class FlowDemux:
                     )
                 self._flows[key] = state
         # Ledger accounting covers every flow — tombstones included, so
-        # records and serials are a pure function of trace content.
+        # records are a pure function of trace content.
         self.table.account(
             packet, self._clock if self._clock is not None else 0.0,
-            packet.payload_len, packet.flags, touch=False)
+            packet.payload_len, packet.flags, ordinal, touch=False)
         if self._evicting:
             self._fed += 1
             if self._clock is not None:

@@ -12,10 +12,9 @@ eviction loop.  :class:`FlowTable` is that logic factored out once:
   to the canonical :class:`~repro.net.flows.FiveTuple`; both directions
   of a connection hit the same entry), with the originator orientation
   captured from the first packet;
-* **uid assignment** — explicit uid > pre-assigned ``uid_map`` (the
-  parallel dispatcher's arrival-order map) > ``uid_format(serial)``
-  (the sequential fallback; the serial counts *every* first-sighted
-  flow, matching the dispatcher's serial exactly);
+* **uid assignment** — an entry is named ``uid_format(ordinal)`` after
+  the ordinal of the packet that opened it (docs/FLOWS.md), so every
+  backend names it alike with no shared counter;
 * **accounting** — per-direction packets/bytes, first/last timestamps,
   the TCP flag union;
 * **eviction** — the TTL and capacity loops over one
@@ -152,12 +151,10 @@ class FlowTable:
     through :meth:`account` or :meth:`open`.
     """
 
-    def __init__(self, uid_map: Optional[Dict] = None,
-                 uid_format: Optional[Callable[[int], str]] = None,
+    def __init__(self, uid_format: Optional[Callable[[int], str]] = None,
                  max_sessions: Optional[int] = None,
                  session_ttl: Optional[float] = None,
                  on_evict: Optional[Callable] = None):
-        self.uid_map = uid_map
         self.uid_format = uid_format
         self.max_sessions = max_sessions
         self.session_ttl = session_ttl
@@ -194,40 +191,31 @@ class FlowTable:
 
     # -- opening and accounting ---------------------------------------------
 
-    def _uid_for(self, key, uid: Optional[str]) -> Optional[str]:
-        if uid is not None:
-            return uid
-        if self.uid_map is not None:
-            mapped = self.uid_map.get(key)
-            if mapped is not None:
-                return mapped
-        if self.uid_format is not None:
-            return self.uid_format(self.serial)
-        return None
-
-    def open(self, flow, now: float, uid: Optional[str] = None) -> FlowEntry:
+    def open(self, flow, now: float,
+             ordinal: Optional[int] = None) -> FlowEntry:
         """Open a ledger entry for a first-sighted flow.
 
         *flow* is the first packet's :class:`~repro.net.packet.Decoded`
         record or directional :class:`~repro.net.flows.FiveTuple`; both
-        carry the canonical ``key`` and ``sender_is_first``.  Bumps the
-        arrival serial (every first sight counts, ignored or not — the
-        dispatcher's pre-assignment counts the same way) and resolves
-        the uid: explicit > uid_map > uid_format(serial).
+        carry the canonical ``key`` and ``sender_is_first``.  *ordinal*
+        is that packet's ordinal: the entry's uid is
+        ``uid_format(ordinal)``, or None without either.  Counts the
+        opening in :attr:`serial`.
         """
         key = flow.key
         self.serial += 1
-        entry = FlowEntry(key, flow.sender_is_first, now,
-                          self._uid_for(key, uid))
+        uid = (None if ordinal is None or self.uid_format is None
+               else self.uid_format(ordinal))
+        entry = FlowEntry(key, flow.sender_is_first, now, uid)
         self._entries[key] = entry
         return entry
 
     def account(self, flow, now: float, payload_len: int = 0,
-                tcp_flags: int = 0, uid: Optional[str] = None,
+                tcp_flags: int = 0, ordinal: Optional[int] = None,
                 touch: bool = True) -> FlowEntry:
         """Account one packet of *flow* (see :meth:`open`): open on
-        first sight, then update last-activity, the per-direction
-        counters, and the flag union.
+        first sight (with the packet's *ordinal*), then update
+        last-activity, the per-direction counters, and the flag union.
 
         Owners with their own recency discipline (FlowDemux touches
         only once a clock is known) pass ``touch=False`` and drive
@@ -236,7 +224,7 @@ class FlowTable:
         key = flow.key
         entry = self._entries.get(key)
         if entry is None:
-            entry = self.open(flow, now, uid=uid)
+            entry = self.open(flow, now, ordinal)
         entry.add(now, payload_len, tcp_flags,
                   flow.sender_is_first == entry.orig_is_first)
         if touch and self.evicting:

@@ -18,9 +18,10 @@ to build a lane (``make_lane``), how to harvest it (``lane_result`` /
 ``result_lines_of``), how packets map to flows and vthreads
 (``flow_of`` / ``key_of`` / ``place`` — the firewall shards by host
 *pair* instead of 5-tuple so its dynamic-rule state stays lane-local),
-how per-flow uids are pre-assigned in global arrival order
-(``uid_format``), and what the merge must repair for the app
-(``max_gauges``, ``dedup_lanes``).
+and what the merge must repair for the app (``max_gauges``,
+``dedup_lanes``).  Uids need no spec: each packet carries its ordinal
+into its lane, and a flow is named after the ordinal of the packet that
+opened it (docs/FLOWS.md), which every lane computes alike.
 
 Output determinism is the load-bearing property: merged result lines are
 sorted lexicographically, so the merge is a pure function of content,
@@ -68,8 +69,8 @@ def flow_key(flow) -> Tuple:
     """The canonical per-connection key of a :class:`FiveTuple` or a
     decoded packet: a tuple of ints (value-hashed in C, picklable, the
     same in every process).  The dispatcher and the lanes' flow tables
-    use exactly this key, so pre-assigned uids resolve across process
-    boundaries."""
+    use exactly this key, so a flow's packets meet on one lane in every
+    process."""
     return flow.key
 
 
@@ -98,15 +99,6 @@ class LaneSpec:
     #: the per-component CPU gauges after summing lanes).
     app_name = "app"
 
-    #: ``None`` (no uid pre-assignment) or a callable ``serial -> str``.
-    uid_format = None
-
-    #: Flow-record uid pre-assignment for apps whose sharding key is
-    #: *not* the 5-tuple (or that assign no app uids at all): ``None``
-    #: when ``uid_format`` already covers flow keys, else a callable
-    #: ``serial -> str`` applied per first-sighted flow key.
-    record_uid_format = None
-
     #: The app's high-water-mark gauges: merged by max across lanes.
     max_gauges: Tuple[str, ...] = ()
 
@@ -131,7 +123,7 @@ class LaneSpec:
 
     # -- lane lifecycle ---------------------------------------------------
 
-    def make_lane(self, uid_map: Dict):
+    def make_lane(self):
         """Build one isolated app instance (a :class:`HostApp`)."""
         raise NotImplementedError
 
@@ -187,78 +179,54 @@ class LaneSpec:
         sequential run does once in total.  The default has none."""
 
 
-#: One planned packet: ``(vid, nanos, frame, uids)`` — *uids* holds the
-#: ``(key, uid)`` entries first assigned at this packet (almost always
-#: none).
-PlannedPacket = Tuple[int, int, bytes, Tuple[Tuple[Tuple, str], ...]]
+#: One planned packet: ``(vid, nanos, frame)``.  A packet's ordinal is
+#: its position in the stream.
+PlannedPacket = Tuple[int, int, bytes]
 
 
 def dispatch_stream(
     packets: Iterable[Tuple[Time, bytes]], vthreads: int, workers: int,
-    spec: Optional[LaneSpec] = None,
+    spec: Optional[LaneSpec] = None, vids: Optional[Dict] = None,
 ) -> Iterator[PlannedPacket]:
-    """The dispatch plan as a stream: per-packet vthread placement plus
-    the global uid pre-assignment, one packet at a time.
+    """The dispatch plan as a stream: each packet's vthread, one packet
+    at a time.
 
     Frames with no flow ride on vthread 0, where the lane counts them
-    exactly like the sequential pipeline.  Each flow key gets the uid
-    the sequential run's counter would have produced — allocated in
-    first-packet arrival order — and that entry rides with the packet
-    that first needed it.  With faults armed, a frame the packet-level
-    draws drop allocates nothing (the sequential app never sees it) and
-    rides on vthread 0, whose lane draws the same verdict and counts it.
-    The stream holds per-flow state only, never the trace.
+    exactly like the sequential pipeline.  With faults armed, a frame
+    the packet-level draws drop rides on vthread 0 too, whose lane draws
+    the same verdict and counts it.  A flow is placed once, at its first
+    packet, and *vids* (a fresh dict unless given) caches that placement
+    per flow key — cheaper than placing every packet.  The stream never
+    holds the trace.
     """
     spec = spec if spec is not None else LaneSpec()
     faults = spec.fault_injector()
     armed = faults is not NULL_INJECTOR
-    uid_format = spec.uid_format
-    record_uid_format = spec.record_uid_format
-    vids: Dict[Tuple, int] = {}
-    assigned = set()
-    serial = 0
-    record_serial = 0
+    vids = vids if vids is not None else {}
     for timestamp, frame in packets:
         nanos = timestamp.nanos
         packet = spec.flow_of(frame)
         if packet is None or (armed and faults.enter_packet(
                 nanos, frame) is not None):
-            yield 0, nanos, frame, ()
+            yield 0, nanos, frame
             continue
         key = spec.key_of(packet)
         vid = vids.get(key)
-        uids = ()
         if vid is None:
             vid = vids[key] = spec.place(packet, vthreads, workers)
-            serial += 1
-            if uid_format is not None:
-                uids = ((key, uid_format(serial)),)
-                assigned.add(key)
-        if record_uid_format is not None and packet.key not in assigned:
-            # Flow-record uids ride the same map under the flow's own
-            # canonical 5-tuple key — disjoint from ``key_of`` keys when
-            # the app shards by something else (the firewall's host
-            # pairs), identical when it shards by 5-tuple.
-            record_serial += 1
-            assigned.add(packet.key)
-            uids += ((packet.key, record_uid_format(record_serial)),)
-        yield vid, nanos, frame, uids
+        yield vid, nanos, frame
 
 
 def dispatch_plan(
     packets: Iterable[Tuple[Time, bytes]], vthreads: int, workers: int,
     spec: Optional[LaneSpec] = None,
-) -> Tuple[List[Tuple[int, int, bytes]], Dict[Tuple, str]]:
-    """:func:`dispatch_stream` collected: ``(jobs, uid_map)`` where
-    *jobs* is ``(vid, nanos, frame)`` per packet and *uid_map* every
-    pre-assigned uid."""
-    jobs: List[Tuple[int, int, bytes]] = []
-    uid_map: Dict[Tuple, str] = {}
-    for vid, nanos, frame, uids in dispatch_stream(packets, vthreads,
-                                                   workers, spec):
-        jobs.append((vid, nanos, frame))
-        uid_map.update(uids)
-    return jobs, uid_map
+) -> Tuple[List[PlannedPacket], Dict[Tuple, int]]:
+    """:func:`dispatch_stream` collected: ``(jobs, vids)`` where *jobs*
+    is ``(vid, nanos, frame)`` per packet and *vids* each flow key's
+    vthread."""
+    vids: Dict[Tuple, int] = {}
+    jobs = list(dispatch_stream(packets, vthreads, workers, spec, vids))
+    return jobs, vids
 
 
 def prof_snapshots(app) -> List[Tuple[str, str]]:
@@ -316,13 +284,12 @@ class _LaneProgram:
     """Adapts per-flow packet analysis to the scheduler's program
     interface: contexts are app lanes, jobs are packets."""
 
-    def __init__(self, spec: LaneSpec, uid_map: Dict):
+    def __init__(self, spec: LaneSpec):
         self._spec = spec
-        self._uid_map = uid_map
         self._armed = spec.fault_injector() is not NULL_INJECTOR
 
     def make_context(self, vthread_id: int):
-        lane = self._spec.make_lane(self._uid_map)
+        lane = self._spec.make_lane()
         lane.on_begin()
         return lane
 
@@ -332,7 +299,8 @@ class _LaneProgram:
     def call(self, lane, function: str, args: List) -> None:
         if function != "packet":
             raise ValueError(f"unknown lane job {function!r}")
-        nanos, frame = args
+        nanos, frame, ordinal = args
+        lane.ordinal = ordinal
         if not self._armed or lane.services.admit_to_lane(nanos, frame):
             lane.on_packet(Time.from_nanos(nanos), frame)
 
@@ -431,15 +399,13 @@ class ParallelPipeline:
 
     def _run_scheduler(self, stream: Iterable[PlannedPacket]) -> None:
         """The oracle backend: packet jobs on the vthread scheduler."""
-        uid_map: Dict[Tuple, str] = {}
-        program = _LaneProgram(self.spec, uid_map)
+        program = _LaneProgram(self.spec)
         scheduler = Scheduler(program, workers=self.workers)
         # Lane 0 always exists: it owns stray frames and guarantees any
         # per-lane lifecycle work runs at least once on an empty trace.
         scheduler.context_for(0)
-        for vid, nanos, frame, uids in stream:
-            uid_map.update(uids)
-            scheduler.schedule(vid, "packet", (nanos, frame))
+        for ordinal, (vid, nanos, frame) in enumerate(stream):
+            scheduler.schedule(vid, "packet", (nanos, frame, ordinal))
         scheduler.run_until_idle()
         self.scheduler = scheduler
         contexts = scheduler.contexts()
@@ -453,8 +419,8 @@ class ParallelPipeline:
     def _run_pool(self, stream: Iterable[PlannedPacket]) -> None:
         """The persistent shared-memory pool backend, fed as the plan
         streams: each packet joins its worker's batch (the scheduler's
-        ``vid % workers`` rule) the moment it is placed, its new uids
-        ahead of it, so the parent holds at most one unflushed batch
+        ``vid % workers`` rule) the moment it is placed, with its
+        ordinal, so the parent holds at most one unflushed batch
         per worker — never the trace.  BEGIN goes out before the first
         packet is read.  A worker that fails, dies or stalls stops being
         fed; every packet it never retired counts in :attr:`jobs_lost`.
@@ -467,11 +433,11 @@ class ParallelPipeline:
         stops = [_functools.partial(pool.down, index)
                  for index in range(workers)]
         unfed: Dict[int, int] = {}  # worker gone -> packets it never got
-        for vid, nanos, frame, uids in stream:
+        for ordinal, (vid, nanos, frame) in enumerate(stream):
             index = vid % workers
             if index in unfed:
                 unfed[index] += 1
-            elif not pool.feed(index, nanos, frame, uids=uids,
+            elif not pool.feed(index, nanos, frame, ordinal,
                                wait=timeout, should_stop=stops[index]):
                 unfed[index] = 1
             elif pool.buffered(index) == 1 and pool.down(index):

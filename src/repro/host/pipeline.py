@@ -106,12 +106,20 @@ class Pipeline:
         """Process an iterable of ``(Time, frame)``; returns app stats.
         With faults armed, each packet enters its fault unit (which
         stays entered while the app processes it) before the app sees
-        it."""
-        services = self.app.services
-        if services.faults is not NULL_INJECTOR:
-            packets = ((timestamp, frame) for timestamp, frame in packets
-                       if services.admit(timestamp.nanos, frame))
-        return self.app.run(packets)
+        it, and a dropped packet still uses up its ordinal."""
+        app = self.app
+        if app.services.faults is not NULL_INJECTOR:
+            packets = self._admitted(packets)
+        return app.run(packets)
+
+    def _admitted(self, packets):
+        app = self.app
+        admit = app.services.admit
+        for timestamp, frame in packets:
+            if admit(timestamp.nanos, frame):
+                yield timestamp, frame
+            else:
+                app.ordinal += 1
 
     def result_lines(self) -> List[str]:
         return sorted(self.app.result_lines())

@@ -9,9 +9,7 @@ nor a per-packet pickle, mirroring the DPDK burst-processing idiom:
   subprocesses that live across runs (and across service restarts);
   each run ships its pickled :class:`~repro.host.parallel.LaneSpec`
   to the workers, which build fresh lanes per run but pay
-  interpreter/module startup exactly once.  Pre-assigned flow uids
-  follow as the run streams, each worker's ahead of the batch that
-  first needs them.
+  interpreter/module startup exactly once.
 * **Packets travel as length-prefixed batches through shared-memory
   rings** (:class:`~repro.host.ring.ShmRing`, one SPSC pair per
   worker).  The producer packs ~hundreds of frames into one ring
@@ -48,7 +46,6 @@ from .worker import (
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TELEM,
-    MSG_UIDS,
     TELEM_DROPPED,
     encode_packet,
     pack_run_prefix,
@@ -94,7 +91,6 @@ class _WorkerState:
     def reset_run(self) -> None:
         self.batch = bytearray()
         self.batch_count = 0
-        self.uids: List[Tuple] = []
         self.pushed = 0
         self.progressed = 0
         self.ended = False
@@ -228,9 +224,8 @@ class WorkerPool:
 
     @staticmethod
     def spec_blob(spec) -> bytes:
-        """The pickled ``(spec, uid_map)`` a ``BEGIN`` message carries;
-        the map starts empty and fills through :meth:`feed`'s *uids*."""
-        return pickle.dumps((spec, {}), protocol=pickle.HIGHEST_PROTOCOL)
+        """The pickled spec a ``BEGIN`` message carries."""
+        return pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
 
     def begin_run(self, spec) -> None:
         """Arm every worker for a new run (respawning any dead ones)."""
@@ -252,13 +247,11 @@ class WorkerPool:
             MSG_BEGIN, pack_run_prefix(state.run_id)
             + (blob if blob is not None else self._spec_blob))
 
-    def feed(self, index: int, nanos: int, frame: bytes, *,
-             uids: Tuple = (), wait: Optional[float] = None,
+    def feed(self, index: int, nanos: int, frame: bytes, ordinal: int,
+             *, wait: Optional[float] = None,
              should_stop: Optional[Callable[[], bool]] = None) -> bool:
-        """Queue one packet for a worker, flushing full batches; *uids*
-        are ``(key, uid)`` entries the lane's map must hold before the
-        packet runs (they travel in a ``UIDS`` message ahead of its
-        batch).
+        """Queue one packet, the one numbered *ordinal*, for a worker,
+        flushing full batches.
 
         ``wait=None`` blocks for ring space (re-checking *should_stop*)
         — the service's backpressure policy; a finite ``wait`` bounds
@@ -270,26 +263,16 @@ class WorkerPool:
                 or len(state.batch) >= self.BATCH_BYTES):
             if not self.flush(index, wait=wait, should_stop=should_stop):
                 return False
-        if uids:
-            state.uids.extend(uids)
-        encode_packet(state.batch, nanos, frame)
+        encode_packet(state.batch, nanos, frame, ordinal)
         state.batch_count += 1
         return True
 
     def flush(self, index: int, *, wait: Optional[float] = None,
               should_stop: Optional[Callable[[], bool]] = None) -> bool:
-        """Push the worker's buffered batch as one ring record, its
-        pending uid entries first."""
+        """Push the worker's buffered batch as one ring record."""
         state = self._states[index]
         if not state.batch_count:
             return True
-        if state.uids:
-            if not state.outbox.send(
-                    MSG_UIDS, pack_run_prefix(state.run_id) + pickle.dumps(
-                        state.uids, protocol=pickle.HIGHEST_PROTOCOL),
-                    timeout=wait, should_stop=should_stop):
-                return False
-            state.uids = []
         ok = state.outbox.send(
             MSG_DATA, pack_run_prefix(state.run_id) + bytes(state.batch),
             timeout=wait, should_stop=should_stop)

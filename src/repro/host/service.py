@@ -481,7 +481,8 @@ class _ThreadLane(_Lane):
                 if item is _SENTINEL:
                     return
                 in_hand = True
-                timestamp, frame = item
+                timestamp, frame, ordinal = item
+                app.ordinal = ordinal
                 if admit is None or admit(timestamp.nanos, frame):
                     app.on_packet(timestamp, frame)
                 in_hand = False
@@ -594,14 +595,14 @@ class _PoolLane(_Lane):
             self.down = False
 
     def feed(self, item) -> None:
-        timestamp, frame = item
+        timestamp, frame, ordinal = item
         with self.lock:
             if self.down:
                 # The ring is reset on respawn: nothing buffers across
                 # a crash window.
                 self.packets_lost += 1
             elif not self.pool.feed(
-                    self.index, timestamp.nanos, frame,
+                    self.index, timestamp.nanos, frame, ordinal,
                     wait=(0.0 if self.shed_policy else None),
                     should_stop=self._refusing):
                 self._refused()
@@ -845,18 +846,20 @@ class HostService:
 
     def _ingest_body(self) -> None:
         """Place each packet by flow and feed it to its lane, which
-        books it under the overload policy."""
+        books it under the overload policy.  A packet's ordinal is the
+        count ingested before it, so a looped source continues it."""
         last_flush = _time.monotonic()
         try:
             for timestamp, frame in self.source:
                 if self._stop.is_set():
                     break
+                ordinal = self.ingested
                 self.ingested += 1
                 lane = self._place(frame)
                 if lane.failed:
                     lane.dropped_failed += 1
                 else:
-                    lane.feed((timestamp, frame))
+                    lane.feed((timestamp, frame, ordinal))
                 now = _time.monotonic()
                 if now - last_flush >= _FLUSH_SECONDS:
                     last_flush = now

@@ -21,18 +21,14 @@ The pool protocol is tagged messages (:class:`~repro.host.ring.
 MessageChannel`) with a per-run epoch so late batches of a failed run
 are discarded instead of corrupting the next one::
 
-    parent -> worker:  BEGIN(run, spec+{})
-                       (UIDS(run, entries)? DATA(run, batch))*
+    parent -> worker:  BEGIN(run, spec)  DATA(run, batch)*
                        END(run)            ...next run...   SHUTDOWN
     worker -> parent:  PROGRESS(run, count)*  TELEM(run, snapshot)*
                        then RESULT(run, result) or ERROR(run, diagnostic)
 
-``BEGIN`` carries the spec and an empty uid map, so a lane builds
-before the parent has read a packet.  ``UIDS`` carries the
-``(flow key, uid)`` entries the parent's plan assigned first for
-packets of the ``DATA`` batch right behind it; the worker merges them
-into the map its lane holds by reference, so every uid lands before the
-packet that needs it.
+``BEGIN`` carries the spec, so a lane builds before the parent has read
+a packet.  A ``DATA`` batch carries each packet with its ordinal, which
+the lane names new flows after (docs/FLOWS.md).
 
 ``TELEM`` is the cross-process observability plane: a worker whose lane
 has telemetry armed ships periodic pickled snapshots of its own
@@ -69,7 +65,6 @@ __all__ = [
     "MSG_RESULT",
     "MSG_SHUTDOWN",
     "MSG_TELEM",
-    "MSG_UIDS",
     "TELEM_DROPPED",
     "TELEM_INTERVAL",
     "decode_batch",
@@ -88,7 +83,6 @@ MSG_ERROR = 5
 MSG_PROGRESS = 6
 MSG_SHUTDOWN = 7
 MSG_TELEM = 8
-MSG_UIDS = 9
 
 #: Minimum seconds between periodic TELEM snapshots from one worker.
 TELEM_INTERVAL = 0.25
@@ -100,25 +94,28 @@ TELEM_SEND_TIMEOUT = 1.0
 TELEM_DROPPED = "telemetry.telem_dropped"
 
 _RUN = struct.Struct("<I")      # run epoch prefix on run-scoped messages
-_PKT = struct.Struct("<QI")     # per-packet batch header: nanos, length
+_PKT = struct.Struct("<QQI")    # per-packet header: nanos, ordinal, length
 _PROGRESS = struct.Struct("<IQ")  # run epoch, packets processed
 
 
-def encode_packet(buf: bytearray, nanos: int, frame: bytes) -> None:
-    """Append one ``(nanos, frame)`` record to a batch buffer."""
-    buf += _PKT.pack(nanos, len(frame))
+def encode_packet(buf: bytearray, nanos: int, frame: bytes,
+                  ordinal: int = 0) -> None:
+    """Append one ``(nanos, frame, ordinal)`` record to a batch
+    buffer."""
+    buf += _PKT.pack(nanos, ordinal, len(frame))
     buf += frame
 
 
-def decode_batch(payload: bytes) -> Iterator[Tuple[int, bytes]]:
-    """Yield ``(nanos, frame)`` records from one batch payload."""
+def decode_batch(payload: bytes) -> Iterator[Tuple[int, bytes, int]]:
+    """Yield ``(nanos, frame, ordinal)`` records from one batch
+    payload."""
     offset = 0
     end = len(payload)
     size = _PKT.size
     while offset < end:
-        nanos, length = _PKT.unpack_from(payload, offset)
+        nanos, ordinal, length = _PKT.unpack_from(payload, offset)
         offset += size
-        yield nanos, payload[offset:offset + length]
+        yield nanos, payload[offset:offset + length], ordinal
         offset += length
 
 
@@ -194,7 +191,6 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
 
     lane = None
     spec = None
-    uid_map = None
     admit = None
     run_id = -1
     processed = 0
@@ -235,8 +231,8 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
                 run_id = msg_run
                 processed = 0
                 try:
-                    spec, uid_map = pickle.loads(body)
-                    lane = spec.make_lane(uid_map)
+                    spec = pickle.loads(body)
+                    lane = spec.make_lane()
                     lane.on_begin()
                     # Resolved once per run: an unarmed injector keeps
                     # the packet loop free of fault calls.
@@ -254,11 +250,10 @@ def pool_worker_main(in_name: str, out_name: str) -> None:
                 # A stale message from a run that already failed (or
                 # that a respawned sibling never saw): drop it.
                 continue
-            if tag == MSG_UIDS:
-                uid_map.update(pickle.loads(body))
-            elif tag == MSG_DATA:
+            if tag == MSG_DATA:
                 try:
-                    for nanos, frame in decode_batch(body):
+                    for nanos, frame, ordinal in decode_batch(body):
+                        lane.ordinal = ordinal
                         if admit is None or admit(nanos, frame):
                             lane.on_packet(Time.from_nanos(nanos), frame)
                         processed += 1

@@ -27,6 +27,8 @@ __all__ = [
     "FlowRecord",
     "flowrecords_header_line",
     "format_record_uid",
+    "format_uid",
+    "uid_ordinal",
     "write_flowrecords_jsonl",
 ]
 
@@ -39,14 +41,44 @@ FLOWRECORDS_SCHEMA = "repro-flowrecords/1"
 CLOSE_REASONS = ("finished", "expired", "evicted")
 
 
-def format_record_uid(serial: int) -> str:
-    """The generic record uid: ``S`` + zero-padded arrival serial.
+#: Base-62 digits in ASCII order, so two uids of one kind compare as
+#: strings exactly as their ordinals compare as numbers.
+_UID_DIGITS = ("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+               "abcdefghijklmnopqrstuvwxyz")
 
-    Apps with their own uid scheme (Bro's ``C...`` base62, binpac's
-    ``F...``) reuse it for their records; apps without one (bpf,
-    firewall, the flowexport tool) get this.
+#: Digits after a uid's kind letter: fixed up to 62**8 ordinals.
+UID_WIDTH = 8
+
+
+def format_uid(kind: str, ordinal: int) -> str:
+    """A flow instance's uid: its *kind* letter (``C`` a Bro connection,
+    ``F`` a BinPAC++ driver flow, ``S`` a flow record) and the ordinal
+    of the packet that opened the instance, in fixed-width base 62.
+
+    The ordinal is a property of the packet stream alone
+    (docs/FLOWS.md, "Uid assignment"), so every backend names a flow
+    the same without sharing any state.
     """
-    return f"S{serial:06d}"
+    digits = []
+    while ordinal:
+        ordinal, rem = divmod(ordinal, 62)
+        digits.append(_UID_DIGITS[rem])
+    return kind + "".join(reversed(digits)).rjust(UID_WIDTH, "0")
+
+
+def uid_ordinal(uid: str) -> int:
+    """The ordinal of the packet that opened *uid*'s flow instance
+    (the inverse of :func:`format_uid`)."""
+    ordinal = 0
+    for digit in uid[1:]:
+        ordinal = ordinal * 62 + _UID_DIGITS.index(digit)
+    return ordinal
+
+
+def format_record_uid(ordinal: int) -> str:
+    """The flow-record uid of apps without a uid kind of their own (the
+    BPF filter, the firewall, the flowexport tool)."""
+    return format_uid("S", ordinal)
 
 
 @dataclass

@@ -38,8 +38,7 @@ class FiveTuple(tuple):
     protocol)`` under names.  A tuple of ints hashes and compares by
     fields in C — once per dict probe, never through a Python-level
     ``__hash__`` — and identically in every process (nothing salted is
-    cached), so keys pickled into a ``spawn``ed worker's ``uid_map``
-    still resolve.  A canonical ``FiveTuple`` equals the plain
+    cached), so a key hashes alike in every worker process.  A canonical ``FiveTuple`` equals the plain
     :attr:`~repro.net.packet.Decoded.key` tuple of its packets: flow
     tables store the decoder's keys and answer lookups by either.
     """

@@ -7,17 +7,17 @@ monotonic nanosecond timers plus the engine's instruction and allocation
 counters — relative breakdowns, which is what Figures 9 and 10 report,
 are preserved.
 
-A profiler whose region is exited exceptionally (compiler-inserted
-``profiler.stop`` never reached) does not silently misattribute time:
-:meth:`Profiler.report` drains any still-open measurement up to the
-report's wall clock and flags the series ``unbalanced`` so downstream
-consumers can tell clean accounting from truncated accounting.
+A function-granularity profiler closes its region on every exit: the
+instrumentation pass stops it before each return, and each tier stops
+it when an exception leaves the function (``repro.core.instrument``).
+A report counts closed regions only; a region still open when it is
+taken (a fiber suspended mid-call) is counted once it closes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["Profiler", "ProfilerRegistry"]
 
@@ -31,7 +31,6 @@ class Profiler:
         "instructions",
         "allocations",
         "updates",
-        "unbalanced",
         "_start_ns",
         "_start_instr",
         "_start_alloc",
@@ -47,7 +46,6 @@ class Profiler:
         self.instructions = 0
         self.allocations = 0
         self.updates = 0
-        self.unbalanced = False
         self._start_ns = 0
         self._start_instr = 0
         self._start_alloc = 0
@@ -101,28 +99,6 @@ class Profiler:
         self.allocations += allocations
         self.updates += 1
 
-    def drain(self, instructions: Optional[int] = None,
-              allocations: Optional[int] = None) -> bool:
-        """Close a region left open by an exceptional exit.
-
-        Accounts wall time up to now (and counter deltas when the
-        caller can supply current readings), marks the profiler
-        :attr:`unbalanced`, and resets the nesting depth.  Returns True
-        when there was anything to drain.
-        """
-        if self._depth == 0:
-            return False
-        now = time.perf_counter_ns()
-        self.wall_ns += now - self._start_ns
-        if instructions is not None:
-            self.instructions += instructions - self._start_instr
-        if allocations is not None:
-            self.allocations += allocations - self._start_alloc
-        self.updates += 1
-        self._depth = 0
-        self.unbalanced = True
-        return True
-
     def _snapshot(self) -> Dict:
         """One interval sample: the running totals plus a wall-clock
         timestamp, so interval series line up with external logs."""
@@ -136,16 +112,12 @@ class Profiler:
         }
 
     def report(self) -> Dict:
-        # Exceptional exits leave start/stop unbalanced; drain the open
-        # measurement rather than dropping it on the floor, and say so.
-        self.drain()
         return {
             "name": self.name,
             "wall_ns": self.wall_ns,
             "instructions": self.instructions,
             "allocations": self.allocations,
             "updates": self.updates,
-            "unbalanced": self.unbalanced,
         }
 
     def __repr__(self) -> str:

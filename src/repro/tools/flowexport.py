@@ -33,11 +33,11 @@ def export_flows(trace_path: str, tolerant: bool = False) -> FlowTable:
     FlowTable; returns the table with all flows sealed."""
     table = FlowTable(uid_format=format_record_uid)
     with PcapReader(trace_path, tolerant=tolerant) as reader:
-        for timestamp, frame in reader:
+        for ordinal, (timestamp, frame) in enumerate(reader):
             packet = decode_flow(frame)
             if packet is not None:
                 table.account(packet, timestamp.seconds,
-                              packet.payload_len, packet.flags)
+                              packet.payload_len, packet.flags, ordinal)
     table.finish()
     return table
 

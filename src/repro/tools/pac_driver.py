@@ -7,8 +7,8 @@ section 5 exemplar without the Bro event engine on top::
     python -m repro.tools.pac_driver -r trace.pcap \
         --protocols http,dns --parallel --backend vthread
 
-Every finished unit becomes one line of ``events.log``; flow uids are
-assigned in global first-packet order, so sequential and parallel runs
+Every finished unit becomes one line of ``events.log``; a flow's uid
+names the packet that opened it, so sequential and parallel runs
 fingerprint identically.
 """
 

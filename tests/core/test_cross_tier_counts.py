@@ -192,6 +192,15 @@ int<64> calls_boom(int<64> x) {
 """
 
 
+_FLAKY = """module Main
+int<64> flaky(int<64> x) {
+    local int<64> y
+    y = int.div 12 x
+    return y
+}
+"""
+
+
 def _profiled(source: str, entry: str, args, tier: str):
     """Run with function-granularity profilers; returns the result (or
     the HILTI error it raised), ``ctx.instr_count`` and every profiler's
@@ -209,7 +218,7 @@ def _profiled(source: str, entry: str, args, tier: str):
     return result, ctx.instr_count, reports
 
 
-@pytest.mark.parametrize("source,entry,args", [
+_PROGRAMS = pytest.mark.parametrize("source,entry,args", [
     (_FIB, "Main::fib", [10]),
     (_NESTED, "Main::drive", [6]),
     (_HOOKS, "Main::fire", [5]),
@@ -217,11 +226,14 @@ def _profiled(source: str, entry: str, args, tier: str):
     (_UNCAUGHT, "Main::calls_boom", [0]),
 ], ids=["recursion", "nested", "hook-bodies", "caught-exit",
         "uncaught-exit"])
+
+
 class TestProfilerParityAcrossTiers:
     """The compiled tier's inline ``profiler.start``/``profiler.stop``
     sites and the interpreter's registry calls agree on every profiler:
-    instructions, allocations, updates and the ``unbalanced`` flag."""
+    instructions, allocations and updates."""
 
+    @_PROGRAMS
     def test_profiler_reports_agree(self, source, entry, args):
         compiled = _profiled(source, entry, args, "compiled")
         interpreted = _profiled(source, entry, args, "interpreted")
@@ -230,28 +242,51 @@ class TestProfilerParityAcrossTiers:
         assert count > 0 and reports
         assert all(report["updates"] > 0 for report in reports.values())
 
+    @_PROGRAMS
     def test_compiled_sites_are_inline(self, source, entry, args):
         program = hiltic([source], profile=True, opt_level=0)
         for function in program.functions.values():
             code = [line.split("  # ")[0]
                     for line in function.source.splitlines()]
             assert any("ctx.profilers" in line for line in code)
-            # No registry call by name is left.
-            assert not any("'func/" in line for line in code)
+            # No registry call by name is left but the exceptional
+            # exit's.
+            assert not any("'func/" in line for line in code
+                           if "_trap(" not in line
+                           and "_unwind(" not in line)
+
+    def test_throw_then_call_again(self):
+        """A host call that throws out of a profiled function, then two
+        more calls: every call is counted, on the interpreter, -O0 and
+        -O1."""
+        from repro.runtime.exceptions import HiltiError
+
+        counts = []
+        for tier, level in (("interpreted", 0), ("compiled", 0),
+                            ("compiled", 1)):
+            program = hiltic([_FLAKY], profile=True, tier=tier,
+                             opt_level=level)
+            ctx = program.make_context()
+            with pytest.raises(HiltiError):
+                program.call(ctx, "Main::flaky", [0])
+            assert program.call(ctx, "Main::flaky", [3]) == 4
+            assert program.call(ctx, "Main::flaky", [4]) == 3
+            report = ctx.profilers.report()["func/Main::flaky"]
+            counts.append((report["updates"], report["instructions"]))
+        assert counts[0][0] == 3
+        assert counts == [counts[0]] * 3
 
 
 class TestProfilerExitShapes:
     def test_exits_are_flagged_as_they_happened(self):
         __, __, caught = _profiled(_CAUGHT, "Main::drive", [], "compiled")
-        # risky's region is left open by the throw (and nests under it
-        # from then on); guarded catches and stops normally.
-        assert caught["func/Main::risky"]["unbalanced"] is True
-        assert caught["func/Main::guarded"] == {
-            **caught["func/Main::guarded"], "unbalanced": False,
-            "updates": 3}
+        # risky's throw stops its profiler as it unwinds, so its later
+        # call counts too; guarded catches and stops normally.
+        assert caught["func/Main::risky"]["updates"] == 3
+        assert caught["func/Main::guarded"]["updates"] == 3
         __, __, uncaught = _profiled(_UNCAUGHT, "Main::calls_boom", [0],
                                      "compiled")
-        assert all(report["unbalanced"] for report in uncaught.values())
+        assert all(report["updates"] == 1 for report in uncaught.values())
         __, __, nested = _profiled(_NESTED, "Main::drive", [6], "compiled")
         assert nested["func/Main::leaf"]["updates"] == 12
         assert nested["func/Main::leaf"]["allocations"] == 12

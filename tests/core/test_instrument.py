@@ -107,9 +107,8 @@ class TestInlineSites:
             ctx = program.make_context()
             program.call(ctx, "Main::run_all")
             report = ctx.profilers.get("func/Main::classify").report()
-            reports.append((report["updates"], report["allocations"],
-                            report["unbalanced"]))
-        assert reports == [(3, 0, False)] * 3
+            reports.append((report["updates"], report["allocations"]))
+        assert reports == [(3, 0)] * 3
 
     def test_interval_snapshots_from_inline_stops(self):
         counts = {}
@@ -151,7 +150,7 @@ class TestMultiReturnFunctions:
             program.call(ctx, "Main::run_all")
             profiler = ctx.profilers.get("func/Main::classify")
             assert profiler.updates == 3
-            assert not profiler.unbalanced
+            assert profiler._depth == 0
 
 
 def _hook_module():
@@ -201,10 +200,10 @@ int<64> boom(int<64> x) {
 
 
 class TestExceptionalExit:
-    def test_open_profiler_drained_and_flagged(self):
+    def test_throw_stops_the_profiler(self):
         """An exceptional exit bypasses the inserted profiler.stop; the
-        report must drain the open region and flag it unbalanced rather
-        than dropping the measurement."""
+        frame stops the profiler as the exception leaves it, so the call
+        is measured and the region closed."""
         from repro.runtime.exceptions import HiltiError
 
         for tier in ("compiled", "interpreted"):
@@ -214,14 +213,14 @@ class TestExceptionalExit:
                 program.call(ctx, "Main::boom", [0])
             except HiltiError:
                 pass
-            report = ctx.profilers.get("func/Main::boom").report()
-            assert report["unbalanced"] is True, tier
-            assert report["updates"] == 1
-            assert report["wall_ns"] > 0
+            profiler = ctx.profilers.get("func/Main::boom")
+            assert profiler._depth == 0, tier
+            assert profiler.updates == 1
+            assert profiler.wall_ns > 0
 
     def test_clean_exit_stays_balanced(self):
         program = hiltic([_THROWS], profile=True)
         ctx = program.make_context()
         assert program.call(ctx, "Main::boom", [2]) == 5
-        report = ctx.profilers.get("func/Main::boom").report()
-        assert report["unbalanced"] is False
+        profiler = ctx.profilers.get("func/Main::boom")
+        assert profiler._depth == 0 and profiler.updates == 1

@@ -11,14 +11,21 @@ per-event-name counts, and counter-style metric series agree exactly.
 """
 
 import io
+import json
 
 import pytest
 
 from repro.apps.bro import Bro, ParallelBro
 from repro.apps.bro.parallel import BroLaneSpec, dispatch_plan, flow_key
-from repro.apps.bro.core import format_uid
 from repro.core.values import Addr
-from repro.net.flows import FiveTuple, flow_of_frame, placement, vthread_of
+from repro.net.flowrecord import format_uid, uid_ordinal
+from repro.net.flows import (
+    FiveTuple,
+    decode_flow,
+    flow_of_frame,
+    placement,
+    vthread_of,
+)
 from repro.net.packet import PROTO_TCP
 from repro.host.pool import shutdown_shared_pools
 from repro.net.tracegen import (
@@ -130,11 +137,11 @@ class TrippingSpec(BroLaneSpec):
     watchdog budget so small that every pac flow violates (crud alone
     never quarantines a flow: the generated parsers absorb it)."""
 
-    def make_lane(self, uid_map):
+    def make_lane(self):
         return Bro(parsers="pac", breaker_threshold=0.0,
                    breaker_min_flows=1, watchdog_budget=50,
                    print_stream=io.StringIO(),
-                   telemetry=Telemetry(metrics=True), uid_map=uid_map)
+                   telemetry=Telemetry(metrics=True))
 
 
 class TestBreakerGauge:
@@ -189,27 +196,27 @@ class TestPlacement:
 
 class TestDispatchPlan:
     def test_uids_assigned_in_arrival_order(self, mixed_trace):
-        __, uid_map = dispatch_plan(mixed_trace, vthreads=16, workers=4)
-        firsts = []
-        seen = set()
-        for __, frame in mixed_trace:
+        """Each connection is named after the ordinal of its first
+        packet, so its uids sort in arrival order."""
+        firsts = {}
+        for ordinal, (__, frame) in enumerate(mixed_trace):
             flow = flow_of_frame(frame)
-            if flow is None:
-                continue
-            key = flow_key(flow)
-            if key not in seen:
-                seen.add(key)
-                firsts.append(key)
-        assert [uid_map[key] for key in firsts] == \
-            [format_uid(i + 1) for i in range(len(firsts))]
+            if flow is not None:
+                firsts.setdefault(flow_key(flow), ordinal)
+        parallel = ParallelBro(workers=4, backend="vthread")
+        parallel.run(mixed_trace)
+        uids = [line.split("\t")[1]
+                for line in parallel.log_lines("conn")]
+        assert sorted(uids) == [format_uid("C", ordinal)
+                                for ordinal in sorted(firsts.values())]
 
     def test_stray_frames_ride_vthread_zero(self):
         from repro.core.values import Time
 
-        jobs, uid_map = dispatch_plan(
+        jobs, vids = dispatch_plan(
             [(Time.from_nanos(1), b"\x00" * 20)], vthreads=16, workers=4)
         assert jobs == [(0, 1, b"\x00" * 20)]
-        assert uid_map == {}
+        assert vids == {}
 
     def test_one_flow_one_vthread(self, mixed_trace):
         jobs, __ = dispatch_plan(mixed_trace, vthreads=16, workers=4)
@@ -255,6 +262,93 @@ class TestTimeWait:
         assert len(lines) == 2
         uids = {line.split("\t")[1] for line in lines}
         assert len(uids) == 2
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("vthread", 1), ("vthread", 3), ("pool", 1), ("pool", 3)])
+    def test_reuse_gets_two_uids_on_every_backend(self, backend, workers):
+        """Both instances of a reused 5-tuple land on one lane, which
+        names each after its own opening packet, as the sequential run
+        does."""
+        from repro.core.values import Time
+
+        trace = self._one_session()
+        offset = trace[-1][0].nanos + 1_000_000
+        trace = trace + [(Time.from_nanos(ts.nanos + offset), frame)
+                         for ts, frame in trace]
+        sequential = Bro()
+        sequential.run(trace)
+        parallel = ParallelBro(workers=workers, backend=backend)
+        parallel.run(trace)
+        lines = parallel.log_lines("conn")
+        assert lines == sequential.log_lines("conn")
+        assert len({line.split("\t")[1] for line in lines}) == 2
+        assert parallel.flow_record_lines() == \
+            sequential.flow_record_lines()
+
+
+class TestUidOrdinals:
+    """A uid names its flow instance's opening packet: every conn.log
+    line's and flow record's uid decodes to the ordinal of a packet of
+    that 5-tuple, sent by the originator at the instance's start."""
+
+    @staticmethod
+    def _openings(bro):
+        """``(uid, originator 5-tuple, start ts)`` per conn.log line and
+        per flow record."""
+        out = []
+        for line in bro.log_lines("conn"):
+            ts, uid, orig_h, orig_p, resp_h, resp_p = line.split("\t")[:6]
+            out.append((uid, (orig_h, int(orig_p.split("/")[0]), resp_h,
+                              int(resp_p.split("/")[0])), ts))
+        for line in bro.flow_record_lines():
+            record = json.loads(line)
+            out.append((record["uid"],
+                        (record["src"], record["src_port"], record["dst"],
+                         record["dst_port"]),
+                        f"{record['first_ts']:.6f}"))
+        return out
+
+    def _check(self, trace, bro):
+        firsts = {}
+        for ordinal, (__, frame) in enumerate(trace):
+            flow = flow_of_frame(frame)
+            if flow is not None:
+                firsts.setdefault(flow_key(flow), ordinal)
+        ordinals = {}
+        openings = self._openings(bro)
+        assert openings
+        for uid, endpoints, ts in openings:
+            ordinal = uid_ordinal(uid)
+            timestamp, frame = trace[ordinal]
+            packet = decode_flow(frame)
+            assert (str(Addr.from_value(packet.src)), packet.src_port,
+                    str(Addr.from_value(packet.dst)),
+                    packet.dst_port) == endpoints
+            assert f"{timestamp.seconds:.6f}" == ts
+            ordinals.setdefault(packet.key, set()).add(ordinal)
+        # A key's first instance opens at the key's first packet.
+        for key, seen in ordinals.items():
+            assert min(seen) == firsts[key]
+        return ordinals
+
+    def test_sequential_uids_name_opening_packets(self, mixed_trace,
+                                                  sequential):
+        ordinals = self._check(mixed_trace, sequential)
+        assert all(len(seen) == 1 for seen in ordinals.values())
+
+    def test_reused_tuple_names_both_openings(self):
+        from repro.core.values import Time
+        from repro.net.tracegen import generate_http_trace
+
+        trace = generate_http_trace(HttpTraceConfig(sessions=1, seed=7))
+        offset = trace[-1][0].nanos + 1_000_000
+        second = len(trace)
+        trace = trace + [(Time.from_nanos(ts.nanos + offset), frame)
+                         for ts, frame in trace]
+        bro = Bro()
+        bro.run(trace)
+        ordinals = self._check(trace, bro)
+        assert list(ordinals.values()) == [{0, second}]
 
 
 class TestArtifacts:

@@ -78,7 +78,7 @@ class KillerSpec(BpfLaneSpec):
     """A lane spec whose worker dies the moment it builds a lane —
     the OOM-kill stand-in for the death-detection tests."""
 
-    def make_lane(self, uid_map):
+    def make_lane(self):
         os.kill(os.getpid(), 9)
 
 
@@ -86,8 +86,8 @@ class MidRunKillerSpec(BpfLaneSpec):
     """A lane spec whose worker dies on its lane's 300th packet, after
     retiring one full 256-packet batch."""
 
-    def make_lane(self, uid_map):
-        lane = super().make_lane(uid_map)
+    def make_lane(self):
+        lane = super().make_lane()
         on_packet = lane.on_packet
         seen = [0]
 
@@ -105,7 +105,7 @@ class BrokenSpec(BpfLaneSpec):
     """A lane spec that raises during lane construction (a survivable
     in-run error: the worker reports it and stays alive)."""
 
-    def make_lane(self, uid_map):
+    def make_lane(self):
         raise RuntimeError("lane construction exploded")
 
 
@@ -313,8 +313,8 @@ def _pool_run(pool, spec, shards, timeout=60.0):
     them in order (``collect`` raises :class:`PoolError`)."""
     pool.begin_run(spec)
     for index, shard in enumerate(shards):
-        for nanos, frame in shard:
-            assert pool.feed(index, nanos, frame, wait=timeout)
+        for nanos, frame, ordinal in shard:
+            assert pool.feed(index, nanos, frame, ordinal, wait=timeout)
     results = []
     for index in range(len(shards)):
         pool.finish(index, timeout=timeout)
@@ -334,8 +334,8 @@ class TestWorkerPool:
             first_pids = pool.pids()
             for seed in (5, 11):
                 trace = _trace(seed=seed)
-                jobs = [(timestamp.nanos, frame)
-                        for timestamp, frame in trace]
+                jobs = [(timestamp.nanos, frame, ordinal)
+                        for ordinal, (timestamp, frame) in enumerate(trace)]
                 shards = [jobs[0::2], jobs[1::2]]
                 results = _pool_run(pool, spec, shards)
                 lines = sorted(
@@ -370,9 +370,10 @@ class TestWorkerPool:
     def _drive(spec, shard):
         from repro.core.values import Time
 
-        lane = spec.make_lane({})
+        lane = spec.make_lane()
         lane.on_begin()
-        for nanos, frame in shard:
+        for nanos, frame, ordinal in shard:
+            lane.ordinal = ordinal
             lane.on_packet(Time.from_nanos(nanos), frame)
         lane.on_end()
         return lane
@@ -392,7 +393,7 @@ class TestWorkerPool:
         """An in-run failure is reported, the run raises, and the SAME
         workers serve the next run — errors don't leak across epochs."""
         trace = _trace(sessions=4, queries=8)
-        jobs = [(t.nanos, f) for t, f in trace]
+        jobs = [(t.nanos, f, i) for i, (t, f) in enumerate(trace)]
         pool = WorkerPool(1, start_method="fork")
         try:
             with pytest.raises(PoolError, match="exploded"):
@@ -411,7 +412,7 @@ class TestWorkerPool:
         lost packets are accounted, and the pool replaces the corpse so
         the next run succeeds."""
         trace = _trace(sessions=4, queries=8)
-        jobs = [(t.nanos, f) for t, f in trace]
+        jobs = [(t.nanos, f, i) for i, (t, f) in enumerate(trace)]
         pool = WorkerPool(1, start_method="fork")
         try:
             with pytest.raises(PoolError) as excinfo:
@@ -466,8 +467,8 @@ class TestStreamedRun:
         peaks = [0] * pool.workers
         feed = pool.feed
 
-        def watched_feed(index, nanos, frame, **options):
-            accepted = feed(index, nanos, frame, **options)
+        def watched_feed(index, nanos, frame, ordinal, **options):
+            accepted = feed(index, nanos, frame, ordinal, **options)
             peaks[index] = max(peaks[index],
                                len(pool._states[index].batch))
             return accepted
@@ -493,9 +494,8 @@ class TestStreamedRun:
     def test_uid_entries_at_batch_boundaries(self, monkeypatch, name,
                                              batch):
         """Tiny batches put first sightings on every batch boundary:
-        each uid entry must still reach its worker ahead of the packet
-        that needs it, so pool output stays byte-identical to the
-        sequential run's."""
+        each packet's ordinal must still ride with it, so pool output
+        stays byte-identical to the sequential run's."""
         monkeypatch.setattr(WorkerPool, "BATCH_PACKETS", batch)
         make, spec = STREAM_APPS[name]
         trace = _trace(sessions=6, queries=20, seed=7)

@@ -737,3 +737,33 @@ class TestGracefulShutdown:
         assert validate(
             METRICS_SCHEMA,
             (logdir / "metrics.jsonl").read_text().splitlines()) == []
+
+
+class TestServiceUids:
+    """A service has no process that sees every packet, yet a
+    ``--loops 1`` run names its flows exactly as the sequential run
+    does: each lane names a flow after its opening packet's ordinal,
+    which the ingest loop hands over with the packet."""
+
+    @staticmethod
+    def _uids(tool, args, pcap, logdir):
+        subprocess.run(
+            [sys.executable, "-m", f"repro.tools.{tool}", *args,
+             "-r", pcap, "--logdir", str(logdir)],
+            env=_env(), check=True, stdout=subprocess.DEVNULL,
+            timeout=300)
+        lines = (logdir / "flow_records.jsonl").read_text().splitlines()
+        return [json.loads(line)["uid"] for line in lines[1:]]
+
+    @pytest.mark.parametrize("transport", ["thread", "pool"])
+    @pytest.mark.parametrize("tool,args", [
+        ("bro", []), ("bpf_filter", ["udp"])])
+    def test_loop_once_names_flows_like_sequential(
+            self, mixed_pcap, tmp_path, tool, args, transport):
+        path, __ = mixed_pcap
+        sequential = self._uids(tool, args, path, tmp_path / "seq")
+        served = self._uids(
+            tool, [*args, "--serve", "--loops", "1", "--lanes", "2",
+                   "--lane-transport", transport], path, tmp_path / "svc")
+        assert len(set(served)) == len(served)
+        assert set(served) == set(sequential)

@@ -57,7 +57,7 @@ class CountApp(HostApp):
 class CountLaneSpec(LaneSpec):
     """Builds the pool transport's CountApp lanes in the workers."""
 
-    def make_lane(self, uid_map):
+    def make_lane(self):
         return CountApp(self.lane_services())
 
 

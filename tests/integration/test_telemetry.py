@@ -233,7 +233,7 @@ class TestGoldenFlowTrace:
     ``json.dumps(span.to_dict(), sort_keys=True)`` encoder the
     per-record templates replaced; the CI step holds the same one."""
 
-    SHA256 = "cd2cab5169da1102afdcd80fbe153a99aedd34a703f9053cca8aba5ee245ca2b"
+    SHA256 = "c61570d7f81c28db978e2b477adc6f07b2cec2d32baf99574f21d31e7d20c2fd"
 
     def test_untimed_flow_trace_digest(self, tmp_path, capsys):
         import hashlib
@@ -321,3 +321,32 @@ class TestReportFiles:
             assert validate(CPU_BREAKDOWN_SCHEMA, json.load(stream)) == []
         with open(f"{logdir}/metrics.jsonl") as stream:
             assert validate(METRICS_SCHEMA, stream) == []
+
+
+class TestProfilerAfterRaise:
+    """A compiled Bro handler that raises once keeps its profile: the
+    raising call stops the handler's profiler as it unwinds, so
+    ``prof.log`` counts every call."""
+
+    SCRIPT = """
+global seen: table[string] of count;
+
+event new_connection(c: connection) {
+    if ( |seen| == 0 ) {
+        seen["x"] = 1;
+        print seen["y"];
+    }
+}
+"""
+
+    def test_every_handler_call_counted(self, http_trace, tmp_path):
+        bro = Bro(scripts=[self.SCRIPT], scripts_engine="hilti",
+                  print_stream=io.StringIO(),
+                  telemetry=Telemetry(metrics=True))
+        bro.run(http_trace)
+        bro.write_telemetry(str(tmp_path))
+        assert len(bro.log_lines("weird")) == 1  # the one raise
+        (line,) = [line for line in (tmp_path / "prof.log").read_text()
+                   .splitlines() if "new_connection" in line]
+        calls = len(bro.flow_record_lines())  # one per connection
+        assert calls == 20 and line.endswith(f" updates={calls}")

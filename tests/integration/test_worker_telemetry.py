@@ -352,8 +352,8 @@ class TestTelemDropped:
             snapshot = pool.telemetry(0)
             assert _dropped(snapshot["series"], "late") == 1
             assert _dropped(snapshot["series"], "torn") == 1
-            for timestamp, frame in trace[:30]:
-                pool.feed(0, timestamp.nanos, frame)
+            for ordinal, (timestamp, frame) in enumerate(trace[:30]):
+                pool.feed(0, timestamp.nanos, frame, ordinal)
             pool.finish(0)
             result = pool.collect(0, timeout=30.0)
         finally:
@@ -379,8 +379,8 @@ class TestTelemDropped:
                 if not metrics:
                     assert MessageChannel(state.out_ring).send(
                         MSG_TELEM, pack_run_prefix(state.run_id) + b"torn")
-                for timestamp, frame in trace[:30]:
-                    pool.feed(0, timestamp.nanos, frame)
+                for ordinal, (timestamp, frame) in enumerate(trace[:30]):
+                    pool.feed(0, timestamp.nanos, frame, ordinal)
                 pool.finish(0)
                 results.append(pool.collect(0, timeout=30.0))
         finally:

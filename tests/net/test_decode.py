@@ -26,6 +26,7 @@ from repro.apps.bro.parallel import BroLaneSpec
 from repro.apps.firewall.app import FirewallLaneSpec
 from repro.core.values import Addr
 from repro.host.parallel import dispatch_plan, flow_key
+from repro.net.flowrecord import format_record_uid
 from repro.net.flows import (
     FiveTuple,
     flow_hash,
@@ -359,19 +360,24 @@ def _hashes_in_child(payload):
 
 
 def _plan_digest(trace, spec):
-    """sha256 over one ``vid uid`` line per packet (the uid the packet's
-    flow was pre-assigned, looked up by its 5-tuple)."""
-    jobs, uid_map = dispatch_plan(trace, 16, 4, spec=spec)
+    """sha256 over one ``vid uid`` line per packet: its vthread and the
+    record uid of its flow, named after the flow's first packet."""
+    jobs, __ = dispatch_plan(trace, 16, 4, spec=spec)
     digest = hashlib.sha256()
-    for vid, __, frame in jobs:
+    firsts = {}
+    for ordinal, (vid, __, frame) in enumerate(jobs):
         flow = flow_of_frame(frame)
-        uid = uid_map.get(flow_key(flow)) if flow is not None else None
+        uid = None
+        if flow is not None:
+            uid = format_record_uid(
+                firsts.setdefault(flow_key(flow), ordinal))
         digest.update(f"{vid} {uid}\n".encode())
     return digest.hexdigest()
 
 
-#: Recorded at the commit before the single-pass decoder.
+#: Recorded when uids became first-packet ordinals; the placements are
+#: those pinned since the commit before the single-pass decoder.
 PLAN_DIGEST_BRO = \
-    "62a2e85aecc4dbb3f949b5f4907c1e96a9f6871bfef902e46542f8aa923eab9f"
+    "cb3e4fb6cf9c82b72a2bd25301ee835904d9f6bf4b68371fe0aad6245a495f21"
 PLAN_DIGEST_FIREWALL = \
-    "5d969db7ea0b27aa9c98726c91d205a76b3e7207667b66faa059b58a327a3903"
+    "2f14e5fdfe349309c6fa5768fbf22768187c6897fe9568b3e3094268b8bf73ab"

@@ -3,7 +3,7 @@
 Unit-level coverage for the flow-record layer (docs/FLOWS.md): the
 ``repro-flowrecords/1`` serialization round-trip, the hand-rolled
 validator's error taxonomy, FiveTuple canonicalization symmetry, the
-shared :class:`~repro.host.flowtable.FlowTable` (uid precedence,
+shared :class:`~repro.host.flowtable.FlowTable` (uid naming,
 bidirectional accounting, TTL/cap eviction with the counted-eviction
 contract, bare-key recency mode), and the ``flowexport`` tool
 end-to-end.
@@ -24,6 +24,8 @@ from repro.net.flowrecord import (
     FlowRecord,
     flowrecords_header_line,
     format_record_uid,
+    format_uid,
+    uid_ordinal,
     write_flowrecords_jsonl,
 )
 from repro.net.flows import FiveTuple
@@ -39,7 +41,7 @@ def _tuple(sport=1234, dport=80, proto=PROTO_TCP):
 def _record(**overrides):
     fields = dict(
         src="10.0.0.1", dst="10.0.0.2", src_port=1234, dst_port=80,
-        protocol=PROTO_TCP, uid="S000001", first_ts=1.0, last_ts=2.5,
+        protocol=PROTO_TCP, uid="S00000001", first_ts=1.0, last_ts=2.5,
         orig_pkts=3, orig_bytes=120, resp_pkts=2, resp_bytes=900,
         tcp_flags=SYN | ACK | FIN, close_reason="finished",
     )
@@ -69,8 +71,18 @@ class TestFlowRecordSerialization:
         assert doc["first_ts"] == 1.123457
 
     def test_record_uid_format(self):
-        assert format_record_uid(1) == "S000001"
-        assert format_record_uid(125) == "S000125"
+        assert format_record_uid(1) == "S00000001"
+        assert format_record_uid(125) == "S00000021"
+        assert format_uid("C", 62 ** 8 - 1) == "Czzzzzzzz"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 62 ** 8 - 1), st.integers(0, 62 ** 8 - 1))
+    def test_uid_order_is_ordinal_order(self, a, b):
+        """The alphabet is in ASCII order, so comparing two uids as
+        strings compares their ordinals."""
+        uid_a, uid_b = format_uid("C", a), format_uid("C", b)
+        assert (uid_a < uid_b) == (a < b)
+        assert uid_ordinal(uid_a) == a
 
     def test_header_carries_no_topology(self):
         header = json.loads(flowrecords_header_line("bpf", 7))
@@ -82,7 +94,7 @@ class TestFlowRecordSerialization:
 class TestValidator:
     def test_valid_stream_passes(self):
         lines = _file_lines([_record(), _record(src_port=9999,
-                                                uid="S000002")])
+                                                uid="S00000002")])
         assert validate(FLOWRECORDS_SCHEMA, lines) == []
 
     def test_written_file_passes(self, tmp_path):
@@ -109,7 +121,7 @@ class TestValidator:
                    for e in validate(FLOWRECORDS_SCHEMA, lines))
 
     def test_unsorted_body_rejected(self):
-        records = [_record(uid="S000002"), _record(uid="S000001",
+        records = [_record(uid="S00000002"), _record(uid="S00000001",
                                                    src_port=9)]
         lines = [flowrecords_header_line("test", 2)] + \
             sorted((r.to_line() for r in records), reverse=True)
@@ -198,10 +210,10 @@ class TestFlowTable:
     def test_bidirectional_accounting(self):
         table = FlowTable(uid_format=format_record_uid)
         flow = _tuple()
-        table.account(flow, 1.0, payload_len=100, tcp_flags=SYN)
+        table.account(flow, 1.0, payload_len=100, tcp_flags=SYN, ordinal=1)
         table.account(flow.reversed(), 2.0, payload_len=40,
-                      tcp_flags=SYN | ACK)
-        table.account(flow, 3.5, payload_len=60, tcp_flags=FIN)
+                      tcp_flags=SYN | ACK, ordinal=2)
+        table.account(flow, 3.5, payload_len=60, tcp_flags=FIN, ordinal=3)
         assert len(table) == 1
         table.finish()
         (record,) = table.records()
@@ -210,25 +222,23 @@ class TestFlowTable:
         assert (record.resp_pkts, record.resp_bytes) == (1, 40)
         assert record.tcp_flags == SYN | ACK | FIN
         assert (record.first_ts, record.last_ts) == (1.0, 3.5)
-        assert record.uid == "S000001"
+        assert record.uid == "S00000001"
         assert record.close_reason == "finished"
 
-    def test_uid_precedence(self):
+    def test_uid_names_opening_ordinal(self):
         flow = _tuple()
-        mapped = FlowTable(uid_map={flow.canonical(): "M1"},
-                           uid_format=format_record_uid)
-        assert mapped.open(flow, 0.0).uid == "M1"
-        explicit = FlowTable(uid_map={flow.canonical(): "M1"})
-        assert explicit.open(flow, 0.0, uid="X9").uid == "X9"
-        assert FlowTable().open(flow, 0.0).uid is None
+        table = FlowTable(uid_format=format_record_uid)
+        assert table.open(flow, 0.0, 63).uid == "S00000011"
+        assert table.open(flow, 0.0).uid is None
+        assert FlowTable().open(flow, 0.0, 63).uid is None
 
     def test_serial_counts_every_first_sight(self):
         table = FlowTable(uid_format=format_record_uid)
-        table.account(_tuple(sport=1), 0.0)
-        table.account(_tuple(sport=2), 0.0)
-        table.account(_tuple(sport=1), 1.0)  # repeat: no new serial
+        table.account(_tuple(sport=1), 0.0, ordinal=0)
+        table.account(_tuple(sport=2), 0.0, ordinal=1)
+        table.account(_tuple(sport=1), 1.0, ordinal=2)  # repeat
         assert table.serial == 2
-        assert table.get(_tuple(sport=2).canonical()).uid == "S000002"
+        assert table.get(_tuple(sport=2).canonical()).uid == "S00000001"
 
     def test_ttl_expiry_vs_capacity_eviction(self):
         table = FlowTable(session_ttl=10.0, max_sessions=2)
@@ -325,13 +335,14 @@ class TestFlowTable:
     def test_finish_seals_in_arrival_order(self, evicting):
         table = FlowTable(uid_format=format_record_uid,
                           max_sessions=100 if evicting else None)
-        for sport in (9, 2, 7, 5):
-            table.account(_tuple(sport=sport), float(sport))
+        for ordinal, sport in enumerate((9, 2, 7, 5)):
+            table.account(_tuple(sport=sport), float(sport),
+                          ordinal=ordinal)
         table.close(_tuple(sport=2).canonical())
         table.finish()
         assert len(table) == 0
         assert [r.uid for r in table.records()] == \
-            ["S000002", "S000001", "S000003", "S000004"]
+            ["S00000001", "S00000000", "S00000002", "S00000003"]
 
 
 # -- record_lines(): the precompiled format against FlowRecord.to_line ------
@@ -397,16 +408,20 @@ class TestRecordLineOracle:
            numbered=st.booleans(), finish=st.booleans())
     def test_record_lines_equal_to_line(self, pairs, steps, ttl, cap,
                                         numbered, finish):
-        table = _SealWatch(uid_format=format_record_uid if numbered else None,
+        # Each step's drawn uid text is what its ordinal renders to.
+        uids = [step[5] for step in steps]
+        table = _SealWatch(uid_format=uids.__getitem__ if numbered else None,
                            session_ttl=ttl, max_sessions=cap)
-        for index, forward, ts, length, flags, uid, action in steps:
+        for ordinal, (index, forward, ts, length, flags, uid,
+                      action) in enumerate(steps):
             src, sport, dst, dport, proto = pairs[index]
             flow = FiveTuple(Addr(src), Addr(dst), sport, dport, proto)
             if not forward:
                 flow = flow.reversed()
             if action == "account":
                 table.account(flow, ts, payload_len=length,
-                              tcp_flags=flags, uid=uid)
+                              tcp_flags=flags,
+                              ordinal=None if uid is None else ordinal)
                 table.run_eviction(ts)
             else:
                 table.close(flow.key, action)
@@ -431,7 +446,7 @@ class TestGoldenExport:
     """The CI flow-export job's stream, pinned byte for byte: ``tracegen
     mixed --seed 42`` through ``flowexport`` (records.jsonl)."""
 
-    SHA256 = "9858da7f2b7d0c2ca636f385ee79c7709af292cc8a1407baf05330327e460748"
+    SHA256 = "9ffff88e7cccd4fc872bf94632708cda2549fd750b7c55e8d58cf71012865eb6"
 
     def test_fixed_seed_mixed_trace_digest(self, tmp_path):
         import hashlib
