@@ -1,11 +1,11 @@
 """The standalone BinPAC++ driver: generated parsers as a host app.
 
 The paper's BinPAC++ exemplar (section 5) run directly over the shared
-pipeline, without the Bro event engine on top: raw frames demultiplex
-into flows (:class:`repro.host.demux.FlowDemux`), TCP payload arrives
-stream-ordered, and each flow feeds the generated HILTI parser for its
-service port — HTTP on tcp/80, DNS on udp/53, SSH on tcp/22, TFTP on
-udp/69.  Every finished unit (forwarded by the generated
+pipeline, without the Bro event engine on top: raw frames go through
+the flow layer Bro runs on too (:class:`repro.host.demux.FlowDemux`),
+TCP payload arrives stream-ordered, and each flow feeds the generated
+HILTI parser for its service port — HTTP on tcp/80, DNS on udp/53, SSH
+on tcp/22, TFTP on udp/69.  Every finished unit (forwarded by the generated
 ``unit_done_glue`` hooks through ``Bro::raise_event``) becomes one
 result line of ``timestamp  uid  event  fields...``.
 
@@ -21,7 +21,7 @@ import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from ...host.app import HostApp, PipelineServices
-from ...host.demux import FlowDemux
+from ...host.demux import Flow, FlowDemux
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_uid
 from ...net.packet import PROTO_TCP, PROTO_UDP
@@ -114,12 +114,14 @@ def _render_unit(event: str, obj) -> str:
 
 
 # --------------------------------------------------------------------------
-# Per-flow handlers (the FlowDemux protocol)
+# Per-flow handlers (the flow layer's Flow hooks)
 # --------------------------------------------------------------------------
 
 
-class _StreamFlow:
+class _StreamFlow(Flow):
     """A TCP flow: one incremental parse session per direction."""
+
+    __slots__ = ("app", "protocol", "last_ts", "sessions")
 
     #: protocol -> top-level unit per direction (True = originator).
     UNITS = {
@@ -127,10 +129,10 @@ class _StreamFlow:
         "ssh": {True: "Banner", False: "Banner"},
     }
 
-    def __init__(self, app: "PacApp", protocol: str, uid: str):
+    def __init__(self, app: "PacApp", protocol: str, entry):
+        Flow.__init__(self, entry)
         self.app = app
         self.protocol = protocol
-        self.uid = uid
         self.last_ts = None
         parser = app.parsers[protocol]
         self.sessions = {
@@ -138,8 +140,10 @@ class _StreamFlow:
             for is_orig, unit in self.UNITS[protocol].items()
         }
 
-    def data(self, is_orig: bool, payload: bytes) -> None:
-        self.last_ts = self.app.now
+    def segment(self, is_orig: bool, length: int, payload) -> None:
+        if not payload:
+            return
+        self.last_ts = self.last_time
         session = self.sessions.get(is_orig)
         if session is None or session.finished:
             return
@@ -158,30 +162,29 @@ class _StreamFlow:
         self.sessions = {is_orig: None for is_orig in self.sessions}
 
 
-class _DatagramFlow:
+class _DatagramFlow(Flow):
     """A UDP flow: one one-shot parse per datagram (the DNS and TFTP
     grammars are datagram grammars)."""
 
+    __slots__ = ("app", "protocol", "last_ts", "_unit", "_dead")
+
     UNITS = {"dns": "Message", "tftp": "Packet"}
 
-    def __init__(self, app: "PacApp", protocol: str, uid: str):
+    def __init__(self, app: "PacApp", protocol: str, entry):
+        Flow.__init__(self, entry)
         self.app = app
         self.protocol = protocol
-        self.uid = uid
         self.last_ts = None
         self._unit = self.UNITS[protocol]
         self._dead = False
 
     def datagram(self, is_orig: bool, payload: bytes) -> None:
-        self.last_ts = self.app.now
+        self.last_ts = self.last_time
         if self._dead:
             return
         parser = self.app.parsers[self.protocol]
         self.app.guarded_parse(
             self, lambda: parser.parse(self._unit, payload))
-
-    def end(self) -> None:
-        pass
 
     def kill(self) -> None:
         self._dead = True
@@ -206,7 +209,6 @@ class PacApp(HostApp):
         if unknown:
             raise ValueError(f"unknown protocols {unknown!r}")
         self.protocols = tuple(protocols)
-        self.now = None
         self.events = 0
         self.parse_errors = 0
         self._lines: List[str] = []
@@ -225,29 +227,24 @@ class PacApp(HostApp):
             )
             self._ports[port] = protocol
         self.demux = FlowDemux(
-            self._flow_factory,
-            max_sessions=self.services.max_sessions,
-            session_ttl=self.services.session_ttl,
-            memory_budget_bytes=self.services.memory_budget_bytes,
+            self._flow_factory, format_flow_uid, self.services,
             flow_budget_ns=flow_budget_ns,
             on_slow_flow=self._on_slow_flow,
-            uid_format=format_flow_uid,
         )
 
     # -- flow plumbing -----------------------------------------------------
 
-    def _service_of(self, flow) -> Optional[str]:
-        return (self._ports.get((flow.protocol, flow.dst_port))
-                or self._ports.get((flow.protocol, flow.src_port)))
+    def _service_of(self, packet) -> Optional[str]:
+        return (self._ports.get((packet.protocol, packet.dst_port))
+                or self._ports.get((packet.protocol, packet.src_port)))
 
-    def _flow_factory(self, flow):
-        protocol = self._service_of(flow)
+    def _flow_factory(self, timestamp, packet, entry) -> Optional[Flow]:
+        protocol = self._service_of(packet)
         if protocol is None:
             return None
-        uid = format_flow_uid(self.ordinal)
-        if flow.protocol == PROTO_TCP:
-            return _StreamFlow(self, protocol, uid)
-        return _DatagramFlow(self, protocol, uid)
+        if packet.protocol == PROTO_TCP:
+            return _StreamFlow(self, protocol, entry)
+        return _DatagramFlow(self, protocol, entry)
 
     def _on_event(self, event: str, args) -> None:
         flow = self._current_flow
@@ -297,17 +294,16 @@ class PacApp(HostApp):
     # -- the HostApp hooks -------------------------------------------------
 
     def packet(self, timestamp, frame: bytes) -> None:
-        self.now = timestamp
         begin = _time.perf_counter_ns()
         try:
-            self.demux.feed(frame, timestamp.seconds, self.ordinal)
+            self.demux.feed(timestamp, frame, self.ordinal)
         finally:
             self._parse_ns += _time.perf_counter_ns() - begin
 
     def finish(self) -> None:
         begin = _time.perf_counter_ns()
         try:
-            self.demux.finish(self.services.faults)
+            self.demux.finish()
         finally:
             self._parse_ns += _time.perf_counter_ns() - begin
 
@@ -318,21 +314,18 @@ class PacApp(HostApp):
         return {
             "events": self.events,
             "parse_errors": self.parse_errors,
-            "flows_opened": self.demux.flows_opened,
+            "flows_opened": (sum(self.demux.flows_opened.values())
+                             - self.demux.flows_ignored),
             "flows_ignored": self.demux.flows_ignored,
             "sessions_evicted": self.demux.sessions_evicted,
             "sessions_expired": self.demux.sessions_expired,
         }
 
     def session_stats(self) -> Dict[str, int]:
-        return {
-            "open": self.demux.open_flows(),
-            "evicted": self.demux.sessions_evicted,
-            "expired": self.demux.sessions_expired,
-        }
+        return self.demux.session_stats()
 
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
-        return self.demux.flow_snapshot(limit)
+        return self.demux.table.flow_snapshot(limit)
 
     def engine_contexts(self) -> List[Tuple[str, object]]:
         return [(f"pac/{protocol}", parser.ctx)

@@ -12,10 +12,12 @@ protocol parsing, script execution, HILTI-to-Bro glue, and "other".
 
 from __future__ import annotations
 
+import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from ...core.values import Time
 from ...host.app import HostApp, PipelineServices
+from ...host.demux import FlowDemux
 from ...host.pipeline import Pipeline
 from ...runtime.faults import (
     CircuitBreaker,
@@ -25,7 +27,7 @@ from ...runtime.telemetry import Telemetry
 from .analyzers.dns_std import DnsStdAnalyzer
 from .analyzers.http_std import HttpStdAnalyzer
 from .compiler import ScriptCompiler
-from .conn import ConnectionTracker
+from .conn import Connections, format_conn_uid
 from .core import BroCore, WEIRD_LOG_COLUMNS
 from .interp import ScriptInterp
 from .lang import Script, parse_script
@@ -81,6 +83,7 @@ class Bro(HostApp):
         telemetry: Optional[Telemetry] = None,
         max_sessions: Optional[int] = None,
         session_ttl: Optional[float] = None,
+        memory_budget_bytes: Optional[int] = None,
     ):
         if parsers not in ("std", "pac"):
             raise ValueError(f"unknown parser tier {parsers!r}")
@@ -104,6 +107,7 @@ class Bro(HostApp):
             telemetry=telemetry,
             max_sessions=max_sessions,
             session_ttl=session_ttl,
+            memory_budget_bytes=memory_budget_bytes,
         ))
         self.core = BroCore(log_enabled=log_enabled,
                             print_stream=print_stream)
@@ -157,10 +161,13 @@ class Bro(HostApp):
                 ("tcp", 80): (HttpStdAnalyzer, HttpPacAnalyzer),
                 ("udp", 53): (DnsStdAnalyzer, DnsPacAnalyzer),
             }
-        self.tracker = ConnectionTracker(self.core, self._make_analyzer,
-                                         tracer=self.telemetry.tracer,
-                                         max_sessions=max_sessions,
-                                         session_ttl=session_ttl)
+        # Bro's flow layer: the shared one, with a Bro connection as
+        # each flow's handler.
+        self.connections = Connections(self.core, self._make_analyzer,
+                                       self.telemetry.tracer)
+        self.tracker = FlowDemux(self.connections, format_conn_uid,
+                                 self.services)
+        self._tracing = self.telemetry.tracer.enabled
 
     # -- analyzer wiring ----------------------------------------------------
 
@@ -197,14 +204,10 @@ class Bro(HostApp):
         return self.tracker.flow_record_lines()
 
     def session_stats(self) -> Dict[str, int]:
-        return {
-            "open": self.tracker.open_flows(),
-            "evicted": self.tracker.sessions_evicted,
-            "expired": self.tracker.sessions_expired,
-        }
+        return self.tracker.session_stats()
 
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
-        return self.tracker.flow_snapshot(limit)
+        return self.tracker.table.flow_snapshot(limit)
 
     # -- the HostApp hooks ---------------------------------------------------
 
@@ -217,12 +220,21 @@ class Bro(HostApp):
 
     def packet(self, timestamp: Time, frame: bytes) -> None:
         """Process one packet and drain the events it raised."""
-        self.tracker.packet(timestamp, frame, self.ordinal)
+        self.core.advance_time(timestamp)
+        if self._tracing:
+            self.connections.packet_ns = _time.perf_counter_ns()
+        self.tracker.feed(timestamp, frame, self.ordinal)
         self.core.drain_events()
 
     def finish(self) -> None:
-        """Close every flow, then the ``bro_done`` lifecycle event."""
+        """Close every flow, each at its own last packet's time
+        (:meth:`Connection.end <repro.apps.bro.conn.Connection.end>`),
+        then the ``bro_done`` lifecycle event."""
+        core = self.core
+        end = core.network_time()
+        self.connections.at_end = True
         self.tracker.finish()
+        core.set_time(end)
         with self.core.faults.suspended():
             self.core.queue_event("bro_done", [])
             self.core.drain_events()
@@ -234,7 +246,7 @@ class Bro(HostApp):
         covers."""
         glue_ns = self.glue.ns_spent if self.glue is not None else 0
         return {
-            "parsing": self.tracker.parsing_ns,
+            "parsing": self.connections.parsing_ns,
             "script": max(0, self.core.timers["script"] - glue_ns),
             "glue": glue_ns,
         }
@@ -279,7 +291,7 @@ class Bro(HostApp):
         optimizer rewrites, flow-table and reassembler occupancy."""
         tracker = self.tracker
         for name, value in (
-                ("packets_ignored", tracker.ignored),
+                ("packets_ignored", tracker.packets_ignored),
                 ("events_queued", self.core.events_queued),
                 ("events_dispatched", self.core.events_dispatched),
                 ("flows_closed", tracker.flows_closed)):

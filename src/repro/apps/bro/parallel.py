@@ -70,6 +70,7 @@ class BroLaneSpec(LaneSpec):
             telemetry=services.telemetry,
             max_sessions=services.max_sessions,
             session_ttl=services.session_ttl,
+            memory_budget_bytes=services.memory_budget_bytes,
         )
 
     def lane_result(self, bro: Bro) -> Dict:

@@ -20,7 +20,7 @@ Layering (docs/ARCHITECTURE.md)::
 
 from .._lazy import lazy_exports
 from .app import HostApp, PipelineServices, export_health
-from .demux import FlowDemux
+from .demux import Flow, FlowDemux
 from .eviction import SessionLRU
 from .flowtable import FlowEntry, FlowTable
 from .parallel import (
@@ -47,6 +47,7 @@ __getattr__ = lazy_exports(__name__, {
 
 __all__ = [
     "BoundedQueue",
+    "Flow",
     "FlowDemux",
     "FlowEntry",
     "FlowTable",

@@ -3,12 +3,13 @@
 Long-running analysis must keep flow state *flat*: the paper's target
 workloads see millions of flows, and any table keyed by 5-tuples grows
 without bound unless idle sessions expire and a hard cap backstops
-bursts.  :class:`SessionLRU` is the shared bookkeeping both stateful
-components use — :class:`repro.host.demux.FlowDemux` for the BinPAC++
-driver's flows and :class:`repro.apps.bro.conn.ConnectionTracker` for
-Bro's connections.  It tracks recency only; the owner closes the
-session state the yielded keys name (final-flush semantics — an evicted
-flow still gets its ``end()``/``connection_state_remove``).
+bursts.  :class:`SessionLRU` is the recency bookkeeping behind the
+shared ledger (:class:`repro.host.flowtable.FlowTable`), and so behind
+the flow layer (:class:`repro.host.demux.FlowDemux`) every flow-content
+app runs on.  It tracks recency only; the owner closes the session
+state the yielded keys name (final-flush semantics — an evicted flow's
+handler still gets its ``end()``, so a Bro connection still raises
+``connection_state_remove``).
 
 Two distinct removal causes, counted separately by the owners:
 
@@ -55,9 +56,6 @@ class SessionLRU:
     def remove(self, key: Hashable) -> None:
         """Forget *key* (no-op when absent)."""
         self._order.pop(key, None)
-
-    def last_active(self, key: Hashable) -> Optional[float]:
-        return self._order.get(key)
 
     def oldest(self) -> Optional[Hashable]:
         return next(iter(self._order), None)

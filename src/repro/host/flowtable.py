@@ -1,11 +1,10 @@
 """The shared flow ledger: one table for every stateful component.
 
-The paper's per-flow, hash-partitioned state model (§3.2) used to be
-re-implemented three times — :class:`repro.host.demux.FlowDemux`,
-:class:`repro.apps.bro.conn.ConnectionTracker`, and
-:class:`repro.lib.session_table.SessionTable` each carried its own
-keying, uid assignment, per-direction accounting, and TTL/LRU/cap
-eviction loop.  :class:`FlowTable` is that logic factored out once:
+The paper's per-flow, hash-partitioned state model (§3.2) keys all state
+by flow.  :class:`FlowTable` is the ledger every flow-keeping component
+shares — the flow layer (:class:`repro.host.demux.FlowDemux`, under Bro
+and the BinPAC++ driver), the bpf and firewall apps, the flowexport tool
+and, in bare-key mode, :class:`repro.lib.session_table.SessionTable`:
 
 * **keying** — the canonical flow key the packet decoder computes
   (:attr:`repro.net.packet.Decoded.key`: a plain tuple of ints, equal
@@ -20,7 +19,7 @@ eviction loop.  :class:`FlowTable` is that logic factored out once:
 * **eviction** — the TTL and capacity loops over one
   :class:`~repro.host.eviction.SessionLRU`, with an ``on_evict``
   callback that lets the owner flush its own session state and decide
-  whether the eviction is *counted* (tombstoned flows are not);
+  whether the eviction is *counted*;
 * **records** — closing a flow *seals* it: the entry is formatted
   straight into its ``repro-flowrecords/1`` line and only the line is
   kept, so a closed flow costs its export line and nothing else.
@@ -183,9 +182,6 @@ class FlowTable:
     def get(self, key) -> Optional[FlowEntry]:
         return self._entries.get(key)
 
-    def last_active(self, key) -> Optional[float]:
-        return self._lru.last_active(key)
-
     def oldest(self):
         return self._lru.oldest()
 
@@ -211,23 +207,18 @@ class FlowTable:
         return entry
 
     def account(self, flow, now: float, payload_len: int = 0,
-                tcp_flags: int = 0, ordinal: Optional[int] = None,
-                touch: bool = True) -> FlowEntry:
+                tcp_flags: int = 0,
+                ordinal: Optional[int] = None) -> FlowEntry:
         """Account one packet of *flow* (see :meth:`open`): open on
         first sight (with the packet's *ordinal*), then update
-        last-activity, the per-direction counters, and the flag union.
-
-        Owners with their own recency discipline (FlowDemux touches
-        only once a clock is known) pass ``touch=False`` and drive
-        :meth:`touch`.
-        """
+        last-activity, the per-direction counters, and the flag union."""
         key = flow.key
         entry = self._entries.get(key)
         if entry is None:
             entry = self.open(flow, now, ordinal)
         entry.add(now, payload_len, tcp_flags,
                   flow.sender_is_first == entry.orig_is_first)
-        if touch and self.evicting:
+        if self.evicting:
             self._lru.touch(key, now)
         return entry
 
@@ -265,11 +256,9 @@ class FlowTable:
 
     def close(self, key, reason: str = "finished") -> Optional[FlowEntry]:
         """Seal *key*'s ledger entry (owner-initiated close: normal
-        teardown or end-of-run flush).  Recency is only tracked while
-        an eviction policy is armed, so only then is there any to drop."""
+        teardown or end-of-run flush) and forget its recency."""
         entry = self._entries.pop(key, None)
-        if self.evicting:
-            self._lru.remove(key)
+        self._lru.remove(key)
         if entry is not None:
             self._seal(entry, reason, {})
         return entry
@@ -290,15 +279,14 @@ class FlowTable:
             self._seal(entry, reason, {})
 
     def evict(self, key, reason: str) -> None:
-        """Evict one key the owner already removed from recency (the
-        demux memory-budget loop walks ``oldest()`` itself)."""
+        """Evict one key picked by the owner (the flow layer's
+        memory-budget walk takes ``oldest()`` itself)."""
         self._lru.remove(key)
         self._evict(key, reason)
 
     def run_eviction(self, now: Optional[float]) -> None:
-        """The shared TTL + capacity loop (previously duplicated in
-        FlowDemux._run_eviction / ConnectionTracker._run_eviction).
-        TTL expiry needs a clock; capacity overflow does not."""
+        """The shared TTL + capacity loop.  TTL expiry needs a clock;
+        capacity overflow does not."""
         if self.session_ttl is not None and now is not None:
             for key in self._lru.expired(now - self.session_ttl):
                 self._evict(key, "expired")
@@ -345,15 +333,17 @@ class FlowTable:
         return sorted(self._sealed)
 
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
-        """Open flows, oldest-activity data included when tracked."""
+        """Up to *limit* open flows, oldest first, as plain dicts (the
+        service's ``/flows`` entries)."""
         out: List[Dict] = []
         for key, entry in self._entries.items():
             if len(out) >= limit:
                 break
             out.append({
-                "key": [[key[0], key[1]], [key[2], key[3]], key[4]],
+                "key": [[str(Addr.from_value(key[0])), key[1]],
+                        [str(Addr.from_value(key[2])), key[3]], key[4]],
                 "uid": entry.uid,
                 "protocol": key[4],
-                "last_active": self._lru.last_active(key),
+                "last_active": entry.last_ts,
             })
         return out

@@ -11,7 +11,7 @@ parser feeding a suspended fiber.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .packet import FIN, RST, SYN, TCPSegment
 
@@ -204,25 +204,19 @@ class StreamReassembler:
 
 
 class ConnectionReassembler:
-    """Both directions of a TCP connection with event callbacks.
+    """Both directions of a TCP connection.
 
-    ``on_data(is_originator, payload)`` fires for each contiguous chunk;
-    ``on_established()`` after the three-way handshake; ``on_close()`` when
-    both sides finished or a RST arrived.
+    ``feed_segment`` returns the contiguous payload each segment makes
+    available; ``established`` turns true once the three-way handshake
+    completed, ``closed`` once both sides finished or a RST arrived.
     """
 
     def __init__(
         self,
-        on_data: Optional[Callable[[bool, bytes], None]] = None,
-        on_established: Optional[Callable[[], None]] = None,
-        on_close: Optional[Callable[[], None]] = None,
         max_pending_bytes: int = StreamReassembler.DEFAULT_MAX_PENDING,
     ):
         self.originator = StreamReassembler(max_pending_bytes)
         self.responder = StreamReassembler(max_pending_bytes)
-        self._on_data = on_data
-        self._on_established = on_established
-        self._on_close = on_close
         self._syn_seen = False
         self._syn_ack_seen = False
         self._established = False
@@ -242,7 +236,7 @@ class ConnectionReassembler:
             return b""
         stream = self.originator if is_originator else self.responder
         if segment.flags & RST:
-            self._close()
+            self._closed = True
             return b""
         seq = segment.seq
         if segment.flags & SYN:
@@ -252,13 +246,6 @@ class ConnectionReassembler:
                 self._syn_ack_seen = True
             stream.on_syn(seq)
             seq = (seq + 1) % _SEQ_MOD
-            if (
-                self._syn_seen
-                and self._syn_ack_seen
-                and not self._established
-                and (is_originator or segment.is_ack)
-            ):
-                pass  # Established on the final ACK below.
         if (
             not self._established
             and self._syn_seen
@@ -267,20 +254,10 @@ class ConnectionReassembler:
             and not segment.syn
         ):
             self._established = True
-            if self._on_established is not None:
-                self._on_established()
         data = stream.feed(seq, segment.payload, fin=segment.fin)
-        if data and self._on_data is not None:
-            self._on_data(is_originator, data)
         if self.originator.finished and self.responder.finished:
-            self._close()
-        return data
-
-    def _close(self) -> None:
-        if not self._closed:
             self._closed = True
-            if self._on_close is not None:
-                self._on_close()
+        return data
 
     def stats(self) -> dict:
         """Both directions' accounting, summed (telemetry export)."""
@@ -305,8 +282,8 @@ class ConnectionReassembler:
 
 
 def _export_reassembly(registry, stats: dict, label: str) -> None:
-    """The uniform reassembly series shape (shared with the host-layer
-    demux): ``pending_bytes`` is a gauge, the rest are counters."""
+    """The uniform reassembly series shape (shared with the flow
+    layer): ``pending_bytes`` is a gauge, the rest are counters."""
     registry.gauge("reassembly.pending_bytes", stream=label).set(
         stats["pending_bytes"])
     for name in ("delivered_bytes", "gap_bytes", "overlap_bytes",

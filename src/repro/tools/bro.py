@@ -15,8 +15,6 @@ Everything beyond the scripts, ``--parsers``, ``--compile-scripts`` and
 robustness (docs/ROBUSTNESS.md), telemetry (docs/OBSERVABILITY.md),
 session bounds, ``--parallel`` (docs/PARALLELISM.md) and ``--serve``
 (docs/SERVICE.md) — driven by :func:`~repro.host.cli.run_host_app`.
-Bro keeps no reassembly memory budget, so ``--memory-budget`` is
-refused.
 """
 
 from __future__ import annotations
@@ -69,6 +67,7 @@ def _make_app(ns, services, scripts) -> Bro:
         telemetry=services.telemetry,
         max_sessions=services.max_sessions,
         session_ttl=services.session_ttl,
+        memory_budget_bytes=services.memory_budget_bytes,
     )
 
 
@@ -105,11 +104,7 @@ def _save_logs(run, logdir: str) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.memory_budget is not None:
-        parser.error("--memory-budget is not supported: Bro keeps no "
-                     "reassembly memory budget to enforce")
+    args = _parser().parse_args(argv)
 
     scripts = None
     if args.scripts:

@@ -164,15 +164,49 @@ class TestBroHostCli:
             seq = (tmp_path / "seq" / f"{name}.log").read_text()
             assert sorted(par.splitlines()) == sorted(seq.splitlines())
 
-    def test_memory_budget_refused(self, tmp_path, capsys):
-        pcap = str(tmp_path / "http.pcap")
-        tracegen_cli.main(["http", "--sessions", "2", "-o", pcap])
-        with pytest.raises(SystemExit) as excinfo:
-            bro_cli.main(["-r", pcap, "--memory-budget", "4096",
-                          "--logdir", str(tmp_path / "logs")])
-        assert excinfo.value.code != 0
-        assert "--memory-budget" in capsys.readouterr().err
-        assert not (tmp_path / "logs").exists()
+    def test_memory_budget_evicts_with_conn_log_lines(self, tmp_path,
+                                                       capsys):
+        """Bro runs the flow layer's memory-budget walk: a connection
+        holding out-of-order bytes past the budget is evicted, sealed
+        as ``evicted``, and still gets its conn.log line."""
+        from repro.core.values import Addr, Time
+        from repro.net.packet import ACK, SYN, build_tcp_packet
+        from repro.net.pcap import write_pcap
+
+        client, server = Addr("10.0.0.1"), Addr("10.0.0.2")
+        frames = [
+            build_tcp_packet(client, server, 4000, 80, 100, 0, SYN),
+            build_tcp_packet(server, client, 80, 4000, 500, 101,
+                             SYN | ACK),
+            build_tcp_packet(client, server, 4000, 80, 101, 501, ACK),
+            # A segment past a hole: its bytes wait in the reassembler.
+            build_tcp_packet(client, server, 4000, 80, 201, 501, ACK,
+                             payload=b"x" * 100),
+        ]
+        # Other traffic until the walk's 64-packet check comes round.
+        frames += [build_tcp_packet(Addr(f"10.0.1.{i}"), server,
+                                    5000 + i, 80, 0, 0, SYN)
+                   for i in range(70)]
+        pcap = str(tmp_path / "gap.pcap")
+        write_pcap(pcap, [(Time.from_nanos((i + 1) * 1_000_000), frame)
+                          for i, frame in enumerate(frames)])
+        logdir = tmp_path / "logs"
+        assert bro_cli.main(["-r", pcap, "--memory-budget", "50",
+                             "--logdir", str(logdir)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (logdir / "flow_records.jsonl").read_text()
+                   .splitlines()[1:]]
+        evicted = [r["uid"] for r in records
+                   if r["close_reason"] == "evicted"]
+        assert evicted
+        assert {r["src_port"] for r in records
+                if r["close_reason"] == "evicted"} >= {4000}
+        conn_uids = {line.split("\t")[1] for line in
+                     (logdir / "conn.log").read_text().splitlines()
+                     if not line.startswith("#")}
+        assert set(evicted) <= conn_uids
+        assert len(conn_uids) == len(records) == 71
 
 
 class TestValidateCli:

@@ -22,6 +22,7 @@ from repro.apps.bpf.app import BpfApp, BpfLaneSpec
 from repro.apps.bro import Bro, ParallelBro
 from repro.apps.firewall.app import FirewallApp, FirewallLaneSpec
 from repro.apps.firewall.rules import RuleSet
+from repro.core.values import Time
 from repro.host import ParallelPipeline
 from repro.host.pool import shutdown_shared_pools
 from repro.net.flowrecord import (
@@ -33,6 +34,7 @@ from repro.net.tracegen import (
     HttpTraceConfig,
     SshTraceConfig,
     TftpTraceConfig,
+    generate_http_trace,
     generate_mixed_trace,
 )
 from repro.tools.validate import validate
@@ -159,6 +161,71 @@ class TestBroRecords:
     def test_uids_are_bro_conn_uids(self, bro_baseline):
         uids = {json.loads(line)["uid"] for line in bro_baseline}
         assert all(uid and uid.startswith("C") for uid in uids)
+
+
+def _mixed_seed_42():
+    """``tracegen mixed --seed 42``: every protocol, interleaved."""
+    return generate_mixed_trace(
+        http=HttpTraceConfig(seed=42, sessions=30),
+        dns=DnsTraceConfig(seed=42, queries=60),
+        ssh=SshTraceConfig(seed=42, sessions=15),
+        tftp=TftpTraceConfig(seed=42, transfers=20),
+    )
+
+
+def _replayed_session():
+    """One HTTP session, then the same session again on its 5-tuple."""
+    single = generate_http_trace(HttpTraceConfig(sessions=1, seed=7))
+    offset = single[-1][0].nanos + 1_000_000
+    return single + [(Time.from_nanos(ts.nanos + offset), frame)
+                     for ts, frame in single]
+
+
+class TestOneFlowLayer:
+    """Bro and the BinPAC++ driver run on one flow layer, so they agree
+    on what a flow is: the driver's flow records are Bro's, up to the
+    uid's kind letter, on every backend (docs/FLOWS.md)."""
+
+    @pytest.fixture(scope="class",
+                    params=["mixed-seed-42", "replayed-session"])
+    def case(self, request):
+        trace = (_mixed_seed_42() if request.param == "mixed-seed-42"
+                 else _replayed_session())
+        bro = Bro()
+        bro.run(trace)
+        return trace, bro.flow_record_lines()
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("sequential", 1), ("vthread", 1), ("vthread", 3), ("pool", 1),
+        ("pool", 3)])
+    def test_driver_records_are_bros(self, case, backend, workers):
+        trace, bro_lines = case
+        if backend == "sequential":
+            driver = PacApp()
+        else:
+            _needs_fork(backend)
+            driver = ParallelPipeline(_spec("pac"), workers=workers,
+                                      backend=backend)
+        driver.run(trace)
+        lines = driver.flow_record_lines()
+        assert bro_lines  # the oracle is not vacuous
+        assert sorted(line.replace('"uid":"F', '"uid":"C')
+                      for line in lines) == bro_lines
+
+    def test_driver_releases_flows_at_teardown(self):
+        """A torn-down flow leaves the layer and the ledger at once:
+        after an HTTP trace's last packet, before ``finish``, the
+        driver holds nothing, as Bro does."""
+        trace = generate_http_trace(HttpTraceConfig(sessions=20, seed=101))
+        for app, layer in ((PacApp(), "demux"), (Bro(), "tracker")):
+            app.on_begin()
+            for timestamp, frame in trace:
+                app.on_packet(timestamp, frame)
+            flows = getattr(app, layer)
+            assert flows.open_flows() == 0
+            assert len(flows.table) == 0
+            app.on_end()
+            assert len(app.flow_record_lines()) == 20
 
 
 class TestWrittenFiles:

@@ -263,18 +263,27 @@ class TestTimeWait:
         uids = {line.split("\t")[1] for line in lines}
         assert len(uids) == 2
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("vthread", 1), ("vthread", 3), ("pool", 1), ("pool", 3)])
-    def test_reuse_gets_two_uids_on_every_backend(self, backend, workers):
+    @pytest.mark.parametrize("app,backend,workers", [
+        pytest.param(app, backend, workers,
+                     id=f"{'pac-' if app == 'pac' else ''}{backend}-{workers}")
+        for app in ("bro", "pac")
+        for backend, workers in (("vthread", 1), ("vthread", 3),
+                                 ("pool", 1), ("pool", 3))])
+    def test_reuse_gets_two_uids_on_every_backend(self, app, backend,
+                                                  workers):
         """Both instances of a reused 5-tuple land on one lane, which
         names each after its own opening packet, as the sequential run
-        does."""
+        does — for Bro and for the BinPAC++ driver, which share the
+        flow layer."""
         from repro.core.values import Time
 
-        trace = self._one_session()
-        offset = trace[-1][0].nanos + 1_000_000
-        trace = trace + [(Time.from_nanos(ts.nanos + offset), frame)
-                         for ts, frame in trace]
+        single = self._one_session()
+        offset = single[-1][0].nanos + 1_000_000
+        trace = single + [(Time.from_nanos(ts.nanos + offset), frame)
+                          for ts, frame in single]
+        if app == "pac":
+            self._check_pac_reuse(single, trace, backend, workers)
+            return
         sequential = Bro()
         sequential.run(trace)
         parallel = ParallelBro(workers=workers, backend=backend)
@@ -284,6 +293,34 @@ class TestTimeWait:
         assert len({line.split("\t")[1] for line in lines}) == 2
         assert parallel.flow_record_lines() == \
             sequential.flow_record_lines()
+
+    @staticmethod
+    def _check_pac_reuse(single, trace, backend, workers):
+        from repro.apps.binpac.app import PacApp, PacLaneSpec
+        from repro.host import ParallelPipeline
+
+        once = PacApp(protocols=("http",))
+        once.run(single)
+        requests = [line for line in once.result_lines()
+                    if " HTTP::Request " in line]
+        assert requests
+        sequential = PacApp(protocols=("http",))
+        sequential.run(trace)
+        pipe = ParallelPipeline(
+            PacLaneSpec({"protocols": ("http",), "opt_level": None,
+                         "watchdog_budget": None, "metrics": False,
+                         "trace": False}),
+            workers=workers, backend=backend)
+        pipe.run(trace)
+        lines = pipe.result_lines()
+        assert lines == sequential.result_lines()
+        replayed = [line for line in lines if " HTTP::Request " in line]
+        assert len(replayed) == 2 * len(requests)
+        uids = {line.split()[1] for line in replayed}
+        assert len(uids) == 2 and all(uid.startswith("F") for uid in uids)
+        records = pipe.flow_record_lines()
+        assert records == sequential.flow_record_lines()
+        assert {json.loads(line)["uid"] for line in records} == uids
 
 
 class TestUidOrdinals:

@@ -141,23 +141,20 @@ class TestFinishReleasesFlows:
 
         from repro.apps.bro import conn
 
-        class Flow(conn._UdpFlow):
-            __slots__ = ("__weakref__",)
-
-        monkeypatch.setattr(conn, "_UdpFlow", Flow)
-        bro = Bro(parsers="std", scripts_engine="interp",
-                  print_stream=io.StringIO())
-        tracker = bro.tracker
-        close_udp = tracker._close_udp
         closed = []
 
-        def watched(flow):
-            gc.collect()
-            assert [ref for ref in closed if ref() is not None] == []
-            closed.append(weakref.ref(flow))
-            close_udp(flow)
+        class Watched(conn.Connection):
+            __slots__ = ("__weakref__",)
 
-        monkeypatch.setattr(tracker, "_close_udp", watched)
+            def end(self):
+                gc.collect()
+                assert [ref for ref in closed if ref() is not None] == []
+                closed.append(weakref.ref(self))
+                super().end()
+
+        monkeypatch.setattr(conn, "Connection", Watched)
+        bro = Bro(parsers="std", scripts_engine="interp",
+                  print_stream=io.StringIO())
         bro.run(dns_trace[:40])
         assert len(closed) > 1
         assert len(bro.log_lines("conn")) == len(closed)

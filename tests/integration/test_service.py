@@ -27,6 +27,7 @@ from repro.apps.bro.main import Bro
 from repro.core.values import Addr, Time
 from repro.host import (
     BoundedQueue,
+    Flow,
     FlowDemux,
     HostApp,
     HostService,
@@ -286,8 +287,15 @@ def _udp_frame(host_octet, port=4000, payload=b"x"):
                             payload=payload)
 
 
-class _Sink:
-    def __init__(self):
+def _at(seconds):
+    return Time(float(seconds))
+
+
+class _Sink(Flow):
+    __slots__ = ("datagrams", "ended", "killed")
+
+    def __init__(self, entry):
+        Flow.__init__(self, entry)
         self.datagrams = 0
         self.ended = False
         self.killed = False
@@ -306,13 +314,14 @@ class TestFlowDemuxEviction:
     def test_capacity_evicts_least_recent_with_final_flush(self):
         handlers = []
 
-        def factory(flow):
-            handlers.append(_Sink())
+        def factory(timestamp, packet, entry):
+            handlers.append(_Sink(entry))
             return handlers[-1]
 
-        demux = FlowDemux(factory, max_sessions=2)
+        demux = FlowDemux(factory,
+                          services=PipelineServices(max_sessions=2))
         for i in range(1, 5):
-            demux.feed(_udp_frame(i), now=float(i))
+            demux.feed(_at(i), _udp_frame(i))
         stats = demux.stats()
         assert stats["sessions_evicted"] == 2
         assert demux.open_flows() == 2
@@ -322,32 +331,36 @@ class TestFlowDemuxEviction:
     def test_ttl_expires_idle_flows(self):
         handlers = []
 
-        def factory(flow):
-            handlers.append(_Sink())
+        def factory(timestamp, packet, entry):
+            handlers.append(_Sink(entry))
             return handlers[-1]
 
-        demux = FlowDemux(factory, session_ttl=5.0)
-        demux.feed(_udp_frame(1), now=0.0)
-        demux.feed(_udp_frame(2), now=1.0)
-        demux.feed(_udp_frame(2), now=10.0)  # refresh #2, expire #1
+        demux = FlowDemux(factory,
+                          services=PipelineServices(session_ttl=5.0))
+        demux.feed(_at(0), _udp_frame(1))
+        demux.feed(_at(1), _udp_frame(2))
+        demux.feed(_at(10), _udp_frame(2))  # refresh #2, expire #1
         stats = demux.stats()
         assert stats["sessions_expired"] == 1
         assert handlers[0].ended and not handlers[1].ended
 
     def test_current_flow_never_evicted(self):
-        demux = FlowDemux(lambda flow: _Sink(), max_sessions=1)
+        demux = FlowDemux(lambda timestamp, packet, entry: _Sink(entry),
+                          services=PipelineServices(max_sessions=1))
         for i in range(1, 6):
-            demux.feed(_udp_frame(i), now=float(i))
+            demux.feed(_at(i), _udp_frame(i))
         # the most recent flow always survives its own feed
         assert demux.open_flows() == 1
-        snapshot = demux.flow_snapshot()
+        snapshot = demux.table.flow_snapshot()
         assert len(snapshot) == 1
         assert snapshot[0]["last_active"] == 5.0
+        assert snapshot[0]["key"] == [["10.0.0.5", 4000],
+                                      ["10.0.1.1", 5555], 17]
 
     def test_unarmed_behavior_unchanged(self):
-        demux = FlowDemux(lambda flow: _Sink())
+        demux = FlowDemux(lambda timestamp, packet, entry: _Sink(entry))
         for i in range(1, 6):
-            demux.feed(_udp_frame(i))
+            demux.feed(_at(i), _udp_frame(i))
         stats = demux.stats()
         assert stats["sessions_evicted"] == 0
         assert stats["sessions_expired"] == 0
@@ -361,18 +374,18 @@ class TestFlowDemuxEviction:
                 super().datagram(is_orig, payload)
                 time.sleep(0.03)
 
-        def factory(flow):
-            handler = SlowSink() if not slow_handlers else _Sink()
+        def factory(timestamp, packet, entry):
+            handler = SlowSink(entry) if not slow_handlers else _Sink(entry)
             slow_handlers.append(handler)
             return handler
 
         quarantined = []
         demux = FlowDemux(factory, flow_budget_ns=int(5e6),
                           on_slow_flow=quarantined.append)
-        demux.feed(_udp_frame(1))  # slow: one dispatch, then quarantine
-        demux.feed(_udp_frame(2))  # fast flow unaffected
-        demux.feed(_udp_frame(1))  # no further payload to the slow flow
-        demux.feed(_udp_frame(2))
+        demux.feed(_at(1), _udp_frame(1))  # slow: one dispatch, quarantine
+        demux.feed(_at(2), _udp_frame(2))  # fast flow unaffected
+        demux.feed(_at(3), _udp_frame(1))  # no more payload to the slow one
+        demux.feed(_at(4), _udp_frame(2))
         assert demux.stats()["flows_quarantined_slow"] == 1
         assert quarantined == [slow_handlers[0]]
         assert slow_handlers[0].killed

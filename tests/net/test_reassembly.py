@@ -64,31 +64,29 @@ class TestConnection:
                                            flags=ACK))
 
     def test_established_event(self):
-        events = []
-        conn = ConnectionReassembler(
-            on_established=lambda: events.append("est"),
-        )
-        self._handshake(conn)
+        conn = ConnectionReassembler()
+        conn.feed_segment(True, TCPSegment(1, 2, seq=100, flags=SYN))
+        conn.feed_segment(False, TCPSegment(2, 1, seq=500, ack=101,
+                                            flags=SYN | ACK))
+        assert not conn.established
+        assert conn.feed_segment(True, TCPSegment(1, 2, seq=101, ack=501,
+                                                  flags=ACK)) == b""
         assert conn.established
-        assert events == ["est"]
 
     def test_data_delivery(self):
-        chunks = []
-        conn = ConnectionReassembler(
-            on_data=lambda is_orig, data: chunks.append((is_orig, data)),
-        )
+        conn = ConnectionReassembler()
         self._handshake(conn)
-        conn.feed_segment(True, TCPSegment(1, 2, seq=101, ack=501,
-                                           flags=ACK | PSH,
-                                           payload=b"GET /"))
-        conn.feed_segment(False, TCPSegment(2, 1, seq=501, ack=106,
-                                            flags=ACK | PSH,
-                                            payload=b"200 OK"))
-        assert chunks == [(True, b"GET /"), (False, b"200 OK")]
+        assert conn.feed_segment(True, TCPSegment(1, 2, seq=101, ack=501,
+                                                  flags=ACK | PSH,
+                                                  payload=b"GET /")) \
+            == b"GET /"
+        assert conn.feed_segment(False, TCPSegment(2, 1, seq=501, ack=106,
+                                                   flags=ACK | PSH,
+                                                   payload=b"200 OK")) \
+            == b"200 OK"
 
     def test_fin_both_sides_closes(self):
-        closed = []
-        conn = ConnectionReassembler(on_close=lambda: closed.append(1))
+        conn = ConnectionReassembler()
         self._handshake(conn)
         conn.feed_segment(True, TCPSegment(1, 2, seq=101, ack=501,
                                            flags=FIN | ACK))
@@ -96,7 +94,10 @@ class TestConnection:
         conn.feed_segment(False, TCPSegment(2, 1, seq=501, ack=102,
                                             flags=FIN | ACK))
         assert conn.closed
-        assert closed == [1]
+        # A closed connection takes no more data.
+        assert conn.feed_segment(True, TCPSegment(1, 2, seq=102, ack=502,
+                                                  flags=ACK,
+                                                  payload=b"late")) == b""
 
     def test_rst_closes_immediately(self):
         conn = ConnectionReassembler()
