@@ -53,7 +53,6 @@ class BroLaneSpec(LaneSpec):
     lanes built from the picklable constructor config."""
 
     app_name = "bro"
-    max_gauges = ("bro.flows_peak", "bro.flows_open")
 
     def make_lane(self) -> Bro:
         config = self.config
@@ -82,7 +81,10 @@ class BroLaneSpec(LaneSpec):
             name: (stream.columns, stream.lines, stream.writes)
             for name, stream in bro.core.logs.streams.items()
         }
-        result["prints"] = bro.core.print_stream.getvalue()
+        # A service's thread lane prints to its own stream (stdout).
+        prints = bro.core.print_stream
+        result["prints"] = (prints.getvalue()
+                            if isinstance(prints, io.StringIO) else "")
         return result
 
     def result_lines_of(self, result: Dict) -> List[str]:
@@ -100,22 +102,18 @@ class BroLaneSpec(LaneSpec):
         dup = lanes - 1
         if dup <= 0:
             return
-        stats["events"] -= len(LIFECYCLE_EVENTS) * dup
+        lifecycle = len(LIFECYCLE_EVENTS) * dup
+        stats["events"] -= lifecycle
         counts = stats.get("event_counts", {})
         for name in LIFECYCLE_EVENTS:
             if name in counts:
                 counts[name] -= dup
-        if metrics is None:
-            return
-        for name in LIFECYCLE_EVENTS:
-            series = metrics._series.get(
-                ("bro.events_by_name", (("event", name),)))
-            if series is not None:
-                series.value -= dup
-        for name in ("bro.events_queued", "bro.events_dispatched"):
-            series = metrics._series.get((name, ()))
-            if series is not None:
-                series.value -= len(LIFECYCLE_EVENTS) * dup
+                if metrics is not None:
+                    metrics.counter("bro.events_by_name",
+                                    event=name).value -= dup
+        if metrics is not None:
+            for name in ("bro.events_queued", "bro.events_dispatched"):
+                metrics.counter(name).value -= lifecycle
 
 
 def merge_logs(results: List[Dict]) -> LogManager:

@@ -30,7 +30,7 @@ from ..runtime.faults import (
 from ..runtime.telemetry import Telemetry, cpu_breakdown_report
 
 __all__ = ["HostApp", "PipelineServices", "cpu_stats", "export_cpu_gauges",
-           "export_health"]
+           "export_health", "export_reader_counters"]
 
 
 class PipelineServices:
@@ -125,6 +125,17 @@ def export_health(metrics, health: Dict) -> None:
         metrics.counter("health.site_errors", site=site).inc(count)
     metrics.gauge("health.breaker_tripped").set(
         int(health["breaker"]["tripped"]))
+
+
+def export_reader_counters(metrics, pcap_stats: Dict[str, int]) -> None:
+    """Publish the counters of a trace reader no lane owns — a batch
+    run's parent, a service's source — as ``pcap.*``; the records it
+    skipped also count as ``health.records_skipped``, since no lane saw
+    them."""
+    for name, value in pcap_stats.items():
+        metrics.counter(f"pcap.{name}").inc(value)
+    metrics.counter("health.records_skipped").inc(
+        pcap_stats.get("records_skipped", 0))
 
 
 class HostApp:

@@ -18,10 +18,14 @@ to build a lane (``make_lane``), how to harvest it (``lane_result`` /
 ``result_lines_of``), how packets map to flows and vthreads
 (``flow_of`` / ``key_of`` / ``place`` — the firewall shards by host
 *pair* instead of 5-tuple so its dynamic-rule state stays lane-local),
-and what the merge must repair for the app (``max_gauges``,
-``dedup_lanes``).  Uids need no spec: each packet carries its ordinal
-into its lane, and a flow is named after the ordinal of the packet that
-opened it (docs/FLOWS.md), which every lane computes alike.
+and what the merge must repair for the app (``dedup_lanes``).  How
+each metric series combines across lanes is not the spec's: one rule
+table (:data:`~repro.runtime.telemetry.MERGE_RULES`) serves every app,
+and one function (:func:`merge_lanes`) reduces the lanes of this batch
+run and of the streaming service alike.  Uids need no spec: each
+packet carries its ordinal into its lane, and a flow is named after the
+ordinal of the packet that opened it (docs/FLOWS.md), which every lane
+computes alike.
 
 Output determinism is the load-bearing property: merged result lines are
 sorted lexicographically, so the merge is a pure function of content,
@@ -42,7 +46,12 @@ from ..net.flows import FiveTuple, decode_flow, vthread_of
 from ..runtime.faults import NULL_INJECTOR, injector_for
 from ..runtime.telemetry import Telemetry
 from ..runtime.threads import Scheduler
-from .app import PipelineServices, cpu_stats, export_cpu_gauges
+from .app import (
+    PipelineServices,
+    cpu_stats,
+    export_cpu_gauges,
+    export_reader_counters,
+)
 
 __all__ = [
     "LaneSpec",
@@ -51,15 +60,12 @@ __all__ = [
     "dispatch_stream",
     "flow_key",
     "lane_payload",
-    "merge_health",
+    "merge_lanes",
+    "merge_stats",
     "prof_snapshots",
 ]
 
 _BACKENDS = ("vthread", "pool")
-
-#: Gauges whose lane-merge takes the max instead of the sum, for every
-#: app (a spec's ``max_gauges`` extend this).
-_MAX_GAUGES = ("health.breaker_tripped",)
 
 #: The session bounds a lane config may carry (absent keys: unbounded).
 _SESSION_BOUNDS = ("max_sessions", "session_ttl", "memory_budget_bytes")
@@ -98,9 +104,6 @@ class LaneSpec:
     #: Metrics namespace of the app (used by the generic merge to repair
     #: the per-component CPU gauges after summing lanes).
     app_name = "app"
-
-    #: The app's high-water-mark gauges: merged by max across lanes.
-    max_gauges: Tuple[str, ...] = ()
 
     def __init__(self, config: Optional[Dict] = None):
         self.config = config
@@ -164,8 +167,8 @@ class LaneSpec:
         """The mergeable output lines inside one :meth:`lane_result`
         payload.  The default reads the generic ``lines`` key; apps
         with richer payloads (Bro's per-stream logs) override this so
-        the generic harvesters — the merge and the service's pool
-        lanes — need no app-specific knowledge."""
+        the one merge (:func:`merge_lanes`) needs no app-specific
+        knowledge."""
         return list(result["lines"])
 
     def flow_record_lines_of(self, result: Dict) -> List[str]:
@@ -244,34 +247,60 @@ def prof_snapshots(app) -> List[Tuple[str, str]]:
     return out
 
 
-def merge_health(reports: List[Dict]) -> Dict:
-    """Reduce per-lane HealthReport dicts into one."""
-    merged = {
-        "flows_quarantined": 0,
-        "records_skipped": 0,
-        "watchdog_trips": 0,
-        "injected_faults": 0,
-        "tier_fallback": False,
-        "breaker": {"flows": 0, "violations": 0,
-                    "threshold": None, "tripped": False},
-        "site_errors": {},
-    }
+def merge_stats(reports: Iterable[Dict]) -> Dict:
+    """Reduce per-lane stats reports into one: ints sum, bools OR, dicts
+    recurse, and any other value comes from the first lane that has
+    it."""
+    merged: Dict = {}
     for report in reports:
-        for key in ("flows_quarantined", "records_skipped",
-                    "watchdog_trips", "injected_faults"):
-            merged[key] += report[key]
-        merged["tier_fallback"] = (
-            merged["tier_fallback"] or report["tier_fallback"])
-        breaker = report["breaker"]
-        merged["breaker"]["flows"] += breaker["flows"]
-        merged["breaker"]["violations"] += breaker["violations"]
-        if merged["breaker"]["threshold"] is None:
-            merged["breaker"]["threshold"] = breaker["threshold"]
-        merged["breaker"]["tripped"] = (
-            merged["breaker"]["tripped"] or breaker["tripped"])
-        for site, count in report["site_errors"].items():
-            merged["site_errors"][site] = (
-                merged["site_errors"].get(site, 0) + count)
+        for key, value in report.items():
+            if isinstance(value, dict):
+                merged[key] = merge_stats([merged.get(key, {}), value])
+            elif key not in merged:
+                merged[key] = value
+            elif isinstance(value, bool):
+                merged[key] = merged[key] or value
+            elif isinstance(value, int):
+                merged[key] += value
+    return merged
+
+
+def merge_lanes(spec: LaneSpec, results: Iterable[Tuple[int, Dict]],
+                metrics=None) -> Dict:
+    """The one reduction of finished lanes, for the batch run and the
+    service alike.  *results* are ``(index, lane_result)`` pairs.
+
+    Result lines, flow records and span-tree lines merge as sorted
+    unions — each flow is wholly one lane's, so the union is
+    byte-identical to the sequential run's sorted stream — and the
+    stats reports through :func:`merge_stats`.  Each lane registry folds
+    into *metrics* twice: unlabeled by
+    :data:`~repro.runtime.telemetry.MERGE_RULES` (the aggregate the
+    differential oracle compares with the sequential run) and as a
+    ``worker=index`` copy for per-lane attribution.  Last, the spec
+    undoes work every lane did that a sequential run does once.
+    Returns ``{"lines", "flow_records", "trace_lines", "stats"}``.
+    """
+    results = list(results)
+    merged = {
+        "lines": sorted(line for __, result in results
+                        for line in spec.result_lines_of(result)),
+        "flow_records": sorted(
+            line for __, result in results
+            for line in spec.flow_record_lines_of(result)),
+        "trace_lines": sorted(
+            line for __, result in results
+            for line in result.get("trace_lines") or ()),
+        "stats": merge_stats(result["stats"] for __, result in results),
+    }
+    if not any(result["metrics"] for __, result in results):
+        metrics = None  # the lanes ran without telemetry
+    for index, result in results:
+        if metrics is not None and result["metrics"]:
+            metrics.merge_series(result["metrics"])
+            metrics.merge_series(result["metrics"],
+                                 extra_labels={"worker": str(index)})
+    spec.dedup_lanes(merged["stats"], metrics, len(results))
     return merged
 
 
@@ -381,11 +410,7 @@ class ParallelPipeline:
         begin = _time.perf_counter_ns()
         with PcapReader(path, tolerant=tolerant) as reader:
             self._drive(reader)
-            self._pcap_stats = {
-                "records_read": reader.packets_read,
-                "records_skipped": reader.records_skipped,
-                "resyncs": reader.resyncs,
-            }
+            self._pcap_stats = reader.counters()
         self._merge(_time.perf_counter_ns() - begin)
         return self.stats
 
@@ -474,94 +499,41 @@ class ParallelPipeline:
     # -- the ordered merge --------------------------------------------------
 
     def _merge(self, total_ns: int) -> None:
-        """Reduce per-lane results into one deterministic report: result
-        lines merge by lexicographic sort, integer stats (and dicts of
-        them) sum, the health reports reduce, per-lane metric registries
-        merge, and the spec undoes per-lane duplicated work."""
+        """Reduce the lanes through :func:`merge_lanes`, then add what
+        only the parent knows: this run's wall clock as ``total`` (the
+        lanes' component sums stay; ``other`` is the remainder), the
+        pcap reader's counters and skipped records, and the backend."""
         spec = self.spec
-        results = self.lane_results
-        lanes = len(results)
-
-        self._lines = sorted(line for result in results
-                             for line in spec.result_lines_of(result))
-        # Flow records merge exactly like result lines: each sealed flow
-        # is wholly one lane's, so the sorted union is byte-identical to
-        # the sequential ledger's sorted stream.
-        self._flow_records = sorted(
-            line for result in results
-            for line in spec.flow_record_lines_of(result))
-
-        def stat_sum(key):
-            return sum(int(r["stats"].get(key, 0)) for r in results)
-
+        metrics = self.telemetry.metrics if self.telemetry.enabled else None
+        merged = merge_lanes(spec, enumerate(self.lane_results), metrics)
+        self._lines = merged["lines"]
+        self._flow_records = merged["flow_records"]
+        self._trace_lines = merged["trace_lines"]
+        reduced = merged["stats"]
         self.stats = {
             "app": spec.app_name,
             **cpu_stats(total_ns, {
-                component: stat_sum(f"{component}_ns")
+                component: reduced.get(f"{component}_ns", 0)
                 for component in ("parsing", "script", "glue")}),
-            "packets": stat_sum("packets"),
-            "health": merge_health(
-                [r["stats"]["health"] for r in results]),
+            "packets": reduced.get("packets", 0),
+            "health": reduced["health"],
             "backend": self.backend,
             "workers": self.workers,
             "vthreads": self.vthreads,
-            "lanes": lanes,
+            "lanes": len(self.lane_results),
             "scheduler_errors": (
                 len(self.scheduler.errors) if self.scheduler else 0
             ),
         }
+        for key, value in reduced.items():
+            self.stats.setdefault(key, value)
         # The reader's skipped records are the parent's: no lane saw
-        # them.  Counted before the metrics merge exports the report.
-        skipped = self._pcap_stats.get("records_skipped", 0)
-        self.stats["health"]["records_skipped"] += skipped
-        # Application counters sum across lanes — integers, and dicts of
-        # integers per key; other entries pass through from lane 0.
-        fixed = set(self.stats)
-        for result in results:
-            for key, value in result["stats"].items():
-                if key in fixed:
-                    continue
-                if isinstance(value, dict):
-                    counts = self.stats.setdefault(key, {})
-                    for name, count in value.items():
-                        counts[name] = counts.get(name, 0) + count
-                elif isinstance(value, bool) or not isinstance(value, int):
-                    self.stats.setdefault(key, value)
-                else:
-                    self.stats[key] = int(self.stats.get(key, 0)) + value
-        metrics = None
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            self._merge_metrics(results)
-        spec.dedup_lanes(self.stats, metrics, lanes)
-        self._trace_lines = sorted(
-            line for result in results
-            for line in result.get("trace_lines") or ())
-
-    def _merge_metrics(self, results: List[Dict]) -> None:
-        """Reduce per-lane registries, then repair the series whose
-        lane-sum is not the sequential semantic: the per-component CPU
-        gauges (total is this run's wall clock, other its remainder),
-        the parent-side pcap counters and the records the reader
-        skipped."""
-        metrics = self.telemetry.metrics
-        gauge_merge = dict.fromkeys(_MAX_GAUGES + self.spec.max_gauges,
-                                    "max")
-        for index, result in enumerate(results):
-            if result["metrics"]:
-                # Twice: once unlabeled (the aggregate the differential
-                # oracle compares to the sequential run) and once under
-                # a ``worker`` label for per-lane attribution.
-                metrics.merge_series(result["metrics"],
-                                     gauge_merge=gauge_merge)
-                metrics.merge_series(result["metrics"],
-                                     gauge_merge=gauge_merge,
-                                     extra_labels={"worker": str(index)})
-        export_cpu_gauges(metrics, self.spec.app_name, self.stats)
-        for key, value in self._pcap_stats.items():
-            metrics.counter(f"pcap.{key}").inc(value)
-        metrics.counter("health.records_skipped").inc(
-            self._pcap_stats.get("records_skipped", 0))
+        # them.
+        self.stats["health"]["records_skipped"] += self._pcap_stats.get(
+            "records_skipped", 0)
+        if metrics is not None:
+            export_cpu_gauges(metrics, spec.app_name, self.stats)
+            export_reader_counters(metrics, self._pcap_stats)
 
     # -- results ------------------------------------------------------------
 

@@ -136,11 +136,7 @@ class Pipeline:
         yield from reader
         services = self.app.services
         services.pcap_stats.clear()
-        services.pcap_stats.update({
-            "records_read": reader.packets_read,
-            "records_skipped": reader.records_skipped,
-            "resyncs": reader.resyncs,
-        })
+        services.pcap_stats.update(reader.counters())
         services.health.records_skipped += reader.records_skipped
 
     def run_pcap(self, path: str, tolerant: bool = False) -> Dict:

@@ -25,7 +25,9 @@ Prometheus text exposition (version 0.0.4) under content negotiation
 time-series ring (``repro-timeseries/1``).  Pool-transport lanes ship
 periodic ``TELEM`` snapshots back over their rings, which the
 aggregator publishes as ``worker.*`` gauges labeled ``worker=N`` —
-the live per-worker view ``repro.tools.servicetop`` renders.
+the live per-worker view.  At drain the finished lanes reduce through
+the batch run's one merge (:func:`~repro.host.parallel.merge_lanes`),
+so a ``--loops 1`` service reports the sequential run's metrics.
 
 Overload never deadlocks: ``block`` applies backpressure to ingest with
 a bounded timed wait that re-checks the stop request; ``shed`` drops at
@@ -62,8 +64,8 @@ from ..runtime.telemetry import (
     TimeSeriesStore,
     TIMESERIES_SCHEMA,
 )
-from .app import HostApp, PipelineServices
-from .parallel import LaneSpec, lane_payload
+from .app import HostApp, PipelineServices, export_reader_counters
+from .parallel import LaneSpec, merge_lanes
 
 __all__ = [
     "BoundedQueue",
@@ -555,8 +557,7 @@ class _ThreadLane(_Lane):
             return None
         try:
             app.on_end()
-            result = lane_payload(app)
-            result["lines"] = app.result_lines()
+            result = self.service.spec.lane_result(app)
         except Exception as error:
             self.last_error = f"{type(error).__name__}: {error}"
             return None
@@ -686,8 +687,6 @@ class _PoolLane(_Lane):
                 pool.respawn(index)
             return None
         self.processed = self.base + pool.pushed(index)
-        result["lines"] = self.spec.result_lines_of(result)
-        result["flow_records"] = self.spec.flow_record_lines_of(result)
         return result
 
 
@@ -710,7 +709,8 @@ class HostService:
     :class:`~repro.net.replay.TraceReplayer`, a
     :class:`~repro.net.replay.LiveCaptureSource`, or a test generator.
     *spec* supplies flow placement (default: 5-tuple sharding; the
-    firewall's host-pair spec keeps its state lane-local).
+    firewall's host-pair spec keeps its state lane-local), and the lane
+    harvest and repair the drain's :func:`merge_lanes` uses.
 
     ``serve()`` runs until a stop is requested (signal, duration
     bound, or source exhaustion), then drains and writes artifacts.
@@ -970,17 +970,8 @@ class HostService:
             if name in snapshot:
                 metrics.gauge(f"worker.{name}", worker=label).set(
                     snapshot[name])
-        for entry in snapshot.get("series") or []:
-            labels = dict(entry.get("labels", {}))
-            labels["worker"] = label
-            kind = entry["kind"]
-            if kind == "counter":
-                counter = metrics.counter(entry["name"], **labels)
-                counter.value = entry["value"]
-            elif kind == "gauge":
-                metrics.gauge(entry["name"], **labels).set(entry["value"])
-            # Histograms are skipped live: their buckets merge exactly
-            # once, from the final lane result at drain.
+        metrics.merge_series(snapshot.get("series") or [],
+                             extra_labels={"worker": label})
 
     # -- the HTTP control surface ------------------------------------------
 
@@ -1178,7 +1169,7 @@ class HostService:
                             extra: Optional[Dict] = None,
                             name: str = "service.json") -> str:
         """The discovery file live tooling resolves the service from
-        (``servicetop`` reads ``http`` out of it).  ``service.json``
+        (its ``http`` entry names the control surface).  ``service.json``
         exists exactly while the service runs — the drain removes it
         and leaves the terminal document in ``service-final.json``."""
         _os.makedirs(self.config.logdir, exist_ok=True)
@@ -1260,26 +1251,33 @@ class HostService:
         if self._ingest_thread is not None:
             self._ingest_thread.join(timeout=config.drain_timeout)
 
-        lines: List[str] = []
+        finished: List[Tuple[int, Dict]] = []
         for lane in self.lanes:
             result = lane.drain(config.drain_timeout)
             error = lane.take_error()
             if error is not None:
                 self._crash(lane, _time.monotonic(), error)
-            lines.extend(lane.archived_lines)
-            if result is None:
-                continue
-            lane.end_stats = result["stats"]
-            lane.end_sessions = result["sessions"]
-            lines.extend(result["lines"])
-            lane.archived_records.extend(result["flow_records"])
-            if result["metrics"]:
-                self._merge_lane_series(lane.index, result["metrics"])
-        lines.sort()
+            if result is not None:
+                lane.end_stats = result["stats"]
+                lane.end_sessions = result["sessions"]
+                finished.append((lane.index, result))
+        with self._lock:
+            merged = merge_lanes(self.spec, finished, self.metrics)
+            # A replayed trace's reader is the service's own, as a batch
+            # run's is its parent's.
+            pcap_stats = getattr(self.source, "pcap_stats", None)
+            if pcap_stats is not None:
+                export_reader_counters(self.metrics, pcap_stats)
+        # What replaced (crashed) app instances produced joins the
+        # finished lanes' output.
+        lines = sorted(merged["lines"] + [
+            line for lane in self.lanes for line in lane.archived_lines])
+        records = sorted(merged["flow_records"] + [
+            line for lane in self.lanes for line in lane.archived_records])
         hung = any(lane.hung for lane in self.lanes)
 
         self._sample()
-        self.artifacts = self._write_artifacts(lines)
+        self.artifacts = self._write_artifacts(lines, records)
         self._stop_http()
         exit_code = 1 if hung else 0
         self._write_service_json("drained", {
@@ -1292,28 +1290,8 @@ class HostService:
         self._remove_service_json()
         return exit_code
 
-    def _merge_lane_series(self, index: int, series: List[Dict]) -> None:
-        """Fold one finished lane's final registry into the service's:
-        additively unlabeled (the aggregate), and under ``worker=N``
-        for attribution.  The labeled scalar copies are *set*, not
-        added — the aggregator's periodic TELEM application already
-        mirrors the worker's cumulative values there, and the final
-        flush must overwrite that mirror, never stack on it.
-        Histograms never travel in TELEM, so their labeled copies
-        merge additively exactly once, here."""
-        label = str(index)
-        with self._lock:
-            self.metrics.merge_series(series)
-            histograms = [entry for entry in series
-                          if entry["kind"] == "histogram"]
-            if histograms:
-                self.metrics.merge_series(
-                    histograms, extra_labels={"worker": label})
-            scalars = [entry for entry in series
-                       if entry["kind"] != "histogram"]
-            self._apply_worker_snapshot(label, {"series": scalars})
-
-    def _write_artifacts(self, lines: List[str]) -> List[str]:
+    def _write_artifacts(self, lines: List[str],
+                         records: List[str]) -> List[str]:
         from ..net.flowrecord import write_flowrecords_jsonl
         from .pipeline import write_metrics_jsonl
 
@@ -1327,10 +1305,6 @@ class HostService:
                 stream.write(line + "\n")
         written.append(results_path)
 
-        # The drain already harvested every live app's ledger into the
-        # lanes' archives; persist the sorted union.
-        records = sorted(
-            line for lane in self.lanes for line in lane.archived_records)
         written.append(write_flowrecords_jsonl(
             _os.path.join(config.logdir, "flow_records.jsonl"),
             config.app_name, records))

@@ -11,7 +11,7 @@ frame bytes.  We implement both endiannesses and both time resolutions.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.values import Time
 
@@ -149,6 +149,13 @@ class PcapReader:
             return Time.from_nanos(
                 seconds * 1_000_000_000 + fraction * self._fraction_nanos
             ), data
+
+    def counters(self) -> Dict[str, int]:
+        """The reader's robustness counters, as the ``pcap.*`` series
+        name them."""
+        return {"records_read": self.packets_read,
+                "records_skipped": self.records_skipped,
+                "resyncs": self.resyncs}
 
     def __iter__(self) -> Iterator[Tuple[Time, bytes]]:
         while True:

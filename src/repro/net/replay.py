@@ -103,7 +103,8 @@ class TraceReplayer:
             self._records: List[Tuple[int, bytes]] = [
                 (timestamp.nanos, frame) for timestamp, frame in reader
             ]
-            self.records_skipped = reader.records_skipped
+            #: The reader's counters (``pcap.*``), read once.
+            self.pcap_stats = reader.counters()
         if self._records:
             first = self._records[0][0]
             last = self._records[-1][0]
@@ -154,7 +155,7 @@ class TraceReplayer:
         return {
             "records_loaded": len(self._records),
             "records_emitted": self.records_emitted,
-            "records_skipped": self.records_skipped,
+            "records_skipped": self.pcap_stats["records_skipped"],
             "loops_completed": self.loops_completed,
         }
 

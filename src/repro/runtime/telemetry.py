@@ -47,6 +47,7 @@ __all__ = [
     "cpu_breakdown_report",
     "render_stats_log",
     "CPU_BREAKDOWN_SCHEMA",
+    "MERGE_RULES",
     "METRICS_SCHEMA",
     "TIMESERIES_SCHEMA",
 ]
@@ -58,10 +59,22 @@ TIMESERIES_SCHEMA = "repro-timeseries/1"
 
 class SchemaError(ValueError):
     """Structurally incompatible telemetry data: merging registries
-    whose series disagree on shape (histogram bucket bounds), or a
-    report that does not match its declared schema."""
+    whose series disagree on shape (histogram bucket bounds) or on a
+    ``once`` value, or a report that does not match its declared
+    schema."""
 
 _COMPONENTS = ("parsing", "script", "glue", "other")
+
+#: How each series combines across lanes in :meth:`MetricsRegistry.
+#: merge_series`; a series not named here sums.  ``max`` keeps a
+#: high-water mark; ``once`` is a compile-time count every lane computes
+#: alike, so the merge takes one lane's value and checks the others.
+MERGE_RULES = {
+    "health.breaker_tripped": "max",
+    "bro.flows_peak": "max",
+    "bro.flows_open": "max",
+    "opt.rewrites": "once",
+}
 
 
 # --------------------------------------------------------------------------
@@ -250,39 +263,33 @@ class MetricsRegistry:
         return lines
 
     def merge_series(self, series_dicts: Iterable[Dict],
-                     gauge_merge: Optional[Dict[str, str]] = None,
                      extra_labels: Optional[Dict[str, str]] = None) -> int:
         """Fold ``collect()``-shaped series dicts into this registry.
 
-        The reduction step of the flow-parallel pipeline: each worker
-        (thread lane or subprocess) collects into its own registry, and
-        the driver merges them at join (``docs/PARALLELISM.md``).
-        Counters and histograms are additive; gauges sum by default, or
-        take the maximum for names mapped to ``"max"`` in *gauge_merge*
-        (high-water marks like peak occupancy).  *extra_labels* are
-        stamped onto every merged series — the per-worker attribution
-        labels (``worker=N``) of the cross-process telemetry plane.
-        Histograms whose bucket bounds disagree with an already
-        registered series raise :class:`SchemaError` — a silent merge
-        would misalign every bucket.  Returns the number of series
-        merged.
+        The reduction step of every lane merge (``docs/PARALLELISM.md``):
+        each series combines with the one already here by its
+        :data:`MERGE_RULES` entry — ``sum`` unless named.  *extra_labels*
+        are stamped onto every merged series (the per-worker attribution
+        labels, ``worker=N``); such a copy names one source, so its
+        values are *set*: a re-applied copy overwrites, never stacks.
+        A ``once`` series whose values disagree, or a histogram whose
+        bucket bounds disagree, raises :class:`SchemaError` — a silent
+        merge would misreport it.  Returns the number of series merged.
         """
-        gauge_merge = gauge_merge or {}
         merged = 0
         for entry in series_dicts:
             kind = entry["kind"]
             name = entry["name"]
             labels = dict(entry.get("labels", {}))
+            rule = MERGE_RULES.get(name, "sum")
             if extra_labels:
                 labels.update(extra_labels)
+                rule = "set"
+            known = len(self._series)
             if kind == "counter":
-                self.counter(name, **labels).inc(entry["value"])
+                series = self.counter(name, **labels)
             elif kind == "gauge":
-                gauge = self.gauge(name, **labels)
-                if gauge_merge.get(name) == "max":
-                    gauge.set_max(entry["value"])
-                else:
-                    gauge.inc(entry["value"])
+                series = self.gauge(name, **labels)
             elif kind == "histogram":
                 buckets = entry["buckets"]
                 bounds = tuple(
@@ -297,13 +304,30 @@ class MetricsRegistry:
                         f"{tuple(histogram.bounds)} — refusing to "
                         "misalign buckets"
                     )
+                if rule == "set":
+                    histogram.bucket_counts = [0] * len(buckets)
+                    histogram.sum = histogram.count = 0
                 for index, bound in enumerate(histogram.bounds):
                     histogram.bucket_counts[index] += buckets[str(bound)]
                 histogram.bucket_counts[-1] += buckets["+Inf"]
                 histogram.sum += entry["sum"]
                 histogram.count += entry["count"]
+                merged += 1
+                continue
             else:
                 raise ValueError(f"unknown series kind {kind!r}")
+            value = entry["value"]
+            # A series new to this registry takes the lane's value.
+            if len(self._series) > known or rule == "set":
+                series.value = value
+            elif rule == "sum":
+                series.value += value
+            elif rule == "max":
+                series.value = max(series.value, value)
+            elif series.value != value:  # once
+                raise SchemaError(
+                    f"{name!r}{labels}: lanes disagree on a once-per-run "
+                    f"series ({series.value} vs {value})")
             merged += 1
         return merged
 
@@ -321,8 +345,8 @@ class TimeSeriesStore:
     minute".  The service's aggregator tick feeds each registry
     ``collect()`` here; every stored sample carries, per cumulative
     series (counters and histogram counts), the delta against the
-    previous sample, so consumers (``servicetop``, the
-    ``/metrics/history`` endpoint) get rates without re-diffing.
+    previous sample, so consumers of the ``/metrics/history`` endpoint
+    get rates without re-diffing.
 
     The ring is bounded by *max_samples* (600 one-second ticks = ten
     minutes of history) so a service that runs for weeks holds a flat

@@ -1,12 +1,14 @@
 """The cross-process worker telemetry plane.
 
 The parallel-equivalence oracle for metrics: a ``--backend pool`` (or
-``vthread``) run must merge its per-worker registries so that
+``vthread``) run, and a ``--loops 1`` service on either lane transport,
+must merge its per-worker registries so that
 
-* the unlabeled aggregate series are identical to the sequential
-  pipeline's content-determined counters, and
-* the ``worker=N``-labeled attribution copies, summed after stripping
-  the label, reproduce exactly the same totals
+* every unlabeled aggregate counter and non-timing gauge equals the
+  sequential run's, except the series on :data:`METRICS_ORACLE_EXEMPT`
+  (one list, each entry with its reason), and
+* for the BPF filter, the ``worker=N``-labeled attribution copies,
+  summed after stripping the label, reproduce exactly the same counters
 
 — plus the transport itself: pool workers ship periodic ``TELEM``
 snapshots over their rings (surfacing as ``worker.*`` gauges in a
@@ -14,6 +16,8 @@ pool-transport service) and per-worker profiler dumps land in a
 sectioned ``prof.log``.
 """
 
+import fnmatch
+import io
 import multiprocessing
 import os
 import pickle
@@ -22,9 +26,11 @@ import time
 import pytest
 
 from repro.apps.bpf.app import BpfApp, BpfLaneSpec
+from repro.apps.bro.main import Bro
+from repro.apps.bro.parallel import BroLaneSpec, ParallelBro
 from repro.host import worker
 from repro.host.app import PipelineServices
-from repro.host.parallel import ParallelPipeline
+from repro.host.parallel import ParallelPipeline, merge_stats
 from repro.host.pool import WorkerPool, shutdown_shared_pools
 from repro.host.ring import MessageChannel, ShmRing
 from repro.host.service import HostService, ServiceConfig
@@ -57,8 +63,55 @@ BACKENDS = ["vthread", "pool"]
 CONFIG = {"filter": "tcp", "engine": "interpreted", "opt_level": 1,
           "watchdog_budget": None, "metrics": True, "trace": False}
 
-#: Timing/occupancy series that are not content-determined.
-_NON_COMPARABLE_PREFIXES = ("bpf.cpu_ns",)
+#: The series the metrics oracle does not compare with the sequential
+#: run, each with its reason: ``fnmatch`` patterns over a series' name
+#: or its labeled id (``name{key="value"}``).  This list may only
+#: shrink.
+METRICS_ORACLE_EXEMPT = {
+    "*.cpu_ns": "timing: CPU attribution, measured, never equal run to "
+                "run (a parallel total is also the parent's wall clock)",
+    "service.*": "the service's own live series; a batch run has none",
+    "worker.*": "the service's live per-worker TELEM mirror",
+    "bro.flows_peak": "the max over lanes, a lower bound of the "
+                      "sequential peak once flows on different lanes "
+                      "overlap; an exact peak needs the merged ledger",
+    'engine.instructions{context="scripts"}':
+        "per-lane init: every lane runs Scripts::__init_globals once, "
+        "+6 per extra lane",
+    'engine.allocations{context="scripts"}':
+        "per-lane init: +3 per extra lane",
+    'engine.segments_dispatched{context="scripts"}':
+        "per-lane init: +3 per extra lane",
+}
+
+
+def _series_id(name, labels):
+    if not labels:
+        return name
+    inner = ",".join(f'{key}="{value}"'
+                     for key, value in sorted(labels.items()))
+    return f"{name}{{{inner}}}"
+
+
+def _exempt(name, labels):
+    ident = _series_id(name, labels)
+    return any(fnmatch.fnmatchcase(name, pattern)
+               or fnmatch.fnmatchcase(ident, pattern)
+               for pattern in METRICS_ORACLE_EXEMPT)
+
+
+def oracle_series(series_dicts):
+    """The aggregate counters and gauges the oracle compares, as
+    ``series id -> value``: ``worker``-labeled copies, histograms and
+    the :data:`METRICS_ORACLE_EXEMPT` series left out."""
+    out = {}
+    for entry in series_dicts:
+        labels = entry.get("labels", {})
+        if (entry["kind"] == "histogram" or "worker" in labels
+                or _exempt(entry["name"], labels)):
+            continue
+        out[_series_id(entry["name"], labels)] = entry["value"]
+    return out
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -76,13 +129,18 @@ def trace():
 
 
 @pytest.fixture(scope="module")
-def sequential_counters(trace):
+def sequential_bpf(trace):
     app = BpfApp(CONFIG["filter"], engine=CONFIG["engine"],
                  opt_level=CONFIG["opt_level"],
                  services=PipelineServices(
                      telemetry=Telemetry(metrics=True)))
     app.run(trace)
-    return _counters(app.telemetry.metrics.collect())
+    return app.telemetry.metrics.collect()
+
+
+@pytest.fixture(scope="module")
+def sequential_counters(sequential_bpf):
+    return _counters(sequential_bpf)
 
 
 def _counters(series_dicts, only_worker_labeled=False):
@@ -96,11 +154,11 @@ def _counters(series_dicts, only_worker_labeled=False):
         if entry["kind"] != "counter":
             continue
         name = entry["name"]
-        if name.startswith(_NON_COMPARABLE_PREFIXES):
-            continue
         labels = dict(entry.get("labels", {}))
         had_worker = "worker" in labels
         labels.pop("worker", None)
+        if _exempt(name, labels):
+            continue
         if only_worker_labeled and not had_worker:
             continue
         if not only_worker_labeled and had_worker:
@@ -113,7 +171,7 @@ def _counters(series_dicts, only_worker_labeled=False):
 class TestCounterSumIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_all_backends_match_sequential(self, trace,
+    def test_all_backends_match_sequential(self, trace, sequential_bpf,
                                            sequential_counters,
                                            backend, workers):
         pipe = ParallelPipeline(BpfLaneSpec(CONFIG), workers=workers,
@@ -121,6 +179,7 @@ class TestCounterSumIdentity:
                                 telemetry=Telemetry(metrics=True))
         pipe.run(trace)
         merged = pipe.telemetry.metrics.collect()
+        assert oracle_series(merged) == oracle_series(sequential_bpf)
         # The unlabeled aggregate is the sequential run's counters...
         assert _counters(merged) == sequential_counters
         # ...and so is the label-stripped sum of the per-worker copies.
@@ -138,6 +197,81 @@ class TestCounterSumIdentity:
         for entry in pipe.telemetry.metrics.collect():
             workers.add(entry.get("labels", {}).get("worker"))
         assert {str(i) for i in range(lanes)} <= workers
+
+
+#: The Bro configuration of the metrics oracle: BinPAC++ parsers and
+#: compiled scripts, so every engine context and optimizer pass reports.
+BRO_CONFIG = {"scripts": None, "parsers": "pac", "scripts_engine": "hilti",
+              "log_enabled": True, "watchdog_budget": None,
+              "opt_level": None, "metrics": True, "trace": False}
+
+
+def _bro(services):
+    return Bro(parsers="pac", scripts_engine="hilti",
+               print_stream=io.StringIO(),
+               fault_injector=services.faults,
+               watchdog_budget=services.watchdog_budget,
+               telemetry=services.telemetry)
+
+
+@pytest.fixture(scope="module")
+def sequential_bro(trace):
+    bro = _bro(PipelineServices(telemetry=Telemetry(metrics=True)))
+    bro.run(trace)
+    series = oracle_series(bro.telemetry.metrics.collect())
+    assert series["bro.events_by_name{event=\"bro_init\"}"] == 1
+    assert any(value for ident, value in series.items()
+               if ident.startswith("opt.rewrites"))
+    return series
+
+
+class TestMetricsOracle:
+    """Every backend and both service transports report the sequential
+    run's Bro metrics, outside :data:`METRICS_ORACLE_EXEMPT`."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_batch_matches_sequential(self, trace, sequential_bro,
+                                      backend, workers):
+        pipe = ParallelBro(parsers="pac", scripts_engine="hilti",
+                           workers=workers, backend=backend,
+                           telemetry=Telemetry(metrics=True))
+        pipe.run(trace)
+        assert oracle_series(pipe.telemetry.metrics.collect()) == \
+            sequential_bro
+
+    @pytest.mark.parametrize("transport", ["thread", "pool"])
+    def test_service_matches_sequential(self, trace, sequential_bro,
+                                        transport, tmp_path):
+        config = ServiceConfig(
+            lanes=2, lane_transport=transport, http_host=None,
+            http_port=None, logdir=str(tmp_path), app_name="bro",
+            lane_metrics=True)
+        service = HostService(_bro, list(trace), config,
+                              spec=BroLaneSpec(BRO_CONFIG))
+        assert service.serve() == 0
+        assert service.totals()["packets_processed"] == len(trace)
+        assert oracle_series(service.metrics.collect()) == sequential_bro
+
+
+class TestMergeStats:
+    def test_one_recursive_rule(self):
+        lanes = [
+            {"app": "bro", "packets": 3, "tier_fallback": False,
+             "health": {"breaker": {"threshold": 0.25, "tripped": False,
+                                    "flows": 2},
+                        "site_errors": {"a": 1}}},
+            {"app": "bro", "packets": 4, "tier_fallback": True,
+             "health": {"breaker": {"threshold": 0.5, "tripped": False,
+                                    "flows": 5},
+                        "site_errors": {"a": 2, "b": 1}}},
+        ]
+        assert merge_stats(lanes) == {
+            "app": "bro", "packets": 7, "tier_fallback": True,
+            "health": {"breaker": {"threshold": 0.25, "tripped": False,
+                                   "flows": 7},
+                       "site_errors": {"a": 3, "b": 1}}}
+        assert merge_stats([]) == {}
 
 
 class TestMergedArtifacts:

@@ -15,6 +15,7 @@ from repro.runtime.telemetry import (
     Counter,
     Gauge,
     Histogram,
+    MERGE_RULES,
     MetricsRegistry,
     NULL_SPAN,
     NULL_TELEMETRY,
@@ -172,15 +173,58 @@ class TestMergeSeries:
         assert target.counter("pkts").value == 3
 
     def test_gauge_max_merge(self):
+        assert MERGE_RULES["bro.flows_peak"] == "max"
         target = MetricsRegistry()
-        target.gauge("peak").set(10)
-        source = [{"kind": "gauge", "name": "peak", "value": 7},
+        target.gauge("bro.flows_peak").set(10)
+        source = [{"kind": "gauge", "name": "bro.flows_peak", "value": 7},
                   {"kind": "gauge", "name": "load", "value": 7}]
-        target.merge_series(source, gauge_merge={"peak": "max"})
-        assert target.gauge("peak").value == 10  # max, not 17
+        target.merge_series(source)
+        assert target.gauge("bro.flows_peak").value == 10  # max, not 17
         assert target.gauge("load").value == 7   # default: additive
-        target.merge_series(source, gauge_merge={"peak": "max"})
+        target.merge_series(source)
         assert target.gauge("load").value == 14
+
+    def test_worker_copy_applied_twice_sets_not_stacks(self):
+        """The service mirrors a worker's TELEM series under its
+        ``worker`` label, then the final flush applies that lane's
+        registry again: the copy is set, never added twice."""
+        mirror = [{"kind": "counter", "name": "pkts", "value": 4},
+                  {"kind": "gauge", "name": "load", "value": 3}]
+        final = [{"kind": "counter", "name": "pkts", "value": 9},
+                 {"kind": "gauge", "name": "load", "value": 5}]
+        target = MetricsRegistry()
+        target.merge_series(mirror, extra_labels={"worker": "1"})
+        target.merge_series(final, extra_labels={"worker": "1"})
+        target.merge_series(final, extra_labels={"worker": "1"})
+        assert target.counter("pkts", worker="1").value == 9
+        assert target.gauge("load", worker="1").value == 5
+        source = MetricsRegistry()
+        source.histogram("size", bounds=(10, 100)).observe(50)
+        for __ in range(2):
+            target.merge_series(source.collect(),
+                                extra_labels={"worker": "1"})
+        assert target.histogram("size", bounds=(10, 100),
+                                worker="1").count == 1
+
+    def test_once_series_takes_one_lane(self):
+        assert MERGE_RULES["opt.rewrites"] == "once"
+        lane = [{"kind": "counter", "name": "opt.rewrites",
+                 "labels": {"context": "scripts"}, "value": 25}]
+        target = MetricsRegistry()
+        target.merge_series(lane)
+        target.merge_series(lane)
+        assert target.counter("opt.rewrites", context="scripts").value == 25
+
+    def test_once_series_disagreeing_lanes_raise_schema_error(self):
+        target = MetricsRegistry()
+        target.merge_series([{"kind": "counter", "name": "opt.rewrites",
+                              "labels": {"context": "scripts"},
+                              "value": 25}])
+        with pytest.raises(SchemaError, match="once"):
+            target.merge_series([{"kind": "counter",
+                                  "name": "opt.rewrites",
+                                  "labels": {"context": "scripts"},
+                                  "value": 24}])
 
     def test_extra_labels_stamp_every_series(self):
         source = MetricsRegistry()
