@@ -147,11 +147,6 @@ class Gauge(_Series):
     def dec(self, amount=1) -> None:
         self.value -= amount
 
-    def set_max(self, value) -> None:
-        """Retain the high-water mark."""
-        if value > self.value:
-            self.value = value
-
     def as_dict(self) -> Dict:
         out = self._base()
         out["value"] = self.value

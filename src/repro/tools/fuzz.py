@@ -1,71 +1,38 @@
-"""fuzz — the coverage-guided differential oracle for the optimizer.
+"""fuzz — the coverage-guided differential oracle for the compiled tier.
 
-The ``-O1`` pass pipeline rewrites the IR the compiled tier runs; the
-reference interpreter always executes the *unoptimized* IR.  That
-pairing is a differential oracle: for any program, every compiled level
-must produce byte-identical observable behaviour to the interpreter.
-This tool generates random-but-well-typed programs and drives the
-oracle at scale::
+The reference interpreter always executes the *unoptimized* IR; the
+compiled tier runs what the ``-O1`` pass pipeline made of it.  That
+pairing is a differential oracle: for any input, every compiled level
+must behave exactly as the interpreter does.  This tool generates
+random-but-valid inputs and drives the oracle at scale::
 
     python -m repro.tools.fuzz --seed 1 --count 500
     python -m repro.tools.fuzz --replay tests/core/fuzz_corpus
-    python -m repro.tools.fuzz --seed 7 --count 200 \
-        --emit-corpus tests/core/fuzz_corpus
+    python -m repro.tools.fuzz --seed 7 --count 200 --emit-corpus DIR
 
-Five lanes, each a different program source:
+Five lanes, each a different input source with its own oracle (the
+lane classes below say what each generates and compares):
 
-* ``module`` — random HILTI modules built through ``core.builder``:
-  integer dataflow, branches, bounded loops, switches, lexical
-  fallthrough blocks, div/mod traps, calls into small helper
-  functions of five shapes, struct ops on typed, ``any`` and null
-  operands (the codegen's slot inline cache), and what the code generator turns into Python control flow
-  of its own: ``yield`` (in ``Main::f`` and in suspending helpers),
-  ``try.begin``/``try.end`` scopes with throws from ``int.div`` and
-  ``exception.throw`` inside and outside them, and hooks with 0-3
-  bodies, priorities, a group that gets disabled, and ``hook.stop``.
-  Oracle: interpreter vs compiled ``-O0``/``-O1``, each compiled
-  program driven through ``call_fiber`` to completion: outcome (value
-  or exception type), the number of suspensions (the interpreter counts
-  the yields it passes), plus the ``ctx.instr_count`` parity invariant
-  between the interpreter and ``-O0``.
-* ``filter`` — random BPF expressions over well-formed and mutated
-  frames; the classic VM, the interpreted tier, and every compiled
-  level must agree on each accept/reject decision.
-* ``script`` — random mini-Bro scripts and the events to raise:
-  integer arithmetic through a helper function, or table, set and
-  vector globals and locals under add/delete, index reads and writes
-  (a missing key, a vector write at and past ``|v|``), ``in``, ``for``
-  and ``|x|``.  Oracle: the events drained through the event engine on
-  the tree-walking interpreter against the HILTI script compiler at
-  every level — equal printed output, weird lines, and outcome (every
-  runtime error contained, and how many, or one escaping).  Corpus
-  cases are ``.bro`` files (events in the header, then the script).
-* ``pac`` — malformed HTTP request or reply streams through the
-  BinPAC++-generated parser, whose token runs and token-only units
-  compile to one ``regexp.match_seq`` each.  Oracle: that parser — on
-  the interpreter one-shot, at every compiled level one-shot and fed in
-  random chunks — against an unfused build of the same grammar at
-  ``-O0``: equal unit events (every field), parse error class and
-  message, and completion state, plus ``instr_count`` parity between
-  the interpreter and ``-O0``.  Corpus cases are ``.http`` files (unit,
-  feed splits, hex).
-* ``dns`` — well-formed DNS responses malformed by truncation, label
-  lengths over 63, self- and forward-pointing compression pointers,
-  pointers past the end, count fields larger than the body, ``rdlength``
-  mismatches and bit flips.  Oracle: the datagram grammar's one-shot
-  parse on the interpreter and at every compiled level against an
-  always-incremental build of the same grammar fed the same bytes —
-  equal unit fields or the same error class — plus ``instr_count``
-  parity between the interpreter and ``-O0``.  Corpus cases are hex
-  ``.dns`` files.
+* ``module`` — random HILTI modules, interpreter against ``-O0``/``-O1``;
+* ``filter`` — random BPF filters, the classic VM against every tier;
+* ``script`` — mini-Bro scripts, the script interpreter against the
+  compiled engine;
+* ``pac`` — malformed HTTP, the fused parser against an unfused build;
+* ``dns`` — malformed DNS datagrams, the one-shot parse against an
+  incremental build.
 
-Coverage guidance: each module case's ``-O1`` ``OptStats`` counters
-(which passes actually fired) plus its structural features form a
-signature; cases with novel signatures enter a pool that seeds further
-mutations, steering generation toward optimizer paths not yet hit.
-Diverging cases are minimized greedily (drop statements, unwrap
-control flow, shrink constants) before being reported or written to
-the corpus, so a failure lands as a small reproducible ``.hlt`` file.
+Every lane implements one interface, ``Lane``, and is listed once in
+``LANES``; the driver (``Fuzzer``, ``--replay``, ``--emit-corpus``)
+names none of them.  It picks a lane by weight, generates a case, runs
+it, and keeps it as interesting when its coverage signature is new: a
+module case's signature is the ``-O1`` passes that fired plus its
+structural features, and interesting module cases seed further
+mutations, steering generation toward optimizer paths not yet hit.  A
+diverging case is shrunk greedily (drop statements, unwrap control
+flow, drop helpers) and printed as a reproducible corpus file.
+``--emit-corpus`` writes each lane's interesting cases as
+``<lane>_<NNN>.<suffix>``; ``--replay`` reads every file back through
+the lane its suffix names.
 """
 
 from __future__ import annotations
@@ -73,11 +40,13 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import random
 import re
 import struct
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import types as ht
@@ -93,25 +62,22 @@ from ..runtime.fibers import YIELDED
 from ..runtime.structs import UNSET, StructInstance
 
 __all__ = [
+    "LANES",
+    "DnsLane",
+    "FilterLane",
     "Fuzzer",
+    "Lane",
+    "ModuleLane",
+    "PacLane",
+    "ScriptLane",
     "build_module",
-    "dns_case_source",
     "gen_dns_input",
     "gen_dns_message",
     "gen_http_input",
     "gen_module_spec",
-    "minimize_module_case",
-    "module_case_source",
+    "gen_script_case",
     "mutate_module_spec",
-    "pac_case_source",
-    "run_corpus_text",
-    "run_dns_corpus_text",
-    "run_filter_case",
-    "run_module_case",
-    "run_pac_corpus_text",
-    "run_script_case",
-    "run_script_corpus_text",
-    "script_case_source",
+    "replay",
     "unfused_http_grammar",
 ]
 
@@ -189,8 +155,11 @@ def _gen_ops(rng: random.Random, n_vars: int, count: int) -> List:
             for __ in range(count)]
 
 
+_HELPER_KINDS = ("leaf", "init", "branchy", "big", "susp")
+
+
 def _gen_helper(rng: random.Random, index: int) -> Dict:
-    kind = rng.choice(["leaf", "leaf", "init", "branchy", "big", "susp"])
+    kind = rng.choice(["leaf", *_HELPER_KINDS])
     nparams = rng.randint(1, 3)
     n_vars = nparams + (1 if kind == "init" else 0)
     sizes = {"leaf": (1, 6), "init": (1, 5), "branchy": (1, 4),
@@ -581,18 +550,92 @@ def mutate_module_spec(rng: random.Random, spec: Dict) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# Module lane: the oracle
+# The lane protocol and the verdict every lane shares
 
 
-def _outcome(call):
-    try:
-        return ("ok", call())
-    except HiltiError as error:
-        return ("raise", error.except_type.type_name)
+class Lane:
+    """One source of differential test cases.
+
+    A lane generates cases from the fuzzer's seeded ``rng`` and runs
+    each through its oracle.  A lane with a corpus ``suffix`` also
+    writes a case as replayable text and reads it back.  The driver
+    (``Fuzzer``, ``--replay`` and ``--emit-corpus``) knows lanes only
+    through this class, so adding a lane is one subclass and one
+    ``LANES`` entry.
+
+    * ``name``, ``weight`` (its share of the picks) and ``suffix``
+      (``None``: the lane writes no corpus files), class attributes;
+    * ``generate(rng)`` returns a case;
+    * ``run(case, levels)`` returns at least ``{"divergences",
+      "signature"}``.  A ``None`` signature means the case is never
+      kept as interesting; a lane that returns signatures needs a
+      ``suffix``;
+    * ``dumps(case, note)`` and ``loads(text)`` write and read a corpus
+      file;
+    * ``shrink(case, keep, deep=True)``, optional: a smaller case for
+      which ``keep`` still holds.  The driver shrinks a diverging case
+      deeply and trims an interesting one in one shallow pass before
+      writing it.
+
+    ``interesting`` holds the cases whose signature was new, each with
+    its signature, in the order found: the driver appends to it, and
+    ``generate`` may mutate them.
+    """
+
+    name = ""
+    weight = 1
+    suffix: Optional[str] = None
+    shrink = None
+
+    def __init__(self):
+        self.interesting: List[Tuple[object, str]] = []
+
+    def _source(self, fields: Sequence[str], note: str) -> str:
+        """A corpus file's comment header: the lane, *fields*, the note."""
+        header = ["# fuzz corpus case — repro.tools.fuzz "
+                  f"({self.name} lane)", *fields]
+        if note:
+            header.append(f"# note: {note}")
+        return "\n".join(header)
+
+
+def _divergences(side: str, against: str, pairs: Dict,
+                 counts: Optional[Dict] = None) -> List[str]:
+    """The verdict every lane shares: each candidate's outcome equals its
+    reference's, and ``-O0`` executes as many instructions as the
+    interpreter.  *pairs* maps a candidate to ``(got, want)``; *counts*
+    maps ``"interp"`` and ``"O<level>"`` to instruction counts."""
+    lines = [f"{side}{name}: {got!r} != {against} {want!r}"
+             for name, (got, want) in pairs.items() if got != want]
+    if "O0" in (counts or ()) and counts["O0"] != counts["interp"]:
+        lines.append(f"{side}-O0 instr_count {counts['O0']} != "
+                     f"interp {counts['interp']}")
+    return lines
+
+
+def _header(text: str, key: str) -> Optional[str]:
+    """The value of a corpus file's ``# key: value`` header line."""
+    match = re.search(rf"^#\s*{key}:\s*(.*?)\s*$", text, re.M)
+    return match.group(1) if match else None
+
+
+def _body(text: str) -> str:
+    """A corpus file's text without its comment lines."""
+    return "\n".join(line for line in text.splitlines()
+                     if not line.startswith("#"))
+
+
+# ---------------------------------------------------------------------------
+# Module lane: the oracle, the minimizer and the .hlt corpus
 
 
 _STMT_TAGS = ("op", "div", "if", "loop", "switch", "fallthrough", "call",
               "struct", "yield", "try", "throw", "hook", "group")
+# Everything _spec_features can report.
+_FEATURES = frozenset(_STMT_TAGS + _HELPER_KINDS) | {
+    f"struct.{op}" for op in _STRUCT_OPS}
+# Deep shrinking stops after this many candidate runs.
+_SHRINK_BUDGET = 200
 
 
 def _walk_stmts(node):
@@ -612,173 +655,184 @@ def _spec_features(spec: Dict) -> List[str]:
     return sorted(tags)
 
 
-def _run_oracle(make_module, entry: str, arguments: List,
-                levels: Sequence[int]):
-    """One program on the interpreter and every compiled level.
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except HiltiError as error:
+        return ("raise", error.except_type.type_name)
 
-    Compiled programs run inside a fiber, resumed until done, so the
-    generator path is what executes; the interpreter runs yields
-    through and counts them.  Returns ``(expected, outcomes,
-    divergences, the program compiled at the highest level)``.
+
+def _is_stmts(node) -> bool:
+    return isinstance(node, list) and all(
+        isinstance(entry, list) and entry and isinstance(entry[0], str)
+        for entry in node)
+
+
+class ModuleLane(Lane):
+    """Random HILTI modules (the spec format above) on the interpreter
+    and every compiled level: equal outcome (value or exception type)
+    and number of suspensions, and ``instr_count`` parity between the
+    interpreter and ``-O0``.  Compiled programs run inside a fiber,
+    resumed until done, so the generator path is what executes; the
+    interpreter runs yields through and counts them.
+
+    A generated case is ``{"spec", "args"}``; a case read from a corpus
+    file is ``{"text", "entry", "args", "features"}``.  The signature is
+    the passes that fired at the highest level plus the spec's
+    statement features; a corpus file keeps the features in its note,
+    and the rest is recomputed.
     """
-    interp = hiltic([make_module()], tier="interpreted")
-    interp_ctx = interp.make_context()
-    expected = _outcome(
-        lambda: interp.call(interp_ctx, entry, arguments))
-    outcomes, divergences, top = {}, [], None
-    for level in levels:
-        program = hiltic([make_module()], opt_level=level)
-        if level == max(levels):
-            top = program
-        ctx = program.make_context()
-        resumes = [0]
 
-        def drive():
-            fiber = program.call_fiber(ctx, entry, arguments)
-            value = YIELDED
-            while value is YIELDED:
-                resumes[0] += 1
-                value = fiber.resume()
-            return value
+    name = "module"
+    # The module lane is where the optimizer lives.
+    weight = 6
+    suffix = "hlt"
 
-        got = outcomes[level] = _outcome(drive)
-        if got != expected:
-            divergences.append(
-                f"-O{level}: {got!r} != interp {expected!r}")
-        if resumes[0] - 1 != interp.suspensions:
-            divergences.append(
-                f"-O{level}: suspended {resumes[0] - 1} times, interp "
-                f"passed {interp.suspensions} yields")
-        if level == 0 and ctx.instr_count != interp_ctx.instr_count:
-            divergences.append(
-                f"-O0 instr_count {ctx.instr_count} != "
-                f"interp {interp_ctx.instr_count}")
-    return expected, outcomes, divergences, top
+    def generate(self, rng: random.Random) -> Dict:
+        if self.interesting and rng.random() < 0.5:
+            spec = mutate_module_spec(
+                rng, rng.choice(self.interesting)[0]["spec"])
+        else:
+            spec = gen_module_spec(rng)
+        return {"spec": spec,
+                "args": [rng.randint(-100, 100) for __ in range(_N_VARS)]}
 
+    def run(self, case: Dict, levels: Sequence[int]) -> Dict:
+        spec = case.get("spec")
 
-def run_module_case(spec: Dict, args: Sequence[int],
-                    levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    """Run one spec through the oracle; returns outcomes + divergences."""
-    expected, outcomes, divergences, program = _run_oracle(
-        lambda: build_module(spec), _ENTRY, list(args), levels)
-    stats = getattr(program, "opt_stats", None)
-    fired = sorted(key for key, value in
-                   (stats.as_dict() if stats else {}).items() if value)
-    return {
-        "expected": expected,
-        "levels": outcomes,
-        "divergences": divergences,
-        # Which passes fired at the highest level, plus what was in it.
-        "signature": fired + _spec_features(spec),
-    }
+        def make_module():
+            return build_module(spec) if spec else parse_module(case["text"])
 
+        features = _spec_features(spec) if spec else case["features"]
+        entry, arguments = case.get("entry", _ENTRY), list(case["args"])
+        interp = hiltic([make_module()], tier="interpreted")
+        interp_ctx = interp.make_context()
+        expected = _outcome(
+            lambda: interp.call(interp_ctx, entry, arguments))
+        pairs, counts = {}, {"interp": interp_ctx.instr_count}
+        suspensions, top = [], None
+        for level in levels:
+            program = hiltic([make_module()], opt_level=level)
+            if level == max(levels):
+                top = program
+            ctx = program.make_context()
+            resumes = [0]
 
-def minimize_module_case(spec: Dict, args: Sequence[int],
-                         levels: Sequence[int] = OPT_LEVELS,
-                         budget: int = 200) -> Tuple[Dict, List[int]]:
-    """Greedy shrink: keep any edit that preserves a divergence."""
-    runs = [0]
+            def drive():
+                fiber = program.call_fiber(ctx, entry, arguments)
+                value = YIELDED
+                while value is YIELDED:
+                    resumes[0] += 1
+                    value = fiber.resume()
+                return value
 
-    def diverges(candidate) -> bool:
-        if runs[0] >= budget:
-            return False
-        runs[0] += 1
-        try:
-            return bool(run_module_case(candidate, args,
-                                        levels)["divergences"])
-        except Exception:
-            # A candidate the toolchain rejects is not a reproduction.
-            return False
+            pairs[f"-O{level}"] = (_outcome(drive), expected)
+            counts[f"O{level}"] = ctx.instr_count
+            if resumes[0] - 1 != interp.suspensions:
+                suspensions.append(
+                    f"-O{level}: suspended {resumes[0] - 1} times, interp "
+                    f"passed {interp.suspensions} yields")
+        stats = getattr(top, "opt_stats", None)
+        fired = sorted(key for key, value in
+                       (stats.as_dict() if stats else {}).items() if value)
+        return {
+            "expected": expected,
+            "divergences": _divergences("", "interp", pairs, counts)
+            + suspensions,
+            "signature": ",".join(fired + features) or None,
+        }
 
-    if not diverges(spec):
-        return copy.deepcopy(spec), list(args)
-    current = copy.deepcopy(spec)
+    def shrink(self, case: Dict, keep, deep: bool = True) -> Dict:
+        """Greedily drop statements from the body while *keep* holds.
 
-    def _stmt_lists(stmt):
-        """The nested statement lists inside one statement."""
-        return [child for child in stmt[1:]
-                if isinstance(child, list) and all(
-                    isinstance(entry, list) and entry
-                    and isinstance(entry[0], str)
-                    for entry in child)]
+        *deep* also unwraps control flow, descends into nested
+        statement lists, repeats until nothing changes and drops the
+        helpers the body no longer calls, within ``_SHRINK_BUDGET``
+        candidate runs; otherwise it makes one pass over the top-level
+        statements."""
+        runs = [0]
 
-    def shrink_list(stmts) -> bool:
-        changed = False
-        index = 0
-        while index < len(stmts):
-            trial = stmts[index]
-            del stmts[index]
-            if diverges(current):
-                changed = True
-                continue
-            stmts.insert(index, trial)
-            # Unwrap control flow: replace the statement with one of
-            # its nested statement lists.
-            unwrapped = False
-            for child in _stmt_lists(trial):
-                stmts[index:index + 1] = copy.deepcopy(child)
-                if diverges(current):
-                    changed = unwrapped = True
-                    break
-                stmts[index:index + len(child)] = [trial]
-            if not unwrapped:
-                # Recurse into nested lists in place (switch cases are
-                # [const, stmts] pairs — descend through them too).
-                for child in trial[1:]:
-                    if isinstance(child, list):
-                        for nested in _stmt_lists(["", child]):
-                            changed |= shrink_list(nested)
+        def holds(candidate) -> bool:
+            if deep and runs[0] >= _SHRINK_BUDGET:
+                return False
+            runs[0] += 1
+            return keep(candidate)
+
+        current = copy.deepcopy(case)
+        if deep and not holds(current):
+            return current
+
+        def shrink_list(stmts) -> bool:
+            changed = False
+            index = 0
+            while index < len(stmts):
+                trial = stmts[index]
+                del stmts[index]
+                if holds(current):
+                    changed = True
+                    continue
+                stmts.insert(index, trial)
+                if not deep:
+                    index += 1
+                    continue
+                # Unwrap control flow: replace the statement with one of
+                # its nested statement lists.
+                unwrapped = False
+                for child in filter(_is_stmts, trial[1:]):
+                    stmts[index:index + 1] = copy.deepcopy(child)
+                    if holds(current):
+                        changed = unwrapped = True
+                        break
+                    stmts[index:index + len(child)] = [trial]
+                if not unwrapped:
+                    # Recurse into nested lists in place (switch cases
+                    # are [const, stmts] pairs — descend through them).
+                    for child in trial[1:]:
+                        if not isinstance(child, list):
+                            continue
+                        if _is_stmts(child):
+                            changed |= shrink_list(child)
                         for entry in child:
                             if isinstance(entry, list) and len(entry) == 2 \
-                                    and isinstance(entry[1], list):
-                                for nested in _stmt_lists(["", entry[1]]):
-                                    changed |= shrink_list(nested)
-                index += 1
-            # After a successful unwrap, revisit the same index.
-        return changed
+                                    and _is_stmts(entry[1]):
+                                changed |= shrink_list(entry[1])
+                    index += 1
+                # After a successful unwrap, revisit the same index.
+            return changed
 
-    while shrink_list(current["body"]) and runs[0] < budget:
-        pass
-    # Drop helpers the (shrunken) body no longer calls.
-    called = {stmt[1] for stmt in _walk_stmts(current["body"])
-              if stmt[0] == "call"}
-    trimmed = [helper for helper in current["helpers"]
-               if helper["name"] in called]
-    if len(trimmed) < len(current["helpers"]):
-        trial = dict(current, helpers=trimmed)
-        if diverges(trial):
-            current = trial
-    return current, list(args)
+        spec = current["spec"]
+        if not deep:
+            shrink_list(spec["body"])
+            return current
+        while shrink_list(spec["body"]) and runs[0] < _SHRINK_BUDGET:
+            pass
+        # Drop helpers the (shrunken) body no longer calls.
+        called = {stmt[1] for stmt in _walk_stmts(spec["body"])
+                  if stmt[0] == "call"}
+        trimmed = [helper for helper in spec["helpers"]
+                   if helper["name"] in called]
+        if len(trimmed) < len(spec["helpers"]):
+            trial = dict(current, spec=dict(spec, helpers=trimmed))
+            if holds(trial):
+                current = trial
+        return current
 
+    def dumps(self, case: Dict, note: str = "") -> str:
+        header = self._source([f"# entry: {_ENTRY}",
+                               f"# args: {json.dumps(list(case['args']))}"],
+                              note)
+        return header + "\n\n" + print_module(build_module(case["spec"]))
 
-# ---------------------------------------------------------------------------
-# Corpus serialization: spec -> .hlt text with replay headers
-
-
-def module_case_source(spec: Dict, args: Sequence[int],
-                       note: str = "") -> str:
-    text = print_module(build_module(spec))
-    header = [
-        "# fuzz corpus case — repro.tools.fuzz (module lane)",
-        f"# entry: {_ENTRY}",
-        f"# args: {json.dumps(list(args))}",
-    ]
-    if note:
-        header.append(f"# note: {note}")
-    return "\n".join(header) + "\n\n" + text
-
-
-def run_corpus_text(text: str,
-                    levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    """Replay one corpus file's text through every tier."""
-    match = re.search(r"#\s*args:\s*(\[[^\n]*\])", text)
-    arguments = json.loads(match.group(1)) if match else [0] * _N_VARS
-    match = re.search(r"#\s*entry:\s*(\S+)", text)
-    entry = match.group(1) if match else _ENTRY
-
-    expected, __, divergences, __ = _run_oracle(
-        lambda: parse_module(text), entry, arguments, levels)
-    return {"expected": expected, "divergences": divergences}
+    def loads(self, text: str) -> Dict:
+        args = _header(text, "args")
+        return {
+            "text": text,
+            "entry": _header(text, "entry") or _ENTRY,
+            "args": json.loads(args) if args else [0] * _N_VARS,
+            "features": [item for item in
+                         (_header(text, "note") or "").split(",")
+                         if item in _FEATURES],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -836,28 +890,38 @@ def _filter_frames(rng: random.Random, count: int = 24) -> List[bytes]:
     return frames
 
 
-def run_filter_case(filter_text: str, frames: Sequence[bytes],
-                    levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    from ..apps.bpf import compile_to_hilti, compile_to_vm, parse_filter
+class FilterLane(Lane):
+    """Random BPF expressions over well-formed and mutated frames: the
+    classic VM, the interpreted tier and every compiled level decide
+    alike.  A case is ``(filter text, frames)``; the frames are drawn
+    once, at the lane's first case."""
 
-    node = parse_filter(filter_text)
-    decisions = {}
-    vm = compile_to_vm(node)
-    decisions["vm"] = bytes(
-        1 if vm.run(frame) else 0 for frame in frames)
-    interp = compile_to_hilti(node, tier="interpreted")
-    decisions["interp"] = bytes(
-        1 if interp(frame) else 0 for frame in frames)
-    for level in levels:
-        hilti_filter = compile_to_hilti(node, opt_level=level)
-        decisions[f"O{level}"] = bytes(
-            1 if hilti_filter(frame) else 0 for frame in frames)
-    expected = decisions["interp"]
-    divergences = [
-        f"filter {filter_text!r}: {key} decisions differ from interp"
-        for key, got in decisions.items() if got != expected
-    ]
-    return {"decisions": decisions, "divergences": divergences}
+    name = "filter"
+    weight = 2
+    frames: Optional[List[bytes]] = None
+
+    def generate(self, rng: random.Random) -> Tuple[str, List[bytes]]:
+        if self.frames is None:
+            self.frames = _filter_frames(rng)
+        return gen_filter_text(rng), self.frames
+
+    def run(self, case, levels: Sequence[int]) -> Dict:
+        from ..apps.bpf import compile_to_hilti, compile_to_vm, parse_filter
+
+        text, frames = case
+        node = parse_filter(text)
+        filters = {"vm": compile_to_vm(node).run,
+                   "interp": compile_to_hilti(node, tier="interpreted")}
+        for level in levels:
+            filters[f"O{level}"] = compile_to_hilti(node, opt_level=level)
+        decisions = {name: bytes(1 if accept(frame) else 0
+                                 for frame in frames)
+                     for name, accept in filters.items()}
+        pairs = {name: (got, decisions["interp"])
+                 for name, got in decisions.items()}
+        return {"divergences": _divergences(f"filter {text!r} ", "interp",
+                                            pairs),
+                "signature": None}
 
 
 # ---------------------------------------------------------------------------
@@ -1019,50 +1083,43 @@ def _script_outcome(source: str, events: Sequence, level=None) -> Tuple:
     return outcome, core.print_stream.getvalue(), core.logs.lines("weird")
 
 
-def run_script_case(source: str, events: Sequence,
-                    levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    expected = _script_outcome(source, events)
-    divergences = []
-    outcomes = {"interp": expected}
-    for level in levels:
-        got = _script_outcome(source, events, level)
-        outcomes[f"O{level}"] = got
-        for what, mine, theirs in zip(("outcome", "output", "weirds"),
-                                      got, expected):
-            if mine != theirs:
-                divergences.append(
-                    f"script -O{level} {what}: {mine!r} != interp {theirs!r}")
-    return {"expected": expected, "outcomes": outcomes,
-            "divergences": divergences}
+class ScriptLane(Lane):
+    """A case is ``(source, events)``.  The signature is what the case
+    covers: its kind, its outcome and the classes of the runtime errors
+    the event engine contained (``script:``-prefixed, as every emitted
+    note has been)."""
 
+    name = "script"
+    suffix = "bro"
 
-def _script_signature(source: str, result: Dict) -> str:
-    """What a case covers: its kind, its outcome and the classes of the
-    runtime errors the event engine contained."""
-    kind = "containers" if "global " in source else "arith"
-    outcome, __, weirds = result["expected"]
-    errors = sorted({re.sub(r"'[^']*'|\d+", "_", line.split("\t")[3]
-                            .split(": ", 1)[1]) for line in weirds})
-    return ",".join([kind, outcome[0]] + errors)
+    def generate(self, rng: random.Random) -> Tuple[str, List]:
+        return gen_script_case(rng)
 
+    def run(self, case, levels: Sequence[int]) -> Dict:
+        source, events = case
+        expected = _script_outcome(source, events)
+        pairs = {}
+        for level in levels:
+            got = _script_outcome(source, events, level)
+            for what, mine, theirs in zip(("outcome", "output", "weirds"),
+                                          got, expected):
+                pairs[f"-O{level} {what}"] = (mine, theirs)
+        outcome, __, weirds = expected
+        errors = sorted({re.sub(r"'[^']*'|\d+", "_", line.split("\t")[3]
+                                .split(": ", 1)[1]) for line in weirds})
+        kind = "containers" if "global " in source else "arith"
+        return {"expected": expected,
+                "divergences": _divergences("script ", "interp", pairs),
+                "signature": "script:" + ",".join([kind, outcome[0]]
+                                                  + errors)}
 
-def script_case_source(source: str, events: Sequence, note: str = "") -> str:
-    header = ["# fuzz corpus case — repro.tools.fuzz (script lane)",
-              f"# events: {json.dumps(list(events))}"]
-    if note:
-        header.append(f"# note: {note}")
-    return "\n".join(header) + "\n" + source
+    def dumps(self, case, note: str = "") -> str:
+        source, events = case
+        return self._source([f"# events: {json.dumps(list(events))}"],
+                            note) + "\n" + source
 
-
-def run_script_corpus_text(text: str,
-                           levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    """Replay one script corpus file's text (the events in the comment
-    header, the script after it) through the script oracle."""
-    events = json.loads(re.search(r"#\s*events:\s*(\[[^\n]*\])",
-                                  text).group(1))
-    source = "\n".join(line for line in text.splitlines()
-                       if not line.startswith("#"))
-    return run_script_case(source, events, levels)
+    def loads(self, text: str) -> Tuple[str, List]:
+        return _body(text), json.loads(_header(text, "events"))
 
 
 # ---------------------------------------------------------------------------
@@ -1181,6 +1238,7 @@ class _PacOracle:
         from ..apps.binpac.glue import unit_done_glue
         from ..apps.binpac.grammars import http_grammar
 
+        self.levels = tuple(levels)
         self.events: List[Tuple[str, Tuple]] = []
 
         def build(grammar, **kwargs):
@@ -1191,7 +1249,7 @@ class _PacOracle:
 
         self.reference = build(unfused_http_grammar(), opt_level=0)
         self.builds = {"interp": build(http_grammar(), tier="interpreted")}
-        for level in levels:
+        for level in self.levels:
             self.builds[f"O{level}"] = build(http_grammar(), opt_level=level)
 
     def _on_event(self, name, event_args) -> None:
@@ -1228,50 +1286,61 @@ class _PacOracle:
         expected = {
             False: self._outcome(self.reference, unit, payload),
             True: self._outcome(self.reference, unit, payload, chunks)}
-        outcomes, counts = {}, {}
+        pairs, counts = {}, {}
         for name, parser in self.builds.items():
             before = parser.ctx.instr_count
-            outcomes[name] = self._outcome(parser, unit, payload)
+            pairs[name] = (self._outcome(parser, unit, payload),
+                           expected[False])
             counts[name] = parser.ctx.instr_count - before
             if name != "interp":
-                outcomes[f"{name} fed"] = self._outcome(parser, unit,
-                                                        payload, chunks)
-        divergences = []
-        for name, got in outcomes.items():
-            want = expected[name.endswith(" fed")]
-            if got != want:
-                divergences.append(f"pac {name}: {got!r} != unfused "
-                                   f"{want!r}")
-        if "O0" in counts and counts["O0"] != counts["interp"]:
-            divergences.append(f"pac -O0 instr_count {counts['O0']} != "
-                               f"interp {counts['interp']}")
+                pairs[f"{name} fed"] = (self._outcome(parser, unit, payload,
+                                                      chunks),
+                                        expected[True])
+        divergences = _divergences("pac ", "unfused", pairs, counts)
         for fed, (__, error, __) in expected.items():
             if error is not None and error[0] == "crash":
                 divergences.append(f"pac unfused{' fed' * fed} crashed: "
                                    f"{error[1]}")
-        return {"expected": expected[False], "outcomes": outcomes,
-                "divergences": divergences}
+        return {"expected": expected[False], "divergences": divergences}
 
 
-def pac_case_source(unit: str, payload: bytes, cuts: Sequence[int] = (),
-                    note: str = "") -> str:
-    header = ["# fuzz corpus case — repro.tools.fuzz (pac lane)",
-              f"# unit: {unit}",
-              f"# splits: {json.dumps(list(cuts))}"]
-    if note:
-        header.append(f"# note: {note}")
-    return "\n".join(header) + "\n\n" + payload.hex() + "\n"
+def _built(oracle, make, levels: Sequence[int]):
+    """*oracle* if it was made for *levels*, else a new ``make(levels)``:
+    a grammar lane compiles its parsers at first use, drawing nothing."""
+    levels = tuple(levels)
+    return oracle if oracle is not None and oracle.levels == levels \
+        else make(levels)
 
 
-def run_pac_corpus_text(text: str, oracle: Optional[_PacOracle] = None,
-                        levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    """Replay one HTTP corpus file's text (unit and feed splits in the
-    comment header, hex after it) through the pac oracle."""
-    unit = re.search(r"#\s*unit:\s*(\S+)", text).group(1)
-    cuts = json.loads(re.search(r"#\s*splits:\s*(\[[^\n]*\])", text).group(1))
-    payload = bytes.fromhex("".join(
-        line for line in text.splitlines() if not line.startswith("#")))
-    return (oracle or _PacOracle(levels)).run_case(unit, payload, cuts)
+class PacLane(Lane):
+    """A case is ``(unit, payload, feed splits)``.  Its cases are never
+    kept as interesting: the checked-in ``.http`` files pin the parse
+    errors that matter."""
+
+    name = "pac"
+    suffix = "http"
+    oracle: Optional[_PacOracle] = None
+
+    def generate(self, rng: random.Random) -> Tuple[str, bytes, List[int]]:
+        unit = rng.choice(_HTTP_UNITS)
+        payload = gen_http_input(rng, unit)
+        cuts = sorted(rng.randrange(len(payload) + 1)
+                      for __ in range(rng.randint(0, 6)))
+        return unit, payload, cuts
+
+    def run(self, case, levels: Sequence[int]) -> Dict:
+        self.oracle = _built(self.oracle, _PacOracle, levels)
+        return dict(self.oracle.run_case(*case), signature=None)
+
+    def dumps(self, case, note: str = "") -> str:
+        unit, payload, cuts = case
+        return self._source([f"# unit: {unit}",
+                             f"# splits: {json.dumps(list(cuts))}"],
+                            note) + "\n\n" + payload.hex() + "\n"
+
+    def loads(self, text: str) -> Tuple[str, bytes, List[int]]:
+        return (_header(text, "unit"), bytes.fromhex(_body(text)),
+                json.loads(_header(text, "splits")))
 
 
 # ---------------------------------------------------------------------------
@@ -1397,9 +1466,9 @@ class _DnsOracle:
         incremental = dns_grammar()
         incremental.datagram = False
         self.reference = Parser(incremental)
-        self.parsers = {level: Parser(dns_grammar(), opt_level=level)
+        self.parsers = {f"O{level}": Parser(dns_grammar(), opt_level=level)
                         for level in self.levels}
-        self.interp = Parser(dns_grammar(), tier="interpreted")
+        self.parsers["interp"] = Parser(dns_grammar(), tier="interpreted")
 
     def _incremental(self, payload: bytes):
         session = self.reference.start("Message")
@@ -1415,164 +1484,115 @@ class _DnsOracle:
             # A native's short read before the freeze: the same read of
             # the frozen buffer raises Hilti::IndexError (Bytes.read).
             expected = ("raise", "Hilti::IndexError")
-        before = self.interp.ctx.instr_count
-        outcomes = {"interp": _dns_outcome(
-            lambda: self.interp.parse("Message", payload))}
-        interp_count = self.interp.ctx.instr_count - before
-        divergences = []
-        for level in self.levels:
-            parser = self.parsers[level]
+        pairs, counts = {}, {}
+        for side, parser in self.parsers.items():
             before = parser.ctx.instr_count
-            outcomes[f"O{level}"] = _dns_outcome(
-                lambda: parser.parse("Message", payload))
-            count = parser.ctx.instr_count - before
-            if level == 0 and count != interp_count:
-                divergences.append(f"dns -O0 instr_count {count} != "
-                                   f"interp {interp_count}")
-        for side, got in outcomes.items():
-            if got != expected:
-                divergences.append(f"dns {side}: {got!r} != "
-                                   f"incremental {expected!r}")
+            pairs[side] = (_dns_outcome(
+                lambda: parser.parse("Message", payload)), expected)
+            counts[side] = parser.ctx.instr_count - before
+        divergences = _divergences("dns ", "incremental", pairs, counts)
         if expected[0] == "crash":
             divergences.append(f"dns incremental crashed: {expected[1]}")
-        return {"expected": expected, "outcomes": outcomes,
-                "divergences": divergences}
+        return {"expected": expected, "divergences": divergences}
 
 
-def dns_case_source(payload: bytes, note: str = "") -> str:
-    header = ["# fuzz corpus case — repro.tools.fuzz (dns lane)"]
-    if note:
-        header.append(f"# note: {note}")
-    return "\n".join(header) + "\n\n" + payload.hex() + "\n"
+class DnsLane(Lane):
+    """A case is ``(payload, mutation kinds)``.  The signature is the
+    kinds and the reference's outcome; a corpus file keeps the kinds in
+    its note."""
+
+    name = "dns"
+    suffix = "dns"
+    oracle: Optional[_DnsOracle] = None
+
+    def generate(self, rng: random.Random) -> Tuple[bytes, List[str]]:
+        return gen_dns_input(rng)
+
+    def run(self, case, levels: Sequence[int]) -> Dict:
+        payload, kinds = case
+        self.oracle = _built(self.oracle, _DnsOracle, levels)
+        result = self.oracle.run_case(payload)
+        expected = result["expected"]
+        signature = ",".join(sorted(set(kinds)) + [expected[0]])
+        if expected[0] == "raise":
+            signature += f":{expected[1]}"
+        return dict(result, signature=signature)
+
+    def dumps(self, case, note: str = "") -> str:
+        return self._source([], note) + "\n\n" + case[0].hex() + "\n"
+
+    def loads(self, text: str) -> Tuple[bytes, List[str]]:
+        return bytes.fromhex(_body(text)), [
+            kind for kind in (_header(text, "note") or "").split(",")
+            if kind in _DNS_MUTATIONS]
 
 
-def run_dns_corpus_text(text: str, oracle: Optional[_DnsOracle] = None,
-                        levels: Sequence[int] = OPT_LEVELS) -> Dict:
-    """Replay one DNS corpus file's text (hex after the comment header)
-    through the DNS oracle."""
-    payload = bytes.fromhex("".join(
-        line for line in text.splitlines() if not line.startswith("#")))
-    return (oracle or _DnsOracle(levels)).run_case(payload)
+# One entry per lane: the --lanes default and the replay suffixes come
+# from here.
+LANES = {lane.name: lane for lane in (ModuleLane, FilterLane, ScriptLane,
+                                      PacLane, DnsLane)}
 
 
 # ---------------------------------------------------------------------------
 # The fuzzing loop
 
 
+def _verdict(lane: Lane, case, levels: Sequence[int]) -> Dict:
+    """``lane.run``, with an exception reported as the case's divergence
+    (its traceback on stderr): the generators emit only valid inputs, so
+    anything the toolchain rejects is itself a finding."""
+    try:
+        return lane.run(case, levels)
+    except Exception as error:
+        traceback.print_exc()
+        return {"divergences": [f"toolchain error: {error!r}"],
+                "signature": None}
+
+
 class Fuzzer:
-    """Seeded, coverage-guided differential fuzzing across all lanes."""
+    """Seeded, coverage-guided differential fuzzing across lanes."""
 
     def __init__(self, seed: int = 0, levels: Sequence[int] = OPT_LEVELS,
-                 lanes: Sequence[str] = ("module", "filter", "script",
-                                         "pac", "dns")):
+                 lanes: Sequence[str] = tuple(LANES)):
         self.rng = random.Random(seed)
         self.levels = tuple(levels)
-        self.lanes = tuple(lanes)
-        self.pool: List[Dict] = []
+        self.lanes = [LANES[name]() for name in lanes]
         self.signatures = set()
         self.divergences: List[Dict] = []
-        self.cases = {lane: 0 for lane in self.lanes}
-        self.interesting: List[Tuple[Dict, List[int], str]] = []
-        # DNS inputs with a novel (mutations, outcome) signature.
-        self.dns_interesting: List[Tuple[bytes, str]] = []
-        # Script cases with a novel (kind, outcome, errors) signature.
-        self.script_interesting: List[Tuple[str, List, str]] = []
-        self._pac: Optional[_PacOracle] = None
-        self._dns: Optional[_DnsOracle] = None
-        self._frames: Optional[List[bytes]] = None
+        self.cases = {lane.name: 0 for lane in self.lanes}
 
-    # Lane weights: the module lane is where the optimizer lives.
-    _WEIGHTS = {"module": 6, "filter": 2, "script": 1, "pac": 1, "dns": 1}
-
-    def _pick_lane(self) -> str:
-        weights = [self._WEIGHTS.get(lane, 1) for lane in self.lanes]
-        return self.rng.choices(self.lanes, weights=weights, k=1)[0]
-
-    def _module_case(self) -> Dict:
-        rng = self.rng
-        if self.pool and rng.random() < 0.5:
-            spec = mutate_module_spec(rng, rng.choice(self.pool))
-        else:
-            spec = gen_module_spec(rng)
-        args = [rng.randint(-100, 100) for __ in range(_N_VARS)]
-        try:
-            result = run_module_case(spec, args, self.levels)
-        except Exception as error:
-            # The generator only emits well-typed programs; anything the
-            # toolchain rejects is itself a finding.
-            return {"lane": "module", "spec": spec, "args": args,
-                    "divergences": [f"toolchain error: {error!r}"]}
-        signature = tuple(result["signature"])
-        if signature and signature not in self.signatures:
-            self.signatures.add(signature)
-            self.pool.append(spec)
-            self.interesting.append(
-                (spec, args, ",".join(result["signature"])))
-        return {"lane": "module", "spec": spec, "args": args,
-                "divergences": result["divergences"]}
-
-    def _filter_case(self) -> Dict:
-        if self._frames is None:
-            self._frames = _filter_frames(self.rng)
-        text = gen_filter_text(self.rng)
-        result = run_filter_case(text, self._frames, self.levels)
-        return {"lane": "filter", "filter": text,
-                "divergences": result["divergences"]}
-
-    def _script_case(self) -> Dict:
-        source, events = gen_script_case(self.rng)
-        result = run_script_case(source, events, self.levels)
-        signature = "script:" + _script_signature(source, result)
-        if signature not in self.signatures:
-            self.signatures.add(signature)
-            self.script_interesting.append((source, events, signature))
-        return {"lane": "script", "source": source, "events": events,
-                "divergences": result["divergences"]}
-
-    def _pac_case(self) -> Dict:
-        if self._pac is None:
-            self._pac = _PacOracle(self.levels)
-        rng = self.rng
-        unit = rng.choice(_HTTP_UNITS)
-        payload = gen_http_input(rng, unit)
-        cuts = sorted(rng.randrange(len(payload) + 1)
-                      for __ in range(rng.randint(0, 6)))
-        result = self._pac.run_case(unit, payload, cuts)
-        return {"lane": "pac", "unit": unit, "payload": payload.hex(),
-                "splits": cuts, "divergences": result["divergences"]}
-
-    def _dns_case(self) -> Dict:
-        if self._dns is None:
-            self._dns = _DnsOracle(self.levels)
-        payload, kinds = gen_dns_input(self.rng)
-        result = self._dns.run_case(payload)
-        signature = ",".join(sorted(set(kinds)) + [result["expected"][0]])
-        if result["expected"][0] == "raise":
-            signature += f":{result['expected'][1]}"
-        if signature not in self.signatures:
-            self.signatures.add(signature)
-            self.dns_interesting.append((payload, signature))
-        return {"lane": "dns", "payload": payload.hex(),
-                "divergences": result["divergences"]}
+    def _holds(self, lane: Lane, test):
+        """A shrink predicate: *test* holds for the candidate's result (a
+        candidate the toolchain rejects reproduces nothing)."""
+        def keep(candidate) -> bool:
+            try:
+                return test(lane.run(candidate, self.levels))
+            except Exception:
+                return False
+        return keep
 
     def run_one(self) -> Dict:
-        lane = self._pick_lane()
-        case = {
-            "module": self._module_case,
-            "filter": self._filter_case,
-            "script": self._script_case,
-            "pac": self._pac_case,
-            "dns": self._dns_case,
-        }[lane]()
-        self.cases[lane] += 1
-        if case["divergences"]:
-            if lane == "module" and "spec" in case:
-                spec, args = minimize_module_case(
-                    case["spec"], case["args"], self.levels)
-                case["minimized"] = module_case_source(
-                    spec, args, note="; ".join(case["divergences"]))
-            self.divergences.append(case)
-        return case
+        lane = self.rng.choices(
+            self.lanes, weights=[lane.weight for lane in self.lanes])[0]
+        case = lane.generate(self.rng)
+        result = _verdict(lane, case, self.levels)
+        self.cases[lane.name] += 1
+        signature = result["signature"]
+        if signature is not None \
+                and (lane.name, signature) not in self.signatures:
+            self.signatures.add((lane.name, signature))
+            lane.interesting.append((case, signature))
+        record = {"lane": lane.name, "case": case,
+                  "divergences": result["divergences"]}
+        if record["divergences"]:
+            if lane.shrink is not None:
+                case = lane.shrink(case, self._holds(
+                    lane, lambda again: bool(again["divergences"])))
+            if lane.suffix:
+                record["reproduction"] = lane.dumps(
+                    case, note="; ".join(record["divergences"]))
+            self.divergences.append(record)
+        return record
 
     def run(self, count: int, max_seconds: float = 0,
             progress=None) -> Dict:
@@ -1596,68 +1616,64 @@ class Fuzzer:
             "divergences": len(self.divergences),
         }
 
-    # -- corpus -------------------------------------------------------------
-
     def emit_corpus(self, directory: str, limit: int = 8) -> List[str]:
-        """Write the most interesting minimized module cases as .hlt,
-        and the DNS inputs and script cases with novel signatures as .dns
-        and .bro."""
-        import os
-
+        """Write each lane's first *limit* interesting cases into
+        *directory* as ``<lane>_<NNN>.<suffix>``.  A lane that can
+        shrink trims each case first, in one shallow pass that keeps
+        its signature and its agreement."""
         os.makedirs(directory, exist_ok=True)
         written = []
-        for index, (spec, args, note) in enumerate(
-                self.interesting[:limit]):
-            small, small_args = _shrink_interesting(spec, args,
-                                                    self.levels)
-            path = os.path.join(directory, f"case_{index:03d}.hlt")
-            with open(path, "w") as stream:
-                stream.write(module_case_source(small, small_args,
-                                                note=note))
-            written.append(path)
-        for index, (payload, note) in enumerate(
-                self.dns_interesting[:limit]):
-            path = os.path.join(directory, f"dns_{index:03d}.dns")
-            with open(path, "w") as stream:
-                stream.write(dns_case_source(payload, note=note))
-            written.append(path)
-        for index, (source, events, note) in enumerate(
-                self.script_interesting[:limit]):
-            path = os.path.join(directory, f"script_{index:03d}.bro")
-            with open(path, "w") as stream:
-                stream.write(script_case_source(source, events, note=note))
-            written.append(path)
+        for lane in self.lanes:
+            for index, (case, note) in enumerate(lane.interesting[:limit]):
+                if lane.shrink is not None:
+                    case = lane.shrink(case, self._holds(
+                        lane, lambda again, note=note:
+                        again["signature"] == note
+                        and not again["divergences"]), deep=False)
+                path = os.path.join(directory,
+                                    f"{lane.name}_{index:03d}.{lane.suffix}")
+                with open(path, "w") as stream:
+                    stream.write(lane.dumps(case, note=note))
+                written.append(path)
         return written
-
-
-def _shrink_interesting(spec: Dict, args: Sequence[int],
-                        levels: Sequence[int]) -> Tuple[Dict, List[int]]:
-    """Shrink a (non-diverging) corpus case while keeping its coverage
-    signature — smaller files, same optimizer paths exercised."""
-    target = tuple(run_module_case(spec, args, levels)["signature"])
-    current = copy.deepcopy(spec)
-
-    def keeps_signature(candidate) -> bool:
-        try:
-            result = run_module_case(candidate, args, levels)
-        except Exception:
-            return False
-        return tuple(result["signature"]) == target \
-            and not result["divergences"]
-
-    index = 0
-    while index < len(current["body"]):
-        trial = current["body"][index]
-        del current["body"][index]
-        if keeps_signature(current):
-            continue
-        current["body"].insert(index, trial)
-        index += 1
-    return current, list(args)
 
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def _names(allowed: Sequence[str], what: str):
+    """An argparse type: a comma-separated list drawn from *allowed*."""
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(part for part in text.split(",") if part)
+        unknown = [name for name in names if name not in allowed]
+        if unknown or not names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {','.join(unknown) or repr(text)} "
+                f"(choose from {','.join(allowed)})")
+        return names
+    return parse
+
+
+def replay(directory: str, levels: Sequence[int]) -> Tuple[int, int]:
+    """Replay every corpus case in *directory*, printing one line per
+    case and one per divergence; returns ``(cases, divergences)``."""
+    lanes = {cls.suffix: cls() for cls in LANES.values() if cls.suffix}
+    paths = sorted(os.path.join(directory, name)
+                   for name in (os.listdir(directory)
+                                if os.path.isdir(directory) else ())
+                   if os.path.splitext(name)[1][1:] in lanes)
+    failures = 0
+    for path in paths:
+        lane = lanes[os.path.splitext(path)[1][1:]]
+        with open(path) as stream:
+            text = stream.read()
+        divergences = _verdict(lane, lane.loads(text), levels)["divergences"]
+        print(f"{path}: {'DIVERGED' if divergences else 'ok'}")
+        for line in divergences:
+            print(f"  {line}")
+        failures += len(divergences)
+    return len(paths), failures
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1670,64 +1686,42 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "deterministic per seed)")
     parser.add_argument("--count", type=int, default=200,
                         help="number of cases to run (default 200)")
-    parser.add_argument("--levels", default=",".join(
-                            str(level) for level in OPT_LEVELS),
+    parser.add_argument("--levels",
+                        type=_names([str(level) for level in OPT_LEVELS],
+                                    "level"),
+                        default=tuple(str(level) for level in OPT_LEVELS),
                         help="comma-separated opt levels to compare "
                              "(default all)")
-    parser.add_argument("--lanes",
-                        default="module,filter,script,pac,dns",
-                        help="comma-separated lanes to fuzz")
+    parser.add_argument("--lanes", type=_names(tuple(LANES), "lane"),
+                        default=tuple(LANES),
+                        help=f"comma-separated lanes to fuzz (default "
+                             f"{','.join(LANES)})")
     parser.add_argument("--max-seconds", type=float, default=0,
                         help="stop after this wall-clock budget "
                              "(0 = no limit)")
     parser.add_argument("--emit-corpus", metavar="DIR", default=None,
-                        help="write minimized interesting module cases "
-                             "(.hlt), DNS inputs (.dns) and script cases "
-                             "(.bro) into DIR as replayable files")
+                        help="write each lane's interesting cases, "
+                             "trimmed, into DIR as replayable "
+                             "<lane>_<NNN>.<suffix> files")
     parser.add_argument("--corpus-limit", type=int, default=8,
-                        help="max corpus files to emit (default 8)")
+                        help="max corpus files to emit per lane "
+                             "(default 8)")
     parser.add_argument("--replay", metavar="DIR", default=None,
-                        help="replay every .hlt, .dns, .http and .bro "
-                             "corpus case in DIR instead of fuzzing")
+                        help="replay every corpus case in DIR instead "
+                             "of fuzzing")
     parser.add_argument("--progress", type=int, default=0, metavar="N",
                         help="print a progress line every N cases")
     args = parser.parse_args(argv)
-    levels = tuple(int(part) for part in args.levels.split(","))
+    levels = tuple(int(level) for level in args.levels)
 
     if args.replay:
-        import glob
-        import os
-
-        failures = 0
-        dns_oracle = pac_oracle = None
-        paths = []
-        for suffix in ("hlt", "dns", "http", "bro"):
-            paths += sorted(glob.glob(os.path.join(args.replay,
-                                                   f"*.{suffix}")))
-        for path in paths:
-            with open(path) as stream:
-                text = stream.read()
-            if path.endswith(".dns"):
-                dns_oracle = dns_oracle or _DnsOracle(levels)
-                result = run_dns_corpus_text(text, dns_oracle)
-            elif path.endswith(".http"):
-                pac_oracle = pac_oracle or _PacOracle(levels)
-                result = run_pac_corpus_text(text, pac_oracle)
-            elif path.endswith(".bro"):
-                result = run_script_corpus_text(text, levels)
-            else:
-                result = run_corpus_text(text, levels)
-            status = "ok" if not result["divergences"] else "DIVERGED"
-            print(f"{path}: {status}")
-            for line in result["divergences"]:
-                print(f"  {line}")
-                failures += 1
-        print(f"replayed {len(paths)} corpus cases, "
-              f"{failures} divergences")
+        cases, failures = replay(args.replay, levels)
+        if not cases:
+            parser.error(f"--replay {args.replay}: no corpus cases")
+        print(f"replayed {cases} corpus cases, {failures} divergences")
         return 1 if failures else 0
 
-    lanes = tuple(part for part in args.lanes.split(",") if part)
-    fuzzer = Fuzzer(seed=args.seed, levels=levels, lanes=lanes)
+    fuzzer = Fuzzer(seed=args.seed, levels=levels, lanes=args.lanes)
     summary = fuzzer.run(args.count, max_seconds=args.max_seconds,
                          progress=args.progress)
     print(f"fuzz: {summary['total']} cases "
@@ -1738,9 +1732,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"DIVERGENCE in {case['lane']} lane:")
         for line in case["divergences"]:
             print(f"  {line}")
-        if "minimized" in case:
-            print("  minimized reproduction:")
-            for line in case["minimized"].splitlines():
+        if "reproduction" in case:
+            print("  reproduction:")
+            for line in case["reproduction"].splitlines():
                 print(f"    {line}")
     if args.emit_corpus:
         written = fuzzer.emit_corpus(args.emit_corpus,

@@ -30,32 +30,72 @@ from repro.core.optimize import OPT_LEVELS
 from repro.runtime.containers import HiltiMap, HiltiVector
 from repro.runtime.exceptions import HiltiError
 from repro.tools.fuzz import (
+    LANES,
     Fuzzer,
     _DnsOracle,
     _PacOracle,
     gen_dns_message,
-    run_corpus_text,
-    run_dns_corpus_text,
-    run_pac_corpus_text,
-    run_script_corpus_text,
+    main,
 )
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
-CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.hlt")))
+# The lane that reads each corpus suffix.
+SUFFIXES = {cls.suffix: name for name, cls in LANES.items() if cls.suffix}
+
+
+def _corpus(suffix):
+    return sorted(glob.glob(os.path.join(CORPUS_DIR, f"*.{suffix}")))
+
+
+CORPUS_FILES = _corpus("hlt")
+DNS_FILES = _corpus("dns")
+HTTP_FILES = _corpus("http")
+SCRIPT_FILES = _corpus("bro")
+
+
+@pytest.fixture(scope="module")
+def lanes():
+    """One lane per suffix, so each grammar lane compiles its parsers
+    once for the whole module."""
+    return {suffix: LANES[name]() for suffix, name in SUFFIXES.items()}
+
+
+def _replay(name, lane=None):
+    """A checked-in case's verdict: its suffix's lane reads and runs it."""
+    lane = lane or LANES[SUFFIXES[name.rpartition(".")[2]]]()
+    with open(os.path.join(CORPUS_DIR, name)) as stream:
+        return lane.run(lane.loads(stream.read()), OPT_LEVELS)
+
+
+def _replays(suffix):
+    """The test that every checked-in case of one suffix agrees on every
+    tier and level; each lane's class holds one."""
+    files = _corpus(suffix)
+
+    @pytest.mark.parametrize(
+        "path", files, ids=[os.path.basename(p) for p in files])
+    def test(self, path, lanes):
+        name = os.path.basename(path)
+        assert _replay(name, lanes[suffix])["divergences"] == []
+
+    return test
+
+
+def _fresh_cases(lane, count):
+    """The test that *count* fresh seed-1 cases of *lane* agree."""
+    def test(self):
+        summary = Fuzzer(seed=1, lanes=(lane,)).run(count)
+        assert summary["cases"] == {lane: count}
+        assert summary["divergences"] == 0
+
+    return test
 
 
 class TestCorpusReplay:
     def test_corpus_is_checked_in(self):
         assert len(CORPUS_FILES) >= 8
 
-    @pytest.mark.parametrize(
-        "path", CORPUS_FILES,
-        ids=[os.path.basename(p) for p in CORPUS_FILES])
-    def test_case_agrees_on_every_level(self, path):
-        with open(path) as stream:
-            text = stream.read()
-        result = run_corpus_text(text, levels=OPT_LEVELS)
-        assert result["divergences"] == []
+    test_case_agrees_on_every_level = _replays("hlt")
 
 
 class TestOracleSeesTheEmitter:
@@ -63,8 +103,7 @@ class TestOracleSeesTheEmitter:
     catch a broken emitter: sabotage it two ways and replay."""
 
     def _replay(self, name):
-        with open(os.path.join(CORPUS_DIR, name)) as stream:
-            return run_corpus_text(stream.read())["divergences"]
+        return _replay(name)["divergences"]
 
     def test_sabotaged_line_count_table_is_caught(self, monkeypatch):
         from repro.core import codegen
@@ -97,26 +136,72 @@ class TestOracleSeesTheEmitter:
 
 
 class TestFixedSeedSmoke:
-    def test_fresh_module_cases_do_not_diverge(self):
-        fuzzer = Fuzzer(seed=1, lanes=("module",))
-        summary = fuzzer.run(40)
-        assert summary["cases"] == {"module": 40}
-        assert summary["divergences"] == 0
-
-    def test_fresh_dns_cases_do_not_diverge(self):
-        fuzzer = Fuzzer(seed=1, lanes=("dns",))
-        summary = fuzzer.run(40)
-        assert summary["cases"] == {"dns": 40}
-        assert summary["divergences"] == 0
-
-    def test_fresh_pac_cases_do_not_diverge(self):
-        fuzzer = Fuzzer(seed=1, lanes=("pac",))
-        summary = fuzzer.run(100)
-        assert summary["cases"] == {"pac": 100}
-        assert summary["divergences"] == 0
+    test_fresh_module_cases_do_not_diverge = _fresh_cases("module", 40)
+    test_fresh_filter_cases_do_not_diverge = _fresh_cases("filter", 20)
+    test_fresh_dns_cases_do_not_diverge = _fresh_cases("dns", 40)
+    test_fresh_pac_cases_do_not_diverge = _fresh_cases("pac", 100)
 
 
-DNS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.dns")))
+class TestRoundTrip:
+    """An emitted case replays to the verdict it was found with."""
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, cls in LANES.items() if cls.suffix))
+    def test_emitted_case_replays_to_the_same_verdict(self, name):
+        lane, rng = LANES[name](), random.Random(1)
+        for __ in range(12):
+            case = lane.generate(rng)
+            found = lane.run(case, OPT_LEVELS)
+            text = lane.dumps(case, note=found["signature"] or "")
+            again = lane.run(lane.loads(text), OPT_LEVELS)
+            assert (again["divergences"], again["signature"]) \
+                == (found["divergences"], found["signature"]), text
+
+    def test_emit_corpus_writes_one_file_per_interesting_case(self, tmp_path):
+        fuzzer = Fuzzer(seed=1, lanes=("script", "dns"))
+        fuzzer.run(30)
+        written = fuzzer.emit_corpus(str(tmp_path), limit=3)
+        assert sorted(os.listdir(tmp_path)) == [
+            f"{name}_{index:03d}.{LANES[name].suffix}"
+            for name in ("dns", "script") for index in range(3)]
+        assert len(written) == 6
+
+
+class TestCommandLine:
+    """The CLI rejects what it cannot run instead of running nothing."""
+
+    @pytest.mark.parametrize("argv", [["--lanes", "modul"],
+                                      ["--levels", "2"],
+                                      ["--lanes", ""]])
+    def test_unknown_lane_or_level_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--count", "1"])
+        assert exit_.value.code == 2
+        assert "unknown" in capsys.readouterr().err
+
+    def test_replay_that_finds_no_case_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--replay", str(tmp_path / "missing")])
+        assert exit_.value.code == 2
+        assert "no corpus cases" in capsys.readouterr().err
+
+    def test_replay_counts_every_case(self, tmp_path, capsys):
+        for name in ("case_000.hlt", "dns_000.dns", "script_000.bro"):
+            with open(os.path.join(CORPUS_DIR, name)) as source:
+                (tmp_path / name).write_text(source.read())
+        assert main(["--replay", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "replayed 3 corpus cases, 0 divergences\n")
+
+    def test_an_exception_in_a_lane_is_a_divergence(self, monkeypatch):
+        def broken(self, case, levels):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(LANES["filter"], "run", broken)
+        fuzzer = Fuzzer(seed=1, lanes=("filter",))
+        assert fuzzer.run(2)["divergences"] == 2
+        assert fuzzer.divergences[0]["divergences"] == [
+            "toolchain error: RuntimeError('boom')"]
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +216,7 @@ class TestDnsLane:
     def test_dns_corpus_is_checked_in(self):
         assert len(DNS_FILES) >= 8
 
-    @pytest.mark.parametrize(
-        "path", DNS_FILES, ids=[os.path.basename(p) for p in DNS_FILES])
-    def test_dns_case_agrees(self, path, dns_oracle):
-        with open(path) as stream:
-            result = run_dns_corpus_text(stream.read(), dns_oracle)
-        assert result["divergences"] == []
+    test_dns_case_agrees = _replays("dns")
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_truncation_at_every_length(self, seed, dns_oracle):
@@ -169,17 +249,9 @@ class TestDnsLane:
         assert any("incremental" in line for line in result["divergences"])
 
 
-HTTP_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.http")))
-
-
 @pytest.fixture(scope="module")
 def pac_oracle():
     return _PacOracle()
-
-
-def _replay_http(name, oracle):
-    with open(os.path.join(CORPUS_DIR, name)) as stream:
-        return run_pac_corpus_text(stream.read(), oracle)
 
 
 class TestPacLane:
@@ -189,20 +261,15 @@ class TestPacLane:
     def test_http_corpus_is_checked_in(self):
         assert len(HTTP_FILES) >= 10
 
-    @pytest.mark.parametrize(
-        "path", HTTP_FILES, ids=[os.path.basename(p) for p in HTTP_FILES])
-    def test_http_case_agrees(self, path, pac_oracle):
-        with open(path) as stream:
-            result = run_pac_corpus_text(stream.read(), pac_oracle)
-        assert result["divergences"] == []
+    test_http_case_agrees = _replays("http")
 
-    def test_corpus_fails_at_every_token_that_can_fail(self, pac_oracle):
+    def test_corpus_fails_at_every_token_that_can_fail(self, lanes):
         # Every token of RequestLine, StatusLine and Header except the
         # two that match any line (reason, header value).
         failed = set()
         for path in HTTP_FILES:
-            error = _replay_http(os.path.basename(path),
-                                 pac_oracle)["expected"][1]
+            error = _replay(os.path.basename(path),
+                            lanes["http"])["expected"][1]
             if error is not None:
                 failed.add(error[1])
         assert {f"expected token /{pattern}/" for pattern in (
@@ -232,18 +299,10 @@ class TestPacLane:
                             lambda sources, open_end: source(sources, False))
         regexp.sequence_matcher.cache_clear()
         try:
-            result = _replay_http("http_016.http", _PacOracle())
+            result = _replay("http_016.http")
         finally:
             regexp.sequence_matcher.cache_clear()
         assert any("fed" in line for line in result["divergences"])
-
-
-SCRIPT_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.bro")))
-
-
-def _replay_script(name):
-    with open(os.path.join(CORPUS_DIR, name)) as stream:
-        return run_script_corpus_text(stream.read())["divergences"]
 
 
 class TestScriptLane:
@@ -253,17 +312,8 @@ class TestScriptLane:
     def test_script_corpus_is_checked_in(self):
         assert len(SCRIPT_FILES) >= 6
 
-    @pytest.mark.parametrize(
-        "path", SCRIPT_FILES,
-        ids=[os.path.basename(p) for p in SCRIPT_FILES])
-    def test_script_case_agrees(self, path):
-        assert _replay_script(os.path.basename(path)) == []
-
-    def test_fresh_script_cases_do_not_diverge(self):
-        fuzzer = Fuzzer(seed=1, lanes=("script",))
-        summary = fuzzer.run(60)
-        assert summary["cases"] == {"script": 60}
-        assert summary["divergences"] == 0
+    test_script_case_agrees = _replays("bro")
+    test_fresh_script_cases_do_not_diverge = _fresh_cases("script", 60)
 
     def test_lane_sees_a_vector_write_that_pads(self, monkeypatch):
         # Sabotage the compiled engine only: its vector writes pad with
@@ -281,7 +331,7 @@ class TestScriptLane:
             padding_assign if fn is val.index_assign else fn
             for fn in compiler._CONTAINER_NATIVES))
         assert any("<uninitialized>" in line
-                   for line in _replay_script("script_006.bro"))
+                   for line in _replay("script_006.bro")["divergences"])
 
     def test_lane_sees_an_escaping_runtime_error(self, monkeypatch):
         # Sabotage the interpreter only: a missing key raises an error
@@ -296,7 +346,7 @@ class TestScriptLane:
 
         monkeypatch.setattr(interp.val, "index", escaping_index)
         assert any("interp ('raise', 'KeyError'" in line
-                   for line in _replay_script("script_001.bro"))
+                   for line in _replay("script_001.bro")["divergences"])
 
 
 def _outcome(program, entry, args):

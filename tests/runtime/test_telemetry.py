@@ -70,12 +70,6 @@ class TestGauge:
         g.dec(3)
         assert g.value == 12
 
-    def test_set_max_keeps_high_water_mark(self):
-        g = MetricsRegistry().gauge("peak")
-        g.set_max(7)
-        g.set_max(3)
-        assert g.value == 7
-
 
 class TestHistogram:
     def test_bucketing(self):
