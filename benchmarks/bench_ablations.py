@@ -8,7 +8,9 @@ Four knobs the paper identifies, each measured here:
    better data structure" — linear vs trie scaling with the rule count.
 2. HILTI-level optimizations (§6.6): "our toolchain does not yet exploit
    HILTI's optimization potential: it lacks ... constant folding and
-   common subexpression elimination" — we implement them; measure on/off.
+   common subexpression elimination" — we implement CSE with constant
+   propagation and dead-store elimination (folding was deleted: it
+   changed no code of the paper's programs); measure on/off.
 3. Incremental UDP parsing (§6.4): "the BinPAC++ compiler always
    generates code supporting incremental parsing, even though it could
    optimize for UDP where one sees complete PDUs at a time" — the DNS
@@ -141,14 +143,12 @@ def test_optimization_report(report, benchmark):
     on_ns = min(timed(1) for __ in range(3))
     report(
         "Ablation 2: HILTI-level optimizations (paper: future work)",
-        constants_folded=stats.folded,
-        cse_hits=stats.cse_hits,
-        dead_stores=stats.dead_stores,
+        **stats.as_dict(),
         unoptimized_ms=off_ns / 1e6,
         optimized_ms=on_ns / 1e6,
         speedup=off_ns / on_ns,
     )
-    assert stats.folded >= 2 and stats.cse_hits >= 1
+    assert stats.cse_hits >= 1 and stats.propagated >= 1
     assert on_ns < off_ns * 1.1  # never slower (noise margin)
     benchmark(lambda: None)
 

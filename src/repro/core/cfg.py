@@ -1,9 +1,9 @@
 """Control-flow graphs over HILTI functions.
 
-Used by the optimizer for reachability (dead-block elimination) and by the
-code generator to resolve fall-through edges: blocks without an explicit
-terminator continue at the lexically following block, as in the paper's
-Figure 5 listing.
+The optimizer's dataflow passes read a block's successors from here,
+fall-through edges included: blocks without an explicit terminator
+continue at the lexically following block, as in the paper's Figure 5
+listing.
 """
 
 from __future__ import annotations

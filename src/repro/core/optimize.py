@@ -3,29 +3,30 @@
 The paper notes its prototype "lacks support for even the most basic
 compiler optimizations, such as constant folding and common subexpression
 elimination at the HILTI level" (section 6.6) and sketches them as the
-clear next step.  We implement them as a leveled pass pipeline run by the
-toolchain between typecheck and lowering (``-O1``, the default); the
-ablation benchmark (``benchmarks/bench_ablations.py``) and the regression
-harness (``benchmarks/bench_regression.py``) turn it on and off:
+clear next step.  We implement CSE, with propagation, dead-store
+elimination and block merging, as a pass pipeline run by the toolchain
+between typecheck and lowering (``-O1``, the default); the ablation
+benchmark (``benchmarks/bench_ablations.py``) and the regression harness
+(``benchmarks/bench_regression.py``) turn it on and off:
 
-* constant folding — pure instructions with all-constant operands execute
-  at compile time;
 * constant/copy propagation — values assigned from constants or other
   locals flow forward into later operands (locals are frame-private, so
   facts survive across calls);
-* branch simplification — ``if.else``/``switch`` on a constant collapse
-  to a ``jump``;
 * local + extended-basic-block CSE — repeated pure computations on
   unchanged operands collapse to a copy; single-predecessor blocks
   inherit their predecessor's available expressions, which is what folds
   the per-primitive overlay reads a BPF filter re-emits on every branch
   chain;
 * dead-store elimination — pure results written to locals nobody reads;
-* jump threading — branches into trivial forwarding blocks retarget;
 * straight-line block merging — a block whose only entry is one
   unconditional predecessor splices into it, so the code generator
-  charges fewer, larger straight-line regions;
-* dead-block elimination — blocks unreachable in the CFG are dropped.
+  charges fewer, larger straight-line regions.
+
+Each pass saves executed instructions on one of the paper's programs
+(compiled Bro scripts, the BPF filter, the stateful firewall).  Constant
+folding, branch simplification, jump threading, dead-block removal and
+local pruning saved none worth keeping there and were deleted —
+docs/PERFORMANCE.md, "Why only four passes".
 
 The passes must never change observable behaviour; ``repro.tools.fuzz``
 differentially tests every level against the interpreter oracle.
@@ -37,8 +38,7 @@ import functools
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import types as ht
-from .cfg import reachable_blocks, successors
-from .instructions import REGISTRY
+from .cfg import successors
 from .ir import (
     Const,
     FieldRef,
@@ -83,11 +83,8 @@ _PURE_PREFIXES = (
 _PURE_EXACT = {
     "assign", "equal", "unequal", "select", "and", "or", "not",
 }
-# Pure but may raise (division by zero, index errors): foldable only when
-# folding succeeds, never removable as dead? They are removable — HILTI
-# semantics make the trap observable, but dead-store elimination of a
-# trapping division changes behaviour only for programs already raising;
-# we keep them to stay semantics-preserving.
+# Pure but may raise (division by zero, index errors): the trap is
+# observable, so these are neither CSE'd nor removed as dead stores.
 _PURE_MAY_RAISE = {"int.div", "int.mod", "double.div", "tuple.index"}
 
 # Memory *reads*: no side effects, but the result depends on heap state
@@ -113,46 +110,26 @@ _TERMINATORS = {"jump", "if.else", "switch", "return.void", "return.result"}
 
 
 class OptStats:
-    """Counts of what each pass changed (reported by the ablation bench)."""
+    """Counts of what each pass changed."""
+
+    #: One counter per pass, in pipeline order; ``total``, ``as_dict``
+    #: and ``repr`` (and so every report of the counts) read this tuple.
+    COUNTERS = ("propagated", "cse_hits", "dead_stores", "blocks_merged")
+    __slots__ = COUNTERS
 
     def __init__(self):
-        self.folded = 0
-        self.propagated = 0
-        self.branches_simplified = 0
-        self.dead_blocks = 0
-        self.dead_stores = 0
-        self.cse_hits = 0
-        self.jumps_threaded = 0
-        self.blocks_merged = 0
-        self.locals_pruned = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def total(self) -> int:
-        return (self.folded + self.propagated + self.branches_simplified
-                + self.dead_blocks + self.dead_stores + self.cse_hits
-                + self.jumps_threaded + self.blocks_merged
-                + self.locals_pruned)
+        return sum(self.as_dict().values())
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "folded": self.folded,
-            "propagated": self.propagated,
-            "branches_simplified": self.branches_simplified,
-            "dead_blocks": self.dead_blocks,
-            "dead_stores": self.dead_stores,
-            "cse_hits": self.cse_hits,
-            "jumps_threaded": self.jumps_threaded,
-            "blocks_merged": self.blocks_merged,
-            "locals_pruned": self.locals_pruned,
-        }
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def __repr__(self) -> str:
-        return (
-            f"OptStats(folded={self.folded}, prop={self.propagated}, "
-            f"branches={self.branches_simplified}, "
-            f"dead_blocks={self.dead_blocks}, "
-            f"dead_stores={self.dead_stores}, cse={self.cse_hits}, "
-            f"jumps={self.jumps_threaded}, merged={self.blocks_merged})"
-        )
+        return "OptStats({})".format(", ".join(
+            f"{name}={value}" for name, value in self.as_dict().items()))
 
 
 @functools.cache
@@ -278,38 +255,6 @@ def _forward_must(function: Function, transfer) -> Dict[str, Dict]:
 # --------------------------------------------------------------------------
 
 
-def fold_constants(function: Function, stats: OptStats) -> None:
-    """Evaluate pure all-constant instructions at compile time."""
-    for block in function.blocks:
-        for position, instruction in enumerate(block.instructions):
-            if instruction.target is None:
-                continue
-            if not _is_pure(instruction.mnemonic):
-                continue
-            if instruction.mnemonic == "assign":
-                continue
-            if not instruction.operands or not all(
-                isinstance(op, Const) for op in instruction.operands
-            ):
-                continue
-            definition = REGISTRY[instruction.mnemonic]
-            if definition.fn is None:
-                continue
-            try:
-                result = definition.fn(
-                    None, *[op.value for op in instruction.operands]
-                )
-            except Exception:
-                continue  # Trapping fold (e.g. 1/0): leave for runtime.
-            block.instructions[position] = Instruction(
-                "assign",
-                (Const(ht.ANY, result),),
-                instruction.target,
-                instruction.location,
-            )
-            stats.folded += 1
-
-
 def _rewrite_operand(operand: Operand, env: Dict[str, Operand],
                      counter: List[int]) -> Operand:
     if isinstance(operand, Var):
@@ -391,47 +336,6 @@ def propagate_constants(function: Function, stats: OptStats) -> None:
         env = dict(env)
         for instruction in block.instructions:
             _propagation_step(function, instruction, env, stats)
-
-
-def simplify_branches(function: Function, stats: OptStats) -> None:
-    """Collapse branches whose condition is a compile-time constant."""
-    for block in function.blocks:
-        if not block.instructions:
-            continue
-        last = block.instructions[-1]
-        if last.mnemonic == "if.else" and isinstance(last.operands[0], Const):
-            taken = last.operands[1] if last.operands[0].value \
-                else last.operands[2]
-            block.instructions[-1] = Instruction(
-                "jump", (taken,), None, last.location
-            )
-            stats.branches_simplified += 1
-        elif last.mnemonic == "switch" and \
-                isinstance(last.operands[0], Const):
-            value = last.operands[0].value
-            taken = last.operands[1]  # default
-            for case in last.operands[2:]:
-                if (
-                    isinstance(case, TupleOp)
-                    and len(case.elements) == 2
-                    and isinstance(case.elements[0], Const)
-                    and isinstance(case.elements[1], LabelRef)
-                    and case.elements[0].value == value
-                ):
-                    taken = case.elements[1]
-                    break
-            block.instructions[-1] = Instruction(
-                "jump", (taken,), None, last.location
-            )
-            stats.branches_simplified += 1
-
-
-def remove_dead_blocks(function: Function, stats: OptStats) -> None:
-    reachable = reachable_blocks(function)
-    kept = [b for b in function.blocks if b.label in reachable]
-    stats.dead_blocks += len(function.blocks) - len(kept)
-    function.blocks = kept
-    function.rebuild_block_index()
 
 
 def remove_dead_stores(function: Function, module: Module,
@@ -562,66 +466,12 @@ def _flatten(key) -> Set[Tuple]:
     return out
 
 
-def thread_jumps(function: Function, stats: OptStats) -> None:
-    """Collapse chains of trivial forwarding blocks.
-
-    A block containing only ``jump X`` adds a needless control transfer;
-    every branch targeting it is redirected straight to ``X`` (cycles are
-    left alone).  Dead-block elimination then removes the skipped block.
-    """
-    forwards: Dict[str, str] = {}
-    for block in function.blocks:
-        if len(block.instructions) == 1 and \
-                block.instructions[0].mnemonic == "jump":
-            target = block.instructions[0].operands[0].label
-            if target != block.label:
-                forwards[block.label] = target
-
-    def resolve(label: str) -> str:
-        seen = set()
-        while label in forwards and label not in seen:
-            seen.add(label)
-            label = forwards[label]
-        return label
-
-    rewired = 0
-    for block in function.blocks:
-        for instruction in block.instructions:
-            if instruction.mnemonic not in ("jump", "if.else", "switch",
-                                            "try.begin"):
-                continue
-            new_operands = []
-            changed = False
-            for operand in instruction.operands:
-                if isinstance(operand, LabelRef):
-                    resolved = resolve(operand.label)
-                    if resolved != operand.label:
-                        operand = LabelRef(resolved)
-                        changed = True
-                elif isinstance(operand, TupleOp):
-                    elements = []
-                    for element in operand.elements:
-                        if isinstance(element, LabelRef):
-                            resolved = resolve(element.label)
-                            if resolved != element.label:
-                                element = LabelRef(resolved)
-                                changed = True
-                        elements.append(element)
-                    operand = TupleOp(elements)
-                new_operands.append(operand)
-            if changed:
-                instruction.operands = tuple(new_operands)
-                rewired += 1
-    stats.jumps_threaded += rewired
-
-
 def merge_blocks(function: Function, stats: OptStats) -> None:
     """Splice single-entry blocks into their unconditional predecessor.
 
-    After jump threading the CFG often contains chains ``A -jump-> B``
-    (or fallthroughs) where B has no other entry; merging them gives the
-    code generator longer straight-line runs — fewer, larger regions to
-    charge.  Entry blocks and try-handler targets are
+    Chains ``A -jump-> B`` (or fallthroughs) where B has no other entry
+    are common in lowered code; merging them gives the code generator
+    longer straight-line runs — fewer, larger regions to charge.  Entry blocks and try-handler targets are
     never merged away (exceptional control enters handlers edge-free).
     """
     while True:
@@ -687,26 +537,6 @@ def merge_blocks(function: Function, stats: OptStats) -> None:
             return
 
 
-def prune_locals(function: Function, stats: OptStats) -> None:
-    """Drop locals no remaining instruction reads or writes.
-
-    Earlier passes routinely orphan temporaries (a propagated copy whose
-    store was then dead-store-eliminated); removing the slot shrinks
-    every frame the compiled tier allocates for this function.
-    """
-    used: Set[str] = set()
-    for block in function.blocks:
-        for instruction in block.instructions:
-            if instruction.target is not None:
-                used.add(instruction.target.name)
-            for operand in instruction.operands:
-                used |= _operand_vars(operand)
-    kept = [local for local in function.locals if local.name in used]
-    if len(kept) != len(function.locals):
-        stats.locals_pruned += len(function.locals) - len(kept)
-        function.locals = kept
-
-
 def optimize_function(module: Module, function: Function,
                       stats: Optional[OptStats] = None,
                       level: int = 1) -> OptStats:
@@ -715,20 +545,12 @@ def optimize_function(module: Module, function: Function,
     if level <= 0:
         return stats
 
-    def pipeline():
-        fold_constants(function, stats)
+    for _round in range(4):
+        before = stats.total()
         propagate_constants(function, stats)
         local_cse(function, stats)
         remove_dead_stores(function, module, stats)
-        simplify_branches(function, stats)
-        thread_jumps(function, stats)
         merge_blocks(function, stats)
-        remove_dead_blocks(function, stats)
-        prune_locals(function, stats)
-
-    for _round in range(4):
-        before = stats.total()
-        pipeline()
         if stats.total() == before:
             break
     return stats

@@ -40,24 +40,8 @@ def _behavior(source, entry, cases):
 
 
 class TestConstantFolding:
-    def test_folds_pure_constant_ops(self):
-        module, stats = _optimized("""module Main
-int<64> f() {
-    local int<64> x
-    x = int.add 20 22
-    return x
-}
-""")
-        assert stats.folded >= 1
-        # The folded constant propagates all the way into the return.
-        instructions = [
-            i
-            for b in module.functions["Main::f"].blocks
-            for i in b.instructions
-        ]
-        assert all(i.mnemonic != "int.add" for i in instructions)
-        assert instructions[-1].mnemonic == "return.result"
-        assert instructions[-1].operands[0].value == 42
+    """-O1 has no folding pass (docs/PERFORMANCE.md, "Why only four
+    passes"): constant operations run, and trap, at run time."""
 
     def test_leaves_trapping_folds_for_runtime(self):
         module, stats = _optimized("""module Main
@@ -85,23 +69,6 @@ int<64> f() {
 
 
 class TestDeadCode:
-    def test_unreachable_blocks_removed(self):
-        module, stats = _optimized("""module Main
-int<64> f() {
-    jump out
-dead:
-    local int<64> z
-    z = int.add 1 2
-    jump out
-out:
-    return 0
-}
-""")
-        # `dead` has no predecessors (jump goes straight to out).
-        labels = [b.label for b in module.functions["Main::f"].blocks]
-        assert "dead" not in labels
-        assert stats.dead_blocks >= 1
-
     def test_dead_stores_removed(self):
         module, stats = _optimized("""module Main
 int<64> f(int<64> a) {
@@ -240,24 +207,8 @@ void run() {
 
 
 class TestJumpThreading:
-    def test_forwarding_block_bypassed(self):
-        module, stats = _optimized("""module Main
-int<64> f(int<64> x) {
-    local bool b
-    b = int.lt x 0
-    if.else b hop direct
-hop:
-    jump target
-direct:
-    return 1
-target:
-    return 2
-}
-""")
-        assert stats.jumps_threaded >= 1
-        # The forwarding block is now unreachable and removed.
-        labels = [b.label for b in module.functions["Main::f"].blocks]
-        assert "hop" not in labels
+    """Forwarding blocks stay in place at -O1; block merging must
+    terminate on them and keep behaviour."""
 
     def test_threaded_program_still_correct(self):
         src = """module Main
@@ -301,13 +252,10 @@ done:
 
 
 class TestConstantPropagation:
-    def test_propagates_across_blocks(self):
-        # x is 7 on every path into the join block; the branch on the
-        # known condition folds and the add computes at compile time.
-        module, stats = _optimized("""module Main
+    JOIN = """module Main
 int<64> f(bool c) {
     local int<64> x
-    x = int.add 3 4
+    x = 7
     if.else c a b
 a:
     jump join
@@ -318,15 +266,24 @@ join:
     y = int.add x 1
     return y
 }
-""")
-        assert stats.propagated + stats.folded >= 2
+"""
+
+    def test_propagates_across_blocks(self):
+        # x is 7 on every path into the join block, so the add there
+        # reads the constant, and x's store is dead.
+        module, stats = _optimized(self.JOIN)
+        assert stats.propagated >= 1
+        assert stats.dead_stores >= 1
         instructions = [
             i
             for b in module.functions["Main::f"].blocks
             for i in b.instructions
         ]
-        returns = [i for i in instructions if i.mnemonic == "return.result"]
-        assert returns and returns[0].operands[0].value == 8
+        adds = [i for i in instructions if i.mnemonic == "int.add"]
+        assert [op.value for add in adds for op in add.operands] == [7, 1]
+        assert all(i.target is None or i.target.name != "x"
+                   for i in instructions)
+        _behavior(self.JOIN, "Main::f", [((True,), 8), ((False,), 8)])
 
     def test_conflicting_paths_not_propagated(self):
         src = """module Main
@@ -350,29 +307,6 @@ join:
             assert program.call(ctx, "Main::f", [False]) == 2
 
 
-class TestBranchSimplification:
-    def test_constant_branch_becomes_jump(self):
-        module, stats = _optimized("""module Main
-int<64> f() {
-    local bool c
-    c = bool.and True True
-    if.else c yes no
-yes:
-    return 1
-no:
-    return 2
-}
-""")
-        assert stats.branches_simplified >= 1
-        assert stats.dead_blocks >= 1
-        mnemonics = [
-            i.mnemonic
-            for b in module.functions["Main::f"].blocks
-            for i in b.instructions
-        ]
-        assert "if.else" not in mnemonics
-
-
 class TestBlockMerging:
     def test_single_pred_single_succ_merged(self):
         module, stats = _optimized("""module Main
@@ -386,27 +320,14 @@ next:
     return y
 }
 """)
-        assert stats.jumps_threaded + stats.blocks_merged >= 1
+        assert stats.blocks_merged >= 1
         function = module.functions["Main::f"]
         assert len(function.blocks) == 1
 
 
 class TestLocalPruning:
-    def test_unused_locals_dropped(self):
-        module, stats = _optimized("""module Main
-int<64> f(int<64> a) {
-    local int<64> dead
-    local int<64> keep
-    dead = int.add a 1
-    keep = int.mul a 2
-    return keep
-}
-""")
-        assert stats.dead_stores >= 1
-        assert stats.locals_pruned >= 1
-        names = [l.name for l in module.functions["Main::f"].locals]
-        assert "dead" not in names
-        assert "keep" in names
+    """A local orphaned by dead-store elimination keeps its frame slot;
+    the function still runs."""
 
     def test_pruned_function_still_runs(self):
         src = """module Main
@@ -424,22 +345,40 @@ int<64> f(int<64> a) {
 
 
 class TestOptStats:
-    def test_as_dict_reports_every_counter(self):
-        module, stats = _optimized("""module Main
-int<64> f() {
+    EVERY_PASS = """module Main
+int<64> f(int<64> a) {
     local int<64> x
-    x = int.add 20 22
-    return x
+    local int<64> y
+    local int<64> z
+    local int<64> unused
+    x = int.add a a
+    y = int.add a a
+    z = int.mul y 2
+    unused = int.mul a a
+    jump next
+next:
+    return z
 }
-""")
+"""
+
+    def test_as_dict_reports_every_counter(self):
+        module, stats = _optimized(self.EVERY_PASS)
         report = stats.as_dict()
-        assert report["folded"] >= 1
-        assert set(report) == {
-            "folded", "propagated", "branches_simplified", "dead_blocks",
-            "dead_stores", "cse_hits", "jumps_threaded", "blocks_merged",
-            "locals_pruned",
-        }
+        assert tuple(report) == OptStats.COUNTERS == (
+            "propagated", "cse_hits", "dead_stores", "blocks_merged")
+        assert all(report[name] >= 1 for name in OptStats.COUNTERS), report
+        _behavior(self.EVERY_PASS, "Main::f", [((3,), 12)])
+
+    def test_total_repr_and_as_dict_agree(self):
+        module, stats = _optimized(self.EVERY_PASS)
+        report = stats.as_dict()
+        assert report == {name: getattr(stats, name)
+                          for name in OptStats.COUNTERS}
         assert stats.total() == sum(report.values())
+        assert repr(stats) == "OptStats({})".format(", ".join(
+            f"{name}={value}" for name, value in report.items()))
+        with pytest.raises(AttributeError):
+            stats.folded = 1  # a deleted pass's counter cannot come back
 
 
 class TestOptLevels:

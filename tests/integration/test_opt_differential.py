@@ -176,3 +176,85 @@ class TestParserKernel:
             )
         assert len(set(logs.values())) == 1
         assert logs[0][2] > 0
+
+
+class TestPassesPayOnPaperPrograms:
+    """-O1's IR passes earn their place on the paper's own programs
+    (docs/PERFORMANCE.md, "Why only four passes"): the compiled Bro
+    scripts, the BPF filter and the firewall execute fewer instructions
+    at -O1, the BinPAC++ parsers the same number, and every pass fires
+    on one of them."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.apps.binpac.app import PacApp
+        from repro.apps.bpf.app import BpfApp
+        from repro.apps.bro import Bro
+        from repro.apps.firewall import RuleSet
+        from repro.apps.firewall.app import FirewallApp
+        from repro.net import tracegen as tg
+
+        rules = re.search(r'RULES = """(.*?)"""', (
+            REPO / "examples" / "stateful_firewall.py").read_text(),
+            re.S).group(1)
+        http = tg.generate_http_trace(tg.HttpTraceConfig(sessions=12,
+                                                         seed=101))
+        start = 1_400_000_000.0
+        mixed = tg.generate_mixed_trace(
+            tg.HttpTraceConfig(seed=101, sessions=6, start_time=start),
+            tg.DnsTraceConfig(seed=102, queries=30, start_time=start),
+            tg.SshTraceConfig(seed=103, sessions=2, start_time=start),
+            tg.TftpTraceConfig(seed=104, transfers=2, start_time=start))
+        programs = {
+            "bro": (lambda level: Bro(
+                parsers="pac", scripts_engine="hilti", opt_level=level,
+                print_stream=io.StringIO()), http),
+            "bpf": (lambda level: BpfApp("tcp and port 80",
+                                         opt_level=level), mixed),
+            "firewall": (lambda level: FirewallApp(
+                RuleSet.parse(rules, timeout_seconds=5.0),
+                opt_level=level), mixed),
+            "pac": (lambda level: PacApp(opt_level=level), mixed),
+        }
+        out = {}
+        for name, (build, trace) in programs.items():
+            for level in OPT_LEVELS:
+                app = build(level)
+                app.run(trace)
+                out[name, level] = (app.result_lines(), {
+                    label: (ctx.instr_count, ctx.program.opt_stats)
+                    for label, ctx in app.engine_contexts()})
+        return out
+
+    def test_results_identical(self, runs):
+        for name in ("bro", "bpf", "firewall", "pac"):
+            assert runs[name, 0][0] == runs[name, 1][0], name
+            assert runs[name, 0][0], name
+
+    @pytest.mark.parametrize("name,label", [
+        ("bro", "scripts"), ("bpf", "filter"), ("firewall", "firewall")])
+    def test_o1_executes_fewer_instructions(self, runs, name, label):
+        unoptimized, optimized = (runs[name, level][1][label][0]
+                                  for level in OPT_LEVELS)
+        assert 0 < optimized < unoptimized
+
+    def test_parsers_execute_the_same_count(self, runs):
+        parsers = [(name, label) for name in ("bro", "pac")
+                   for label in runs[name, 1][1] if label.startswith("pac/")]
+        assert len(parsers) == 6
+        for name, label in parsers:
+            counts = [runs[name, level][1][label][0] for level in OPT_LEVELS]
+            assert counts[0] == counts[1], (name, label, counts)
+        assert all(runs["pac", 1][1][f"pac/{p}"][0] > 0
+                   for p in ("http", "dns", "ssh", "tftp"))
+
+    def test_every_pass_fires(self, runs):
+        from repro.core.optimize import OptStats
+
+        fired = {counter: [] for counter in OptStats.COUNTERS}
+        for (name, level), (_, contexts) in runs.items():
+            for label, (_, stats) in contexts.items():
+                for counter, count in stats.as_dict().items():
+                    if count:
+                        fired[counter].append(f"{name}/{label}")
+        assert all(fired.values()), fired

@@ -330,8 +330,8 @@ class TestKeyingPins:
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="spawn start method unavailable")
     def test_equality_and_hash_survive_spawn(self):
-        """A uid_map pickled into a spawned worker must resolve there:
-        keys compare and hash from ints only, nothing salted."""
+        """Flow keys pickled into a spawned worker compare and hash
+        there as in the parent: from ints only, nothing salted."""
         flows = [FiveTuple(*f) for f in (V4, _reverse(V4), V4_UDP, V6)]
         keys = flows + [flow_key(flow) for flow in flows]
         payload = pickle.dumps(keys)
