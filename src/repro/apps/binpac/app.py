@@ -321,12 +321,6 @@ class PacApp(HostApp):
             "sessions_expired": self.demux.sessions_expired,
         }
 
-    def session_stats(self) -> Dict[str, int]:
-        return self.demux.session_stats()
-
-    def flow_snapshot(self, limit: int = 256) -> List[Dict]:
-        return self.demux.table.flow_snapshot(limit)
-
     def engine_contexts(self) -> List[Tuple[str, object]]:
         return [(f"pac/{protocol}", parser.ctx)
                 for protocol, parser in sorted(self.parsers.items())]
@@ -340,9 +334,6 @@ class PacApp(HostApp):
 
     def result_lines(self) -> List[str]:
         return sorted(self._lines)
-
-    def flow_record_lines(self) -> List[str]:
-        return self.demux.flow_record_lines()
 
 
 class PacLaneSpec(LaneSpec):

@@ -21,10 +21,9 @@ import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from ...host.app import HostApp, PipelineServices
-from ...host.flowtable import FlowTable
+from ...host.demux import FlowDemux, track_only
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
-from ...net.flows import decode_flow
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH
 from .compiler import compile_to_hilti, parse_filter
@@ -48,10 +47,10 @@ class BpfApp(HostApp):
         super().__init__(services)
         self.filter_text = filter_text
         self.engine = engine
-        # The flow ledger: every TCP/UDP frame is accounted regardless
-        # of the filter verdict, so the record stream describes the
-        # traffic the filter saw, not just what it passed.
-        self.flows = FlowTable(uid_format=format_record_uid)
+        # The flow layer, with no handler: every TCP/UDP frame is
+        # accounted whatever the filter verdict, so the record stream
+        # describes the traffic the filter saw, not just what it passed.
+        self.demux = FlowDemux(track_only, format_record_uid, self.services)
         if engine == "vm":
             self._program = compile_to_vm(parse_filter(filter_text))
             self._filter = self._ctx = None
@@ -83,11 +82,7 @@ class BpfApp(HostApp):
             ctx.disarm_watchdog()
 
     def packet(self, timestamp, frame: bytes) -> None:
-        packet = decode_flow(frame)
-        if packet is not None:
-            self.flows.account(packet, timestamp.seconds,
-                               packet.payload_len, packet.flags,
-                               self.ordinal)
+        self.demux.feed(timestamp, frame, self.ordinal)
         health = self.services.health
         begin = _time.perf_counter_ns()
         try:
@@ -110,7 +105,7 @@ class BpfApp(HostApp):
             self.rejected += 1
 
     def finish(self) -> None:
-        self.flows.finish()
+        self.demux.finish()
 
     # -- reporting hooks ---------------------------------------------------
 
@@ -137,9 +132,6 @@ class BpfApp(HostApp):
 
     def result_lines(self) -> List[str]:
         return sorted(self._lines)
-
-    def flow_record_lines(self) -> List[str]:
-        return self.flows.record_lines()
 
 
 class BpfLaneSpec(LaneSpec):

@@ -142,8 +142,9 @@ class Connection(Flow):
         conn_val.set("resp_bytes", ledger.resp_bytes)
         conn_val.set("orig_pkts", ledger.orig_pkts)
         conn_val.set("resp_pkts", ledger.resp_pkts)
-        conn_val.set("state", "SF" if self.established
-                     or self.reassembler is None else "OTH")
+        reassembler = ledger.reassembler
+        conn_val.set("state", "SF" if reassembler is None
+                     or reassembler.established else "OTH")
         self.span.event("close")
         self.span.finish()
         core.queue_event("connection_state_remove", [conn_val])

@@ -162,11 +162,11 @@ class Bro(HostApp):
                 ("udp", 53): (DnsStdAnalyzer, DnsPacAnalyzer),
             }
         # Bro's flow layer: the shared one, with a Bro connection as
-        # each flow's handler.
+        # each flow's handler (``tracker`` is its Bro-side name).
         self.connections = Connections(self.core, self._make_analyzer,
                                        self.telemetry.tracer)
-        self.tracker = FlowDemux(self.connections, format_conn_uid,
-                                 self.services)
+        self.demux = self.tracker = FlowDemux(
+            self.connections, format_conn_uid, self.services)
         self._tracing = self.telemetry.tracer.enabled
 
     # -- analyzer wiring ----------------------------------------------------
@@ -198,16 +198,6 @@ class Bro(HostApp):
         for name in self.core.logs.streams:
             lines.extend(self.core.logs.lines(name))
         return sorted(lines)
-
-    def flow_record_lines(self) -> List[str]:
-        """The connection ledger's sealed flow records, sorted."""
-        return self.tracker.flow_record_lines()
-
-    def session_stats(self) -> Dict[str, int]:
-        return self.tracker.session_stats()
-
-    def flow_snapshot(self, limit: int = 256) -> List[Dict]:
-        return self.tracker.table.flow_snapshot(limit)
 
     # -- the HostApp hooks ---------------------------------------------------
 

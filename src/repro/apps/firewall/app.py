@@ -23,10 +23,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ...core.values import Addr
 from ...host.app import HostApp, PipelineServices
-from ...host.flowtable import FlowTable
+from ...host.demux import FlowDemux, track_only
 from ...host.parallel import LaneSpec
 from ...net.flowrecord import format_record_uid
-from ...net.flows import FiveTuple, _fnv1a, decode_flow
+from ...net.flows import FiveTuple, _fnv1a
 from ...runtime.exceptions import HiltiError, PROCESSING_TIMEOUT
 from ...runtime.faults import SITE_ANALYZER_DISPATCH
 from .compiler import compile_firewall
@@ -65,9 +65,9 @@ class FirewallApp(HostApp):
             raise ValueError(f"unknown firewall engine {engine!r}")
         super().__init__(services)
         self.engine = engine
-        # The flow ledger: every TCP/UDP frame is accounted, whatever
-        # the rule verdict.
-        self.flows = FlowTable(uid_format=format_record_uid)
+        # The flow layer, with no handler: every TCP/UDP frame is
+        # accounted, whatever the rule verdict.
+        self.demux = FlowDemux(track_only, format_record_uid, self.services)
         if engine == "reference":
             self.firewall = ReferenceFirewall(ruleset)
         else:
@@ -96,11 +96,7 @@ class FirewallApp(HostApp):
     def packet(self, timestamp, frame: bytes) -> None:
         health = self.services.health
         begin = _time.perf_counter_ns()
-        packet = decode_flow(frame)
-        if packet is not None:
-            self.flows.account(packet, timestamp.seconds,
-                               packet.payload_len, packet.flags,
-                               self.ordinal)
+        packet = self.demux.feed(timestamp, frame, self.ordinal)
         self._parse_ns += _time.perf_counter_ns() - begin
         if packet is None:
             # Only TCP/UDP packets are firewalled — exactly the frames
@@ -132,7 +128,7 @@ class FirewallApp(HostApp):
             f"{timestamp.seconds:.6f} {src} {dst} {action}")
 
     def finish(self) -> None:
-        self.flows.finish()
+        self.demux.finish()
 
     # -- reporting hooks ---------------------------------------------------
 
@@ -163,9 +159,6 @@ class FirewallApp(HostApp):
 
     def result_lines(self) -> List[str]:
         return sorted(self._lines)
-
-    def flow_record_lines(self) -> List[str]:
-        return self.flows.record_lines()
 
 
 class FirewallLaneSpec(LaneSpec):

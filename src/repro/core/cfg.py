@@ -8,13 +8,11 @@ listing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List
 
-from .ir import Block, Function, LabelRef
+from .ir import Function, LabelRef
 
-__all__ = ["successors", "build_cfg", "reachable_blocks"]
-
-_TERMINATORS = {"jump", "if.else", "switch", "return.void", "return.result"}
+__all__ = ["successors"]
 
 
 def successors(function: Function, index: int) -> List[str]:
@@ -49,26 +47,3 @@ def successors(function: Function, index: int) -> List[str]:
             out.append(function.blocks[index + 1].label)
     return out
 
-
-def build_cfg(function: Function) -> Dict[str, List[str]]:
-    """label -> successor labels for every block."""
-    return {
-        block.label: successors(function, index)
-        for index, block in enumerate(function.blocks)
-    }
-
-
-def reachable_blocks(function: Function) -> Set[str]:
-    """Labels reachable from the entry block."""
-    if not function.blocks:
-        return set()
-    graph = build_cfg(function)
-    seen: Set[str] = set()
-    stack = [function.blocks[0].label]
-    while stack:
-        label = stack.pop()
-        if label in seen:
-            continue
-        seen.add(label)
-        stack.extend(graph.get(label, ()))
-    return seen

@@ -152,6 +152,11 @@ class HostApp:
     #: Metrics namespace and the ``app`` field of the stats report.
     name = "app"
 
+    #: The app's flow layer (:class:`repro.host.demux.FlowDemux`), which
+    #: every flow-keeping app sets; the flow-record, session and
+    #: open-flow reports read it.
+    demux = None
+
     def __init__(self, services: Optional[PipelineServices] = None):
         self.services = (services if services is not None
                          else PipelineServices())
@@ -246,23 +251,25 @@ class HostApp:
 
     def flow_record_lines(self) -> List[str]:
         """The run's sealed flow records as sorted JSON lines (schema
-        ``repro-flowrecords/1``) — every app's ledger exports through
-        here, and the parallel merge keeps the stream byte-identical
-        to the sequential run's.  Apps without a flow ledger report an
-        empty stream."""
-        return []
+        ``repro-flowrecords/1``) — every app's flow layer exports
+        through here, and the parallel merge keeps the stream
+        byte-identical to the sequential run's.  An app without one
+        reports an empty stream."""
+        return [] if self.demux is None else self.demux.flow_record_lines()
 
     def session_stats(self) -> Dict[str, int]:
-        """Session-table occupancy and eviction counters.  Stateful
-        apps override; the default (no per-session state, or state
-        HILTI-internal) reports zeros so every app exports the same
+        """The flow layer's occupancy and eviction counters; an app
+        without one reports zeros, so every app exports the same
         ``sessions_evicted``/``sessions_expired`` series."""
-        return {"open": 0, "evicted": 0, "expired": 0}
+        if self.demux is None:
+            return {"open": 0, "evicted": 0, "expired": 0}
+        return self.demux.session_stats()
 
     def flow_snapshot(self, limit: int = 256) -> List[Dict]:
-        """The open sessions as plain dicts (the service's ``/flows``
-        endpoint); stateless apps report an empty list."""
-        return []
+        """The open flows as plain dicts (the service's ``/flows``
+        endpoint); an app without a flow layer reports an empty list."""
+        return [] if self.demux is None else \
+            self.demux.table.flow_snapshot(limit)
 
     def live_metrics(self) -> Dict[str, float]:
         """Cheap point-in-time counters for the cross-process telemetry

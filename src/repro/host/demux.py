@@ -1,10 +1,14 @@
-"""The flow layer: per-flow state for every app that analyses flow content.
+"""The flow layer: per-flow state for every app.
 
 Bro (``repro.apps.bro``) and the BinPAC++ driver (``repro.apps.binpac``)
-both run on this one layer, so a flow means the same thing to both
-(docs/FLOWS.md, "The flow layer").  It owns:
+analyse flow content on it; bpf, the firewall and ``flowexport`` run on
+it with a factory that declines every flow (:func:`track_only`).  A flow
+means the same thing to all of them (docs/FLOWS.md, "The flow layer").
+It owns:
 
-* the decode, and one flow table for TCP and UDP;
+* the decode, and one flow table for TCP and UDP: the ledger's open
+  entries, each carrying its flow's handler and reassembler, so a flow
+  no handler claims costs one dict probe per packet and its entry;
 * opening a flow: the ledger entry is opened with the packet's ordinal,
   which names it, and the app's factory receives that entry;
 * TIME_WAIT: after a TCP teardown, a bare ACK or RST on the 5-tuple
@@ -34,14 +38,14 @@ import time as _time
 from typing import Callable, Dict, List, Optional
 
 from ..net.flows import decode_flow
-from ..net.packet import PROTO_TCP, SYN
+from ..net.packet import PROTO_TCP, SYN, Decoded
 from ..net.reassembly import ConnectionReassembler
 from ..runtime.exceptions import HiltiError
-from ..runtime.faults import SITE_TCP_REASSEMBLY
+from ..runtime.faults import NULL_INJECTOR, SITE_TCP_REASSEMBLY
 from .app import PipelineServices
-from .flowtable import FlowTable
+from .flowtable import FlowEntry, FlowTable
 
-__all__ = ["Flow", "FlowDemux"]
+__all__ = ["Flow", "FlowDemux", "track_only"]
 
 #: Memory-budget enforcement samples the (O(open flows)) pending-bytes
 #: sum once per this many packets, not per packet.
@@ -53,16 +57,22 @@ _TOTALS = ("delivered_bytes", "gap_bytes", "overlap_bytes",
            "dropped_bytes")
 
 
-class Flow:
-    """One open flow, and the base class of every flow handler.
+def track_only(timestamp, packet, entry) -> None:
+    """The factory of an app that analyses no flow content (bpf, the
+    firewall, ``flowexport``): it declines every flow, so the layer only
+    tracks, reassembles and seals it."""
+    return None
 
-    The layer owns the four slots: ``entry`` is the flow's ledger
-    :class:`~repro.host.flowtable.FlowEntry` (key, uid, per-direction
-    counters), ``reassembler`` its TCP reassembler (None for UDP),
-    ``established`` whether the TCP handshake completed, and
-    ``last_time`` the :class:`~repro.core.values.Time` of its latest
-    packet.  A flow the factory declines is a plain ``Flow``: tracked and
-    accounted, with the no-op hooks below.
+
+class Flow:
+    """The base class of every flow handler.
+
+    A handler is built on its flow's ledger
+    :class:`~repro.host.flowtable.FlowEntry` (``entry``: key, uid,
+    per-direction counters and, until the flow closes, its TCP
+    ``reassembler``).  The layer sets ``last_time``, the
+    :class:`~repro.core.values.Time` of the flow's latest packet, before
+    it calls a hook.  A flow the factory declines has no handler at all.
 
     The hooks a handler overrides:
 
@@ -76,12 +86,10 @@ class Flow:
     * ``kill()`` — the flow is quarantined (slow-flow budget exceeded).
     """
 
-    __slots__ = ("entry", "reassembler", "established", "last_time")
+    __slots__ = ("entry", "last_time")
 
     def __init__(self, entry) -> None:
         self.entry = entry
-        self.reassembler: Optional[ConnectionReassembler] = None
-        self.established = False
         self.last_time = None
 
     @property
@@ -113,10 +121,14 @@ class FlowDemux:
     record and the flow's freshly opened ledger entry (named
     ``uid_format(ordinal)``); it returns a :class:`Flow` subclass
     instance built on that entry, or None to track the flow without a
-    handler.  *services* supply the fault injector, the health report
-    and the session bounds (entry cap, inactivity TTL, reassembly memory
-    budget).  ``feed(timestamp, frame, ordinal)`` routes one frame;
-    ``finish()`` closes every open flow.
+    handler (:func:`track_only` declines every flow).  *services* supply
+    the fault injector, the health report and the session bounds (entry
+    cap, inactivity TTL, reassembly memory budget).
+    ``feed(timestamp, frame, ordinal)`` routes one frame and returns its
+    decoded packet; ``finish()`` closes every open flow.
+
+    The ledger's open-entry dict is the layer's one flow table: a flow's
+    handler and reassembler hang off its entry.
     """
 
     #: Bound on remembered torn-down TCP keys (oldest half evicted).
@@ -130,6 +142,7 @@ class FlowDemux:
         services = services if services is not None else PipelineServices()
         self._factory = factory
         self._faults = services.faults
+        self._unarmed = services.faults is NULL_INJECTOR
         self._health = services.health
         self.memory_budget_bytes = services.memory_budget_bytes
         self.flow_budget_ns = flow_budget_ns
@@ -141,9 +154,9 @@ class FlowDemux:
                                max_sessions=services.max_sessions,
                                session_ttl=services.session_ttl,
                                on_evict=self._on_evict)
+        self._entries = self.table.entries
         self._evicting = (self.table.evicting
                           or self.memory_budget_bytes is not None)
-        self._flows: Dict[tuple, Flow] = {}
         # TIME_WAIT: keys of recently torn-down TCP flows.  A teardown's
         # trailing bare ACK arrives after both FINs closed the
         # reassembler; it belongs to the dead flow, not to a new one.
@@ -152,7 +165,6 @@ class FlowDemux:
         self.packets_ignored = 0
         self.flows_opened = {"tcp": 0, "udp": 0}
         self.flows_ignored = 0
-        self.flows_closed = 0
         self.flows_quarantined_slow = 0
         self.peak_flows = 0
         self._totals = dict.fromkeys(_TOTALS, 0)
@@ -165,165 +177,182 @@ class FlowDemux:
     def sessions_expired(self) -> int:
         return self.table.sessions_expired
 
+    @property
+    def flows_closed(self) -> int:
+        """Every flow opened closes once: at teardown, on eviction or
+        at the end of the trace."""
+        return sum(self.flows_opened.values()) - len(self._entries)
+
     def open_flows(self) -> int:
-        return len(self._flows)
+        return len(self._entries)
 
     # -- feeding -----------------------------------------------------------
 
     def feed(self, timestamp, frame: bytes,
-             ordinal: Optional[int] = None) -> None:
+             ordinal: Optional[int] = None) -> Optional[Decoded]:
         """Route one frame, packet number *ordinal*, seen at *timestamp*
         (a :class:`~repro.core.values.Time`); a flow it opens is named
-        after *ordinal*."""
+        after *ordinal*.  Returns the decoded packet, or None for a
+        frame that is not TCP or UDP."""
         packet = decode_flow(frame)
+        seconds = timestamp.seconds
         if packet is None:
             self.packets_ignored += 1
-        elif packet.protocol == PROTO_TCP:
-            self._tcp(timestamp, packet, ordinal)
         else:
-            self._udp(timestamp, packet, ordinal)
+            entry = self._entries.get(packet.key)
+            if entry is None:
+                entry = self._open(timestamp, seconds, packet, ordinal)
+            if entry is not None:
+                if self._evicting:
+                    self.table.touch(packet.key, seconds)
+                entry.last_ts = seconds
+                entry.tcp_flags |= packet.flags
+                is_orig = packet.sender_is_first == entry.orig_is_first
+                if is_orig:
+                    entry.orig_pkts += 1
+                    entry.orig_bytes += packet.payload_len
+                else:
+                    entry.resp_pkts += 1
+                    entry.resp_bytes += packet.payload_len
+                reassembler = entry.reassembler
+                handler = entry.handler
+                if reassembler is None:
+                    if handler is not None:
+                        handler.last_time = timestamp
+                        if packet.payload_len:
+                            self._deliver(entry, handler.datagram, is_orig,
+                                          packet.payload)
+                elif handler is None and self._unarmed:
+                    # No handler, no fault armed: the reassembler only
+                    # decides where the flow ends.
+                    reassembler.feed_segment(is_orig, packet)
+                    if reassembler.closed:
+                        self._teardown(entry)
+                else:
+                    self._segment(entry, timestamp, packet, is_orig)
         if self._evicting:
-            self._run_eviction(timestamp.seconds)
+            self._run_eviction(seconds)
+        return packet
 
-    def _open(self, timestamp, packet, ordinal) -> Flow:
-        entry = self.table.open(packet, timestamp.seconds, ordinal)
-        flow = self._factory(timestamp, packet, entry)
-        if flow is None:
-            self.flows_ignored += 1
-            flow = Flow(entry)
-        flows = self._flows
-        flows[packet.key] = flow
-        self.flows_opened["tcp" if packet.protocol == PROTO_TCP
-                          else "udp"] += 1
-        if len(flows) > self.peak_flows:
-            self.peak_flows = len(flows)
-        return flow
-
-    def _tcp(self, timestamp, packet, ordinal) -> None:
+    def _open(self, timestamp, seconds: float, packet,
+              ordinal) -> Optional[FlowEntry]:
+        """Open a flow on its first packet; None when the packet is the
+        trailing ACK or RST of a torn-down TCP flow (TIME_WAIT)."""
         key = packet.key
-        flow = self._flows.get(key)
-        if flow is None:
-            if key in self._timewait:
-                if not (packet.flags & SYN) and not packet.payload_len:
-                    return
-                del self._timewait[key]
-            flow = self._open(timestamp, packet, ordinal)
-            flow.reassembler = ConnectionReassembler()
-        is_orig = packet.sender_is_first == flow.entry.orig_is_first
-        flow.last_time = timestamp
-        seconds = timestamp.seconds
-        if self._evicting:
-            self.table.touch(key, seconds)
-        flow.entry.add(seconds, packet.payload_len, packet.flags, is_orig)
-        reassembler = flow.reassembler
+        tcp = packet.protocol == PROTO_TCP
+        if tcp and key in self._timewait:
+            if not (packet.flags & SYN) and not packet.payload_len:
+                return None
+            del self._timewait[key]
+        entry = self.table.open(packet, seconds, ordinal)
+        if tcp:
+            entry.reassembler = ConnectionReassembler()
+        entry.handler = self._factory(timestamp, packet, entry)
+        if entry.handler is None:
+            self.flows_ignored += 1
+        self.flows_opened["tcp" if tcp else "udp"] += 1
+        open_now = len(self._entries)
+        if open_now > self.peak_flows:
+            self.peak_flows = open_now
+        return entry
+
+    def _segment(self, entry: FlowEntry, timestamp, packet,
+                 is_orig: bool) -> None:
+        """One TCP segment: reassembly for every flow, since teardown
+        decides where the flow ends; the hooks for a handled one."""
+        reassembler = entry.reassembler
+        handler = entry.handler
+        if handler is not None:
+            handler.last_time = timestamp
+            established = reassembler.established
         try:
             self._faults.check(SITE_TCP_REASSEMBLY)
-            data = reassembler.feed_segment(is_orig, packet.transport())
+            data = reassembler.feed_segment(is_orig, packet)
         except HiltiError:
             # Contained at segment granularity: this segment's payload
             # is lost (like a capture drop); the stream continues.
             self._health.record_error(SITE_TCP_REASSEMBLY)
             data = None
-        if reassembler.established and not flow.established:
-            flow.established = True
-            flow.handshake()
-        if self.flow_budget_ns is None:
-            flow.segment(is_orig, packet.payload_len, data)
-        else:
-            flow = self._timed(flow, flow.segment, is_orig,
-                               packet.payload_len, data)
+        if handler is not None:
+            if reassembler.established and not established:
+                handler.handshake()
+            self._deliver(entry, handler.segment, is_orig,
+                          packet.payload_len, data)
         if reassembler.closed:
-            self._close(flow)
-            self.table.close(key, "finished")
-            del self._flows[key]
-            timewait = self._timewait
-            timewait[key] = None
-            if len(timewait) > self.TIMEWAIT_CAPACITY:
-                # Expire the oldest half (dicts keep insertion order).
-                for old in list(timewait)[:len(timewait) // 2]:
-                    del timewait[old]
+            self._teardown(entry)
 
-    def _udp(self, timestamp, packet, ordinal) -> None:
-        key = packet.key
-        flow = self._flows.get(key)
-        if flow is None:
-            flow = self._open(timestamp, packet, ordinal)
-        is_orig = packet.sender_is_first == flow.entry.orig_is_first
-        flow.last_time = timestamp
-        seconds = timestamp.seconds
-        if self._evicting:
-            self.table.touch(key, seconds)
-        flow.entry.add(seconds, packet.payload_len, 0, is_orig)
-        if packet.payload_len:
-            if self.flow_budget_ns is None:
-                flow.datagram(is_orig, packet.payload)
-            else:
-                self._timed(flow, flow.datagram, is_orig, packet.payload)
+    def _teardown(self, entry: FlowEntry) -> None:
+        """The TCP flow's teardown completed: it closes, is sealed as
+        finished, and its key enters TIME_WAIT."""
+        self._close(entry)
+        key = entry.key
+        self.table.close(key, "finished")
+        timewait = self._timewait
+        timewait[key] = None
+        if len(timewait) > self.TIMEWAIT_CAPACITY:
+            # Expire the oldest half (dicts keep insertion order).
+            for old in list(timewait)[:len(timewait) // 2]:
+                del timewait[old]
 
     def finish(self) -> None:
         """End of trace: close every flow still open, in arrival order,
         each inside its own fault unit (the order flows close in differs
         per parallel lane), then seal the ledger's remaining entries as
-        finished.  Each flow leaves the table before it closes, so a
-        closed flow is released before the next one closes."""
-        flows = self._flows
-        # Arrival order, popped off the end of a reversed key list
-        # (see FlowTable.finish).
-        keys = list(flows)
-        keys.reverse()
-        while keys:
-            key = keys.pop()
-            flow = flows.pop(key)
-            self._faults.enter_flow(key)
-            self._close(flow)
+        finished."""
+        faults = self._faults
+        for entry in self._entries.values():
+            if entry.handler is None and entry.reassembler is None:
+                continue  # a UDP flow no handler claimed: just its entry
+            faults.enter_flow(entry.key)
+            self._close(entry)
         self.table.finish()
 
     # -- internals ---------------------------------------------------------
 
-    def _close(self, flow: Flow) -> None:
-        flow.end()
-        if flow.reassembler is not None:
+    def _close(self, entry: FlowEntry) -> None:
+        """Close a flow: its handler's ``end()`` runs, its reassembly
+        counts join the totals, and both leave the entry (which the
+        ledger keeps until it seals it)."""
+        if entry.handler is not None:
+            entry.handler.end()
+        if entry.reassembler is not None:
+            stats = entry.reassembler.stats()
             totals = self._totals
-            for name, value in flow.reassembler.stats().items():
-                if name in totals:
-                    totals[name] += value
-        self.flows_closed += 1
+            for name in _TOTALS:
+                totals[name] += stats[name]
+        entry.handler = entry.reassembler = None
 
-    def _timed(self, flow: Flow, hook, *args) -> Flow:
-        """Run one handler hook under the flow budget; returns the flow
-        now in the table."""
+    def _deliver(self, entry: FlowEntry, hook, *args) -> None:
+        """Run one handler hook, under the flow budget when one is set."""
+        if self.flow_budget_ns is None:
+            hook(*args)
+            return
         begin = _time.perf_counter_ns()
         hook(*args)
-        if _time.perf_counter_ns() - begin <= self.flow_budget_ns:
-            return flow
-        return self._quarantine_slow(flow)
+        if _time.perf_counter_ns() - begin > self.flow_budget_ns:
+            self._quarantine_slow(entry)
 
-    def _quarantine_slow(self, flow: Flow) -> Flow:
+    def _quarantine_slow(self, entry: FlowEntry) -> None:
         """One handler dispatch overran the flow budget (Python can't
         preempt the call that already ran, so the cost is one slow
-        dispatch, not a stall).  A plain :class:`Flow` takes the
-        handler's place, so the flow stays tracked and no further hook
-        reaches the handler."""
-        flow.kill()
+        dispatch, not a stall).  The handler leaves the entry, so the
+        flow stays tracked and no further hook reaches the handler."""
+        handler = entry.handler
+        handler.kill()
         self.flows_quarantined_slow += 1
         if self._on_slow_flow is not None:
-            self._on_slow_flow(flow)
-        stand_in = Flow(flow.entry)
-        stand_in.reassembler = flow.reassembler
-        stand_in.established = flow.established
-        stand_in.last_time = flow.last_time
-        self._flows[flow.entry.key] = stand_in
-        return stand_in
+            self._on_slow_flow(handler)
+        entry.handler = None
 
     # -- eviction ----------------------------------------------------------
 
     def _on_evict(self, key, reason: str) -> bool:
         """The ledger's owner callback: close a TTL/cap/budget victim
         with full final-flush semantics (its handler's ``end()`` runs)."""
-        flow = self._flows.pop(key, None)
-        if flow is None:
+        entry = self._entries.get(key)
+        if entry is None:
             return False
-        self._close(flow)
+        self._close(entry)
         return True
 
     def _run_eviction(self, now: float) -> None:
@@ -342,15 +371,15 @@ class FlowDemux:
             key = self.table.oldest()
             if key is None:
                 break
-            flow = self._flows.get(key)
-            if flow is not None and flow.reassembler is not None:
-                pending -= flow.reassembler.stats()["pending_bytes"]
+            entry = self._entries.get(key)
+            if entry is not None and entry.reassembler is not None:
+                pending -= entry.reassembler.stats()["pending_bytes"]
             self.table.evict(key, "evicted")
 
     def _pending_bytes(self) -> int:
-        return sum(flow.reassembler.stats()["pending_bytes"]
-                   for flow in self._flows.values()
-                   if flow.reassembler is not None)
+        return sum(entry.reassembler.stats()["pending_bytes"]
+                   for entry in self._entries.values()
+                   if entry.reassembler is not None)
 
     # -- reporting ---------------------------------------------------------
 
@@ -360,7 +389,7 @@ class FlowDemux:
 
     def session_stats(self) -> Dict[str, int]:
         """Occupancy and eviction counters (``HostApp.session_stats``)."""
-        return {"open": len(self._flows),
+        return {"open": len(self._entries),
                 "evicted": self.table.sessions_evicted,
                 "expired": self.table.sessions_expired}
 
@@ -368,9 +397,9 @@ class FlowDemux:
         """Closed flows' reassembly totals plus the open flows' state;
         ``pending_bytes`` is the current out-of-order occupancy."""
         out = dict(self._totals, pending_bytes=0)
-        for flow in self._flows.values():
-            if flow.reassembler is not None:
-                for name, value in flow.reassembler.stats().items():
+        for entry in self._entries.values():
+            if entry.reassembler is not None:
+                for name, value in entry.reassembler.stats().items():
                     out[name] += value
         return out
 
@@ -381,7 +410,7 @@ class FlowDemux:
             "flows_closed": self.flows_closed,
             "flows_ignored": self.flows_ignored,
             "packets_ignored": self.packets_ignored,
-            "flows_open": len(self._flows),
+            "flows_open": len(self._entries),
             "sessions_evicted": self.sessions_evicted,
             "sessions_expired": self.sessions_expired,
             "flows_quarantined_slow": self.flows_quarantined_slow,

@@ -249,6 +249,10 @@ class TCPSegment:
                    data[data_offset:])
 
     @property
+    def payload_len(self) -> int:
+        return len(self.payload)
+
+    @property
     def syn(self) -> bool:
         return bool(self.flags & SYN)
 

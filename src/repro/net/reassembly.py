@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .packet import FIN, RST, SYN, TCPSegment
+from .packet import ACK, FIN, RST, SYN
 
 __all__ = ["StreamReassembler", "ConnectionReassembler"]
 
@@ -37,7 +37,7 @@ class StreamReassembler:
     limit (excess data is dropped and counted, like a content gap).
     """
 
-    __slots__ = ("_next_seq", "_pending", "_pending_bytes", "_started",
+    __slots__ = ("_next_seq", "_pending", "_pending_bytes",
                  "_finished", "delivered_bytes", "gap_bytes",
                  "out_of_order_segments", "duplicate_segments",
                  "overlap_bytes", "dropped_bytes", "max_pending_bytes")
@@ -50,7 +50,6 @@ class StreamReassembler:
         # pending: seq -> payload, only out-of-order data waits here.
         self._pending: Dict[int, bytes] = {}
         self._pending_bytes = 0
-        self._started = False
         self._finished = False
         self.delivered_bytes = 0
         self.gap_bytes = 0
@@ -64,16 +63,7 @@ class StreamReassembler:
         self.dropped_bytes = 0
         self.max_pending_bytes = max_pending_bytes
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def on_syn(self, seq: int) -> None:
-        self._started = True
         self._next_seq = (seq + 1) % _SEQ_MOD
 
     def feed(self, seq: int, payload: bytes, fin: bool = False) -> bytes:
@@ -83,17 +73,15 @@ class StreamReassembler:
         if self._next_seq is None:
             # Mid-stream pickup: accept the first segment as the origin.
             self._next_seq = seq
-            self._started = True
-        output: List[bytes] = []
+        result = b""
         if payload:
             self._insert(seq, payload)
-            output.append(self._drain())
+            result = self._drain()
+            self.delivered_bytes += len(result)
         if fin:
             fin_seq = (seq + len(payload)) % _SEQ_MOD
             if not _seq_lt(self._next_seq, fin_seq):
                 self._finished = True
-        result = b"".join(output)
-        self.delivered_bytes += len(result)
         return result
 
     def skip_gap(self) -> int:
@@ -185,23 +173,6 @@ class StreamReassembler:
             self._next_seq = (self._next_seq + len(chunk)) % _SEQ_MOD
         return b"".join(chunks)
 
-    # -- telemetry ------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """One direction's accounting — the uniform telemetry shape
-        (same keys as :meth:`ConnectionReassembler.stats`)."""
-        return {
-            "delivered_bytes": self.delivered_bytes,
-            "pending_bytes": self._pending_bytes,
-            "gap_bytes": self.gap_bytes,
-            "overlap_bytes": self.overlap_bytes,
-            "dropped_bytes": self.dropped_bytes,
-        }
-
-    def export_metrics(self, registry, label: str = "stream") -> None:
-        """Publish the snapshot into a telemetry MetricsRegistry."""
-        _export_reassembly(registry, self.stats(), label)
-
 
 class ConnectionReassembler:
     """Both directions of a TCP connection.
@@ -211,6 +182,9 @@ class ConnectionReassembler:
     completed, ``closed`` once both sides finished or a RST arrived.
     """
 
+    __slots__ = ("originator", "responder", "_syn_seen", "_syn_ack_seen",
+                 "established", "closed")
+
     def __init__(
         self,
         max_pending_bytes: int = StreamReassembler.DEFAULT_MAX_PENDING,
@@ -219,74 +193,64 @@ class ConnectionReassembler:
         self.responder = StreamReassembler(max_pending_bytes)
         self._syn_seen = False
         self._syn_ack_seen = False
-        self._established = False
-        self._closed = False
+        self.established = False
+        self.closed = False
 
-    @property
-    def established(self) -> bool:
-        return self._established
+    def feed_segment(self, is_originator: bool, segment) -> bytes:
+        """Process one segment; returns contiguous new payload.
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def feed_segment(self, is_originator: bool, segment: TCPSegment) -> bytes:
-        """Process one segment; returns contiguous new payload."""
-        if self._closed:
+        *segment* is a :class:`~repro.net.packet.TCPSegment` or a decoded
+        packet's :class:`~repro.net.packet.Decoded` record: both carry
+        ``seq``, ``flags``, ``payload_len`` and ``payload``, and the
+        payload is only sliced out of a decoded frame when it is not
+        empty.
+        """
+        if self.closed:
+            return b""
+        flags = segment.flags
+        if flags & RST:
+            self.closed = True
             return b""
         stream = self.originator if is_originator else self.responder
-        if segment.flags & RST:
-            self._closed = True
-            return b""
         seq = segment.seq
-        if segment.flags & SYN:
+        if flags & SYN:
             if is_originator:
                 self._syn_seen = True
             else:
                 self._syn_ack_seen = True
             stream.on_syn(seq)
             seq = (seq + 1) % _SEQ_MOD
-        if (
-            not self._established
-            and self._syn_seen
-            and self._syn_ack_seen
-            and segment.is_ack
-            and not segment.syn
-        ):
-            self._established = True
-        data = stream.feed(seq, segment.payload, fin=segment.fin)
-        if self.originator.finished and self.responder.finished:
-            self._closed = True
+        elif (flags & ACK and not self.established and self._syn_seen
+              and self._syn_ack_seen):
+            self.established = True
+        length = segment.payload_len
+        if (seq == stream._next_seq and not stream._pending
+                and not stream._finished):
+            # In order with nothing waiting: the payload is the stream's
+            # next stretch and a FIN ends the stream right after it,
+            # exactly as StreamReassembler.feed would have it.
+            data = b""
+            if length:
+                data = segment.payload
+                stream._next_seq = (seq + length) % _SEQ_MOD
+                stream.delivered_bytes += length
+            if not flags & FIN:
+                return data
+            stream._finished = True
+        else:
+            data = stream.feed(
+                seq, segment.payload if length else b"", flags & FIN)
+        if self.originator._finished and self.responder._finished:
+            self.closed = True
         return data
 
     def stats(self) -> dict:
         """Both directions' accounting, summed (telemetry export)."""
-        out = {
-            "delivered_bytes": 0,
-            "pending_bytes": 0,
-            "gap_bytes": 0,
-            "overlap_bytes": 0,
-            "dropped_bytes": 0,
+        orig, resp = self.originator, self.responder
+        return {
+            "delivered_bytes": orig.delivered_bytes + resp.delivered_bytes,
+            "pending_bytes": orig._pending_bytes + resp._pending_bytes,
+            "gap_bytes": orig.gap_bytes + resp.gap_bytes,
+            "overlap_bytes": orig.overlap_bytes + resp.overlap_bytes,
+            "dropped_bytes": orig.dropped_bytes + resp.dropped_bytes,
         }
-        for stream in (self.originator, self.responder):
-            out["delivered_bytes"] += stream.delivered_bytes
-            out["pending_bytes"] += stream.pending_bytes()
-            out["gap_bytes"] += stream.gap_bytes
-            out["overlap_bytes"] += stream.overlap_bytes
-            out["dropped_bytes"] += stream.dropped_bytes
-        return out
-
-    def export_metrics(self, registry, label: str = "connection") -> None:
-        """Publish the snapshot into a telemetry MetricsRegistry."""
-        _export_reassembly(registry, self.stats(), label)
-
-
-def _export_reassembly(registry, stats: dict, label: str) -> None:
-    """The uniform reassembly series shape (shared with the flow
-    layer): ``pending_bytes`` is a gauge, the rest are counters."""
-    registry.gauge("reassembly.pending_bytes", stream=label).set(
-        stats["pending_bytes"])
-    for name in ("delivered_bytes", "gap_bytes", "overlap_bytes",
-                 "dropped_bytes"):
-        registry.counter(f"reassembly.{name}", stream=label).inc(
-            stats[name])

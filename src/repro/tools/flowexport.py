@@ -1,9 +1,9 @@
 """Flow export: pcap -> flow records.
 
-The ledger as a standalone tool — no host application, no parsers,
-just the shared :class:`~repro.host.flowtable.FlowTable` accounting
-every TCP/UDP frame of a trace and sealing one
-``repro-flowrecords/1`` record per flow::
+The flow layer as a standalone tool — no host application, no parsers,
+just :class:`~repro.host.demux.FlowDemux` with no handler, tracking
+every TCP/UDP flow of a trace and sealing one ``repro-flowrecords/1``
+record per flow::
 
     python -m repro.tools.flowexport -r trace.pcap --logdir logs --validate
 
@@ -19,9 +19,9 @@ import os as _os
 import sys
 from typing import List, Optional
 
+from ..host.demux import FlowDemux, track_only
 from ..host.flowtable import FlowTable
 from ..net.flowrecord import format_record_uid, write_flowrecords_jsonl
-from ..net.flows import decode_flow
 from ..net.pcap import PcapReader
 from .validate import validate_file
 
@@ -29,17 +29,14 @@ __all__ = ["export_flows", "main"]
 
 
 def export_flows(trace_path: str, tolerant: bool = False) -> FlowTable:
-    """Account every TCP/UDP frame of *trace_path* into a fresh
-    FlowTable; returns the table with all flows sealed."""
-    table = FlowTable(uid_format=format_record_uid)
+    """Run every frame of *trace_path* through a fresh flow layer;
+    returns its ledger with all flows sealed."""
+    demux = FlowDemux(track_only, format_record_uid)
     with PcapReader(trace_path, tolerant=tolerant) as reader:
         for ordinal, (timestamp, frame) in enumerate(reader):
-            packet = decode_flow(frame)
-            if packet is not None:
-                table.account(packet, timestamp.seconds,
-                              packet.payload_len, packet.flags, ordinal)
-    table.finish()
-    return table
+            demux.feed(timestamp, frame, ordinal)
+    demux.finish()
+    return demux.table
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -209,6 +209,46 @@ class TestBroHostCli:
         assert len(conn_uids) == len(records) == 71
 
 
+class TestSessionBounds:
+    """bpf and the firewall run on the flow layer, so ``--max-sessions``
+    and ``--session-ttl`` bound their flows as they bound Bro's: a
+    bounded run seals flows as ``expired``/``evicted`` and counts them
+    in the ``sessions_*`` series."""
+
+    @pytest.fixture(scope="class")
+    def pcap(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("bounds") / "mixed.pcap")
+        tracegen_cli.main(["mixed", "--seed", "42", "-o", path])
+        return path
+
+    @pytest.mark.parametrize("app", ["bpf", "firewall"])
+    def test_bounded_run_expires_and_evicts(self, pcap, app, tmp_path,
+                                            capsys):
+        from repro.tools import bpf_filter as bpf_cli
+        from repro.tools import firewall as firewall_cli
+
+        if app == "bpf":
+            main, args = bpf_cli.main, ["udp"]
+        else:
+            rules = tmp_path / "rules.txt"
+            rules.write_text("10.0.0.0/8 * allow\n* * deny\n")
+            main, args = firewall_cli.main, ["--rules", str(rules)]
+        logdir = tmp_path / "logs"
+        assert main(args + ["-r", pcap, "--max-sessions", "2",
+                            "--session-ttl", "0.001", "--metrics",
+                            "--logdir", str(logdir)]) == 0
+        capsys.readouterr()
+        reasons = {json.loads(line)["close_reason"] for line in
+                   (logdir / "flow_records.jsonl").read_text()
+                   .splitlines()[1:]}
+        assert {"expired", "evicted"} <= reasons
+        series = {entry["name"]: entry["value"] for entry in
+                  (json.loads(line) for line in
+                   (logdir / "metrics.jsonl").read_text().splitlines()[1:])}
+        assert series[f"{app}.sessions_expired"] > 0
+        assert series[f"{app}.sessions_evicted"] > 0
+
+
 class TestValidateCli:
     """``python -m repro.tools.validate``: one command for every report
     format, told which schema by the file itself."""

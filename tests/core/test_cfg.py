@@ -1,12 +1,18 @@
-"""Control-flow graph construction and reachability."""
+"""Control-flow edges and reachability, read from ``successors``."""
 
-from repro.core.cfg import build_cfg, reachable_blocks, successors
+from repro.core.cfg import successors
 from repro.core.parser import parse_module
 
 
 def _function(source):
     module = parse_module(source)
     return next(iter(module.functions.values()))
+
+
+def _edges(function):
+    """label -> successor labels for every block."""
+    return {block.label: successors(function, index)
+            for index, block in enumerate(function.blocks)}
 
 
 class TestSuccessors:
@@ -45,7 +51,7 @@ void f() {
     }
 }
 """)
-        graph = build_cfg(f)
+        graph = _edges(f)
         handler_labels = [l for l in graph if l.startswith("__catch")]
         assert handler_labels
         assert handler_labels[0] in graph["entry"]
@@ -60,6 +66,13 @@ out:
     return
 }
 """)
-        reachable = reachable_blocks(f)
+        graph = _edges(f)
+        reachable = set()
+        stack = [f.blocks[0].label]
+        while stack:
+            label = stack.pop()
+            if label not in reachable:
+                reachable.add(label)
+                stack.extend(graph[label])
         assert "out" in reachable
         assert "island" not in reachable

@@ -1,15 +1,14 @@
 """The cross-backend flow-record identity oracle (docs/FLOWS.md).
 
-Every host application seals its flows through the one shared
-:class:`~repro.host.flowtable.FlowTable`, and the claim the ledger
-makes is the strongest observable one: the sorted record stream — and
-therefore the ``flow_records.jsonl`` file — is a pure function of
-trace content, **byte-identical** between the sequential pipeline and
-both parallel backends (the deterministic vthread scheduler and the
-persistent shared-memory pool) at any worker count.  This holds even though bpf and firewall lanes inject
-faults and assign record uids independently: the ledger feed bypasses
-the fault-injected parse, and the dispatcher pre-assigns uids in
-global arrival order.
+Every host application runs on the one flow layer and seals its flows
+through the shared :class:`~repro.host.flowtable.FlowTable`, and the
+claim the ledger makes is the strongest observable one: the sorted
+record stream — and therefore the ``flow_records.jsonl`` file — is a
+pure function of trace content, **byte-identical** between the
+sequential pipeline and both parallel backends (the deterministic
+vthread scheduler and the persistent shared-memory pool) at any worker
+count.  Lanes name flows independently: a uid is the ordinal of its
+flow's opening packet, which every lane is handed with the packet.
 """
 
 import json
@@ -29,6 +28,7 @@ from repro.net.flowrecord import (
     FLOWRECORDS_SCHEMA,
     write_flowrecords_jsonl,
 )
+from repro.net.pcap import read_pcap, write_pcap
 from repro.net.tracegen import (
     DnsTraceConfig,
     HttpTraceConfig,
@@ -37,6 +37,7 @@ from repro.net.tracegen import (
     generate_http_trace,
     generate_mixed_trace,
 )
+from repro.tools.flowexport import export_flows
 from repro.tools.validate import validate
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -182,9 +183,10 @@ def _replayed_session():
 
 
 class TestOneFlowLayer:
-    """Bro and the BinPAC++ driver run on one flow layer, so they agree
-    on what a flow is: the driver's flow records are Bro's, up to the
-    uid's kind letter, on every backend (docs/FLOWS.md)."""
+    """Every app runs on one flow layer, so all agree on what a flow
+    is: the BinPAC++ driver's, bpf's, the firewall's and flowexport's
+    flow records are Bro's, up to the uid's kind letter, on every
+    backend (docs/FLOWS.md)."""
 
     @pytest.fixture(scope="class",
                     params=["mixed-seed-42", "replayed-session"])
@@ -211,6 +213,38 @@ class TestOneFlowLayer:
         assert bro_lines  # the oracle is not vacuous
         assert sorted(line.replace('"uid":"F', '"uid":"C')
                       for line in lines) == bro_lines
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("sequential", 1), ("vthread", 1), ("vthread", 3), ("pool", 1),
+        ("pool", 3)])
+    @pytest.mark.parametrize("name", ["bpf", "firewall"])
+    def test_app_records_are_bros(self, case, name, backend, workers):
+        """bpf and the firewall run on the layer with no handler: their
+        records are Bro's, up to the uid letter ``S``."""
+        trace, bro_lines = case
+        if backend == "sequential":
+            app = (BpfApp(FILTER) if name == "bpf" else
+                   FirewallApp(RuleSet.parse(RULES, timeout_seconds=5.0)))
+        else:
+            _needs_fork(backend)
+            app = ParallelPipeline(_spec(name), workers=workers,
+                                   backend=backend)
+        app.run(trace)
+        assert sorted(line.replace('"uid":"S', '"uid":"C')
+                      for line in app.flow_record_lines()) == bro_lines
+
+    def test_flowexport_records_are_bros(self, case, tmp_path):
+        """flowexport reads a pcap, whose timestamps are microseconds:
+        Bro reads the same file."""
+        trace, __ = case
+        path = str(tmp_path / "trace.pcap")
+        write_pcap(path, trace)
+        bro = Bro()
+        bro.run(read_pcap(path))
+        lines = export_flows(path).record_lines()
+        assert bro.flow_record_lines()
+        assert sorted(line.replace('"uid":"S', '"uid":"C')
+                      for line in lines) == bro.flow_record_lines()
 
     def test_driver_releases_flows_at_teardown(self):
         """A torn-down flow leaves the layer and the ledger at once:

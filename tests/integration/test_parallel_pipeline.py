@@ -265,16 +265,16 @@ class TestTimeWait:
 
     @pytest.mark.parametrize("app,backend,workers", [
         pytest.param(app, backend, workers,
-                     id=f"{'pac-' if app == 'pac' else ''}{backend}-{workers}")
-        for app in ("bro", "pac")
+                     id=f"{'' if app == 'bro' else app + '-'}{backend}-{workers}")
+        for app in ("bro", "pac", "bpf", "firewall")
         for backend, workers in (("vthread", 1), ("vthread", 3),
                                  ("pool", 1), ("pool", 3))])
     def test_reuse_gets_two_uids_on_every_backend(self, app, backend,
                                                   workers):
         """Both instances of a reused 5-tuple land on one lane, which
         names each after its own opening packet, as the sequential run
-        does — for Bro and for the BinPAC++ driver, which share the
-        flow layer."""
+        does — for Bro, the BinPAC++ driver, bpf and the firewall, which
+        share the flow layer."""
         from repro.core.values import Time
 
         single = self._one_session()
@@ -283,6 +283,9 @@ class TestTimeWait:
                           for ts, frame in single]
         if app == "pac":
             self._check_pac_reuse(single, trace, backend, workers)
+            return
+        if app in ("bpf", "firewall"):
+            self._check_record_reuse(app, trace, backend, workers)
             return
         sequential = Bro()
         sequential.run(trace)
@@ -293,6 +296,35 @@ class TestTimeWait:
         assert len({line.split("\t")[1] for line in lines}) == 2
         assert parallel.flow_record_lines() == \
             sequential.flow_record_lines()
+
+    @staticmethod
+    def _check_record_reuse(app, trace, backend, workers):
+        """bpf and the firewall analyse no flow content: the reuse shows
+        in their flow records alone, two of them, each with its uid."""
+        from repro.apps.bpf.app import BpfApp, BpfLaneSpec
+        from repro.apps.firewall.app import FirewallApp, FirewallLaneSpec
+        from repro.apps.firewall.rules import RuleSet
+        from repro.host import ParallelPipeline
+
+        lane = {"opt_level": None, "watchdog_budget": None,
+                "metrics": False, "trace": False}
+        if app == "bpf":
+            sequential = BpfApp("tcp")
+            spec = BpfLaneSpec(dict(lane, filter="tcp", engine="compiled"))
+        else:
+            rules = "10.0.0.0/8 * allow\n* * deny\n"
+            sequential = FirewallApp(RuleSet.parse(rules))
+            spec = FirewallLaneSpec(dict(
+                lane, rules=rules, timeout_seconds=300.0,
+                engine="compiled"))
+        sequential.run(trace)
+        pipe = ParallelPipeline(spec, workers=workers, backend=backend)
+        pipe.run(trace)
+        lines = pipe.flow_record_lines()
+        assert lines == sequential.flow_record_lines()
+        uids = {json.loads(line)["uid"] for line in lines}
+        assert len(lines) == len(uids) == 2
+        assert all(uid.startswith("S") for uid in uids)
 
     @staticmethod
     def _check_pac_reuse(single, trace, backend, workers):

@@ -380,22 +380,36 @@ _STEPS = st.tuples(
 
 
 class _SealWatch(FlowTable):
-    """Captures, per seal, the line kept and the reference line
-    ``entry.to_record().to_line()`` of the entry as it was sealed."""
+    """Captures, per seal, the reference line
+    ``entry.to_record().to_line()`` of the entry as it was sealed, and
+    the line kept for it when it is formatted (in sealing order)."""
 
     def __init__(self, **options):
         super().__init__(**options)
-        self.seals = []
+        self.references = []
+        self.lines = []
 
-    def _seal(self, entry, reason, texts):
-        super()._seal(entry, reason, texts)
-        self.seals.append((self._sealed[-1], entry.to_record().to_line()))
+    def _seal(self, entry, reason):
+        super()._seal(entry, reason)
+        self.references.append(entry.to_record().to_line())
+
+    def finish(self):
+        for entry in reversed(list(self.entries.values())):
+            entry.close_reason = "finished"
+            self.references.append(entry.to_record().to_line())
+        super().finish()
+
+    def _line(self, values, texts):
+        line = super()._line(values, texts)
+        self.lines.append(line)
+        return line
 
 
 class TestRecordLineOracle:
-    """``FlowTable`` formats each entry into its line as it seals it;
-    ``FlowRecord.to_line`` (``json.dumps``) of the entry's record at
-    that moment is the reference."""
+    """``FlowTable`` formats each sealed flow into its line, from the
+    values the entry held when it was sealed; ``FlowRecord.to_line``
+    (``json.dumps``) of the entry's record at that moment is the
+    reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(
@@ -427,10 +441,9 @@ class TestRecordLineOracle:
                 table.close(flow.key, action)
         if finish:
             table.finish()
-        for line, reference in table.seals:
-            assert line == reference
-        lines = sorted(line for line, __ in table.seals)
-        assert table.record_lines() == lines
+        lines = table.record_lines()  # formats every sealed flow
+        assert table.lines == table.references
+        assert sorted(table.lines) == lines
         # records() parses every line back.
         assert sorted(r.to_line() for r in table.records()) == lines
 
@@ -446,7 +459,7 @@ class TestGoldenExport:
     """The CI flow-export job's stream, pinned byte for byte: ``tracegen
     mixed --seed 42`` through ``flowexport`` (records.jsonl)."""
 
-    SHA256 = "9ffff88e7cccd4fc872bf94632708cda2549fd750b7c55e8d58cf71012865eb6"
+    SHA256 = "b3fe536590b635603ad58ec42170780b9535dba53cc55b6628bc5f03c1b7a33d"
 
     def test_fixed_seed_mixed_trace_digest(self, tmp_path):
         import hashlib

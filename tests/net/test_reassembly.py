@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.packet import ACK, FIN, PSH, SYN, TCPSegment
+from repro.net.packet import ACK, FIN, PSH, RST, SYN, TCPSegment
 from repro.net.reassembly import ConnectionReassembler, StreamReassembler
 
 
@@ -102,8 +102,6 @@ class TestConnection:
     def test_rst_closes_immediately(self):
         conn = ConnectionReassembler()
         self._handshake(conn)
-        from repro.net.packet import RST
-
         conn.feed_segment(True, TCPSegment(1, 2, seq=101, flags=RST))
         assert conn.closed
 
@@ -244,3 +242,53 @@ class TestAdversarialOverlap:
         assert out == b"abCDEEffij"
         assert overlap == 2
         assert dups == 2
+
+
+_FLAGS = st.sampled_from([ACK, ACK | PSH, SYN, SYN | ACK, ACK | FIN,
+                          FIN, RST, ACK | RST, 0])
+
+#: (is_orig, in_order, start, length, salt, flags): *start* is the
+#: payload's offset in its direction's stream (the cursor when
+#: *in_order*), *salt* makes an overlapping retransmit carry other bytes.
+_STEPS = st.lists(st.tuples(st.booleans(), st.booleans(),
+                            st.integers(0, 48), st.integers(0, 12),
+                            st.integers(0, 1), _FLAGS),
+                  max_size=40)
+
+
+class TestDecodedInput:
+    """``feed_segment`` reads a decoded packet's record as it reads a
+    :class:`TCPSegment`: in any order, with overlap, FIN and RST, both
+    return the same bytes and leave the same state."""
+
+    @given(isns=st.tuples(st.integers(0, 2**32 - 1),
+                          st.integers(0, 2**32 - 1)),
+           steps=_STEPS, content=st.binary(min_size=64, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_records_and_segments_agree(self, isns, steps, content):
+        from repro.core.values import Addr
+        from repro.net.packet import build_tcp_packet, decode
+
+        ends = {True: (Addr("10.0.0.1"), Addr("10.0.0.2"), 4000, 80),
+                False: (Addr("10.0.0.2"), Addr("10.0.0.1"), 80, 4000)}
+        by_record = ConnectionReassembler()
+        by_segment = ConnectionReassembler()
+        cursor = {True: 0, False: 0}
+        for is_orig, in_order, start, length, salt, flags in steps:
+            if in_order:
+                start = cursor[is_orig]
+            cursor[is_orig] = start + length
+            isn = isns[0] if is_orig else isns[1]
+            seq = isn if flags & SYN else (isn + 1 + start) % 2**32
+            payload = bytes((byte + salt) % 256
+                            for byte in content[start:start + length])
+            src, dst, sport, dport = ends[is_orig]
+            record = decode(build_tcp_packet(src, dst, sport, dport, seq,
+                                             0, flags, payload))
+            segment = TCPSegment(sport, dport, seq, 0, flags,
+                                 payload=payload)
+            assert (by_record.feed_segment(is_orig, record)
+                    == by_segment.feed_segment(is_orig, segment))
+            assert by_record.established == by_segment.established
+            assert by_record.closed == by_segment.closed
+            assert by_record.stats() == by_segment.stats()
